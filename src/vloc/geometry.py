@@ -149,21 +149,6 @@ def rotvec_to_quat(phi) -> np.ndarray:
     return quat_normalize([math.cos(0.5 * angle), px * s, py * s, pz * s])
 
 
-def quat_to_rotvec(q) -> np.ndarray:
-    """Rotation vector of a unit quaternion; rejects angles at/over pi."""
-    qw, qx, qy, qz = float(q[0]), float(q[1]), float(q[2]), float(q[3])
-    if qw < 0.0:
-        qw, qx, qy, qz = -qw, -qx, -qy, -qz
-    nv = math.sqrt(qx * qx + qy * qy + qz * qz)
-    angle = 2.0 * math.atan2(nv, qw)
-    if angle >= _LOG_ANGLE_MAX:
-        raise NearSingularRotation(f"rotation angle {angle:.9f} rad too close to pi")
-    if nv < 1e-12:
-        return np.array([2.0 * qx, 2.0 * qy, 2.0 * qz])
-    k = angle / nv
-    return np.array([qx * k, qy * k, qz * k])
-
-
 def rotation_angle(qa, qb) -> float:
     """Geodesic angle in radians between two unit quaternions.
 
@@ -201,45 +186,6 @@ def so3_left_jacobian(phi) -> np.ndarray:
     return np.eye(3) + a * px + b * (px @ px)
 
 
-def so3_left_jacobian_inv(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    px = so3_hat(phi)
-    if theta < _SMALL:
-        c = 1.0 / 12.0 + theta * theta / 720.0
-    else:
-        c = 1.0 / (theta * theta) - (1.0 + math.cos(theta)) / (
-            2.0 * theta * math.sin(theta)
-        )
-    return np.eye(3) - 0.5 * px + c * (px @ px)
-
-
-def _se3_q_matrix(rho, phi) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    rx = so3_hat(rho)
-    px = so3_hat(phi)
-    theta = float(np.linalg.norm(phi))
-    if theta < 1e-3:
-        t2 = theta * theta
-        s1 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        s2 = -1.0 / 24.0 + t2 / 720.0 - t2 * t2 / 40320.0
-        s3 = -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0
-    else:
-        t3 = theta ** 3
-        s1 = (theta - math.sin(theta)) / t3
-        s2 = (1.0 - 0.5 * theta * theta - math.cos(theta)) / (t3 * theta)
-        s3 = (theta - math.sin(theta) - theta ** 3 / 6.0) / (t3 * theta * theta)
-    pr = px @ rx
-    rp = rx @ px
-    prp = pr @ px
-    return (
-        0.5 * rx
-        + s1 * (pr + rp + prp)
-        - s2 * (px @ pr + rp @ px - 3.0 * prp)
-        - 0.5 * (s2 - 3.0 * s3) * (prp @ px + px @ prp)
-    )
-
-
 def se3_left_jacobian(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     rho, phi = xi[:3], xi[3:]
@@ -247,13 +193,13 @@ def se3_left_jacobian(xi) -> np.ndarray:
     out = np.zeros((6, 6))
     out[:3, :3] = jl
     out[3:, 3:] = jl
-    out[:3, 3:] = _se3_q_matrix(rho, phi)
+    out[:3, 3:] = _se3_q_matrix_array(rho[None], phi[None])[0]
     return out
 
 
 def se3_right_jacobian_inv(xi) -> np.ndarray:
     """Inverse right Jacobian: d log(T exp(d))/dd at d=0 where xi = log(T)."""
-    return np.linalg.inv(se3_left_jacobian(-np.asarray(xi, dtype=float)))
+    return se3_right_jacobian_inv_array(np.asarray(xi, dtype=float).reshape(1, 6))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +287,173 @@ def se3_exp(xi) -> Pose:
 
 def se3_log(pose: Pose) -> np.ndarray:
     """Pose to tangent [rho, phi]; raises NearSingularRotation at ~pi."""
-    phi = quat_to_rotvec(pose.q)
-    rho = so3_left_jacobian_inv(phi) @ pose.t
-    return np.concatenate([rho, phi])
+    return se3_log_array(pose.t[None], pose.q[None])[0]
 
 
 def se3_adjoint(pose: Pose) -> np.ndarray:
-    r = pose.rotation_matrix()
-    out = np.zeros((6, 6))
-    out[:3, :3] = r
-    out[3:, 3:] = r
-    out[:3, 3:] = so3_hat(pose.t) @ r
+    return se3_adjoint_array(pose.t[None], pose.q[None])[0]
+
+
+# ---------------------------------------------------------------------------
+# batched SE(3): n poses as translations t (n, 3) and quaternions q (n, 4)
+# ---------------------------------------------------------------------------
+#
+# These follow the scalar functions above branch for branch; se3_log, the
+# inverse right Jacobian and the adjoint are their n = 1 case. Compose,
+# inverse and exp neither renormalize nor canonicalize the sign; log accepts
+# either sign.
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
+# hat(v) flattened row-major: -z, y, z, -x, -y, x at 1, 2, 3, 5, 6, 7
+_HAT_AT = np.array([1, 2, 3, 5, 6, 7])
+_HAT_FROM = np.array([2, 1, 2, 0, 1, 0])
+_HAT_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+def _norm_rows(v) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _cross(a, b) -> np.ndarray:
+    return a[:, _YZX] * b[:, _ZXY] - a[:, _ZXY] * b[:, _YZX]
+
+
+def so3_hat_array(v) -> np.ndarray:
+    out = np.zeros((len(v), 9))
+    out[:, _HAT_AT] = v[:, _HAT_FROM] * _HAT_SIGN
+    return out.reshape(-1, 3, 3)
+
+
+def quat_multiply_array(a, b) -> np.ndarray:
+    aw, av = a[:, :1], a[:, 1:]
+    bw, bv = b[:, :1], b[:, 1:]
+    w = aw * bw - np.einsum("ij,ij->i", av, bv)[:, None]
+    return np.concatenate([w, aw * bv + bw * av + _cross(av, bv)], axis=1)
+
+
+def quat_rotate_array(q, v) -> np.ndarray:
+    qv = q[:, 1:]
+    t = 2.0 * _cross(qv, v)
+    return v + q[:, :1] * t + _cross(qv, t)
+
+
+def quat_to_matrix_array(q) -> np.ndarray:
+    qw, qx, qy, qz = q.T
+    xx, yy, zz = qx * qx, qy * qy, qz * qz
+    xy, xz, yz = qx * qy, qx * qz, qy * qz
+    wx, wy, wz = qw * qx, qw * qy, qw * qz
+    return np.stack([
+        1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+        2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+        2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
+    ], axis=1).reshape(-1, 3, 3)
+
+
+def pose_compose_array(ta, qa, tb, qb):
+    """Row-wise a * b of two pose arrays; returns (t, q)."""
+    return quat_rotate_array(qa, tb) + ta, quat_multiply_array(qa, qb)
+
+
+def pose_inverse_array(t, q):
+    qc = q * _CONJ
+    return -quat_rotate_array(qc, t), qc
+
+
+def _so3_jl_inv_coeff(theta) -> np.ndarray:
+    """c in J_l^-1(phi) = I - phi^/2 + c phi^2, with its series below 1e-6 rad."""
+    t2 = theta * theta
+    small = theta < _SMALL
+    ts = np.where(small, 1.0, theta)
+    return np.where(small, 1.0 / 12.0 + t2 / 720.0,
+                    1.0 / (ts * ts) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts)))
+
+
+def se3_exp_array(xi):
+    """Tangents (n, 6) to poses (t, q), as se3_exp."""
+    rho, phi = xi[:, :3], xi[:, 3:]
+    theta = _norm_rows(phi)
+    t2 = theta * theta
+    small = theta < _SMALL
+    ts = np.where(small, 1.0, theta)
+    w = np.where(small, 1.0 - t2 / 8.0, np.cos(0.5 * ts))
+    s = np.where(small, 0.5 - t2 / 48.0, np.sin(0.5 * ts) / ts)
+    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(ts)) / (ts * ts))
+    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (ts - np.sin(ts)) / (ts * ts * ts))
+    pr = _cross(phi, rho)
+    t = rho + a[:, None] * pr + b[:, None] * _cross(phi, pr)
+    return t, np.concatenate([w[:, None], phi * s[:, None]], axis=1)
+
+
+def se3_log_array(t, q) -> np.ndarray:
+    """Poses (t, q) to tangents (n, 6); raises NearSingularRotation when any
+    rotation is within 1e-6 rad of pi."""
+    q = q * np.where(q[:, :1] < 0.0, -1.0, 1.0)
+    qv = q[:, 1:]
+    nv = _norm_rows(qv)
+    angle = 2.0 * np.arctan2(nv, q[:, 0])
+    if np.any(angle >= _LOG_ANGLE_MAX):
+        raise NearSingularRotation(
+            f"rotation angle {float(np.max(angle)):.9f} rad too close to pi")
+    tiny = nv < 1e-12
+    phi = qv * np.where(tiny, 2.0, angle / np.where(tiny, 1.0, nv))[:, None]
+    c = _so3_jl_inv_coeff(_norm_rows(phi))
+    pt = _cross(phi, t)
+    rho = t - 0.5 * pt + c[:, None] * _cross(phi, pt)
+    return np.concatenate([rho, phi], axis=1)
+
+
+def _se3_q_matrix_array(rho, phi) -> np.ndarray:
+    """Translation-rotation coupling blocks (n, 3, 3) of the SE(3) left
+    Jacobian."""
+    rx = so3_hat_array(rho)
+    px = so3_hat_array(phi)
+    theta = _norm_rows(phi)
+    t2 = theta * theta
+    small = theta < 1e-3
+    ts = np.where(small, 1.0, theta)
+    t3 = ts ** 3
+    sin, cos = np.sin(ts), np.cos(ts)
+    s1 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
+                  (ts - sin) / t3)
+    s2 = np.where(small, -1.0 / 24.0 + t2 / 720.0 - t2 * t2 / 40320.0,
+                  (1.0 - 0.5 * ts * ts - cos) / (t3 * ts))
+    s3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0,
+                  (ts - sin - t3 / 6.0) / (t3 * ts * ts))
+    s1, s2, s3 = s1[:, None, None], s2[:, None, None], s3[:, None, None]
+    pr = px @ rx
+    rp = rx @ px
+    prp = pr @ px
+    return (
+        0.5 * rx
+        + s1 * (pr + rp + prp)
+        - s2 * (px @ pr + rp @ px - 3.0 * prp)
+        - 0.5 * (s2 - 3.0 * s3) * (prp @ px + px @ prp)
+    )
+
+
+def se3_right_jacobian_inv_array(xi) -> np.ndarray:
+    """Inverse right Jacobians (n, 6, 6) in closed form: with A = J_l(-phi)
+    and Q = Q(-rho, -phi), J_r^-1(xi) = [[A^-1, -A^-1 Q A^-1], [0, A^-1]]."""
+    rho, phi = xi[:, :3], xi[:, 3:]
+    px = so3_hat_array(phi)
+    c = _so3_jl_inv_coeff(_norm_rows(phi))[:, None, None]
+    a_inv = np.eye(3) + 0.5 * px + c * (px @ px)
+    q = _se3_q_matrix_array(-rho, -phi)
+    out = np.zeros((len(xi), 6, 6))
+    out[:, :3, :3] = a_inv
+    out[:, 3:, 3:] = a_inv
+    out[:, :3, 3:] = -(a_inv @ q @ a_inv)
+    return out
+
+
+def se3_adjoint_array(t, q) -> np.ndarray:
+    r = quat_to_matrix_array(q)
+    out = np.zeros((len(t), 6, 6))
+    out[:, :3, :3] = r
+    out[:, 3:, 3:] = r
+    out[:, :3, 3:] = so3_hat_array(t) @ r
     return out
 
 

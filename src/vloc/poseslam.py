@@ -4,19 +4,24 @@ relative odometry.
 States are camera poses on SE(3). Prior factors pin states to visual
 localization results; between factors chain consecutive states through
 odometry deltas. The stacked whitened residual ``log(measured^-1 *
-predicted)`` is minimized by damped Gauss-Newton (Levenberg-Marquardt) with
-analytic manifold Jacobians; prior factors carry a Huber loss so a bad fix
-cannot drag the trajectory.
+predicted)`` is minimized by damped Gauss-Newton (Levenberg-Marquardt);
+prior factors carry a Huber loss so a bad fix cannot drag the trajectory.
+
+One solver serves every case, from a single state to the full batch: the
+window's states and factors are held as arrays, every residual and its
+closed-form manifold Jacobians come from batched SE(3) maps, and because
+between factors only link states k-1 and k the normal equations are block
+tridiagonal and are solved as one banded system (bandwidth 11).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, lil_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import solveh_banded
 
 from .errors import (
     EmptyGraph,
@@ -25,11 +30,20 @@ from .errors import (
     SingularNormalEquations,
     UnknownState,
 )
-from .geometry import Pose, se3_adjoint, se3_exp, se3_log, se3_right_jacobian_inv
+from .geometry import (
+    Pose,
+    pose_compose_array,
+    pose_inverse_array,
+    se3_adjoint_array,
+    se3_exp_array,
+    se3_log_array,
+    se3_right_jacobian_inv_array,
+)
 
 HUBER_K = 3.0               # prior robust threshold, in whitened sigma units
 LM_LAMBDA_INIT = 1e-4
 LM_MAX_ITERS = 50
+COST_FLOOR = 1e-18          # a solve stops once its cost is below this
 LM_REL_DECREASE = 1e-9
 PRIOR_SIGMA_T = 0.1         # m
 PRIOR_SIGMA_R = math.radians(2.0)
@@ -121,10 +135,16 @@ class FusionGraph:
         return self.states[-1], self.timestamps[-1]
 
     def nearest_state(self, timestamp: float) -> int:
+        """Index of the state nearest in time; the earlier one on a tie."""
         if not self.states:
             raise EmptyGraph("no states")
-        ts = np.asarray(self.timestamps)
-        return int(np.argmin(np.abs(ts - timestamp)))
+        ts = self.timestamps
+        k = bisect.bisect_left(ts, timestamp)
+        if k == 0:
+            return 0
+        if k == len(ts):
+            return k - 1
+        return k if ts[k] - timestamp < timestamp - ts[k - 1] else k - 1
 
     # -- optimization --------------------------------------------------------
 
@@ -135,185 +155,163 @@ class FusionGraph:
         n = len(self.states)
         if n == 0:
             raise EmptyGraph("nothing to optimize")
-        first_free = 0 if window is None else max(0, n - int(window))
+        first_free = 0 if window is None else min(n, max(0, n - int(window)))
         if not self.priors:
             raise NoGaugePrior("graph has no prior factor; gauge is free")
-        if first_free == 0 and not any(p.state_index >= first_free
-                                       for p in self.priors):
-            raise NoGaugePrior("no prior inside a full-graph optimization")
-
-        free_index = {s: k for k, s in enumerate(range(first_free, n))}
-        self._check_connected(first_free, free_index)
-
         # factors not touching a free state are constant in the window
         # objective and are excluded from it
-        active_priors = [p for p in self.priors if p.state_index >= first_free]
-        active_betweens = [b for b in self.betweens if b.index_b >= first_free]
+        priors = [p for p in self.priors if p.state_index >= first_free]
+        if first_free == 0 and not priors:
+            raise NoGaugePrior("no prior inside a full-graph optimization")
 
-        states = list(self.states)
-        cost = self._total_cost(states, active_priors, active_betweens)
+        # the chain from the fixed state before the window (if any) on;
+        # betweens[k] links states k and k + 1
+        lo = max(first_free - 1, 0)
+        chain = _Chain(self.states[lo:], first_free - lo, lo, priors,
+                       self.betweens[lo:])
+        t, q = chain.t, chain.q
+        cost, lin = chain.linearize(t, q)
         self.last_cost_trace = [cost]
-        if cost < 1e-18:
-            return list(states), cost
+        if cost < COST_FLOOR:
+            return list(self.states), cost
 
+        band, grad = chain.normal_equations(lin)
         lam = LM_LAMBDA_INIT
-        n_free = len(free_index)
-        dense = n_free <= 60
+        accepted = False
         for _ in range(LM_MAX_ITERS):
-            h, g = self._normal_equations(states, first_free, free_index, dense)
-            try:
-                if dense:
-                    delta = np.linalg.solve(h + lam * np.eye(6 * n_free), -g)
-                else:
-                    solver = splu(h.tocsc() + lam * _sparse_eye(6 * n_free))
-                    delta = solver.solve(-g)
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
-                raise SingularNormalEquations(str(exc)) from exc
-            if not np.all(np.isfinite(delta)):
-                raise SingularNormalEquations("non-finite LM step")
-            cand = list(states)
-            for s, k in free_index.items():
-                cand[s] = states[s].compose(se3_exp(delta[6 * k:6 * k + 6]))
-            new_cost = self._total_cost(cand, active_priors, active_betweens)
+            delta = _solve_damped(band, grad, lam)
+            ct, cq = chain.retract(t, q, delta)
+            new_cost, new_lin = chain.linearize(ct, cq)
             if new_cost < cost:
                 rel = (cost - new_cost) / max(cost, 1e-300)
-                states = cand
-                cost = new_cost
+                t, q, cost = ct, cq, new_cost
+                accepted = True
                 self.last_cost_trace.append(cost)
                 lam = max(lam / 10.0, 1e-12)
-                if rel < LM_REL_DECREASE:
+                if rel < LM_REL_DECREASE or cost < COST_FLOOR:
                     break
+                band, grad = chain.normal_equations(new_lin)
             else:
+                # a rejected step leaves the linearization as it was
                 lam *= 10.0
                 if lam > 1e10:
                     break
+        states = list(self.states)
+        if accepted:
+            states[first_free:] = [Pose(t[i], q[i])
+                                   for i in range(chain.n_fixed, len(t))]
         self.states = states
         self.last_optimized_index = n - 1
         return list(states), cost
 
-    # -- internals -----------------------------------------------------------
 
-    def _factors(self):
-        for p in self.priors:
-            yield ("prior", p)
-        for b in self.betweens:
-            yield ("between", b)
+class _Chain:
+    """One optimization window as arrays: states ``t (k, 3)``, ``q (k, 4)``
+    (the first ``n_fixed`` held fixed), the active priors and the between
+    factors linking consecutive states.
 
-    def _check_connected(self, first_free, free_index):
-        """Every free state must reach an anchor (a prior or a fixed state)
-        through factors; otherwise the normal equations are singular."""
-        n_free = len(free_index)
-        adj = {k: set() for k in range(n_free)}
-        anchored = set()
-        for p in self.priors:
-            if p.state_index in free_index:
-                anchored.add(free_index[p.state_index])
-        for b in self.betweens:
-            a_free = b.index_a in free_index
-            b_free = b.index_b in free_index
-            if a_free and b_free:
-                adj[free_index[b.index_a]].add(free_index[b.index_b])
-                adj[free_index[b.index_b]].add(free_index[b.index_a])
-            elif a_free != b_free:
-                anchored.add(free_index[b.index_a] if a_free
-                             else free_index[b.index_b])
-        seen = set()
-        stack = list(anchored)
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(adj[cur] - seen)
-        if len(seen) != n_free:
-            raise SingularNormalEquations(
-                f"{n_free - len(seen)} states unreachable from any anchor")
+    Residuals are whitened ``log(measured^-1 * predicted) / sigmas``; both
+    factor kinds share one batched compose and log, with the measured poses
+    inverted once. The Gauss-Newton system is block tridiagonal and is kept
+    in the upper banded storage of ``scipy.linalg.solveh_banded``."""
 
-    @staticmethod
-    def _prior_residual(state: Pose, factor: PriorFactor):
-        rel = factor.measured.inverse().compose(state)
-        r = se3_log(rel) / factor.sigmas
-        return r, rel
+    def __init__(self, states, n_fixed, offset, priors, betweens):
+        self.t = np.array([s.t for s in states])
+        self.q = np.array([s.q for s in states])
+        self.n_fixed = n_fixed
+        self.n_priors = len(priors)
+        self.prior_index = np.array([p.state_index - offset for p in priors],
+                                    dtype=int)
+        factors = list(priors) + list(betweens)
+        self.meas_inv = pose_inverse_array(
+            np.array([f.measured.t for f in factors]).reshape(-1, 3),
+            np.array([f.measured.q for f in factors]).reshape(-1, 4))
+        self.sigmas = np.array([f.sigmas for f in factors]).reshape(-1, 6)
 
-    @staticmethod
-    def _between_residual(xa: Pose, xb: Pose, factor: BetweenFactor):
-        pred = xa.between(xb)
-        rel = factor.measured.inverse().compose(pred)
-        r = se3_log(rel) / factor.sigmas
-        return r, rel, pred
+    def retract(self, t, q, delta):
+        """x <- x * exp(delta) on the free states; the result is normalized."""
+        dt, dq = se3_exp_array(delta.reshape(-1, 6))
+        f = self.n_fixed
+        ft, fq = pose_compose_array(t[f:], q[f:], dt, dq)
+        fq /= np.sqrt(np.einsum("ij,ij->i", fq, fq))[:, None]
+        return np.concatenate([t[:f], ft]), np.concatenate([q[:f], fq])
 
-    def _total_cost(self, states, priors=None, betweens=None) -> float:
-        cost = 0.0
-        for p in (self.priors if priors is None else priors):
-            r, _ = self._prior_residual(states[p.state_index], p)
-            s = float(np.linalg.norm(r))
-            if s <= HUBER_K:
-                cost += s * s
-            else:
-                cost += HUBER_K * (2.0 * s - HUBER_K)
-        for b in (self.betweens if betweens is None else betweens):
-            r, _, _ = self._between_residual(states[b.index_a], states[b.index_b], b)
-            cost += float(r @ r)
-        return cost
+    def linearize(self, t, q):
+        """Cost at (t, q), plus what the Jacobians there need."""
+        pred_t, pred_q = pose_compose_array(*pose_inverse_array(t[:-1], q[:-1]),
+                                            t[1:], q[1:])
+        idx = self.prior_index
+        rel = pose_compose_array(*self.meas_inv,
+                                 np.concatenate([t[idx], pred_t]),
+                                 np.concatenate([q[idx], pred_q]))
+        xi = se3_log_array(*rel)
+        r = xi / self.sigmas
+        npri = self.n_priors
+        s = np.sqrt(np.einsum("ij,ij->i", r[:npri], r[:npri]))
+        rb = r[npri:]
+        cost = float(np.sum(np.where(s <= HUBER_K, s * s,
+                                     HUBER_K * (2.0 * s - HUBER_K)))
+                     + np.einsum("ij,ij->", rb, rb))
+        return cost, (xi, r, s, pred_t, pred_q)
 
-    def _normal_equations(self, states, first_free, free_index, dense=False):
-        n_free = len(free_index)
-        g = np.zeros(6 * n_free)
-        if dense:
-            h = np.zeros((6 * n_free, 6 * n_free))
+    def normal_equations(self, lin):
+        """Banded H (12, 6m) and gradient g (6m,) over the m free states."""
+        xi, r, s, pred_t, pred_q = lin
+        npri = self.n_priors
+        jac = se3_right_jacobian_inv_array(xi) / self.sigmas[:, :, None]
+        # Huber: scale the prior rows by sqrt(w), w = min(1, K / s)
+        sw = np.sqrt(HUBER_K / np.maximum(s, HUBER_K))
+        jac[:npri] *= sw[:, None, None]
+        r = r.copy()
+        r[:npri] *= sw[:, None]
+        jb = jac[npri:]
+        ja = -(jb @ se3_adjoint_array(*pose_inverse_array(pred_t, pred_q)))
 
-            def add_block(ki, kj, block):
-                h[6 * ki:6 * ki + 6, 6 * kj:6 * kj + 6] += block
-        else:
-            blocks = {}
+        k = len(pred_t) + 1
+        diag = np.zeros((k, 6, 6))
+        grad = np.zeros((k, 6))
+        jp = jac[:npri]
+        jpt = jp.transpose(0, 2, 1)
+        np.add.at(diag, self.prior_index, jpt @ jp)
+        np.add.at(grad, self.prior_index, (jpt @ r[:npri, :, None])[:, :, 0])
+        jat = ja.transpose(0, 2, 1)
+        jbt = jb.transpose(0, 2, 1)
+        rb = r[npri:, :, None]
+        diag[:-1] += jat @ ja
+        diag[1:] += jbt @ jb
+        grad[:-1] += (jat @ rb)[:, :, 0]
+        grad[1:] += (jbt @ rb)[:, :, 0]
+        upper = jat @ jb          # H block (a, b) of each between factor
 
-            def add_block(ki, kj, block):
-                key = (ki, kj)
-                if key in blocks:
-                    blocks[key] = blocks[key] + block
-                else:
-                    blocks[key] = block
-
-        for p in self.priors:
-            if p.state_index < first_free:
-                continue
-            r, rel = self._prior_residual(states[p.state_index], p)
-            jr_inv = se3_right_jacobian_inv(se3_log(rel))
-            jac = jr_inv / p.sigmas[:, None]
-            s = float(np.linalg.norm(r))
-            w = 1.0 if s <= HUBER_K else HUBER_K / s
-            jac = jac * math.sqrt(w)
-            rw = r * math.sqrt(w)
-            k = free_index[p.state_index]
-            add_block(k, k, jac.T @ jac)
-            g[6 * k:6 * k + 6] += jac.T @ rw
-        for b in self.betweens:
-            if b.index_b < first_free:
-                continue
-            xa, xb = states[b.index_a], states[b.index_b]
-            r, rel, pred = self._between_residual(xa, xb, b)
-            jr_inv = se3_right_jacobian_inv(se3_log(rel))
-            jb = jr_inv / b.sigmas[:, None]
-            ja = -(jr_inv @ se3_adjoint(pred.inverse())) / b.sigmas[:, None]
-            a_free = b.index_a >= first_free
-            if a_free:
-                ka = free_index[b.index_a]
-                add_block(ka, ka, ja.T @ ja)
-                g[6 * ka:6 * ka + 6] += ja.T @ r
-            kb = free_index[b.index_b]
-            add_block(kb, kb, jb.T @ jb)
-            g[6 * kb:6 * kb + 6] += jb.T @ r
-            if a_free:
-                ka = free_index[b.index_a]
-                add_block(ka, kb, ja.T @ jb)
-                add_block(kb, ka, jb.T @ ja)
-        if dense:
-            return h, g
-        h = lil_matrix((6 * n_free, 6 * n_free))
-        for (ki, kj), block in blocks.items():
-            h[6 * ki:6 * ki + 6, 6 * kj:6 * kj + 6] = block
-        return h, g
+        f = self.n_fixed
+        diag, upper, grad = diag[f:], upper[f:], grad[f:]
+        m = len(diag)
+        band = np.zeros((_BAND_U + 1, m, 6))
+        band[_DIAG_ROW, :, _DIAG_COL] = diag[:, _DIAG_A, _DIAG_COL].T
+        band[_UPPER_ROW, 1:, _UPPER_COL] = upper[:, _UPPER_A, _UPPER_COL].T
+        return band.reshape(_BAND_U + 1, 6 * m), grad.reshape(-1)
 
 
-def _sparse_eye(n):
-    return csc_matrix((np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
+# Upper banded storage: H[i, j] (i <= j) sits at band[_BAND_U + i - j, j].
+# With 6x6 blocks on a chain the farthest coupling is 11 columns off the
+# diagonal. Index lists for a diagonal block (a <= b) and for the block right
+# of it (all a, b), by row a and column b within the block.
+_BAND_U = 11
+_DIAG_A, _DIAG_COL = np.triu_indices(6)
+_DIAG_ROW = _BAND_U + _DIAG_A - _DIAG_COL
+_UPPER_A, _UPPER_COL = (ix.ravel() for ix in np.indices((6, 6)))
+_UPPER_ROW = _BAND_U - 6 + _UPPER_A - _UPPER_COL
+
+
+def _solve_damped(band, grad, lam):
+    """delta from (H + lam I) delta = -g."""
+    damped = band.copy()
+    damped[_BAND_U] += lam
+    try:
+        delta = solveh_banded(damped, -grad, overwrite_ab=True,
+                              check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNormalEquations(str(exc)) from exc
+    if not np.all(np.isfinite(delta)):
+        raise SingularNormalEquations("non-finite LM step")
+    return delta

@@ -7,12 +7,21 @@ from vloc.errors import InvalidDepth, NearSingularRotation
 from vloc.geometry import (
     CameraIntrinsics,
     Pose,
+    pose_compose_array,
+    pose_inverse_array,
     project,
     project_array,
     rotation_angle,
     rotvec_to_quat,
+    se3_adjoint,
+    se3_adjoint_array,
     se3_exp,
+    se3_exp_array,
+    se3_left_jacobian,
     se3_log,
+    se3_log_array,
+    se3_right_jacobian_inv,
+    se3_right_jacobian_inv_array,
     unproject,
 )
 from conftest import random_pose
@@ -156,6 +165,101 @@ class TestExpLog:
         q = rotvec_to_quat([math.pi - 1e-9, 0.0, 0.0])
         with pytest.raises(NearSingularRotation):
             se3_log(Pose(np.zeros(3), q))
+
+
+def tangents(rng, angles):
+    """One random tangent per rotation angle; translations of order 1."""
+    axes = rng.normal(0.0, 1.0, (len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return np.concatenate([rng.normal(0.0, 1.0, (len(angles), 3)),
+                           axes * np.asarray(angles)[:, None]], axis=1)
+
+
+# every branch: exp/log/J_l^-1 series below 1e-6 rad, the Q series below 1e-3
+BRANCH_ANGLES = [0.0, 1e-9, 5e-7, 2e-6, 5e-4, 2e-3, 0.3, 1.5, 3.0]
+
+
+def as_arrays(poses):
+    return np.array([p.t for p in poses]), np.array([p.q for p in poses])
+
+
+def numeric_right_jacobian_inv(xi, h=1e-6):
+    """d log(exp(xi) exp(d)) / dd at d = 0 by central differences."""
+    x = se3_exp(xi)
+    jac = np.zeros((6, 6))
+    for k in range(6):
+        d = np.zeros(6)
+        d[k] = h
+        jac[:, k] = (se3_log(x.compose(se3_exp(d)))
+                     - se3_log(x.compose(se3_exp(-d)))) / (2 * h)
+    return jac
+
+
+class TestBatched:
+    def test_exp_matches_scalar(self):
+        xi = tangents(np.random.default_rng(21), BRANCH_ANGLES * 4)
+        t, q = se3_exp_array(xi)
+        for k, x in enumerate(xi):
+            ref = se3_exp(x)
+            assert np.max(np.abs(t[k] - ref.t)) < 1e-14
+            assert rotation_angle(q[k], ref.q) < 1e-14
+            assert abs(np.linalg.norm(q[k]) - 1.0) < 1e-12
+
+    def test_log_inverts_exp_in_every_branch(self):
+        xi = tangents(np.random.default_rng(22), BRANCH_ANGLES * 4)
+        poses = [se3_exp(x) for x in xi]
+        out = se3_log_array(*as_arrays(poses))
+        assert np.max(np.abs(out - xi)) < 1e-9
+        for k, p in enumerate(poses):
+            # se3_log is the n = 1 case; rows do not interact
+            assert np.max(np.abs(se3_log(p) - out[k])) < 1e-14
+        # either quaternion sign gives the same tangent
+        t, q = as_arrays(poses)
+        assert np.max(np.abs(se3_log_array(t, -q) - out)) < 1e-14
+
+    def test_log_near_pi_rejected(self):
+        t = np.zeros((3, 3))
+        q = np.array([[1.0, 0.0, 0.0, 0.0],
+                      rotvec_to_quat([0.0, math.pi - 1e-9, 0.0]),
+                      rotvec_to_quat([0.3, 0.0, 0.0])])
+        with pytest.raises(NearSingularRotation):
+            se3_log_array(t, q)
+        se3_log_array(t[[0, 2]], q[[0, 2]])
+
+    def test_compose_and_inverse_match_pose(self, rng):
+        a = [random_pose(rng) for _ in range(20)]
+        b = [random_pose(rng) for _ in range(20)]
+        t, q = pose_compose_array(*as_arrays(a), *as_arrays(b))
+        ti, qi = pose_inverse_array(*as_arrays(a))
+        for k in range(20):
+            assert Pose(t[k], q[k]).almost_equal(a[k].compose(b[k]), 1e-12)
+            assert Pose(ti[k], qi[k]).almost_equal(a[k].inverse(), 1e-12)
+
+    def test_right_jacobian_inv_closed_form(self):
+        xi = tangents(np.random.default_rng(23), BRANCH_ANGLES * 3)
+        jac = se3_right_jacobian_inv_array(xi)
+        for k, x in enumerate(xi):
+            # the scalar function is the n = 1 case
+            assert np.max(np.abs(se3_right_jacobian_inv(x) - jac[k])) < 1e-12
+            inv = np.linalg.inv(se3_left_jacobian(-x))
+            assert np.max(np.abs(jac[k] - inv)) < 1e-9 * max(1.0, np.max(np.abs(inv)))
+            fd = numeric_right_jacobian_inv(x)
+            assert np.max(np.abs(jac[k] - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+    def test_adjoint_moves_tangents_across(self, rng):
+        poses = [random_pose(rng) for _ in range(20)]
+        adj = se3_adjoint_array(*as_arrays(poses))
+        h = 1e-6
+        for k, p in enumerate(poses):
+            assert np.max(np.abs(se3_adjoint(p) - adj[k])) < 1e-14
+            # T exp(d) T^-1 = exp(Ad(T) d)
+            fd = np.zeros((6, 6))
+            for j in range(6):
+                d = np.zeros(6)
+                d[j] = h
+                fd[:, j] = (se3_log(p.compose(se3_exp(d)).compose(p.inverse()))
+                            - se3_log(p.compose(se3_exp(-d)).compose(p.inverse()))) / (2 * h)
+            assert np.max(np.abs(adj[k] - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
 class TestRotationAngle:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from vloc.errors import (
     UnknownState,
 )
 from vloc.geometry import Pose, se3_exp, se3_log
-from vloc.poseslam import FusionGraph, odom_sigmas, vloc_fix_sigmas
+from vloc.poseslam import (
+    HUBER_K,
+    FusionGraph,
+    PriorFactor,
+    odom_sigmas,
+    vloc_fix_sigmas,
+)
 from conftest import random_pose
 
 SIG6 = [0.1] * 3 + [math.radians(0.5)] * 3
@@ -84,6 +91,95 @@ class TestAddFix:
             g.propagate(tx(0.1), SIG6, (k + 1) * 0.5)
         assert g.nearest_state(1.1) == 2
         assert g.nearest_state(10.0) == 5
+        assert g.nearest_state(0.75) == 1     # tie: the earlier state
+        assert g.nearest_state(-1.0) == 0
+
+
+class TestLongSession:
+    """One hour at 15 Hz: 54k states, a fix every sixth."""
+
+    @staticmethod
+    def session(n):
+        g = FusionGraph()
+        g.initialize(Pose.identity(), 0.0)
+        step = tx(0.1).compose(se3_exp([0.0, 0.0, 0.0, 0.0, 0.0, 0.01]))
+        fix_sig = vloc_fix_sigmas(12, 12)
+        for k in range(1, n):
+            g.propagate(step, SIG6, k / 15.0)
+            if k % 6 == 0:
+                g.add_vloc_fix(k, g.states[-1].compose(tx(0.05)), fix_sig)
+        return g
+
+    def test_nearest_state_and_window_cost_do_not_grow(self):
+        long = self.session(54_000)
+        ts = np.asarray(long.timestamps)
+        rng = np.random.default_rng(5)
+        queries = list(rng.uniform(-1.0, ts[-1] + 1.0, 500))
+        mids = rng.integers(0, len(ts) - 1, 500)
+        queries += [0.5 * (ts[k] + ts[k + 1]) for k in mids]
+        ties = 0
+        for t in queries:
+            d = np.abs(ts - t)
+            ties += int(np.count_nonzero(d == d.min()) > 1)
+            assert long.nearest_state(t) == int(np.argmin(d))
+        assert ties > 0
+
+        short = self.session(500)
+
+        def median_ms(g):
+            start = list(g.states)
+            times = []
+            for _ in range(7):
+                g.states = list(start)
+                t0 = time.perf_counter()
+                g.optimize(window=20)
+                times.append(time.perf_counter() - t0)
+            return 1e3 * float(np.median(times))
+
+        median_ms(short)          # warm-up
+        assert median_ms(long) <= 2.0 * median_ms(short)
+
+
+def stacked_residuals(graph, xs):
+    """Every whitened residual, priors first, as one vector."""
+    return np.concatenate([factor_residual(f, xs) for f in graph.priors + graph.betweens])
+
+
+def factor_residual(f, xs):
+    if isinstance(f, PriorFactor):
+        return se3_log(f.measured.inverse().compose(xs[f.state_index])) / f.sigmas
+    pred = xs[f.index_a].between(xs[f.index_b])
+    return se3_log(f.measured.inverse().compose(pred)) / f.sigmas
+
+
+def numeric_jacobian(graph, states, columns, h=1e-6):
+    """Central differences of the stacked residuals under right
+    perturbations of each state in ``columns``. Only the factors touching a
+    state are re-evaluated for its columns: the others do not change."""
+    factors = graph.priors + graph.betweens
+    rows, start = [], 0
+    for f in factors:
+        rows.append(slice(start, start + 6))
+        start += 6
+    touching = {i: [] for i in columns}
+    for f, rs in zip(factors, rows):
+        for s in ((f.state_index,) if isinstance(f, PriorFactor)
+                  else (f.index_a, f.index_b)):
+            if s in touching:
+                touching[s].append((f, rs))
+    jac = np.zeros((start, 6 * len(columns)))
+    for c, i in enumerate(columns):
+        for k in range(6):
+            d = np.zeros(6)
+            d[k] = h
+            xp = list(states)
+            xm = list(states)
+            xp[i] = states[i].compose(se3_exp(d))
+            xm[i] = states[i].compose(se3_exp(-d))
+            for f, rs in touching[i]:
+                jac[rs, 6 * c + k] = (factor_residual(f, xp)
+                                      - factor_residual(f, xm)) / (2 * h)
+    return jac
 
 
 def dense_linearized_oracle(graph):
@@ -93,31 +189,27 @@ def dense_linearized_oracle(graph):
     the problem is linear, so this lands at the optimum."""
     states = list(graph.states)
     n = len(states)
-
-    def residuals(xs):
-        rows = []
-        for p in graph.priors:
-            rows.append(se3_log(p.measured.inverse().compose(xs[p.state_index]))
-                        / p.sigmas)
-        for b in graph.betweens:
-            pred = xs[b.index_a].between(xs[b.index_b])
-            rows.append(se3_log(b.measured.inverse().compose(pred)) / b.sigmas)
-        return np.concatenate(rows)
-
-    r0 = residuals(states)
-    h = 1e-6
-    jac = np.zeros((len(r0), 6 * n))
-    for i in range(n):
-        for k in range(6):
-            d = np.zeros(6)
-            d[k] = h
-            xp = list(states)
-            xm = list(states)
-            xp[i] = states[i].compose(se3_exp(d))
-            xm[i] = states[i].compose(se3_exp(-d))
-            jac[:, 6 * i + k] = (residuals(xp) - residuals(xm)) / (2 * h)
+    r0 = stacked_residuals(graph, states)
+    jac = numeric_jacobian(graph, states, range(n))
     delta, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
     return [states[i].compose(se3_exp(delta[6 * i:6 * i + 6])) for i in range(n)]
+
+
+def random_nonlinear_chain(rng, n):
+    """A chain over truth poses with rotating steps, noisy odometry and noisy
+    fixes on the first, the last and about every fifth state."""
+    truth = [random_pose(rng, t_scale=1.0)]
+    g = FusionGraph()
+    g.initialize(truth[0].compose(se3_exp(rng.normal(0, 0.05, 6))), 0.0)
+    for k in range(1, n):
+        step = se3_exp(np.concatenate([rng.normal(0, 0.5, 3), rng.normal(0, 0.4, 3)]))
+        truth.append(truth[-1].compose(step))
+        noise = np.concatenate([rng.normal(0, 0.02, 3), rng.normal(0, 0.003, 3)])
+        g.propagate(step.compose(se3_exp(noise)), SIG6, float(k))
+    for i in [0, *rng.integers(0, n, size=max(1, n // 5)).tolist(), n - 1]:
+        noise = np.concatenate([rng.normal(0, 0.03, 3), rng.normal(0, 0.005, 3)])
+        g.add_vloc_fix(i, truth[i].compose(se3_exp(noise)), vloc_fix_sigmas(12, 12))
+    return g
 
 
 class TestOptimize:
@@ -225,6 +317,47 @@ class TestOptimize:
         g.propagate(tx(1.0), SIG6, 1.0)
         with pytest.raises(NoGaugePrior):
             g.optimize()
+
+    def test_stops_at_cost_floor(self):
+        # a 1-state, 1-prior solve ends with the first accepted step whose
+        # cost is below the 1e-18 floor
+        g = FusionGraph()
+        g.initialize(Pose.identity(), 0.0)
+        g.add_vloc_fix(0, se3_exp([0.5, -0.2, 0.3, 0.2, -0.1, 0.3]), TIGHT)
+        _, cost = g.optimize()
+        trace = g.last_cost_trace
+        below = [k for k, c in enumerate(trace) if c < 1e-18]
+        assert below and below[0] == len(trace) - 1
+        assert cost == trace[-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 61, 150])
+    def test_stationary_on_random_nonlinear_chains(self, n):
+        # both sides of the old 60-state dense/sparse switch, full and
+        # windowed: the numeric gradient J^T r of the stacked residuals
+        # over the free states vanishes at the returned states
+        rng = np.random.default_rng(100 + n)
+        windows = [None] if n == 1 else [None, (2 * n) // 3]
+        for window in windows:
+            g = random_nonlinear_chain(rng, n)
+            first_free = 0 if window is None else n - window
+            if window is not None:
+                # as in streaming use, the states before the window have
+                # been optimized already; the window starts off its optimum
+                g.optimize()
+                g.states[first_free:] = [s.compose(se3_exp(rng.normal(0, 0.05, 6)))
+                                         for s in g.states[first_free:]]
+            before = list(g.states)
+            free = range(first_free, n)
+            r0 = stacked_residuals(g, before)
+            grad0 = numeric_jacobian(g, before, free).T @ r0
+            poses, _ = g.optimize(window=window)
+            assert all(poses[k] is before[k] for k in range(first_free))
+            r = stacked_residuals(g, poses)
+            # no fix is down-weighted, so the objective is plain least squares
+            assert np.max(np.linalg.norm(r[:6 * len(g.priors)].reshape(-1, 6),
+                                         axis=1)) <= HUBER_K
+            grad = numeric_jacobian(g, poses, free).T @ r
+            assert np.max(np.abs(grad)) < 1e-6 * max(1.0, np.max(np.abs(grad0)))
 
     def test_window_holds_early_states_fixed(self):
         deltas = [tx(1.1)] * 10
