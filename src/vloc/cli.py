@@ -225,8 +225,9 @@ def cmd_bench_reloc(args) -> int:
             path = os.path.join(args.matches, f"{j}.csv")
             ms = matching.ingest_matches(path, K.width, K.height)
             if args.min_conf > 0:
-                ms = matching.MatchSet(correspondences=[
-                    c for c in ms.correspondences if c.confidence >= args.min_conf])
+                keep = ms.confidence >= args.min_conf
+                ms = matching.MatchSet(ms.uv_ref[keep], ms.uv_query[keep],
+                                       ms.confidence[keep])
         else:
             raise VlocError(f"unknown matcher '{args.matcher}'")
         p3d, uv_ref, _ = relocal.lift(ms, depth, K)

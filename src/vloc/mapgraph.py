@@ -324,7 +324,7 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
             dist = float(np.linalg.norm(nodes[a].pose.t - nodes[b].pose.t))
             if dist > covis_distance_gate:
                 continue
-            n_corr = len(matcher(frames[a].obs, frames[b].obs).correspondences)
+            n_corr = len(matcher(frames[a].obs, frames[b].obs))
             if n_corr >= covis_threshold:
                 cvg_edges.append((a, b, n_corr))
 

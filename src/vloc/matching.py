@@ -1,51 +1,49 @@
 """2D-2D pixel correspondence generation between a reference image and the
 current observation: a classical Harris/patch matcher, a landmark-id oracle
 matcher for simulator frames, and CSV ingestion of externally computed
-correspondences."""
+correspondences.
+
+A ``MatchSet`` holds its correspondences as three columns: ``uv_ref``
+(N, 2) and ``uv_query`` (N, 2) float pixels and ``confidence`` (N,); row i
+of each column is one match."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .dataio import read_csv_rows
-from .errors import OutOfBounds
+from .errors import FormatError, OutOfBounds
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    uv_ref: np.ndarray
-    uv_query: np.ndarray
-    confidence: float
-
-
-@dataclass
+@dataclass(eq=False)
 class MatchSet:
-    """Correspondences against one reference image; at most one match per
-    query pixel."""
+    """Correspondences against one reference image as float columns
+    ``uv_ref`` (N, 2), ``uv_query`` (N, 2) and ``confidence`` (N,); at most
+    one match per query pixel. ``MatchSet()`` is the empty set."""
 
-    reference_node_id: int = -1
-    correspondences: list = field(default_factory=list)
+    uv_ref: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    uv_query: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    confidence: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        keys = {tuple(np.asarray(c.uv_query, dtype=float)) for c in self.correspondences}
-        if len(keys) != len(self.correspondences):
+        self.uv_ref = np.asarray(self.uv_ref, dtype=float)
+        self.uv_query = np.asarray(self.uv_query, dtype=float)
+        self.confidence = np.asarray(self.confidence, dtype=float)
+        n = self.confidence.size
+        if (self.confidence.shape != (n,) or self.uv_ref.shape != (n, 2)
+                or self.uv_query.shape != (n, 2)):
+            raise ValueError(
+                f"match set columns disagree: uv_ref {self.uv_ref.shape}, "
+                f"uv_query {self.uv_query.shape}, confidence {self.confidence.shape}")
+        if len(np.unique(self.uv_query, axis=0)) != n:
             raise ValueError("duplicate query pixels in match set")
 
     def __len__(self):
-        return len(self.correspondences)
-
-    def arrays(self):
-        """(uv_ref (N,2), uv_query (N,2), confidence (N,)) as float arrays."""
-        n = len(self.correspondences)
-        if n == 0:
-            return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
-        uv_r = np.array([c.uv_ref for c in self.correspondences], dtype=float)
-        uv_q = np.array([c.uv_query for c in self.correspondences], dtype=float)
-        conf = np.array([c.confidence for c in self.correspondences], dtype=float)
-        return uv_r, uv_q, conf
+        return self.confidence.size
 
 
 @dataclass(frozen=True)
@@ -99,20 +97,17 @@ def harris_corners(image, params: MatchParams = MatchParams()) -> np.ndarray:
 
 
 def _patch_descriptors(imgf: np.ndarray, corners: np.ndarray, patch: int):
-    """Zero-mean unit-norm patches; drops textureless corners."""
+    """Zero-mean unit-norm patches around (u, v) corners lying at least half
+    a patch inside the image; drops textureless corners. Returns
+    (descriptors (M, patch*patch), keep mask over the corners)."""
     half = patch // 2
-    descs, kept = [], []
-    for i, (u, v) in enumerate(corners):
-        p = imgf[v - half:v + half + 1, u - half:u + half + 1].ravel()
-        p = p - p.mean()
-        n = np.linalg.norm(p)
-        if n < 1e-9:
-            continue
-        descs.append(p / n)
-        kept.append(i)
-    if not descs:
-        return np.zeros((0, patch * patch)), np.zeros(0, dtype=np.int64)
-    return np.stack(descs), np.array(kept, dtype=np.int64)
+    windows = sliding_window_view(imgf, (patch, patch))
+    p = windows[corners[:, 1] - half, corners[:, 0] - half].reshape(
+        len(corners), patch * patch)
+    p = p - p.mean(axis=1, keepdims=True)
+    norm = np.linalg.norm(p, axis=1)
+    keep = norm >= 1e-9
+    return p[keep] / norm[keep, None], keep
 
 
 def match_classical(obs_ref, obs_query,
@@ -135,30 +130,18 @@ def match_classical(obs_ref, obs_query,
 
     ncc = desc_q @ desc_r.T                   # (nq, nr), unit patches
     d2 = np.maximum(2.0 - 2.0 * ncc, 0.0)     # squared L2 distance
+    rows = np.arange(len(d2))
     best_r = np.argmin(d2, axis=1)
     best_q_for_r = np.argmin(d2, axis=0)
-
-    matches = []
-    for j in range(d2.shape[0]):
-        i = best_r[j]
-        if best_q_for_r[i] != j:
-            continue
-        row = d2[j]
-        d_best = row[i]
-        row_rest = np.delete(row, i)
-        if row_rest.size:
-            d_second = row_rest.min()
-            if np.sqrt(d_best) >= params.ratio * np.sqrt(d_second):
-                continue
-        matches.append((corners_q[j], corners_r[i], max(0.0, float(ncc[j, i]))))
-
-    matches.sort(key=lambda m: (m[0][1], m[0][0]))
-    return MatchSet(correspondences=[
-        Correspondence(uv_ref=np.array(r, dtype=float),
-                       uv_query=np.array(q, dtype=float),
-                       confidence=c)
-        for q, r, c in matches
-    ])
+    keep = best_q_for_r[best_r] == rows       # mutual nearest neighbours
+    if d2.shape[1] > 1:
+        d_second = np.partition(d2, 1, axis=1)[:, 1]
+        keep &= np.sqrt(d2[rows, best_r]) < params.ratio * np.sqrt(d_second)
+    q, r = rows[keep], best_r[keep]
+    order = np.lexsort((corners_q[q, 0], corners_q[q, 1]))   # by query (v, u)
+    q, r = q[order], r[order]
+    return MatchSet(uv_ref=corners_r[r], uv_query=corners_q[q],
+                    confidence=np.maximum(ncc[q, r], 0.0))
 
 
 def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,
@@ -195,47 +178,59 @@ def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,
 
     # duplicate query pixels after corruption are theoretically possible
     # but measure zero; drop later duplicates defensively
-    seen = set()
-    corr = []
-    for i in range(len(uv_q)):
-        key = (uv_q[i, 0], uv_q[i, 1])
-        if key in seen:
-            continue
-        seen.add(key)
-        corr.append(Correspondence(uv_ref=uv_r[i].copy(), uv_query=uv_q[i].copy(),
-                                   confidence=1.0))
-    return MatchSet(correspondences=corr)
+    first = np.sort(np.unique(uv_q, axis=0, return_index=True)[1])
+    return MatchSet(uv_ref=uv_r[first], uv_query=uv_q[first],
+                    confidence=np.ones(len(first)))
 
 
 MATCH_CSV_HEADER = "u_ref,v_ref,u_query,v_query,confidence"
 
 
 def write_matches(path, match_set: MatchSet) -> None:
-    def fmt9(x):
-        return format(float(x), ".9g")
-
+    rows = np.column_stack([match_set.uv_ref, match_set.uv_query,
+                            match_set.confidence])
     with open(path, "w") as f:
         f.write(MATCH_CSV_HEADER + "\n")
-        for c in match_set.correspondences:
-            f.write(",".join(fmt9(v) for v in
-                             (c.uv_ref[0], c.uv_ref[1], c.uv_query[0],
-                              c.uv_query[1], c.confidence)) + "\n")
+        for row in rows:
+            f.write(",".join(format(v, ".9g") for v in row) + "\n")
+
+
+def _parse_match_row(path, lineno: int, row: list) -> list:
+    if len(row) != 5:
+        raise OutOfBounds(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+    try:
+        return [float(v) for v in row]
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from None
 
 
 def ingest_matches(path, width: int, height: int) -> MatchSet:
-    """Parse a match CSV, validating every pixel against the image bounds."""
-    corr = []
-    for lineno, row in read_csv_rows(path, MATCH_CSV_HEADER):
-        if len(row) != 5:
-            raise OutOfBounds(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-        ur, vr, uq, vq, conf = (float(v) for v in row)
-        for name, u, v in (("ref", ur, vr), ("query", uq, vq)):
-            if not (0.0 <= u < width and 0.0 <= v < height):
-                raise OutOfBounds(
-                    f"{path}:{lineno}: {name} pixel ({u}, {v}) outside "
-                    f"{width}x{height}"
-                )
-        corr.append(Correspondence(uv_ref=np.array([ur, vr]),
-                                   uv_query=np.array([uq, vq]),
-                                   confidence=conf))
-    return MatchSet(correspondences=corr)
+    """Parse a match CSV, validating every pixel against the image bounds.
+    Each error names the file and the offending line; of two rows sharing a
+    query pixel, the later one."""
+    rows = read_csv_rows(path, MATCH_CSV_HEADER)
+    linenos = [lineno for lineno, _ in rows]
+    vals = np.array([_parse_match_row(path, lineno, row) for lineno, row in rows],
+                    dtype=float).reshape(-1, 5)
+
+    u, v = vals[:, [0, 2]], vals[:, [1, 3]]          # (N, 2): ref, query
+    outside = ~((u >= 0.0) & (u < width) & (v >= 0.0) & (v < height))
+    if outside.any():
+        k, side = np.argwhere(outside)[0]
+        raise OutOfBounds(
+            f"{path}:{linenos[k]}: {('ref', 'query')[side]} pixel "
+            f"({u[k, side]}, {v[k, side]}) outside {width}x{height}")
+    bad_conf = np.flatnonzero(~np.isfinite(vals[:, 4]))
+    if bad_conf.size:
+        k = bad_conf[0]
+        raise FormatError(f"{path}:{linenos[k]}: non-finite confidence {vals[k, 4]}")
+    _, first, inverse = np.unique(vals[:, 2:4], axis=0, return_index=True,
+                                  return_inverse=True)
+    first_row = first[inverse.reshape(-1)]
+    repeat = np.flatnonzero(first_row != np.arange(len(vals)))
+    if repeat.size:
+        k = repeat[0]
+        raise FormatError(
+            f"{path}:{linenos[k]}: query pixel ({vals[k, 2]}, {vals[k, 3]}) "
+            f"repeats line {linenos[first_row[k]]}")
+    return MatchSet(uv_ref=vals[:, 0:2], uv_query=vals[:, 2:4], confidence=vals[:, 4])

@@ -94,7 +94,6 @@ class FusionGraph:
     timestamps: list = field(default_factory=list)
     priors: list = field(default_factory=list)
     betweens: list = field(default_factory=list)
-    last_optimized_index: int = -1
     last_cost_trace: list = field(default_factory=list, repr=False)
 
     # -- construction --------------------------------------------------------
@@ -201,7 +200,6 @@ class FusionGraph:
             states[first_free:] = [Pose(t[i], q[i])
                                    for i in range(chain.n_fixed, len(t))]
         self.states = states
-        self.last_optimized_index = n - 1
         return list(states), cost
 
 

@@ -4,6 +4,11 @@ RANSAC loop, refine on inliers by Gauss-Newton on reprojection error, and
 judge success by inlier count. Also the relocalization evaluation metrics
 (max/median errors, precision buckets, estimation rate).
 
+Correspondences arrive as a ``vloc.matching.MatchSet``, whose columns
+``uv_ref`` (N, 2), ``uv_query`` (N, 2) and ``confidence`` (N,) hold one
+match per row; ``lift`` samples depth for the whole ``uv_query`` column in
+one pass.
+
 Frame convention: ``solve_pnp_ransac`` returns the transform that maps
 point coordinates into the observing camera's frame. When the points are
 lifted in the query camera frame and observed in the reference image, that
@@ -74,50 +79,41 @@ class PnPParams:
 # depth lifting
 # ---------------------------------------------------------------------------
 
-def bilinear_depth(depth: np.ndarray, u: float, v: float,
-                   depth_min: float = DEPTH_MIN_DEFAULT,
-                   depth_max: float = DEPTH_MAX_DEFAULT):
-    """Bilinear depth lookup; None if any contributing pixel is invalid.
-
-    Mixing foreground and background depths across an occlusion edge is
-    worse than dropping the sample, so one bad neighbor invalidates."""
-    h, w = depth.shape
-    x0, y0 = int(math.floor(u)), int(math.floor(v))
-    if not (0 <= x0 and x0 + 1 < w and 0 <= y0 and y0 + 1 < h):
-        # on the last row/column fall back to the exact pixel if integral
-        if 0 <= u <= w - 1 and 0 <= v <= h - 1 and u == int(u) and v == int(v):
-            d = float(depth[int(v), int(u)])
-            return d if depth_min < d < depth_max else None
-        return None
-    q = depth[y0:y0 + 2, x0:x0 + 2].astype(float)
-    if not np.all((q > depth_min) & (q < depth_max) & np.isfinite(q)):
-        return None
-    ax, ay = u - x0, v - y0
-    top = q[0, 0] * (1 - ax) + q[0, 1] * ax
-    bot = q[1, 0] * (1 - ax) + q[1, 1] * ax
-    return float(top * (1 - ay) + bot * ay)
-
-
 def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics,
          depth_min: float = DEPTH_MIN_DEFAULT,
          depth_max: float = DEPTH_MAX_DEFAULT):
-    """Lift query pixels to 3D query-camera points, keeping their reference
-    pixels. Invalid-depth matches are dropped silently; order preserved.
+    """Lift a MatchSet's query pixels (its ``uv_query`` column) to 3D
+    query-camera points by bilinear depth, keeping their ``uv_ref`` pixels.
+
+    A match is dropped, silently and with order preserved, when any of its
+    four depth neighbours lies outside (depth_min, depth_max): mixing
+    foreground and background depths across an occlusion edge is worse than
+    dropping the sample. On the last row or column an integral pixel falls
+    back to that exact pixel; other pixels without four neighbours drop.
 
     Returns (p3d_query (N, 3), uv_ref (N, 2), n_dropped)."""
-    p3d, uv_ref = [], []
-    dropped = 0
-    for c in match_set.correspondences:
-        d = bilinear_depth(depth_query, float(c.uv_query[0]), float(c.uv_query[1]),
-                           depth_min, depth_max)
-        if d is None:
-            dropped += 1
-            continue
-        u, v = float(c.uv_query[0]), float(c.uv_query[1])
-        p3d.append(((u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d))
-        uv_ref.append((float(c.uv_ref[0]), float(c.uv_ref[1])))
-    return (np.array(p3d, dtype=float).reshape(-1, 3),
-            np.array(uv_ref, dtype=float).reshape(-1, 2), dropped)
+    u, v = match_set.uv_query[:, 0], match_set.uv_query[:, 1]
+    h, w = depth_query.shape
+    x0, y0 = np.floor(u), np.floor(v)
+    inner = (x0 >= 0) & (x0 + 1 < w) & (y0 >= 0) & (y0 + 1 < h)
+    exact = ((u == x0) & (v == y0) & (0 <= u) & (u <= w - 1)
+             & (0 <= v) & (v <= h - 1))
+    ok = inner | exact
+    xi = np.where(ok, x0, 0).astype(np.intp)
+    yi = np.where(ok, y0, 0).astype(np.intp)
+    step = inner.astype(np.intp)        # a border fallback reads one pixel 4x
+    q = np.stack([depth_query[yi, xi], depth_query[yi, xi + step],
+                  depth_query[yi + step, xi], depth_query[yi + step, xi + step]],
+                 axis=1).astype(float)
+    valid = ok & np.all((q > depth_min) & (q < depth_max), axis=1)
+
+    q, u, v = q[valid], u[valid], v[valid]
+    ax, ay = u - x0[valid], v - y0[valid]
+    top = q[:, 0] * (1 - ax) + q[:, 1] * ax
+    bot = q[:, 2] * (1 - ax) + q[:, 3] * ax
+    d = top * (1 - ay) + bot * ay
+    p3d = np.stack([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d], axis=1)
+    return p3d, match_set.uv_ref[valid], int(len(valid) - np.count_nonzero(valid))
 
 
 # ---------------------------------------------------------------------------

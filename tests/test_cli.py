@@ -191,6 +191,40 @@ class TestBenchReloc:
         assert float(vals["pct_estimated"]) == 100.0
         assert float(vals["median_et_m"]) < 0.05
 
+    def test_bench_ingest_min_conf(self, workspace, tmp_path):
+        # query 2's matches are all below --min-conf, so the filter leaves it
+        # too few; queries 0 and 1 keep their confident matches and solve
+        from vloc.matching import MatchSet, match_oracle, write_matches
+        _, world_path, _, _ = workspace
+        world = GridWorld.load(world_path)
+        ref_pose = planar_camera_pose(5.0, 2.25, 0.0)
+        ref_frame = render(world, ref_pose, K)
+        queries = []
+        matches_dir = tmp_path / "matches"
+        matches_dir.mkdir()
+        for j, conf in enumerate((1.0, 0.9, 0.3)):
+            pose = planar_camera_pose(5.2 + 0.1 * j, 2.3, 0.05)
+            frame = render(world, pose, K)
+            queries.append((frame.color, frame.depth.astype(np.float32), pose, 0))
+            ms = match_oracle(ref_frame, frame, seed=j)
+            write_matches(matches_dir / f"{j}.csv",
+                          MatchSet(ms.uv_ref, ms.uv_query, np.full(len(ms), conf)))
+        ds = tmp_path / "dataset"
+        save_reloc_dataset(ds, [(ref_frame.color, ref_pose)], queries, K)
+
+        def bench(*extra):
+            out = tmp_path / "metrics.csv"
+            assert main(["bench-reloc", "--dataset", str(ds), "--matcher", "ingest",
+                         "--matches", str(matches_dir), "--out", str(out),
+                         *extra]) == 0
+            lines = out.read_text().splitlines()
+            return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+        assert float(bench()["pct_estimated"]) == 100.0
+        vals = bench("--min-conf", "0.5")
+        assert float(vals["pct_estimated"]) == pytest.approx(200.0 / 3.0)
+        assert float(vals["median_et_m"]) < 0.05
+
 
 class TestEvalAte:
     def test_known_offset(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,19 +28,51 @@ def gt_reprojection_errors(world, pose_r, pose_q, frame_r, match_set):
     rot_r = pose_r.rotation_matrix()
     rot_q = pose_q.rotation_matrix()
     errs = []
-    for c in match_set.correspondences:
-        u, v = int(c.uv_ref[0]), int(c.uv_ref[1])
+    for uv_ref, uv_query in zip(match_set.uv_ref, match_set.uv_query):
+        u, v = int(uv_ref[0]), int(uv_ref[1])
         d = frame_r.depth[v, u]
         if d <= 0:
             continue
-        p_cam = np.array([(c.uv_ref[0] - K.cx) / K.fx * d,
-                          (c.uv_ref[1] - K.cy) / K.fy * d, d])
+        p_cam = np.array([(uv_ref[0] - K.cx) / K.fx * d,
+                          (uv_ref[1] - K.cy) / K.fy * d, d])
         p_world = rot_r @ p_cam + pose_r.t
         uv = project(K, rot_q.T @ (p_world - pose_q.t))
         if uv is None:
             continue
-        errs.append(float(np.linalg.norm(uv - c.uv_query)))
+        errs.append(float(np.linalg.norm(uv - uv_query)))
     return np.array(errs)
+
+
+class TestMatchSet:
+    def test_empty(self):
+        ms = MatchSet()
+        assert len(ms) == 0
+        assert ms.uv_ref.shape == (0, 2) and ms.uv_query.shape == (0, 2)
+        assert ms.confidence.shape == (0,)
+
+    def test_columns_coerced_to_float(self):
+        ms = MatchSet(uv_ref=[[1, 2], [3, 4]], uv_query=[[5, 6], [7, 8]],
+                      confidence=[1, 0])
+        assert len(ms) == 2
+        for col in (ms.uv_ref, ms.uv_query, ms.confidence):
+            assert col.dtype == np.float64
+        assert np.array_equal(ms.uv_query, [[5.0, 6.0], [7.0, 8.0]])
+
+    @pytest.mark.parametrize("uv_ref, uv_query, conf", [
+        ([[1, 2]], [[5, 6], [7, 8]], [1, 1]),          # uv_ref too short
+        ([[1, 2], [3, 4]], [[5, 6], [7, 8]], [1]),     # confidence too short
+        ([[1, 2, 0], [3, 4, 0]], [[5, 6], [7, 8]], [1, 1]),
+        ([[1, 2], [3, 4]], [[5, 6], [7, 8]], [[1], [1]]),
+        ([[1, 2]], [[5, 6]], 1.0),                      # scalar confidence
+    ])
+    def test_mismatched_columns_rejected(self, uv_ref, uv_query, conf):
+        with pytest.raises(ValueError):
+            MatchSet(uv_ref=uv_ref, uv_query=uv_query, confidence=conf)
+
+    def test_duplicate_query_pixel_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            MatchSet(uv_ref=[[1, 2], [3, 4]], uv_query=[[5, 6], [5, 6]],
+                     confidence=[1, 1])
 
 
 class TestClassical:
@@ -46,9 +80,8 @@ class TestClassical:
         frame = render(corridor, planar_camera_pose(3.0, 2.25, 0.0), K)
         ms = match_classical(frame.color, frame.color)
         assert len(ms) > 20
-        for c in ms.correspondences:
-            assert np.array_equal(c.uv_ref, c.uv_query)
-            assert c.confidence == pytest.approx(1.0, abs=1e-9)
+        assert np.array_equal(ms.uv_ref, ms.uv_query)
+        assert np.allclose(ms.confidence, 1.0, rtol=0, atol=1e-9)
 
     def test_featureless_images_empty(self):
         flat = np.full((128, 128), 130, dtype=np.uint8)
@@ -73,6 +106,26 @@ class TestClassical:
         assert total >= 30
         assert (pooled < 2.0).mean() >= 0.8
 
+    def test_matches_pinned(self, corridor):
+        # digest of the integer (u_ref, v_ref, u_query, v_query) rows on the
+        # three cross-view pairs: pins the exact matches, order included
+        pairs = ((3.0, 3.3, 0.0, 0.0), (8.0, 8.2, 0.15, 0.05),
+                 (14.0, 14.3, -0.1, -0.04))
+        digest = hashlib.sha256()
+        total = 0
+        for rx, qx, dy, qyaw in pairs:
+            fr = render(corridor, planar_camera_pose(rx, 2.25, 0.0), K)
+            fq = render(corridor, planar_camera_pose(qx, 2.25 + dy, qyaw), K)
+            ms = match_classical(fr.color, fq.color)
+            rows = np.hstack([ms.uv_ref, ms.uv_query])
+            assert np.array_equal(rows, np.round(rows))
+            digest.update("".join(",".join(str(int(x)) for x in row) + "\n"
+                                  for row in rows).encode())
+            total += len(ms)
+        assert total == 41
+        assert digest.hexdigest() == \
+            "21d24f666b94a783424eab6a164cf082d16253e335d02433d1b08721fd3df332"
+
     def test_deterministic_serialization(self, corridor, tmp_path):
         fr = render(corridor, planar_camera_pose(3.0, 2.25, 0.0), K)
         fq = render(corridor, planar_camera_pose(3.3, 2.25, 0.0), K)
@@ -93,7 +146,7 @@ class TestOracle:
         assert len(ms) > 30
         by_id_q = {int(i): fq.landmark_uv[k] for k, i in enumerate(fq.landmark_ids)}
         by_id_r = {int(i): fr.landmark_uv[k] for k, i in enumerate(fr.landmark_ids)}
-        uv_r, uv_q, conf = ms.arrays()
+        uv_r, uv_q = ms.uv_ref, ms.uv_query
         common = sorted(set(by_id_q) & set(by_id_r))
         assert len(ms) == len(common)
         for k, lid in enumerate(common):
@@ -111,10 +164,8 @@ class TestOracle:
         clean = match_oracle(fr, fq, outlier_rate=0.0, noise_px=0.0, seed=42)
         dirty1 = match_oracle(fr, fq, outlier_rate=0.3, noise_px=0.0, seed=42)
         dirty2 = match_oracle(fr, fq, outlier_rate=0.3, noise_px=0.0, seed=42)
-        _, q1, _ = dirty1.arrays()
-        _, q2, _ = dirty2.arrays()
+        q1, q2, qc = dirty1.uv_query, dirty2.uv_query, clean.uv_query
         assert np.array_equal(q1, q2)
-        _, qc, _ = clean.arrays()
         n_corrupt = int(np.sum(np.any(q1 != qc, axis=1)))
         assert n_corrupt == int(np.floor(0.3 * len(clean)))
 
@@ -129,14 +180,12 @@ class TestOracle:
         fr = render(corridor, pose_r, K)
         fq = render(corridor, pose_q, K)
         ms = match_oracle(fr, fq, seed=3)
-        p3d, uv_ref = [], []
-        for c in ms.correspondences:
-            k = int(np.argmin(np.linalg.norm(fq.landmark_uv - c.uv_query, axis=1)))
-            d = fq.landmark_depth[k]
-            u, v = c.uv_query
-            p3d.append(((u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d))
-            uv_ref.append(c.uv_ref)
-        res = solve_pnp_ransac(np.array(p3d), np.array(uv_ref), K, PnPParams(seed=0))
+        k = np.argmin(np.linalg.norm(
+            fq.landmark_uv[None, :, :] - ms.uv_query[:, None, :], axis=2), axis=1)
+        d = fq.landmark_depth[k]
+        u, v = ms.uv_query[:, 0], ms.uv_query[:, 1]
+        p3d = np.stack([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d], axis=1)
+        res = solve_pnp_ransac(p3d, ms.uv_ref, K, PnPParams(seed=0))
         assert res.status is RelocStatus.SUCCESS
         rel_gt = pose_r.between(pose_q)
         assert np.linalg.norm(res.pose.t - rel_gt.t) < 1e-6
@@ -148,8 +197,8 @@ class TestOracle:
         a = match_oracle(fr, fq, noise_px=1.0, seed=5)
         b = match_oracle(fr, fq, noise_px=1.0, seed=5)
         c = match_oracle(fr, fq, noise_px=1.0, seed=6)
-        assert np.array_equal(a.arrays()[1], b.arrays()[1])
-        assert not np.array_equal(a.arrays()[1], c.arrays()[1])
+        assert np.array_equal(a.uv_query, b.uv_query)
+        assert not np.array_equal(a.uv_query, c.uv_query)
 
 
 class TestMatchCsv:
@@ -167,12 +216,10 @@ class TestMatchCsv:
         write_matches(p, ms)
         back = ingest_matches(p, 128, 128)
         assert len(back) == len(ms)
-        uv_r0, uv_q0, c0 = ms.arrays()
-        uv_r1, uv_q1, c1 = back.arrays()
         # identity up to the format's 9 significant digits
-        assert np.allclose(uv_r0, uv_r1, rtol=0, atol=1e-6)
-        assert np.allclose(uv_q0, uv_q1, rtol=0, atol=1e-6)
-        assert np.array_equal(c0, c1)
+        assert np.allclose(ms.uv_ref, back.uv_ref, rtol=0, atol=1e-6)
+        assert np.allclose(ms.uv_query, back.uv_query, rtol=0, atol=1e-6)
+        assert np.array_equal(ms.confidence, back.confidence)
         # a second write/read cycle is exactly stable
         p2 = tmp_path / "m2.csv"
         write_matches(p2, back)
@@ -190,4 +237,31 @@ class TestMatchCsv:
         p = tmp_path / "hdr.csv"
         p.write_text("u,v\n")
         with pytest.raises(FormatError):
+            ingest_matches(p, 128, 128)
+
+    def test_non_numeric_field_names_row(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("u_ref,v_ref,u_query,v_query,confidence\n"
+                     "10,10,20,20,1\n"
+                     "1,1,2,x,1\n")
+        with pytest.raises(FormatError, match=r"nan\.csv:3: .*'x'"):
+            ingest_matches(p, 128, 128)
+
+    @pytest.mark.parametrize("conf", ["nan", "inf", "-inf"])
+    def test_non_finite_confidence_names_row(self, tmp_path, conf):
+        p = tmp_path / "conf.csv"
+        p.write_text("u_ref,v_ref,u_query,v_query,confidence\n"
+                     "10,10,20,20,1\n"
+                     "11,10,21,20,0.5\n"
+                     f"12,10,22,20,{conf}\n")
+        with pytest.raises(FormatError, match=r"conf\.csv:4: non-finite confidence"):
+            ingest_matches(p, 128, 128)
+
+    def test_repeated_query_pixel_names_later_row(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("u_ref,v_ref,u_query,v_query,confidence\n"
+                     "10,10,20,20,1\n"
+                     "11,10,30,20,1\n"
+                     "12,10,20,20,0.5\n")
+        with pytest.raises(FormatError, match=r"dup\.csv:4: .*repeats line 2"):
             ingest_matches(p, 128, 128)

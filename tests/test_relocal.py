@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from vloc.errors import EmptyInput
-from vloc.geometry import CameraIntrinsics, Pose, rotation_angle, se3_exp
+from vloc.geometry import (
+    DEPTH_MAX_DEFAULT,
+    DEPTH_MIN_DEFAULT,
+    CameraIntrinsics,
+    Pose,
+    rotation_angle,
+    se3_exp,
+)
 from vloc.mapgraph import MapNode
-from vloc.matching import Correspondence, MatchSet, match_oracle
+from vloc.matching import MatchSet, match_oracle
 from vloc.relocal import (
     PnPParams,
     RelocResult,
@@ -41,10 +48,42 @@ def synth_scene(rng, n, noise=0.0):
 
 
 def match_set_from(uv_ref, uv_query, conf=1.0):
-    return MatchSet(correspondences=[
-        Correspondence(uv_ref=np.asarray(r, dtype=float),
-                       uv_query=np.asarray(q, dtype=float), confidence=conf)
-        for r, q in zip(uv_ref, uv_query)])
+    return MatchSet(uv_ref=uv_ref, uv_query=uv_query,
+                    confidence=np.full(len(uv_query), conf))
+
+
+def per_pixel_depth(depth, u, v, depth_min=DEPTH_MIN_DEFAULT,
+                   depth_max=DEPTH_MAX_DEFAULT):
+    """Per-pixel reference for ``lift``: bilinear depth, None if any
+    contributing pixel is invalid; on the last row/column an integral pixel
+    falls back to that exact pixel."""
+    h, w = depth.shape
+    x0, y0 = int(math.floor(u)), int(math.floor(v))
+    if not (0 <= x0 and x0 + 1 < w and 0 <= y0 and y0 + 1 < h):
+        if 0 <= u <= w - 1 and 0 <= v <= h - 1 and u == int(u) and v == int(v):
+            d = float(depth[int(v), int(u)])
+            return d if depth_min < d < depth_max else None
+        return None
+    q = depth[y0:y0 + 2, x0:x0 + 2].astype(float)
+    if not np.all((q > depth_min) & (q < depth_max) & np.isfinite(q)):
+        return None
+    ax, ay = u - x0, v - y0
+    top = q[0, 0] * (1 - ax) + q[0, 1] * ax
+    bot = q[1, 0] * (1 - ax) + q[1, 1] * ax
+    return float(top * (1 - ay) + bot * ay)
+
+
+def reference_lift(match_set, depth, K):
+    """``lift`` one match at a time through ``per_pixel_depth``."""
+    p3d, uv_ref = [], []
+    for r, (u, v) in zip(match_set.uv_ref, match_set.uv_query):
+        d = per_pixel_depth(depth, float(u), float(v))
+        if d is not None:
+            p3d.append(((u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d))
+            uv_ref.append(r)
+    return (np.array(p3d, dtype=float).reshape(-1, 3),
+            np.array(uv_ref, dtype=float).reshape(-1, 2),
+            len(match_set) - len(p3d))
 
 
 class TestLift:
@@ -76,31 +115,70 @@ class TestLift:
         pose = planar_camera_pose(32.0, 2.25, 0.0)   # squarely facing the end wall
         frame = render(world, pose, K)
         ms = match_oracle(frame, frame, seed=0)
-        p3d, _, dropped = lift(ms, frame.depth, K)
+        assert np.array_equal(ms.uv_ref, ms.uv_query)
+        p3d, uv_ref, dropped = lift(ms, frame.depth, K)
+        assert len(p3d) == len(uv_ref) == len(ms) - dropped
         ids, pos, nrm = world.landmarks()
         lookup = {int(i): (pos[k], nrm[k]) for k, i in enumerate(ids)}
         rot = pose.rotation_matrix()
-        kept = [c for c in ms.correspondences]
-        assert len(p3d) == len(kept) - dropped or dropped == 0
         checked_flat = 0
-        j = 0
-        for c in kept:
-            if j >= len(p3d):
-                break
-            lm_pos, lm_nrm = lookup[int(_id_for(frame, c.uv_query))]
+        # in a self-match the returned uv_ref is the lifted query pixel, so
+        # it names the landmark each point came from
+        for p, uv in zip(p3d, uv_ref):
+            (k,) = np.flatnonzero(np.all(frame.landmark_uv == uv, axis=1))
+            lm_pos, lm_nrm = lookup[int(frame.landmark_ids[k])]
             truth = rot.T @ (lm_pos - pose.t)
-            err = np.max(np.abs(p3d[j] - truth))
+            err = np.max(np.abs(p - truth))
             assert err < 5e-3
             if abs(lm_nrm[0] + 1.0) < 1e-12:   # end-wall face, fronto-parallel
                 assert err < 1e-6
                 checked_flat += 1
-            j += 1
         assert checked_flat >= 10
 
+    def test_matches_per_pixel_reference_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        h, w = 24, 32
+        k_small = CameraIntrinsics(fx=30.0, fy=30.0, cx=16.0, cy=12.0,
+                                   width=w, height=h)
+        for trial in range(20):
+            depth = rng.uniform(0.5, 8.0, (h, w))
+            bad = rng.choice(h * w, 60, replace=False)
+            depth.flat[bad[:20]] = 0.0
+            depth.flat[bad[20:40]] = np.nan
+            depth.flat[bad[40:50]] = DEPTH_MAX_DEFAULT
+            depth.flat[bad[50:]] = DEPTH_MAX_DEFAULT + rng.uniform(0.0, 5.0, 10)
+            if trial % 2:
+                depth = depth.astype(np.float32)
+            ints = rng.integers(0, [w, h], (30, 2)).astype(float)
+            uv = np.concatenate([
+                rng.uniform([-2.0, -2.0], [w + 1.0, h + 1.0], (200, 2)),
+                ints,                                        # integral inside
+                np.stack([np.full(h, w - 1.0), np.arange(h)], axis=1),
+                np.stack([np.arange(w), np.full(w, h - 1.0)], axis=1),
+                [[w - 1.0, h - 1.0], [w - 1.0, 0.0], [0.0, h - 1.0], [0.0, 0.0]],
+                np.stack([np.full(h, w - 1.5), np.arange(h) + 0.25], axis=1),
+                np.stack([np.arange(w) + 0.5, np.full(w, h - 1.25)], axis=1),
+                [[w - 1.0, 3.5], [4.5, h - 1.0], [w - 0.5, 2.0], [2.0, h - 0.5]],
+                [[w, 0.0], [0.0, h], [-1.0, 3.0], [3.0, -1.0], [-0.5, -0.5]],
+                [[w - 1e-9, 5.0], [-1e-12, 5.0], [1e6, 1e6]],
+            ])
+            uv = np.unique(uv, axis=0)
+            uv = uv[rng.permutation(len(uv))]
+            ms = match_set_from(rng.uniform(0.0, 30.0, uv.shape), uv)
+            got = lift(ms, depth, k_small)
+            want = reference_lift(ms, depth, k_small)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert 0 < got[2] < len(ms)
 
-def _id_for(frame, uv_query):
-    k = int(np.argmin(np.linalg.norm(frame.landmark_uv - uv_query, axis=1)))
-    return frame.landmark_ids[k]
+    def test_non_finite_query_pixels_drop(self):
+        depth = np.full((128, 128), 2.0)
+        ms = match_set_from([(1, 1), (2, 2), (3, 3), (4, 4)],
+                            [(np.nan, 5.0), (5.0, np.inf), (-np.inf, 7.0), (8.0, 9.0)])
+        p3d, uv_ref, dropped = lift(ms, depth, K)
+        assert dropped == 3
+        assert np.array_equal(uv_ref, [[4.0, 4.0]])
 
 
 class TestSolvePnP:
