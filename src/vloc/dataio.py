@@ -4,6 +4,7 @@ trajectories. All text is plain ASCII; all binary is little-endian."""
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -99,6 +100,16 @@ def read_trajectory(path):
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             out.append((ts, pose))
     return out
+
+
+@contextmanager
+def line_errors(path, lineno: int):
+    """Raise a ValueError or IndexError from parsing one line of a text file
+    as a FormatError that names the file and the line."""
+    try:
+        yield
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
 
 def read_csv_rows(path, expected_header: str):

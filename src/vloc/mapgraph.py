@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import retrieval
-from .dataio import read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
+from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
 from .errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
 from .geometry import (
     DEPTH_MAX_DEFAULT,
@@ -427,6 +427,7 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
 
 
 def _parse_manifest(path) -> dict:
+    """key -> (line number, value) of a key=value manifest."""
     out = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -436,21 +437,29 @@ def _parse_manifest(path) -> dict:
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
-            out[key] = val
+            out[key] = (lineno, val)
     return out
 
 
 def load_map(mapdir) -> TopoMetricMap:
     manifest_path = os.path.join(mapdir, "manifest.txt")
     manifest = _parse_manifest(manifest_path)
-    version = int(manifest.get("version", "-1"))
+
+    def number(key, kind):
+        if key not in manifest:
+            raise FormatError(f"{manifest_path}: no {key}")
+        lineno, val = manifest[key]
+        with line_errors(manifest_path, lineno):
+            return kind(val)
+
+    version = number("version", int) if "version" in manifest else -1
     if version != MAP_FORMAT_VERSION:
         raise VersionMismatch(
             f"{manifest_path}: format version {version}, expected {MAP_FORMAT_VERSION}"
         )
-    node_count = int(manifest["node_count"])
-    dim = int(manifest["descriptor_dim"])
-    grid_res = float(manifest["grid_res"])
+    node_count = number("node_count", int)
+    dim = number("descriptor_dim", int)
+    grid_res = number("grid_res", float)
 
     desc_path = os.path.join(mapdir, "descriptors.f32")
     descs = read_f32(desc_path, shape=(node_count, dim)) if node_count else \
@@ -461,12 +470,13 @@ def load_map(mapdir) -> TopoMetricMap:
     for lineno, row in read_csv_rows(nodes_path, _NODES_HEADER):
         if len(row) != 8:
             raise FormatError(f"{nodes_path}:{lineno}: expected 8 fields")
-        try:
+        with line_errors(nodes_path, lineno):
             nid = int(row[0])
             pose = Pose(np.array([float(v) for v in row[1:4]]),
                         np.array([float(v) for v in row[4:8]]))
-        except ValueError as exc:
-            raise FormatError(f"{nodes_path}:{lineno}: {exc}") from exc
+        if not 0 <= nid < node_count:
+            raise FormatError(f"{nodes_path}:{lineno}: node id {nid} not in "
+                              f"[0, {node_count})")
         node = MapNode(id=nid, pose=pose, descriptor=descs[nid])
         img_rel = f"images/{nid}.pgm"
         depth_rel = f"depth/{nid}.f32"
@@ -489,17 +499,13 @@ def load_map(mapdir) -> TopoMetricMap:
     cng_path = os.path.join(mapdir, "cng_edges.csv")
     cng_edges = []
     for lineno, row in read_csv_rows(cng_path, _CNG_HEADER):
-        try:
+        with line_errors(cng_path, lineno):
             cng_edges.append((int(row[0]), int(row[1]), float(row[2])))
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{cng_path}:{lineno}: {exc}") from exc
     cvg_path = os.path.join(mapdir, "cvg_edges.csv")
     cvg_edges = []
     for lineno, row in read_csv_rows(cvg_path, _CVG_HEADER):
-        try:
+        with line_errors(cvg_path, lineno):
             cvg_edges.append((int(row[0]), int(row[1]), int(row[2])))
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{cvg_path}:{lineno}: {exc}") from exc
 
     return TopoMetricMap(nodes=nodes, cng_edges=cng_edges, cvg_edges=cvg_edges,
                          descriptor_dim=dim, grid_res=grid_res)

@@ -84,10 +84,11 @@ def harris_corners(image, params: MatchParams = MatchParams()) -> np.ndarray:
     floor = params.response_floor * float(resp.max()) if resp.max() > 0 else np.inf
     is_peak &= resp > floor
     margin = params.patch_size // 2
+    h, w = is_peak.shape
     is_peak[:margin, :] = False
-    is_peak[-margin:, :] = False
+    is_peak[h - margin:, :] = False
     is_peak[:, :margin] = False
-    is_peak[:, -margin:] = False
+    is_peak[:, w - margin:] = False
 
     vs, us = np.nonzero(is_peak)
     if len(vs) == 0:

@@ -9,6 +9,13 @@ Correspondences arrive as a ``vloc.matching.MatchSet``, whose columns
 match per row; ``lift`` samples depth for the whole ``uv_query`` column in
 one pass.
 
+RANSAC hypotheses are solved and scored in blocks of samples: one batched
+companion-matrix eigenvalue call finds every sample's quartic roots, one
+batched SVD aligns every candidate, and one array op scores a block's
+picks against all points. The sample sequence, the pick among a sample's
+candidates, the stop rule and so the result are those of the sequential
+loop, which ``tests/test_relocal.py`` keeps as the reference.
+
 Frame convention: ``solve_pnp_ransac`` returns the transform that maps
 point coordinates into the observing camera's frame. When the points are
 lifted in the query camera frame and observed in the reference image, that
@@ -19,14 +26,16 @@ pose.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
+from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
 from .errors import EmptyInput, FormatError
 from .geometry import (
     DEPTH_MAX_DEFAULT,
@@ -35,8 +44,10 @@ from .geometry import (
     Pose,
     fmt17,
     matrix_to_quat,
+    quat_to_matrix,
     rotation_angle,
-    so3_hat,
+    rotvec_to_quat,
+    so3_left_jacobian,
 )
 from .mapgraph import MapNode, Observation
 
@@ -53,6 +64,10 @@ class RelocResult:
     inliers: int
     total: int
     status: RelocStatus
+    # RANSAC samples the stop rule went through, and the P3P candidates
+    # they gave; 0 when the solver did not run
+    iterations: int = 0
+    hypotheses: int = 0
 
     def __post_init__(self):
         if self.inliers > self.total:
@@ -117,98 +132,156 @@ def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics,
 
 
 # ---------------------------------------------------------------------------
-# minimal P3P (Grunert) + absolute orientation
+# minimal P3P (Grunert) + absolute orientation, over blocks of samples
 # ---------------------------------------------------------------------------
 
+# Samples solved per block of the hypothesis loop; the last size repeats. A
+# clean scene stops after its first sample, so the first block is one
+# sample; a low inlier ratio runs hundreds, over which blocks amortise the
+# per-call cost of the array operations.
+_BLOCK_SIZES = (1, 8, 64)
+
+# Refinement stops below this sum of squared pixel errors: the pose then
+# reprojects to within about 1e-9 px, and further steps move it by less
+# than any tolerance downstream while step halving finds nothing to gain.
+_COST_FLOOR = 1e-18
+
+# the point pairs (2, 3), (1, 3), (1, 2) of a sample's triple: they span
+# the sides opposite points 1, 2, 3 and the angles between their rays
+_PAIR_I = np.array([1, 0, 0])
+_PAIR_J = np.array([2, 2, 1])
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each one BLAS ``ddot`` as ``np.dot``
+    and ``np.linalg.norm`` of a single vector compute it, so a block rounds
+    exactly as one sample at a time does."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` rounded as C ``pow`` rounds it for one float; ``x * x``
+    differs from it in the last bit for some inputs."""
+    return np.float_power(x, 2)
+
+
 def _kabsch(src: np.ndarray, dst: np.ndarray):
-    """Rigid transform with dst = R @ src + t (least squares, no scale)."""
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
+    """Rigid transforms with dst = R @ src + t for stacks of point triples
+    (H, 3, 3) (least squares, no scale). Returns (R (H, 3, 3), t (H, 3))."""
+    cs = np.add.reduce(src, axis=1) / 3
+    cd = np.add.reduce(dst, axis=1) / 3
+    h = (src - cs[:, None]).swapaxes(1, 2) @ (dst - cd[:, None])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return r, cd - r @ cs
+    v, ut = vt.swapaxes(1, 2), u.swapaxes(1, 2)
+    v[:, :, 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
+    r = v @ ut
+    return r, cd - (r @ cs[:, :, None])[:, :, 0]
+
+
+def _poly_roots(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Roots (k, m - 1) of the polynomials with coefficient rows p (k, m),
+    highest first, as ``np.roots`` finds them: leading and trailing zeros
+    stripped, the eigenvalues of the rest's companion matrix, then a zero
+    root per trailing zero. Only the ``rows`` asked for whose companion
+    matrix is finite are solved (``np.roots`` raises on the others); the
+    other rows' roots are 0. Callers silence the other rows' warnings."""
+    k, m = p.shape
+    roots = np.zeros((k, m - 1), dtype=complex)
+    nonzero = p != 0.0
+    first = nonzero.argmax(axis=1)
+    end = m - nonzero[:, ::-1].argmax(axis=1)
+    for lo, hi in set(zip(first[rows].tolist(), end[rows].tolist())):
+        deg = hi - lo - 1
+        if deg == 0:
+            continue
+        comp = np.zeros((k, deg, deg))
+        comp[:, 0] = -p[:, lo + 1:hi] / p[:, lo:lo + 1]
+        comp.reshape(k, deg * deg)[:, deg::deg + 1] = 1.0     # subdiagonal
+        # an all-zero row falls in the first group and fails this test
+        ok = rows & (first == lo) & (end == hi) & np.isfinite(comp[:, 0]).all(axis=1)
+        comp[~ok] = 0.0
+        roots[ok, :deg] = np.linalg.eigvals(comp)[ok]
+    return roots
 
 
 def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
-    """Camera-frame candidate solutions for 3 world points and 3 unit rays.
+    """Camera-frame candidate solutions for blocks of 3 world points
+    (B, 3, 3) and their 3 unit rays (B, 3, 3).
 
-    Returns a list of (R, t) with cam = R @ world + t; empty on degeneracy.
+    Returns (valid (B, 4), R (B, 4, 3, 3), t (B, 4, 3)) with
+    cam = R @ world + t. Slot k of a sample holds the solution from its
+    k-th quartic root in ``np.roots`` order when that root gives one, as
+    ``valid`` marks; other slots are zero. A degenerate sample has none.
     """
-    x1, x2, x3 = pts
-    f1, f2, f3 = rays
-    a = np.linalg.norm(x2 - x3)
-    b = np.linalg.norm(x1 - x3)
-    c = np.linalg.norm(x1 - x2)
-    if min(a, b, c) < 1e-9:
-        return []
-    cos_al = float(np.dot(f2, f3))
-    cos_be = float(np.dot(f1, f3))
-    cos_ga = float(np.dot(f1, f2))
-    a2, b2, c2 = a * a, b * b, c * c
-    q1 = (a2 - c2) / b2
-    q2 = (a2 + c2) / b2
+    n_samples = len(pts)
+    # sides a, b, c opposite points 1, 2, 3 and the cosines of the angles
+    # between the rays to the other two points
+    d = pts.take(_PAIR_I, axis=1) - pts.take(_PAIR_J, axis=1)
+    dots = _rowdot(np.concatenate([d, rays.take(_PAIR_I, axis=1)], axis=1),
+                   np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
+    sides = np.sqrt(dots[:, :3])
+    a2, b2, c2 = (sides * sides).T
+    cos_al, cos_be, cos_ga = cosines = dots[:, 3:].T
+    sq_al, sq_be, sq_ga = _square(cosines)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # scaling by 2 or 4 is exact: 4.0 * cb rounds as 4.0 * c2 / b2 does
+        q1, q2, cb, ab, bcb, bab = np.array(
+            [a2 - c2, a2 + c2, c2, a2, b2 - c2, b2 - a2]) / b2
+        sq_q1 = _square(q1)
+        al_ga = (1.0 - q2) * cos_al * cos_ga
+        cb_al = 2.0 * cb * sq_al
+        ab_ga = 2.0 * ab * sq_ga
+        coeffs = np.array([
+            _square(q1 - 1.0) - 2.0 * cb_al,
+            4.0 * (q1 * (1.0 - q1) * cos_be - al_ga + cb_al * cos_be),
+            2.0 * (sq_q1 - 1.0 + 2.0 * sq_q1 * sq_be + 2.0 * bcb * sq_al
+                   - 4.0 * q2 * cos_al * cos_be * cos_ga + 2.0 * bab * sq_ga),
+            4.0 * (-q1 * (1.0 + q1) * cos_be + ab_ga * cos_be - al_ga),
+            _square(1.0 + q1) - 2.0 * ab_ga,
+        ]).T
+        solvable = (sides >= 1e-9).all(axis=1) & np.isfinite(coeffs).all(axis=1)
 
-    a4 = (q1 - 1.0) ** 2 - 4.0 * c2 / b2 * cos_al ** 2
-    a3 = 4.0 * (q1 * (1.0 - q1) * cos_be
-                - (1.0 - q2) * cos_al * cos_ga
-                + 2.0 * c2 / b2 * cos_al ** 2 * cos_be)
-    a2_ = 2.0 * (q1 ** 2 - 1.0
-                 + 2.0 * q1 ** 2 * cos_be ** 2
-                 + 2.0 * (b2 - c2) / b2 * cos_al ** 2
-                 - 4.0 * q2 * cos_al * cos_be * cos_ga
-                 + 2.0 * (b2 - a2) / b2 * cos_ga ** 2)
-    a1 = 4.0 * (-q1 * (1.0 + q1) * cos_be
-                + 2.0 * a2 / b2 * cos_ga ** 2 * cos_be
-                - (1.0 - q2) * cos_al * cos_ga)
-    a0 = (1.0 + q1) ** 2 - 4.0 * a2 / b2 * cos_ga ** 2
+        # a vanishing leading coefficient leaves a cubic
+        coeffs[np.abs(coeffs[:, 0]) < 1e-14, 0] = 0.0
+        roots = _poly_roots(coeffs, solvable)     # a 0 root gives no solution
 
-    coeffs = np.array([a4, a3, a2_, a1, a0])
-    if not np.all(np.isfinite(coeffs)) or abs(a4) < 1e-14:
-        coeffs = coeffs[1:] if abs(a4) < 1e-14 else coeffs
-    if len(coeffs) < 2 or not np.all(np.isfinite(coeffs)):
-        return []
-    roots = np.roots(coeffs)
-
-    out = []
-    for root in roots:
-        if abs(root.imag) > 1e-8:
-            continue
-        v = float(root.real)
-        if v <= 0.0:
-            continue
+        # the depth ratios u = d2 / d1, v = d3 / d1 of each root
+        v = roots.real
+        q1, cos_al, cos_be, cos_ga, b2 = np.array(
+            [q1, cos_al, cos_be, cos_ga, b2])[:, :, None]    # (B, 1) columns
         denom = 2.0 * (cos_ga - v * cos_al)
-        if abs(denom) < 1e-12:
-            continue
         u = ((-1.0 + q1) * v * v - 2.0 * q1 * cos_be * v + 1.0 + q1) / denom
-        if u <= 0.0:
-            continue
         s1_sq = b2 / (1.0 + v * v - 2.0 * v * cos_be)
-        if s1_sq <= 0.0:
-            continue
-        d1 = math.sqrt(s1_sq)
-        d2, d3 = u * d1, v * d1
-        cam_pts = np.stack([d1 * f1, d2 * f2, d3 * f3])
-        r, t = _kabsch(pts, cam_pts)
-        out.append((r, t))
-    return out
+        valid = ((np.abs(roots.imag) <= 1e-8) & (np.abs(denom) >= 1e-12)
+                 & (np.minimum(np.minimum(v, u), s1_sq) > 0.0) & (s1_sq < np.inf))
+
+    sample, slot = np.nonzero(valid)
+    d1 = np.sqrt(s1_sq[sample, slot])
+    dist = np.array([np.ones_like(u), u, v])[:, sample, slot].T * d1[:, None]
+    r = np.zeros((n_samples, 4, 3, 3))
+    t = np.zeros((n_samples, 4, 3))
+    r[sample, slot], t[sample, slot] = _kabsch(pts[sample],
+                                               dist[:, :, None] * rays[sample])
+    return valid, r, t
 
 
 def _pixel_rays(uv: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    rays = np.stack([(uv[:, 0] - K.cx) / K.fx,
-                     (uv[:, 1] - K.cy) / K.fy,
-                     np.ones(len(uv))], axis=1)
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    rays = np.ones((len(uv), 3))
+    rays[:, :2] = (uv - (K.cx, K.cy)) / (K.fx, K.fy)
+    return rays / np.sqrt((rays * rays).sum(axis=1, keepdims=True))
 
 
 def _reprojection_errors(r, t, p3d, uv, K, z_min):
-    cam = p3d @ r.T + t
-    z = cam[:, 2]
+    """Pixel reprojection errors (inf behind the camera) of the points
+    p3d (..., N, 3) against uv (..., N, 2) under one transform r (3, 3),
+    t (3,), or under stacks r (..., 3, 3), t (..., 3) that broadcast
+    against the points' leading axes: (H, 3, 3) with (N, 3) gives (H, N)."""
+    cam = p3d @ r.swapaxes(-1, -2) + t[..., None, :]
+    z = cam[..., 2]
     ok = z > z_min
     zs = np.where(ok, z, 1.0)
-    du = K.fx * cam[:, 0] / zs + K.cx - uv[:, 0]
-    dv = K.fy * cam[:, 1] / zs + K.cy - uv[:, 1]
+    du = K.fx * cam[..., 0] / zs + K.cx - uv[..., 0]
+    dv = K.fy * cam[..., 1] / zs + K.cy - uv[..., 1]
     err = np.hypot(du, dv)
     return np.where(ok, err, np.inf)
 
@@ -224,40 +297,39 @@ def reprojection_residual_jacobian(r, t, p3d, uv, K, z_min=1e-6):
     res[0::2] = K.fx * x / z + K.cx - uv[:, 0]
     res[1::2] = K.fy * y / z + K.cy - uv[:, 1]
 
-    # d(cam point)/d(delta) = [R | -R hat(p)] per point
-    hats = np.zeros((n, 3, 3))
-    px, py, pz = p3d[:, 0], p3d[:, 1], p3d[:, 2]
-    hats[:, 0, 1], hats[:, 0, 2] = -pz, py
-    hats[:, 1, 0], hats[:, 1, 2] = pz, -px
-    hats[:, 2, 0], hats[:, 2, 1] = -py, px
-    dcam = np.empty((n, 3, 6))
-    dcam[:, :, :3] = r
-    dcam[:, :, 3:] = -np.einsum("jk,nkl->njl", r, hats)
-
+    # d(pixel)/d(cam point) per point, times d(cam point)/d(delta) =
+    # [R | -R hat(p)]
     dpi = np.zeros((n, 2, 3))
     dpi[:, 0, 0] = K.fx / z
     dpi[:, 0, 2] = -K.fx * x / (z * z)
     dpi[:, 1, 1] = K.fy / z
     dpi[:, 1, 2] = -K.fy * y / (z * z)
-    jac = np.einsum("nij,njk->nik", dpi, dcam).reshape(2 * n, 6)
+    hats = np.zeros((n, 3, 3))
+    px, py, pz = p3d[:, 0], p3d[:, 1], p3d[:, 2]
+    hats[:, 0, 1], hats[:, 0, 2] = -pz, py
+    hats[:, 1, 0], hats[:, 1, 2] = pz, -px
+    hats[:, 2, 0], hats[:, 2, 1] = -py, px
+    d_rho = dpi @ r
+    jac = np.concatenate([d_rho, -(d_rho @ hats)], axis=2).reshape(2 * n, 6)
     return res, jac
 
 
-def _refine_gauss_newton(r, t, p3d, uv, K, params: PnPParams):
+def _refine_gauss_newton(r, t, p3d, uv, K, params: PnPParams, errors=None):
     """Gauss-Newton with step halving; cost is monotone non-increasing.
-    Returns (R, t, converged) or the inputs when no step helps."""
-    from .geometry import quat_to_matrix, rotvec_to_quat, so3_left_jacobian
+    ``errors`` are the points' reprojection errors at (r, t) when the
+    caller has them. Returns (R, t, converged) or the inputs when no step
+    helps."""
 
     def cost_of(rr, tt):
         e = _reprojection_errors(rr, tt, p3d, uv, K, params.z_min)
-        if np.any(np.isinf(e)):
-            return np.inf
-        return float(np.sum(e * e))
+        return float((e * e).sum())        # inf when a point is behind
 
-    cost = cost_of(r, t)
+    cost = cost_of(r, t) if errors is None else float((errors * errors).sum())
     if not np.isfinite(cost):
         return r, t, False
     for _ in range(params.refine_iters):
+        if cost < _COST_FLOOR:
+            break
         res, jac = reprojection_residual_jacobian(r, t, p3d, uv, K, params.z_min)
         h = jac.T @ jac
         g = jac.T @ res
@@ -286,12 +358,42 @@ def _refine_gauss_newton(r, t, p3d, uv, K, params: PnPParams):
     return r, t, True
 
 
+def _score_block(sel, p3d, uv, rays, K, params: PnPParams):
+    """Solve and score a block of 4-point samples sel (B, 4).
+
+    The first three points of a sample give its P3P candidates and the 4th
+    picks one, the first with the smallest reprojection error. Returns the
+    picked (R (B, 3, 3), t (B, 3)), their errors over every point (B, N),
+    their inlier counts (B,), -1 for a sample without candidates, and the
+    number of candidates of each sample (B,)."""
+    triples = sel[:, :3]
+    valid, r, t = _p3p_grunert(p3d.take(triples, axis=0), rays.take(triples, axis=0))
+    probe = sel[:, None, 3:]
+    e4 = _reprojection_errors(r, t, p3d.take(probe, axis=0), uv.take(probe, axis=0),
+                              K, params.z_min)[..., 0]
+    # np.argmin's rule: the first smallest error, where a NaN is smallest
+    e4 = np.where(valid, np.where(np.isnan(e4), -np.inf, e4), np.inf)
+    pick = np.argmax(valid & (e4 == e4.min(axis=1, keepdims=True)), axis=1)
+    rows = np.arange(len(sel))
+    r, t = r[rows, pick], t[rows, pick]
+    err = _reprojection_errors(r, t, p3d, uv, K, params.z_min)
+    inliers = np.where(valid.any(axis=1),
+                       np.count_nonzero(err < params.reproj_thresh, axis=1), -1)
+    return r, t, err, inliers, valid.sum(axis=1)
+
+
 def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                      params: PnPParams = PnPParams()) -> RelocResult:
     """P3P hypotheses from minimal 4-point samples (4th point picks among
     the quartic's solutions), scored by reprojection error, with adaptive
     iteration count and Gauss-Newton refinement over the best inlier set.
-    Deterministic given the seed."""
+    Deterministic given the seed.
+
+    Samples are solved and scored in blocks (``_BLOCK_SIZES``) but drawn
+    and judged one at a time, in the order a sequential loop would: one
+    ``rng.choice(n, 4, replace=False)`` each, the best replaced only on a
+    strictly larger inlier count, the stop rule applied after each. A block
+    never draws more samples than the stop rule still allows."""
     p3d = np.asarray(p3d, dtype=float).reshape(-1, 3)
     uv = np.asarray(uv, dtype=float).reshape(-1, 2)
     n = len(p3d)
@@ -301,60 +403,56 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
 
     rays = _pixel_rays(uv, K)
     rng = np.random.default_rng(params.seed)
-    best_r, best_t = None, None
+    best_r = best_t = best_err = None
     best_inliers = 0
-    iteration = 0
+    iteration = hypotheses = 0
     needed = params.max_iters
-    while iteration < min(needed, params.max_iters):
-        iteration += 1
-        sel = rng.choice(n, size=4, replace=False)
-        candidates = _p3p_grunert(p3d[sel[:3]], rays[sel[:3]])
-        if not candidates:
-            continue
-        # 4th sample point disambiguates the quartic's solutions
-        probe = p3d[sel[3:4]]
-        probe_uv = uv[sel[3:4]]
-        errs4 = [float(_reprojection_errors(r, t, probe, probe_uv, K,
-                                            params.z_min)[0])
-                 for r, t in candidates]
-        r, t = candidates[int(np.argmin(errs4))]
-        inl = int(np.sum(_reprojection_errors(r, t, p3d, uv, K, params.z_min)
-                         < params.reproj_thresh))
-        if inl > best_inliers:
-            best_inliers, best_r, best_t = inl, r, t
-            w = best_inliers / n
-            if w >= 1.0 - 1e-12:
+    blocks = itertools.chain(_BLOCK_SIZES, itertools.repeat(_BLOCK_SIZES[-1]))
+    while iteration < needed:
+        sel = np.array([rng.choice(n, size=4, replace=False)
+                        for _ in range(min(next(blocks), needed - iteration))])
+        r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K, params)
+        for i in range(len(sel)):
+            iteration += 1
+            hypotheses += int(candidates[i])
+            if inliers[i] > best_inliers:
+                best_inliers = int(inliers[i])
+                best_r, best_t, best_err = r[i], t[i], err[i]
+                w = best_inliers / n
+                if w >= 1.0 - 1e-12:
+                    needed = iteration
+                    break
+                denom = math.log(max(1e-12, 1.0 - w ** 4))
+                needed = min(params.max_iters,
+                             int(math.ceil(math.log(1.0 - params.confidence) / denom)))
+            if iteration >= needed:
                 break
-            denom = math.log(max(1e-12, 1.0 - w ** 4))
-            needed = min(params.max_iters,
-                         int(math.ceil(math.log(1.0 - params.confidence) / denom)))
 
     if best_r is None or best_inliers < 4:
         return RelocResult(pose=None, inliers=0, total=n,
-                           status=RelocStatus.RANSAC_FAILED)
+                           status=RelocStatus.RANSAC_FAILED,
+                           iterations=iteration, hypotheses=hypotheses)
 
-    mask = _reprojection_errors(best_r, best_t, p3d, uv, K, params.z_min) \
-        < params.reproj_thresh
+    mask = best_err < params.reproj_thresh
     r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask],
-                                            K, params)
-    if ok:
-        inl_ref = int(np.sum(
-            _reprojection_errors(r_ref, t_ref, p3d, uv, K, params.z_min)
-            < params.reproj_thresh))
+                                            K, params, best_err[mask])
+    if ok and r_ref is not best_r:
+        err_ref = _reprojection_errors(r_ref, t_ref, p3d, uv, K, params.z_min)
+        inl_ref = int(np.count_nonzero(err_ref < params.reproj_thresh))
         if inl_ref >= best_inliers:
             best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
+            mask = err_ref < params.reproj_thresh
 
     pose = Pose(best_t, matrix_to_quat(best_r))
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
         else RelocStatus.RANSAC_FAILED
     if status is RelocStatus.SUCCESS and params.reject_planar:
-        mask = _reprojection_errors(best_r, best_t, p3d, uv, K, params.z_min) \
-            < params.reproj_thresh
         eigvals = np.linalg.eigvalsh(np.cov(p3d[mask].T))
         if math.sqrt(max(eigvals[0], 0.0)) < \
                 params.planar_ratio * math.sqrt(max(eigvals[2], 1e-12)):
             status = RelocStatus.RANSAC_FAILED
-    return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status)
+    return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,
+                       iterations=iteration, hypotheses=hypotheses)
 
 
 def node_observation(node: MapNode) -> Observation:
@@ -380,8 +478,7 @@ def localize_against_node(node: MapNode, obs: Observation, K: CameraIntrinsics,
     rel = solve_pnp_ransac(p3d, uv_ref, K, params)
     if rel.status is not RelocStatus.SUCCESS:
         return rel
-    return RelocResult(pose=node.pose.compose(rel.pose), inliers=rel.inliers,
-                       total=rel.total, status=rel.status)
+    return dataclasses.replace(rel, pose=node.pose.compose(rel.pose))
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +579,28 @@ def save_reloc_dataset(dirpath, refs, queries, K: CameraIntrinsics) -> None:
 
 def load_reloc_dataset(dirpath):
     """Returns (K, refs [(img, pose)], queries [(img, depth, pose, ref_id)])."""
-    with open(os.path.join(dirpath, "intrinsics.txt")) as f:
+    path = os.path.join(dirpath, "intrinsics.txt")
+    with open(path) as f, line_errors(path, 1):
         K = CameraIntrinsics.from_line(f.readline())
     refs = []
     path = os.path.join(dirpath, "refs", "poses.csv")
     for lineno, row in read_csv_rows(path, _REF_POSES_HEADER):
         if len(row) != 8:
             raise FormatError(f"{path}:{lineno}: expected 8 fields")
-        i = int(row[0])
-        pose = Pose(np.array([float(v) for v in row[1:4]]),
-                    np.array([float(v) for v in row[4:8]]))
+        with line_errors(path, lineno):
+            i = int(row[0])
+            pose = Pose(np.array([float(v) for v in row[1:4]]),
+                        np.array([float(v) for v in row[4:8]]))
         refs.append((read_pgm(os.path.join(dirpath, "refs", f"{i}.pgm")), pose))
     queries = []
     path = os.path.join(dirpath, "queries", "gt_poses.csv")
     for lineno, row in read_csv_rows(path, _QUERY_POSES_HEADER):
         if len(row) != 9:
             raise FormatError(f"{path}:{lineno}: expected 9 fields")
-        j, ref_id = int(row[0]), int(row[1])
-        pose = Pose(np.array([float(v) for v in row[2:5]]),
-                    np.array([float(v) for v in row[5:9]]))
+        with line_errors(path, lineno):
+            j, ref_id = int(row[0]), int(row[1])
+            pose = Pose(np.array([float(v) for v in row[2:5]]),
+                        np.array([float(v) for v in row[5:9]]))
         img = read_pgm(os.path.join(dirpath, "queries", f"{j}.pgm"))
         depth = read_f32(os.path.join(dirpath, "queries", "depth", f"{j}.f32"),
                          shape=img.shape)

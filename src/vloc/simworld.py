@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import (
+    line_errors,
     read_csv_rows,
     read_f32,
     read_pgm,
@@ -688,27 +689,30 @@ def load_segment(segdir):
     """Read a segment directory back; returns (Segment, odometry, gt_stream).
 
     Depth comes back float32 (the on-disk precision)."""
-    with open(os.path.join(segdir, "intrinsics.txt")) as f:
+    path = os.path.join(segdir, "intrinsics.txt")
+    with open(path) as f, line_errors(path, 1):
         camera = CameraIntrinsics.from_line(f.readline())
     frames = []
     poses_path = os.path.join(segdir, "poses.csv")
     for lineno, row in read_csv_rows(poses_path, _POSES_HEADER):
         if len(row) != 9:
             raise FormatError(f"{poses_path}:{lineno}: expected 9 fields")
-        k = int(row[0])
-        ts = float(row[1])
-        pose = Pose(np.array([float(v) for v in row[2:5]]),
-                    np.array([float(v) for v in row[5:9]]))
+        with line_errors(poses_path, lineno):
+            k = int(row[0])
+            ts = float(row[1])
+            pose = Pose(np.array([float(v) for v in row[2:5]]),
+                        np.array([float(v) for v in row[5:9]]))
         color = read_pgm(os.path.join(segdir, "frames", f"{k}.pgm"))
         depth = read_f32(os.path.join(segdir, "depth", f"{k}.f32"),
                          shape=color.shape)
         lm_path = os.path.join(segdir, "landmarks", f"{k}.csv")
         lm_ids, lm_uv, lm_depth = [], [], []
         if os.path.exists(lm_path):
-            for _, lrow in read_csv_rows(lm_path, _LM_HEADER):
-                lm_ids.append(int(lrow[0]))
-                lm_uv.append((float(lrow[1]), float(lrow[2])))
-                lm_depth.append(float(lrow[3]))
+            for lm_lineno, lrow in read_csv_rows(lm_path, _LM_HEADER):
+                with line_errors(lm_path, lm_lineno):
+                    lm_ids.append(int(lrow[0]))
+                    lm_uv.append((float(lrow[1]), float(lrow[2])))
+                    lm_depth.append(float(lrow[3]))
         obs = Observation(
             color=color, depth=depth,
             landmark_ids=np.array(lm_ids, dtype=np.int64),
@@ -718,9 +722,10 @@ def load_segment(segdir):
     odometry = []
     odom_path = os.path.join(segdir, "odometry.csv")
     for lineno, row in read_csv_rows(odom_path, _ODOM_HEADER):
-        odometry.append((float(row[0]),
-                         Pose(np.array([float(v) for v in row[1:4]]),
-                              np.array([float(v) for v in row[4:8]]))))
+        with line_errors(odom_path, lineno):
+            odometry.append((float(row[0]),
+                             Pose(np.array([float(v) for v in row[1:4]]),
+                                  np.array([float(v) for v in row[4:8]]))))
     gt_stream = read_trajectory(os.path.join(segdir, "gt_traj.txt"))
     return Segment(frames=frames, camera=camera), odometry, gt_stream
 

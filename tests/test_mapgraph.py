@@ -270,6 +270,48 @@ class TestSerialization:
         with pytest.raises(FormatError, match="descriptors.f32"):
             load_map(tmp_path / "m")
 
+    @pytest.mark.parametrize("key", ["node_count", "descriptor_dim", "grid_res"])
+    def test_non_numeric_manifest_value_names_line(self, tmp_path, rng, key):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        (lineno,) = [i for i, ln in enumerate(lines, 1) if ln.startswith(key + "=")]
+        lines[lineno - 1] = key + "=1O"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"manifest.txt:{lineno}: "):
+            load_map(tmp_path / "m")
+
+    def test_missing_manifest_key(self, tmp_path, rng):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.txt"
+        manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
+                                    if not ln.startswith("grid_res=")))
+        with pytest.raises(FormatError, match="manifest.txt: no grid_res"):
+            load_map(tmp_path / "m")
+
+    def test_non_numeric_node_field_names_line(self, tmp_path, rng):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        nodes = tmp_path / "m" / "nodes.csv"
+        lines = nodes.read_text().splitlines()
+        lines[2] = lines[2].replace(",", ",x", 1)
+        nodes.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="nodes.csv:3: "):
+            load_map(tmp_path / "m")
+
+    @pytest.mark.parametrize("nid", ["8", "-1"])
+    def test_node_id_out_of_range_names_line(self, tmp_path, rng, nid):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        nodes = tmp_path / "m" / "nodes.csv"
+        lines = nodes.read_text().splitlines()
+        lines[2] = nid + lines[2][lines[2].index(","):]
+        nodes.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"nodes.csv:3: node id {nid} "):
+            load_map(tmp_path / "m")
+
     def test_version_mismatch(self, tmp_path, rng):
         m = random_map(rng)
         save_map(m, tmp_path / "m")

@@ -3,21 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from vloc.errors import EmptyInput
+from vloc.errors import EmptyInput, FormatError
 from vloc.geometry import (
     DEPTH_MAX_DEFAULT,
     DEPTH_MIN_DEFAULT,
     CameraIntrinsics,
     Pose,
+    matrix_to_quat,
     rotation_angle,
     se3_exp,
 )
 from vloc.mapgraph import MapNode
 from vloc.matching import MatchSet, match_oracle
 from vloc.relocal import (
+    _BLOCK_SIZES,
     PnPParams,
     RelocResult,
     RelocStatus,
+    _p3p_grunert,
+    _pixel_rays,
+    _refine_gauss_newton,
+    _reprojection_errors,
+    _score_block,
     compute_reloc_metrics,
     lift,
     load_reloc_dataset,
@@ -45,6 +52,15 @@ def synth_scene(rng, n, noise=0.0):
     if noise:
         uv = uv + rng.normal(0.0, noise, uv.shape)
     return p_world, uv, transform, p_cam
+
+
+def corrupt_field(path, lineno, field, value="x0"):
+    """Replace one comma-separated field of a text file's line (1-based)."""
+    lines = path.read_text().splitlines()
+    row = lines[lineno - 1].split(",")
+    row[field] = value
+    lines[lineno - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def match_set_from(uv_ref, uv_query, conf=1.0):
@@ -84,6 +100,157 @@ def reference_lift(match_set, depth, K):
     return (np.array(p3d, dtype=float).reshape(-1, 3),
             np.array(uv_ref, dtype=float).reshape(-1, 2),
             len(match_set) - len(p3d))
+
+
+# ---------------------------------------------------------------------------
+# sequential reference for solve_pnp_ransac's hypothesis loop: one sample at
+# a time, a scalar Grunert P3P through np.roots and one Kabsch SVD per root
+# ---------------------------------------------------------------------------
+
+def reference_kabsch(src: np.ndarray, dst: np.ndarray):
+    """Rigid transform with dst = R @ src + t (least squares, no scale)."""
+    cs = src.mean(axis=0)
+    cd = dst.mean(axis=0)
+    h = (src - cs).T @ (dst - cd)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return r, cd - r @ cs
+
+
+def reference_p3p_grunert(pts: np.ndarray, rays: np.ndarray):
+    """Camera-frame candidate solutions for 3 world points and 3 unit rays.
+
+    Returns a list of (R, t) with cam = R @ world + t; empty on degeneracy.
+    """
+    x1, x2, x3 = pts
+    f1, f2, f3 = rays
+    a = np.linalg.norm(x2 - x3)
+    b = np.linalg.norm(x1 - x3)
+    c = np.linalg.norm(x1 - x2)
+    if min(a, b, c) < 1e-9:
+        return []
+    cos_al = float(np.dot(f2, f3))
+    cos_be = float(np.dot(f1, f3))
+    cos_ga = float(np.dot(f1, f2))
+    a2, b2, c2 = a * a, b * b, c * c
+    q1 = (a2 - c2) / b2
+    q2 = (a2 + c2) / b2
+
+    a4 = (q1 - 1.0) ** 2 - 4.0 * c2 / b2 * cos_al ** 2
+    a3 = 4.0 * (q1 * (1.0 - q1) * cos_be
+                - (1.0 - q2) * cos_al * cos_ga
+                + 2.0 * c2 / b2 * cos_al ** 2 * cos_be)
+    a2_ = 2.0 * (q1 ** 2 - 1.0
+                 + 2.0 * q1 ** 2 * cos_be ** 2
+                 + 2.0 * (b2 - c2) / b2 * cos_al ** 2
+                 - 4.0 * q2 * cos_al * cos_be * cos_ga
+                 + 2.0 * (b2 - a2) / b2 * cos_ga ** 2)
+    a1 = 4.0 * (-q1 * (1.0 + q1) * cos_be
+                + 2.0 * a2 / b2 * cos_ga ** 2 * cos_be
+                - (1.0 - q2) * cos_al * cos_ga)
+    a0 = (1.0 + q1) ** 2 - 4.0 * a2 / b2 * cos_ga ** 2
+
+    coeffs = np.array([a4, a3, a2_, a1, a0])
+    if not np.all(np.isfinite(coeffs)) or abs(a4) < 1e-14:
+        coeffs = coeffs[1:] if abs(a4) < 1e-14 else coeffs
+    if len(coeffs) < 2 or not np.all(np.isfinite(coeffs)):
+        return []
+    roots = np.roots(coeffs)
+
+    out = []
+    for root in roots:
+        if abs(root.imag) > 1e-8:
+            continue
+        v = float(root.real)
+        if v <= 0.0:
+            continue
+        denom = 2.0 * (cos_ga - v * cos_al)
+        if abs(denom) < 1e-12:
+            continue
+        u = ((-1.0 + q1) * v * v - 2.0 * q1 * cos_be * v + 1.0 + q1) / denom
+        if u <= 0.0:
+            continue
+        s1_sq = b2 / (1.0 + v * v - 2.0 * v * cos_be)
+        if s1_sq <= 0.0:
+            continue
+        d1 = math.sqrt(s1_sq)
+        d2, d3 = u * d1, v * d1
+        cam_pts = np.stack([d1 * f1, d2 * f2, d3 * f3])
+        r, t = reference_kabsch(pts, cam_pts)
+        out.append((r, t))
+    return out
+
+
+def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
+    """``solve_pnp_ransac`` with the sequential hypothesis loop; the
+    refinement and the final checks are the library's."""
+    p3d = np.asarray(p3d, dtype=float).reshape(-1, 3)
+    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+    n = len(p3d)
+    if n < 4:
+        return RelocResult(pose=None, inliers=0, total=n,
+                           status=RelocStatus.TOO_FEW_MATCHES)
+
+    rays = _pixel_rays(uv, K)
+    rng = np.random.default_rng(params.seed)
+    best_r, best_t = None, None
+    best_inliers = 0
+    iteration = hypotheses = 0
+    needed = params.max_iters
+    while iteration < min(needed, params.max_iters):
+        iteration += 1
+        sel = rng.choice(n, size=4, replace=False)
+        candidates = reference_p3p_grunert(p3d[sel[:3]], rays[sel[:3]])
+        hypotheses += len(candidates)
+        if not candidates:
+            continue
+        # 4th sample point disambiguates the quartic's solutions
+        probe = p3d[sel[3:4]]
+        probe_uv = uv[sel[3:4]]
+        errs4 = [float(_reprojection_errors(r, t, probe, probe_uv, K,
+                                            params.z_min)[0])
+                 for r, t in candidates]
+        r, t = candidates[int(np.argmin(errs4))]
+        inl = int(np.sum(_reprojection_errors(r, t, p3d, uv, K, params.z_min)
+                         < params.reproj_thresh))
+        if inl > best_inliers:
+            best_inliers, best_r, best_t = inl, r, t
+            w = best_inliers / n
+            if w >= 1.0 - 1e-12:
+                break
+            denom = math.log(max(1e-12, 1.0 - w ** 4))
+            needed = min(params.max_iters,
+                         int(math.ceil(math.log(1.0 - params.confidence) / denom)))
+
+    if best_r is None or best_inliers < 4:
+        return RelocResult(pose=None, inliers=0, total=n,
+                           status=RelocStatus.RANSAC_FAILED,
+                           iterations=iteration, hypotheses=hypotheses)
+
+    mask = _reprojection_errors(best_r, best_t, p3d, uv, K, params.z_min) \
+        < params.reproj_thresh
+    r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask],
+                                            K, params)
+    if ok:
+        inl_ref = int(np.sum(
+            _reprojection_errors(r_ref, t_ref, p3d, uv, K, params.z_min)
+            < params.reproj_thresh))
+        if inl_ref >= best_inliers:
+            best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
+
+    pose = Pose(best_t, matrix_to_quat(best_r))
+    status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
+        else RelocStatus.RANSAC_FAILED
+    if status is RelocStatus.SUCCESS and params.reject_planar:
+        mask = _reprojection_errors(best_r, best_t, p3d, uv, K, params.z_min) \
+            < params.reproj_thresh
+        eigvals = np.linalg.eigvalsh(np.cov(p3d[mask].T))
+        if math.sqrt(max(eigvals[0], 0.0)) < \
+                params.planar_ratio * math.sqrt(max(eigvals[2], 1e-12)):
+            status = RelocStatus.RANSAC_FAILED
+    return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,
+                       iterations=iteration, hypotheses=hypotheses)
 
 
 class TestLift:
@@ -185,6 +352,7 @@ class TestSolvePnP:
     def test_too_few_matches(self):
         res = solve_pnp_ransac(np.zeros((3, 3)), np.zeros((3, 2)), K)
         assert res.status is RelocStatus.TOO_FEW_MATCHES
+        assert res.iterations == 0 and res.hypotheses == 0
 
     def test_exact_recovery_seeded(self):
         worst_t = worst_r = 0.0
@@ -219,7 +387,6 @@ class TestSolvePnP:
         assert a.pose == b.pose and a.inliers == b.inliers
 
     def test_refinement_never_increases_inlier_residual(self):
-        from vloc.relocal import _refine_gauss_newton, _reprojection_errors
         for seed in range(30):
             rng = np.random.default_rng(seed)
             p_world, uv, transform, _ = synth_scene(rng, 40, noise=2.0)
@@ -255,6 +422,175 @@ class TestSolvePnP:
             assert np.max(np.abs(jac - jac_fd)) / scale < 1e-5
 
 
+def outlier_scene(rng, n, share, noise=0.5):
+    """synth_scene with round(share * n) pixels replaced by random ones."""
+    p_world, uv, _, _ = synth_scene(rng, n, noise)
+    k = int(round(share * n))
+    uv[rng.choice(n, k, replace=False)] = rng.uniform(0.0, 128.0, (k, 2))
+    return p_world, uv
+
+
+def world_from_camera(rng, p_cam):
+    """World points and pixels for camera-frame points under a random pose."""
+    transform = Pose(rng.normal(0, 0.5, 3), rng.normal(0, 1, 4))
+    uv = np.stack([K.fx * p_cam[:, 0] / p_cam[:, 2] + K.cx,
+                   K.fy * p_cam[:, 1] / p_cam[:, 2] + K.cy], axis=1)
+    return (p_cam - transform.t) @ transform.rotation_matrix(), uv
+
+
+class TestBatchedMatchesSequential:
+    """The block solver against ``reference_solve_pnp_ransac``: same samples,
+    same picks, same stop rule, so the same result and telemetry."""
+
+    @staticmethod
+    def assert_same(p3d, uv, params):
+        got = solve_pnp_ransac(p3d, uv, K, params)
+        want = reference_solve_pnp_ransac(p3d, uv, K, params)
+        assert (got.status, got.inliers, got.total, got.iterations, got.hypotheses) \
+            == (want.status, want.inliers, want.total, want.iterations, want.hypotheses)
+        assert (got.pose is None) == (want.pose is None)
+        if want.pose is not None:
+            assert np.linalg.norm(got.pose.t - want.pose.t) <= 1e-9
+            assert rotation_angle(got.pose.q, want.pose.q) <= 1e-9
+        return got
+
+    def test_p3p_candidates_in_root_order(self):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(0.0, 1.0, (300, 3, 3)) + [0.0, 0.0, 4.0]
+        rays = pts + rng.normal(0.0, 0.05, pts.shape) * (np.arange(300) % 2)[:, None, None]
+        # a right triangle seen along perpendicular rays: the quartic's two
+        # leading coefficients are exactly zero, leaving a quadratic
+        pts[0] = [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]
+        rays[0] = [[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        pts[1, 2] = pts[1, 1]                           # a zero side
+        rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+        valid, r, t = _p3p_grunert(pts, rays)
+        counts = []
+        for k in range(len(pts)):
+            want = reference_p3p_grunert(pts[k], rays[k])
+            slots = np.flatnonzero(valid[k])
+            assert len(slots) == len(want)
+            for slot, (r_want, t_want) in zip(slots, want):
+                assert np.allclose(r[k, slot], r_want, rtol=0.0, atol=1e-12)
+                assert np.allclose(t[k, slot], t_want, rtol=0.0, atol=1e-12)
+            counts.append(len(want))
+        assert counts[0] == 1 and counts[1] == 0 and max(counts) >= 3
+
+    def test_pick_is_first_smallest_error(self):
+        # a probe point behind every candidate ties them all at inf, and one
+        # without a pixel at NaN: the first candidate in root order is
+        # picked, as np.argmin does
+        rng = np.random.default_rng(8)
+        _, uv, transform, p_cam = synth_scene(rng, 30, noise=0.5)
+        p_cam[20:25] *= -1.0           # the same pixels, behind the camera
+        uv[25:] = np.nan
+        p3d = (p_cam - transform.t) @ transform.rotation_matrix()
+        sel = np.array([rng.choice(30, 4, replace=False) for _ in range(200)])
+        sel[::2, 3] = rng.integers(20, 30, 100)
+        sel[::2, :3] = np.array([rng.choice(20, 3, replace=False) for _ in range(100)])
+        params = PnPParams()
+        rays = _pixel_rays(uv, K)
+        r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K, params)
+        ties = 0
+        for k, s in enumerate(sel):
+            want = reference_p3p_grunert(p3d[s[:3]], rays[s[:3]])
+            assert candidates[k] == len(want)
+            if not want:
+                assert inliers[k] == -1
+                continue
+            errs4 = [float(_reprojection_errors(rr, tt, p3d[s[3:]], uv[s[3:]], K,
+                                                params.z_min)[0]) for rr, tt in want]
+            ties += len(want) > 1 and not np.isfinite(errs4).any()
+            r_want, t_want = want[int(np.argmin(errs4))]
+            assert np.allclose(r[k], r_want, rtol=0.0, atol=1e-12)
+            assert np.allclose(t[k], t_want, rtol=0.0, atol=1e-12)
+            assert inliers[k] == int(np.sum(_reprojection_errors(
+                r_want, t_want, p3d, uv, K, params.z_min) < params.reproj_thresh))
+        assert ties >= 20
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 20, 100])
+    def test_outlier_shares(self, n):
+        results = []
+        for share in (0.0, 0.1, 0.3, 0.5, 0.7):
+            for seed in range(2):
+                rng = np.random.default_rng([n, round(100 * share), seed])
+                p3d, uv = outlier_scene(rng, n, share)
+                params = PnPParams(seed=seed, max_iters=1000 if seed else 150,
+                                   min_inliers=min(12, n - 1))
+                results.append(self.assert_same(p3d, uv, params))
+        assert any(r.status is RelocStatus.SUCCESS for r in results)
+        if n >= 8:      # runs end in the first blocks and after the third
+            its = [r.iterations for r in results]
+            assert min(its) <= sum(_BLOCK_SIZES[:2]) and max(its) > sum(_BLOCK_SIZES)
+
+    def test_exact_scene_stops_after_one_sample(self):
+        for seed in range(5):
+            p3d, uv, _, _ = synth_scene(np.random.default_rng(seed), 20)
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed))
+            assert res.iterations == 1 and res.inliers == 20
+
+    def test_runs_to_max_iters(self):
+        # random pixels: no sample explains enough points to cut the count,
+        # and the third block is cut short at the cap
+        for seed in range(3):
+            rng = np.random.default_rng(50 + seed)
+            p3d, uv = outlier_scene(rng, 40, 1.0)
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=37))
+            assert res.iterations == 37 and res.hypotheses > 0
+
+    def test_degenerate_samples(self):
+        # two distinct points, each twice: every triple has a zero side, so no
+        # sample gives a candidate, and every one counts as an iteration
+        p3d, uv, _, _ = synth_scene(np.random.default_rng(7), 2)
+        res = self.assert_same(np.repeat(p3d, 2, axis=0), np.repeat(uv, 2, axis=0),
+                               PnPParams(max_iters=25))
+        assert res.status is RelocStatus.RANSAC_FAILED
+        assert res.iterations == 25 and res.hypotheses == 0
+        for seed in range(4):
+            rng = np.random.default_rng(70 + seed)
+            p3d, uv, _, _ = synth_scene(rng, 16, noise=0.3)
+            p3d[8:], uv[8:] = p3d[:8], uv[:8] + rng.normal(0.0, 0.3, (8, 2))
+            self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=200))
+            # points on one line in front of the camera
+            s = rng.uniform(-1.0, 1.0, 12)
+            line = np.array([0.1, -0.2, 3.5]) + s[:, None] * rng.normal(0, 0.4, 3)
+            p3d, uv = world_from_camera(rng, line)
+            self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=200))
+
+    def test_points_behind_camera(self):
+        for seed in range(4):
+            rng = np.random.default_rng(90 + seed)
+            _, _, _, p_cam = synth_scene(rng, 24, noise=0.0)
+            # mirrored through the centre: the same pixel, but behind
+            p_cam[rng.choice(24, 8, replace=False)] *= -1.0
+            p3d, uv = world_from_camera(rng, p_cam)
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed))
+            assert res.status is RelocStatus.SUCCESS and res.inliers == 16
+
+    def test_non_finite_pixels(self):
+        # a NaN pixel gives no candidates as a sample point, NaN errors as
+        # a probe (the first candidate is picked) and is never an inlier
+        for seed in range(4):
+            rng = np.random.default_rng(130 + seed)
+            p3d, uv, _, _ = synth_scene(rng, 16, noise=0.3)
+            uv[rng.choice(16, 3, replace=False)] = np.nan
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=300))
+            assert res.status is RelocStatus.SUCCESS and res.inliers == 13
+
+    def test_reject_planar(self):
+        rejected = 0
+        for seed in range(4):
+            rng = np.random.default_rng(110 + seed)
+            xy = rng.uniform(-1.5, 1.5, (30, 2))
+            plane = np.column_stack([xy, 4.0 + 0.3 * xy[:, 0] - 0.2 * xy[:, 1]])
+            p3d, uv = world_from_camera(rng, plane)
+            uv += rng.normal(0.0, 0.3, uv.shape)
+            self.assert_same(p3d, uv, PnPParams(seed=seed))
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed, reject_planar=True))
+            rejected += res.status is RelocStatus.RANSAC_FAILED
+        assert rejected == 4
+
+
 @pytest.fixture(scope="module")
 def corridor_node():
     world, _ = make_preset("corridor", seed=3)
@@ -275,6 +611,7 @@ class TestLocalizeAgainstNode:
             node, frame.observation(), K,
             matcher=lambda ref, q: match_oracle(ref, q, seed=0))
         assert res.status is RelocStatus.SUCCESS
+        assert res.iterations >= 1 and res.hypotheses >= 1
         assert np.linalg.norm(res.pose.t - node.pose.t) < 1e-6
         assert rotation_angle(res.pose.q, node.pose.q) < 1e-6
 
@@ -370,3 +707,22 @@ class TestDataset:
         assert np.array_equal(img, imgs[2])
         assert np.array_equal(depth, depths[0])
         assert ref_id == 0 and pose == queries[0][2]
+
+    @pytest.mark.parametrize("csv, lineno, field", [
+        ("refs/poses.csv", 3, 1), ("refs/poses.csv", 2, 0),
+        ("queries/gt_poses.csv", 2, 1), ("queries/gt_poses.csv", 2, 8),
+        ("intrinsics.txt", 1, 0),
+    ])
+    def test_non_numeric_field_names_line(self, tmp_path, rng, csv, lineno, field):
+        img = rng.integers(0, 255, (8, 8), dtype=np.uint8)
+        depth = rng.uniform(0.5, 5.0, (8, 8)).astype(np.float32)
+        k_small = CameraIntrinsics(5.0, 5.0, 4.0, 4.0, 8, 8)
+        save_reloc_dataset(tmp_path / "d", [(img, Pose.identity())] * 2,
+                           [(img, depth, Pose.identity(), 1)], k_small)
+        path = tmp_path / "d" / csv
+        if csv == "intrinsics.txt":
+            path.write_text("5 5 4 4 eight 8\n")
+        else:
+            corrupt_field(path, lineno, field)
+        with pytest.raises(FormatError, match=f"{csv.split('/')[-1]}:{lineno}: "):
+            load_reloc_dataset(tmp_path / "d")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vloc.errors import PoseInCollision, UnreachableWaypoint
+from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
 from vloc.geometry import CameraIntrinsics, Pose, project
 from vloc.simworld import (
     GridWorld,
@@ -228,6 +228,28 @@ class TestGenerateSegment:
             assert np.array_equal(a.obs.landmark_uv, b.obs.landmark_uv)
         for (ta, da), (tb, db) in zip(odom, rec.odometry):
             assert ta == tb and da == db
+
+    @pytest.mark.parametrize("name, lineno, field, value", [
+        ("poses.csv", 2, 1, "0.x"), ("poses.csv", 3, 0, "one"),
+        ("odometry.csv", 3, 4, "nan?"), ("landmarks/0.csv", 2, 2, ""),
+        ("landmarks/1.csv", 3, 3, None),        # a field short
+    ])
+    def test_non_numeric_field_names_line(self, corridor, tmp_path,
+                                          name, lineno, field, value):
+        rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (3.0, CORRIDOR_Y)],
+                               K, camera_rate=1.0, seed=9)
+        save_segment(rec, tmp_path / "seg")
+        path = tmp_path / "seg" / name
+        lines = path.read_text().splitlines()
+        row = lines[lineno - 1].split(",")
+        if value is None:
+            del row[field]
+        else:
+            row[field] = value
+        lines[lineno - 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{name}:{lineno}: "):
+            load_segment(tmp_path / "seg")
 
 
 class TestWorldFile:
