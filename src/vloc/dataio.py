@@ -92,13 +92,8 @@ def read_trajectory(path):
             tok = line.split()
             if len(tok) != 8:
                 raise FormatError(f"{path}:{lineno}: expected 8 fields, got {len(tok)}")
-            try:
-                ts = float(tok[0])
-                pose = Pose(np.array([float(t) for t in tok[1:4]]),
-                            np.array([float(t) for t in tok[4:8]]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            out.append((ts, pose))
+            with line_errors(path, lineno):
+                out.append((float(tok[0]), Pose.from_fields(tok[1:])))
     return out
 
 

@@ -266,16 +266,25 @@ class Pose:
         return (float(np.max(np.abs(self.t - other.t))) <= tol
                 and rotation_angle(self.q, other.q) <= tol)
 
+    def fields(self) -> list[str]:
+        """The pose row ``x y z qw qx qy qz`` as 7 ``fmt17`` strings; every
+        text format of the package writes poses this way."""
+        return [fmt17(v) for v in (*self.t, *self.q)]
+
+    @staticmethod
+    def from_fields(fields) -> "Pose":
+        """Inverse of ``fields``: 7 numbers or numeric strings."""
+        if len(fields) != 7:
+            raise ValueError(f"expected 7 fields, got {len(fields)}")
+        vals = [float(v) for v in fields]
+        return Pose(np.array(vals[:3]), np.array(vals[3:]))
+
     def to_line(self) -> str:
-        vals = [*self.t, *self.q]
-        return " ".join(fmt17(v) for v in vals)
+        return " ".join(self.fields())
 
     @staticmethod
     def from_line(line: str) -> "Pose":
-        vals = [float(tok) for tok in line.split()]
-        if len(vals) != 7:
-            raise ValueError(f"expected 7 fields, got {len(vals)}")
-        return Pose(np.array(vals[:3]), np.array(vals[3:]))
+        return Pose.from_fields(line.split())
 
 
 def se3_exp(xi) -> Pose:

@@ -376,8 +376,7 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
     with open(os.path.join(mapdir, "nodes.csv"), "w") as f:
         f.write(_NODES_HEADER + "\n")
         for node in m.nodes:
-            vals = [*node.pose.t, *node.pose.q]
-            f.write(str(node.id) + "," + ",".join(fmt17(v) for v in vals) + "\n")
+            f.write(",".join([str(node.id), *node.pose.fields()]) + "\n")
     with open(os.path.join(mapdir, "cng_edges.csv"), "w") as f:
         f.write(_CNG_HEADER + "\n")
         for a, b, w in m.cng_edges:
@@ -472,8 +471,7 @@ def load_map(mapdir) -> TopoMetricMap:
             raise FormatError(f"{nodes_path}:{lineno}: expected 8 fields")
         with line_errors(nodes_path, lineno):
             nid = int(row[0])
-            pose = Pose(np.array([float(v) for v in row[1:4]]),
-                        np.array([float(v) for v in row[4:8]]))
+            pose = Pose.from_fields(row[1:])
         if not 0 <= nid < node_count:
             raise FormatError(f"{nodes_path}:{lineno}: node id {nid} not in "
                               f"[0, {node_count})")

@@ -42,7 +42,6 @@ from .geometry import (
     DEPTH_MIN_DEFAULT,
     CameraIntrinsics,
     Pose,
-    fmt17,
     matrix_to_quat,
     quat_to_matrix,
     rotation_angle,
@@ -85,7 +84,8 @@ class PnPParams:
     z_min: float = 1e-6
     # an (almost) coplanar inlier set has a two-fold pose ambiguity the
     # reprojection error cannot break; callers that must not emit mirror
-    # poses (the localization pipeline) reject such solves
+    # poses can reject such solves (the localization pipeline leaves this off
+    # and drops mirror poses by its attitude gate instead)
     reject_planar: bool = False
     planar_ratio: float = 0.05
 
@@ -567,14 +567,13 @@ def save_reloc_dataset(dirpath, refs, queries, K: CameraIntrinsics) -> None:
         f.write(_REF_POSES_HEADER + "\n")
         for i, (img, pose) in enumerate(refs):
             write_pgm(os.path.join(dirpath, "refs", f"{i}.pgm"), img)
-            f.write(f"{i}," + ",".join(fmt17(v) for v in (*pose.t, *pose.q)) + "\n")
+            f.write(",".join([str(i), *pose.fields()]) + "\n")
     with open(os.path.join(dirpath, "queries", "gt_poses.csv"), "w") as f:
         f.write(_QUERY_POSES_HEADER + "\n")
         for j, (img, depth, pose, ref_id) in enumerate(queries):
             write_pgm(os.path.join(dirpath, "queries", f"{j}.pgm"), img)
             write_f32(os.path.join(dirpath, "queries", "depth", f"{j}.f32"), depth)
-            f.write(f"{j},{ref_id},"
-                    + ",".join(fmt17(v) for v in (*pose.t, *pose.q)) + "\n")
+            f.write(",".join([str(j), str(ref_id), *pose.fields()]) + "\n")
 
 
 def load_reloc_dataset(dirpath):
@@ -589,8 +588,7 @@ def load_reloc_dataset(dirpath):
             raise FormatError(f"{path}:{lineno}: expected 8 fields")
         with line_errors(path, lineno):
             i = int(row[0])
-            pose = Pose(np.array([float(v) for v in row[1:4]]),
-                        np.array([float(v) for v in row[4:8]]))
+            pose = Pose.from_fields(row[1:])
         refs.append((read_pgm(os.path.join(dirpath, "refs", f"{i}.pgm")), pose))
     queries = []
     path = os.path.join(dirpath, "queries", "gt_poses.csv")
@@ -599,8 +597,7 @@ def load_reloc_dataset(dirpath):
             raise FormatError(f"{path}:{lineno}: expected 9 fields")
         with line_errors(path, lineno):
             j, ref_id = int(row[0]), int(row[1])
-            pose = Pose(np.array([float(v) for v in row[2:5]]),
-                        np.array([float(v) for v in row[5:9]]))
+            pose = Pose.from_fields(row[2:])
         img = read_pgm(os.path.join(dirpath, "queries", f"{j}.pgm"))
         depth = read_f32(os.path.join(dirpath, "queries", "depth", f"{j}.f32"),
                          shape=img.shape)

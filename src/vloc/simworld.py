@@ -1,16 +1,19 @@
 """Deterministic 2.5D grid-world simulator.
 
 A boolean occupancy grid with walls of fixed height and a textured floor is
-rendered by exact ray-grid traversal (DDA) into depth and grayscale images.
-Surface color is a pure hash of (cell, face, 5 cm-quantized surface
-coordinate), so the same wall point renders the same value from any view.
-Landmarks seeded on wall faces give the oracle matcher ground-truth
+rendered into depth and grayscale images. The camera is level, so a pixel
+ray's path across the grid depends only on its image column: a 2-D grid
+walk (Amanatides & Woo 1987) along the column's direction finds its first
+wall crossing, and each pixel is then floor, wall or sky in closed form
+from its vertical slope. Surface color is a pure hash of (cell, face, 5 cm-quantized
+surface coordinate), so the same wall point renders the same value from any
+view. Landmarks seeded on wall faces give the oracle matcher ground-truth
 correspondences. A unicycle robot with drifting odometry and a waypoint
 pursuit controller generate mapping/localization segments.
 
 Grid indexing is ``occupancy[iy, ix]``; world x spans ``ix * cell_size`` and
-row 0 of the text format is the smallest y. The camera is planar (z fixed,
-roll/pitch zero) and must stay below ``wall_height``, which makes ignoring
+row 0 of the text format is the smallest y. The camera is level (its y axis
+is world -z) and must stay below ``wall_height``, which makes ignoring
 wall-top faces exact.
 """
 
@@ -150,16 +153,14 @@ class GridWorld:
                 return False
         return True
 
-    def line_of_sight(self, p, q, z: float | None = None) -> bool:
-        """True when the straight segment between two points is wall-free."""
-        if z is None:
-            z = float(p[2]) if len(p) > 2 else CAMERA_HEIGHT_DEFAULT
-        origin = np.array([p[0], p[1], z])
-        delta = np.array([q[0] - p[0], q[1] - p[1], 0.0])
-        if np.linalg.norm(delta[:2]) < 1e-12:
+    def line_of_sight(self, p, q) -> bool:
+        """True when the straight segment between the (x, y) of two points
+        crosses no wall cell."""
+        delta = np.array([q[0] - p[0], q[1] - p[1]])
+        if np.linalg.norm(delta) < 1e-12:
             return True
-        kind, t, _, _, _ = raycast(self, origin, delta[None, :])
-        return kind[0] != 1 or t[0] >= 1.0 - 1e-9
+        t, _ = raycast(self, p, delta[None, :])
+        return t[0] >= 1.0 - 1e-9
 
     # -- landmarks ----------------------------------------------------------
 
@@ -226,11 +227,9 @@ class GridWorld:
         tok = lines[0].split()
         if len(tok) != 5:
             raise FormatError(f"{path}:1: expected 5 header fields, got {len(tok)}")
-        try:
+        with line_errors(path, 1):
             w, h = int(tok[0]), int(tok[1])
             cs, wh, seed = float(tok[2]), float(tok[3]), int(tok[4])
-        except ValueError as exc:
-            raise FormatError(f"{path}:1: {exc}") from exc
         if len(lines) < 1 + h:
             raise FormatError(f"{path}: expected {h} grid rows, found {len(lines) - 1}")
         occ = np.zeros((h, w), dtype=bool)
@@ -243,90 +242,72 @@ class GridWorld:
                     occ[iy, ix] = True
                 elif ch != ".":
                     raise FormatError(f"{path}:{iy + 2}: bad character '{ch}'")
+        for lineno, row in enumerate(lines[1 + h:], start=h + 2):
+            if row.strip():
+                raise FormatError(f"{path}:{lineno}: line after the {h} grid rows")
         return GridWorld(occupancy=occ, cell_size=cs, wall_height=wh,
                          texture_seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# batched raycasting
+# batched grid walk
 # ---------------------------------------------------------------------------
 
 def raycast(world: GridWorld, origin, dirs):
-    """Batched DDA against wall boxes and the floor plane.
+    """Batched 2-D grid walk from an (x, y) origin along (n, 2) directions.
 
     ``t`` is in units of the (not necessarily normalized) direction vectors.
-    Returns (kind, t, cell_ix, cell_iy, face) where kind is 0 sky / 1 wall /
-    2 floor and face is 0 west / 1 east / 2 south / 3 north for wall hits.
+    Returns (t, face): the parameter of each ray's first crossing into a wall
+    cell (inf if none) and the face it crossed, 0 west / 1 east / 2 south /
+    3 north (-1 if none). The origin's own cell is not tested.
     """
     cs = world.cell_size
     grid_h, grid_w = world.occupancy.shape
-    origin = np.asarray(origin, dtype=float)
-    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    ox, oy = float(origin[0]), float(origin[1])
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 2)
     n = len(dirs)
-    ox, oy, oz = origin
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_floor = np.where(dz < 0.0, -oz / dz, np.inf)
-        t_delta_x = np.where(dx != 0.0, cs / np.abs(dx), np.inf)
-        t_delta_y = np.where(dy != 0.0, cs / np.abs(dy), np.inf)
+    dx, dy = dirs[:, 0], dirs[:, 1]
 
     ix = np.full(n, int(math.floor(ox / cs)), dtype=np.int64)
     iy = np.full(n, int(math.floor(oy / cs)), dtype=np.int64)
     step_x = np.sign(dx).astype(np.int64)
     step_y = np.sign(dy).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
+        t_delta_x = np.where(dx != 0.0, cs / np.abs(dx), np.inf)
+        t_delta_y = np.where(dy != 0.0, cs / np.abs(dy), np.inf)
         t_max_x = np.where(
             dx > 0.0, ((ix + 1) * cs - ox) / dx,
             np.where(dx < 0.0, (ix * cs - ox) / dx, np.inf))
         t_max_y = np.where(
             dy > 0.0, ((iy + 1) * cs - oy) / dy,
             np.where(dy < 0.0, (iy * cs - oy) / dy, np.inf))
+    face_x = np.where(step_x > 0, 0, 1)
+    face_y = np.where(step_y > 0, 2, 3)
 
-    kind = np.zeros(n, dtype=np.uint8)
-    t_hit = np.zeros(n, dtype=float)
+    t_hit = np.full(n, np.inf)
     face = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
-
-    for _ in range(2 * (grid_w + grid_h) + 4):
+    # every step enters a new cell, so w + h steps leave any grid
+    for _ in range(grid_w + grid_h):
         if not active.any():
             break
         use_x = t_max_x <= t_max_y
-        t_cross = np.where(use_x, t_max_x, t_max_y)
-
-        hits_floor = active & (t_floor <= t_cross)
-        if hits_floor.any():
-            kind[hits_floor] = 2
-            t_hit[hits_floor] = t_floor[hits_floor]
-            active &= ~hits_floor
-
         adv_x = active & use_x
         adv_y = active & ~use_x
         ix[adv_x] += step_x[adv_x]
         iy[adv_y] += step_y[adv_y]
+        active &= (ix >= 0) & (ix < grid_w) & (iy >= 0) & (iy < grid_h)
 
-        oob = active & ((ix < 0) | (ix >= grid_w) | (iy < 0) | (iy >= grid_h))
-        active &= ~oob
-
-        check = active.copy()
-        if check.any():
-            occ = np.zeros(n, dtype=bool)
-            occ[check] = world.occupancy[iy[check], ix[check]]
-            z_cross = oz + dz * t_cross
-            wall = check & occ & (z_cross <= world.wall_height)
-            if wall.any():
-                kind[wall] = 1
-                t_hit[wall] = t_cross[wall]
-                wx = wall & use_x
-                wy = wall & ~use_x
-                face[wx] = np.where(step_x[wx] > 0, 0, 1)
-                face[wy] = np.where(step_y[wy] > 0, 2, 3)
-                active &= ~wall
+        wall = np.zeros(n, dtype=bool)
+        wall[active] = world.occupancy[iy[active], ix[active]]
+        t_hit[wall] = np.where(use_x, t_max_x, t_max_y)[wall]
+        face[wall] = np.where(use_x, face_x, face_y)[wall]
+        active &= ~wall
 
         t_max_x[adv_x] += t_delta_x[adv_x]
         t_max_y[adv_y] += t_delta_y[adv_y]
 
-    return kind, t_hit, ix, iy, face
+    return t_hit, face
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +332,29 @@ class SimFrame:
                            landmark_depth=self.landmark_depth)
 
 
-LANDMARK_RANGE_DEFAULT = 12.0
+# a detector range limit: keeps typical views at a few hundred annotations
+LANDMARK_RANGE = 12.0
 
 
-def render(world: GridWorld, pose: Pose, K: CameraIntrinsics,
-           landmark_range: float = LANDMARK_RANGE_DEFAULT) -> SimFrame:
-    """Exact raycast render: depth (z-depth, 0 where no surface), hash
-    texture grayscale, and visible-landmark annotations.
+def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
+    """Exact render of a level camera: depth (z-depth, 0 where no surface),
+    hash texture grayscale, and visible-landmark annotations.
 
-    ``landmark_range`` caps the Euclidean distance at which landmarks are
-    reported (a detector range limit; keeps typical views at a few hundred
-    annotations)."""
+    The camera's y axis must be world -z (within 1e-9), so the pixels of an
+    image column share one horizontal direction. A 2-D grid walk along it
+    gives the column's first wall crossing ``t_wall``; a pixel whose ray
+    meets the floor plane first (``t_floor <= t_wall``) sees floor, else it
+    sees the wall if the crossing lies below the wall top, else sky. Raises
+    ``PoseInCollision`` for a camera inside a wall and ``ValueError`` for a
+    camera that is not level or not below the wall top."""
     cam = pose.t
     if not world.free_point(cam[0], cam[1]):
         raise PoseInCollision(f"camera at ({cam[0]:.3f}, {cam[1]:.3f}) is inside a wall")
     if not 0.0 < cam[2] < world.wall_height:
         raise ValueError("camera height must lie in (0, wall_height)")
     rot = pose.rotation_matrix()
+    if np.max(np.abs(rot[:, 1] - (0.0, 0.0, -1.0))) > 1e-9:
+        raise ValueError("camera must be level (camera y axis along world -z)")
 
     uu, vv = np.meshgrid(np.arange(K.width, dtype=float),
                          np.arange(K.height, dtype=float))
@@ -375,33 +362,45 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics,
                          (vv.ravel() - K.cy) / K.fy,
                          np.ones(K.width * K.height)], axis=1)
     dirs_world = dirs_cam @ rot.T
-    kind, t, ix, iy, face = raycast(world, cam, dirs_world)
+    # rounding splits a column's horizontal direction into a few that differ
+    # in the last bits; walking each once gives every pixel its own ray's
+    # crossing, so no depth bit moves (keyframe coverage bins wall points,
+    # which lie exactly on grid lines)
+    cols = dirs_world[:, :2].reshape(K.height, K.width, 2).swapaxes(0, 1).reshape(-1, 2)
+    new = np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)]
+    t_wall, face = raycast(world, cam, cols[new])
+    walk = (np.cumsum(new) - 1).reshape(K.width, K.height).T.ravel()
+    t_wall, face = t_wall[walk], face[walk]
 
+    dz = dirs_world[:, 2]
+    with np.errstate(divide="ignore"):
+        t_floor = np.where(dz < 0.0, -cam[2] / dz, np.inf)
+    floor = t_floor <= t_wall
+    wall = ~floor & (cam[2] + dz * t_wall <= world.wall_height)
     # dirs_cam has unit z, so the ray parameter equals camera z-depth
-    depth = np.where(kind > 0, t, 0.0).reshape(K.height, K.width)
+    t = np.where(floor, t_floor, np.where(wall, t_wall, 0.0))
+    depth = t.reshape(K.height, K.width)
 
     pts = cam[None, :] + dirs_world * t[:, None]
     cs = world.cell_size
     # wall faces lie on grid planes; the integer plane index keys the texture
     is_x_face = (face == 0) | (face == 1)
-    axis = np.where(kind == 2, 2, np.where(is_x_face, 0, 1)).astype(np.int64)
+    axis = np.where(floor, 2, np.where(is_x_face, 0, 1)).astype(np.int64)
     plane_coord = np.where(is_x_face, pts[:, 0], pts[:, 1])
-    plane_idx = np.where(kind == 2, 0,
-                         np.rint(plane_coord / cs).astype(np.int64))
-    su = np.where(kind == 2, pts[:, 0],
+    plane_idx = np.where(floor, 0, np.rint(plane_coord / cs).astype(np.int64))
+    su = np.where(floor, pts[:, 0],
                   np.where(is_x_face, pts[:, 1], pts[:, 0]))
-    sv = np.where(kind == 2, pts[:, 1], pts[:, 2])
+    sv = np.where(floor, pts[:, 1], pts[:, 2])
     shade = _surface_color(axis, plane_idx, su, sv, world.texture_seed)
-    color = np.where(kind > 0, shade, 0).astype(np.uint8)
+    color = np.where(floor | wall, shade, 0).astype(np.uint8)
     color = color.reshape(K.height, K.width)
 
-    lm_ids, lm_uv, lm_depth = _visible_landmarks(world, pose, K, landmark_range)
+    lm_ids, lm_uv, lm_depth = _visible_landmarks(world, pose, K)
     return SimFrame(color=color, depth=depth, landmark_ids=lm_ids,
                     landmark_uv=lm_uv, landmark_depth=lm_depth, gt_pose=pose)
 
 
-def _visible_landmarks(world: GridWorld, pose: Pose, K: CameraIntrinsics,
-                       landmark_range: float):
+def _visible_landmarks(world: GridWorld, pose: Pose, K: CameraIntrinsics):
     ids, pos, nrm = world.landmarks()
     if len(ids) == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))
@@ -410,14 +409,15 @@ def _visible_landmarks(world: GridWorld, pose: Pose, K: CameraIntrinsics,
     p_cam = (pos - cam) @ rot
     uv, in_view = project_array(K, p_cam)
     facing = np.einsum("ij,ij->i", nrm, cam[None, :] - pos) > 1e-9
-    in_range = np.linalg.norm(pos - cam, axis=1) <= landmark_range
+    in_range = np.linalg.norm(pos - cam, axis=1) <= LANDMARK_RANGE
     cand = np.nonzero(in_view & facing & in_range)[0]
     if len(cand) == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))
 
-    kind, t, _, _, _ = raycast(world, cam, pos[cand] - cam[None, :])
-    visible = (kind == 1) & (t >= 1.0 - 1e-6)
-    sel = cand[visible]
+    # camera and landmark both lie between floor and wall top, so the 3-D
+    # segment is blocked exactly when its (x, y) shadow crosses a wall cell
+    t, _ = raycast(world, cam, pos[cand, :2] - cam[None, :2])
+    sel = cand[t >= 1.0 - 1e-6]
     order = np.argsort(ids[sel])
     sel = sel[order]
     return ids[sel].copy(), uv[sel].copy(), p_cam[sel, 2].copy()
@@ -664,9 +664,8 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
     with open(os.path.join(segdir, "poses.csv"), "w") as f:
         f.write(_POSES_HEADER + "\n")
         for k, fr in enumerate(seg.frames):
-            vals = [*fr.pose.t, *fr.pose.q]
-            f.write(f"{k},{fmt17(fr.timestamp)},"
-                    + ",".join(fmt17(v) for v in vals) + "\n")
+            f.write(",".join([str(k), fmt17(fr.timestamp), *fr.pose.fields()])
+                    + "\n")
     for k, fr in enumerate(seg.frames):
         write_pgm(os.path.join(segdir, "frames", f"{k}.pgm"), fr.obs.color)
         write_f32(os.path.join(segdir, "depth", f"{k}.f32"), fr.obs.depth)
@@ -680,8 +679,7 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
     with open(os.path.join(segdir, "odometry.csv"), "w") as f:
         f.write(_ODOM_HEADER + "\n")
         for ts, delta in recording.odometry:
-            f.write(fmt17(ts) + "," + ",".join(
-                fmt17(v) for v in (*delta.t, *delta.q)) + "\n")
+            f.write(",".join([fmt17(ts), *delta.fields()]) + "\n")
     write_trajectory(os.path.join(segdir, "gt_traj.txt"), recording.gt_stream)
 
 
@@ -700,8 +698,7 @@ def load_segment(segdir):
         with line_errors(poses_path, lineno):
             k = int(row[0])
             ts = float(row[1])
-            pose = Pose(np.array([float(v) for v in row[2:5]]),
-                        np.array([float(v) for v in row[5:9]]))
+            pose = Pose.from_fields(row[2:])
         color = read_pgm(os.path.join(segdir, "frames", f"{k}.pgm"))
         depth = read_f32(os.path.join(segdir, "depth", f"{k}.f32"),
                          shape=color.shape)
@@ -723,9 +720,7 @@ def load_segment(segdir):
     odom_path = os.path.join(segdir, "odometry.csv")
     for lineno, row in read_csv_rows(odom_path, _ODOM_HEADER):
         with line_errors(odom_path, lineno):
-            odometry.append((float(row[0]),
-                             Pose(np.array([float(v) for v in row[1:4]]),
-                                  np.array([float(v) for v in row[4:8]]))))
+            odometry.append((float(row[0]), Pose.from_fields(row[1:])))
     gt_stream = read_trajectory(os.path.join(segdir, "gt_traj.txt"))
     return Segment(frames=frames, camera=camera), odometry, gt_stream
 

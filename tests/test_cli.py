@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from vloc.cli import main
-from vloc.dataio import read_trajectory, write_pgm
+from vloc.dataio import read_trajectory, write_pgm, write_trajectory
+from vloc.errors import FormatError
 from vloc.geometry import Pose
 from vloc.mapgraph import load_map
 from vloc.relocal import save_reloc_dataset
@@ -228,7 +229,6 @@ class TestBenchReloc:
 
 class TestEvalAte:
     def test_known_offset(self, tmp_path, capsys):
-        from vloc.dataio import write_trajectory
         gt = [(float(t), Pose(np.array([t, 0.0, 0.0]), [1, 0, 0, 0]))
               for t in range(5)]
         est = [(ts, Pose(p.t + np.array([0.25, 0.0, 0.0]), p.q)) for ts, p in gt]
@@ -242,3 +242,18 @@ class TestEvalAte:
     def test_missing_file_is_error(self, tmp_path):
         assert main(["eval-ate", "--gt", str(tmp_path / "none.txt"),
                      "--est", str(tmp_path / "none.txt")]) == 1
+
+    @pytest.mark.parametrize("field, value", [(0, "t0"), (3, "1e"), (7, "nan"), (7, None)])
+    def test_bad_trajectory_field_names_line(self, tmp_path, field, value):
+        path = tmp_path / "traj.txt"
+        write_trajectory(path, [(float(t), Pose.identity()) for t in range(3)])
+        lines = path.read_text().splitlines()
+        row = lines[1].split()
+        if value is None:
+            del row[field]
+        else:
+            row[field] = value
+        lines[1] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="traj.txt:2: "):
+            read_trajectory(path)

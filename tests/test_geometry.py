@@ -287,6 +287,19 @@ class TestSerialization:
     def test_line_has_seven_fields(self, rng):
         assert len(random_pose(rng).to_line().split()) == 7
 
+    def test_fields_roundtrip_exact(self, rng):
+        for _ in range(50):
+            p = random_pose(rng)
+            fields = p.fields()
+            assert p.to_line() == " ".join(fields)
+            assert Pose.from_fields(fields) == p
+            assert Pose.from_fields([float(v) for v in fields]) == p
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_from_fields_needs_seven(self, n):
+        with pytest.raises(ValueError, match=f"expected 7 fields, got {n}"):
+            Pose.from_fields(["1"] * n)
+
 
 class TestCameraIntrinsics:
     def test_validation(self):
