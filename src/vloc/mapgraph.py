@@ -2,6 +2,12 @@
 coverage, covisibility/connectivity edge construction, and a bit-exact
 directory serialization.
 
+A frame's coverage is the set of 2-D grid cells its depth pixels hit,
+held as a sorted int64 array of cell keys ``ix * 2**32 + iy``. The key is
+one-to-one, and orders cells as the pairs ``(ix, iy)`` do, while both
+indices are below 2**31 in magnitude; ``coverage`` raises ValueError for
+a cell outside that range (a ``grid_res`` too fine for the world's extent).
+
 The connectivity level (CnG) carries Euclidean edge weights for planning;
 the covisibility level (CvG) links nodes whose images share enough feature
 correspondences and drives reference-node gathering during localization.
@@ -30,6 +36,7 @@ MAP_FORMAT_VERSION = 1
 COVIS_THRESHOLD_DEFAULT = 50
 NAV_RADIUS_DEFAULT = 3.0
 GRID_RES_DEFAULT = 0.1
+_CELL_LIMIT = 2 ** 31          # cell indices must be below this in magnitude
 
 
 @dataclass
@@ -81,8 +88,6 @@ class MapNode:
     descriptor: np.ndarray
     image: np.ndarray | None = None
     depth: np.ndarray | None = None
-    image_ref: str | None = None
-    depth_ref: str | None = None
     landmark_ids: np.ndarray | None = None
     landmark_uv: np.ndarray | None = None
     landmark_depth: np.ndarray | None = None
@@ -190,52 +195,64 @@ def maps_equal(a: TopoMetricMap, b: TopoMetricMap) -> bool:
 # ---------------------------------------------------------------------------
 
 def coverage(obs: Observation, pose: Pose, camera: CameraIntrinsics,
-             grid_res: float,
-             depth_min: float = DEPTH_MIN_DEFAULT,
-             depth_max: float = DEPTH_MAX_DEFAULT) -> set:
-    """2-D grid cells hit by unprojecting every valid depth pixel to world.
+             grid_res: float) -> np.ndarray:
+    """2-D grid cells hit by unprojecting every depth pixel in
+    (DEPTH_MIN_DEFAULT, DEPTH_MAX_DEFAULT) to world.
 
-    Cell keys are ``(floor(x / res), floor(y / res))``; z is dropped (the
-    information measure is a 2-D occupancy footprint).
+    Cell ``(ix, iy) = (floor(x / res), floor(y / res))``; z is dropped (the
+    information measure is a 2-D occupancy footprint). Returns the sorted
+    unique int64 keys ``ix * 2**32 + iy``. Raises ValueError when a cell
+    index is not below 2**31 in magnitude, where keys would collide.
     """
     if obs.depth is None:
         raise NoDepth("observation has no depth image")
     if grid_res <= 0:
         raise ValueError("grid_res must be positive")
     depth = np.asarray(obs.depth, dtype=float)
-    h, w = depth.shape
-    valid = np.isfinite(depth) & (depth > depth_min) & (depth < depth_max)
+    valid = (np.isfinite(depth) & (depth > DEPTH_MIN_DEFAULT)
+             & (depth < DEPTH_MAX_DEFAULT))
     if not np.any(valid):
-        return set()
+        return np.empty(0, dtype=np.int64)
     vv, uu = np.nonzero(valid)
     d = depth[vv, uu]
     x = (uu - camera.cx) / camera.fx * d
     y = (vv - camera.cy) / camera.fy * d
     pts_world = pose.apply(np.stack([x, y, d], axis=1))
-    cells = np.floor(pts_world[:, :2] / grid_res).astype(np.int64)
-    return set(map(tuple, cells))
+    cells = np.floor(pts_world[:, :2] / grid_res)
+    # test before the cast: an out-of-range float wraps when cast to int64
+    if not np.all(np.abs(cells) < _CELL_LIMIT):
+        raise ValueError(f"grid_res {grid_res}: a cell index is not below "
+                         f"2**31 in magnitude")
+    cells = cells.astype(np.int64)
+    return np.unique(cells[:, 0] * 2**32 + cells[:, 1])
 
 
-def greedy_max_coverage(cell_sets, budget: int):
-    """Greedy max-coverage: repeatedly take the set adding the most new
-    cells, ties to the lowest index, stopping at the budget or at zero
-    marginal gain. Returns ascending indices."""
+def greedy_max_coverage(cell_keys, budget: int) -> list:
+    """Greedy max-coverage over 1-D integer key arrays: repeatedly take the
+    array adding the most new keys, ties to the lowest index, stopping at
+    the budget or at zero marginal gain. Returns ascending indices.
+
+    Every key becomes one column of a sets x keys boolean matrix, so a
+    round is one masked row count."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    keys = [np.asarray(k) for k in cell_keys]
+    if any(k.ndim != 1 for k in keys):
+        raise ValueError("cell keys must be 1-D arrays")
+    if not keys:
+        return []
+    universe, cols = np.unique(np.concatenate(keys), return_inverse=True)
+    member = np.zeros((len(keys), len(universe)), dtype=bool)
+    member[np.repeat(np.arange(len(keys)), [k.size for k in keys]), cols] = True
+    covered = np.zeros(len(universe), dtype=bool)
     chosen = []
-    covered = set()
     while len(chosen) < budget:
-        best_idx, best_gain = -1, 0
-        for i, cells in enumerate(cell_sets):
-            if i in chosen:
-                continue
-            gain = len(cells - covered)
-            if gain > best_gain:
-                best_idx, best_gain = i, gain
-        if best_idx < 0:
+        gain = np.count_nonzero(member & ~covered, axis=1)
+        best = int(np.argmax(gain))
+        if gain[best] == 0:
             break
-        chosen.append(best_idx)
-        covered |= cell_sets[best_idx]
+        chosen.append(best)
+        covered |= member[best]
     return sorted(chosen)
 
 
@@ -244,24 +261,9 @@ def select_keyframes(segment: Segment, budget: int,
     """Budgeted keyframe selection by greedy coverage maximization."""
     if len(segment) == 0:
         raise ValueError("segment is empty")
-    sets = [coverage(f.obs, f.pose, segment.camera, grid_res)
-            for f in segment.frames]
-    return greedy_max_coverage(sets, budget)
-
-
-def select_keyframes_geomonly(segment: Segment, voxel_res: float):
-    """Depth-free fallback: keep the first frame landing in each position
-    voxel of side ``voxel_res``, in temporal order."""
-    if voxel_res <= 0:
-        raise ValueError("voxel_res must be positive")
-    seen = set()
-    out = []
-    for i, f in enumerate(segment.frames):
-        key = tuple(np.floor(f.pose.t / voxel_res).astype(np.int64))
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
-    return out
+    cells = [coverage(f.obs, f.pose, segment.camera, grid_res)
+             for f in segment.frames]
+    return greedy_max_coverage(cells, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +274,7 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
               covis_threshold: int = COVIS_THRESHOLD_DEFAULT,
               nav_radius: float = NAV_RADIUS_DEFAULT,
               world=None, cng_from_cvg: bool = False,
-              grid_res: float = GRID_RES_DEFAULT,
-              covis_distance_gate: float | None = None) -> TopoMetricMap:
+              grid_res: float = GRID_RES_DEFAULT) -> TopoMetricMap:
     """Assemble the two-level map from selected keyframes.
 
     CvG edge (a, b) iff the matcher produces >= covis_threshold
@@ -282,8 +283,8 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
     ``line_of_sight(p, q)`` method is given, the segment between the nodes
     is unobstructed; ``cng_from_cvg`` reproduces the simplification of
     taking the CnG equal to the CvG. Matcher calls are skipped for pairs
-    farther apart than ``covis_distance_gate`` (default ``2 * nav_radius``)
-    since they cannot share appearance in any covisibility sense.
+    farther apart than ``2 * nav_radius``, since they cannot share
+    appearance in any covisibility sense.
 
     Emits DisconnectedMapWarning when the CnG has multiple components.
     """
@@ -298,9 +299,6 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
     for i in indices:
         if not 0 <= i < len(segment):
             raise ValueError(f"keyframe index {i} out of range")
-    if covis_distance_gate is None:
-        covis_distance_gate = 2.0 * nav_radius
-
     frames = [segment.frames[i] for i in indices]
     nodes = []
     for j, f in enumerate(frames):
@@ -322,7 +320,7 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
     for a in range(len(nodes)):
         for b in range(a + 1, len(nodes)):
             dist = float(np.linalg.norm(nodes[a].pose.t - nodes[b].pose.t))
-            if dist > covis_distance_gate:
+            if dist > 2.0 * nav_radius:
                 continue
             n_corr = len(matcher(frames[a].obs, frames[b].obs))
             if n_corr >= covis_threshold:
@@ -401,13 +399,11 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
             os.makedirs(img_dir, exist_ok=True)
             path = os.path.join(img_dir, f"{node.id}.pgm")
             write_pgm(path, node.image)
-            node.image_ref = f"images/{node.id}.pgm"
             bytes_images += os.path.getsize(path)
         if node.depth is not None:
             os.makedirs(depth_dir, exist_ok=True)
             path = os.path.join(depth_dir, f"{node.id}.f32")
             write_f32(path, node.depth)
-            node.depth_ref = f"depth/{node.id}.f32"
             bytes_images += os.path.getsize(path)
 
     manifest = {
@@ -476,20 +472,16 @@ def load_map(mapdir) -> TopoMetricMap:
             raise FormatError(f"{nodes_path}:{lineno}: node id {nid} not in "
                               f"[0, {node_count})")
         node = MapNode(id=nid, pose=pose, descriptor=descs[nid])
-        img_rel = f"images/{nid}.pgm"
-        depth_rel = f"depth/{nid}.f32"
-        img_path = os.path.join(mapdir, img_rel)
-        depth_path = os.path.join(mapdir, depth_rel)
+        img_path = os.path.join(mapdir, "images", f"{nid}.pgm")
+        depth_path = os.path.join(mapdir, "depth", f"{nid}.f32")
         if os.path.exists(img_path):
             node.image = read_pgm(img_path)
-            node.image_ref = img_rel
         if os.path.exists(depth_path):
             flat = read_f32(depth_path)
             if node.image is not None and flat.size == node.image.size:
                 node.depth = flat.reshape(node.image.shape)
             else:
                 node.depth = flat
-            node.depth_ref = depth_rel
         nodes.append(node)
     if len(nodes) != node_count:
         raise FormatError(f"{nodes_path}: {len(nodes)} rows, manifest says {node_count}")

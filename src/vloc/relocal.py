@@ -94,16 +94,14 @@ class PnPParams:
 # depth lifting
 # ---------------------------------------------------------------------------
 
-def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics,
-         depth_min: float = DEPTH_MIN_DEFAULT,
-         depth_max: float = DEPTH_MAX_DEFAULT):
+def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics):
     """Lift a MatchSet's query pixels (its ``uv_query`` column) to 3D
     query-camera points by bilinear depth, keeping their ``uv_ref`` pixels.
 
     A match is dropped, silently and with order preserved, when any of its
-    four depth neighbours lies outside (depth_min, depth_max): mixing
-    foreground and background depths across an occlusion edge is worse than
-    dropping the sample. On the last row or column an integral pixel falls
+    four depth neighbours lies outside (DEPTH_MIN_DEFAULT, DEPTH_MAX_DEFAULT):
+    mixing foreground and background depths across an occlusion edge is
+    worse than dropping the sample. On the last row or column an integral pixel falls
     back to that exact pixel; other pixels without four neighbours drop.
 
     Returns (p3d_query (N, 3), uv_ref (N, 2), n_dropped)."""
@@ -120,7 +118,7 @@ def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics,
     q = np.stack([depth_query[yi, xi], depth_query[yi, xi + step],
                   depth_query[yi + step, xi], depth_query[yi + step, xi + step]],
                  axis=1).astype(float)
-    valid = ok & np.all((q > depth_min) & (q < depth_max), axis=1)
+    valid = ok & np.all((q > DEPTH_MIN_DEFAULT) & (q < DEPTH_MAX_DEFAULT), axis=1)
 
     q, u, v = q[valid], u[valid], v[valid]
     ax, ay = u - x0[valid], v - y0[valid]
@@ -464,9 +462,7 @@ def node_observation(node: MapNode) -> Observation:
 
 
 def localize_against_node(node: MapNode, obs: Observation, K: CameraIntrinsics,
-                          matcher, params: PnPParams = PnPParams(),
-                          depth_min: float = DEPTH_MIN_DEFAULT,
-                          depth_max: float = DEPTH_MAX_DEFAULT) -> RelocResult:
+                          matcher, params: PnPParams = PnPParams()) -> RelocResult:
     """Full per-node chain: match -> lift -> PnP/RANSAC -> world pose.
 
     The returned pose is the query camera in the world frame (node pose
@@ -474,7 +470,7 @@ def localize_against_node(node: MapNode, obs: Observation, K: CameraIntrinsics,
     if node.image is None:
         raise ValueError(f"node {node.id} has no stored image")
     match_set = matcher(node_observation(node), obs)
-    p3d, uv_ref, _ = lift(match_set, obs.depth, K, depth_min, depth_max)
+    p3d, uv_ref, _ = lift(match_set, obs.depth, K)
     rel = solve_pnp_ransac(p3d, uv_ref, K, params)
     if rel.status is not RelocStatus.SUCCESS:
         return rel

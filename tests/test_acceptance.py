@@ -252,11 +252,12 @@ def test_criterion_5_greedy_near_optimality():
     for _ in range(200):
         n = int(rng.integers(2, 13))
         universe = int(rng.integers(4, 24))
-        sets = [set(rng.choice(universe, size=rng.integers(0, universe),
-                               replace=False).tolist()) for _ in range(n)]
+        keys = [rng.choice(universe, size=rng.integers(0, universe), replace=False)
+                for _ in range(n)]
+        sets = [set(k.tolist()) for k in keys]
         budget = int(rng.integers(1, n + 1))
-        chosen = greedy_max_coverage(sets, budget)
-        again = greedy_max_coverage(sets, budget)
+        chosen = greedy_max_coverage(keys, budget)
+        again = greedy_max_coverage(keys, budget)
         assert chosen == again
         achieved = len(set().union(*[sets[i] for i in chosen]) if chosen else set())
         opt = 0

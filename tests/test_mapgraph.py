@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -19,7 +18,6 @@ from vloc.mapgraph import (
     maps_equal,
     save_map,
     select_keyframes,
-    select_keyframes_geomonly,
 )
 from vloc.matching import match_oracle
 from vloc.simworld import OdomNoise, generate_segment, make_preset
@@ -40,11 +38,39 @@ def frame_at(x, obs=None, ts=0.0):
                         timestamp=ts)
 
 
+def cell_key(ix, iy):
+    return ix * 2**32 + iy
+
+
+def reference_greedy_max_coverage(cell_sets, budget):
+    """The set-based greedy ``greedy_max_coverage`` replaced: scan every
+    unchosen set per round for the largest set difference, ties to the
+    lowest index."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    chosen = []
+    covered = set()
+    while len(chosen) < budget:
+        best_idx, best_gain = -1, 0
+        for i, cells in enumerate(cell_sets):
+            if i in chosen:
+                continue
+            gain = len(cells - covered)
+            if gain > best_gain:
+                best_idx, best_gain = i, gain
+        if best_idx < 0:
+            break
+        chosen.append(best_idx)
+        covered |= cell_sets[best_idx]
+    return sorted(chosen)
+
+
 class TestCoverage:
     def test_all_invalid_depth_is_empty(self):
         obs = Observation(color=np.zeros((64, 64), dtype=np.uint8),
                           depth=np.zeros((64, 64)))
-        assert coverage(obs, Pose.identity(), K, 0.1) == set()
+        got = coverage(obs, Pose.identity(), K, 0.1)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_no_depth_raises(self):
         obs = Observation(color=np.zeros((64, 64), dtype=np.uint8))
@@ -56,7 +82,36 @@ class TestCoverage:
         # world point (1.05, 2.33, 0.5) -> cell (10, 23) at res 0.1
         obs = obs_with_one_pixel(0.5)
         pose = Pose(np.array([1.05, 2.33, 0.0]), [1, 0, 0, 0])
-        assert coverage(obs, pose, K, 0.1) == {(10, 23)}
+        assert coverage(obs, pose, K, 0.1).tolist() == [cell_key(10, 23)]
+
+    def test_negative_cells_keep_pair_order(self):
+        # keys sort as the (ix, iy) pairs they encode, negative iy included
+        depth = np.zeros((128, 128))
+        depth[64, 64] = depth[64, 14] = depth[14, 64] = depth[114, 64] = 0.5
+        obs = Observation(color=np.zeros((128, 128), dtype=np.uint8), depth=depth)
+        got = coverage(obs, Pose.identity(), K, 0.1).tolist()
+        # pixel (u, v) = (14, 64) -> x = -0.25; (64, 14) -> y = -0.25;
+        # (64, 114) -> y = 0.25; (64, 64) -> the origin
+        pairs = [(-3, 0), (0, -3), (0, 0), (0, 2)]
+        assert got == [cell_key(ix, iy) for ix, iy in pairs]
+
+    @pytest.mark.parametrize("x, grid_res", [
+        (2**31 + 0.5, 1.0),
+        (-(2**31) + 0.5, 1.0),
+        (0.1, 1e-300),      # 1e299 would wrap in an int64 cast, not fail
+    ])
+    def test_too_fine_grid_res_raises(self, x, grid_res):
+        # a cell index of 2**31 or more in magnitude would collide with
+        # another cell's key
+        pose = Pose(np.array([x, 0.0, 0.0]), [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            coverage(obs_with_one_pixel(0.5), pose, K, grid_res)
+
+    def test_largest_cell_index_is_kept(self):
+        obs = obs_with_one_pixel(0.5)
+        pose = Pose(np.array([2**31 - 0.5, -(2**31) + 1.5, 0.0]), [1, 0, 0, 0])
+        got = coverage(obs, pose, K, 1.0).tolist()
+        assert got == [cell_key(2**31 - 1, -(2**31) + 1)]
 
     def test_matches_per_pixel_oracle_on_simworld(self):
         world, _ = make_preset("corridor", seed=3)
@@ -71,81 +126,65 @@ class TestCoverage:
                 if not (0.05 < d < 20.0):
                     continue
                 p = rot @ unproject(K, (u, v), d) + frame.gt_pose.t
-                expected.add((int(np.floor(p[0] / 0.1)), int(np.floor(p[1] / 0.1))))
-        assert got == expected
+                expected.add(cell_key(int(np.floor(p[0] / 0.1)),
+                                      int(np.floor(p[1] / 0.1))))
+        assert got.tolist() == sorted(expected)
+
+
+def int_keys(*values):
+    return np.array(values, dtype=np.int64)
 
 
 class TestGreedy:
     def test_hand_evaluated_trace(self):
-        sets = [{1, 2, 3}, {3, 4, 5}, {6}]
+        sets = [int_keys(1, 2, 3), int_keys(3, 4, 5), int_keys(6)]
         assert greedy_max_coverage(sets, budget=2) == [0, 1]
 
     def test_budget_covers_everything(self):
-        sets = [{1}, {2}, {3}]
+        sets = [int_keys(1), int_keys(2), int_keys(3)]
         assert greedy_max_coverage(sets, budget=10) == [0, 1, 2]
 
     def test_identical_sets_stop_at_zero_gain(self):
-        sets = [{1, 2}, {1, 2}, {1, 2}]
+        sets = [int_keys(1, 2), int_keys(1, 2), int_keys(1, 2)]
         assert greedy_max_coverage(sets, budget=3) == [0]
 
-    def test_near_optimality_bound(self):
-        # greedy >= (1 - 1/e) * OPT, OPT by exhaustive enumeration
-        rng = np.random.default_rng(99)
-        bound = 1.0 - 1.0 / np.e
-        for _ in range(200):
-            n = int(rng.integers(2, 13))
-            universe = int(rng.integers(4, 24))
-            sets = [set(rng.choice(universe, size=rng.integers(0, universe),
-                                   replace=False).tolist()) for _ in range(n)]
-            budget = int(rng.integers(1, n + 1))
-            chosen = greedy_max_coverage(sets, budget)
-            achieved = len(set().union(*[sets[i] for i in chosen]) if chosen else set())
-            opt = 0
-            for size in range(1, budget + 1):
-                for combo in itertools.combinations(range(n), size):
-                    opt = max(opt, len(set().union(*[sets[i] for i in combo])))
-            assert achieved >= bound * opt - 1e-9
+    def test_no_sets_and_only_empty_sets(self):
+        assert greedy_max_coverage([], budget=3) == []
+        assert greedy_max_coverage([int_keys(), int_keys()], budget=3) == []
+
+    def test_rejects_bad_budget_and_non_1d_keys(self):
+        with pytest.raises(ValueError, match="budget"):
+            greedy_max_coverage([int_keys(1)], budget=0)
+        with pytest.raises(ValueError, match="1-D"):
+            greedy_max_coverage([np.zeros((2, 2), dtype=np.int64)], budget=1)
+
+    def test_matches_set_reference_on_random_instances(self):
+        # small universes force ties and repeated sets; empty sets and
+        # budgets past the set count occur throughout
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n = int(rng.integers(0, 15))
+            universe = int(rng.integers(1, 30))
+            arrays = [rng.integers(-universe, universe, size=rng.integers(0, 12))
+                      for _ in range(n)]
+            if n > 1 and rng.uniform() < 0.3:
+                arrays[int(rng.integers(n))] = arrays[0].copy()
+            if n > 0 and rng.uniform() < 0.3:
+                arrays[int(rng.integers(n))] = int_keys()
+            budget = int(rng.integers(1, n + 4))
+            sets = [set(a.tolist()) for a in arrays]
+            assert greedy_max_coverage(arrays, budget) == \
+                reference_greedy_max_coverage(sets, budget)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
-        sets = [set(rng.integers(0, 40, size=12).tolist()) for _ in range(20)]
+        sets = [rng.integers(0, 40, size=12) for _ in range(20)]
         assert greedy_max_coverage(sets, 6) == greedy_max_coverage(sets, 6)
 
     def test_select_keyframes_ties_break_low_index(self):
         frames = [frame_at(0.0, ts=0.0), frame_at(0.0, obs_with_one_pixel(1.0), ts=1.0)]
         seg = Segment(frames=frames, camera=K)
         assert select_keyframes(seg, budget=2) == [0]
-
-
-class TestGeomOnly:
-    def test_clustered_frames_keep_first(self):
-        frames = [frame_at(0.0, ts=0.0), frame_at(0.01, ts=1.0), frame_at(0.02, ts=2.0)]
-        assert select_keyframes_geomonly(Segment(frames=frames, camera=K), 1.0) == [0]
-
-    def test_spread_frames_all_kept(self):
-        frames = [frame_at(0.0, ts=0.0), frame_at(1.5, ts=1.0), frame_at(3.0, ts=2.0)]
-        assert select_keyframes_geomonly(Segment(frames=frames, camera=K), 1.0) == [0, 1, 2]
-
-    def test_voxel_uniqueness_property(self):
-        rng = np.random.default_rng(7)
-        res = 0.5
-        frames = [SegmentFrame(obs=obs_with_one_pixel(1.0),
-                               pose=Pose(rng.uniform(0, 4, 3), [1, 0, 0, 0]),
-                               timestamp=float(i))
-                  for i in range(100)]
-        seg = Segment(frames=frames, camera=K)
-        picked = select_keyframes_geomonly(seg, res)
-        keys = [tuple(np.floor(frames[i].pose.t / res).astype(int)) for i in picked]
-        assert len(set(keys)) == len(keys)
-        # every unselected frame shares a voxel with an earlier frame
-        seen = set()
-        for i, f in enumerate(frames):
-            key = tuple(np.floor(f.pose.t / res).astype(int))
-            if i in picked:
-                assert key not in seen
-            else:
-                assert key in seen
-            seen.add(key)
 
 
 @pytest.fixture(scope="module")
