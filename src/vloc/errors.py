@@ -5,10 +5,6 @@ class VlocError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidDepth(VlocError):
-    """Depth value outside the sensor validity range (hole or saturation)."""
-
-
 class NearSingularRotation(VlocError):
     """SE(3) log requested too close to the pi-rotation singularity."""
 

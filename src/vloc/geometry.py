@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDepth, NearSingularRotation
+from .errors import NearSingularRotation
 
 QUAT_NORM_TOL = 1e-9
 DEPTH_MIN_DEFAULT = 0.05
@@ -529,17 +529,3 @@ def project_array(K: CameraIntrinsics, pts_cam: np.ndarray,
     ok = ok & (u >= 0.0) & (u < K.width) & (v >= 0.0) & (v < K.height)
     return np.stack([u, v], axis=1), ok
 
-
-def unproject(K: CameraIntrinsics, uv, depth: float,
-              depth_min: float = DEPTH_MIN_DEFAULT,
-              depth_max: float = DEPTH_MAX_DEFAULT) -> np.ndarray:
-    """Pixel + depth to camera-frame point; InvalidDepth outside the range.
-
-    Depth is the z coordinate (not ray length). A depth of exactly 0 is the
-    conventional hole/saturation marker from the sensor.
-    """
-    d = float(depth)
-    if not (depth_min < d < depth_max) or not math.isfinite(d):
-        raise InvalidDepth(f"depth {d} outside ({depth_min}, {depth_max})")
-    u, v = float(uv[0]), float(uv[1])
-    return np.array([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d])

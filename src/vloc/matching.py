@@ -18,6 +18,14 @@ from scipy import ndimage
 from .dataio import read_csv_rows
 from .errors import FormatError, OutOfBounds
 
+# classical matcher tuning
+MAX_CORNERS = 500
+NMS_RADIUS = 5
+RATIO = 0.8                # Lowe ratio test
+PATCH_SIZE = 11
+HARRIS_K = 0.04
+RESPONSE_FLOOR = 1e-4      # fraction of the max response
+
 
 @dataclass(eq=False)
 class MatchSet:
@@ -46,16 +54,6 @@ class MatchSet:
         return self.confidence.size
 
 
-@dataclass(frozen=True)
-class MatchParams:
-    max_corners: int = 500
-    nms_radius: int = 5
-    ratio: float = 0.8
-    patch_size: int = 11
-    harris_k: float = 0.04
-    response_floor: float = 1e-4   # fraction of the max response
-
-
 def _to_float_image(image) -> np.ndarray:
     img = np.asarray(image)
     imgf = img.astype(np.float64)
@@ -64,11 +62,11 @@ def _to_float_image(image) -> np.ndarray:
     return imgf
 
 
-def harris_corners(image, params: MatchParams = MatchParams()) -> np.ndarray:
+def harris_corners(image) -> np.ndarray:
     """Top corners by Harris response with non-max suppression.
 
     Returns (N, 2) integer pixel coordinates (u, v), ordered by descending
-    response with (v, u) tie-break, N <= max_corners. Corners closer than
+    response with (v, u) tie-break, N <= MAX_CORNERS. Corners closer than
     half a patch to the border are discarded.
     """
     imgf = _to_float_image(image)
@@ -77,13 +75,13 @@ def harris_corners(image, params: MatchParams = MatchParams()) -> np.ndarray:
     sxx = ndimage.uniform_filter(gx * gx, size=win)
     syy = ndimage.uniform_filter(gy * gy, size=win)
     sxy = ndimage.uniform_filter(gx * gy, size=win)
-    resp = (sxx * syy - sxy * sxy) - params.harris_k * (sxx + syy) ** 2
+    resp = (sxx * syy - sxy * sxy) - HARRIS_K * (sxx + syy) ** 2
 
-    size = 2 * params.nms_radius + 1
+    size = 2 * NMS_RADIUS + 1
     is_peak = (resp == ndimage.maximum_filter(resp, size=size))
-    floor = params.response_floor * float(resp.max()) if resp.max() > 0 else np.inf
+    floor = RESPONSE_FLOOR * float(resp.max()) if resp.max() > 0 else np.inf
     is_peak &= resp > floor
-    margin = params.patch_size // 2
+    margin = PATCH_SIZE // 2
     h, w = is_peak.shape
     is_peak[:margin, :] = False
     is_peak[h - margin:, :] = False
@@ -93,26 +91,25 @@ def harris_corners(image, params: MatchParams = MatchParams()) -> np.ndarray:
     vs, us = np.nonzero(is_peak)
     if len(vs) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    order = np.lexsort((us, vs, -resp[vs, us]))[:params.max_corners]
+    order = np.lexsort((us, vs, -resp[vs, us]))[:MAX_CORNERS]
     return np.stack([us[order], vs[order]], axis=1).astype(np.int64)
 
 
-def _patch_descriptors(imgf: np.ndarray, corners: np.ndarray, patch: int):
+def _patch_descriptors(imgf: np.ndarray, corners: np.ndarray):
     """Zero-mean unit-norm patches around (u, v) corners lying at least half
     a patch inside the image; drops textureless corners. Returns
-    (descriptors (M, patch*patch), keep mask over the corners)."""
-    half = patch // 2
-    windows = sliding_window_view(imgf, (patch, patch))
+    (descriptors (M, PATCH_SIZE**2), keep mask over the corners)."""
+    half = PATCH_SIZE // 2
+    windows = sliding_window_view(imgf, (PATCH_SIZE, PATCH_SIZE))
     p = windows[corners[:, 1] - half, corners[:, 0] - half].reshape(
-        len(corners), patch * patch)
+        len(corners), PATCH_SIZE * PATCH_SIZE)
     p = p - p.mean(axis=1, keepdims=True)
     norm = np.linalg.norm(p, axis=1)
     keep = norm >= 1e-9
     return p[keep] / norm[keep, None], keep
 
 
-def match_classical(obs_ref, obs_query,
-                    params: MatchParams = MatchParams()) -> MatchSet:
+def match_classical(obs_ref, obs_query) -> MatchSet:
     """Harris corners + normalized-patch mutual nearest neighbor matching
     with a Lowe ratio test. Deterministic; an empty MatchSet is a valid
     outcome on featureless input."""
@@ -120,10 +117,10 @@ def match_classical(obs_ref, obs_query,
     img_query = obs_query.color if hasattr(obs_query, "color") else obs_query
     ref_f = _to_float_image(img_ref)
     qry_f = _to_float_image(img_query)
-    corners_r = harris_corners(img_ref, params)
-    corners_q = harris_corners(img_query, params)
-    desc_r, keep_r = _patch_descriptors(ref_f, corners_r, params.patch_size)
-    desc_q, keep_q = _patch_descriptors(qry_f, corners_q, params.patch_size)
+    corners_r = harris_corners(img_ref)
+    corners_q = harris_corners(img_query)
+    desc_r, keep_r = _patch_descriptors(ref_f, corners_r)
+    desc_q, keep_q = _patch_descriptors(qry_f, corners_q)
     if len(desc_r) == 0 or len(desc_q) == 0:
         return MatchSet()
     corners_r = corners_r[keep_r]
@@ -137,7 +134,7 @@ def match_classical(obs_ref, obs_query,
     keep = best_q_for_r[best_r] == rows       # mutual nearest neighbours
     if d2.shape[1] > 1:
         d_second = np.partition(d2, 1, axis=1)[:, 1]
-        keep &= np.sqrt(d2[rows, best_r]) < params.ratio * np.sqrt(d_second)
+        keep &= np.sqrt(d2[rows, best_r]) < RATIO * np.sqrt(d_second)
     q, r = rows[keep], best_r[keep]
     order = np.lexsort((corners_q[q, 0], corners_q[q, 1]))   # by query (v, u)
     q, r = q[order], r[order]

@@ -29,6 +29,12 @@ from .retrieval import extract_descriptor, similarity, top_k
 GL_MIN_SIM_DEFAULT = 0.5
 MAX_FAILURES_DEFAULT = 5
 WINDOW_DEFAULT = 20
+# fix gating: a fix must keep the camera upright (planar ground robot;
+# rejects the mirror solution of coplanar-landmark PnP) and, while
+# tracking, stay consistent with the current estimate
+ATTITUDE_GATE_DEG = 15.0
+FIX_GATE_M = 2.0
+FIX_GATE_DEG = 45.0
 
 
 class PipelineMode(enum.Enum):
@@ -42,14 +48,8 @@ class PipelineConfig:
     max_failures: int = MAX_FAILURES_DEFAULT
     window: int = WINDOW_DEFAULT
     pnp: PnPParams = PnPParams()
-    # fix gating: a fix must keep the camera upright (planar ground robot;
-    # rejects the mirror solution of coplanar-landmark PnP) and, while
-    # tracking, stay consistent with the current estimate; a global
-    # relocalization fix must land near the retrieved node (place
+    # a global relocalization fix must land near the retrieved node (place
     # similarity implies geographic proximity)
-    attitude_gate_deg: float = 15.0
-    fix_gate_m: float = 2.0
-    fix_gate_deg: float = 45.0
     gl_fix_radius: float = 3.0
 
 
@@ -167,13 +167,12 @@ class Pipeline:
         """True when the fix must be rejected: camera not upright (mirror
         pose), or, while tracking, inconsistent with the current estimate."""
         down = fix.rotation_matrix()[:, 1]   # camera y axis in world
-        if down[2] > -math.cos(math.radians(self.config.attitude_gate_deg)):
+        if down[2] > -math.cos(math.radians(ATTITUDE_GATE_DEG)):
             return True
         if against_prior and self.prior_pose is not None:
-            if float(np.linalg.norm(fix.t - self.prior_pose.t)) > self.config.fix_gate_m:
+            if float(np.linalg.norm(fix.t - self.prior_pose.t)) > FIX_GATE_M:
                 return True
-            if rotation_angle(fix.q, self.prior_pose.q) > \
-                    math.radians(self.config.fix_gate_deg):
+            if rotation_angle(fix.q, self.prior_pose.q) > math.radians(FIX_GATE_DEG):
                 return True
         return False
 

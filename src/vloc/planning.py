@@ -2,11 +2,17 @@
 
 Global planning is Dijkstra over the connectivity level of the map; its
 traversed nodes become subgoals. The local planner scores a fixed fan of
-constant-curvature arcs against the single-frame depth point cloud
-(rotate-in-place is part of the primitive set, so a subgoal behind the
-robot naturally wins rotation). Closed-loop navigation ties the simulator,
-the localization pipeline, and both planners together; trajectory quality
-is measured by no-alignment absolute trajectory error.
+constant-curvature arcs (``CURVATURES``, sampled by ``arc_points``) against
+the single-frame depth point cloud (rotate-in-place is part of the
+primitive set, so a subgoal behind the robot naturally wins rotation).
+Closed-loop navigation ties the simulator, the localization pipeline, and
+both planners together; trajectory quality is measured by no-alignment
+absolute trajectory error.
+
+The robot and its planners are one fixed design, so their tuning values
+are the module constants below (radii, the arc fan, nominal speeds, the
+control and localization rates, the mission's ``NAV_PIPELINE`` gates);
+``NavConfig`` holds only the mission timeout.
 """
 
 from __future__ import annotations
@@ -21,15 +27,34 @@ from .errors import EmptyMap, NoMatches, NoPath, NotLocalized
 from .geometry import CameraIntrinsics, Pose
 from .pipeline import Pipeline, PipelineConfig, PipelineMode
 from .retrieval import extract_descriptor, top_k
-from .simworld import GridWorld, SimRobot, pose_to_planar, render
+from .simworld import CAMERA_HEIGHT_DEFAULT, GridWorld, SimRobot, pose_to_planar, render
 
-SWITCH_RADIUS_DEFAULT = 1.0
-GOAL_RADIUS_DEFAULT = 0.5
-ROBOT_RADIUS_DEFAULT = 0.3
-CURVATURES_DEFAULT = (0.0, 0.2, -0.2, 0.5, -0.5, 1.0, -1.0)
-ARC_LENGTH_DEFAULT = 2.0
-ARC_DS_DEFAULT = 0.1
-CURVATURE_PENALTY_DEFAULT = 0.1
+SWITCH_RADIUS = 1.0
+GOAL_RADIUS = 0.5
+# steering stops once the estimate is within this share of GOAL_RADIUS:
+# success is judged on the true position, so this leaves a margin for
+# localization error
+GOAL_SLACK = 0.85
+ROBOT_RADIUS = 0.3
+# the arc fan: it includes the straight arc and is symmetric in curvature
+CURVATURES = (0.0, 0.2, -0.2, 0.5, -0.5, 1.0, -1.0)
+ARC_LENGTH = 2.0
+ARC_DS = 0.1
+CURVATURE_PENALTY = 0.1
+V_NOMINAL = 0.8
+W_NOMINAL = 1.0
+CONTROL_DT = 0.1
+LOCALIZE_RATE = 2.0   # Hz; fixes are low-rate, odometry high-rate
+# obstacles are depth points from just above the floor to 0.4 m above the
+# camera
+OBSTACLE_Z_BAND = (0.15, max(0.3, CAMERA_HEIGHT_DEFAULT + 0.4))
+OBSTACLE_MAX_RANGE = 3.5
+# a navigation mission gates global localization harder than the bare
+# pipeline default: one false accept plants a bogus prior and sends the
+# robot off the map. Rotating in place to face a subgoal takes longer than
+# five failed low-rate fixes, so a mission rides through rotations at
+# max_failures=12.
+NAV_PIPELINE = PipelineConfig(gl_min_sim=0.65, max_failures=12)
 
 
 @dataclass
@@ -103,22 +128,20 @@ def to_robot_frame(pose: Pose, point_world) -> np.ndarray:
     return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], 0.0])
 
 
-def next_subgoal(plan: GlobalPlan, topo_map, robot_pose: Pose,
-                 switch_radius: float = SWITCH_RADIUS_DEFAULT,
-                 goal_radius: float = GOAL_RADIUS_DEFAULT):
-    """Advance the cursor past subgoals within switch_radius, then return
+def next_subgoal(plan: GlobalPlan, topo_map, robot_pose: Pose):
+    """Advance the cursor past subgoals within SWITCH_RADIUS, then return
     the active subgoal in the robot frame, or None when the final node is
-    reached within goal_radius (Done)."""
+    reached within GOAL_RADIUS * GOAL_SLACK (Done)."""
     origin, _ = robot_frame_of(robot_pose)
     while plan.subgoal_index < len(plan.node_path):
         target = topo_map.nodes[plan.node_path[plan.subgoal_index]].pose.t
         dist = float(np.linalg.norm(target[:2] - origin))
         last = plan.subgoal_index == len(plan.node_path) - 1
         if last:
-            if dist < goal_radius:
+            if dist < GOAL_RADIUS * GOAL_SLACK:
                 return None
             break
-        if dist < switch_radius:
+        if dist < SWITCH_RADIUS:
             plan.subgoal_index += 1
             continue
         break
@@ -130,45 +153,28 @@ def next_subgoal(plan: GlobalPlan, topo_map, robot_pose: Pose,
 # local planning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimitiveSet:
-    """Constant-curvature arc fan plus rotate-in-place."""
-
-    curvatures: tuple = CURVATURES_DEFAULT
-    arc_length: float = ARC_LENGTH_DEFAULT
-    ds: float = ARC_DS_DEFAULT
-
-    def __post_init__(self):
-        if 0.0 not in self.curvatures:
-            raise ValueError("primitive fan must include the straight arc")
-        for k in self.curvatures:
-            if k != 0.0 and -k not in self.curvatures:
-                raise ValueError("primitive fan must be symmetric in curvature")
-
-    def arc_points(self, curvature: float, length: float | None = None) -> np.ndarray:
-        """Samples along one arc; ``length`` truncates below the nominal
-        arc length (a short final approach would otherwise never score
-        better than rotating in place, since full-length endpoints all
-        overshoot a near subgoal)."""
-        arc_len = self.arc_length if length is None else \
-            min(self.arc_length, max(2 * self.ds, length))
-        s = np.arange(self.ds, arc_len + self.ds / 2, self.ds)
-        if abs(curvature) < 1e-12:
-            return np.stack([s, np.zeros_like(s)], axis=1)
-        return np.stack([np.sin(curvature * s) / curvature,
-                         (1.0 - np.cos(curvature * s)) / curvature], axis=1)
+def arc_points(curvature: float, length: float) -> np.ndarray:
+    """Samples every ARC_DS along one arc; ``length`` truncates it below
+    ARC_LENGTH (a short final approach would otherwise never score better
+    than rotating in place, since full-length endpoints all overshoot a near
+    subgoal)."""
+    arc_len = min(ARC_LENGTH, max(2 * ARC_DS, length))
+    s = np.arange(ARC_DS, arc_len + ARC_DS / 2, ARC_DS)
+    if abs(curvature) < 1e-12:
+        return np.stack([s, np.zeros_like(s)], axis=1)
+    return np.stack([np.sin(curvature * s) / curvature,
+                     (1.0 - np.cos(curvature * s)) / curvature], axis=1)
 
 
 ROTATE_IN_PLACE = "rotate"
 
 
-def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics,
-                       z_band=(0.15, 1.5), max_range: float = 3.5) -> np.ndarray:
+def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     """Robot-frame 2-D obstacle points from one depth image.
 
     The camera is level, so the fixed mount maps camera (x right, y down,
     z forward) to robot (x forward, y left, z up); floor points fall below
-    the z band and are not obstacles."""
+    OBSTACLE_Z_BAND and are not obstacles."""
     h, w = depth.shape
     vv, uu = np.nonzero(depth > 0)
     d = depth[vv, uu]
@@ -177,16 +183,12 @@ def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics,
     x_fwd = d
     y_left = -x_cam
     z_up = -y_cam
-    keep = (z_up > z_band[0]) & (z_up < z_band[1]) & (x_fwd < max_range)
+    keep = ((z_up > OBSTACLE_Z_BAND[0]) & (z_up < OBSTACLE_Z_BAND[1])
+            & (x_fwd < OBSTACLE_MAX_RANGE))
     return np.stack([x_fwd[keep], y_left[keep]], axis=1)
 
 
-def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot,
-               primitives: PrimitiveSet = PrimitiveSet(),
-               robot_radius: float = ROBOT_RADIUS_DEFAULT,
-               curvature_penalty: float = CURVATURE_PENALTY_DEFAULT,
-               v_nominal: float = 0.8, w_nominal: float = 1.0,
-               camera_z: float = 1.0):
+def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
     """Score the primitive fan against the single-frame obstacle cloud.
 
     Returns ((v, w), chosen) where chosen is the curvature or the
@@ -194,25 +196,24 @@ def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot,
     scored member of the set, so it wins when every arc moves away from
     the subgoal (e.g. the subgoal lies behind the robot)."""
     subgoal = np.asarray(subgoal_robot, dtype=float)[:2]
-    obstacles = depth_to_obstacles(depth, K, z_band=(0.15, max(0.3, camera_z + 0.4)))
+    obstacles = depth_to_obstacles(depth, K)
     subgoal_dist = float(np.linalg.norm(subgoal))
-    best = (subgoal_dist
-            + curvature_penalty * max(abs(k) for k in primitives.curvatures))
+    best = subgoal_dist + CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
     choice = ROTATE_IN_PLACE
-    for k in primitives.curvatures:
-        pts = primitives.arc_points(k, length=subgoal_dist)
+    for k in CURVATURES:
+        pts = arc_points(k, subgoal_dist)
         if len(obstacles):
             d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(axis=2)
-            if float(d2.min()) < robot_radius ** 2:
+            if float(d2.min()) < ROBOT_RADIUS ** 2:
                 continue
-        cost = float(np.linalg.norm(pts[-1] - subgoal)) + curvature_penalty * abs(k)
+        cost = float(np.linalg.norm(pts[-1] - subgoal)) + CURVATURE_PENALTY * abs(k)
         if cost < best - 1e-12:
             best = cost
             choice = k
     if choice == ROTATE_IN_PLACE:
         direction = 1.0 if math.atan2(subgoal[1], subgoal[0]) >= 0.0 else -1.0
-        return (0.0, direction * w_nominal), ROTATE_IN_PLACE
-    v = v_nominal if choice == 0.0 else min(v_nominal, w_nominal / abs(choice))
+        return (0.0, direction * W_NOMINAL), ROTATE_IN_PLACE
+    v = V_NOMINAL if choice == 0.0 else min(V_NOMINAL, W_NOMINAL / abs(choice))
     return (v, choice * v), choice
 
 
@@ -253,24 +254,7 @@ def compute_ate(gt_traj, est_traj, max_dt: float = 0.05) -> AteReport:
 
 @dataclass(frozen=True)
 class NavConfig:
-    switch_radius: float = SWITCH_RADIUS_DEFAULT
-    goal_radius: float = GOAL_RADIUS_DEFAULT
-    robot_radius: float = ROBOT_RADIUS_DEFAULT
-    curvature_penalty: float = CURVATURE_PENALTY_DEFAULT
-    primitives: PrimitiveSet = PrimitiveSet()
-    # a navigation mission gates global localization harder than the bare
-    # pipeline default: one false accept plants a bogus prior and sends the
-    # robot off the map
-    pipeline: PipelineConfig = PipelineConfig(gl_min_sim=0.65, max_failures=12)
-    # rotating in place to face a subgoal takes longer than five failed
-    # low-rate fixes, so a mission rides through rotations at max_failures=12
-    goal_slack: float = 0.85
-    v_nominal: float = 0.8
-    w_nominal: float = 1.0
-    control_dt: float = 0.1
-    localize_rate: float = 2.0   # Hz; fixes are low-rate, odometry high-rate
     timeout: float = 240.0
-    camera_height: float = 1.0
 
 
 @dataclass
@@ -312,10 +296,9 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     one mission while keeping a single clock and fusion graph."""
     goal_node, goal_sim = resolve_goal(topo_map, goal_image)
     if robot is None:
-        robot = SimRobot(start[0], start[1], start[2],
-                         camera_height=config.camera_height, seed=seed)
+        robot = SimRobot(start[0], start[1], start[2], seed=seed)
     if pipeline is None:
-        pipeline = Pipeline(topo_map, K, matcher, config.pipeline)
+        pipeline = Pipeline(topo_map, K, matcher, NAV_PIPELINE)
 
     goal_pos = topo_map.nodes[goal_node].pose.t
     plan = None
@@ -325,8 +308,8 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     trajectory = []
     gt_trajectory = [(t, robot.gt_pose)]
     done = False
-    n_ticks = int(config.timeout / config.control_dt)
-    ticks_per_obs = max(1, int(round(1.0 / (config.localize_rate * config.control_dt))))
+    n_ticks = int(config.timeout / CONTROL_DT)
+    ticks_per_obs = max(1, int(round(1.0 / (LOCALIZE_RATE * CONTROL_DT))))
     # rotation direction is sticky across ticks: a subgoal straight behind
     # flips its bearing sign every tick otherwise, and Lost-mode search
     # spins would fight Tracking-mode turns
@@ -348,19 +331,15 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
                 plan = plan_global(topo_map, start_node, goal_node)
                 if shortest == 0.0:     # report the from-start plan length
                     shortest = plan.length
-            sub = next_subgoal(plan, topo_map, est_pose, config.switch_radius,
-                               config.goal_radius * config.goal_slack)
+            sub = next_subgoal(plan, topo_map, est_pose)
             if sub is None:
                 done = True
                 break
-            cmd, choice = plan_local(frame.depth, K, sub, config.primitives,
-                                     config.robot_radius, config.curvature_penalty,
-                                     config.v_nominal, config.w_nominal,
-                                     camera_z=config.camera_height)
+            cmd, choice = plan_local(frame.depth, K, sub)
             if choice == ROTATE_IN_PLACE:
                 if rot_dir == 0.0:
                     rot_dir = 1.0 if cmd[1] >= 0.0 else -1.0
-                cmd = (0.0, rot_dir * config.w_nominal)
+                cmd = (0.0, rot_dir * W_NOMINAL)
             else:
                 rot_dir = 0.0
         else:
@@ -368,13 +347,13 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
             plan = None
             if rot_dir == 0.0:
                 rot_dir = 1.0
-            cmd = (0.0, rot_dir * config.w_nominal)    # rotate to reacquire
+            cmd = (0.0, rot_dir * W_NOMINAL)    # rotate to reacquire
         prev = np.array([robot.x, robot.y])
-        gt_pose, delta = robot.step(world, cmd, config.control_dt)
-        t += config.control_dt
+        gt_pose, delta = robot.step(world, cmd, CONTROL_DT)
+        t += CONTROL_DT
         moved = float(np.linalg.norm(np.array([robot.x, robot.y]) - prev))
         path_len += moved
-        if abs(cmd[0]) > 0.05 and moved < 0.25 * abs(cmd[0]) * config.control_dt:
+        if abs(cmd[0]) > 0.05 and moved < 0.25 * abs(cmd[0]) * CONTROL_DT:
             bump_ticks = 8
             if rot_dir == 0.0:
                 rot_dir = 1.0
@@ -388,7 +367,7 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     final_dist = float(np.linalg.norm(
         np.array([robot.x, robot.y]) - goal_pos[:2]))
     return NavReport(
-        success=done and final_dist <= config.goal_radius,
+        success=done and final_dist <= GOAL_RADIUS,
         time_s=t - t_start, path_length_m=path_len, goal_node=goal_node,
         goal_similarity=goal_sim, shortest_path_m=shortest,
         final_goal_dist_m=final_dist, timed_out=not done,
@@ -399,9 +378,8 @@ def run_mission(world: GridWorld, topo_map, goal_images, K: CameraIntrinsics,
                 matcher, start, seed: int = 0,
                 config: NavConfig = NavConfig()):
     """Sequential image goals with one robot, clock, and fusion graph."""
-    robot = SimRobot(start[0], start[1], start[2],
-                     camera_height=config.camera_height, seed=seed)
-    pipeline = Pipeline(topo_map, K, matcher, config.pipeline)
+    robot = SimRobot(start[0], start[1], start[2], seed=seed)
+    pipeline = Pipeline(topo_map, K, matcher, NAV_PIPELINE)
     reports = []
     t0 = 0.0
     for goal_image in goal_images:

@@ -9,6 +9,12 @@ Correspondences arrive as a ``vloc.matching.MatchSet``, whose columns
 match per row; ``lift`` samples depth for the whole ``uv_query`` column in
 one pass.
 
+The solver's tuning values are module constants: the inlier threshold
+``REPROJ_THRESH``, the stop rule's ``RANSAC_CONFIDENCE``, the refinement's
+``REFINE_ITERS`` and the cheirality bound ``Z_MIN_DEFAULT``. ``PnPParams``
+holds only what callers set: ``min_inliers``, ``max_iters`` and ``seed``.
+There is no planar-scene rejection (see ``PnPParams``).
+
 RANSAC hypotheses are solved and scored in blocks of samples: one batched
 companion-matrix eigenvalue call finds every sample's quartic roots, one
 batched SVD aligns every candidate, and one array op scores a block's
@@ -40,6 +46,7 @@ from .errors import EmptyInput, FormatError
 from .geometry import (
     DEPTH_MAX_DEFAULT,
     DEPTH_MIN_DEFAULT,
+    Z_MIN_DEFAULT,
     CameraIntrinsics,
     Pose,
     matrix_to_quat,
@@ -73,21 +80,19 @@ class RelocResult:
             raise ValueError("inliers cannot exceed total")
 
 
+REPROJ_THRESH = 3.0        # px; a point within it is an inlier
+RANSAC_CONFIDENCE = 0.999
+REFINE_ITERS = 20
+
+
 @dataclass(frozen=True)
 class PnPParams:
-    reproj_thresh: float = 3.0
+    # an (almost) coplanar inlier set has a two-fold pose ambiguity the
+    # reprojection error cannot break; the solver returns either pose, and
+    # the localization pipeline drops the mirror one by its attitude gate
     min_inliers: int = 12
     max_iters: int = 1000
-    confidence: float = 0.999
     seed: int = 0
-    refine_iters: int = 20
-    z_min: float = 1e-6
-    # an (almost) coplanar inlier set has a two-fold pose ambiguity the
-    # reprojection error cannot break; callers that must not emit mirror
-    # poses can reject such solves (the localization pipeline leaves this off
-    # and drops mirror poses by its attitude gate instead)
-    reject_planar: bool = False
-    planar_ratio: float = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +274,14 @@ def _pixel_rays(uv: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     return rays / np.sqrt((rays * rays).sum(axis=1, keepdims=True))
 
 
-def _reprojection_errors(r, t, p3d, uv, K, z_min):
+def _reprojection_errors(r, t, p3d, uv, K):
     """Pixel reprojection errors (inf behind the camera) of the points
     p3d (..., N, 3) against uv (..., N, 2) under one transform r (3, 3),
     t (3,), or under stacks r (..., 3, 3), t (..., 3) that broadcast
     against the points' leading axes: (H, 3, 3) with (N, 3) gives (H, N)."""
     cam = p3d @ r.swapaxes(-1, -2) + t[..., None, :]
     z = cam[..., 2]
-    ok = z > z_min
+    ok = z > Z_MIN_DEFAULT
     zs = np.where(ok, z, 1.0)
     du = K.fx * cam[..., 0] / zs + K.cx - uv[..., 0]
     dv = K.fy * cam[..., 1] / zs + K.cy - uv[..., 1]
@@ -284,13 +289,13 @@ def _reprojection_errors(r, t, p3d, uv, K, z_min):
     return np.where(ok, err, np.inf)
 
 
-def reprojection_residual_jacobian(r, t, p3d, uv, K, z_min=1e-6):
+def reprojection_residual_jacobian(r, t, p3d, uv, K):
     """Stacked residuals (2n,) and Jacobian (2n, 6) of pixel reprojection
     error wrt a right-multiplicative SE(3) perturbation of the transform."""
     n = len(p3d)
     cam = p3d @ r.T + t
     x, y = cam[:, 0], cam[:, 1]
-    z = np.maximum(cam[:, 2], z_min)
+    z = np.maximum(cam[:, 2], Z_MIN_DEFAULT)
     res = np.empty(2 * n)
     res[0::2] = K.fx * x / z + K.cx - uv[:, 0]
     res[1::2] = K.fy * y / z + K.cy - uv[:, 1]
@@ -312,23 +317,23 @@ def reprojection_residual_jacobian(r, t, p3d, uv, K, z_min=1e-6):
     return res, jac
 
 
-def _refine_gauss_newton(r, t, p3d, uv, K, params: PnPParams, errors=None):
+def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
     """Gauss-Newton with step halving; cost is monotone non-increasing.
     ``errors`` are the points' reprojection errors at (r, t) when the
     caller has them. Returns (R, t, converged) or the inputs when no step
     helps."""
 
     def cost_of(rr, tt):
-        e = _reprojection_errors(rr, tt, p3d, uv, K, params.z_min)
+        e = _reprojection_errors(rr, tt, p3d, uv, K)
         return float((e * e).sum())        # inf when a point is behind
 
     cost = cost_of(r, t) if errors is None else float((errors * errors).sum())
     if not np.isfinite(cost):
         return r, t, False
-    for _ in range(params.refine_iters):
+    for _ in range(REFINE_ITERS):
         if cost < _COST_FLOOR:
             break
-        res, jac = reprojection_residual_jacobian(r, t, p3d, uv, K, params.z_min)
+        res, jac = reprojection_residual_jacobian(r, t, p3d, uv, K)
         h = jac.T @ jac
         g = jac.T @ res
         try:
@@ -356,7 +361,7 @@ def _refine_gauss_newton(r, t, p3d, uv, K, params: PnPParams, errors=None):
     return r, t, True
 
 
-def _score_block(sel, p3d, uv, rays, K, params: PnPParams):
+def _score_block(sel, p3d, uv, rays, K):
     """Solve and score a block of 4-point samples sel (B, 4).
 
     The first three points of a sample give its P3P candidates and the 4th
@@ -368,15 +373,15 @@ def _score_block(sel, p3d, uv, rays, K, params: PnPParams):
     valid, r, t = _p3p_grunert(p3d.take(triples, axis=0), rays.take(triples, axis=0))
     probe = sel[:, None, 3:]
     e4 = _reprojection_errors(r, t, p3d.take(probe, axis=0), uv.take(probe, axis=0),
-                              K, params.z_min)[..., 0]
+                              K)[..., 0]
     # np.argmin's rule: the first smallest error, where a NaN is smallest
     e4 = np.where(valid, np.where(np.isnan(e4), -np.inf, e4), np.inf)
     pick = np.argmax(valid & (e4 == e4.min(axis=1, keepdims=True)), axis=1)
     rows = np.arange(len(sel))
     r, t = r[rows, pick], t[rows, pick]
-    err = _reprojection_errors(r, t, p3d, uv, K, params.z_min)
+    err = _reprojection_errors(r, t, p3d, uv, K)
     inliers = np.where(valid.any(axis=1),
-                       np.count_nonzero(err < params.reproj_thresh, axis=1), -1)
+                       np.count_nonzero(err < REPROJ_THRESH, axis=1), -1)
     return r, t, err, inliers, valid.sum(axis=1)
 
 
@@ -409,7 +414,7 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
     while iteration < needed:
         sel = np.array([rng.choice(n, size=4, replace=False)
                         for _ in range(min(next(blocks), needed - iteration))])
-        r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K, params)
+        r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K)
         for i in range(len(sel)):
             iteration += 1
             hypotheses += int(candidates[i])
@@ -422,7 +427,7 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                     break
                 denom = math.log(max(1e-12, 1.0 - w ** 4))
                 needed = min(params.max_iters,
-                             int(math.ceil(math.log(1.0 - params.confidence) / denom)))
+                             int(math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / denom)))
             if iteration >= needed:
                 break
 
@@ -431,24 +436,18 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                            status=RelocStatus.RANSAC_FAILED,
                            iterations=iteration, hypotheses=hypotheses)
 
-    mask = best_err < params.reproj_thresh
+    mask = best_err < REPROJ_THRESH
     r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask],
-                                            K, params, best_err[mask])
+                                            K, best_err[mask])
     if ok and r_ref is not best_r:
-        err_ref = _reprojection_errors(r_ref, t_ref, p3d, uv, K, params.z_min)
-        inl_ref = int(np.count_nonzero(err_ref < params.reproj_thresh))
+        err_ref = _reprojection_errors(r_ref, t_ref, p3d, uv, K)
+        inl_ref = int(np.count_nonzero(err_ref < REPROJ_THRESH))
         if inl_ref >= best_inliers:
             best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
-            mask = err_ref < params.reproj_thresh
 
     pose = Pose(best_t, matrix_to_quat(best_r))
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
         else RelocStatus.RANSAC_FAILED
-    if status is RelocStatus.SUCCESS and params.reject_planar:
-        eigvals = np.linalg.eigvalsh(np.cov(p3d[mask].T))
-        if math.sqrt(max(eigvals[0], 0.0)) < \
-                params.planar_ratio * math.sqrt(max(eigvals[2], 1e-12)):
-            status = RelocStatus.RANSAC_FAILED
     return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,
                        iterations=iteration, hypotheses=hypotheses)
 

@@ -41,6 +41,16 @@ from .mapgraph import Observation, Segment, SegmentFrame
 
 LANDMARKS_PER_FACE = 8
 CAMERA_HEIGHT_DEFAULT = 1.0
+# the simulated robot: speed limits and the disc that collides with walls
+V_MAX = 1.0
+W_MAX = 1.5
+COLLISION_RADIUS = 0.25
+# the pursuit controller counts a waypoint reached within this distance
+WAYPOINT_RADIUS = 0.3
+# routes keep this clearance from walls on every straight leg
+ROUTE_CLEARANCE = 0.5
+# how far, in grid cells, a preset anchor may move to reach free space
+SNAP_RADIUS_CELLS = 8
 _FACE_NORMALS = {0: (-1.0, 0.0), 1: (1.0, 0.0), 2: (0.0, -1.0), 3: (0.0, 1.0)}
 
 
@@ -468,20 +478,14 @@ class SimRobot:
     """Planar unicycle robot whose pose is the camera pose."""
 
     def __init__(self, x: float, y: float, yaw: float,
-                 camera_height: float = CAMERA_HEIGHT_DEFAULT,
-                 v_max: float = 1.0, w_max: float = 1.5,
-                 noise: OdomNoise = OdomNoise(), seed: int = 0,
-                 collision_radius: float = 0.25):
+                 noise: OdomNoise = OdomNoise(), seed: int = 0):
         self.x, self.y, self.yaw = float(x), float(y), float(yaw)
-        self.camera_height = camera_height
-        self.v_max, self.w_max = v_max, w_max
         self.noise = noise
-        self.collision_radius = collision_radius
         self._rng = np.random.default_rng([int(seed), 0x0D0])
 
     @property
     def gt_pose(self) -> Pose:
-        return planar_camera_pose(self.x, self.y, self.yaw, self.camera_height)
+        return planar_camera_pose(self.x, self.y, self.yaw, CAMERA_HEIGHT_DEFAULT)
 
     def step(self, world: GridWorld, cmd, dt: float):
         """Integrate one control tick; returns (gt_pose, noisy odom delta).
@@ -491,8 +495,8 @@ class SimRobot:
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        v = float(np.clip(cmd[0], -self.v_max, self.v_max))
-        w = float(np.clip(cmd[1], -self.w_max, self.w_max))
+        v = float(np.clip(cmd[0], -V_MAX, V_MAX))
+        w = float(np.clip(cmd[1], -W_MAX, W_MAX))
         if abs(w) < 1e-12:
             nx = self.x + v * dt * math.cos(self.yaw)
             ny = self.y + v * dt * math.sin(self.yaw)
@@ -502,7 +506,7 @@ class SimRobot:
             ny = self.y - v / w * (math.cos(self.yaw + w * dt) - math.cos(self.yaw))
             nyaw = self.yaw + w * dt
 
-        if not world.free_disc(nx, ny, self.collision_radius):
+        if not world.free_disc(nx, ny, COLLISION_RADIUS):
             nx, ny = self.x, self.y
             # rotation in place is always allowed
 
@@ -519,7 +523,7 @@ class SimRobot:
         od_left = d_left + n2 * sig_t
         od_yaw = d_yaw + n3 * sig_r + self.noise.yaw_bias_per_m * length
 
-        z = self.camera_height
+        z = CAMERA_HEIGHT_DEFAULT
         delta = planar_camera_pose(0.0, 0.0, 0.0, z).between(
             planar_camera_pose(od_fwd, od_left, od_yaw, z))
 
@@ -544,9 +548,7 @@ class SegmentRecording:
 def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
                      camera_rate: float = 2.0, odom_rate: float = 15.0,
                      seed: int = 0, noise: OdomNoise = OdomNoise(),
-                     v_max: float = 1.0, w_max: float = 1.5,
-                     camera_height: float = CAMERA_HEIGHT_DEFAULT,
-                     wp_radius: float = 0.3, timeout: float | None = None):
+                     timeout: float | None = None):
     """Drive a pursuit controller through the waypoints, rendering camera
     frames at ``camera_rate`` and odometry at ``odom_rate``.
 
@@ -560,16 +562,14 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     if timeout is None:
         path_len = sum(float(np.linalg.norm(b - a))
                        for a, b in zip(waypoints, waypoints[1:]))
-        timeout = 30.0 + 6.0 * path_len / v_max
+        timeout = 30.0 + 6.0 * path_len / V_MAX
 
     if len(waypoints) > 1:
         d0 = waypoints[1] - waypoints[0]
         yaw0 = math.atan2(d0[1], d0[0])
     else:
         yaw0 = 0.0
-    robot = SimRobot(waypoints[0][0], waypoints[0][1], yaw0,
-                     camera_height=camera_height, v_max=v_max, w_max=w_max,
-                     noise=noise, seed=seed)
+    robot = SimRobot(waypoints[0][0], waypoints[0][1], yaw0, noise=noise, seed=seed)
 
     dt = 1.0 / odom_rate
     frames, sim_frames, odometry, gt_stream = [], [], [], []
@@ -591,7 +591,7 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     while wp_i < len(waypoints):
         target = waypoints[wp_i]
         dist = math.hypot(target[0] - robot.x, target[1] - robot.y)
-        if dist < wp_radius:
+        if dist < WAYPOINT_RADIUS:
             wp_i += 1
             best_dist = np.inf
             last_progress_t = t
@@ -606,10 +606,10 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
 
         bearing = wrap_angle(math.atan2(target[1] - robot.y,
                                         target[0] - robot.x) - robot.yaw)
-        w_cmd = float(np.clip(2.5 * bearing, -w_max, w_max))
+        w_cmd = float(np.clip(2.5 * bearing, -W_MAX, W_MAX))
         # quadratic bearing falloff: turn mostly in place, so the path
         # stays inside the clearance-validated straight legs
-        v_cmd = float(np.clip(1.5 * dist, 0.0, v_max)) * max(0.0, math.cos(bearing)) ** 2
+        v_cmd = float(np.clip(1.5 * dist, 0.0, V_MAX)) * max(0.0, math.cos(bearing)) ** 2
         gt_pose, delta = robot.step(world, (v_cmd, w_cmd), dt)
         t += dt
         odometry.append((t, delta))
@@ -813,32 +813,32 @@ def _preset_campus(seed):
     return world, route_through(world, anchors)
 
 
-def route_through(world: GridWorld, anchors, clearance: float = 0.5):
+def route_through(world: GridWorld, anchors):
     """Waypoints visiting the anchors in order, detouring around walls via
     grid BFS with line-of-sight shortcutting. The pursuit controller drives
-    straight legs, so every leg must be clear at the given clearance."""
+    straight legs, so every leg must be clear by ROUTE_CLEARANCE."""
     out = [np.asarray(anchors[0], dtype=float)[:2]]
     for target in anchors[1:]:
         target = np.asarray(target, dtype=float)[:2]
-        for wp in _leg_waypoints(world, out[-1], target, clearance):
+        for wp in _leg_waypoints(world, out[-1], target):
             out.append(wp)
     return out
 
 
-def _leg_clear(world, a, b, clearance):
+def _leg_clear(world, a, b):
     dist = float(np.linalg.norm(b - a))
     steps = max(2, int(dist / 0.2) + 1)
     for s in np.linspace(0.0, 1.0, steps):
         p = a + s * (b - a)
-        if not world.free_disc(p[0], p[1], clearance):
+        if not world.free_disc(p[0], p[1], ROUTE_CLEARANCE):
             return False
     return True
 
 
-def _leg_waypoints(world, start, goal, clearance):
-    if _leg_clear(world, start, goal, clearance):
+def _leg_waypoints(world, start, goal):
+    if _leg_clear(world, start, goal):
         return [goal]
-    cells = _grid_bfs(world, start, goal, clearance)
+    cells = _grid_bfs(world, start, goal)
     if cells is None:
         raise ValueError(f"no route from {start} to {goal}")
     pts = [np.array(c) for c in cells] + [goal]
@@ -848,7 +848,7 @@ def _leg_waypoints(world, start, goal, clearance):
     i = 0
     while i < len(pts):
         j = len(pts) - 1
-        while j > i and not _leg_clear(world, cur, pts[j], clearance):
+        while j > i and not _leg_clear(world, cur, pts[j]):
             j -= 1
         out.append(pts[j])
         cur = pts[j]
@@ -856,8 +856,8 @@ def _leg_waypoints(world, start, goal, clearance):
     return out
 
 
-def _grid_bfs(world, start, goal, clearance):
-    """4-connected BFS over cells with disc clearance; returns cell-center
+def _grid_bfs(world, start, goal):
+    """4-connected BFS over cells with ROUTE_CLEARANCE; returns cell-center
     points from just after start to just before goal."""
     from collections import deque
 
@@ -867,7 +867,7 @@ def _grid_bfs(world, start, goal, clearance):
     def ok(ix, iy):
         if not (0 < ix < w - 1 and 0 < iy < h - 1):
             return False
-        return world.free_disc((ix + 0.5) * cs, (iy + 0.5) * cs, clearance)
+        return world.free_disc((ix + 0.5) * cs, (iy + 0.5) * cs, ROUTE_CLEARANCE)
 
     s = world.cell_of(start[0], start[1])
     g = world.cell_of(goal[0], goal[1])
@@ -896,14 +896,15 @@ def _grid_bfs(world, start, goal, clearance):
     return path[1:-1]
 
 
-def _snap_free(world: GridWorld, x: float, y: float, radius_cells: int = 8):
+def _snap_free(world: GridWorld, x: float, y: float):
     """Nearest clearly-free point to (x, y), probing outward on the grid."""
     cs = world.cell_size
     ix0, iy0 = world.cell_of(x, y)
     h, w = world.occupancy.shape
     best, best_d = None, np.inf
-    for iy in range(max(1, iy0 - radius_cells), min(h - 1, iy0 + radius_cells + 1)):
-        for ix in range(max(1, ix0 - radius_cells), min(w - 1, ix0 + radius_cells + 1)):
+    r = SNAP_RADIUS_CELLS
+    for iy in range(max(1, iy0 - r), min(h - 1, iy0 + r + 1)):
+        for ix in range(max(1, ix0 - r), min(w - 1, ix0 + r + 1)):
             px, py = (ix + 0.5) * cs, (iy + 0.5) * cs
             if not world.free_disc(px, py, 0.45):
                 continue

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vloc.errors import InvalidDepth, NearSingularRotation
+from vloc.errors import NearSingularRotation
 from vloc.geometry import (
     CameraIntrinsics,
     Pose,
@@ -22,7 +22,6 @@ from vloc.geometry import (
     se3_log_array,
     se3_right_jacobian_inv,
     se3_right_jacobian_inv_array,
-    unproject,
 )
 from conftest import random_pose
 
@@ -110,29 +109,6 @@ class TestProjection:
                 assert not ok[i]
             else:
                 assert ok[i] and np.allclose(uv[i], single)
-
-
-class TestUnprojection:
-    def test_inverse_of_projection_example(self):
-        assert np.allclose(unproject(K64, [64.0, 64.0], 2.0), [0.0, 0.0, 2.0])
-        assert np.allclose(unproject(K64, [114.0, 64.0], 2.0), [1.0, 0.0, 2.0])
-
-    def test_zero_depth_is_sensor_hole(self):
-        with pytest.raises(InvalidDepth):
-            unproject(K64, [64.0, 64.0], 0.0)
-
-    def test_out_of_range_depth(self):
-        with pytest.raises(InvalidDepth):
-            unproject(K64, [64.0, 64.0], 25.0)
-
-    def test_project_unproject_identity_exhaustive(self):
-        # 16x16 pixel grid x 3 depths
-        for u in np.linspace(4.0, 124.0, 16):
-            for v in np.linspace(4.0, 124.0, 16):
-                for d in (0.3, 2.0, 11.0):
-                    uv = project(K64, unproject(K64, [u, v], d))
-                    assert uv is not None
-                    assert np.max(np.abs(uv - [u, v])) < 1e-9
 
 
 class TestExpLog:

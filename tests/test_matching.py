@@ -6,9 +6,7 @@ import pytest
 from vloc.errors import FormatError, OutOfBounds
 from vloc.geometry import CameraIntrinsics, project
 from vloc.matching import (
-    MatchParams,
     MatchSet,
-    harris_corners,
     ingest_matches,
     match_classical,
     match_oracle,
@@ -84,16 +82,6 @@ class TestClassical:
         assert len(ms) > 20
         assert np.array_equal(ms.uv_ref, ms.uv_query)
         assert np.allclose(ms.confidence, 1.0, rtol=0, atol=1e-9)
-
-    def test_harris_patch_size_one_keeps_border(self, corridor):
-        # no margin: every peak stays; without the outermost pixel ring they
-        # are exactly the corners at patch size 3 (a one-pixel margin)
-        frame = render(corridor, planar_camera_pose(3.0, 2.25, 0.0), K)
-        all_peaks = harris_corners(frame.color, MatchParams(patch_size=1))
-        inner = all_peaks[np.all((all_peaks >= 1) & (all_peaks <= 126), axis=1)]
-        assert len(inner) > 20 and len(all_peaks) > len(inner)
-        assert np.array_equal(
-            inner, harris_corners(frame.color, MatchParams(patch_size=3)))
 
     def test_featureless_images_empty(self):
         flat = np.full((128, 128), 130, dtype=np.uint8)

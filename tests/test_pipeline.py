@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vloc.errors import NotLocalized
+from vloc.errors import NonMonotonicTimestamp, NotLocalized
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import build_map, select_keyframes
-from vloc.matching import match_oracle
+from vloc.matching import match_classical, match_oracle
 from vloc.pipeline import Pipeline, PipelineConfig, PipelineMode
 from vloc.planning import compute_ate
 from vloc.simworld import (
@@ -101,16 +103,71 @@ class TestModeMachine:
 
     def test_fix_gating_rejects_inconsistent_fix(self, corridor_map):
         world, topo = corridor_map
-        p = Pipeline(topo, K, oracle, PipelineConfig(fix_gate_m=0.5))
+        p = Pipeline(topo, K, oracle)
         node = topo.nodes[3]
         frame = render(world, node.pose, K)
         p.on_observation(frame.observation(), 0.0)
-        # teleport the camera 2 m: the (valid) fix now violates the gate
-        far = planar_camera_pose(node.pose.t[0] + 2.0, node.pose.t[1], 0.0)
+        # teleport the camera 3 m: the (valid) fix now violates the 2 m gate
+        far = planar_camera_pose(node.pose.t[0] + 3.0, node.pose.t[1], 0.0)
         frame2 = render(world, far, K)
         out = p.on_observation(frame2.observation(), 1.0)
         assert out.status == "FixGated"
         assert out.fix is None
+
+
+MATCHERS = {"oracle": oracle, "classical": match_classical}
+
+
+class TestHostileInput:
+    """``on_observation`` answers every image and depth with an outcome,
+    in either mode; it never raises because localization failed."""
+
+    @staticmethod
+    def pipeline_in(mode, corridor_map, matcher):
+        world, topo = corridor_map
+        p = Pipeline(topo, K, MATCHERS[matcher])
+        if mode is PipelineMode.TRACKING:
+            boot = render(world, topo.nodes[3].pose, K)
+            assert p.on_observation(boot.observation(), 0.0).status == "Success"
+        assert p.mode is mode
+        return p
+
+    @staticmethod
+    def assert_failed(p, out, mode, lost_status):
+        assert out.fix is None and p.mode is mode
+        if mode is PipelineMode.LOST:
+            assert out.status == lost_status
+        else:
+            assert out.status == "TooFewMatches" and p.consecutive_failures == 1
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    @pytest.mark.parametrize("value", [0, 120], ids=["blank", "constant"])
+    def test_featureless_image(self, corridor_map, mode, matcher, value):
+        p = self.pipeline_in(mode, corridor_map, matcher)
+        obs = dataclasses.replace(flat_observation(),
+                                  color=np.full((128, 128), value, dtype=np.uint8))
+        self.assert_failed(p, p.on_observation(obs, 1.0), mode, "GlRejected")
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    @pytest.mark.parametrize("depth", [np.nan, 0.0, np.inf, -1.0],
+                             ids=["nan", "zero", "inf", "negative"])
+    def test_unusable_depth(self, corridor_map, mode, matcher, depth):
+        world, topo = corridor_map
+        p = self.pipeline_in(mode, corridor_map, matcher)
+        obs = render(world, topo.nodes[3].pose, K).observation()
+        obs = dataclasses.replace(obs, depth=np.full(obs.depth.shape, depth))
+        self.assert_failed(p, p.on_observation(obs, 1.0), mode, "GlUnverified")
+
+    def test_odometry_at_equal_timestamp(self, corridor_map):
+        p = self.pipeline_in(PipelineMode.TRACKING, corridor_map, "oracle")
+        p.on_odometry(Pose.identity(), 1.0)
+        before = p.current_world_pose()
+        with pytest.raises(NonMonotonicTimestamp):
+            p.on_odometry(Pose.identity(), 1.0)
+        assert p.mode is PipelineMode.TRACKING
+        assert p.current_world_pose() == before
 
 
 class TestReplayRegression:

@@ -9,11 +9,13 @@ from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import MapNode, TopoMetricMap, build_map, select_keyframes
 from vloc.matching import match_oracle
 from vloc.planning import (
+    CURVATURES,
+    ROBOT_RADIUS,
     ROTATE_IN_PLACE,
     AteReport,
     GlobalPlan,
     NavConfig,
-    PrimitiveSet,
+    arc_points,
     compute_ate,
     depth_to_obstacles,
     next_subgoal,
@@ -175,7 +177,7 @@ class TestNextSubgoal:
     def test_advances_past_close_subgoal(self):
         topo, plan = self.make_plan_map()
         robot = planar_camera_pose(0.0, 0.0, 0.0, 1.0)
-        sub = next_subgoal(plan, topo, robot, switch_radius=0.5)
+        sub = next_subgoal(plan, topo, robot)
         assert plan.subgoal_index == 1
         assert np.allclose(sub, [2.0, 0.0, 0.0], atol=1e-12)
 
@@ -193,10 +195,14 @@ class TestNextSubgoal:
         topo, plan = self.make_plan_map()
         plan.subgoal_index = 2
         robot = planar_camera_pose(4.0, 0.1, 0.0, 1.0)
-        assert next_subgoal(plan, topo, robot, goal_radius=0.5) is None
+        assert next_subgoal(plan, topo, robot) is None
 
 
 class TestPlanLocal:
+    def test_arc_fan_has_straight_arc_and_is_symmetric(self):
+        assert 0.0 in CURVATURES
+        assert all(-k in CURVATURES for k in CURVATURES)
+
     def test_free_space_straight_ahead(self):
         depth = np.zeros((128, 128))   # no valid depth = no obstacles
         (v, w), choice = plan_local(depth, K, [3.0, 0.0, 0.0])
@@ -219,21 +225,18 @@ class TestPlanLocal:
     def test_chosen_arc_collision_free_post_hoc(self, corridor_setup):
         # independent distance check of the chosen primitive's samples
         world, _ = corridor_setup
-        prims = PrimitiveSet()
         for x, y, yaw in ((2.0, 1.95, 0.0), (5.0, 2.6, 0.15), (8.0, 2.0, -0.2)):
             frame = render(world, planar_camera_pose(x, y, yaw), K)
-            (v, w), choice = plan_local(frame.depth, K, [2.5, 0.0, 0.0],
-                                        primitives=prims)
+            (v, w), choice = plan_local(frame.depth, K, [2.5, 0.0, 0.0])
             if choice == ROTATE_IN_PLACE:
                 continue
             obstacles = depth_to_obstacles(frame.depth, K)
-            pts = prims.arc_points(choice, length=2.5)
+            pts = arc_points(choice, 2.5)
             d = np.sqrt(((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(-1))
-            assert float(d.min()) >= 0.3
+            assert float(d.min()) >= ROBOT_RADIUS
 
     def test_never_picks_colliding_while_free_exists(self, corridor_setup):
         world, _ = corridor_setup
-        prims = PrimitiveSet()
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = rng.uniform(1.5, 30.0)
@@ -241,14 +244,14 @@ class TestPlanLocal:
             yaw = rng.uniform(-0.5, 0.5)
             frame = render(world, planar_camera_pose(x, y, yaw), K)
             sub = [rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0), 0.0]
-            (v, w), choice = plan_local(frame.depth, K, sub, primitives=prims)
+            (v, w), choice = plan_local(frame.depth, K, sub)
             obstacles = depth_to_obstacles(frame.depth, K)
             if choice == ROTATE_IN_PLACE:
                 continue
-            pts = prims.arc_points(choice, length=float(np.linalg.norm(sub[:2])))
+            pts = arc_points(choice, float(np.linalg.norm(sub[:2])))
             if len(obstacles):
                 d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(-1)
-                assert float(d2.min()) >= 0.3 ** 2
+                assert float(d2.min()) >= ROBOT_RADIUS ** 2
 
 
 class TestComputeAte:

@@ -17,6 +17,8 @@ from vloc.mapgraph import MapNode
 from vloc.matching import MatchSet, match_oracle
 from vloc.relocal import (
     _BLOCK_SIZES,
+    RANSAC_CONFIDENCE,
+    REPROJ_THRESH,
     PnPParams,
     RelocResult,
     RelocStatus,
@@ -208,12 +210,10 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
         # 4th sample point disambiguates the quartic's solutions
         probe = p3d[sel[3:4]]
         probe_uv = uv[sel[3:4]]
-        errs4 = [float(_reprojection_errors(r, t, probe, probe_uv, K,
-                                            params.z_min)[0])
+        errs4 = [float(_reprojection_errors(r, t, probe, probe_uv, K)[0])
                  for r, t in candidates]
         r, t = candidates[int(np.argmin(errs4))]
-        inl = int(np.sum(_reprojection_errors(r, t, p3d, uv, K, params.z_min)
-                         < params.reproj_thresh))
+        inl = int(np.sum(_reprojection_errors(r, t, p3d, uv, K) < REPROJ_THRESH))
         if inl > best_inliers:
             best_inliers, best_r, best_t = inl, r, t
             w = best_inliers / n
@@ -221,34 +221,24 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
                 break
             denom = math.log(max(1e-12, 1.0 - w ** 4))
             needed = min(params.max_iters,
-                         int(math.ceil(math.log(1.0 - params.confidence) / denom)))
+                         int(math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / denom)))
 
     if best_r is None or best_inliers < 4:
         return RelocResult(pose=None, inliers=0, total=n,
                            status=RelocStatus.RANSAC_FAILED,
                            iterations=iteration, hypotheses=hypotheses)
 
-    mask = _reprojection_errors(best_r, best_t, p3d, uv, K, params.z_min) \
-        < params.reproj_thresh
-    r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask],
-                                            K, params)
+    mask = _reprojection_errors(best_r, best_t, p3d, uv, K) < REPROJ_THRESH
+    r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask], K)
     if ok:
-        inl_ref = int(np.sum(
-            _reprojection_errors(r_ref, t_ref, p3d, uv, K, params.z_min)
-            < params.reproj_thresh))
+        inl_ref = int(np.sum(_reprojection_errors(r_ref, t_ref, p3d, uv, K)
+                             < REPROJ_THRESH))
         if inl_ref >= best_inliers:
             best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
 
     pose = Pose(best_t, matrix_to_quat(best_r))
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
         else RelocStatus.RANSAC_FAILED
-    if status is RelocStatus.SUCCESS and params.reject_planar:
-        mask = _reprojection_errors(best_r, best_t, p3d, uv, K, params.z_min) \
-            < params.reproj_thresh
-        eigvals = np.linalg.eigvalsh(np.cov(p3d[mask].T))
-        if math.sqrt(max(eigvals[0], 0.0)) < \
-                params.planar_ratio * math.sqrt(max(eigvals[2], 1e-12)):
-            status = RelocStatus.RANSAC_FAILED
     return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,
                        iterations=iteration, hypotheses=hypotheses)
 
@@ -392,10 +382,10 @@ class TestSolvePnP:
             p_world, uv, transform, _ = synth_scene(rng, 40, noise=2.0)
             start = transform.compose(se3_exp(rng.normal(0, 0.02, 6)))
             r0, t0 = start.rotation_matrix(), start.t
-            e0 = _reprojection_errors(r0, t0, p_world, uv, K, 1e-6)
+            e0 = _reprojection_errors(r0, t0, p_world, uv, K)
             c0 = float(np.sum(e0 * e0))
-            r1, t1, okflag = _refine_gauss_newton(r0, t0, p_world, uv, K, PnPParams())
-            e1 = _reprojection_errors(r1, t1, p_world, uv, K, 1e-6)
+            r1, t1, okflag = _refine_gauss_newton(r0, t0, p_world, uv, K)
+            e1 = _reprojection_errors(r1, t1, p_world, uv, K)
             assert float(np.sum(e1 * e1)) <= c0 + 1e-12
 
     def test_jacobian_matches_central_differences(self):
@@ -488,9 +478,8 @@ class TestBatchedMatchesSequential:
         sel = np.array([rng.choice(30, 4, replace=False) for _ in range(200)])
         sel[::2, 3] = rng.integers(20, 30, 100)
         sel[::2, :3] = np.array([rng.choice(20, 3, replace=False) for _ in range(100)])
-        params = PnPParams()
         rays = _pixel_rays(uv, K)
-        r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K, params)
+        r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K)
         ties = 0
         for k, s in enumerate(sel):
             want = reference_p3p_grunert(p3d[s[:3]], rays[s[:3]])
@@ -498,14 +487,14 @@ class TestBatchedMatchesSequential:
             if not want:
                 assert inliers[k] == -1
                 continue
-            errs4 = [float(_reprojection_errors(rr, tt, p3d[s[3:]], uv[s[3:]], K,
-                                                params.z_min)[0]) for rr, tt in want]
+            errs4 = [float(_reprojection_errors(rr, tt, p3d[s[3:]], uv[s[3:]], K)[0])
+                     for rr, tt in want]
             ties += len(want) > 1 and not np.isfinite(errs4).any()
             r_want, t_want = want[int(np.argmin(errs4))]
             assert np.allclose(r[k], r_want, rtol=0.0, atol=1e-12)
             assert np.allclose(t[k], t_want, rtol=0.0, atol=1e-12)
             assert inliers[k] == int(np.sum(_reprojection_errors(
-                r_want, t_want, p3d, uv, K, params.z_min) < params.reproj_thresh))
+                r_want, t_want, p3d, uv, K) < REPROJ_THRESH))
         assert ties >= 20
 
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 20, 100])
@@ -577,8 +566,8 @@ class TestBatchedMatchesSequential:
             res = self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=300))
             assert res.status is RelocStatus.SUCCESS and res.inliers == 13
 
-    def test_reject_planar(self):
-        rejected = 0
+    def test_planar_scene(self):
+        # coplanar points: a two-fold pose ambiguity among the candidates
         for seed in range(4):
             rng = np.random.default_rng(110 + seed)
             xy = rng.uniform(-1.5, 1.5, (30, 2))
@@ -586,9 +575,6 @@ class TestBatchedMatchesSequential:
             p3d, uv = world_from_camera(rng, plane)
             uv += rng.normal(0.0, 0.3, uv.shape)
             self.assert_same(p3d, uv, PnPParams(seed=seed))
-            res = self.assert_same(p3d, uv, PnPParams(seed=seed, reject_planar=True))
-            rejected += res.status is RelocStatus.RANSAC_FAILED
-        assert rejected == 4
 
 
 @pytest.fixture(scope="module")

@@ -366,8 +366,7 @@ class TestGenerateSegment:
 
     def test_straight_corridor_one_frame_per_meter(self, corridor):
         rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (12.0, CORRIDOR_Y)],
-                               K, camera_rate=1.0, seed=0, noise=OdomNoise.zero(),
-                               v_max=1.0)
+                               K, camera_rate=1.0, seed=0, noise=OdomNoise.zero())
         xs = [f.pose.t[0] for f in rec.segment.frames]
         assert len(rec.segment) == 11
         assert all(b > a for a, b in zip(xs, xs[1:]))
