@@ -160,7 +160,7 @@ def cmd_localize(args) -> int:
             f.write(ObservationOutcome.log_header() + "\n")
             for row in log_rows:
                 f.write(row + "\n")
-    if args.batch_out and pipeline.fusion.priors:
+    if args.batch_out and len(pipeline.fusion.priors):
         poses, _ = pipeline.fusion.optimize()
         write_trajectory(args.batch_out,
                          list(zip(pipeline.fusion.timestamps, poses)))

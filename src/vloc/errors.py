@@ -58,7 +58,7 @@ class NoGaugePrior(VlocError):
 
 
 class SingularNormalEquations(VlocError):
-    """Normal equations are singular (disconnected optimization window)."""
+    """LM step failed: a failed banded Cholesky or a non-finite step."""
 
 
 class EmptyGraph(VlocError):

@@ -500,6 +500,12 @@ class CameraIntrinsics:
                                 float(tok[3]), int(tok[4]), int(tok[5]))
 
 
+def unproject(K: CameraIntrinsics, u, v, d) -> np.ndarray:
+    """Pixels (u, v) at depths d to camera-frame points (N, 3). Keyframe
+    coverage bins wall points by the last bit: keep the arithmetic."""
+    return np.stack([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d], axis=1)
+
+
 def project(K: CameraIntrinsics, p_cam, z_min: float = Z_MIN_DEFAULT):
     """Camera-frame point to pixel (u, v); None if out of view.
 

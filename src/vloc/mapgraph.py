@@ -30,6 +30,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     fmt17,
+    unproject,
 )
 
 MAP_FORMAT_VERSION = 1
@@ -214,10 +215,7 @@ def coverage(obs: Observation, pose: Pose, camera: CameraIntrinsics,
     if not np.any(valid):
         return np.empty(0, dtype=np.int64)
     vv, uu = np.nonzero(valid)
-    d = depth[vv, uu]
-    x = (uu - camera.cx) / camera.fx * d
-    y = (vv - camera.cy) / camera.fy * d
-    pts_world = pose.apply(np.stack([x, y, d], axis=1))
+    pts_world = pose.apply(unproject(camera, uu, vv, depth[vv, uu]))
     cells = np.floor(pts_world[:, :2] / grid_res)
     # test before the cast: an out-of-range float wraps when cast to int64
     if not np.all(np.abs(cells) < _CELL_LIMIT):

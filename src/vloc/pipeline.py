@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotLocalized
+from .errors import NearSingularRotation, NotLocalized, SingularNormalEquations
 from .geometry import CameraIntrinsics, Pose, fmt17, rotation_angle
 from .poseslam import FusionGraph, odom_sigmas, vloc_fix_sigmas
 from .relocal import PnPParams, RelocStatus, localize_against_node
@@ -135,24 +135,43 @@ class Pipeline:
                 timestamp=timestamp, mode=self.mode, fix=None,
                 reference_node=-1, inliers=0, total=0,
                 status="GlRejected", sim_top1=sim_top1)
-        result = localize_against_node(self.map.nodes[node_id], obs, self.K,
-                                       self.matcher, self.config.pnp)
-        near_node = (result.status is RelocStatus.SUCCESS
-                     and float(np.linalg.norm(
-                         result.pose.t - self.map.nodes[node_id].pose.t))
-                     <= self.config.gl_fix_radius)
-        if result.status is not RelocStatus.SUCCESS or not near_node or \
-                self._fix_gated(result.pose, against_prior=False):
-            return ObservationOutcome(
-                timestamp=timestamp, mode=self.mode, fix=None,
-                reference_node=node_id, inliers=result.inliers,
-                total=result.total, status="GlUnverified", sim_top1=sim_top1)
-        self._enter_tracking(self.map.nodes[node_id].pose, timestamp)
-        self._apply_fix(result.pose, result.inliers, timestamp)
+        node = self.map.nodes[node_id]
+        result = localize_against_node(node, obs, self.K, self.matcher,
+                                       self.config.pnp)
+        verified = (result.status is RelocStatus.SUCCESS
+                    and float(np.linalg.norm(result.pose.t - node.pose.t))
+                    <= self.config.gl_fix_radius
+                    and not self._fix_gated(result.pose, against_prior=False)
+                    and self._start_tracking(node.pose, result.pose,
+                                             result.inliers, timestamp))
         return ObservationOutcome(
-            timestamp=timestamp, mode=self.mode, fix=result.pose,
-            reference_node=node_id, inliers=result.inliers,
-            total=result.total, status=result.status.value, sim_top1=sim_top1)
+            timestamp=timestamp, mode=self.mode,
+            fix=result.pose if verified else None,
+            reference_node=node_id, inliers=result.inliers, total=result.total,
+            status=result.status.value if verified else "GlUnverified",
+            sim_top1=sim_top1)
+
+    def _start_tracking(self, seed: Pose, fix: Pose, inliers: int,
+                        timestamp: float) -> bool:
+        """Seed the graph at ``seed`` (or bridge the Lost gap with the
+        buffered motion), apply the fix and enter Tracking. False, with the
+        graph as it was, when the solve fails, as it does for a fix about pi
+        from the seeded state (its prior residual has no tangent)."""
+        n_states, n_priors = len(self.fusion.states), len(self.fusion.priors)
+        try:
+            if not n_states:
+                self.fusion.initialize(seed, timestamp)
+            elif timestamp > self.fusion.timestamps[-1]:
+                step = float(np.linalg.norm(self._pending_lost_delta.t))
+                self.fusion.propagate(self._pending_lost_delta,
+                                      odom_sigmas(step), timestamp)
+            self._apply_fix(fix, inliers, timestamp)
+        except (NearSingularRotation, SingularNormalEquations):
+            self.fusion.truncate(n_states, n_priors)
+            return False
+        self.mode = PipelineMode.TRACKING
+        self._pending_lost_delta = Pose.identity()
+        return True
 
     def _apply_fix(self, fix: Pose, inliers: int, timestamp: float) -> None:
         state_idx = self.fusion.nearest_state(timestamp)
@@ -175,19 +194,6 @@ class Pipeline:
             if rotation_angle(fix.q, self.prior_pose.q) > math.radians(FIX_GATE_DEG):
                 return True
         return False
-
-    def _enter_tracking(self, prior: Pose, timestamp: float) -> None:
-        self.mode = PipelineMode.TRACKING
-        self.consecutive_failures = 0
-        if not self.fusion.states:
-            self.fusion.initialize(prior, timestamp)
-        elif timestamp > self.fusion.timestamps[-1]:
-            # bridge the lost gap with the buffered dead-reckoned motion
-            step = float(np.linalg.norm(self._pending_lost_delta.t))
-            self.fusion.propagate(self._pending_lost_delta,
-                                  odom_sigmas(step), timestamp)
-        self._pending_lost_delta = Pose.identity()
-        self.prior_pose = prior
 
     def _pick_reference(self, query_desc) -> int:
         positions = self.map.node_positions()
@@ -215,6 +221,6 @@ class Pipeline:
         return pose
 
     def current_world_pose(self):
-        if self.mode is not PipelineMode.TRACKING or not self.fusion.states:
+        if self.mode is not PipelineMode.TRACKING or not len(self.fusion.states):
             raise NotLocalized("pipeline is in Lost mode")
         return self.fusion.current_pose()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyMap, NoMatches, NoPath, NotLocalized
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, unproject
 from .pipeline import Pipeline, PipelineConfig, PipelineMode
 from .retrieval import extract_descriptor, top_k
 from .simworld import CAMERA_HEIGHT_DEFAULT, GridWorld, SimRobot, pose_to_planar, render
@@ -175,12 +175,8 @@ def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     The camera is level, so the fixed mount maps camera (x right, y down,
     z forward) to robot (x forward, y left, z up); floor points fall below
     OBSTACLE_Z_BAND and are not obstacles."""
-    h, w = depth.shape
     vv, uu = np.nonzero(depth > 0)
-    d = depth[vv, uu]
-    x_cam = (uu - K.cx) / K.fx * d
-    y_cam = (vv - K.cy) / K.fy * d
-    x_fwd = d
+    x_cam, y_cam, x_fwd = unproject(K, uu, vv, depth[vv, uu]).T
     y_left = -x_cam
     z_up = -y_cam
     keep = ((z_up > OBSTACLE_Z_BAND[0]) & (z_up < OBSTACLE_Z_BAND[1])

@@ -7,18 +7,20 @@ odometry deltas. The stacked whitened residual ``log(measured^-1 *
 predicted)`` is minimized by damped Gauss-Newton (Levenberg-Marquardt);
 prior factors carry a Huber loss so a bad fix cannot drag the trajectory.
 
-One solver serves every case, from a single state to the full batch: the
-window's states and factors are held as arrays, every residual and its
-closed-form manifold Jacobians come from batched SE(3) maps, and because
-between factors only link states k-1 and k the normal equations are block
-tridiagonal and are solved as one banded system (bandwidth 11).
+The graph is held once, in arrays with amortised growth: ``states`` are
+(n, 7) pose rows ``x y z qw qx qy qz`` (as ``Pose.fields``), and each factor
+is a record, filled when it is added, of its state index (between k links
+states k and k + 1), its measured pose's inverse as a pose row and its
+sigmas. ``optimize`` solves on views of the rows, writes the window back in
+place and returns one ``Pose`` per solved state. Because between factors
+only link states k-1 and k, the normal equations are block tridiagonal and
+one banded solver (bandwidth 11) serves every window.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -63,175 +65,168 @@ def odom_sigmas(step_length: float) -> np.ndarray:
     return np.array([st, st, st, ODOM_SIGMA_R, ODOM_SIGMA_R, ODOM_SIGMA_R])
 
 
-@dataclass(frozen=True)
-class PriorFactor:
-    state_index: int
-    measured: Pose
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.sigmas) <= 0):
-            raise ValueError("sigmas must be positive")
+_FACTOR = np.dtype([("index", np.int64), ("meas_inv", float, 7), ("sigmas", float, 6)])
 
 
-@dataclass(frozen=True)
-class BetweenFactor:
-    index_a: int
-    index_b: int
-    measured: Pose
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        if self.index_b != self.index_a + 1:
-            raise ValueError("between factors link consecutive states")
-        if np.any(np.asarray(self.sigmas) <= 0):
-            raise ValueError("sigmas must be positive")
+def _factor(index: int, pose: Pose, sigmas) -> tuple:
+    """The record of a factor on state ``index`` measuring ``pose``."""
+    s = np.asarray(sigmas, dtype=float)
+    if s.shape != (6,) or not ((s > 0.0) & (s < np.inf)).all():
+        raise ValueError(f"sigmas must be six finite positive values, got {s}")
+    return index, np.hstack(pose_inverse_array(pose.t[None], pose.q[None]))[0], s
 
 
-@dataclass
+def _append(buf, n: int, record):
+    """``buf`` with ``record`` written at row n, doubled first when full."""
+    if n == len(buf):
+        buf = np.concatenate([buf, np.empty_like(buf)])
+    buf[n] = record
+    return buf
+
+
 class FusionGraph:
-    states: list = field(default_factory=list)
-    timestamps: list = field(default_factory=list)
-    priors: list = field(default_factory=list)
-    betweens: list = field(default_factory=list)
-    last_cost_trace: list = field(default_factory=list, repr=False)
+    def __init__(self):
+        self._states = np.empty((16, 7))
+        self._betweens = np.empty(16, _FACTOR)
+        self._priors = np.empty(16, _FACTOR)
+        self._n_priors = 0
+        self.timestamps: list = []    # one per state; their count is n
+        self.last_cost_trace: list = []
+
+    # views of the filled rows, valid until the next append
+    states = property(lambda self: self._states[:len(self.timestamps)])
+    betweens = property(lambda self: self._betweens[:max(len(self.timestamps) - 1, 0)])
+    priors = property(lambda self: self._priors[:self._n_priors])
 
     # -- construction --------------------------------------------------------
 
     def initialize(self, pose: Pose, timestamp: float) -> None:
-        if self.states:
+        if self.timestamps:
             raise ValueError("graph already initialized")
-        self.states.append(pose)
+        self._states[0] = np.concatenate([pose.t, pose.q])
         self.timestamps.append(float(timestamp))
 
     def propagate(self, odom_delta: Pose, sigmas, timestamp: float) -> Pose:
         """Append x_k = x_{k-1} * delta plus its between factor. No
-        optimization happens here."""
-        if not self.states:
+        optimization happens here; a rejected call appends nothing."""
+        if not self.timestamps:
             raise EmptyGraph("propagate on an empty graph; initialize first")
         if timestamp <= self.timestamps[-1]:
             raise NonMonotonicTimestamp(
                 f"timestamp {timestamp} not after {self.timestamps[-1]}")
-        k = len(self.states)
-        new_pose = self.states[-1].compose(odom_delta)
-        self.states.append(new_pose)
+        k = len(self.timestamps)
+        factor = _factor(k - 1, odom_delta, sigmas)
+        new_pose = self.current_pose()[0].compose(odom_delta)
+        self._betweens = _append(self._betweens, k - 1, factor)
+        self._states = _append(self._states, k, np.concatenate([new_pose.t, new_pose.q]))
         self.timestamps.append(float(timestamp))
-        self.betweens.append(BetweenFactor(index_a=k - 1, index_b=k,
-                                           measured=odom_delta,
-                                           sigmas=np.asarray(sigmas, dtype=float)))
         return new_pose
 
     def add_vloc_fix(self, state_index: int, pose: Pose, sigmas) -> None:
-        if not 0 <= state_index < len(self.states):
+        if not 0 <= state_index < len(self.timestamps):
             raise UnknownState(f"state {state_index} not in graph of "
-                               f"{len(self.states)} states")
-        self.priors.append(PriorFactor(state_index=state_index, measured=pose,
-                                       sigmas=np.asarray(sigmas, dtype=float)))
+                               f"{len(self.timestamps)} states")
+        factor = _factor(state_index, pose, sigmas)
+        self._priors = _append(self._priors, self._n_priors, factor)
+        self._n_priors += 1
+
+    def truncate(self, n_states: int, n_priors: int) -> None:
+        """Undo appends: keep the first ``n_states`` states, the between
+        factors linking them and the first ``n_priors`` priors."""
+        if n_states > len(self.timestamps) or n_priors > self._n_priors or \
+                np.any(self.priors["index"][:n_priors] >= n_states):
+            raise ValueError(f"cannot truncate to {n_states}, {n_priors}")
+        self._n_priors = n_priors
+        del self.timestamps[n_states:]
 
     def current_pose(self):
-        if not self.states:
+        if not self.timestamps:
             raise EmptyGraph("no states")
-        return self.states[-1], self.timestamps[-1]
+        row = self.states[-1]
+        return Pose(row[:3], row[3:]), self.timestamps[-1]
 
     def nearest_state(self, timestamp: float) -> int:
         """Index of the state nearest in time; the earlier one on a tie."""
-        if not self.states:
+        if not self.timestamps:
             raise EmptyGraph("no states")
         ts = self.timestamps
-        k = bisect.bisect_left(ts, timestamp)
-        if k == 0:
-            return 0
-        if k == len(ts):
-            return k - 1
-        return k if ts[k] - timestamp < timestamp - ts[k - 1] else k - 1
+        k = min(bisect.bisect_left(ts, timestamp), len(ts) - 1)
+        return k - 1 if k and timestamp - ts[k - 1] <= ts[k] - timestamp else k
 
     # -- optimization --------------------------------------------------------
 
     def optimize(self, window: int | None = None):
         """Levenberg-Marquardt over the last ``window`` states (earlier
-        states held fixed) or all states. Returns (poses, final_cost);
-        accepted-cost trace is kept in ``last_cost_trace``."""
-        n = len(self.states)
+        states held fixed) or all states, written back in place. Returns
+        (poses, final_cost), one ``Pose`` per solved state; accepted-cost
+        trace is kept in ``last_cost_trace``. A solve that raises changes
+        nothing."""
+        n = len(self.timestamps)
         if n == 0:
             raise EmptyGraph("nothing to optimize")
-        first_free = 0 if window is None else min(n, max(0, n - int(window)))
-        if not self.priors:
+        if not self._n_priors:
             raise NoGaugePrior("graph has no prior factor; gauge is free")
+        first_free = 0 if window is None else min(n, max(0, n - int(window)))
         # factors not touching a free state are constant in the window
         # objective and are excluded from it
-        priors = [p for p in self.priors if p.state_index >= first_free]
-        if first_free == 0 and not priors:
-            raise NoGaugePrior("no prior inside a full-graph optimization")
+        priors = self.priors[self.priors["index"] >= first_free]
 
-        # the chain from the fixed state before the window (if any) on;
-        # betweens[k] links states k and k + 1
+        # the chain from the fixed state before the window (if any) on
         lo = max(first_free - 1, 0)
-        chain = _Chain(self.states[lo:], first_free - lo, lo, priors,
-                       self.betweens[lo:])
-        t, q = chain.t, chain.q
+        chain = _Chain(first_free - lo, priors, self.betweens[lo:], lo)
+        rows = self.states[lo:]
+        t, q = rows[:, :3], rows[:, 3:]
         cost, lin = chain.linearize(t, q)
-        self.last_cost_trace = [cost]
-        if cost < COST_FLOOR:
-            return list(self.states), cost
-
-        band, grad = chain.normal_equations(lin)
-        lam = LM_LAMBDA_INIT
-        accepted = False
-        for _ in range(LM_MAX_ITERS):
-            delta = _solve_damped(band, grad, lam)
-            ct, cq = chain.retract(t, q, delta)
-            new_cost, new_lin = chain.linearize(ct, cq)
-            if new_cost < cost:
-                rel = (cost - new_cost) / max(cost, 1e-300)
-                t, q, cost = ct, cq, new_cost
-                accepted = True
-                self.last_cost_trace.append(cost)
-                lam = max(lam / 10.0, 1e-12)
-                if rel < LM_REL_DECREASE or cost < COST_FLOOR:
-                    break
-                band, grad = chain.normal_equations(new_lin)
-            else:
-                # a rejected step leaves the linearization as it was
-                lam *= 10.0
-                if lam > 1e10:
-                    break
-        states = list(self.states)
-        if accepted:
-            states[first_free:] = [Pose(t[i], q[i])
-                                   for i in range(chain.n_fixed, len(t))]
-        self.states = states
-        return list(states), cost
+        trace = [cost]
+        if cost >= COST_FLOOR:
+            band, grad = chain.normal_equations(lin)
+            lam = LM_LAMBDA_INIT
+            for _ in range(LM_MAX_ITERS):
+                delta = _solve_damped(band, grad, lam)
+                ct, cq = chain.retract(t, q, delta)
+                new_cost, new_lin = chain.linearize(ct, cq)
+                if new_cost < cost:
+                    rel = (cost - new_cost) / max(cost, 1e-300)
+                    t, q, cost = ct, cq, new_cost
+                    trace.append(cost)
+                    lam = max(lam / 10.0, 1e-12)
+                    if rel < LM_REL_DECREASE or cost < COST_FLOOR:
+                        break
+                    band, grad = chain.normal_equations(new_lin)
+                else:
+                    # a rejected step leaves the linearization as it was
+                    lam *= 10.0
+                    if lam > 1e10:
+                        break
+        free = rows[chain.n_fixed:]
+        if len(trace) > 1:
+            free[:] = np.concatenate([t, q], 1)[chain.n_fixed:]
+        self.last_cost_trace = trace
+        return [Pose(r[:3], r[3:]) for r in free], cost
 
 
 class _Chain:
-    """One optimization window as arrays: states ``t (k, 3)``, ``q (k, 4)``
-    (the first ``n_fixed`` held fixed), the active priors and the between
-    factors linking consecutive states.
+    """The factors of one window over states ``t (k, 3)``, ``q (k, 4)``, the
+    first ``n_fixed`` held fixed. Residuals are whitened ``log(measured^-1 *
+    predicted) / sigmas``; both factor kinds share one batched compose and
+    log. The Gauss-Newton system is kept in the upper banded storage of
+    ``scipy.linalg.solveh_banded``."""
 
-    Residuals are whitened ``log(measured^-1 * predicted) / sigmas``; both
-    factor kinds share one batched compose and log, with the measured poses
-    inverted once. The Gauss-Newton system is block tridiagonal and is kept
-    in the upper banded storage of ``scipy.linalg.solveh_banded``."""
-
-    def __init__(self, states, n_fixed, offset, priors, betweens):
-        self.t = np.array([s.t for s in states])
-        self.q = np.array([s.q for s in states])
+    def __init__(self, n_fixed, priors, betweens, offset):
         self.n_fixed = n_fixed
-        self.n_priors = len(priors)
-        self.prior_index = np.array([p.state_index - offset for p in priors],
-                                    dtype=int)
-        factors = list(priors) + list(betweens)
-        self.meas_inv = pose_inverse_array(
-            np.array([f.measured.t for f in factors]).reshape(-1, 3),
-            np.array([f.measured.q for f in factors]).reshape(-1, 4))
-        self.sigmas = np.array([f.sigmas for f in factors]).reshape(-1, 6)
+        self.prior_index = priors["index"] - offset
+        factors = np.concatenate([priors, betweens])
+        self.meas_inv = factors["meas_inv"][:, :3], factors["meas_inv"][:, 3:]
+        self.sigmas = factors["sigmas"]
 
     def retract(self, t, q, delta):
-        """x <- x * exp(delta) on the free states; the result is normalized."""
+        """x <- x * exp(delta) on the free states. The quaternions come out
+        as ``Pose`` holds them: unit, first nonzero component positive."""
         dt, dq = se3_exp_array(delta.reshape(-1, 6))
         f = self.n_fixed
         ft, fq = pose_compose_array(t[f:], q[f:], dt, dq)
-        fq /= np.sqrt(np.einsum("ij,ij->i", fq, fq))[:, None]
+        first = fq[np.arange(len(fq)), np.argmax(fq != 0.0, axis=1)]
+        fq /= (np.sqrt(np.einsum("ij,ij->i", fq, fq)) * np.sign(first))[:, None]
         return np.concatenate([t[:f], ft]), np.concatenate([q[:f], fq])
 
     def linearize(self, t, q):
@@ -244,7 +239,7 @@ class _Chain:
                                  np.concatenate([q[idx], pred_q]))
         xi = se3_log_array(*rel)
         r = xi / self.sigmas
-        npri = self.n_priors
+        npri = len(self.prior_index)
         s = np.sqrt(np.einsum("ij,ij->i", r[:npri], r[:npri]))
         rb = r[npri:]
         cost = float(np.sum(np.where(s <= HUBER_K, s * s,
@@ -255,7 +250,7 @@ class _Chain:
     def normal_equations(self, lin):
         """Banded H (12, 6m) and gradient g (6m,) over the m free states."""
         xi, r, s, pred_t, pred_q = lin
-        npri = self.n_priors
+        npri = len(self.prior_index)
         jac = se3_right_jacobian_inv_array(xi) / self.sigmas[:, :, None]
         # Huber: scale the prior rows by sqrt(w), w = min(1, K / s)
         sw = np.sqrt(HUBER_K / np.maximum(s, HUBER_K))

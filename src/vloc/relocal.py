@@ -54,6 +54,7 @@ from .geometry import (
     rotation_angle,
     rotvec_to_quat,
     so3_left_jacobian,
+    unproject,
 )
 from .mapgraph import MapNode, Observation
 
@@ -130,7 +131,7 @@ def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics):
     top = q[:, 0] * (1 - ax) + q[:, 1] * ax
     bot = q[:, 2] * (1 - ax) + q[:, 3] * ax
     d = top * (1 - ay) + bot * ay
-    p3d = np.stack([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d], axis=1)
+    p3d = unproject(K, u, v, d)
     return p3d, match_set.uv_ref[valid], int(len(valid) - np.count_nonzero(valid))
 
 

@@ -36,7 +36,7 @@ from .dataio import (
     write_trajectory,
 )
 from .errors import FormatError, PoseInCollision, UnreachableWaypoint
-from .geometry import CameraIntrinsics, Pose, fmt17, project_array
+from .geometry import CameraIntrinsics, Pose, fmt17, project_array, unproject
 from .mapgraph import Observation, Segment, SegmentFrame
 
 LANDMARKS_PER_FACE = 8
@@ -368,10 +368,7 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
 
     uu, vv = np.meshgrid(np.arange(K.width, dtype=float),
                          np.arange(K.height, dtype=float))
-    dirs_cam = np.stack([(uu.ravel() - K.cx) / K.fx,
-                         (vv.ravel() - K.cy) / K.fy,
-                         np.ones(K.width * K.height)], axis=1)
-    dirs_world = dirs_cam @ rot.T
+    dirs_world = unproject(K, uu.ravel(), vv.ravel(), np.ones(uu.size)) @ rot.T
     # rounding splits a column's horizontal direction into a few that differ
     # in the last bits; walking each once gives every pixel its own ray's
     # crossing, so no depth bit moves (keyframe coverage bins wall points,

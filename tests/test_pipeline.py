@@ -7,8 +7,10 @@ from vloc.errors import NonMonotonicTimestamp, NotLocalized
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import build_map, select_keyframes
 from vloc.matching import match_classical, match_oracle
+from vloc import pipeline as pipeline_module
 from vloc.pipeline import Pipeline, PipelineConfig, PipelineMode
 from vloc.planning import compute_ate
+from vloc.relocal import RelocResult, RelocStatus
 from vloc.simworld import (
     OdomNoise,
     SimRobot,
@@ -168,6 +170,46 @@ class TestHostileInput:
             p.on_odometry(Pose.identity(), 1.0)
         assert p.mode is PipelineMode.TRACKING
         assert p.current_world_pose() == before
+
+    @pytest.mark.parametrize("graph", ["empty", "after_tracking"])
+    def test_fix_about_pi_from_seed(self, corridor_map, monkeypatch, graph):
+        # an upright fix 0.5 m from the retrieved node, turned pi about
+        # world z: its prior residual sits on the log map's singularity
+        world, topo = corridor_map
+        p = Pipeline(topo, K, oracle)
+        if graph == "after_tracking":
+            p = self.pipeline_in(PipelineMode.TRACKING, corridor_map, "oracle")
+            p.on_odometry(Pose(np.array([0.0, 0.0, 0.3]), [1, 0, 0, 0]), 1.0)
+            for k in range(p.config.max_failures):
+                p.on_observation(flat_observation(), 2.0 + k)
+            assert p.mode is PipelineMode.LOST
+            with pytest.raises(NotLocalized):
+                p.on_odometry(Pose(np.array([0.0, 0.0, 0.2]), [1, 0, 0, 0]), 8.0)
+        yaw_pi = Pose(np.zeros(3), [0.0, 0.0, 0.0, 1.0])
+
+        def turned_fix(node, obs, K, matcher, pnp):
+            fix = yaw_pi.compose(node.pose)
+            fix = Pose(node.pose.t + [0.5, 0.0, 0.0], fix.q)
+            return RelocResult(pose=fix, inliers=40, total=40,
+                               status=RelocStatus.SUCCESS)
+
+        fusion = p.fusion
+        before = (fusion.states.copy(), list(fusion.timestamps),
+                  fusion.priors.copy(), fusion.betweens.copy())
+        pending = p._pending_lost_delta
+        obs = render(world, topo.nodes[3].pose, K).observation()
+        monkeypatch.setattr(pipeline_module, "localize_against_node", turned_fix)
+        out = p.on_observation(obs, 9.0)
+        assert out.fix is None and out.status == "GlUnverified"
+        assert p.mode is PipelineMode.LOST and p.prior_pose is None
+        after = (fusion.states, fusion.timestamps, fusion.priors, fusion.betweens)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert p._pending_lost_delta is pending
+        if graph == "after_tracking":
+            fusion.optimize()
+        monkeypatch.undo()
+        assert p.on_observation(obs, 9.0).status == "Success"
+        assert p.mode is PipelineMode.TRACKING
 
 
 class TestReplayRegression:

@@ -11,13 +11,7 @@ from vloc.errors import (
     UnknownState,
 )
 from vloc.geometry import Pose, se3_exp, se3_log
-from vloc.poseslam import (
-    HUBER_K,
-    FusionGraph,
-    PriorFactor,
-    odom_sigmas,
-    vloc_fix_sigmas,
-)
+from vloc.poseslam import HUBER_K, FusionGraph, odom_sigmas, vloc_fix_sigmas
 from conftest import random_pose
 
 SIG6 = [0.1] * 3 + [math.radians(0.5)] * 3
@@ -26,6 +20,14 @@ TIGHT = [0.01] * 3 + [math.radians(0.2)] * 3
 
 def tx(d):
     return Pose(np.array([d, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def pose_of(row):
+    return Pose(row[:3], row[3:])
+
+
+def row_of(pose):
+    return np.concatenate([pose.t, pose.q])
 
 
 def chain_graph(deltas, prior_pairs, sigmas=SIG6):
@@ -51,6 +53,7 @@ class TestPropagate:
         for k in range(3):
             out = g.propagate(tx(1.0), SIG6, float(k + 1))
         assert np.allclose(out.t, [3.0, 0.0, 0.0], atol=1e-12)
+        assert list(g.betweens["index"]) == [0, 1, 2]   # between k: k -> k + 1
 
     def test_fold_property_random_deltas(self):
         rng = np.random.default_rng(8)
@@ -62,13 +65,47 @@ class TestPropagate:
             d = random_pose(rng, t_scale=0.1)
             g.propagate(d, SIG6, float(k + 1))
             acc = acc.compose(d)
-        assert g.states[-1].almost_equal(acc, 1e-9)
+        assert g.current_pose()[0].almost_equal(acc, 1e-9)
 
     def test_non_monotonic_timestamp(self):
         g = FusionGraph()
         g.initialize(Pose.identity(), 5.0)
         with pytest.raises(NonMonotonicTimestamp):
             g.propagate(tx(1.0), SIG6, 5.0)
+
+
+BAD_SIGMAS = {"zero": [0.0] * 6, "negative": [0.1] * 5 + [-0.1],
+              "nan": [0.1] * 5 + [np.nan], "five": [0.1] * 5}
+
+
+class TestRejectedCallChangesNothing:
+    @pytest.mark.parametrize("sigmas", BAD_SIGMAS.values(), ids=BAD_SIGMAS)
+    def test_bad_sigmas(self, sigmas):
+        g = chain_graph([tx(1.0)], [(0, Pose.identity(), TIGHT)])
+        before = (g.states.copy(), list(g.timestamps), len(g.priors),
+                  len(g.betweens))
+        with pytest.raises(ValueError):
+            g.propagate(tx(1.0), sigmas, 2.0)
+        with pytest.raises(ValueError):
+            g.add_vloc_fix(1, tx(1.0), sigmas)
+        after = (g.states, g.timestamps, len(g.priors), len(g.betweens))
+        assert np.array_equal(after[0], before[0]) and after[1:] == before[1:]
+        g.propagate(tx(1.0), SIG6, 2.0)
+        poses, _ = g.optimize()
+        assert len(poses) == 3 and len(g.betweens) == 2
+
+    def test_truncate_undoes_appends(self):
+        g = chain_graph([tx(1.0)] * 3, [(0, Pose.identity(), TIGHT)])
+        before = (g.states.copy(), list(g.timestamps), g.betweens.copy(),
+                  g.priors.copy())
+        g.propagate(tx(1.0), SIG6, 4.0)
+        g.add_vloc_fix(4, tx(4.0), TIGHT)
+        g.add_vloc_fix(1, tx(1.0), TIGHT)
+        with pytest.raises(ValueError):
+            g.truncate(4, 2)          # would keep a prior on state 4
+        g.truncate(4, 1)
+        after = (g.states, g.timestamps, g.betweens, g.priors)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 class TestAddFix:
@@ -107,7 +144,7 @@ class TestLongSession:
         for k in range(1, n):
             g.propagate(step, SIG6, k / 15.0)
             if k % 6 == 0:
-                g.add_vloc_fix(k, g.states[-1].compose(tx(0.05)), fix_sig)
+                g.add_vloc_fix(k, g.current_pose()[0].compose(tx(0.05)), fix_sig)
         return g
 
     def test_nearest_state_and_window_cost_do_not_grow(self):
@@ -127,10 +164,10 @@ class TestLongSession:
         short = self.session(500)
 
         def median_ms(g):
-            start = list(g.states)
+            start = g.states.copy()
             times = []
             for _ in range(7):
-                g.states = list(start)
+                g.states[:] = start
                 t0 = time.perf_counter()
                 g.optimize(window=20)
                 times.append(time.perf_counter() - t0)
@@ -140,34 +177,38 @@ class TestLongSession:
         assert median_ms(long) <= 2.0 * median_ms(short)
 
 
+def factors(graph):
+    """Every factor as (the states it links, its inverse measured pose, its
+    sigmas), priors first."""
+    out = [((int(f["index"]),), pose_of(f["meas_inv"]), f["sigmas"])
+           for f in graph.priors]
+    out += [((k, k + 1), pose_of(f["meas_inv"]), f["sigmas"])
+            for k, f in enumerate(graph.betweens)]
+    return out
+
+
 def stacked_residuals(graph, xs):
     """Every whitened residual, priors first, as one vector."""
-    return np.concatenate([factor_residual(f, xs) for f in graph.priors + graph.betweens])
+    return np.concatenate([factor_residual(f, xs) for f in factors(graph)])
 
 
 def factor_residual(f, xs):
-    if isinstance(f, PriorFactor):
-        return se3_log(f.measured.inverse().compose(xs[f.state_index])) / f.sigmas
-    pred = xs[f.index_a].between(xs[f.index_b])
-    return se3_log(f.measured.inverse().compose(pred)) / f.sigmas
+    links, meas_inv, sigmas = f
+    pred = xs[links[0]] if len(links) == 1 else xs[links[0]].between(xs[links[1]])
+    return se3_log(meas_inv.compose(pred)) / sigmas
 
 
 def numeric_jacobian(graph, states, columns, h=1e-6):
     """Central differences of the stacked residuals under right
     perturbations of each state in ``columns``. Only the factors touching a
     state are re-evaluated for its columns: the others do not change."""
-    factors = graph.priors + graph.betweens
-    rows, start = [], 0
-    for f in factors:
-        rows.append(slice(start, start + 6))
-        start += 6
     touching = {i: [] for i in columns}
-    for f, rs in zip(factors, rows):
-        for s in ((f.state_index,) if isinstance(f, PriorFactor)
-                  else (f.index_a, f.index_b)):
+    for k, f in enumerate(factors(graph)):
+        for s in f[0]:
             if s in touching:
-                touching[s].append((f, rs))
-    jac = np.zeros((start, 6 * len(columns)))
+                touching[s].append((f, slice(6 * k, 6 * k + 6)))
+    jac = np.zeros((6 * (len(graph.priors) + len(graph.betweens)),
+                    6 * len(columns)))
     for c, i in enumerate(columns):
         for k in range(6):
             d = np.zeros(6)
@@ -187,7 +228,7 @@ def dense_linearized_oracle(graph):
     NUMERICALLY, solve one dense least-squares step from the current
     states. For translation-only discrepancy chains (identity rotations)
     the problem is linear, so this lands at the optimum."""
-    states = list(graph.states)
+    states = [pose_of(r) for r in graph.states]
     n = len(states)
     r0 = stacked_residuals(graph, states)
     jac = numeric_jacobian(graph, states, range(n))
@@ -234,7 +275,7 @@ class TestOptimize:
         deltas = [tx(1.1)] * 10
         gt_end = tx(10.0)
         g = chain_graph(deltas, [(0, Pose.identity(), TIGHT), (10, gt_end, TIGHT)])
-        raw_err = np.linalg.norm(g.states[-1].t - gt_end.t)
+        raw_err = np.linalg.norm(g.states[-1, :3] - gt_end.t)
         assert raw_err == pytest.approx(1.0, abs=1e-9)
         poses, _ = g.optimize()
         assert np.linalg.norm(poses[-1].t - gt_end.t) < 0.02
@@ -306,7 +347,7 @@ class TestOptimize:
             noise = [se3_exp(np.concatenate([rng.uniform(-0.1, 0.1, 3),
                                              rng.uniform(-0.1, 0.1, 3)]))
                      for _ in range(6)]
-            g.states = [t.compose(n) for t, n in zip(truth, noise)]
+            g.states[:] = [row_of(t.compose(n)) for t, n in zip(truth, noise)]
             poses, cost = g.optimize()
             for a, b in zip(poses, truth):
                 assert a.almost_equal(b, 1e-9)
@@ -344,14 +385,17 @@ class TestOptimize:
                 # as in streaming use, the states before the window have
                 # been optimized already; the window starts off its optimum
                 g.optimize()
-                g.states[first_free:] = [s.compose(se3_exp(rng.normal(0, 0.05, 6)))
-                                         for s in g.states[first_free:]]
-            before = list(g.states)
+                g.states[first_free:] = [
+                    row_of(pose_of(r).compose(se3_exp(rng.normal(0, 0.05, 6))))
+                    for r in g.states[first_free:]]
+            before = g.states.copy()
             free = range(first_free, n)
-            r0 = stacked_residuals(g, before)
-            grad0 = numeric_jacobian(g, before, free).T @ r0
-            poses, _ = g.optimize(window=window)
-            assert all(poses[k] is before[k] for k in range(first_free))
+            r0 = stacked_residuals(g, [pose_of(r) for r in before])
+            grad0 = numeric_jacobian(g, [pose_of(r) for r in before], free).T @ r0
+            window_poses, _ = g.optimize(window=window)
+            assert np.array_equal(g.states[:first_free], before[:first_free])
+            poses = [pose_of(r) for r in g.states]
+            assert window_poses == poses[first_free:]
             r = stacked_residuals(g, poses)
             # no fix is down-weighted, so the objective is plain least squares
             assert np.max(np.linalg.norm(r[:6 * len(g.priors)].reshape(-1, 6),
@@ -362,11 +406,12 @@ class TestOptimize:
     def test_window_holds_early_states_fixed(self):
         deltas = [tx(1.1)] * 10
         g = chain_graph(deltas, [(0, Pose.identity(), TIGHT), (10, tx(10.0), TIGHT)])
-        before = [p for p in g.states]
-        g.optimize(window=4)
-        for k in range(7):    # states 0..6 fixed under window=4
-            assert g.states[k] == before[k]
-        assert not g.states[-1] == before[-1]
+        before = g.states.copy()
+        poses, _ = g.optimize(window=4)
+        assert len(poses) == 4
+        # states 0..6 fixed under window=4
+        assert np.array_equal(g.states[:7], before[:7])
+        assert not np.array_equal(g.states[-1], before[-1])
 
 
 class TestCurrentPose:
