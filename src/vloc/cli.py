@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matching, relocal, retrieval, simworld
 from .dataio import read_pgm, read_trajectory, write_trajectory
-from .errors import NoPath, VlocError
+from .errors import FormatError, NoPath, VlocError
 from .geometry import CameraIntrinsics, fmt17
 from .mapgraph import build_map, load_map, save_map, select_keyframes
 from .pipeline import ObservationOutcome, Pipeline, PipelineConfig
@@ -38,17 +38,20 @@ def _camera_from(arg: str | None) -> CameraIntrinsics:
 
 
 def _read_waypoints(path):
+    """``x y`` or ``x,y`` per line; a first line that does not parse is a
+    header. Any later line whose first two fields are not numbers raises
+    FormatError naming the line."""
     out = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in enumerate(f, start=1):
             parts = line.replace(",", " ").split()
+            if not parts:
+                continue
             try:
                 out.append(np.array([float(parts[0]), float(parts[1])]))
-            except ValueError:
-                continue   # header row
+            except (ValueError, IndexError) as exc:
+                if lineno > 1:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise VlocError(f"{path}: no waypoints")
     return out

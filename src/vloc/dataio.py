@@ -108,15 +108,21 @@ def line_errors(path, lineno: int):
 
 
 def read_csv_rows(path, expected_header: str):
-    """Rows of a comma-separated file after validating the header line."""
+    """Rows of a comma-separated file after validating the header line.
+    Every non-blank row must have as many fields as the header."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != expected_header:
         found = lines[0].strip() if lines else "<empty>"
         raise FormatError(f"{path}:1: expected header '{expected_header}', found '{found}'")
+    n_fields = expected_header.count(",") + 1
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rows.append((lineno, line.split(",")))
+        row = line.split(",")
+        if len(row) != n_fields:
+            raise FormatError(f"{path}:{lineno}: expected {n_fields} fields, "
+                              f"got {len(row)}")
+        rows.append((lineno, row))
     return rows

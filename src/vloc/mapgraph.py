@@ -80,15 +80,19 @@ class Segment:
 
 @dataclass
 class MapNode:
-    """One keyframe of the map. The landmark_* fields are simulator
-    annotations carried in memory for the oracle matcher; they are not
-    serialized (re-render at the node pose to regenerate them)."""
+    """One keyframe of the map: a pose, a global descriptor and the raw
+    image localization matches against. No depth is kept: local
+    localization lifts the query's depth, never the reference's. A node
+    without an image serves planning and retrieval but not localization.
+
+    The landmark_* fields are simulator annotations carried in memory for
+    the oracle matcher; they are not serialized (re-render at the node pose
+    to regenerate them)."""
 
     id: int
     pose: Pose
     descriptor: np.ndarray
     image: np.ndarray | None = None
-    depth: np.ndarray | None = None
     landmark_ids: np.ndarray | None = None
     landmark_uv: np.ndarray | None = None
     landmark_depth: np.ndarray | None = None
@@ -182,12 +186,10 @@ def maps_equal(a: TopoMetricMap, b: TopoMetricMap) -> bool:
             return False
         if na.descriptor.tobytes() != nb.descriptor.tobytes():
             return False
-        for attr in ("image", "depth"):
-            va, vb = getattr(na, attr), getattr(nb, attr)
-            if (va is None) != (vb is None):
-                return False
-            if va is not None and not np.array_equal(va, vb):
-                return False
+        if (na.image is None) != (nb.image is None):
+            return False
+        if na.image is not None and not np.array_equal(na.image, nb.image):
+            return False
     return True
 
 
@@ -284,6 +286,10 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
     farther apart than ``2 * nav_radius``, since they cannot share
     appearance in any covisibility sense.
 
+    Each node keeps its keyframe's pose, descriptor, image and landmark
+    annotations; the keyframe's depth served keyframe selection and is not
+    kept.
+
     Emits DisconnectedMapWarning when the CnG has multiple components.
     """
     if matcher is None:
@@ -300,15 +306,11 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
     frames = [segment.frames[i] for i in indices]
     nodes = []
     for j, f in enumerate(frames):
-        depth = None
-        if f.obs.depth is not None:
-            depth = np.asarray(f.obs.depth, dtype=np.float32)
         nodes.append(MapNode(
             id=j,
             pose=f.pose,
             descriptor=retrieval.extract_descriptor(f.obs.color),
             image=np.asarray(f.obs.color, dtype=np.uint8),
-            depth=depth,
             landmark_ids=f.obs.landmark_ids,
             landmark_uv=f.obs.landmark_uv,
             landmark_depth=f.obs.landmark_depth,
@@ -365,8 +367,11 @@ _CVG_HEADER = "id_a,id_b,n_corr"
 def save_map(m: TopoMetricMap, mapdir) -> dict:
     """Write the map directory; returns the manifest as a dict.
 
-    The manifest's storage_bytes fields are measured from the files
-    actually written, so they always equal on-disk sizes.
+    The directory holds manifest.txt, nodes.csv, cng_edges.csv,
+    cvg_edges.csv, descriptors.f32 and, for each node with an image,
+    images/<id>.pgm. The manifest's storage_bytes fields are measured from
+    the files actually written, so they always equal on-disk sizes;
+    storage_bytes_images counts images/ only.
     """
     os.makedirs(mapdir, exist_ok=True)
     with open(os.path.join(mapdir, "nodes.csv"), "w") as f:
@@ -391,17 +396,11 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
 
     bytes_images = 0
     img_dir = os.path.join(mapdir, "images")
-    depth_dir = os.path.join(mapdir, "depth")
     for node in m.nodes:
         if node.image is not None:
             os.makedirs(img_dir, exist_ok=True)
             path = os.path.join(img_dir, f"{node.id}.pgm")
             write_pgm(path, node.image)
-            bytes_images += os.path.getsize(path)
-        if node.depth is not None:
-            os.makedirs(depth_dir, exist_ok=True)
-            path = os.path.join(depth_dir, f"{node.id}.f32")
-            write_f32(path, node.depth)
             bytes_images += os.path.getsize(path)
 
     manifest = {
@@ -435,6 +434,9 @@ def _parse_manifest(path) -> dict:
 
 
 def load_map(mapdir) -> TopoMetricMap:
+    """Read a directory written by ``save_map``. Other files in it, such as
+    the depth/ rasters that earlier writers of format version 1 kept, are
+    ignored."""
     manifest_path = os.path.join(mapdir, "manifest.txt")
     manifest = _parse_manifest(manifest_path)
 
@@ -461,8 +463,6 @@ def load_map(mapdir) -> TopoMetricMap:
     nodes_path = os.path.join(mapdir, "nodes.csv")
     nodes = []
     for lineno, row in read_csv_rows(nodes_path, _NODES_HEADER):
-        if len(row) != 8:
-            raise FormatError(f"{nodes_path}:{lineno}: expected 8 fields")
         with line_errors(nodes_path, lineno):
             nid = int(row[0])
             pose = Pose.from_fields(row[1:])
@@ -471,15 +471,8 @@ def load_map(mapdir) -> TopoMetricMap:
                               f"[0, {node_count})")
         node = MapNode(id=nid, pose=pose, descriptor=descs[nid])
         img_path = os.path.join(mapdir, "images", f"{nid}.pgm")
-        depth_path = os.path.join(mapdir, "depth", f"{nid}.f32")
         if os.path.exists(img_path):
             node.image = read_pgm(img_path)
-        if os.path.exists(depth_path):
-            flat = read_f32(depth_path)
-            if node.image is not None and flat.size == node.image.size:
-                node.depth = flat.reshape(node.image.shape)
-            else:
-                node.depth = flat
         nodes.append(node)
     if len(nodes) != node_count:
         raise FormatError(f"{nodes_path}: {len(nodes)} rows, manifest says {node_count}")

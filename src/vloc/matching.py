@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .dataio import read_csv_rows
+from .dataio import line_errors, read_csv_rows
 from .errors import FormatError, OutOfBounds
 
 # classical matcher tuning
@@ -193,23 +193,16 @@ def write_matches(path, match_set: MatchSet) -> None:
             f.write(",".join(format(v, ".9g") for v in row) + "\n")
 
 
-def _parse_match_row(path, lineno: int, row: list) -> list:
-    if len(row) != 5:
-        raise OutOfBounds(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-    try:
-        return [float(v) for v in row]
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: {exc}") from None
-
-
 def ingest_matches(path, width: int, height: int) -> MatchSet:
     """Parse a match CSV, validating every pixel against the image bounds.
     Each error names the file and the offending line; of two rows sharing a
     query pixel, the later one."""
     rows = read_csv_rows(path, MATCH_CSV_HEADER)
     linenos = [lineno for lineno, _ in rows]
-    vals = np.array([_parse_match_row(path, lineno, row) for lineno, row in rows],
-                    dtype=float).reshape(-1, 5)
+    vals = np.empty((len(rows), 5))
+    for k, (lineno, row) in enumerate(rows):
+        with line_errors(path, lineno):
+            vals[k] = [float(v) for v in row]
 
     u, v = vals[:, [0, 2]], vals[:, [1, 3]]          # (N, 2): ref, query
     outside = ~((u >= 0.0) & (u < width) & (v >= 0.0) & (v < height))

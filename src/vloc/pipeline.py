@@ -77,10 +77,15 @@ class ObservationOutcome:
 
 
 class Pipeline:
-    """One localization session against a fixed map."""
+    """One localization session against a fixed map. Every node must hold
+    an image (ValueError otherwise): localization matches against it."""
 
     def __init__(self, topo_map, K: CameraIntrinsics, matcher,
                  config: PipelineConfig = PipelineConfig()):
+        for node in topo_map.nodes:
+            if node.image is None:
+                raise ValueError(f"node {node.id} has no stored image; "
+                                 f"a map without images cannot localize")
         self.map = topo_map
         self.K = K
         self.matcher = matcher

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
-from .errors import EmptyInput, FormatError
+from .errors import EmptyInput
 from .geometry import (
     DEPTH_MAX_DEFAULT,
     DEPTH_MIN_DEFAULT,
@@ -455,8 +455,7 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
 
 def node_observation(node: MapNode) -> Observation:
     """The reference-side observation a matcher sees for a map node."""
-    return Observation(color=node.image, depth=node.depth,
-                       landmark_ids=node.landmark_ids,
+    return Observation(color=node.image, landmark_ids=node.landmark_ids,
                        landmark_uv=node.landmark_uv,
                        landmark_depth=node.landmark_depth)
 
@@ -580,8 +579,6 @@ def load_reloc_dataset(dirpath):
     refs = []
     path = os.path.join(dirpath, "refs", "poses.csv")
     for lineno, row in read_csv_rows(path, _REF_POSES_HEADER):
-        if len(row) != 8:
-            raise FormatError(f"{path}:{lineno}: expected 8 fields")
         with line_errors(path, lineno):
             i = int(row[0])
             pose = Pose.from_fields(row[1:])
@@ -589,8 +586,6 @@ def load_reloc_dataset(dirpath):
     queries = []
     path = os.path.join(dirpath, "queries", "gt_poses.csv")
     for lineno, row in read_csv_rows(path, _QUERY_POSES_HEADER):
-        if len(row) != 9:
-            raise FormatError(f"{path}:{lineno}: expected 9 fields")
         with line_errors(path, lineno):
             j, ref_id = int(row[0]), int(row[1])
             pose = Pose.from_fields(row[2:])

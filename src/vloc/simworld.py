@@ -537,7 +537,6 @@ class SegmentRecording:
     """A generated traversal: posed frames, odometry stream, ground truth."""
 
     segment: Segment
-    sim_frames: list
     odometry: list      # (timestamp, delta Pose), one per control tick
     gt_stream: list     # (timestamp, gt Pose), one per control tick + t=0
 
@@ -569,13 +568,12 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     robot = SimRobot(waypoints[0][0], waypoints[0][1], yaw0, noise=noise, seed=seed)
 
     dt = 1.0 / odom_rate
-    frames, sim_frames, odometry, gt_stream = [], [], [], []
+    frames, odometry, gt_stream = [], [], []
     t = 0.0
     gt_stream.append((t, robot.gt_pose))
 
     def capture(ts):
         sf = render(world, robot.gt_pose, K)
-        sim_frames.append(sf)
         frames.append(SegmentFrame(obs=sf.observation(), pose=sf.gt_pose,
                                    timestamp=ts))
 
@@ -619,14 +617,14 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
         capture(t)
 
     segment = Segment(frames=frames, camera=K)
-    return SegmentRecording(segment=segment, sim_frames=sim_frames,
-                            odometry=odometry, gt_stream=gt_stream)
+    return SegmentRecording(segment=segment, odometry=odometry,
+                            gt_stream=gt_stream)
 
 
 def annotate_map_with_landmarks(topo_map, K: CameraIntrinsics,
                                 world: GridWorld) -> None:
     """Re-render each node pose to repopulate the transient landmark
-    annotations (and any missing image/depth) on a loaded map, enabling the
+    annotations (and any missing image) on a loaded map, enabling the
     oracle matcher against it."""
     for node in topo_map.nodes:
         frame = render(world, node.pose, K)
@@ -635,8 +633,6 @@ def annotate_map_with_landmarks(topo_map, K: CameraIntrinsics,
         node.landmark_depth = frame.landmark_depth
         if node.image is None:
             node.image = frame.color
-        if node.depth is None:
-            node.depth = frame.depth.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +686,6 @@ def load_segment(segdir):
     frames = []
     poses_path = os.path.join(segdir, "poses.csv")
     for lineno, row in read_csv_rows(poses_path, _POSES_HEADER):
-        if len(row) != 9:
-            raise FormatError(f"{poses_path}:{lineno}: expected 9 fields")
         with line_errors(poses_path, lineno):
             k = int(row[0])
             ts = float(row[1])

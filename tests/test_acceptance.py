@@ -284,9 +284,8 @@ def test_criterion_6_map_roundtrip_bit_exact(tmp_path):
             d = rng.normal(0, 1, 256)
             d = (d / np.linalg.norm(d)).astype(np.float32)
             img = rng.integers(0, 255, (16, 16), dtype=np.uint8) if with_images else None
-            depth = rng.uniform(0.1, 5.0, (16, 16)).astype(np.float32) if with_images else None
             nodes.append(MapNode(id=i, pose=Pose(rng.normal(0, 5, 3), rng.normal(0, 1, 4)),
-                                 descriptor=d, image=img, depth=depth))
+                                 descriptor=d, image=img))
         cng, cvg = [], []
         for a in range(n):
             for b in range(a + 1, n):
@@ -310,10 +309,9 @@ def test_criterion_6_map_roundtrip_bit_exact(tmp_path):
         assert manifest["storage_bytes_descriptors"] == \
             os.path.getsize(mapdir / "descriptors.f32")
         actual_imgs = 0
-        for sub in ("images", "depth"):
-            d = mapdir / sub
-            if d.exists():
-                actual_imgs += sum(os.path.getsize(d / f) for f in os.listdir(d))
+        d = mapdir / "images"
+        if d.exists():
+            actual_imgs += sum(os.path.getsize(d / f) for f in os.listdir(d))
         assert manifest["storage_bytes_images"] == actual_imgs
     report(6, "100 randomized maps round-trip bit-exact; manifest sizes match files")
 

@@ -58,6 +58,15 @@ class TestGenAndBuild:
         assert [(a, b) for a, b, _ in topo.cng_edges] == \
             [(a, b) for a, b, _ in topo.cvg_edges]
 
+    @pytest.mark.parametrize("bad", ["3,abc", "7", "x y"])
+    def test_bad_waypoint_line_names_line(self, workspace, tmp_path, capsys, bad):
+        _, world_path, _, _ = workspace
+        route = tmp_path / "route.csv"
+        route.write_text(f"x,y\n2.0,2.25\n{bad}\n5.0,2.25\n")
+        assert main(["gen-segment", "--world", str(world_path),
+                     "--waypoints", str(route), "--out", str(tmp_path / "seg")]) == 1
+        assert "route.csv:3: " in capsys.readouterr().err
+
 
 class TestLocalize:
     def test_localize_writes_trajectory_and_log(self, workspace, tmp_path):

@@ -1,8 +1,10 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from vloc.dataio import write_f32
 from vloc.errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import (
@@ -252,9 +254,8 @@ def random_map(rng, n=8, with_images=False):
         d = rng.normal(0, 1, 256)
         d = (d / np.linalg.norm(d)).astype(np.float32)
         img = rng.integers(0, 255, (32, 32), dtype=np.uint8) if with_images else None
-        depth = rng.uniform(0.1, 5.0, (32, 32)).astype(np.float32) if with_images else None
         nodes.append(MapNode(id=i, pose=Pose(rng.normal(0, 5, 3), rng.normal(0, 1, 4)),
-                             descriptor=d, image=img, depth=depth))
+                             descriptor=d, image=img))
     cng, cvg = [], []
     for a in range(n):
         for b in range(a + 1, n):
@@ -297,10 +298,51 @@ class TestSerialization:
         desc = os.path.getsize(tmp_path / "m" / "descriptors.f32")
         imgs = sum(os.path.getsize(tmp_path / "m" / "images" / f)
                    for f in os.listdir(tmp_path / "m" / "images"))
-        imgs += sum(os.path.getsize(tmp_path / "m" / "depth" / f)
-                    for f in os.listdir(tmp_path / "m" / "depth"))
         assert manifest["storage_bytes_descriptors"] == desc
         assert manifest["storage_bytes_images"] == imgs
+
+    def test_no_depth_directory_written(self, tmp_path, corridor_segment):
+        _, rec = corridor_segment
+        m = build_map(rec.segment, [0, 1, 2], matcher=oracle_matcher,
+                      covis_threshold=10)
+        manifest = save_map(m, tmp_path / "m")
+        assert sorted(os.listdir(tmp_path / "m")) == [
+            "cng_edges.csv", "cvg_edges.csv", "descriptors.f32", "images",
+            "manifest.txt", "nodes.csv"]
+        assert manifest["storage_bytes_images"] == sum(
+            os.path.getsize(tmp_path / "m" / "images" / f)
+            for f in os.listdir(tmp_path / "m" / "images"))
+
+    def test_map_with_depth_directory_loads(self, tmp_path, rng):
+        # earlier writers of format version 1 kept a float32 depth raster
+        # per node (a wrong-sized one was kept as a flat array); loading
+        # ignores them
+        m = random_map(rng, with_images=True)
+        manifest = save_map(m, tmp_path / "m")
+        os.makedirs(tmp_path / "m" / "depth")
+        extra = 0
+        for node in m.nodes:
+            path = tmp_path / "m" / "depth" / f"{node.id}.f32"
+            size = 7 if node.id == 0 else node.image.size
+            write_f32(path, rng.uniform(0.1, 5.0, size).astype(np.float32))
+            extra += os.path.getsize(path)
+        text = (tmp_path / "m" / "manifest.txt").read_text()
+        images = manifest["storage_bytes_images"]
+        (tmp_path / "m" / "manifest.txt").write_text(text.replace(
+            f"storage_bytes_images={images}",
+            f"storage_bytes_images={images + extra}"))
+        assert maps_equal(m, load_map(tmp_path / "m"))
+
+    @pytest.mark.parametrize("name", ["cng_edges.csv", "cvg_edges.csv"])
+    def test_extra_edge_field_names_line(self, tmp_path, rng, name):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        path = tmp_path / "m" / name
+        lines = path.read_text().splitlines()
+        lines[1] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{name}:2: expected 3 fields, got 4"):
+            load_map(tmp_path / "m")
 
     def test_truncated_descriptor_file(self, tmp_path, rng):
         m = random_map(rng)

@@ -247,6 +247,14 @@ class TestMatchCsv:
         with pytest.raises(FormatError, match=r"nan\.csv:3: .*'x'"):
             ingest_matches(p, 128, 128)
 
+    def test_wrong_field_count_names_row(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("u_ref,v_ref,u_query,v_query,confidence\n"
+                     "10,10,20,20,1\n"
+                     "11,10,21,20\n")
+        with pytest.raises(FormatError, match=r"short\.csv:3: expected 5 fields, got 4"):
+            ingest_matches(p, 128, 128)
+
     @pytest.mark.parametrize("conf", ["nan", "inf", "-inf"])
     def test_non_finite_confidence_names_row(self, tmp_path, conf):
         p = tmp_path / "conf.csv"

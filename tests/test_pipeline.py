@@ -162,6 +162,13 @@ class TestHostileInput:
         obs = dataclasses.replace(obs, depth=np.full(obs.depth.shape, depth))
         self.assert_failed(p, p.on_observation(obs, 1.0), mode, "GlUnverified")
 
+    def test_map_without_images_rejected(self, corridor_map):
+        _, topo = corridor_map
+        nodes = list(topo.nodes)
+        nodes[2] = dataclasses.replace(nodes[2], image=None)
+        with pytest.raises(ValueError, match="node 2 has no stored image"):
+            Pipeline(dataclasses.replace(topo, nodes=nodes), K, oracle)
+
     def test_odometry_at_equal_timestamp(self, corridor_map):
         p = self.pipeline_in(PipelineMode.TRACKING, corridor_map, "oracle")
         p.on_odometry(Pose.identity(), 1.0)

@@ -583,7 +583,7 @@ def corridor_node():
     pose = planar_camera_pose(3.0, 2.25, 0.0)
     frame = render(world, pose, K)
     node = MapNode(id=0, pose=pose, descriptor=extract_descriptor(frame.color),
-                   image=frame.color, depth=frame.depth.astype(np.float32),
+                   image=frame.color,
                    landmark_ids=frame.landmark_ids, landmark_uv=frame.landmark_uv,
                    landmark_depth=frame.landmark_depth)
     return world, node

@@ -405,6 +405,7 @@ class TestGenerateSegment:
         ("poses.csv", 2, 1, "0.x"), ("poses.csv", 3, 0, "one"),
         ("odometry.csv", 3, 4, "nan?"), ("landmarks/0.csv", 2, 2, ""),
         ("landmarks/1.csv", 3, 3, None),        # a field short
+        ("landmarks/1.csv", 2, 4, "7"),         # a field over
     ])
     def test_non_numeric_field_names_line(self, corridor, tmp_path,
                                           name, lineno, field, value):
@@ -417,7 +418,7 @@ class TestGenerateSegment:
         if value is None:
             del row[field]
         else:
-            row[field] = value
+            row[field:field + 1] = [value]     # appends at field == len(row)
         lines[lineno - 1] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"{name}:{lineno}: "):
