@@ -55,7 +55,7 @@ for ts, delta in replay.odometry:
     fused.append((ts, pipeline.on_odometry(delta, ts)))
     if round(ts, 9) in frames:
         pipeline.on_observation(frames[round(ts, 9)].obs, ts)
-        fused[-1] = (ts, pipeline.fusion.current_pose()[0])
+        fused[-1] = (ts, pipeline.current_world_pose()[0])
 
 ate_fused = compute_ate(replay.gt_stream, fused, max_dt=0.01)
 ate_raw = compute_ate(replay.gt_stream, raw, max_dt=0.01)

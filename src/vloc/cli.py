@@ -19,9 +19,11 @@ from . import matching, relocal, retrieval, simworld
 from .dataio import read_pgm, read_trajectory, write_trajectory
 from .errors import FormatError, NoPath, VlocError
 from .geometry import CameraIntrinsics, fmt17
-from .mapgraph import build_map, load_map, save_map, select_keyframes
-from .pipeline import ObservationOutcome, Pipeline, PipelineConfig
-from .planning import NavReport, compute_ate, run_mission
+from .mapgraph import (COVIS_THRESHOLD_DEFAULT, GRID_RES_DEFAULT, NAV_RADIUS_DEFAULT,
+                       build_map, load_map, save_map, select_keyframes)
+from .pipeline import (GL_MIN_SIM_DEFAULT, MAX_FAILURES_DEFAULT, WINDOW_DEFAULT,
+                       ObservationOutcome, Pipeline, PipelineConfig)
+from .planning import NavConfig, NavReport, compute_ate, run_mission
 from .relocal import PnPParams
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0,
@@ -57,11 +59,11 @@ def _read_waypoints(path):
     return out
 
 
-def _matcher_from(name: str, seed: int = 0):
+def _matcher_from(name: str):
     if name == "classical":
         return lambda ref, query: matching.match_classical(ref, query)
     if name == "oracle":
-        return lambda ref, query: matching.match_oracle(ref, query, seed=seed)
+        return lambda ref, query: matching.match_oracle(ref, query, seed=0)
     raise VlocError(f"unknown matcher '{name}'")
 
 
@@ -99,7 +101,7 @@ def cmd_gen_segment(args) -> int:
 
 
 def cmd_build_map(args) -> int:
-    segment, _, _ = simworld.load_segment(args.input)
+    segment = simworld.load_segment(args.input).segment
     indices = select_keyframes(segment, budget=args.keyframe_budget,
                                grid_res=args.grid_res)
     world = simworld.GridWorld.load(args.world) if args.world else None
@@ -123,7 +125,8 @@ def cmd_localize(args) -> int:
     topo = load_map(args.map)
     if args.ingest_descriptors:
         retrieval.ingest_descriptors(args.ingest_descriptors, topo)
-    segment, odometry, _ = simworld.load_segment(args.seq)
+    recording = simworld.load_segment(args.seq)
+    segment = recording.segment
     K = segment.camera
     if args.matcher == "oracle":
         if not args.world:
@@ -138,20 +141,20 @@ def cmd_localize(args) -> int:
     pipeline = Pipeline(topo, K, matcher, config)
 
     events = []
-    for ts, delta in odometry:
+    for ts, delta in recording.odometry:
         events.append((ts, 1, ("odom", delta)))
     for frame in segment.frames:
         events.append((frame.timestamp, 0, ("obs", frame.obs)))
     events.sort(key=lambda e: (e[0], e[1]))
 
     trajectory = []
-    log_rows = []
+    outcomes = []
     for ts, _, (kind, payload) in events:
         if kind == "obs":
             outcome = pipeline.on_observation(payload, ts)
-            log_rows.append(outcome.log_row())
+            outcomes.append(outcome)
             if outcome.fix is not None:
-                trajectory.append((ts, pipeline.fusion.current_pose()[0]))
+                trajectory.append((ts, pipeline.current_world_pose()[0]))
         else:
             try:
                 trajectory.append((ts, pipeline.on_odometry(payload, ts)))
@@ -161,15 +164,15 @@ def cmd_localize(args) -> int:
     if args.log:
         with open(args.log, "w") as f:
             f.write(ObservationOutcome.log_header() + "\n")
-            for row in log_rows:
-                f.write(row + "\n")
+            for outcome in outcomes:
+                f.write(outcome.log_row() + "\n")
     if args.batch_out and len(pipeline.fusion.priors):
         poses, _ = pipeline.fusion.optimize()
         write_trajectory(args.batch_out,
                          list(zip(pipeline.fusion.timestamps, poses)))
-    n_fix = sum(1 for r in log_rows if r.split(",")[5] == "Success")
+    n_fix = sum(1 for outcome in outcomes if outcome.fix is not None)
     print(f"wrote {args.out}: {len(trajectory)} poses, "
-          f"{n_fix}/{len(log_rows)} observations fixed")
+          f"{n_fix}/{len(outcomes)} observations fixed")
     return EXIT_OK
 
 
@@ -180,7 +183,6 @@ def cmd_navigate(args) -> int:
     if args.matcher == "oracle":
         simworld.annotate_map_with_landmarks(topo, K, world)
     matcher = _matcher_from(args.matcher)
-    from .planning import NavConfig
     config = NavConfig(timeout=args.timeout)
     if args.start:
         x, y, yaw = (float(v) for v in args.start.split(","))
@@ -288,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-map", help="select keyframes and build the map")
     p.add_argument("--input", required=True, help="segment directory")
     p.add_argument("--keyframe-budget", type=int, required=True)
-    p.add_argument("--grid-res", type=float, default=0.1)
+    p.add_argument("--grid-res", type=float, default=GRID_RES_DEFAULT)
     p.add_argument("--out", required=True)
     p.add_argument("--cng-from-cvg", action="store_true")
-    p.add_argument("--covis-threshold", type=int, default=50)
-    p.add_argument("--nav-radius", type=float, default=3.0)
+    p.add_argument("--covis-threshold", type=int, default=COVIS_THRESHOLD_DEFAULT)
+    p.add_argument("--nav-radius", type=float, default=NAV_RADIUS_DEFAULT)
     p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
     p.add_argument("--world", help="enables the line-of-sight check")
     p.set_defaults(func=cmd_build_map)
@@ -305,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-out", help="full batch-optimized trajectory")
     p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
     p.add_argument("--world", help="required for --matcher oracle")
-    p.add_argument("--gl-min-sim", type=float, default=0.5)
-    p.add_argument("--max-failures", type=int, default=5)
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--min-inliers", type=int, default=12)
+    p.add_argument("--gl-min-sim", type=float, default=GL_MIN_SIM_DEFAULT)
+    p.add_argument("--max-failures", type=int, default=MAX_FAILURES_DEFAULT)
+    p.add_argument("--window", type=int, default=WINDOW_DEFAULT)
+    p.add_argument("--min-inliers", type=int, default=PnPParams.min_inliers)
     p.add_argument("--ingest-descriptors",
                    help="replace map descriptors from a descriptors.f32 file")
     p.set_defaults(func=cmd_localize)
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", help="estimated trajectory output (TUM)")
     p.add_argument("--gt-traj", help="ground-truth trajectory output (TUM)")
     p.add_argument("--start", help="x,y,yaw (default: node 0)")
-    p.add_argument("--timeout", type=float, default=240.0)
+    p.add_argument("--timeout", type=float, default=NavConfig.timeout)
     p.add_argument("--camera", help="fx fy cx cy width height")
     p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
     p.set_defaults(func=cmd_navigate)
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--matches", help="directory of <j>.csv for --matcher ingest")
     p.add_argument("--min-conf", type=float, default=0.0)
-    p.add_argument("--min-inliers", type=int, default=12)
+    p.add_argument("--min-inliers", type=int, default=PnPParams.min_inliers)
     p.add_argument("--world", help="required for --matcher oracle")
     p.set_defaults(func=cmd_bench_reloc)
 

@@ -107,8 +107,8 @@ class TopoMetricMap:
     cvg_edges: list
     descriptor_dim: int
     grid_res: float = GRID_RES_DEFAULT
-    _cng_adj: dict = field(default_factory=dict, repr=False)
-    _cvg_adj: dict = field(default_factory=dict, repr=False)
+    _cng_adj: dict = field(init=False, repr=False)
+    _cvg_adj: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -270,7 +270,7 @@ def select_keyframes(segment: Segment, budget: int,
 # map construction
 # ---------------------------------------------------------------------------
 
-def build_map(segment: Segment, keyframe_indices, matcher=None,
+def build_map(segment: Segment, keyframe_indices, matcher,
               covis_threshold: int = COVIS_THRESHOLD_DEFAULT,
               nav_radius: float = NAV_RADIUS_DEFAULT,
               world=None, cng_from_cvg: bool = False,
@@ -292,9 +292,6 @@ def build_map(segment: Segment, keyframe_indices, matcher=None,
 
     Emits DisconnectedMapWarning when the CnG has multiple components.
     """
-    if matcher is None:
-        from .matching import match_classical
-        matcher = match_classical
     if covis_threshold <= 0 or nav_radius <= 0:
         raise ValueError("thresholds must be positive")
     indices = list(keyframe_indices)

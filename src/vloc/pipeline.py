@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularRotation, NotLocalized, SingularNormalEquations
+from .errors import NearSingularRotation, NoDepth, NotLocalized, SingularNormalEquations
 from .geometry import CameraIntrinsics, Pose, fmt17, rotation_angle
 from .poseslam import FusionGraph, odom_sigmas, vloc_fix_sigmas
 from .relocal import PnPParams, RelocStatus, localize_against_node
@@ -78,7 +78,9 @@ class ObservationOutcome:
 
 class Pipeline:
     """One localization session against a fixed map. Every node must hold
-    an image (ValueError otherwise): localization matches against it."""
+    an image (ValueError otherwise): localization matches against it. The
+    estimate is the fusion graph's last state; ``current_world_pose`` reads
+    it."""
 
     def __init__(self, topo_map, K: CameraIntrinsics, matcher,
                  config: PipelineConfig = PipelineConfig()):
@@ -91,7 +93,6 @@ class Pipeline:
         self.matcher = matcher
         self.config = config
         self.mode = PipelineMode.LOST
-        self.prior_pose: Pose | None = None
         self.consecutive_failures = 0
         self.fusion = FusionGraph()
         self._pending_lost_delta = Pose.identity()
@@ -100,19 +101,23 @@ class Pipeline:
 
     def on_observation(self, obs, timestamp: float) -> ObservationOutcome:
         """Process one camera observation; never raises on localization
-        failure (failures drive the mode machine instead)."""
+        failure (failures drive the mode machine instead). Raises NoDepth,
+        changing nothing, for an observation without depth."""
+        if obs.depth is None:
+            raise NoDepth("observation has no depth; it cannot be localized")
         desc = extract_descriptor(obs.color)
 
         if self.mode is PipelineMode.LOST:
             return self._global_localize(desc, obs, timestamp)
 
-        reference = self._pick_reference(desc)
+        estimate = self.fusion.states[-1]
+        reference = self._pick_reference(desc, estimate[:3])
         result = localize_against_node(self.map.nodes[reference], obs, self.K,
                                        self.matcher, self.config.pnp)
         fix = None
         status = result.status.value
         if result.status is RelocStatus.SUCCESS:
-            if self._fix_gated(result.pose, against_prior=True):
+            if self._fix_gated(result.pose, estimate):
                 status = "FixGated"
             else:
                 fix = result.pose
@@ -121,7 +126,6 @@ class Pipeline:
             self.consecutive_failures += 1
             if self.consecutive_failures >= self.config.max_failures:
                 self.mode = PipelineMode.LOST
-                self.prior_pose = None
                 self.consecutive_failures = 0
 
         return ObservationOutcome(
@@ -146,7 +150,7 @@ class Pipeline:
         verified = (result.status is RelocStatus.SUCCESS
                     and float(np.linalg.norm(result.pose.t - node.pose.t))
                     <= self.config.gl_fix_radius
-                    and not self._fix_gated(result.pose, against_prior=False)
+                    and not self._fix_gated(result.pose, None)
                     and self._start_tracking(node.pose, result.pose,
                                              result.inliers, timestamp))
         return ObservationOutcome(
@@ -158,25 +162,32 @@ class Pipeline:
 
     def _start_tracking(self, seed: Pose, fix: Pose, inliers: int,
                         timestamp: float) -> bool:
-        """Seed the graph at ``seed`` (or bridge the Lost gap with the
-        buffered motion), apply the fix and enter Tracking. False, with the
-        graph as it was, when the solve fails, as it does for a fix about pi
-        from the seeded state (its prior residual has no tangent)."""
-        n_states, n_priors = len(self.fusion.states), len(self.fusion.priors)
-        try:
-            if not n_states:
-                self.fusion.initialize(seed, timestamp)
-            elif timestamp > self.fusion.timestamps[-1]:
-                step = float(np.linalg.norm(self._pending_lost_delta.t))
-                self.fusion.propagate(self._pending_lost_delta,
-                                      odom_sigmas(step), timestamp)
-            self._apply_fix(fix, inliers, timestamp)
-        except (NearSingularRotation, SingularNormalEquations):
-            self.fusion.truncate(n_states, n_priors)
-            return False
-        self.mode = PipelineMode.TRACKING
-        self._pending_lost_delta = Pose.identity()
-        return True
+        """Bridge the Lost gap with the buffered motion (or seed an empty
+        graph at ``seed``), apply the fix and enter Tracking. A fix about pi
+        from the bridged state fails its solve (its prior residual has no
+        tangent); tracking then restarts on a new graph seeded at ``seed``.
+        False, with the graph as it was, when that fails too."""
+        stale = self.fusion
+        graphs = [stale, FusionGraph()] if stale.timestamps else [stale]
+        for graph in graphs:
+            n_states, n_priors = len(graph.timestamps), len(graph.priors)
+            self.fusion = graph
+            try:
+                if not n_states:
+                    graph.initialize(seed, timestamp)
+                elif timestamp > graph.timestamps[-1]:
+                    step = float(np.linalg.norm(self._pending_lost_delta.t))
+                    graph.propagate(self._pending_lost_delta,
+                                    odom_sigmas(step), timestamp)
+                self._apply_fix(fix, inliers, timestamp)
+            except (NearSingularRotation, SingularNormalEquations):
+                graph.truncate(n_states, n_priors)
+                continue
+            self.mode = PipelineMode.TRACKING
+            self._pending_lost_delta = Pose.identity()
+            return True
+        self.fusion = stale
+        return False
 
     def _apply_fix(self, fix: Pose, inliers: int, timestamp: float) -> None:
         state_idx = self.fusion.nearest_state(timestamp)
@@ -184,25 +195,22 @@ class Pipeline:
             state_idx, fix,
             vloc_fix_sigmas(inliers, self.config.pnp.min_inliers))
         self.fusion.optimize(window=self.config.window)
-        self.prior_pose = self.fusion.current_pose()[0]
         self.consecutive_failures = 0
 
-    def _fix_gated(self, fix: Pose, against_prior: bool) -> bool:
+    def _fix_gated(self, fix: Pose, estimate) -> bool:
         """True when the fix must be rejected: camera not upright (mirror
-        pose), or, while tracking, inconsistent with the current estimate."""
+        pose), or inconsistent with the ``estimate`` pose row (None in Lost
+        mode, where there is no estimate to hold it to)."""
         down = fix.rotation_matrix()[:, 1]   # camera y axis in world
         if down[2] > -math.cos(math.radians(ATTITUDE_GATE_DEG)):
             return True
-        if against_prior and self.prior_pose is not None:
-            if float(np.linalg.norm(fix.t - self.prior_pose.t)) > FIX_GATE_M:
-                return True
-            if rotation_angle(fix.q, self.prior_pose.q) > math.radians(FIX_GATE_DEG):
-                return True
-        return False
+        return estimate is not None and (
+            float(np.linalg.norm(fix.t - estimate[:3])) > FIX_GATE_M
+            or rotation_angle(fix.q, estimate[3:]) > math.radians(FIX_GATE_DEG))
 
-    def _pick_reference(self, query_desc) -> int:
+    def _pick_reference(self, query_desc, position) -> int:
         positions = self.map.node_positions()
-        dists = np.linalg.norm(positions - self.prior_pose.t, axis=1)
+        dists = np.linalg.norm(positions - position, axis=1)
         nearest = int(np.argmin(dists))
         candidates = sorted({nearest, *self.map.cvg_neighbors(nearest)})
         sims = [similarity(query_desc, self.map.nodes[c].descriptor)
@@ -221,11 +229,10 @@ class Pipeline:
             self._pending_lost_delta = self._pending_lost_delta.compose(delta)
             raise NotLocalized("pipeline is in Lost mode")
         step = float(np.linalg.norm(delta.t))
-        pose = self.fusion.propagate(delta, odom_sigmas(step), timestamp)
-        self.prior_pose = pose
-        return pose
+        return self.fusion.propagate(delta, odom_sigmas(step), timestamp)
 
     def current_world_pose(self):
-        if self.mode is not PipelineMode.TRACKING or not len(self.fusion.states):
+        """(pose, timestamp) of the estimate, the fusion graph's last state."""
+        if self.mode is not PipelineMode.TRACKING:
             raise NotLocalized("pipeline is in Lost mode")
         return self.fusion.current_pose()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,8 +263,8 @@ class NavReport:
     shortest_path_m: float
     final_goal_dist_m: float
     timed_out: bool
-    trajectory: list = field(default_factory=list)   # estimated (t, Pose)
-    gt_trajectory: list = field(default_factory=list)
+    trajectory: list        # estimated (t, Pose)
+    gt_trajectory: list     # true (t, Pose), from t_start on
 
     def csv_row(self, goal_index: int) -> str:
         return (f"{goal_index},{self.goal_node},{int(self.success)},"
@@ -280,22 +280,13 @@ class NavReport:
 
 
 def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
-                   matcher, start, seed: int = 0,
-                   config: NavConfig = NavConfig(),
-                   robot: SimRobot | None = None,
-                   pipeline: Pipeline | None = None,
-                   t_start: float = 0.0) -> NavReport:
-    """Full closed loop: render -> localize -> subgoal -> local plan ->
-    step, until the goal node is reached or the timeout expires.
-
-    ``robot``/``pipeline``/``t_start`` allow chaining sequential goals in
-    one mission while keeping a single clock and fusion graph."""
+                   robot: SimRobot, pipeline: Pipeline, t_start: float,
+                   config: NavConfig) -> NavReport:
+    """One goal of a mission: render -> localize -> subgoal -> local plan
+    -> step, from ``t_start`` until the goal node is reached or the timeout
+    expires. The robot, the pipeline and the clock are the mission's, so
+    the goals of one ``run_mission`` share them."""
     goal_node, goal_sim = resolve_goal(topo_map, goal_image)
-    if robot is None:
-        robot = SimRobot(start[0], start[1], start[2], seed=seed)
-    if pipeline is None:
-        pipeline = Pipeline(topo_map, K, matcher, NAV_PIPELINE)
-
     goal_pos = topo_map.nodes[goal_node].pose.t
     plan = None
     shortest = 0.0
@@ -321,7 +312,7 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
             bump_ticks -= 1
             cmd = (-0.3, rot_dir * 0.4)
         elif pipeline.mode is PipelineMode.TRACKING:
-            est_pose = pipeline.fusion.current_pose()[0]
+            est_pose = pipeline.current_world_pose()[0]
             if plan is None:
                 start_node = nearest_node(topo_map, est_pose.t)
                 plan = plan_global(topo_map, start_node, goal_node)
@@ -373,15 +364,16 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
 def run_mission(world: GridWorld, topo_map, goal_images, K: CameraIntrinsics,
                 matcher, start, seed: int = 0,
                 config: NavConfig = NavConfig()):
-    """Sequential image goals with one robot, clock, and fusion graph."""
+    """Sequential image goals, one ``NavReport`` each. The mission owns the
+    session that every goal's ``run_navigation`` shares: one robot at ``start``
+    (x, y, yaw), one ``NAV_PIPELINE`` pipeline and one clock from 0."""
     robot = SimRobot(start[0], start[1], start[2], seed=seed)
     pipeline = Pipeline(topo_map, K, matcher, NAV_PIPELINE)
     reports = []
     t0 = 0.0
     for goal_image in goal_images:
-        rep = run_navigation(world, topo_map, goal_image, K, matcher,
-                             start=None, seed=seed, config=config,
-                             robot=robot, pipeline=pipeline, t_start=t0)
+        rep = run_navigation(world, topo_map, goal_image, K, robot, pipeline,
+                             t0, config)
         reports.append(rep)
         t0 += rep.time_s
     return reports

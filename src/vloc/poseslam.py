@@ -103,15 +103,18 @@ class FusionGraph:
     def initialize(self, pose: Pose, timestamp: float) -> None:
         if self.timestamps:
             raise ValueError("graph already initialized")
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp {timestamp} is not finite")
         self._states[0] = np.concatenate([pose.t, pose.q])
         self.timestamps.append(float(timestamp))
 
     def propagate(self, odom_delta: Pose, sigmas, timestamp: float) -> Pose:
-        """Append x_k = x_{k-1} * delta plus its between factor. No
+        """Append x_k = x_{k-1} * delta plus its between factor at a finite
+        timestamp after the last one (``nearest_state`` bisects them). No
         optimization happens here; a rejected call appends nothing."""
         if not self.timestamps:
             raise EmptyGraph("propagate on an empty graph; initialize first")
-        if timestamp <= self.timestamps[-1]:
+        if not (math.isfinite(timestamp) and timestamp > self.timestamps[-1]):
             raise NonMonotonicTimestamp(
                 f"timestamp {timestamp} not after {self.timestamps[-1]}")
         k = len(self.timestamps)

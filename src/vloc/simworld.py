@@ -125,7 +125,7 @@ class GridWorld:
     cell_size: float
     wall_height: float
     texture_seed: int
-    _landmarks: tuple | None = field(default=None, repr=False)
+    _landmarks: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         occ = np.asarray(self.occupancy, dtype=bool)
@@ -543,8 +543,7 @@ class SegmentRecording:
 
 def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
                      camera_rate: float = 2.0, odom_rate: float = 15.0,
-                     seed: int = 0, noise: OdomNoise = OdomNoise(),
-                     timeout: float | None = None):
+                     seed: int = 0, noise: OdomNoise = OdomNoise()) -> SegmentRecording:
     """Drive a pursuit controller through the waypoints, rendering camera
     frames at ``camera_rate`` and odometry at ``odom_rate``.
 
@@ -555,10 +554,9 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     for wp in waypoints:
         if not world.free_point(wp[0], wp[1]):
             raise ValueError(f"waypoint ({wp[0]}, {wp[1]}) is not in free space")
-    if timeout is None:
-        path_len = sum(float(np.linalg.norm(b - a))
-                       for a, b in zip(waypoints, waypoints[1:]))
-        timeout = 30.0 + 6.0 * path_len / V_MAX
+    path_len = sum(float(np.linalg.norm(b - a))
+                   for a, b in zip(waypoints, waypoints[1:]))
+    timeout = 30.0 + 6.0 * path_len / V_MAX
 
     if len(waypoints) > 1:
         d0 = waypoints[1] - waypoints[0]
@@ -676,8 +674,8 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
     write_trajectory(os.path.join(segdir, "gt_traj.txt"), recording.gt_stream)
 
 
-def load_segment(segdir):
-    """Read a segment directory back; returns (Segment, odometry, gt_stream).
+def load_segment(segdir) -> SegmentRecording:
+    """Read a directory that ``save_segment`` wrote back as the recording.
 
     Depth comes back float32 (the on-disk precision)."""
     path = os.path.join(segdir, "intrinsics.txt")
@@ -713,7 +711,7 @@ def load_segment(segdir):
         with line_errors(odom_path, lineno):
             odometry.append((float(row[0]), Pose.from_fields(row[1:])))
     gt_stream = read_trajectory(os.path.join(segdir, "gt_traj.txt"))
-    return Segment(frames=frames, camera=camera), odometry, gt_stream
+    return SegmentRecording(Segment(frames=frames, camera=camera), odometry, gt_stream)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """End-to-end CLI runs over a small corridor world. Everything goes through
 ``vloc.cli.main`` with real files in a temp directory."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from vloc.cli import main
+from vloc.cli import build_parser, main
 from vloc.dataio import read_trajectory, write_pgm, write_trajectory
 from vloc.errors import FormatError
 from vloc.geometry import Pose
-from vloc.mapgraph import load_map
-from vloc.relocal import save_reloc_dataset
+from vloc.mapgraph import build_map, load_map, select_keyframes
+from vloc.pipeline import PipelineConfig
+from vloc.planning import NavConfig
+from vloc.relocal import PnPParams, save_reloc_dataset
 from vloc.simworld import GridWorld, make_preset, planar_camera_pose, render
 from vloc.geometry import CameraIntrinsics
 
@@ -266,3 +270,27 @@ class TestEvalAte:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="traj.txt:2: "):
             read_trajectory(path)
+
+
+class TestParserDefaults:
+    def test_defaults_are_the_library_values(self):
+        parser = build_parser()
+        build = parser.parse_args(["build-map", "--input", "s",
+                                   "--keyframe-budget", "1", "--out", "m"])
+        sig = inspect.signature(build_map).parameters
+        assert build.grid_res == sig["grid_res"].default == \
+            inspect.signature(select_keyframes).parameters["grid_res"].default
+        assert build.covis_threshold == sig["covis_threshold"].default
+        assert build.nav_radius == sig["nav_radius"].default
+        loc = parser.parse_args(["localize", "--map", "m", "--seq", "s",
+                                 "--out", "o"])
+        config = PipelineConfig()
+        assert (loc.gl_min_sim, loc.max_failures, loc.window, loc.min_inliers) \
+            == (config.gl_min_sim, config.max_failures, config.window,
+                config.pnp.min_inliers)
+        nav = parser.parse_args(["navigate", "--world", "w", "--map", "m",
+                                 "--goal-image", "g", "--report", "r"])
+        assert nav.timeout == NavConfig().timeout
+        bench = parser.parse_args(["bench-reloc", "--dataset", "d",
+                                   "--matcher", "oracle", "--out", "o"])
+        assert bench.min_inliers == PnPParams().min_inliers

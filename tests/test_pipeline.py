@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vloc.errors import NonMonotonicTimestamp, NotLocalized
+from vloc.errors import NoDepth, NonMonotonicTimestamp, NotLocalized
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import build_map, select_keyframes
 from vloc.matching import match_classical, match_oracle
@@ -162,6 +162,88 @@ class TestHostileInput:
         obs = dataclasses.replace(obs, depth=np.full(obs.depth.shape, depth))
         self.assert_failed(p, p.on_observation(obs, 1.0), mode, "GlUnverified")
 
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    def test_observation_without_depth(self, corridor_map, mode):
+        world, topo = corridor_map
+        p = self.pipeline_in(mode, corridor_map, "oracle")
+        obs = render(world, topo.nodes[3].pose, K).observation()
+        before = (p.fusion.states.copy(), list(p.fusion.timestamps),
+                  p.fusion.priors.copy())
+        with pytest.raises(NoDepth):
+            p.on_observation(dataclasses.replace(obs, depth=None), 1.0)
+        assert p.mode is mode and p.consecutive_failures == 0
+        after = (p.fusion.states, p.fusion.timestamps, p.fusion.priors)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @staticmethod
+    def assert_valid(pose):
+        assert np.all(np.isfinite(pose.t)) and np.all(np.isfinite(pose.q))
+        assert abs(float(np.linalg.norm(pose.q)) - 1.0) <= 1e-9
+
+    def assert_contracts(self, p, view, t, monkeypatch):
+        """From Tracking: a fix 3 m off the estimate is gated, not raised;
+        ``max_failures`` failed observations lose track; ``view`` then
+        reacquires. Every pose on the way is finite with a unit quaternion."""
+        assert p.mode is PipelineMode.TRACKING
+        self.assert_valid(p.current_world_pose()[0])
+        estimate = p.current_world_pose()[0]
+        far = Pose(estimate.t + [3.0, 0.0, 0.0], estimate.q)
+        left = p.config.max_failures - p.consecutive_failures
+        with monkeypatch.context() as m:
+            m.setattr(pipeline_module, "localize_against_node",
+                      lambda *_: RelocResult(pose=far, inliers=40, total=40,
+                                             status=RelocStatus.SUCCESS))
+            out = p.on_observation(view, t)
+        assert out.status == "FixGated" and out.fix is None
+        for k in range(1, left):
+            assert p.mode is PipelineMode.TRACKING
+            assert p.on_observation(flat_observation(), t + k).fix is None
+        assert p.mode is PipelineMode.LOST
+        with pytest.raises(NotLocalized):
+            p.current_world_pose()
+        t += left
+        for k in range(3):
+            out = p.on_observation(view, t + k)
+            if out.fix is not None:
+                self.assert_valid(out.fix)
+                break
+        assert p.mode is PipelineMode.TRACKING
+        self.assert_valid(p.current_world_pose()[0])
+        self.assert_valid(p.on_odometry(Pose.identity(), t + 10.0))
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    def test_one_node_map(self, corridor_map, monkeypatch, matcher):
+        world, topo = corridor_map
+        node = dataclasses.replace(topo.nodes[3], id=0)
+        one = dataclasses.replace(topo, nodes=[node], cng_edges=[], cvg_edges=[])
+        p = Pipeline(one, K, MATCHERS[matcher])
+        view = render(world, node.pose, K).observation()
+        assert p.on_observation(flat_observation(), 0.0).status == "GlRejected"
+        out = p.on_observation(view, 1.0)
+        assert out.status == "Success" and p.mode is PipelineMode.TRACKING
+        self.assert_valid(out.fix)
+        self.assert_valid(p.on_odometry(Pose(np.array([0.0, 0.0, 0.1]),
+                                             [1, 0, 0, 0]), 1.5))
+        out = p.on_observation(view, 2.0)
+        assert out.reference_node == 0 and out.status == "Success"
+        self.assert_contracts(p, view, 3.0, monkeypatch)
+
+    @pytest.mark.parametrize("matcher", MATCHERS)
+    @pytest.mark.parametrize("jump", [
+        Pose(np.array([0.0, 0.0, 1e3]), [1, 0, 0, 0]),
+        Pose(np.zeros(3), [0, 0, 1, 0]),
+        Pose(np.array([0.0, 0.0, 1e9]), [0, 0, 1, 0]),
+    ], ids=["1km", "yaw_pi", "1e9m_yaw_pi"])
+    def test_odometry_jump(self, corridor_map, monkeypatch, matcher, jump):
+        world, topo = corridor_map
+        p = self.pipeline_in(PipelineMode.TRACKING, corridor_map, matcher)
+        self.assert_valid(p.on_odometry(jump, 1.0))
+        view = render(world, topo.nodes[3].pose, K).observation()
+        out = p.on_observation(view, 2.0)
+        assert out.fix is None
+        assert out.status in ("FixGated", "TooFewMatches", "RansacFailed")
+        self.assert_contracts(p, view, 3.0, monkeypatch)
+
     def test_map_without_images_rejected(self, corridor_map):
         _, topo = corridor_map
         nodes = list(topo.nodes)
@@ -208,7 +290,7 @@ class TestHostileInput:
         monkeypatch.setattr(pipeline_module, "localize_against_node", turned_fix)
         out = p.on_observation(obs, 9.0)
         assert out.fix is None and out.status == "GlUnverified"
-        assert p.mode is PipelineMode.LOST and p.prior_pose is None
+        assert p.mode is PipelineMode.LOST
         after = (fusion.states, fusion.timestamps, fusion.priors, fusion.betweens)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
         assert p._pending_lost_delta is pending
@@ -235,9 +317,9 @@ class TestReplayRegression:
             pose = planar_camera_pose(x, 2.25 + rng.uniform(-0.3, 0.3),
                                       rng.uniform(-0.2, 0.2))
             frame = render(world, pose, K)
-            # reset prior to the true vicinity: this probes LL quality, not
-            # dead reckoning between distant pokes
-            p.prior_pose = pose
+            # reset the estimate to the true vicinity: this probes LL
+            # quality, not dead reckoning between distant pokes
+            p.fusion.states[-1] = np.concatenate([pose.t, pose.q])
             p.mode = PipelineMode.TRACKING
             out = p.on_observation(frame.observation(), t)
             total += 1
@@ -282,7 +364,6 @@ class TestReplayRegression:
         p.on_observation(frame.observation(), 0.0)
         # force Lost, then dead-reckon forward 1 m while lost
         p.mode = PipelineMode.LOST
-        p.prior_pose = None
         delta = Pose(np.array([0.0, 0.0, 0.2]), [1, 0, 0, 0])
         for k in range(5):
             with pytest.raises(NotLocalized):

@@ -22,7 +22,7 @@ from vloc.planning import (
     plan_global,
     plan_local,
     resolve_goal,
-    run_navigation,
+    run_mission,
     to_robot_frame,
 )
 from vloc.retrieval import extract_descriptor
@@ -288,9 +288,9 @@ class TestRunNavigation:
         world, topo = corridor_setup
         node = topo.nodes[0]
         start = (node.pose.t[0], node.pose.t[1], 0.0)
-        rep = run_navigation(world, topo, node.image, K,
-                             lambda a, b: match_oracle(a, b, seed=0),
-                             start=start, seed=1)
+        rep, = run_mission(world, topo, [node.image], K,
+                           lambda a, b: match_oracle(a, b, seed=0),
+                           start=start, seed=1)
         assert rep.success
         assert rep.path_length_m < 0.5
 
@@ -303,10 +303,10 @@ class TestRunNavigation:
                             wall_height=world.wall_height,
                             texture_seed=world.texture_seed)
         goal = topo.nodes[len(topo.nodes) - 1]
-        rep = run_navigation(blocked, topo, goal.image, K,
-                             lambda a, b: match_oracle(a, b, seed=0),
-                             start=(2.0, 2.25, 0.0), seed=1,
-                             config=NavConfig(timeout=25.0))
+        rep, = run_mission(blocked, topo, [goal.image], K,
+                           lambda a, b: match_oracle(a, b, seed=0),
+                           start=(2.0, 2.25, 0.0), seed=1,
+                           config=NavConfig(timeout=25.0))
         assert not rep.success
         assert rep.timed_out
         assert len(rep.gt_trajectory) > 10

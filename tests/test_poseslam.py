@@ -94,6 +94,23 @@ class TestRejectedCallChangesNothing:
         poses, _ = g.optimize()
         assert len(poses) == 3 and len(g.betweens) == 2
 
+    @pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_timestamp(self, ts):
+        g = chain_graph([tx(1.0)], [(0, Pose.identity(), TIGHT)])
+        before = (g.states.copy(), list(g.timestamps), len(g.betweens))
+        with pytest.raises(NonMonotonicTimestamp):
+            g.propagate(tx(1.0), SIG6, ts)
+        assert np.array_equal(g.states, before[0])
+        assert (g.timestamps, len(g.betweens)) == before[1:]
+        g.propagate(tx(1.0), SIG6, 2.0)
+        assert g.nearest_state(1.9) == 2
+        empty = FusionGraph()
+        with pytest.raises(ValueError):
+            empty.initialize(Pose.identity(), ts)
+        assert not empty.timestamps
+        empty.initialize(Pose.identity(), 0.0)
+
     def test_truncate_undoes_appends(self):
         g = chain_graph([tx(1.0)] * 3, [(0, Pose.identity(), TIGHT)])
         before = (g.states.copy(), list(g.timestamps), g.betweens.copy(),

@@ -383,13 +383,14 @@ class TestGenerateSegment:
         # waypoint inside free space but walled off: cell behind the end wall
         with pytest.raises((UnreachableWaypoint, ValueError)):
             generate_segment(corridor, [(2.0, CORRIDOR_Y), (2.0, 4.4)], K,
-                             seed=0, timeout=10.0)
+                             seed=0)
 
     def test_segment_directory_roundtrip(self, corridor, tmp_path):
         rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (5.0, CORRIDOR_Y)],
                                K, camera_rate=1.0, seed=9)
         save_segment(rec, tmp_path / "seg")
-        seg, odom, gt = load_segment(tmp_path / "seg")
+        loaded = load_segment(tmp_path / "seg")
+        seg, odom = loaded.segment, loaded.odometry
         assert len(seg) == len(rec.segment)
         assert len(odom) == len(rec.odometry)
         assert seg.camera == K
