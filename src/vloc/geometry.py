@@ -370,6 +370,21 @@ def pose_inverse_array(t, q):
     return -quat_rotate_array(qc, t), qc
 
 
+def pose_inverse_row(t, q) -> np.ndarray:
+    """One pose's ``pose_inverse_array`` as a row ``x y z qw qx qy qz``, in
+    plain floats: the same operations in the same order, so the bits agree,
+    without numpy's per-call cost on a single row."""
+    vx, vy, vz = float(t[0]), float(t[1]), float(t[2])
+    w, x, y, z = float(q[0]), -float(q[1]), -float(q[2]), -float(q[3])
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return np.array([-(vx + w * tx + (y * tz - z * ty)),
+                     -(vy + w * ty + (z * tx - x * tz)),
+                     -(vz + w * tz + (x * ty - y * tx)),
+                     w, x, y, z])
+
+
 def _so3_jl_inv_coeff(theta) -> np.ndarray:
     """c in J_l^-1(phi) = I - phi^/2 + c phi^2, with its series below 1e-6 rad."""
     t2 = theta * theta

@@ -36,6 +36,7 @@ from .geometry import (
     Pose,
     pose_compose_array,
     pose_inverse_array,
+    pose_inverse_row,
     se3_adjoint_array,
     se3_exp_array,
     se3_log_array,
@@ -73,7 +74,7 @@ def _factor(index: int, pose: Pose, sigmas) -> tuple:
     s = np.asarray(sigmas, dtype=float)
     if s.shape != (6,) or not ((s > 0.0) & (s < np.inf)).all():
         raise ValueError(f"sigmas must be six finite positive values, got {s}")
-    return index, np.hstack(pose_inverse_array(pose.t[None], pose.q[None]))[0], s
+    return index, pose_inverse_row(pose.t, pose.q), s
 
 
 def _append(buf, n: int, record):

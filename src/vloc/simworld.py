@@ -5,11 +5,13 @@ rendered into depth and grayscale images. The camera is level, so a pixel
 ray's path across the grid depends only on its image column: a 2-D grid
 walk (Amanatides & Woo 1987) along the column's direction finds its first
 wall crossing, and each pixel is then floor, wall or sky in closed form
-from its vertical slope. Surface color is a pure hash of (cell, face, 5 cm-quantized
-surface coordinate), so the same wall point renders the same value from any
-view. Landmarks seeded on wall faces give the oracle matcher ground-truth
-correspondences. A unicycle robot with drifting odometry and a waypoint
-pursuit controller generate mapping/localization segments.
+from its vertical slope. Surface color is a pure hash of the surface's grid
+plane and its texture lattice cells, so the same wall point renders the
+same value from any view. Landmarks seeded on wall faces give the oracle
+matcher ground-truth correspondences. A render computes depth at once and
+shades color and finds landmarks only when a caller first reads them. A
+unicycle robot with drifting odometry and a waypoint pursuit controller
+generate mapping/localization segments.
 
 Grid indexing is ``occupancy[iy, ix]``; world x spans ``ix * cell_size`` and
 row 0 of the text format is the smallest y. The camera is level (its y axis
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,13 +69,20 @@ _HASH_SALTS = tuple(
 )
 
 
-def _hash_unit(*components) -> np.ndarray:
-    """Deterministic floats in [0, 1) from integer arrays (splitmix mixing)."""
-    acc = None
-    for salt, comp in zip(_HASH_SALTS, components):
-        arr = np.asarray(comp).astype(np.int64).astype(np.uint64)
-        mixed = _mix64(arr * np.uint64(0xD6E8FEB86659FD93) + salt)
-        acc = mixed if acc is None else _mix64(acc ^ mixed)
+_HASH_MULT = np.uint64(0xD6E8FEB86659FD93)
+
+
+def _hash_component(comp, k: int) -> np.ndarray:
+    """Component ``k`` of a lattice key, mixed on its own: a splitmix round
+    of the int64 value times a constant plus the component's salt."""
+    arr = np.asarray(comp).astype(np.int64).astype(np.uint64)
+    return _mix64(arr * _HASH_MULT + _HASH_SALTS[k])
+
+
+def _hash_finish(acc, lv_mixed, octave) -> np.ndarray:
+    """Floats in [0, 1) from a key chain mixed up to ``lu``: mix in the
+    ``lv`` and the octave components, keep the top 53 bits."""
+    acc = _mix64(_mix64(acc ^ lv_mixed) ^ octave)
     return (acc >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
@@ -85,35 +95,50 @@ _TEXTURE_OCTAVES = (("smooth", 0.9, 0.25), ("block", 0.45, 0.35),
                     ("block", 0.15, 0.40))
 
 
-def _value_noise(axis, plane_idx, su, sv, wavelength, seed):
-    """Smoothstep-interpolated value noise over a hashed surface lattice."""
-    fu = su / wavelength
-    fv = sv / wavelength
-    lu = np.floor(fu).astype(np.int64)
-    lv = np.floor(fv).astype(np.int64)
-    au = fu - lu
-    av = fv - lv
-    au = au * au * (3.0 - 2.0 * au)
-    av = av * av * (3.0 - 2.0 * av)
-
-    def corner(du, dv):
-        return _hash_unit(axis, plane_idx, lu + du, lv + dv, seed)
-
-    top = corner(0, 0) * (1.0 - au) + corner(1, 0) * au
-    bot = corner(0, 1) * (1.0 - au) + corner(1, 1) * au
-    return top * (1.0 - av) + bot * av
-
-
 def _surface_color(axis, plane_idx, su, sv, seed) -> np.ndarray:
-    val = np.zeros_like(np.asarray(su, dtype=float))
+    """Grayscale albedo of surface points on plane ``(axis, plane_idx)`` at
+    surface coordinates ``(su, sv)``.
+
+    Each octave hashes its lattice cell ``(lu, lv)`` as the key ``(axis,
+    plane_idx, lu, lv, seed * 8 + octave)``: every component is mixed on its
+    own (``_hash_component``) and folded in order, ``acc = mix(acc ^ c)``.
+    The smooth octave interpolates its four corner values with smoothstep
+    weights; a block octave takes its cell's value. Shared stages are mixed
+    once: the ``(axis, plane_idx)`` prefix once per pair in the points'
+    plane range, the octave component once per octave, and ``lu``, ``lu +
+    1``, ``lv`` and ``lv + 1`` once each for the smooth octave's corners."""
+    val = np.zeros(su.shape)
+    lo = int(plane_idx.min())
+    span = int(plane_idx.max()) - lo + 1
+    pair_axis, pair_plane = np.divmod(np.arange(3 * span), span)
+    prefixes = _mix64(_hash_component(pair_axis, 0)
+                      ^ _hash_component(pair_plane + lo, 1))
+    prefix = prefixes[axis * span + (plane_idx - lo)]
     for k, (kind, wavelength, weight) in enumerate(_TEXTURE_OCTAVES):
-        seeds = np.full_like(np.asarray(plane_idx), seed * 8 + k)
+        # numpy computes the one-value octave component as a scalar and
+        # warns of the uint64 wrap-around the hash relies on
+        with np.errstate(over="ignore"):
+            octave = _hash_component(seed * 8 + k, 4)
+        fu = su / wavelength
+        fv = sv / wavelength
+        lu = np.floor(fu).astype(np.int64)
+        lv = np.floor(fv).astype(np.int64)
+        at_lu = _mix64(prefix ^ _hash_component(lu, 2))
+        at_lv = _hash_component(lv, 3)
         if kind == "smooth":
-            val += weight * _value_noise(axis, plane_idx, su, sv, wavelength, seeds)
+            au = fu - lu
+            av = fv - lv
+            au = au * au * (3.0 - 2.0 * au)
+            av = av * av * (3.0 - 2.0 * av)
+            at_lu1 = _mix64(prefix ^ _hash_component(lu + 1, 2))
+            at_lv1 = _hash_component(lv + 1, 3)
+            top = (_hash_finish(at_lu, at_lv, octave) * (1.0 - au)
+                   + _hash_finish(at_lu1, at_lv, octave) * au)
+            bot = (_hash_finish(at_lu, at_lv1, octave) * (1.0 - au)
+                   + _hash_finish(at_lu1, at_lv1, octave) * au)
+            val += weight * (top * (1.0 - av) + bot * av)
         else:
-            lu = np.floor(su / wavelength).astype(np.int64)
-            lv = np.floor(sv / wavelength).astype(np.int64)
-            val += weight * _hash_unit(axis, plane_idx, lu, lv, seeds)
+            val += weight * _hash_finish(at_lu, at_lv, octave)
     return np.floor(np.clip(val, 0.0, 0.999) * 255.0).astype(np.uint8)
 
 
@@ -324,16 +349,37 @@ def raycast(world: GridWorld, origin, dirs):
 # rendering
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SimFrame:
-    """Rendered observation with simulator ground truth attached."""
+    """Rendered observation with simulator ground truth attached.
 
-    color: np.ndarray
-    depth: np.ndarray
-    landmark_ids: np.ndarray
-    landmark_uv: np.ndarray
-    landmark_depth: np.ndarray
-    gt_pose: Pose
+    ``depth`` and ``gt_pose`` are plain attributes, set by ``render``.
+    ``color`` and the landmark annotations (``landmark_ids``,
+    ``landmark_uv``, ``landmark_depth``) are computed on first access and
+    then kept, so a caller that reads only depth (a navigation tick that
+    plans without localizing) pays for the grid walk and nothing else.
+    Computing ``color`` releases the walk arrays the frame kept for it."""
+
+    def __init__(self, world: GridWorld, K: CameraIntrinsics, depth: np.ndarray,
+                 gt_pose: Pose, walk: tuple):
+        self.depth = depth
+        self.gt_pose = gt_pose
+        self._world = world
+        self._K = K
+        self._walk = walk       # (dirs_world, floor, wall, face) per pixel
+
+    @cached_property
+    def color(self) -> np.ndarray:
+        color = _shade(self._world, self.gt_pose.t, self.depth.ravel(), *self._walk)
+        del self._walk
+        return color.reshape(self.depth.shape)
+
+    @cached_property
+    def _landmarks(self) -> tuple:
+        return _visible_landmarks(self._world, self.gt_pose, self._K)
+
+    landmark_ids = property(lambda self: self._landmarks[0])
+    landmark_uv = property(lambda self: self._landmarks[1])
+    landmark_depth = property(lambda self: self._landmarks[2])
 
     def observation(self) -> Observation:
         return Observation(color=self.color, depth=self.depth,
@@ -354,7 +400,9 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     image column share one horizontal direction. A 2-D grid walk along it
     gives the column's first wall crossing ``t_wall``; a pixel whose ray
     meets the floor plane first (``t_floor <= t_wall``) sees floor, else it
-    sees the wall if the crossing lies below the wall top, else sky. Raises
+    sees the wall if the crossing lies below the wall top, else sky. The
+    walk and the depth happen here; the returned frame shades its texture
+    and finds its landmarks when they are first read. Raises
     ``PoseInCollision`` for a camera inside a wall and ``ValueError`` for a
     camera that is not level or not below the wall top."""
     cam = pose.t
@@ -387,24 +435,26 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     # dirs_cam has unit z, so the ray parameter equals camera z-depth
     t = np.where(floor, t_floor, np.where(wall, t_wall, 0.0))
     depth = t.reshape(K.height, K.width)
+    return SimFrame(world, K, depth, pose, (dirs_world, floor, wall, face))
 
-    pts = cam[None, :] + dirs_world * t[:, None]
-    cs = world.cell_size
+
+def _shade(world: GridWorld, cam, t, dirs_world, floor, wall, face) -> np.ndarray:
+    """Flat grayscale of one render: the hash texture of every pixel that
+    sees floor or wall at ray parameter ``t``, 0 for sky."""
+    surface = np.nonzero(floor | wall)[0]
+    floor, face = floor[surface], face[surface]
+    pts = cam[None, :] + dirs_world[surface] * t[surface, None]
     # wall faces lie on grid planes; the integer plane index keys the texture
     is_x_face = (face == 0) | (face == 1)
     axis = np.where(floor, 2, np.where(is_x_face, 0, 1)).astype(np.int64)
     plane_coord = np.where(is_x_face, pts[:, 0], pts[:, 1])
-    plane_idx = np.where(floor, 0, np.rint(plane_coord / cs).astype(np.int64))
+    plane_idx = np.where(floor, 0, np.rint(plane_coord / world.cell_size).astype(np.int64))
     su = np.where(floor, pts[:, 0],
                   np.where(is_x_face, pts[:, 1], pts[:, 0]))
     sv = np.where(floor, pts[:, 1], pts[:, 2])
-    shade = _surface_color(axis, plane_idx, su, sv, world.texture_seed)
-    color = np.where(floor | wall, shade, 0).astype(np.uint8)
-    color = color.reshape(K.height, K.width)
-
-    lm_ids, lm_uv, lm_depth = _visible_landmarks(world, pose, K)
-    return SimFrame(color=color, depth=depth, landmark_ids=lm_ids,
-                    landmark_uv=lm_uv, landmark_depth=lm_depth, gt_pose=pose)
+    color = np.zeros(len(t), dtype=np.uint8)
+    color[surface] = _surface_color(axis, plane_idx, su, sv, world.texture_seed)
+    return color
 
 
 def _visible_landmarks(world: GridWorld, pose: Pose, K: CameraIntrinsics):
@@ -623,7 +673,8 @@ def annotate_map_with_landmarks(topo_map, K: CameraIntrinsics,
                                 world: GridWorld) -> None:
     """Re-render each node pose to repopulate the transient landmark
     annotations (and any missing image) on a loaded map, enabling the
-    oracle matcher against it."""
+    oracle matcher against it. Frames shade lazily, so only nodes without
+    an image are shaded; an existing image is left as it is."""
     for node in topo_map.nodes:
         frame = render(world, node.pose, K)
         node.landmark_ids = frame.landmark_ids

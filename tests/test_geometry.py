@@ -9,6 +9,7 @@ from vloc.geometry import (
     Pose,
     pose_compose_array,
     pose_inverse_array,
+    pose_inverse_row,
     project,
     project_array,
     rotation_angle,
@@ -172,6 +173,15 @@ def numeric_right_jacobian_inv(xi, h=1e-6):
 
 
 class TestBatched:
+    def test_inverse_row_bit_equal_to_array(self):
+        rng = np.random.default_rng(31)
+        poses = [random_pose(rng, t_scale=50.0) for _ in range(20000)]
+        t, q = as_arrays(poses)
+        expected = np.hstack(pose_inverse_array(t, q))
+        got = np.array([pose_inverse_row(p.t, p.q) for p in poses])
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     def test_exp_matches_scalar(self):
         xi = tangents(np.random.default_rng(21), BRANCH_ANGLES * 4)
         t, q = se3_exp_array(xi)

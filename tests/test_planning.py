@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from vloc.errors import NoMatches, NoPath
-from vloc.geometry import CameraIntrinsics, Pose
+from vloc.geometry import CameraIntrinsics, Pose, unproject
 from vloc.mapgraph import MapNode, TopoMetricMap, build_map, select_keyframes
 from vloc.matching import match_oracle
 from vloc.planning import (
+    CURVATURE_PENALTY,
     CURVATURES,
+    OBSTACLE_MAX_RANGE,
+    OBSTACLE_Z_BAND,
     ROBOT_RADIUS,
     ROTATE_IN_PLACE,
     AteReport,
@@ -252,6 +255,66 @@ class TestPlanLocal:
             if len(obstacles):
                 d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(-1)
                 assert float(d2.min()) >= ROBOT_RADIUS ** 2
+
+
+def full_obstacle_cloud(depth):
+    """Every obstacle pixel's point, duplicates kept, in row-major pixel
+    order (the cloud before it was deduplicated)."""
+    vv, uu = np.nonzero(depth > 0)
+    x_cam, y_cam, x_fwd = unproject(K, uu, vv, depth[vv, uu]).T
+    keep = ((-y_cam > OBSTACLE_Z_BAND[0]) & (-y_cam < OBSTACLE_Z_BAND[1])
+            & (x_fwd < OBSTACLE_MAX_RANGE))
+    return np.stack([x_fwd[keep], -x_cam[keep]], axis=1)
+
+
+def brute_force_choice(obstacles, subgoal):
+    """The primitive the fan scoring picks, scored against every point."""
+    subgoal = np.asarray(subgoal, dtype=float)[:2]
+    dist = float(np.linalg.norm(subgoal))
+    best = dist + CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
+    choice = ROTATE_IN_PLACE
+    for k in CURVATURES:
+        pts = arc_points(k, dist)
+        d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(axis=2)
+        if d2.size and float(d2.min()) < ROBOT_RADIUS ** 2:
+            continue
+        cost = float(np.linalg.norm(pts[-1] - subgoal)) + CURVATURE_PENALTY * abs(k)
+        if cost < best - 1e-12:
+            best, choice = cost, k
+    return choice
+
+
+@pytest.fixture(scope="module")
+def rooms_depths():
+    world, route = make_preset("rooms", seed=7)
+    rec = generate_segment(world, route, K, camera_rate=2.0, seed=1,
+                           noise=OdomNoise.zero())
+    return [f.obs.depth for f in rec.segment.frames]
+
+
+class TestObstacleCloud:
+    def test_distinct_rows_of_the_full_cloud(self, rooms_depths):
+        n_full = n_got = 0
+        for k, depth in enumerate(rooms_depths):
+            full = full_obstacle_cloud(depth)
+            got = depth_to_obstacles(depth, K)
+            distinct = np.unique(full, axis=0)
+            assert len(got) == len(distinct), f"frame {k}"
+            assert np.array_equal(np.unique(got, axis=0), distinct), f"frame {k}"
+            n_full, n_got = n_full + len(full), n_got + len(got)
+        assert n_got * 10 < n_full
+
+    def test_plan_local_matches_brute_force_on_full_cloud(self, rooms_depths):
+        rng = np.random.default_rng(23)
+        choices = set()
+        for depth in rooms_depths[::2]:
+            full = full_obstacle_cloud(depth)
+            for _ in range(3):
+                sub = [rng.uniform(-1.0, 4.0), rng.uniform(-3.0, 3.0), 0.0]
+                _, choice = plan_local(depth, K, sub)
+                assert choice == brute_force_choice(full, sub)
+                choices.add(choice)
+        assert ROTATE_IN_PLACE in choices and len(choices) >= 4
 
 
 class TestComputeAte:

@@ -1,16 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from vloc import simworld
 from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
 from vloc.geometry import CameraIntrinsics, Pose, project, project_array, rotvec_to_quat
+from vloc.mapgraph import MapNode, TopoMetricMap
 from vloc.simworld import (
     LANDMARK_RANGE,
     GridWorld,
     OdomNoise,
     SimRobot,
-    _surface_color,
+    _TEXTURE_OCTAVES,
+    _mix64,
+    annotate_map_with_landmarks,
     generate_segment,
     load_segment,
     make_preset,
@@ -106,6 +111,48 @@ def reference_raycast(world, origin, dirs):
     return kind, t_hit, ix, iy, face
 
 
+_REFERENCE_SALTS = tuple(
+    np.uint64((0x9E3779B97F4A7C15 * (0xA24BAED4963EE407 ** k + 1)) % 2 ** 64)
+    for k in range(8)
+)
+
+
+def reference_hash_unit(*components):
+    """Floats in [0, 1) from integer arrays: every component of every key
+    mixed anew (the texture hash before shared stages were mixed once)."""
+    acc = None
+    for salt, comp in zip(_REFERENCE_SALTS, components):
+        arr = np.asarray(comp).astype(np.int64).astype(np.uint64)
+        mixed = _mix64(arr * np.uint64(0xD6E8FEB86659FD93) + salt)
+        acc = mixed if acc is None else _mix64(acc ^ mixed)
+    return (acc >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def reference_surface_color(axis, plane_idx, su, sv, seed):
+    """Per-pixel texture: four full hash keys per smooth-octave pixel, one
+    per block-octave pixel."""
+    val = np.zeros_like(np.asarray(su, dtype=float))
+    for k, (kind, wavelength, weight) in enumerate(_TEXTURE_OCTAVES):
+        seeds = np.full_like(np.asarray(plane_idx), seed * 8 + k)
+        fu, fv = su / wavelength, sv / wavelength
+        lu = np.floor(fu).astype(np.int64)
+        lv = np.floor(fv).astype(np.int64)
+        if kind == "smooth":
+            au, av = fu - lu, fv - lv
+            au = au * au * (3.0 - 2.0 * au)
+            av = av * av * (3.0 - 2.0 * av)
+
+            def corner(du, dv):
+                return reference_hash_unit(axis, plane_idx, lu + du, lv + dv, seeds)
+
+            top = corner(0, 0) * (1.0 - au) + corner(1, 0) * au
+            bot = corner(0, 1) * (1.0 - au) + corner(1, 1) * au
+            val += weight * (top * (1.0 - av) + bot * av)
+        else:
+            val += weight * reference_hash_unit(axis, plane_idx, lu, lv, seeds)
+    return np.floor(np.clip(val, 0.0, 0.999) * 255.0).astype(np.uint8)
+
+
 def reference_render(world, pose, K):
     """One 3-D ray per pixel; returns (color, depth, landmark ids, uv, depth)."""
     cam = pose.t
@@ -128,7 +175,7 @@ def reference_render(world, pose, K):
     su = np.where(kind == 2, pts[:, 0],
                   np.where(is_x_face, pts[:, 1], pts[:, 0]))
     sv = np.where(kind == 2, pts[:, 1], pts[:, 2])
-    shade = _surface_color(axis, plane_idx, su, sv, world.texture_seed)
+    shade = reference_surface_color(axis, plane_idx, su, sv, world.texture_seed)
     color = np.where(kind > 0, shade, 0).astype(np.uint8).reshape(K.height, K.width)
 
     ids, pos, nrm = world.landmarks()
@@ -308,6 +355,69 @@ class TestMatchesPerPixelReference:
             expected = reference_line_of_sight(world, p, qs, 1.0)
             got = [world.line_of_sight(p, q) for q in qs]
             assert got == expected.tolist()
+
+
+@pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+def test_render_raises_no_warning(name):
+    world, route = make_preset(name, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in route:
+            render(world, planar_camera_pose(x, y, 0.4), K).observation()
+
+
+SHADING = ("color", "_landmarks", "landmark_ids", "landmark_uv", "landmark_depth")
+
+
+class TestLazyFrame:
+    def test_depth_read_alone_shades_nothing(self, corridor):
+        frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
+        assert frame.depth.shape == (K.height, K.width)
+        assert frame.gt_pose.t[0] == 2.0
+        assert not set(SHADING) & set(vars(frame))
+
+    @pytest.mark.parametrize("color_first", [True, False])
+    def test_first_access_matches_reference_and_is_kept(self, corridor, color_first):
+        pose = planar_camera_pose(3.0, CORRIDOR_Y, -0.6)
+        color, depth, ids, uv, lm_depth = reference_render(corridor, pose, K)
+        frame = render(corridor, pose, K)
+        if color_first:
+            assert np.array_equal(frame.color, color)
+            assert "_walk" not in vars(frame)       # released once shaded
+            assert "_landmarks" not in vars(frame)
+        assert np.array_equal(frame.landmark_ids, ids)
+        assert np.array_equal(frame.landmark_uv, uv)
+        assert np.array_equal(frame.landmark_depth, lm_depth)
+        assert ("color" in vars(frame)) == color_first
+        assert np.array_equal(frame.color, color)
+        assert np.array_equal(frame.depth, depth)
+        obs = frame.observation()
+        assert obs.color is frame.color and obs.depth is frame.depth
+        assert obs.landmark_ids is frame.landmark_ids
+        assert obs.landmark_uv is frame.landmark_uv
+        assert obs.landmark_depth is frame.landmark_depth
+
+    def test_annotate_shades_only_nodes_without_image(self, corridor, monkeypatch):
+        poses = [planar_camera_pose(x, CORRIDOR_Y, 0.1) for x in (2.0, 4.0)]
+        image = np.full((K.height, K.width), 7, dtype=np.uint8)
+        topo = TopoMetricMap(
+            nodes=[MapNode(id=i, pose=p, descriptor=np.eye(4, dtype=np.float32)[0],
+                           image=img)
+                   for i, (p, img) in enumerate(zip(poses, (image, None)))],
+            cng_edges=[], cvg_edges=[], descriptor_dim=4)
+        shaded = []
+        shade = simworld._shade
+        monkeypatch.setattr(simworld, "_shade",
+                            lambda *a: shaded.append(1) or shade(*a))
+        annotate_map_with_landmarks(topo, K, corridor)
+        assert len(shaded) == 1
+        assert topo.nodes[0].image is image and (image == 7).all()
+        for node in topo.nodes:
+            color, _, ids, uv, lm_depth = reference_render(corridor, node.pose, K)
+            assert np.array_equal(node.landmark_ids, ids)
+            assert np.array_equal(node.landmark_uv, uv)
+            assert np.array_equal(node.landmark_depth, lm_depth)
+        assert np.array_equal(topo.nodes[1].image, color)
 
 
 class TestRobot:
