@@ -1,7 +1,9 @@
-"""Pinned outputs of the ``nav`` benchmark workload.
+"""Pinned outputs of the ``nav`` and ``kidnap`` benchmark workloads.
 
 One ``perfbench.workloads.Nav`` set-up and one pass at seed 1 are compared
-against ``tests/data/pinned_nav_seed1.json``: the pass fingerprint, each
+against ``tests/data/pinned_nav_seed1.json``, and one ``Kidnap`` set-up at
+seed 1 with a pass over its first KIDNAP_QUERIES queries against
+``tests/data/pinned_kidnap_seed1.json``: the pass fingerprint, each
 observation's mode, status, reference node, inliers and total, and the
 SHA-256 of every emitted pose's ``fmt17`` row (``Pose.fields``). A change
 that claims its outputs are unchanged passes this test as it stands.
@@ -15,7 +17,7 @@ solves go through LAPACK, whose last bits depend on the BLAS kernels. On
 another numpy, scipy or BLAS the test may fail with the program working:
 regenerate the data there before trusting a failure. A change that means
 to move outputs regenerates the data and says so, with the largest
-deviation. Regenerate with::
+deviation. Regenerate both files with::
 
     PYTHONPATH=src:. python3 tests/test_pinned_outputs.py
 """
@@ -30,15 +32,19 @@ import tempfile
 import pytest
 
 from perfbench.tracing import Tracer
-from perfbench.workloads import Nav
+from perfbench.workloads import Kidnap, Nav
 from vloc import pipeline
 
-DATA = os.path.join(os.path.dirname(__file__), "data", "pinned_nav_seed1.json")
 SEED = 1
+KIDNAP_QUERIES = 48          # the first queries of the set-up, in its order
 
 
-def collect(workdir) -> dict:
-    """One ``nav`` set-up and pass at SEED, as plain JSON values."""
+def data_path(name: str) -> str:
+    return os.path.join(os.path.dirname(__file__), "data", f"pinned_{name}_seed1.json")
+
+
+def collect(name: str, workdir) -> dict:
+    """One ``name`` set-up and pass at SEED, as plain JSON values."""
     observations = []
     original = pipeline.Pipeline.on_observation
 
@@ -49,8 +55,10 @@ def collect(workdir) -> dict:
                              outcome.total])
         return outcome
 
-    workload = Nav()
+    workload = {"nav": Nav, "kidnap": Kidnap}[name]()
     inputs = workload.setup(SEED, 0, workdir)
+    if name == "kidnap":
+        inputs.queries = inputs.queries[:KIDNAP_QUERIES]
     pipeline.Pipeline.on_observation = record
     try:
         result = workload.run_pass(inputs, Tracer())
@@ -66,40 +74,71 @@ def collect(workdir) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def pinned():
-    with open(DATA) as f:
-        return json.load(f)
-
-
-@pytest.fixture(scope="module")
-def run():
+def run_and_pinned(name: str):
+    with open(data_path(name)) as f:
+        pinned = json.load(f)
     with tempfile.TemporaryDirectory() as workdir:
-        return collect(workdir)
+        return collect(name, workdir), pinned
 
 
-def test_pass_fingerprint(run, pinned):
+@pytest.fixture(scope="module")
+def nav():
+    return run_and_pinned("nav")
+
+
+@pytest.fixture(scope="module")
+def kidnap():
+    return run_and_pinned("kidnap")
+
+
+def check_fingerprint(run, pinned):
     assert run["fingerprint"] == pinned["fingerprint"]
 
 
-def test_observation_outcomes(run, pinned):
+def check_observations(run, pinned):
     assert len(run["observations"]) == len(pinned["observations"])
     for k, (got, want) in enumerate(zip(run["observations"], pinned["observations"])):
         assert got == want, f"observation {k}"
 
 
-def test_emitted_poses_bit_equal(run, pinned):
+def check_poses(run, pinned):
     assert len(run["pose_sha256"]) == len(pinned["pose_sha256"])
     for k, (got, want) in enumerate(zip(run["pose_sha256"], pinned["pose_sha256"])):
         assert got == want, f"pose {k} is not bit-equal to the pinned one"
 
 
+def test_pass_fingerprint(nav):
+    check_fingerprint(*nav)
+
+
+def test_observation_outcomes(nav):
+    check_observations(*nav)
+
+
+def test_emitted_poses_bit_equal(nav):
+    check_poses(*nav)
+
+
+def test_kidnap_pass_fingerprint(kidnap):
+    check_fingerprint(*kidnap)
+
+
+def test_kidnap_query_outcomes(kidnap):
+    check_observations(*kidnap)
+
+
+def test_kidnap_fixes_bit_equal(kidnap):
+    check_poses(*kidnap)
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(DATA), exist_ok=True)
-    with tempfile.TemporaryDirectory() as workdir:
-        data = collect(workdir)
-    with open(DATA, "w") as f:
-        json.dump(data, f, indent=1)
-        f.write("\n")
-    print(f"wrote {DATA}: {len(data['observations'])} observations, "
-          f"{len(data['pose_sha256'])} poses")
+    for name in ("nav", "kidnap"):
+        path = data_path(name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with tempfile.TemporaryDirectory() as workdir:
+            data = collect(name, workdir)
+        with open(path, "w") as f:
+            json.dump(data, f, indent=1)
+            f.write("\n")
+        print(f"wrote {path}: {len(data['observations'])} observations, "
+              f"{len(data['pose_sha256'])} poses")
