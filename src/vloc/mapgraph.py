@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import retrieval
+from . import matching, retrieval
 from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
 from .errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
 from .geometry import (
@@ -87,7 +87,13 @@ class MapNode:
 
     The landmark_* fields are simulator annotations carried in memory for
     the oracle matcher; they are not serialized (re-render at the node pose
-    to regenerate them)."""
+    to regenerate them).
+
+    A matcher takes the node itself as its reference: ``color`` is the
+    image under an ``Observation``'s name, and ``classical_features()``
+    keeps the classical matcher's features of the image in memory. They
+    are not a field, so saving, loading, comparing and printing a node
+    ignore them."""
 
     id: int
     pose: Pose
@@ -96,6 +102,19 @@ class MapNode:
     landmark_ids: np.ndarray | None = None
     landmark_uv: np.ndarray | None = None
     landmark_depth: np.ndarray | None = None
+    _features = None             # (image, its features) once computed
+
+    @property
+    def color(self) -> np.ndarray | None:
+        return self.image
+
+    def classical_features(self):
+        """``matching.classical_features`` of the image, computed on the
+        first call and kept with the image they belong to, so a replaced
+        ``image`` gets its own on the next call."""
+        if self._features is None or self._features[0] is not self.image:
+            self._features = (self.image, matching.classical_features(self.image))
+        return self._features[1]
 
 
 @dataclass

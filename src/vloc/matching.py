@@ -5,7 +5,15 @@ correspondences.
 
 A ``MatchSet`` holds its correspondences as three columns: ``uv_ref``
 (N, 2) and ``uv_query`` (N, 2) float pixels and ``confidence`` (N,); row i
-of each column is one match."""
+of each column is one match.
+
+The classical matcher is a feature step (``classical_features``: Harris
+corners and patch descriptors of one image) and a match step
+(``match_features``). Its tuning values are module constants, so an
+image's features depend on the image alone: a map node's are computed on
+its first classical match and kept in memory with the node
+(``MapNode.classical_features``), never saved; a query's are computed on
+every call."""
 
 from __future__ import annotations
 
@@ -62,14 +70,8 @@ def _to_float_image(image) -> np.ndarray:
     return imgf
 
 
-def harris_corners(image) -> np.ndarray:
-    """Top corners by Harris response with non-max suppression.
-
-    Returns (N, 2) integer pixel coordinates (u, v), ordered by descending
-    response with (v, u) tie-break, N <= MAX_CORNERS. Corners closer than
-    half a patch to the border are discarded.
-    """
-    imgf = _to_float_image(image)
+def _harris(imgf: np.ndarray) -> np.ndarray:
+    """``harris_corners`` of an image already converted to float."""
     gy, gx = np.gradient(imgf)
     win = 2 * 2 + 1
     sxx = ndimage.uniform_filter(gx * gx, size=win)
@@ -79,8 +81,8 @@ def harris_corners(image) -> np.ndarray:
 
     size = 2 * NMS_RADIUS + 1
     is_peak = (resp == ndimage.maximum_filter(resp, size=size))
-    floor = RESPONSE_FLOOR * float(resp.max()) if resp.max() > 0 else np.inf
-    is_peak &= resp > floor
+    peak = float(resp.max())
+    is_peak &= resp > (RESPONSE_FLOOR * peak if peak > 0 else np.inf)
     margin = PATCH_SIZE // 2
     h, w = is_peak.shape
     is_peak[:margin, :] = False
@@ -93,6 +95,16 @@ def harris_corners(image) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     order = np.lexsort((us, vs, -resp[vs, us]))[:MAX_CORNERS]
     return np.stack([us[order], vs[order]], axis=1).astype(np.int64)
+
+
+def harris_corners(image) -> np.ndarray:
+    """Top corners by Harris response with non-max suppression.
+
+    Returns (N, 2) integer pixel coordinates (u, v), ordered by descending
+    response with (v, u) tie-break, N <= MAX_CORNERS. Corners closer than
+    half a patch to the border are discarded.
+    """
+    return _harris(_to_float_image(image))
 
 
 def _patch_descriptors(imgf: np.ndarray, corners: np.ndarray):
@@ -109,23 +121,25 @@ def _patch_descriptors(imgf: np.ndarray, corners: np.ndarray):
     return p[keep] / norm[keep, None], keep
 
 
-def match_classical(obs_ref, obs_query) -> MatchSet:
-    """Harris corners + normalized-patch mutual nearest neighbor matching
-    with a Lowe ratio test. Deterministic; an empty MatchSet is a valid
-    outcome on featureless input."""
-    img_ref = obs_ref.color if hasattr(obs_ref, "color") else obs_ref
-    img_query = obs_query.color if hasattr(obs_query, "color") else obs_query
-    ref_f = _to_float_image(img_ref)
-    qry_f = _to_float_image(img_query)
-    corners_r = harris_corners(img_ref)
-    corners_q = harris_corners(img_query)
-    desc_r, keep_r = _patch_descriptors(ref_f, corners_r)
-    desc_q, keep_q = _patch_descriptors(qry_f, corners_q)
+def classical_features(image):
+    """The feature step of ``match_classical``: Harris corners of a
+    grayscale image and their patch descriptors, the image converted to
+    float once. Returns (corners (M, 2) int64 (u, v), unit descriptors
+    (M, PATCH_SIZE**2)), textureless corners dropped."""
+    imgf = _to_float_image(image)
+    corners = _harris(imgf)
+    desc, keep = _patch_descriptors(imgf, corners)
+    return corners[keep], desc
+
+
+def match_features(features_ref, features_query) -> MatchSet:
+    """The match step of ``match_classical``: mutual nearest neighbours of
+    two ``classical_features`` results under squared patch distance, with
+    a Lowe ratio test, ordered by query pixel (v, u)."""
+    corners_r, desc_r = features_ref
+    corners_q, desc_q = features_query
     if len(desc_r) == 0 or len(desc_q) == 0:
         return MatchSet()
-    corners_r = corners_r[keep_r]
-    corners_q = corners_q[keep_q]
-
     ncc = desc_q @ desc_r.T                   # (nq, nr), unit patches
     d2 = np.maximum(2.0 - 2.0 * ncc, 0.0)     # squared L2 distance
     rows = np.arange(len(d2))
@@ -140,6 +154,23 @@ def match_classical(obs_ref, obs_query) -> MatchSet:
     q, r = q[order], r[order]
     return MatchSet(uv_ref=corners_r[r], uv_query=corners_q[q],
                     confidence=np.maximum(ncc[q, r], 0.0))
+
+
+def match_classical(obs_ref, obs_query) -> MatchSet:
+    """Harris corners + normalized-patch mutual nearest neighbor matching
+    with a Lowe ratio test. Deterministic; an empty MatchSet is a valid
+    outcome on featureless input.
+
+    Either side is an image or carries one as ``color``. A reference that
+    keeps its features (a ``MapNode``, by ``classical_features()``) serves
+    them: a node's are computed on its first classical match and kept in
+    memory. The query's are computed on every call and never kept."""
+    if hasattr(obs_ref, "classical_features"):
+        features_ref = obs_ref.classical_features()
+    else:
+        features_ref = classical_features(getattr(obs_ref, "color", obs_ref))
+    return match_features(features_ref,
+                          classical_features(getattr(obs_query, "color", obs_query)))
 
 
 def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,

@@ -75,6 +75,10 @@ class RelocResult:
     # they gave; 0 when the solver did not run
     iterations: int = 0
     hypotheses: int = 0
+    # Gauss-Newton refinement of the best hypothesis: accepted steps, and
+    # trial costs evaluated without acceptance (step halvings)
+    refine_steps: int = 0
+    refine_halvings: int = 0
 
     def __post_init__(self):
         if self.inliers > self.total:
@@ -321,8 +325,8 @@ def reprojection_residual_jacobian(r, t, p3d, uv, K):
 def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
     """Gauss-Newton with step halving; cost is monotone non-increasing.
     ``errors`` are the points' reprojection errors at (r, t) when the
-    caller has them. Returns (R, t, converged) or the inputs when no step
-    helps."""
+    caller has them. Returns (R, t, converged, accepted steps, rejected
+    trial steps), R and t being the inputs when no step helps."""
 
     def cost_of(rr, tt):
         e = _reprojection_errors(rr, tt, p3d, uv, K)
@@ -330,7 +334,8 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
 
     cost = cost_of(r, t) if errors is None else float((errors * errors).sum())
     if not np.isfinite(cost):
-        return r, t, False
+        return r, t, False, 0, 0
+    steps = halvings = 0
     for _ in range(REFINE_ITERS):
         if cost < _COST_FLOOR:
             break
@@ -352,14 +357,16 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
             if c_new < cost:
                 improved = True
                 break
+            halvings += 1
             step *= 0.5
         if not improved:
             break
+        steps += 1
         decrease = cost - c_new
         r, t, cost = r_new, t_new, c_new
         if decrease < 1e-10:
             break
-    return r, t, True
+    return r, t, True, steps, halvings
 
 
 def _score_block(sel, p3d, uv, rays, K):
@@ -438,8 +445,8 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                            iterations=iteration, hypotheses=hypotheses)
 
     mask = best_err < REPROJ_THRESH
-    r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask],
-                                            K, best_err[mask])
+    r_ref, t_ref, ok, steps, halvings = _refine_gauss_newton(
+        best_r, best_t, p3d[mask], uv[mask], K, best_err[mask])
     if ok and r_ref is not best_r:
         err_ref = _reprojection_errors(r_ref, t_ref, p3d, uv, K)
         inl_ref = int(np.count_nonzero(err_ref < REPROJ_THRESH))
@@ -450,25 +457,23 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
         else RelocStatus.RANSAC_FAILED
     return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,
-                       iterations=iteration, hypotheses=hypotheses)
-
-
-def node_observation(node: MapNode) -> Observation:
-    """The reference-side observation a matcher sees for a map node."""
-    return Observation(color=node.image, landmark_ids=node.landmark_ids,
-                       landmark_uv=node.landmark_uv,
-                       landmark_depth=node.landmark_depth)
+                       iterations=iteration, hypotheses=hypotheses,
+                       refine_steps=steps, refine_halvings=halvings)
 
 
 def localize_against_node(node: MapNode, obs: Observation, K: CameraIntrinsics,
                           matcher, params: PnPParams = PnPParams()) -> RelocResult:
     """Full per-node chain: match -> lift -> PnP/RANSAC -> world pose.
 
-    The returned pose is the query camera in the world frame (node pose
-    composed with the relative solution)."""
+    The matcher gets the node itself as its reference (``color`` and the
+    landmark fields, read at call time), so ``match_classical`` reuses the
+    node's kept features: they are computed on the node's first classical
+    match, kept in memory and never saved. The returned pose is the query
+    camera in the world frame (node pose composed with the relative
+    solution)."""
     if node.image is None:
         raise ValueError(f"node {node.id} has no stored image")
-    match_set = matcher(node_observation(node), obs)
+    match_set = matcher(node, obs)
     p3d, uv_ref, _ = lift(match_set, obs.depth, K)
     rel = solve_pnp_ransac(p3d, uv_ref, K, params)
     if rel.status is not RelocStatus.SUCCESS:

@@ -1,16 +1,18 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from vloc import matching
 from vloc.errors import NoDepth, NonMonotonicTimestamp, NotLocalized
 from vloc.geometry import CameraIntrinsics, Pose
-from vloc.mapgraph import build_map, select_keyframes
+from vloc.mapgraph import build_map, load_map, maps_equal, save_map, select_keyframes
 from vloc.matching import match_classical, match_oracle
 from vloc import pipeline as pipeline_module
 from vloc.pipeline import Pipeline, PipelineConfig, PipelineMode
-from vloc.planning import compute_ate
-from vloc.relocal import RelocResult, RelocStatus
+from vloc.planning import NavConfig, compute_ate, run_mission
+from vloc.relocal import PnPParams, RelocResult, RelocStatus
 from vloc.simworld import (
     OdomNoise,
     SimRobot,
@@ -377,6 +379,122 @@ class TestReplayRegression:
         assert len(p.fusion.states) == 2
         est, _ = p.fusion.current_pose()
         assert np.linalg.norm(est.t - moved.t) < 0.1
+
+
+def fresh_map(topo):
+    """The map over copies of its nodes, none of which has kept features."""
+    return dataclasses.replace(topo, nodes=[dataclasses.replace(n) for n in topo.nodes])
+
+
+@pytest.fixture
+def feature_calls(monkeypatch):
+    """The images ``matching.classical_features`` runs on, in call order."""
+    images = []
+    real = matching.classical_features
+
+    def record(image):
+        images.append(image)
+        return real(image)
+
+    monkeypatch.setattr(matching, "classical_features", record)
+    return images
+
+
+def same_matches(a, b):
+    return all(np.array_equal(x, y) for x, y in
+               zip((a.uv_ref, a.uv_query, a.confidence),
+                   (b.uv_ref, b.uv_query, b.confidence)))
+
+
+class TestNodeFeatures:
+    """A map node's classical features are computed on its first classical
+    match and kept in memory; a query's never are."""
+
+    def test_once_per_reference_node_across_pipelines(self, corridor_map,
+                                                      feature_calls, monkeypatch):
+        world, topo = corridor_map
+        topo = fresh_map(topo)
+        harris = []
+        real_harris = matching._harris
+        monkeypatch.setattr(matching, "_harris",
+                            lambda imgf: harris.append(1) or real_harris(imgf))
+        views = [(4.0, 0.1, 0.05), (9.5, -0.2, -0.1), (15.0, 0.0, 0.1),
+                 (4.3, 0.0, 0.0), (20.0, 0.2, -0.05)]
+        queries = [render(world, planar_camera_pose(x, 2.25 + dy, yaw), K).observation()
+                   for x, dy, yaw in views]
+        config = PipelineConfig(pnp=PnPParams(min_inliers=6))
+        matched = []
+        for p in (Pipeline(topo, K, match_classical, config),
+                  Pipeline(topo, K, match_classical, config)):
+            for t, obs in enumerate(queries):
+                out = p.on_observation(obs, float(t))
+                if out.status != "GlRejected":
+                    matched.append(out.reference_node)
+        assert len(matched) > len(set(matched)) >= 2
+        node_of = {id(node.image): node.id for node in topo.nodes}
+        node_calls = [node_of[id(im)] for im in feature_calls if id(im) in node_of]
+        assert sorted(node_calls) == sorted(set(matched))
+        assert len(feature_calls) - len(node_calls) == len(matched)
+        assert len(harris) == len(feature_calls)
+
+    def test_query_features_never_kept(self, corridor_map, feature_calls):
+        world, topo = corridor_map
+        node = dataclasses.replace(topo.nodes[3])
+        obs = render(world, planar_camera_pose(node.pose.t[0] + 0.3, 2.3, 0.05),
+                     K).observation()
+        before = dict(vars(obs))
+        first = match_classical(node, obs)
+        second = match_classical(node, obs)
+        assert vars(obs).keys() == before.keys()
+        assert all(vars(obs)[k] is v for k, v in before.items())
+        assert len(feature_calls) == 3
+        assert feature_calls[0] is node.image
+        assert feature_calls[1] is obs.color and feature_calls[2] is obs.color
+        assert len(first) > 0 and same_matches(first, second)
+        assert same_matches(first, match_classical(node.image, obs.color))
+
+    def test_oracle_navigation_computes_none(self, corridor_map, feature_calls):
+        world, topo = corridor_map
+        topo = fresh_map(topo)
+        start = topo.nodes[0].pose.t
+        rep, = run_mission(world, topo, [topo.nodes[2].image], K, oracle,
+                           start=(start[0], start[1], 0.0), seed=1,
+                           config=NavConfig(timeout=10.0))
+        assert len(rep.trajectory) > 0
+        assert feature_calls == []
+
+    def test_replaced_image_gets_its_own_features(self, corridor_map, feature_calls):
+        _, topo = corridor_map
+        node = dataclasses.replace(topo.nodes[3])
+        old = node.classical_features()
+        assert node.classical_features() is old
+        node.image = topo.nodes[5].image.copy()
+        assert node.color is node.image
+        with pytest.raises(AttributeError):
+            node.color = old
+        new = node.classical_features()
+        assert len(feature_calls) == 2 and feature_calls[1] is node.image
+        want = matching.classical_features(topo.nodes[5].image)
+        assert all(np.array_equal(a, b) for a, b in zip(new, want))
+        assert not all(np.array_equal(a, b) for a, b in zip(new, old))
+
+    def test_map_round_trip_ignores_kept_features(self, corridor_map, feature_calls,
+                                                  tmp_path):
+        _, topo = corridor_map
+        topo = fresh_map(topo)
+        for node in topo.nodes:
+            node.classical_features()
+        text = repr(topo.nodes[0])
+        assert text == repr(dataclasses.replace(topo.nodes[0]))
+        save_map(topo, tmp_path)
+        assert sorted(os.listdir(tmp_path)) == [
+            "cng_edges.csv", "cvg_edges.csv", "descriptors.f32", "images",
+            "manifest.txt", "nodes.csv"]
+        loaded = load_map(tmp_path)
+        assert maps_equal(topo, loaded) and maps_equal(loaded, topo)
+        del feature_calls[:]
+        loaded.nodes[0].classical_features()
+        assert len(feature_calls) == 1 and feature_calls[0] is loaded.nodes[0].image
 
 
 class TestLogFormat:

@@ -229,7 +229,8 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
                            iterations=iteration, hypotheses=hypotheses)
 
     mask = _reprojection_errors(best_r, best_t, p3d, uv, K) < REPROJ_THRESH
-    r_ref, t_ref, ok = _refine_gauss_newton(best_r, best_t, p3d[mask], uv[mask], K)
+    r_ref, t_ref, ok, steps, halvings = _refine_gauss_newton(
+        best_r, best_t, p3d[mask], uv[mask], K)
     if ok:
         inl_ref = int(np.sum(_reprojection_errors(r_ref, t_ref, p3d, uv, K)
                              < REPROJ_THRESH))
@@ -240,7 +241,8 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
         else RelocStatus.RANSAC_FAILED
     return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,
-                       iterations=iteration, hypotheses=hypotheses)
+                       iterations=iteration, hypotheses=hypotheses,
+                       refine_steps=steps, refine_halvings=halvings)
 
 
 class TestLift:
@@ -384,9 +386,31 @@ class TestSolvePnP:
             r0, t0 = start.rotation_matrix(), start.t
             e0 = _reprojection_errors(r0, t0, p_world, uv, K)
             c0 = float(np.sum(e0 * e0))
-            r1, t1, okflag = _refine_gauss_newton(r0, t0, p_world, uv, K)
+            r1, t1, _, _, _ = _refine_gauss_newton(r0, t0, p_world, uv, K)
             e1 = _reprojection_errors(r1, t1, p_world, uv, K)
             assert float(np.sum(e1 * e1)) <= c0 + 1e-12
+
+    def test_refinement_reports_failed_halvings(self):
+        # the refinement's known waste: after accepted steps that still
+        # lower the cost by more than 1e-10, a step none of whose 12
+        # halvings lowers it, far above the cost floor, ends the refinement
+        rng = np.random.default_rng(0)
+        p_world, uv, _, _ = synth_scene(rng, 20, noise=1.0)
+        res = solve_pnp_ransac(p_world, uv, K, PnPParams(seed=0))
+        assert res.status is RelocStatus.SUCCESS
+        assert (res.refine_steps, res.refine_halvings) == (3, 12)
+
+        rng = np.random.default_rng(14)
+        p_world, uv, transform, _ = synth_scene(rng, 20, noise=1.0)
+        start = transform.compose(se3_exp(rng.normal(0, 0.02, 6)))
+        r1, t1, _, steps, halvings = _refine_gauss_newton(
+            start.rotation_matrix(), start.t, p_world, uv, K)
+        assert (steps, halvings) == (4, 1)
+        r2, t2, ok, steps, halvings = _refine_gauss_newton(r1, t1, p_world, uv, K)
+        assert ok and (steps, halvings) == (0, 12)
+        assert r2 is r1 and t2 is t1
+        e = _reprojection_errors(r1, t1, p_world, uv, K)
+        assert float(np.sum(e * e)) > 1.0
 
     def test_jacobian_matches_central_differences(self):
         # 1e-5 relative agreement at 100 seeded linearization points
@@ -436,8 +460,10 @@ class TestBatchedMatchesSequential:
     def assert_same(p3d, uv, params):
         got = solve_pnp_ransac(p3d, uv, K, params)
         want = reference_solve_pnp_ransac(p3d, uv, K, params)
-        assert (got.status, got.inliers, got.total, got.iterations, got.hypotheses) \
-            == (want.status, want.inliers, want.total, want.iterations, want.hypotheses)
+        assert (got.status, got.inliers, got.total, got.iterations, got.hypotheses,
+                got.refine_steps, got.refine_halvings) \
+            == (want.status, want.inliers, want.total, want.iterations, want.hypotheses,
+                want.refine_steps, want.refine_halvings)
         assert (got.pose is None) == (want.pose is None)
         if want.pose is not None:
             assert np.linalg.norm(got.pose.t - want.pose.t) <= 1e-9
