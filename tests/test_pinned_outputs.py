@@ -3,10 +3,12 @@
 One ``perfbench.workloads.Nav`` set-up and one pass at seed 1 are compared
 against ``tests/data/pinned_nav_seed1.json``, and one ``Kidnap`` set-up at
 seed 1 with a pass over its first KIDNAP_QUERIES queries against
-``tests/data/pinned_kidnap_seed1.json``: the pass fingerprint, each
-observation's mode, status, reference node, inliers and total, and the
-SHA-256 of every emitted pose's ``fmt17`` row (``Pose.fields``). A change
-that claims its outputs are unchanged passes this test as it stands.
+``tests/data/pinned_kidnap_seed1.json``: the set-up map's CnG and CvG
+edges, its CnG components and the SHA-256 of every file ``save_map``
+writes for it; the pass fingerprint; each observation's mode, status,
+reference node, inliers and total; and the SHA-256 of every emitted
+pose's ``fmt17`` row (``Pose.fields``). A change that claims its outputs
+are unchanged passes this test as it stands.
 
 The data belongs to the host it was made on: numpy 2.4.6, scipy 1.17.1 and
 the scipy-openblas build of OpenBLAS 0.3.31 bundled with them. The rooms
@@ -33,7 +35,7 @@ import pytest
 
 from perfbench.tracing import Tracer
 from perfbench.workloads import Kidnap, Nav
-from vloc import pipeline
+from vloc import mapgraph, pipeline
 
 SEED = 1
 KIDNAP_QUERIES = 48          # the first queries of the set-up, in its order
@@ -41,6 +43,19 @@ KIDNAP_QUERIES = 48          # the first queries of the set-up, in its order
 
 def data_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", f"pinned_{name}_seed1.json")
+
+
+def map_files_sha256(topo, mapdir) -> dict:
+    """Relative path -> SHA-256 of every file ``save_map`` writes."""
+    mapgraph.save_map(topo, mapdir)
+    out = {}
+    for root, _, files in os.walk(mapdir):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as f:
+                rel = os.path.relpath(path, mapdir).replace(os.sep, "/")
+                out[rel] = hashlib.sha256(f.read()).hexdigest()
+    return dict(sorted(out.items()))
 
 
 def collect(name: str, workdir) -> dict:
@@ -59,6 +74,15 @@ def collect(name: str, workdir) -> dict:
     inputs = workload.setup(SEED, 0, workdir)
     if name == "kidnap":
         inputs.queries = inputs.queries[:KIDNAP_QUERIES]
+    topo = inputs.map.topo
+    # JSON keeps floats by their shortest round-trip repr, so edge weights
+    # and the fingerprint's errors and lengths compare bit for bit
+    graph = json.loads(json.dumps({
+        "cng_edges": topo.cng_edges,
+        "cvg_edges": topo.cvg_edges,
+        "components": topo.components(),
+    }))
+    graph["map_files_sha256"] = map_files_sha256(topo, os.path.join(workdir, "map"))
     pipeline.Pipeline.on_observation = record
     try:
         result = workload.run_pass(inputs, Tracer())
@@ -66,8 +90,7 @@ def collect(name: str, workdir) -> dict:
         pipeline.Pipeline.on_observation = original
     rows = [",".join(pose.fields()) for pose in result.poses]
     return {
-        # JSON keeps floats by their shortest round-trip repr, so the
-        # fingerprint's errors and lengths compare bit for bit
+        **graph,
         "fingerprint": json.loads(json.dumps(result.fingerprint)),
         "observations": observations,
         "pose_sha256": [hashlib.sha256(r.encode()).hexdigest() for r in rows],
@@ -91,6 +114,19 @@ def kidnap():
     return run_and_pinned("kidnap")
 
 
+def check_map_edges(run, pinned):
+    assert run["cng_edges"] == pinned["cng_edges"]
+    assert run["cvg_edges"] == pinned["cvg_edges"]
+
+
+def check_map_components(run, pinned):
+    assert run["components"] == pinned["components"]
+
+
+def check_map_files(run, pinned):
+    assert run["map_files_sha256"] == pinned["map_files_sha256"]
+
+
 def check_fingerprint(run, pinned):
     assert run["fingerprint"] == pinned["fingerprint"]
 
@@ -107,6 +143,18 @@ def check_poses(run, pinned):
         assert got == want, f"pose {k} is not bit-equal to the pinned one"
 
 
+def test_map_edges(nav):
+    check_map_edges(*nav)
+
+
+def test_map_components(nav):
+    check_map_components(*nav)
+
+
+def test_saved_map_files(nav):
+    check_map_files(*nav)
+
+
 def test_pass_fingerprint(nav):
     check_fingerprint(*nav)
 
@@ -117,6 +165,18 @@ def test_observation_outcomes(nav):
 
 def test_emitted_poses_bit_equal(nav):
     check_poses(*nav)
+
+
+def test_kidnap_map_edges(kidnap):
+    check_map_edges(*kidnap)
+
+
+def test_kidnap_map_components(kidnap):
+    check_map_components(*kidnap)
+
+
+def test_kidnap_saved_map_files(kidnap):
+    check_map_files(*kidnap)
 
 
 def test_kidnap_pass_fingerprint(kidnap):
@@ -140,5 +200,8 @@ if __name__ == "__main__":
         with open(path, "w") as f:
             json.dump(data, f, indent=1)
             f.write("\n")
-        print(f"wrote {path}: {len(data['observations'])} observations, "
+        print(f"wrote {path}: {len(data['cng_edges'])} CnG and "
+              f"{len(data['cvg_edges'])} CvG edges, "
+              f"{len(data['map_files_sha256'])} map files, "
+              f"{len(data['observations'])} observations, "
               f"{len(data['pose_sha256'])} poses")
