@@ -15,11 +15,14 @@ correspondences and drives reference-node gathering during localization.
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from . import matching, retrieval
 from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
@@ -119,15 +122,18 @@ class MapNode:
 
 @dataclass
 class TopoMetricMap:
-    """Nodes plus the two undirected edge sets, endpoints stored a < b."""
+    """Nodes plus the two undirected edge sets, endpoints stored a < b,
+    each pair once. ``cng`` and ``cvg`` hold the levels as symmetric CSR
+    adjacencies for ``scipy.sparse.csgraph``, derived from the edge lists;
+    equality and printing ignore them."""
 
     nodes: list
     cng_edges: list
     cvg_edges: list
     descriptor_dim: int
     grid_res: float = GRID_RES_DEFAULT
-    _cng_adj: dict = field(init=False, repr=False)
-    _cvg_adj: dict = field(init=False, repr=False)
+    cng: sparse.csr_array = field(init=False, repr=False, compare=False)
+    cvg: sparse.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -141,26 +147,12 @@ class TopoMetricMap:
                 raise ValueError(f"node {node.id}: descriptor not unit norm")
         self.cng_edges = sorted(tuple(e) for e in self.cng_edges)
         self.cvg_edges = sorted(tuple(e) for e in self.cvg_edges)
+        self.cng = _adjacency(self.cng_edges, n)
+        self.cvg = _adjacency(self.cvg_edges, n)
         for a, b, w in self.cng_edges:
-            self._check_endpoints(a, b, n)
             dist = float(np.linalg.norm(self.nodes[a].pose.t - self.nodes[b].pose.t))
             if abs(w - dist) > 1e-9:
                 raise ValueError(f"cng edge ({a},{b}) weight {w} != distance {dist}")
-        for a, b, _ in self.cvg_edges:
-            self._check_endpoints(a, b, n)
-        self._cng_adj = {i: [] for i in range(n)}
-        self._cvg_adj = {i: [] for i in range(n)}
-        for a, b, w in self.cng_edges:
-            self._cng_adj[a].append((b, w))
-            self._cng_adj[b].append((a, w))
-        for a, b, c in self.cvg_edges:
-            self._cvg_adj[a].append((b, c))
-            self._cvg_adj[b].append((a, c))
-
-    @staticmethod
-    def _check_endpoints(a, b, n):
-        if not (0 <= a < b < n):
-            raise ValueError(f"bad edge endpoints ({a},{b}) for {n} nodes")
 
     def node_positions(self) -> np.ndarray:
         return np.array([node.pose.t for node in self.nodes])
@@ -168,30 +160,32 @@ class TopoMetricMap:
     def descriptor_matrix(self) -> np.ndarray:
         return np.stack([node.descriptor for node in self.nodes])
 
-    def cng_neighbors(self, node_id: int):
-        return list(self._cng_adj[node_id])
-
     def cvg_neighbors(self, node_id: int):
-        return [b for b, _ in self._cvg_adj[node_id]]
+        """Covisibility neighbours of a node, ascending."""
+        row = slice(self.cvg.indptr[node_id], self.cvg.indptr[node_id + 1])
+        return self.cvg.indices[row].tolist()
 
     def components(self):
-        """Connected components of the CnG, each a sorted list of ids."""
-        seen = set()
-        comps = []
-        for start in range(len(self.nodes)):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nbr, _ in self._cng_adj[cur]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components of the CnG, each a sorted list of ids, in
+        order of their smallest id."""
+        k, labels = csgraph.connected_components(self.cng, directed=False)
+        return sorted(np.flatnonzero(labels == c).tolist() for c in range(k))
+
+
+def _adjacency(edges, n: int) -> sparse.csr_array:
+    """Symmetric n x n CSR adjacency of undirected (a, b, value) edges; a
+    zero value stays a stored entry. Raises ValueError for endpoints
+    outside 0 <= a < b < n or an (a, b) listed twice."""
+    for a, b, _ in edges:
+        if not 0 <= a < b < n:
+            raise ValueError(f"bad edge endpoints ({a},{b}) for {n} nodes")
+    a, b = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
+    value = np.array([e[2] for e in edges], dtype=np.float64)
+    adj = sparse.csr_array((np.r_[value, value], (np.r_[a, b], np.r_[b, a])),
+                           shape=(n, n))
+    if adj.nnz != 2 * len(edges):        # the CSR sums a repeated entry
+        raise ValueError("an edge is listed twice")
+    return adj
 
 
 def maps_equal(a: TopoMetricMap, b: TopoMetricMap) -> bool:
@@ -301,9 +295,10 @@ def build_map(segment: Segment, keyframe_indices, matcher,
     distance is <= nav_radius and, when a ``world`` with a
     ``line_of_sight(p, q)`` method is given, the segment between the nodes
     is unobstructed; ``cng_from_cvg`` reproduces the simplification of
-    taking the CnG equal to the CvG. Matcher calls are skipped for pairs
-    farther apart than ``2 * nav_radius``, since they cannot share
-    appearance in any covisibility sense.
+    taking the CnG equal to the CvG. One pass over the node pairs a < b
+    decides both levels. Matcher calls are skipped for pairs farther
+    apart than ``2 * nav_radius``, since they cannot share appearance in
+    any covisibility sense.
 
     Each node keeps its keyframe's pose, descriptor, image and landmark
     annotations; the keyframe's depth served keyframe selection and is not
@@ -320,43 +315,25 @@ def build_map(segment: Segment, keyframe_indices, matcher,
         if not 0 <= i < len(segment):
             raise ValueError(f"keyframe index {i} out of range")
     frames = [segment.frames[i] for i in indices]
-    nodes = []
-    for j, f in enumerate(frames):
-        nodes.append(MapNode(
-            id=j,
-            pose=f.pose,
-            descriptor=retrieval.extract_descriptor(f.obs.color),
-            image=np.asarray(f.obs.color, dtype=np.uint8),
-            landmark_ids=f.obs.landmark_ids,
-            landmark_uv=f.obs.landmark_uv,
-            landmark_depth=f.obs.landmark_depth,
-        ))
+    nodes = [MapNode(id=j, pose=f.pose,
+                     descriptor=retrieval.extract_descriptor(f.obs.color),
+                     image=np.asarray(f.obs.color, dtype=np.uint8),
+                     landmark_ids=f.obs.landmark_ids, landmark_uv=f.obs.landmark_uv,
+                     landmark_depth=f.obs.landmark_depth)
+             for j, f in enumerate(frames)]
 
-    cvg_edges = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            dist = float(np.linalg.norm(nodes[a].pose.t - nodes[b].pose.t))
-            if dist > 2.0 * nav_radius:
-                continue
-            n_corr = len(matcher(frames[a].obs, frames[b].obs))
-            if n_corr >= covis_threshold:
-                cvg_edges.append((a, b, n_corr))
-
-    cng_edges = []
-    if cng_from_cvg:
-        for a, b, _ in cvg_edges:
-            dist = float(np.linalg.norm(nodes[a].pose.t - nodes[b].pose.t))
+    cng_edges, cvg_edges = [], []
+    for a, b in itertools.combinations(range(len(frames)), 2):
+        p, q = frames[a].pose.t, frames[b].pose.t
+        dist = float(np.linalg.norm(p - q))
+        n_corr = (len(matcher(frames[a].obs, frames[b].obs))
+                  if dist <= 2.0 * nav_radius else 0)
+        covisible = n_corr >= covis_threshold       # the threshold is > 0
+        if covisible:
+            cvg_edges.append((a, b, n_corr))
+        if covisible if cng_from_cvg else dist <= nav_radius and (
+                world is None or world.line_of_sight(p, q)):
             cng_edges.append((a, b, dist))
-    else:
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                dist = float(np.linalg.norm(nodes[a].pose.t - nodes[b].pose.t))
-                if dist > nav_radius:
-                    continue
-                if world is not None and not world.line_of_sight(
-                        nodes[a].pose.t, nodes[b].pose.t):
-                    continue
-                cng_edges.append((a, b, dist))
 
     m = TopoMetricMap(
         nodes=nodes,

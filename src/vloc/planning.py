@@ -1,10 +1,11 @@
 """Hierarchical planning and navigation evaluation.
 
-Global planning is Dijkstra over the connectivity level of the map; its
-traversed nodes become subgoals. The local planner scores a fixed fan of
-constant-curvature arcs (``CURVATURES``, sampled by ``arc_points``) against
-the single-frame depth point cloud (rotate-in-place is part of the
-primitive set, so a subgoal behind the robot naturally wins rotation).
+Global planning is scipy's Dijkstra over the map's sparse connectivity
+adjacency; its traversed nodes become subgoals. The local planner scores
+a fixed fan of constant-curvature arcs (``CURVATURES``, sampled by
+``arc_points``) against the single-frame depth point cloud
+(rotate-in-place is part of the primitive set, so a subgoal behind the
+robot naturally wins rotation).
 Closed-loop navigation ties the simulator, the localization pipeline, and
 both planners together; trajectory quality is measured by no-alignment
 absolute trajectory error.
@@ -17,11 +18,11 @@ control and localization rates, the mission's ``NAV_PIPELINE`` gates);
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import EmptyMap, NoMatches, NoPath, NotLocalized
 from .geometry import CameraIntrinsics, Pose, unproject
@@ -59,7 +60,7 @@ NAV_PIPELINE = PipelineConfig(gl_min_sim=0.65, max_failures=12)
 
 @dataclass
 class GlobalPlan:
-    """Dijkstra node path with a subgoal cursor."""
+    """Shortest node path with a subgoal cursor."""
 
     node_path: list
     length: float
@@ -67,38 +68,22 @@ class GlobalPlan:
 
 
 def plan_global(topo_map, start_node: int, goal_node: int) -> GlobalPlan:
-    """Shortest path on the connectivity graph; deterministic tie-break by
-    smaller node id in the priority order."""
+    """Shortest path on the connectivity graph, by ``csgraph.dijkstra``.
+    Among equally short paths scipy's search picks one, the same on every
+    call for the same map (on the unit square, 0 -> 3 gives [0, 2, 3])."""
     n = len(topo_map.nodes)
     for node in (start_node, goal_node):
         if not 0 <= node < n:
             raise ValueError(f"node {node} not in map")
-    if start_node == goal_node:
-        return GlobalPlan(node_path=[start_node], length=0.0)
-    dist = {start_node: 0.0}
-    pred = {}
-    heap = [(0.0, start_node)]
-    done = set()
-    while heap:
-        d, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        done.add(cur)
-        if cur == goal_node:
-            break
-        for nbr, w in topo_map.cng_neighbors(cur):
-            nd = d + w
-            if nbr not in dist or nd < dist[nbr]:
-                dist[nbr] = nd
-                pred[nbr] = cur
-                heapq.heappush(heap, (nd, nbr))
-    if goal_node not in done:
+    dist, pred = csgraph.dijkstra(topo_map.cng, indices=start_node,
+                                  return_predecessors=True)
+    if not math.isfinite(dist[goal_node]):
         raise NoPath(f"nodes {start_node} and {goal_node} are not connected")
     path = [goal_node]
     while path[-1] != start_node:
-        path.append(pred[path[-1]])
+        path.append(int(pred[path[-1]]))
     path.reverse()
-    return GlobalPlan(node_path=path, length=dist[goal_node])
+    return GlobalPlan(node_path=path, length=float(dist[goal_node]))
 
 
 def resolve_goal(topo_map, goal_image):

@@ -248,6 +248,112 @@ class TestBuildMap:
         assert [(a, b) for a, b, _ in m.cng_edges] == [(a, b) for a, b, _ in m.cvg_edges]
 
 
+    def test_matcher_sees_close_pairs_in_order(self, corridor_segment):
+        world, rec = corridor_segment
+        idx = list(range(0, 24, 2))
+        calls = []
+
+        def recording(obs_a, obs_b):
+            calls.append((obs_a, obs_b))
+            return oracle_matcher(obs_a, obs_b)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedMapWarning)
+            build_map(rec.segment, idx, matcher=recording, world=world, nav_radius=2.0)
+        obs = [rec.segment.frames[i].obs for i in idx]
+        pos = [rec.segment.frames[i].pose.t for i in idx]
+        expected = [(a, b) for a in range(len(idx)) for b in range(a + 1, len(idx))
+                    if np.linalg.norm(pos[a] - pos[b]) <= 4.0]
+        assert 0 < len(expected) < len(idx) * (len(idx) - 1) // 2
+        assert len(calls) == len(expected)
+        for (got_a, got_b), (a, b) in zip(calls, expected):
+            assert got_a is obs[a] and got_b is obs[b]
+
+
+def line_map(n, cng=(), cvg=(), xs=None):
+    """n nodes on the x axis (at ``xs``, default 0, 1, ...) joined by the
+    given (a, b) CnG pairs and (a, b, n_corr) CvG edges."""
+    xs = range(n) if xs is None else xs
+    nodes = [MapNode(id=i, pose=Pose(np.array([float(x), 0, 0]), [1, 0, 0, 0]),
+                     descriptor=np.eye(256, dtype=np.float32)[0])
+             for i, x in enumerate(xs)]
+    cng_edges = [(a, b, abs(float(xs[b]) - float(xs[a]))) for a, b in cng]
+    return TopoMetricMap(nodes=nodes, cng_edges=cng_edges, cvg_edges=list(cvg),
+                         descriptor_dim=256)
+
+
+def reference_components(m):
+    """Components by a plain graph search over the CnG edge list."""
+    adj = {i: set() for i in range(len(m.nodes))}
+    for a, b, _ in m.cng_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    comps, seen = [], set()
+    for start in range(len(m.nodes)):
+        if start not in seen:
+            comp, todo = set(), [start]
+            while todo:
+                cur = todo.pop()
+                if cur not in comp:
+                    comp.add(cur)
+                    todo.extend(adj[cur] - comp)
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
+
+
+class TestGraphLevels:
+    def test_zero_weight_edge_joins_colocated_nodes(self):
+        m = line_map(3, cng=[(0, 1)], xs=[2.0, 2.0, 5.0])
+        assert m.cng_edges == [(0, 1, 0.0)]
+        assert m.components() == [[0, 1], [2]]
+
+    def test_components_ordered_by_smallest_id(self):
+        m = line_map(6, cng=[(1, 4), (0, 5), (2, 4)])
+        assert m.components() == [[0, 5], [1, 2, 4], [3]]
+
+    def test_components_match_reference_on_random_maps(self, rng):
+        for _ in range(20):
+            m = random_map(rng, n=int(rng.integers(1, 12)))
+            assert m.components() == reference_components(m)
+
+    def test_empty_map_has_no_components(self):
+        m = TopoMetricMap(nodes=[], cng_edges=[], cvg_edges=[], descriptor_dim=256)
+        assert m.components() == []
+
+    def test_cvg_neighbors_are_ascending_python_ints(self):
+        m = line_map(5, cvg=[(2, 4, 60), (0, 2, 70), (1, 2, 80)])
+        assert m.cvg_neighbors(2) == [0, 1, 4]
+        assert all(type(b) is int for b in m.cvg_neighbors(2))
+        assert m.cvg_neighbors(3) == []
+        assert m.cvg_neighbors(4) == [2]
+
+    @pytest.mark.parametrize("level", ["cng", "cvg"])
+    def test_repeated_edge_rejected(self, level):
+        with pytest.raises(ValueError, match="twice"):
+            if level == "cng":
+                line_map(3, cng=[(0, 1), (0, 1)])
+            else:
+                line_map(3, cvg=[(0, 1, 60), (0, 1, 60)])
+
+    @pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 1), (0, 3)])
+    def test_bad_endpoints_rejected(self, edge):
+        with pytest.raises(ValueError, match="endpoints"):
+            line_map(3, cvg=[(*edge, 60)])
+
+    def test_equality_ignores_adjacency(self):
+        a = line_map(3, cng=[(0, 1)], cvg=[(1, 2, 60)])
+        b = TopoMetricMap(nodes=a.nodes, cng_edges=list(a.cng_edges),
+                          cvg_edges=list(a.cvg_edges), descriptor_dim=256)
+        assert a == b
+        b.cng = b.cvg           # a field that differs but is derived
+        assert a == b
+        assert "csr" not in repr(a).lower()
+        c = TopoMetricMap(nodes=a.nodes, cng_edges=[], cvg_edges=list(a.cvg_edges),
+                          descriptor_dim=256)
+        assert a != c
+
+
 def random_map(rng, n=8, with_images=False):
     nodes = []
     for i in range(n):

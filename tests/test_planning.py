@@ -122,6 +122,43 @@ class TestPlanGlobal:
                 plan = plan_global(topo, start, goal)
                 assert plan.length == pytest.approx(expected, abs=1e-9)
 
+    def test_colocated_nodes_joined_at_zero_length(self):
+        topo = map_from_positions([(1, 1, 0), (1, 1, 0), (4, 1, 0)],
+                                  [(0, 1), (1, 2)])
+        assert topo.components() == [[0, 1, 2]]
+        plan = plan_global(topo, 0, 1)
+        assert plan.node_path == [0, 1] and plan.length == 0.0
+        assert plan_global(topo, 0, 2).length == 3.0
+
+    def test_tied_paths_give_one_shortest_path_every_call(self):
+        topo = map_from_positions([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                                  [(0, 1), (0, 2), (1, 3), (2, 3)])
+        plan = plan_global(topo, 0, 3)
+        assert plan.node_path in ([0, 1, 3], [0, 2, 3])
+        assert plan.length == 2.0
+        again = plan_global(topo, 0, 3)
+        assert again.node_path == plan.node_path and again.length == plan.length
+
+    def test_paths_follow_edges_on_tied_grids(self):
+        # unit grids are full of equally short paths
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            pos = [(x, y, 0) for x in range(4) for y in range(3)]
+            edges = [(a, b) for a in range(12) for b in range(a + 1, 12)
+                     if math.dist(pos[a], pos[b]) == 1.0 and rng.uniform() < 0.8]
+            topo = map_from_positions(pos, edges)
+            weight = {(a, b): w for a, b, w in topo.cng_edges}
+            expected = brute_force_shortest(topo, 0, 11)
+            if math.isinf(expected):
+                continue
+            plan = plan_global(topo, 0, 11)
+            assert plan.node_path[0] == 0 and plan.node_path[-1] == 11
+            assert all(type(v) is int for v in plan.node_path)
+            steps = [weight[min(u, v), max(u, v)]
+                     for u, v in zip(plan.node_path, plan.node_path[1:])]
+            assert plan.length == pytest.approx(sum(steps), abs=1e-12)
+            assert plan.length == pytest.approx(expected, abs=1e-12)
+
 
 @pytest.fixture(scope="module")
 def corridor_setup():
