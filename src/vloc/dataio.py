@@ -54,6 +54,16 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def float_image(image) -> np.ndarray:
+    """An image as float64: a uint8 image scaled to [0, 1], any other
+    dtype cast unscaled."""
+    img = np.asarray(image)
+    imgf = img.astype(np.float64)
+    if img.dtype == np.uint8:
+        imgf = imgf / 255.0
+    return imgf
+
+
 def write_f32(path, array: np.ndarray) -> None:
     """Raw little-endian IEEE-754 float32, row-major."""
     with open(path, "wb") as f:

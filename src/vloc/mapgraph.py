@@ -74,7 +74,8 @@ class Segment:
 
     def __post_init__(self):
         ts = [f.timestamp for f in self.frames]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        # "not b > a" also catches a NaN, which compares false both ways
+        if any(not b > a for a, b in zip(ts, ts[1:])):
             raise ValueError("segment timestamps must be strictly increasing")
 
     def __len__(self):
@@ -122,10 +123,8 @@ class MapNode:
 
 @dataclass
 class TopoMetricMap:
-    """Nodes plus the two undirected edge sets, endpoints stored a < b,
-    each pair once. ``cng`` and ``cvg`` hold the levels as symmetric CSR
-    adjacencies for ``scipy.sparse.csgraph``, derived from the edge lists;
-    equality and printing ignore them."""
+    """Nodes plus the two undirected edge sets (a < b, each pair once), also
+    held as symmetric CSR adjacencies ``cng`` and ``cvg`` that ``==`` ignores."""
 
     nodes: list
     cng_edges: list
@@ -166,8 +165,7 @@ class TopoMetricMap:
         return self.cvg.indices[row].tolist()
 
     def components(self):
-        """Connected components of the CnG, each a sorted list of ids, in
-        order of their smallest id."""
+        """Connected components of the CnG as sorted id lists, by smallest id."""
         k, labels = csgraph.connected_components(self.cng, directed=False)
         return sorted(np.flatnonzero(labels == c).tolist() for c in range(k))
 
@@ -315,12 +313,17 @@ def build_map(segment: Segment, keyframe_indices, matcher,
         if not 0 <= i < len(segment):
             raise ValueError(f"keyframe index {i} out of range")
     frames = [segment.frames[i] for i in indices]
-    nodes = [MapNode(id=j, pose=f.pose,
-                     descriptor=retrieval.extract_descriptor(f.obs.color),
-                     image=np.asarray(f.obs.color, dtype=np.uint8),
-                     landmark_ids=f.obs.landmark_ids, landmark_uv=f.obs.landmark_uv,
-                     landmark_depth=f.obs.landmark_depth)
-             for j, f in enumerate(frames)]
+    nodes = []
+    for j, f in enumerate(frames):
+        nodes.append(MapNode(
+            id=j,
+            pose=f.pose,
+            descriptor=retrieval.extract_descriptor(f.obs.color),
+            image=np.asarray(f.obs.color, dtype=np.uint8),
+            landmark_ids=f.obs.landmark_ids,
+            landmark_uv=f.obs.landmark_uv,
+            landmark_depth=f.obs.landmark_depth,
+        ))
 
     cng_edges, cvg_edges = [], []
     for a, b in itertools.combinations(range(len(frames)), 2):
@@ -331,8 +334,9 @@ def build_map(segment: Segment, keyframe_indices, matcher,
         covisible = n_corr >= covis_threshold       # the threshold is > 0
         if covisible:
             cvg_edges.append((a, b, n_corr))
-        if covisible if cng_from_cvg else dist <= nav_radius and (
-                world is None or world.line_of_sight(p, q)):
+        navigable = covisible if cng_from_cvg else (
+            dist <= nav_radius and (world is None or world.line_of_sight(p, q)))
+        if navigable:
             cng_edges.append((a, b, dist))
 
     m = TopoMetricMap(

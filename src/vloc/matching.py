@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .dataio import line_errors, read_csv_rows
+from .dataio import float_image, line_errors, read_csv_rows
 from .errors import FormatError, OutOfBounds
 
 # classical matcher tuning
@@ -62,16 +62,11 @@ class MatchSet:
         return self.confidence.size
 
 
-def _to_float_image(image) -> np.ndarray:
-    img = np.asarray(image)
-    imgf = img.astype(np.float64)
-    if img.dtype == np.uint8:
-        imgf = imgf / 255.0
-    return imgf
-
-
 def _harris(imgf: np.ndarray) -> np.ndarray:
-    """``harris_corners`` of an image already converted to float."""
+    """Top corners of a float image by Harris response with non-max
+    suppression: (N, 2) integer pixel coordinates (u, v), ordered by
+    descending response with (v, u) tie-break, N <= MAX_CORNERS. Corners
+    closer than half a patch to the border are discarded."""
     gy, gx = np.gradient(imgf)
     win = 2 * 2 + 1
     sxx = ndimage.uniform_filter(gx * gx, size=win)
@@ -97,16 +92,6 @@ def _harris(imgf: np.ndarray) -> np.ndarray:
     return np.stack([us[order], vs[order]], axis=1).astype(np.int64)
 
 
-def harris_corners(image) -> np.ndarray:
-    """Top corners by Harris response with non-max suppression.
-
-    Returns (N, 2) integer pixel coordinates (u, v), ordered by descending
-    response with (v, u) tie-break, N <= MAX_CORNERS. Corners closer than
-    half a patch to the border are discarded.
-    """
-    return _harris(_to_float_image(image))
-
-
 def _patch_descriptors(imgf: np.ndarray, corners: np.ndarray):
     """Zero-mean unit-norm patches around (u, v) corners lying at least half
     a patch inside the image; drops textureless corners. Returns
@@ -126,7 +111,7 @@ def classical_features(image):
     grayscale image and their patch descriptors, the image converted to
     float once. Returns (corners (M, 2) int64 (u, v), unit descriptors
     (M, PATCH_SIZE**2)), textureless corners dropped."""
-    imgf = _to_float_image(image)
+    imgf = float_image(image)
     corners = _harris(imgf)
     desc, keep = _patch_descriptors(imgf, corners)
     return corners[keep], desc

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularRotation, NoDepth, NotLocalized, SingularNormalEquations
+from .errors import (
+    NearSingularRotation,
+    NoDepth,
+    NonMonotonicTimestamp,
+    NotLocalized,
+    SingularNormalEquations,
+)
 from .geometry import CameraIntrinsics, Pose, fmt17, rotation_angle
 from .poseslam import FusionGraph, odom_sigmas, vloc_fix_sigmas
 from .relocal import PnPParams, RelocStatus, localize_against_node
@@ -101,8 +107,12 @@ class Pipeline:
 
     def on_observation(self, obs, timestamp: float) -> ObservationOutcome:
         """Process one camera observation; never raises on localization
-        failure (failures drive the mode machine instead). Raises NoDepth,
-        changing nothing, for an observation without depth."""
+        failure (failures drive the mode machine instead). Raises, before
+        any work and changing nothing, NonMonotonicTimestamp for a
+        timestamp that is not finite and NoDepth for an observation without
+        depth."""
+        if not math.isfinite(timestamp):
+            raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
         if obs.depth is None:
             raise NoDepth("observation has no depth; it cannot be localized")
         desc = extract_descriptor(obs.color)

@@ -1,11 +1,10 @@
 """Hierarchical planning and navigation evaluation.
 
-Global planning is scipy's Dijkstra over the map's sparse connectivity
-adjacency; its traversed nodes become subgoals. The local planner scores
-a fixed fan of constant-curvature arcs (``CURVATURES``, sampled by
-``arc_points``) against the single-frame depth point cloud
-(rotate-in-place is part of the primitive set, so a subgoal behind the
-robot naturally wins rotation).
+Global planning is Dijkstra over the connectivity level of the map; its
+traversed nodes become subgoals. The local planner scores a fixed fan of
+constant-curvature arcs (``CURVATURES``, sampled by ``arc_points``) against
+the single-frame depth point cloud (rotate-in-place is part of the
+primitive set, so a subgoal behind the robot naturally wins rotation).
 Closed-loop navigation ties the simulator, the localization pipeline, and
 both planners together; trajectory quality is measured by no-alignment
 absolute trajectory error.
@@ -60,7 +59,7 @@ NAV_PIPELINE = PipelineConfig(gl_min_sim=0.65, max_failures=12)
 
 @dataclass
 class GlobalPlan:
-    """Shortest node path with a subgoal cursor."""
+    """Dijkstra node path with a subgoal cursor."""
 
     node_path: list
     length: float

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_f32
+from .dataio import float_image, read_f32
 from .errors import DimensionMismatch, EmptyImage, EmptyMap, NonUnitNorm, NonUnitNormWarning
 
 DESCRIPTOR_DIM = 256
@@ -61,9 +61,7 @@ def extract_descriptor(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image)
     if img.size == 0:
         raise EmptyImage("cannot describe an empty image")
-    imgf = img.astype(np.float64)
-    if img.dtype == np.uint8:
-        imgf = imgf / 255.0
+    imgf = float_image(img)
     h, w = imgf.shape
 
     intensity = _block_reduce_mean(imgf, 16, 16)

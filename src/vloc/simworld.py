@@ -154,8 +154,13 @@ class GridWorld:
 
     def __post_init__(self):
         occ = np.asarray(self.occupancy, dtype=bool)
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        for name in ("cell_size", "wall_height"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value} must be finite and positive")
+        if occ.ndim != 2 or occ.size == 0:
+            raise ValueError(f"occupancy grid of shape {occ.shape} is not a "
+                             f"non-empty 2-D grid")
         if not (occ[0, :].all() and occ[-1, :].all()
                 and occ[:, 0].all() and occ[:, -1].all()):
             raise ValueError("boundary cells must be occupied (closed world)")

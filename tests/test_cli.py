@@ -240,6 +240,26 @@ class TestBenchReloc:
         assert float(vals["median_et_m"]) < 0.05
 
 
+class TestBadWorldFile:
+    @pytest.mark.parametrize("header, reason", [
+        ("0 0 0.5 2.0 0", "non-empty 2-D grid"),
+        ("8 8 nan 2.0 0", "cell_size nan"),
+        ("8 8 0.5 inf 0", "wall_height inf"),
+        ("8 8 0.5 0 0", "wall_height 0.0")])
+    def test_gen_segment_reports_error(self, tmp_path, capsys, header, reason):
+        world_path = tmp_path / "world.txt"
+        rows = [] if header.startswith("0") else \
+            ["########"] + ["#......#"] * 6 + ["########"]
+        world_path.write_text("\n".join([header, *rows]) + "\n")
+        route_path = tmp_path / "route.csv"
+        route_path.write_text("1.5 2\n2.5 2\n")
+        assert main(["gen-segment", "--world", str(world_path),
+                     "--waypoints", str(route_path),
+                     "--out", str(tmp_path / "seg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+
+
 class TestEvalAte:
     def test_known_offset(self, tmp_path, capsys):
         gt = [(float(t), Pose(np.array([t, 0.0, 0.0]), [1, 0, 0, 0]))

@@ -67,6 +67,19 @@ def reference_greedy_max_coverage(cell_sets, budget):
     return sorted(chosen)
 
 
+class TestSegment:
+    @pytest.mark.parametrize("ts", [[0.0, 0.0], [1.0, 0.5], [0.0, np.nan, 2.0],
+                                    [np.nan, 1.0], [0.0, 1.0, np.nan],
+                                    [np.inf, np.inf], [0.0, -np.inf]])
+    def test_timestamps_not_increasing_rejected(self, ts):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Segment(frames=[frame_at(0.0, ts=t) for t in ts], camera=K)
+
+    def test_increasing_timestamps_accepted(self):
+        seg = Segment(frames=[frame_at(0.0, ts=t) for t in (0.0, 0.5, 2.0)], camera=K)
+        assert len(seg) == 3
+
+
 class TestCoverage:
     def test_all_invalid_depth_is_empty(self):
         obs = Observation(color=np.zeros((64, 64), dtype=np.uint8),
@@ -328,13 +341,12 @@ class TestGraphLevels:
         assert m.cvg_neighbors(3) == []
         assert m.cvg_neighbors(4) == [2]
 
-    @pytest.mark.parametrize("level", ["cng", "cvg"])
-    def test_repeated_edge_rejected(self, level):
+    @pytest.mark.parametrize("edges", [{"cng": [(0, 1), (0, 1)]},
+                                       {"cvg": [(0, 1, 60), (0, 1, 60)]}],
+                             ids=["cng", "cvg"])
+    def test_repeated_edge_rejected(self, edges):
         with pytest.raises(ValueError, match="twice"):
-            if level == "cng":
-                line_map(3, cng=[(0, 1), (0, 1)])
-            else:
-                line_map(3, cvg=[(0, 1, 60), (0, 1, 60)])
+            line_map(3, **edges)
 
     @pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 1), (0, 3)])
     def test_bad_endpoints_rejected(self, edge):

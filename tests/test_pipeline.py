@@ -177,6 +177,23 @@ class TestHostileInput:
         after = (p.fusion.states, p.fusion.timestamps, p.fusion.priors)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    @pytest.mark.parametrize("timestamp", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_timestamp(self, corridor_map, monkeypatch, mode, timestamp):
+        world, topo = corridor_map
+        p = self.pipeline_in(mode, corridor_map, "oracle")
+        obs = render(world, topo.nodes[3].pose, K).observation()
+        before = (p.fusion.states.copy(), list(p.fusion.timestamps),
+                  p.fusion.priors.copy())
+        monkeypatch.setattr(pipeline_module, "extract_descriptor",
+                            lambda *_: pytest.fail("work done on a bad timestamp"))
+        with pytest.raises(NonMonotonicTimestamp, match="not finite"):
+            p.on_observation(obs, timestamp)
+        assert p.mode is mode and p.consecutive_failures == 0
+        after = (p.fusion.states, p.fusion.timestamps, p.fusion.priors)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
     @staticmethod
     def assert_valid(pose):
         assert np.all(np.isfinite(pose.t)) and np.all(np.isfinite(pose.q))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vloc.retrieval as rt
+from vloc.dataio import float_image
 from vloc.errors import DimensionMismatch, EmptyImage, EmptyMap, NonUnitNorm, NonUnitNormWarning
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import MapNode, TopoMetricMap, save_map
@@ -66,6 +67,20 @@ class TestExtractor:
             noisy = np.clip(base.astype(float) + rng.normal(0.0, 5.0, base.shape),
                             0, 255).astype(np.uint8)
             assert rt.similarity(d0, rt.extract_descriptor(noisy)) > 0.9
+
+
+class TestFloatImage:
+    def test_uint8_scaled_to_unit_range_bit_exact(self, rng):
+        img = rng.integers(0, 256, (16, 24), dtype=np.uint8)
+        got = float_image(img)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (img.astype(np.float64) / 255.0).tobytes()
+        assert float_image(np.array([[0, 255]], dtype=np.uint8)).tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
+    def test_other_dtypes_cast_unscaled(self, rng, dtype):
+        img = rng.integers(0, 300, (8, 8)).astype(dtype)
+        assert float_image(img).tobytes() == img.astype(np.float64).tobytes()
 
 
 class TestTopK:

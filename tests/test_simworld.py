@@ -570,6 +570,19 @@ class TestWorldFile:
         with pytest.raises(ValueError):
             GridWorld(occupancy=occ, cell_size=0.5, wall_height=2.0, texture_seed=0)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (5,)])
+    def test_empty_or_flat_grid_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2-D grid"):
+            GridWorld(occupancy=np.ones(shape, dtype=bool), cell_size=0.5,
+                      wall_height=2.0, texture_seed=0)
+
+    @pytest.mark.parametrize("name", ["cell_size", "wall_height"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_size_not_finite_and_positive_rejected(self, name, value):
+        sizes = {"cell_size": 0.5, "wall_height": 2.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} .* finite and positive"):
+            GridWorld(occupancy=np.ones((3, 3), dtype=bool), texture_seed=0, **sizes)
+
     def test_presets_connected_and_routed(self):
         for name in ("corridor", "rooms", "campus"):
             world, route = make_preset(name, seed=11)
