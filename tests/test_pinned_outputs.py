@@ -1,11 +1,13 @@
-"""Pinned outputs of the ``nav`` and ``kidnap`` benchmark workloads.
+"""Pinned outputs of the ``track``, ``nav`` and ``kidnap`` benchmark
+workloads.
 
-One ``perfbench.workloads.Nav`` set-up and one pass at seed 1 are compared
-against ``tests/data/pinned_nav_seed1.json``, and one ``Kidnap`` set-up at
-seed 1 with a pass over its first KIDNAP_QUERIES queries against
-``tests/data/pinned_kidnap_seed1.json``: the set-up map's CnG and CvG
-edges, its CnG components and the SHA-256 of every file ``save_map``
-writes for it; the pass fingerprint; each observation's mode, status,
+One ``perfbench.workloads.Track`` set-up and one pass at seed 1 are
+compared against ``tests/data/pinned_track_seed1.json``, one ``Nav``
+set-up and pass against ``tests/data/pinned_nav_seed1.json``, and one
+``Kidnap`` set-up at seed 1 with a pass over its first KIDNAP_QUERIES
+queries against ``tests/data/pinned_kidnap_seed1.json``: the set-up map's
+CnG and CvG edges, its CnG components and the SHA-256 of every file
+``save_map`` writes for it; the pass fingerprint; each observation's mode, status,
 reference node, inliers and total; and the SHA-256 of every emitted
 pose's ``fmt17`` row (``Pose.fields``). A change that claims its outputs
 are unchanged passes this test as it stands.
@@ -19,7 +21,7 @@ solves go through LAPACK, whose last bits depend on the BLAS kernels. On
 another numpy, scipy or BLAS the test may fail with the program working:
 regenerate the data there before trusting a failure. A change that means
 to move outputs regenerates the data and says so, with the largest
-deviation. Regenerate both files with::
+deviation. Regenerate the three files with::
 
     PYTHONPATH=src:. python3 tests/test_pinned_outputs.py
 """
@@ -34,7 +36,7 @@ import tempfile
 import pytest
 
 from perfbench.tracing import Tracer
-from perfbench.workloads import Kidnap, Nav
+from perfbench.workloads import Kidnap, Nav, Track
 from vloc import mapgraph, pipeline
 
 SEED = 1
@@ -70,7 +72,7 @@ def collect(name: str, workdir) -> dict:
                              outcome.total])
         return outcome
 
-    workload = {"nav": Nav, "kidnap": Kidnap}[name]()
+    workload = {"track": Track, "nav": Nav, "kidnap": Kidnap}[name]()
     inputs = workload.setup(SEED, 0, workdir)
     if name == "kidnap":
         inputs.queries = inputs.queries[:KIDNAP_QUERIES]
@@ -102,6 +104,11 @@ def run_and_pinned(name: str):
         pinned = json.load(f)
     with tempfile.TemporaryDirectory() as workdir:
         return collect(name, workdir), pinned
+
+
+@pytest.fixture(scope="module")
+def track():
+    return run_and_pinned("track")
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +148,30 @@ def check_poses(run, pinned):
     assert len(run["pose_sha256"]) == len(pinned["pose_sha256"])
     for k, (got, want) in enumerate(zip(run["pose_sha256"], pinned["pose_sha256"])):
         assert got == want, f"pose {k} is not bit-equal to the pinned one"
+
+
+def test_track_map_edges(track):
+    check_map_edges(*track)
+
+
+def test_track_map_components(track):
+    check_map_components(*track)
+
+
+def test_track_saved_map_files(track):
+    check_map_files(*track)
+
+
+def test_track_pass_fingerprint(track):
+    check_fingerprint(*track)
+
+
+def test_track_observation_outcomes(track):
+    check_observations(*track)
+
+
+def test_track_poses_bit_equal(track):
+    check_poses(*track)
 
 
 def test_map_edges(nav):
@@ -192,7 +223,7 @@ def test_kidnap_fixes_bit_equal(kidnap):
 
 
 if __name__ == "__main__":
-    for name in ("nav", "kidnap"):
+    for name in ("track", "nav", "kidnap"):
         path = data_path(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with tempfile.TemporaryDirectory() as workdir:
