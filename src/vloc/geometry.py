@@ -186,22 +186,6 @@ def so3_left_jacobian(phi) -> np.ndarray:
     return np.eye(3) + a * px + b * (px @ px)
 
 
-def se3_left_jacobian(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    rho, phi = xi[:3], xi[3:]
-    jl = so3_left_jacobian(phi)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jl
-    out[3:, 3:] = jl
-    out[:3, 3:] = _se3_q_matrix_array(rho[None], phi[None])[0]
-    return out
-
-
-def se3_right_jacobian_inv(xi) -> np.ndarray:
-    """Inverse right Jacobian: d log(T exp(d))/dd at d=0 where xi = log(T)."""
-    return se3_right_jacobian_inv_array(np.asarray(xi, dtype=float).reshape(1, 6))[0]
-
-
 # ---------------------------------------------------------------------------
 # Pose
 # ---------------------------------------------------------------------------
@@ -287,6 +271,29 @@ class Pose:
         return Pose.from_fields(line.split())
 
 
+def poses_from_rows(rows) -> list:
+    """One ``Pose`` per (n, 7) row ``x y z qw qx qy qz``, each equal bit for
+    bit to ``Pose(r[:3], r[3:])``. The rows that constructor would keep as
+    they are (finite, qw > 0, squared norm within 1e-12 of one) are checked
+    array-wide and become views of one read-only copy; any other row goes
+    through the constructor, which normalizes it or raises."""
+    rows = np.array(rows, dtype=float).reshape(-1, 7)
+    qw, qx, qy, qz = rows[:, 3:].T
+    norm_sq = qw * qw + qx * qx + qy * qy + qz * qz
+    kept = np.isfinite(rows).all(axis=1) & (qw > 0.0) & (np.abs(norm_sq - 1.0) <= 1e-12)
+    rows.flags.writeable = False
+    out = []
+    for r, as_is in zip(rows, kept.tolist()):
+        if as_is:
+            pose = object.__new__(Pose)
+            object.__setattr__(pose, "t", r[:3])
+            object.__setattr__(pose, "q", r[3:])
+        else:
+            pose = Pose(r[:3], r[3:])
+        out.append(pose)
+    return out
+
+
 def se3_exp(xi) -> Pose:
     """Tangent [rho, phi] to Pose; se3_exp(0) is the identity."""
     xi = np.asarray(xi, dtype=float).reshape(6)
@@ -296,56 +303,37 @@ def se3_exp(xi) -> Pose:
 
 def se3_log(pose: Pose) -> np.ndarray:
     """Pose to tangent [rho, phi]; raises NearSingularRotation at ~pi."""
-    return se3_log_array(pose.t[None], pose.q[None])[0]
-
-
-def se3_adjoint(pose: Pose) -> np.ndarray:
-    return se3_adjoint_array(pose.t[None], pose.q[None])[0]
+    return se3_log_array(pose.t[None], pose.rotation_matrix()[None])[0]
 
 
 # ---------------------------------------------------------------------------
-# batched SE(3): n poses as translations t (n, 3) and quaternions q (n, 4)
+# batched SE(3): n poses as translations t (n, 3) and rotation matrices
+# r (n, 3, 3)
 # ---------------------------------------------------------------------------
 #
-# These follow the scalar functions above branch for branch; se3_log, the
-# inverse right Jacobian and the adjoint are their n = 1 case. Compose,
-# inverse and exp neither renormalize nor canonicalize the sign; log accepts
-# either sign.
+# On matrices a compose (r_a r_b, t_a + r_a t_b) and an inverse (r^T, -r^T t)
+# are one batched matmul each. se3_log is the n = 1 case of se3_log_array.
 
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_YZX = np.array([1, 2, 0])
-_ZXY = np.array([2, 0, 1])
-# hat(v) flattened row-major: -z, y, z, -x, -y, x at 1, 2, 3, 5, 6, 7
-_HAT_AT = np.array([1, 2, 3, 5, 6, 7])
-_HAT_FROM = np.array([2, 1, 2, 0, 1, 0])
-_HAT_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+# hat(v) flattened row-major is v @ _HAT: -z, y, z, -x, -y, x at 1, 2, 3, 5,
+# 6, 7
+_HAT = np.zeros((3, 9))
+_HAT[[2, 1, 2, 0, 1, 0], [1, 2, 3, 5, 6, 7]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+# vee(r - r^T) = (r21 - r12, r02 - r20, r10 - r01) on r flattened row-major
+_VEE_PLUS = np.array([7, 2, 3])
+_VEE_MINUS = np.array([5, 6, 1])
 
 
 def _norm_rows(v) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _cross(a, b) -> np.ndarray:
-    return a[:, _YZX] * b[:, _ZXY] - a[:, _ZXY] * b[:, _YZX]
+def _diagonal(m) -> np.ndarray:
+    """A view (n, 3) of the diagonals of contiguous matrices m (n, 3, 3)."""
+    return m.reshape(-1, 9)[:, ::4]
 
 
 def so3_hat_array(v) -> np.ndarray:
-    out = np.zeros((len(v), 9))
-    out[:, _HAT_AT] = v[:, _HAT_FROM] * _HAT_SIGN
-    return out.reshape(-1, 3, 3)
-
-
-def quat_multiply_array(a, b) -> np.ndarray:
-    aw, av = a[:, :1], a[:, 1:]
-    bw, bv = b[:, :1], b[:, 1:]
-    w = aw * bw - np.einsum("ij,ij->i", av, bv)[:, None]
-    return np.concatenate([w, aw * bv + bw * av + _cross(av, bv)], axis=1)
-
-
-def quat_rotate_array(q, v) -> np.ndarray:
-    qv = q[:, 1:]
-    t = 2.0 * _cross(qv, v)
-    return v + q[:, :1] * t + _cross(qv, t)
+    return (v @ _HAT).reshape(-1, 3, 3)
 
 
 def quat_to_matrix_array(q) -> np.ndarray:
@@ -353,26 +341,33 @@ def quat_to_matrix_array(q) -> np.ndarray:
     xx, yy, zz = qx * qx, qy * qy, qz * qz
     xy, xz, yz = qx * qy, qx * qz, qy * qz
     wx, wy, wz = qw * qx, qw * qy, qw * qz
-    return np.stack([
+    return np.array([
         1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
         2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
         2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
-    ], axis=1).reshape(-1, 3, 3)
+    ]).T.reshape(-1, 3, 3)
 
 
-def pose_compose_array(ta, qa, tb, qb):
-    """Row-wise a * b of two pose arrays; returns (t, q)."""
-    return quat_rotate_array(qa, tb) + ta, quat_multiply_array(qa, qb)
-
-
-def pose_inverse_array(t, q):
-    qc = q * _CONJ
-    return -quat_rotate_array(qc, t), qc
+def matrix_to_quat_array(r) -> np.ndarray:
+    """Rotation matrices (n, 3, 3) to unit quaternions (n, 4) with the
+    canonical sign. Row b of the symmetric k below is 4 q_b q; the row with
+    the largest q_b^2 (Shepperd's branch) is normalized."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = r.reshape(-1, 9).T
+    a, b, c = m21 - m12, m02 - m20, m10 - m01
+    d, e, f = m01 + m10, m02 + m20, m12 + m21
+    k = np.array([1.0 + m00 + m11 + m22, a, b, c,
+                  a, 1.0 + m00 - m11 - m22, d, e,
+                  b, d, 1.0 - m00 + m11 - m22, f,
+                  c, e, f, 1.0 - m00 - m11 + m22]).T.reshape(-1, 4, 4)
+    n = np.arange(len(k))
+    q = k[n, np.argmax(k.diagonal(axis1=1, axis2=2), axis=1)]
+    first = q[n, np.argmax(q != 0.0, axis=1)]
+    return q / (_norm_rows(q) * np.sign(first))[:, None]
 
 
 def pose_inverse_row(t, q) -> np.ndarray:
-    """One pose's ``pose_inverse_array`` as a row ``x y z qw qx qy qz``, in
-    plain floats: the same operations in the same order, so the bits agree,
+    """One pose's inverse as a row ``x y z qw qx qy qz``: the conjugate
+    quaternion and the translation rotated back by it, in plain floats,
     without numpy's per-call cost on a single row."""
     vx, vy, vz = float(t[0]), float(t[1]), float(t[2])
     w, x, y, z = float(q[0]), -float(q[1]), -float(q[2]), -float(q[3])
@@ -385,86 +380,116 @@ def pose_inverse_row(t, q) -> np.ndarray:
                      w, x, y, z])
 
 
-def _so3_jl_inv_coeff(theta) -> np.ndarray:
-    """c in J_l^-1(phi) = I - phi^/2 + c phi^2, with its series below 1e-6 rad."""
-    t2 = theta * theta
-    small = theta < _SMALL
-    ts = np.where(small, 1.0, theta)
-    return np.where(small, 1.0 / 12.0 + t2 / 720.0,
-                    1.0 / (ts * ts) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts)))
+# Below this angle every so(3) coefficient is its series to theta^4, as
+# c0 + c1 theta^2 + c2 theta^4; above it, its closed form.
+_SERIES_BELOW = 1e-3
+_EXP_SERIES = np.array([
+    [1.0, -1.0 / 6.0, 1.0 / 120.0],          # sin t / t
+    [0.5, -1.0 / 24.0, 1.0 / 720.0],         # (1 - cos t) / t^2
+    [1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0],  # (t - sin t) / t^3
+])
+_LOG_SERIES = np.array([
+    [0.5, 1.0 / 12.0, 7.0 / 720.0],          # t / (2 sin t)
+    [1.0 / 12.0, 1.0 / 720.0, 1.0 / 30240.0],  # 1/t^2 - (1 + cos t) / (2 t sin t)
+])
+_JAC_SERIES = np.array([
+    _LOG_SERIES[1],
+    _EXP_SERIES[2],
+    [-1.0 / 24.0, 1.0 / 720.0, -1.0 / 40320.0],    # (1 - t^2/2 - cos t) / t^4
+    [-1.0 / 120.0, 1.0 / 5040.0, -1.0 / 362880.0],  # (t - sin t - t^3/6) / t^5
+])
+
+
+def _coefficients(t2, closed, series) -> np.ndarray:
+    """The k closed forms (each (n,)) as rows (k, n), each replaced by its
+    ``series`` (k, 3) row where the angle (t2 its square) is below
+    _SERIES_BELOW."""
+    out = np.array(closed)
+    small = t2 < _SERIES_BELOW ** 2
+    if small.any():
+        out = np.where(small, series[:, :1] + t2 * (series[:, 1:2] + t2 * series[:, 2:]), out)
+    return out
+
+
+def _unit_if_small(t2) -> np.ndarray:
+    """The angle, or 1 where its series is used, so closed forms stay finite."""
+    return np.sqrt(np.where(t2 < _SERIES_BELOW ** 2, 1.0, t2))
 
 
 def se3_exp_array(xi):
-    """Tangents (n, 6) to poses (t, q), as se3_exp."""
+    """Tangents (n, 6) to poses (t, r), as se3_exp: by Rodrigues' formula
+    r = I + a phi^ + b phi^2, and t = (I + b phi^ + c phi^2) rho."""
     rho, phi = xi[:, :3], xi[:, 3:]
-    theta = _norm_rows(phi)
-    t2 = theta * theta
-    small = theta < _SMALL
-    ts = np.where(small, 1.0, theta)
-    w = np.where(small, 1.0 - t2 / 8.0, np.cos(0.5 * ts))
-    s = np.where(small, 0.5 - t2 / 48.0, np.sin(0.5 * ts) / ts)
-    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(ts)) / (ts * ts))
-    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (ts - np.sin(ts)) / (ts * ts * ts))
-    pr = _cross(phi, rho)
-    t = rho + a[:, None] * pr + b[:, None] * _cross(phi, pr)
-    return t, np.concatenate([w[:, None], phi * s[:, None]], axis=1)
+    t2 = np.einsum("ij,ij->i", phi, phi)
+    ts = _unit_if_small(t2)
+    a = np.sin(ts) / ts
+    b = (1.0 - np.cos(ts)) / (ts * ts)
+    a, b, c = _coefficients(t2, [a, b, (1.0 - a) / (ts * ts)],
+                            _EXP_SERIES)[:, :, None, None]
+    px = so3_hat_array(phi)
+    px2 = px @ px
+    r = a * px + b * px2
+    _diagonal(r)[:] += 1.0
+    v = b * px + c * px2
+    _diagonal(v)[:] += 1.0
+    return (v @ rho[:, :, None])[:, :, 0], r
 
 
-def se3_log_array(t, q) -> np.ndarray:
-    """Poses (t, q) to tangents (n, 6); raises NearSingularRotation when any
-    rotation is within 1e-6 rad of pi."""
-    q = q * np.where(q[:, :1] < 0.0, -1.0, 1.0)
-    qv = q[:, 1:]
-    nv = _norm_rows(qv)
-    angle = 2.0 * np.arctan2(nv, q[:, 0])
+def se3_log_array(t, r) -> np.ndarray:
+    """Poses (t, r) to tangents (n, 6); raises NearSingularRotation when any
+    rotation is within 1e-6 rad of pi. With v = vee(r - r^T) = 2 sin(angle)
+    axis, the angle is atan2(|v| / 2, (tr r - 1) / 2) and phi = angle v / |v|;
+    rho = J_l^-1(phi) t = (I - phi^/2 + c phi^2) t."""
+    m = r.reshape(-1, 9)
+    v = m[:, _VEE_PLUS] - m[:, _VEE_MINUS]
+    nv = _norm_rows(v)
+    tr = m[:, 0] + m[:, 4] + m[:, 8]
+    angle = np.arctan2(nv, tr - 1.0)
     if np.any(angle >= _LOG_ANGLE_MAX):
         raise NearSingularRotation(
             f"rotation angle {float(np.max(angle)):.9f} rad too close to pi")
-    tiny = nv < 1e-12
-    phi = qv * np.where(tiny, 2.0, angle / np.where(tiny, 1.0, nv))[:, None]
-    c = _so3_jl_inv_coeff(_norm_rows(phi))
-    pt = _cross(phi, t)
-    rho = t - 0.5 * pt + c[:, None] * _cross(phi, pt)
-    return np.concatenate([rho, phi], axis=1)
-
-
-def _se3_q_matrix_array(rho, phi) -> np.ndarray:
-    """Translation-rotation coupling blocks (n, 3, 3) of the SE(3) left
-    Jacobian."""
-    rx = so3_hat_array(rho)
+    t2 = angle * angle
+    small = t2 < _SERIES_BELOW ** 2
+    ts = np.where(small, 1.0, angle)
+    ns = np.where(small, 1.0, nv)
+    # c by the sine and cosine of the angle itself: its two terms cancel to
+    # about 1/12, so both must see the same rounding of the angle
+    c = 1.0 / (ts * ts) - (1.0 + np.cos(ts)) / (2.0 * ts * np.sin(ts))
+    k, c = _coefficients(t2, [ts / ns, c], _LOG_SERIES)
+    phi = v * k[:, None]
     px = so3_hat_array(phi)
-    theta = _norm_rows(phi)
-    t2 = theta * theta
-    small = theta < 1e-3
-    ts = np.where(small, 1.0, theta)
-    t3 = ts ** 3
-    sin, cos = np.sin(ts), np.cos(ts)
-    s1 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                  (ts - sin) / t3)
-    s2 = np.where(small, -1.0 / 24.0 + t2 / 720.0 - t2 * t2 / 40320.0,
-                  (1.0 - 0.5 * ts * ts - cos) / (t3 * ts))
-    s3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0,
-                  (ts - sin - t3 / 6.0) / (t3 * ts * ts))
-    s1, s2, s3 = s1[:, None, None], s2[:, None, None], s3[:, None, None]
-    pr = px @ rx
-    rp = rx @ px
-    prp = pr @ px
-    return (
-        0.5 * rx
-        + s1 * (pr + rp + prp)
-        - s2 * (px @ pr + rp @ px - 3.0 * prp)
-        - 0.5 * (s2 - 3.0 * s3) * (prp @ px + px @ prp)
-    )
+    pt = px @ t[:, :, None]
+    rho = t - (0.5 * pt - c[:, None, None] * (px @ pt))[:, :, 0]
+    return np.concatenate([rho, phi], axis=1)
 
 
 def se3_right_jacobian_inv_array(xi) -> np.ndarray:
     """Inverse right Jacobians (n, 6, 6) in closed form: with A = J_l(-phi)
-    and Q = Q(-rho, -phi), J_r^-1(xi) = [[A^-1, -A^-1 Q A^-1], [0, A^-1]]."""
+    and Q = Q(-rho, -phi), J_r^-1(xi) = [[A^-1, -A^-1 Q A^-1], [0, A^-1]].
+    A^-1 = I + phi^/2 + c phi^2, and with d = phi . rho the products of hats
+    in Q reduce to outer products: Q(-rho, -phi) = (s1 rho + e d phi) phi^T
+    + s1 phi rho^T - g^ - d (2 s1 + e theta^2) I, where e = s2 - 3 s3 and
+    g = (1/2 + s2 theta^2) rho - (s1 + 2 s2) d phi."""
     rho, phi = xi[:, :3], xi[:, 3:]
+    t2 = np.einsum("ij,ij->i", phi, phi)
+    ts = _unit_if_small(t2)
+    sin, cos = np.sin(ts), np.cos(ts)
+    i2 = 1.0 / (ts * ts)
+    s1 = (1.0 - sin / ts) * i2
+    closed = [i2 - (1.0 + cos) / (2.0 * ts * sin), s1,
+              ((1.0 - cos) * i2 - 0.5) * i2, (s1 - 1.0 / 6.0) * i2]
+    c, s1, s2, s3 = _coefficients(t2, closed, _JAC_SERIES)
+    e = s2 - 3.0 * s3
+    d = np.einsum("ij,ij->i", phi, rho)
     px = so3_hat_array(phi)
-    c = _so3_jl_inv_coeff(_norm_rows(phi))[:, None, None]
-    a_inv = np.eye(3) + 0.5 * px + c * (px @ px)
-    q = _se3_q_matrix_array(-rho, -phi)
+    px2 = px @ px
+    a_inv = 0.5 * px + c[:, None, None] * px2
+    _diagonal(a_inv)[:] += 1.0
+    s1rho = s1[:, None] * rho
+    g = (0.5 + s2 * t2)[:, None] * rho - ((s1 + 2.0 * s2) * d)[:, None] * phi
+    q = (s1rho + (e * d)[:, None] * phi)[:, :, None] * phi[:, None, :] \
+        + phi[:, :, None] * s1rho[:, None, :] - so3_hat_array(g)
+    _diagonal(q)[:] -= (d * (2.0 * s1 + e * t2))[:, None]
     out = np.zeros((len(xi), 6, 6))
     out[:, :3, :3] = a_inv
     out[:, 3:, 3:] = a_inv
@@ -472,8 +497,8 @@ def se3_right_jacobian_inv_array(xi) -> np.ndarray:
     return out
 
 
-def se3_adjoint_array(t, q) -> np.ndarray:
-    r = quat_to_matrix_array(q)
+def se3_adjoint_array(t, r) -> np.ndarray:
+    """Adjoints (n, 6, 6) [[r, t^ r], [0, r]]: T exp(d) T^-1 = exp(Ad(T) d)."""
     out = np.zeros((len(t), 6, 6))
     out[:, :3, :3] = r
     out[:, 3:, 3:] = r
@@ -519,23 +544,6 @@ def unproject(K: CameraIntrinsics, u, v, d) -> np.ndarray:
     """Pixels (u, v) at depths d to camera-frame points (N, 3). Keyframe
     coverage bins wall points by the last bit: keep the arithmetic."""
     return np.stack([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d], axis=1)
-
-
-def project(K: CameraIntrinsics, p_cam, z_min: float = Z_MIN_DEFAULT):
-    """Camera-frame point to pixel (u, v); None if out of view.
-
-    Out of view means z <= z_min or the pixel falls outside
-    [0, width) x [0, height). Being a value, not an error, callers can
-    filter without try/except.
-    """
-    x, y, z = float(p_cam[0]), float(p_cam[1]), float(p_cam[2])
-    if z <= z_min:
-        return None
-    u = K.fx * x / z + K.cx
-    v = K.fy * y / z + K.cy
-    if not (0.0 <= u < K.width and 0.0 <= v < K.height):
-        return None
-    return np.array([u, v])
 
 
 def project_array(K: CameraIntrinsics, pts_cam: np.ndarray,

@@ -16,6 +16,7 @@ correspondences and drives reference-node gathering during localization.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -74,9 +75,8 @@ class Segment:
 
     def __post_init__(self):
         ts = [f.timestamp for f in self.frames]
-        # "not b > a" also catches a NaN, which compares false both ways
-        if any(not b > a for a, b in zip(ts, ts[1:])):
-            raise ValueError("segment timestamps must be strictly increasing")
+        if not all(map(math.isfinite, ts)) or any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("segment timestamps must be finite and strictly increasing")
 
     def __len__(self):
         return len(self.frames)

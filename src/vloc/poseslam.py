@@ -11,10 +11,18 @@ The graph is held once, in arrays with amortised growth: ``states`` are
 (n, 7) pose rows ``x y z qw qx qy qz`` (as ``Pose.fields``), and each factor
 is a record, filled when it is added, of its state index (between k links
 states k and k + 1), its measured pose's inverse as a pose row and its
-sigmas. ``optimize`` solves on views of the rows, writes the window back in
-place and returns one ``Pose`` per solved state. Because between factors
-only link states k-1 and k, the normal equations are block tridiagonal and
-one banded solver (bandwidth 11) serves every window.
+sigmas. ``optimize`` reads the window's rows, turns their quaternions into
+rotation matrices once and solves on matrices, where a compose, an inverse
+and an adjoint are one batched matmul each; it writes canonical quaternions
+back in place once and returns one ``Pose`` per solved state. Because
+between factors only link states k-1 and k, the normal equations are block
+tridiagonal and one banded solver (bandwidth 11) serves every window.
+
+A solve ends when an accepted step lowers the cost by less than
+LM_REL_DECREASE of it or below COST_FLOOR, and when a rejected step's model
+decrease ``lam |delta|^2 - g . delta`` is below LM_REL_DECREASE of the cost:
+a larger damping only shortens the step and lowers that decrease, so no
+later trial could pass the first test but by rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import bisect
 import math
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from .errors import (
     EmptyGraph,
@@ -34,9 +42,10 @@ from .errors import (
 )
 from .geometry import (
     Pose,
-    pose_compose_array,
-    pose_inverse_array,
+    matrix_to_quat_array,
     pose_inverse_row,
+    poses_from_rows,
+    quat_to_matrix_array,
     se3_adjoint_array,
     se3_exp_array,
     se3_log_array,
@@ -93,6 +102,7 @@ class FusionGraph:
         self._n_priors = 0
         self.timestamps: list = []    # one per state; their count is n
         self.last_cost_trace: list = []
+        self.last_rejected_trials = 0
 
     # views of the filled rows, valid until the next append
     states = property(lambda self: self._states[:len(self.timestamps)])
@@ -162,8 +172,9 @@ class FusionGraph:
     def optimize(self, window: int | None = None):
         """Levenberg-Marquardt over the last ``window`` states (earlier
         states held fixed) or all states, written back in place. Returns
-        (poses, final_cost), one ``Pose`` per solved state; accepted-cost
-        trace is kept in ``last_cost_trace``. A solve that raises changes
+        (poses, final_cost), one ``Pose`` per solved state; the accepted
+        costs are kept in ``last_cost_trace`` and the count of rejected
+        trials in ``last_rejected_trials``. A solve that raises changes
         nothing."""
         n = len(self.timestamps)
         if n == 0:
@@ -179,81 +190,91 @@ class FusionGraph:
         lo = max(first_free - 1, 0)
         chain = _Chain(first_free - lo, priors, self.betweens[lo:], lo)
         rows = self.states[lo:]
-        t, q = rows[:, :3], rows[:, 3:]
-        cost, lin = chain.linearize(t, q)
+        t, r = rows[:, :3], quat_to_matrix_array(rows[:, 3:])
+        cost, lin = chain.linearize(t, r)
         trace = [cost]
+        rejected = 0
         if cost >= COST_FLOOR:
             band, grad = chain.normal_equations(lin)
             lam = LM_LAMBDA_INIT
             for _ in range(LM_MAX_ITERS):
                 delta = _solve_damped(band, grad, lam)
-                ct, cq = chain.retract(t, q, delta)
-                new_cost, new_lin = chain.linearize(ct, cq)
+                ct, cr = chain.retract(t, r, delta)
+                new_cost, new_lin = chain.linearize(ct, cr)
                 if new_cost < cost:
                     rel = (cost - new_cost) / max(cost, 1e-300)
-                    t, q, cost = ct, cq, new_cost
+                    t, r, cost = ct, cr, new_cost
                     trace.append(cost)
                     lam = max(lam / 10.0, 1e-12)
                     if rel < LM_REL_DECREASE or cost < COST_FLOOR:
                         break
                     band, grad = chain.normal_equations(new_lin)
                 else:
-                    # a rejected step leaves the linearization as it was
+                    # a rejected step leaves the linearization as it was. The
+                    # model's decrease shrinks as lam grows, so once it is
+                    # below the relative-decrease stop no later trial can
+                    # pass it but by rounding
+                    rejected += 1
+                    if lam * (delta @ delta) - grad @ delta < LM_REL_DECREASE * cost:
+                        break
                     lam *= 10.0
                     if lam > 1e10:
                         break
         free = rows[chain.n_fixed:]
         if len(trace) > 1:
-            free[:] = np.concatenate([t, q], 1)[chain.n_fixed:]
+            free[:, :3] = t[chain.n_fixed:]
+            free[:, 3:] = matrix_to_quat_array(r[chain.n_fixed:])
         self.last_cost_trace = trace
-        return [Pose(r[:3], r[3:]) for r in free], cost
+        self.last_rejected_trials = rejected
+        return poses_from_rows(free), cost
 
 
 class _Chain:
-    """The factors of one window over states ``t (k, 3)``, ``q (k, 4)``, the
-    first ``n_fixed`` held fixed. Residuals are whitened ``log(measured^-1 *
-    predicted) / sigmas``; both factor kinds share one batched compose and
-    log. The Gauss-Newton system is kept in the upper banded storage of
-    ``scipy.linalg.solveh_banded``."""
+    """The factors of one window over states ``t (k, 3)`` and rotation
+    matrices ``r (k, 3, 3)``, the first ``n_fixed`` held fixed. Residuals
+    are whitened ``log(measured^-1 * predicted) / sigmas``; both factor
+    kinds share one batched compose and log. The Gauss-Newton system is
+    kept in the upper banded storage of LAPACK's banded Cholesky solve."""
 
     def __init__(self, n_fixed, priors, betweens, offset):
         self.n_fixed = n_fixed
         self.prior_index = priors["index"] - offset
-        factors = np.concatenate([priors, betweens])
-        self.meas_inv = factors["meas_inv"][:, :3], factors["meas_inv"][:, 3:]
-        self.sigmas = factors["sigmas"]
+        meas_inv = np.concatenate([priors["meas_inv"], betweens["meas_inv"]])
+        self.meas_t = meas_inv[:, :3]
+        self.meas_r = quat_to_matrix_array(meas_inv[:, 3:])
+        self.sigmas = np.concatenate([priors["sigmas"], betweens["sigmas"]])
 
-    def retract(self, t, q, delta):
-        """x <- x * exp(delta) on the free states. The quaternions come out
-        as ``Pose`` holds them: unit, first nonzero component positive."""
-        dt, dq = se3_exp_array(delta.reshape(-1, 6))
+    def retract(self, t, r, delta):
+        """x <- x * exp(delta) on the free states."""
+        dt, dr = se3_exp_array(delta.reshape(-1, 6))
         f = self.n_fixed
-        ft, fq = pose_compose_array(t[f:], q[f:], dt, dq)
-        first = fq[np.arange(len(fq)), np.argmax(fq != 0.0, axis=1)]
-        fq /= (np.sqrt(np.einsum("ij,ij->i", fq, fq)) * np.sign(first))[:, None]
-        return np.concatenate([t[:f], ft]), np.concatenate([q[:f], fq])
+        rf = r[f:]
+        return (np.concatenate([t[:f], t[f:] + (rf @ dt[:, :, None])[:, :, 0]]),
+                np.concatenate([r[:f], rf @ dr]))
 
-    def linearize(self, t, q):
-        """Cost at (t, q), plus what the Jacobians there need."""
-        pred_t, pred_q = pose_compose_array(*pose_inverse_array(t[:-1], q[:-1]),
-                                            t[1:], q[1:])
+    def linearize(self, t, r):
+        """Cost at (t, r), plus what the Jacobians there need."""
+        # between k predicts x_k^-1 x_{k+1}
+        rt = r[:-1].transpose(0, 2, 1)
+        pred_r = rt @ r[1:]
+        pred_t = (rt @ (t[1:] - t[:-1])[:, :, None])[:, :, 0]
         idx = self.prior_index
-        rel = pose_compose_array(*self.meas_inv,
-                                 np.concatenate([t[idx], pred_t]),
-                                 np.concatenate([q[idx], pred_q]))
-        xi = se3_log_array(*rel)
-        r = xi / self.sigmas
-        npri = len(self.prior_index)
-        s = np.sqrt(np.einsum("ij,ij->i", r[:npri], r[:npri]))
-        rb = r[npri:]
+        xt = np.concatenate([t[idx], pred_t])
+        mr = self.meas_r
+        xi = se3_log_array((mr @ xt[:, :, None])[:, :, 0] + self.meas_t,
+                           mr @ np.concatenate([r[idx], pred_r]))
+        res = xi / self.sigmas
+        npri = len(idx)
+        s = np.sqrt(np.einsum("ij,ij->i", res[:npri], res[:npri]))
+        rb = res[npri:]
         cost = float(np.sum(np.where(s <= HUBER_K, s * s,
                                      HUBER_K * (2.0 * s - HUBER_K)))
                      + np.einsum("ij,ij->", rb, rb))
-        return cost, (xi, r, s, pred_t, pred_q)
+        return cost, (xi, res, s, pred_t, pred_r)
 
     def normal_equations(self, lin):
         """Banded H (12, 6m) and gradient g (6m,) over the m free states."""
-        xi, r, s, pred_t, pred_q = lin
+        xi, r, s, pred_t, pred_r = lin
         npri = len(self.prior_index)
         jac = se3_right_jacobian_inv_array(xi) / self.sigmas[:, :, None]
         # Huber: scale the prior rows by sqrt(w), w = min(1, K / s)
@@ -262,53 +283,55 @@ class _Chain:
         r = r.copy()
         r[:npri] *= sw[:, None]
         jb = jac[npri:]
-        ja = -(jb @ se3_adjoint_array(*pose_inverse_array(pred_t, pred_q)))
-
-        k = len(pred_t) + 1
-        diag = np.zeros((k, 6, 6))
-        grad = np.zeros((k, 6))
-        jp = jac[:npri]
-        jpt = jp.transpose(0, 2, 1)
-        np.add.at(diag, self.prior_index, jpt @ jp)
-        np.add.at(grad, self.prior_index, (jpt @ r[:npri, :, None])[:, :, 0])
-        jat = ja.transpose(0, 2, 1)
-        jbt = jb.transpose(0, 2, 1)
-        rb = r[npri:, :, None]
-        diag[:-1] += jat @ ja
-        diag[1:] += jbt @ jb
-        grad[:-1] += (jat @ rb)[:, :, 0]
-        grad[1:] += (jbt @ rb)[:, :, 0]
-        upper = jat @ jb          # H block (a, b) of each between factor
-
+        # d pred / d x_k = -Ad(pred^-1), pred^-1 = (pred_r^T, -pred_r^T pred_t)
+        inv_r = pred_r.transpose(0, 2, 1)
+        ja = -(jb @ se3_adjoint_array(-(inv_r @ pred_t[:, :, None])[:, :, 0], inv_r))
+        # J^T J and J^T r of every block: the priors', then each between's
+        # on its first state, then on its second
+        blocks = np.concatenate([jac[:npri], ja, jb])
+        bt = blocks.transpose(0, 2, 1)
+        jtj = (bt @ blocks).reshape(-1, 36)
+        jtr = (bt @ np.concatenate([r, r[npri:]])[:, :, None]).reshape(-1, 6)
+        nb = len(jb)
+        diag = np.zeros((nb + 1, 36))
+        grad = np.zeros((nb + 1, 6))
+        for total, part in ((diag, jtj), (grad, jtr)):
+            np.add.at(total, self.prior_index, part[:npri])
+            total[:-1] += part[npri:npri + nb]
+            total[1:] += part[npri + nb:]
         f = self.n_fixed
-        diag, upper, grad = diag[f:], upper[f:], grad[f:]
+        diag, grad = diag[f:], grad[f:]
+        # H block (a, b) of each between factor linking two free states
+        upper = (ja.transpose(0, 2, 1) @ jb)[f:]
+
         m = len(diag)
         band = np.zeros((_BAND_U + 1, m, 6))
-        band[_DIAG_ROW, :, _DIAG_COL] = diag[:, _DIAG_A, _DIAG_COL].T
-        band[_UPPER_ROW, 1:, _UPPER_COL] = upper[:, _UPPER_A, _UPPER_COL].T
+        band[_DIAG_ROW, :, _DIAG_COL] = diag[:, _DIAG_AT].T
+        band[_UPPER_ROW, 1:, _UPPER_COL] = upper.reshape(-1, 36).T
         return band.reshape(_BAND_U + 1, 6 * m), grad.reshape(-1)
 
 
 # Upper banded storage: H[i, j] (i <= j) sits at band[_BAND_U + i - j, j].
 # With 6x6 blocks on a chain the farthest coupling is 11 columns off the
 # diagonal. Index lists for a diagonal block (a <= b) and for the block right
-# of it (all a, b), by row a and column b within the block.
+# of it (all a, b, in row-major order), by row a and column b within the
+# block; _DIAG_AT is a diagonal entry's place in its flattened block.
 _BAND_U = 11
 _DIAG_A, _DIAG_COL = np.triu_indices(6)
 _DIAG_ROW = _BAND_U + _DIAG_A - _DIAG_COL
+_DIAG_AT = 6 * _DIAG_A + _DIAG_COL
 _UPPER_A, _UPPER_COL = (ix.ravel() for ix in np.indices((6, 6)))
 _UPPER_ROW = _BAND_U - 6 + _UPPER_A - _UPPER_COL
 
 
 def _solve_damped(band, grad, lam):
-    """delta from (H + lam I) delta = -g."""
+    """delta from (H + lam I) delta = -g, by LAPACK's banded Cholesky solve
+    (what ``scipy.linalg.solveh_banded`` calls, without its checks)."""
     damped = band.copy()
     damped[_BAND_U] += lam
-    try:
-        delta = solveh_banded(damped, -grad, overwrite_ab=True,
-                              check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNormalEquations(str(exc)) from exc
+    _, delta, info = dpbsv(damped, -grad, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise SingularNormalEquations(f"banded Cholesky failed (info {info})")
     if not np.all(np.isfinite(delta)):
         raise SingularNormalEquations("non-finite LM step")
     return delta

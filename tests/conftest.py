@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from vloc.geometry import Pose
+from vloc.geometry import Pose, so3_hat, so3_left_jacobian
 
 
 def random_pose(rng, t_scale=2.0):
@@ -9,6 +11,36 @@ def random_pose(rng, t_scale=2.0):
     while np.linalg.norm(q) < 1e-6:
         q = rng.normal(0.0, 1.0, 4)
     return Pose(rng.normal(0.0, t_scale, 3), q)
+
+
+def se3_q_matrix(rho, phi):
+    """Reference: the translation-rotation block Q(rho, phi) of the SE(3)
+    left Jacobian as the series of hat products (Barfoot, eq. 7.86)."""
+    rx, px = so3_hat(rho), so3_hat(phi)
+    theta = float(np.linalg.norm(phi))
+    if theta < 1e-3:
+        t2 = theta * theta
+        s1 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+        s2 = -1.0 / 24.0 + t2 / 720.0 - t2 * t2 / 40320.0
+        s3 = -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0
+    else:
+        s1 = (theta - math.sin(theta)) / theta ** 3
+        s2 = (1.0 - 0.5 * theta ** 2 - math.cos(theta)) / theta ** 4
+        s3 = (theta - math.sin(theta) - theta ** 3 / 6.0) / theta ** 5
+    pr, rp = px @ rx, rx @ px
+    prp = pr @ px
+    return (0.5 * rx + s1 * (pr + rp + prp)
+            - s2 * (px @ pr + rp @ px - 3.0 * prp)
+            - 0.5 * (s2 - 3.0 * s3) * (prp @ px + px @ prp))
+
+
+def se3_left_jacobian(xi):
+    """Reference: the SE(3) left Jacobian [[J_l, Q], [0, J_l]]."""
+    jl = so3_left_jacobian(xi[3:])
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = jl
+    out[:3, 3:] = se3_q_matrix(xi[:3], xi[3:])
+    return out
 
 
 @pytest.fixture

@@ -108,7 +108,13 @@ def tx(d):
 
 def test_criterion_3_optimizer_correctness():
     # (a) factor Jacobians vs central differences at 100 random points
-    from vloc.geometry import se3_adjoint, se3_log, se3_right_jacobian_inv
+    from vloc.geometry import se3_adjoint_array, se3_log, se3_right_jacobian_inv_array
+
+    def se3_right_jacobian_inv(xi):
+        return se3_right_jacobian_inv_array(xi[None])[0]
+
+    def se3_adjoint(pose):
+        return se3_adjoint_array(pose.t[None], pose.rotation_matrix()[None])[0]
 
     rng = np.random.default_rng(0)
     worst = 0.0

@@ -2,29 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from vloc.errors import NearSingularRotation
 from vloc.geometry import (
     CameraIntrinsics,
     Pose,
-    pose_compose_array,
-    pose_inverse_array,
+    matrix_to_quat_array,
     pose_inverse_row,
-    project,
+    poses_from_rows,
     project_array,
+    quat_to_matrix_array,
     rotation_angle,
     rotvec_to_quat,
-    se3_adjoint,
     se3_adjoint_array,
     se3_exp,
     se3_exp_array,
-    se3_left_jacobian,
     se3_log,
     se3_log_array,
-    se3_right_jacobian_inv,
     se3_right_jacobian_inv_array,
+    so3_hat,
 )
-from conftest import random_pose
+from conftest import random_pose, se3_left_jacobian
 
 K64 = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 
@@ -86,20 +85,38 @@ class TestQuaternionInvariants:
         assert worst < 1e-9
 
 
+def project(K, p_cam, z_min=1e-6):
+    """Reference: one camera-frame point to pixel (u, v), None if out of view
+    (z <= z_min or outside [0, width) x [0, height))."""
+    x, y, z = float(p_cam[0]), float(p_cam[1]), float(p_cam[2])
+    if z <= z_min:
+        return None
+    u = K.fx * x / z + K.cx
+    v = K.fy * y / z + K.cy
+    if not (0.0 <= u < K.width and 0.0 <= v < K.height):
+        return None
+    return np.array([u, v])
+
+
+def project_one(p_cam):
+    uv, ok = project_array(K64, [p_cam])
+    return uv[0] if ok[0] else None
+
+
 class TestProjection:
     def test_principal_axis(self):
-        uv = project(K64, [0.0, 0.0, 2.0])
+        uv = project_one([0.0, 0.0, 2.0])
         assert np.allclose(uv, [64.0, 64.0])
 
     def test_offset_point(self):
-        uv = project(K64, [1.0, 0.0, 2.0])
+        uv = project_one([1.0, 0.0, 2.0])
         assert np.allclose(uv, [114.0, 64.0])
 
     def test_behind_camera(self):
-        assert project(K64, [0.0, 0.0, -1.0]) is None
+        assert project_one([0.0, 0.0, -1.0]) is None
 
     def test_outside_image(self):
-        assert project(K64, [10.0, 0.0, 2.0]) is None
+        assert project_one([10.0, 0.0, 2.0]) is None
 
     def test_array_matches_scalar(self, rng):
         pts = rng.normal(0.0, 2.0, (500, 3))
@@ -152,12 +169,23 @@ def tangents(rng, angles):
                            axes * np.asarray(angles)[:, None]], axis=1)
 
 
-# every branch: exp/log/J_l^-1 series below 1e-6 rad, the Q series below 1e-3
+# every branch: the scalar exp's series below 1e-6 rad, the batched forms'
+# series below 1e-3
 BRANCH_ANGLES = [0.0, 1e-9, 5e-7, 2e-6, 5e-4, 2e-3, 0.3, 1.5, 3.0]
 
 
 def as_arrays(poses):
-    return np.array([p.t for p in poses]), np.array([p.q for p in poses])
+    """Translations (n, 3) and rotation matrices (n, 3, 3) of poses."""
+    return (np.array([p.t for p in poses]),
+            quat_to_matrix_array(np.array([p.q for p in poses])))
+
+
+def pose_inverse_array(t, q):
+    """Reference: the batched quaternion inverse (t, q) -> (-R(q)^T t, q*)."""
+    qc = q * np.array([1.0, -1.0, -1.0, -1.0])
+    qv = qc[:, 1:]
+    w = 2.0 * np.cross(qv, t)
+    return -(t + qc[:, :1] * w + np.cross(qv, w)), qc
 
 
 def numeric_right_jacobian_inv(xi, h=1e-6):
@@ -172,24 +200,38 @@ def numeric_right_jacobian_inv(xi, h=1e-6):
     return jac
 
 
+def rotation_about(axis, angle):
+    axis = np.asarray(axis, dtype=float)
+    return rotvec_to_quat(axis / np.linalg.norm(axis) * angle)
+
+
 class TestBatched:
     def test_inverse_row_bit_equal_to_array(self):
         rng = np.random.default_rng(31)
         poses = [random_pose(rng, t_scale=50.0) for _ in range(20000)]
-        t, q = as_arrays(poses)
+        t, q = np.array([p.t for p in poses]), np.array([p.q for p in poses])
         expected = np.hstack(pose_inverse_array(t, q))
         got = np.array([pose_inverse_row(p.t, p.q) for p in poses])
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_exp_matches_scalar(self):
+        # the scalar form's closed-form J_l loses digits between 1e-6 and
+        # 1e-3 rad, where the batched form takes its series; the matrix
+        # exponential of the 4x4 twist is the reference for both
         xi = tangents(np.random.default_rng(21), BRANCH_ANGLES * 4)
-        t, q = se3_exp_array(xi)
+        t, r = se3_exp_array(xi)
         for k, x in enumerate(xi):
             ref = se3_exp(x)
-            assert np.max(np.abs(t[k] - ref.t)) < 1e-14
-            assert rotation_angle(q[k], ref.q) < 1e-14
-            assert abs(np.linalg.norm(q[k]) - 1.0) < 1e-12
+            twist = np.zeros((4, 4))
+            twist[:3, :3] = so3_hat(x[3:])
+            twist[:3, 3] = x[:3]
+            exact = expm(twist)
+            assert np.max(np.abs(t[k] - exact[:3, 3])) < 1e-13
+            assert np.max(np.abs(r[k] - exact[:3, :3])) < 1e-14
+            assert np.max(np.abs(t[k] - ref.t)) < 1e-10
+            assert np.max(np.abs(r[k] - ref.rotation_matrix())) < 1e-14
+            assert np.max(np.abs(r[k] @ r[k].T - np.eye(3))) < 1e-14
 
     def test_log_inverts_exp_in_every_branch(self):
         xi = tangents(np.random.default_rng(22), BRANCH_ANGLES * 4)
@@ -199,34 +241,65 @@ class TestBatched:
         for k, p in enumerate(poses):
             # se3_log is the n = 1 case; rows do not interact
             assert np.max(np.abs(se3_log(p) - out[k])) < 1e-14
-        # either quaternion sign gives the same tangent
-        t, q = as_arrays(poses)
-        assert np.max(np.abs(se3_log_array(t, -q) - out)) < 1e-14
+        # the matrix form of exp round-trips as well
+        assert np.max(np.abs(se3_log_array(*se3_exp_array(xi)) - xi)) < 1e-9
 
     def test_log_near_pi_rejected(self):
         t = np.zeros((3, 3))
-        q = np.array([[1.0, 0.0, 0.0, 0.0],
-                      rotvec_to_quat([0.0, math.pi - 1e-9, 0.0]),
-                      rotvec_to_quat([0.3, 0.0, 0.0])])
+        r = quat_to_matrix_array(np.array([[1.0, 0.0, 0.0, 0.0],
+                                           rotvec_to_quat([0.0, math.pi - 1e-9, 0.0]),
+                                           rotvec_to_quat([0.3, 0.0, 0.0])]))
         with pytest.raises(NearSingularRotation):
-            se3_log_array(t, q)
-        se3_log_array(t[[0, 2]], q[[0, 2]])
+            se3_log_array(t, r)
+        se3_log_array(t[[0, 2]], r[[0, 2]])
+
+    @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                      [0.0, 0.0, 1.0], [1.0, -2.0, 0.5]])
+    def test_log_raises_within_1e_6_of_pi(self, axis):
+        for off in (0.0, 1e-12, 1e-7, 1e-6 - 1e-9):
+            q = rotation_about(axis, math.pi - off)
+            with pytest.raises(NearSingularRotation):
+                se3_log_array(np.zeros((1, 3)), quat_to_matrix_array(q[None]))
+        for off in (1e-6 + 1e-8, 1e-3):
+            q = rotation_about(axis, math.pi - off)
+            phi = se3_log_array(np.zeros((1, 3)), quat_to_matrix_array(q[None]))[0, 3:]
+            assert abs(np.linalg.norm(phi) - (math.pi - off)) < 1e-12
 
     def test_compose_and_inverse_match_pose(self, rng):
+        # on matrices a compose and an inverse are one matmul each; the
+        # quaternions come back unit and with the canonical sign
         a = [random_pose(rng) for _ in range(20)]
         b = [random_pose(rng) for _ in range(20)]
-        t, q = pose_compose_array(*as_arrays(a), *as_arrays(b))
-        ti, qi = pose_inverse_array(*as_arrays(a))
+        (ta, ra), (tb, rb) = as_arrays(a), as_arrays(b)
+        q = matrix_to_quat_array(ra @ rb)
+        t = ta + (ra @ tb[:, :, None])[:, :, 0]
+        ti = -(ra.transpose(0, 2, 1) @ ta[:, :, None])[:, :, 0]
+        qi = matrix_to_quat_array(ra.transpose(0, 2, 1))
         for k in range(20):
             assert Pose(t[k], q[k]).almost_equal(a[k].compose(b[k]), 1e-12)
             assert Pose(ti[k], qi[k]).almost_equal(a[k].inverse(), 1e-12)
+        for quat in (q, qi):
+            assert np.all(quat[:, 0] >= 0.0)
+            assert np.max(np.abs(np.linalg.norm(quat, axis=1) - 1.0)) < 1e-15
+
+    def test_matrix_to_quat_every_branch(self):
+        # Shepperd's four branches: near identity and near pi about x, y, z
+        qs = np.array([rotation_about(axis, angle)
+                       for axis in ([1.0, 2.0, 3.0], [1.0, 0.1, 0.0],
+                                    [0.1, 1.0, 0.0], [0.0, 0.1, 1.0])
+                       for angle in (1e-9, 0.5, math.pi - 1e-3, math.pi)])
+        back = matrix_to_quat_array(quat_to_matrix_array(qs))
+        for got, want in zip(back, qs):
+            assert rotation_angle(got, want) < 1e-12
+            assert got[0] >= 0.0 and abs(np.linalg.norm(got) - 1.0) < 1e-15
+        # at exactly pi qw is 0 and the first nonzero component is positive
+        half = matrix_to_quat_array(quat_to_matrix_array(np.array([[0.0, 0.0, -1.0, 0.0]])))
+        assert np.array_equal(half, [[0.0, 0.0, 1.0, 0.0]])
 
     def test_right_jacobian_inv_closed_form(self):
         xi = tangents(np.random.default_rng(23), BRANCH_ANGLES * 3)
         jac = se3_right_jacobian_inv_array(xi)
         for k, x in enumerate(xi):
-            # the scalar function is the n = 1 case
-            assert np.max(np.abs(se3_right_jacobian_inv(x) - jac[k])) < 1e-12
             inv = np.linalg.inv(se3_left_jacobian(-x))
             assert np.max(np.abs(jac[k] - inv)) < 1e-9 * max(1.0, np.max(np.abs(inv)))
             fd = numeric_right_jacobian_inv(x)
@@ -237,7 +310,6 @@ class TestBatched:
         adj = se3_adjoint_array(*as_arrays(poses))
         h = 1e-6
         for k, p in enumerate(poses):
-            assert np.max(np.abs(se3_adjoint(p) - adj[k])) < 1e-14
             # T exp(d) T^-1 = exp(Ad(T) d)
             fd = np.zeros((6, 6))
             for j in range(6):
@@ -246,6 +318,33 @@ class TestBatched:
                 fd[:, j] = (se3_log(p.compose(se3_exp(d)).compose(p.inverse()))
                             - se3_log(p.compose(se3_exp(-d)).compose(p.inverse()))) / (2 * h)
             assert np.max(np.abs(adj[k] - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+class TestPosesFromRows:
+    def test_bit_equal_to_constructor(self, rng):
+        rows = np.array([np.concatenate([p.t, p.q])
+                         for p in (random_pose(rng) for _ in range(50))])
+        rows[1, 3:] = [0.0, 0.0, -1.0, 0.0]          # qw = 0: sign by x, y, z
+        rows[2, 3:] = [-0.0, 0.6, 0.0, 0.8]
+        rows[3, 3:] *= -1.0                          # qw < 0
+        rows[4, 3:] *= 1.0 + 1e-9                    # off unit: normalized
+        rows[5, :3] = [-0.0, 0.0, -0.0]
+        got = poses_from_rows(rows)
+        want = [Pose(r[:3], r[3:]) for r in rows]
+        assert got == want
+        for a, b in zip(got, want):
+            assert np.array_equal(np.signbit(a.t), np.signbit(b.t))
+            assert np.array_equal(np.signbit(a.q), np.signbit(b.q))
+            assert not (a.t.flags.writeable or a.q.flags.writeable)
+        rows[0, 3:] = 5.0
+        assert np.array_equal(got[0].q, want[0].q)   # the poses hold a copy
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, bad):
+        row = np.array([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        row[0, 1] = bad
+        with pytest.raises(ValueError):
+            poses_from_rows(row)
 
 
 class TestRotationAngle:

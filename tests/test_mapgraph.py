@@ -75,6 +75,13 @@ class TestSegment:
         with pytest.raises(ValueError, match="strictly increasing"):
             Segment(frames=[frame_at(0.0, ts=t) for t in ts], camera=K)
 
+    @pytest.mark.parametrize("ts", [[np.nan], [0.0, np.inf], [-np.inf, 0.0]],
+                             ids=["one-nan", "last-inf", "first-minus-inf"])
+    def test_non_finite_timestamps_rejected(self, ts):
+        # increasing, or a single frame, but not finite
+        with pytest.raises(ValueError, match="finite"):
+            Segment(frames=[frame_at(0.0, ts=t) for t in ts], camera=K)
+
     def test_increasing_timestamps_accepted(self):
         seg = Segment(frames=[frame_at(0.0, ts=t) for t in (0.0, 0.5, 2.0)], camera=K)
         assert len(seg) == 3

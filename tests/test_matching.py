@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vloc.errors import FormatError, OutOfBounds
-from vloc.geometry import CameraIntrinsics, project
+from vloc.geometry import CameraIntrinsics, project_array
 from vloc.matching import (
     MatchSet,
     ingest_matches,
@@ -36,10 +36,10 @@ def gt_reprojection_errors(world, pose_r, pose_q, frame_r, match_set):
         p_cam = np.array([(uv_ref[0] - K.cx) / K.fx * d,
                           (uv_ref[1] - K.cy) / K.fy * d, d])
         p_world = rot_r @ p_cam + pose_r.t
-        uv = project(K, rot_q.T @ (p_world - pose_q.t))
-        if uv is None:
+        uv, ok = project_array(K, rot_q.T @ (p_world - pose_q.t))
+        if not ok[0]:
             continue
-        errs.append(float(np.linalg.norm(uv - uv_query)))
+        errs.append(float(np.linalg.norm(uv[0] - uv_query)))
     return np.array(errs)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from vloc import simworld
 from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
-from vloc.geometry import CameraIntrinsics, Pose, project, project_array, rotvec_to_quat
+from vloc.geometry import CameraIntrinsics, Pose, project_array, rotvec_to_quat
 from vloc.mapgraph import MapNode, TopoMetricMap
 from vloc.simworld import (
     LANDMARK_RANGE,
@@ -294,9 +294,9 @@ class TestRender:
         rot = pose.rotation_matrix()
         for i in range(len(frame.landmark_ids)):
             p_cam = rot.T @ (lookup[int(frame.landmark_ids[i])] - pose.t)
-            uv = project(K, p_cam)
-            assert uv is not None
-            assert np.max(np.abs(uv - frame.landmark_uv[i])) < 1e-6
+            uv, ok = project_array(K, p_cam)
+            assert ok[0]
+            assert np.max(np.abs(uv[0] - frame.landmark_uv[i])) < 1e-6
             assert p_cam[2] == pytest.approx(frame.landmark_depth[i], abs=1e-9)
 
     def test_landmark_depth_equals_raycast_range(self, corridor):
@@ -533,6 +533,22 @@ class TestGenerateSegment:
         lines[lineno - 1] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"{name}:{lineno}: "):
+            load_segment(tmp_path / "seg")
+
+
+    @pytest.mark.parametrize("ts", [["nan"], ["0", "inf"], ["-inf", "0"]],
+                             ids=["one-nan", "last-inf", "first-minus-inf"])
+    def test_non_finite_timestamps_rejected(self, corridor, tmp_path, ts):
+        rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (3.0, CORRIDOR_Y)],
+                               K, camera_rate=1.0, seed=9)
+        save_segment(rec, tmp_path / "seg")
+        path = tmp_path / "seg" / "poses.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = [row.split(",") for row in rows[:len(ts)]]
+        for row, value in zip(rows, ts):
+            row[1] = value
+        path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        with pytest.raises(ValueError, match="finite"):
             load_segment(tmp_path / "seg")
 
 
