@@ -55,11 +55,48 @@ class MatchSet:
             raise ValueError(
                 f"match set columns disagree: uv_ref {self.uv_ref.shape}, "
                 f"uv_query {self.uv_query.shape}, confidence {self.confidence.shape}")
-        if len(np.unique(self.uv_query, axis=0)) != n:
+        if len(_first_rows(self.uv_query)) != n:
             raise ValueError("duplicate query pixels in match set")
+
+    @classmethod
+    def _distinct(cls, uv_ref, uv_query, confidence) -> "MatchSet":
+        """A match set of float columns of one length whose query rows are
+        already known to be distinct, built without checking them again."""
+        match_set = cls.__new__(cls)
+        match_set.uv_ref, match_set.uv_query = uv_ref, uv_query
+        match_set.confidence = confidence
+        return match_set
 
     def __len__(self):
         return self.confidence.size
+
+
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of an
+    (n, 2) array, rows compared as ``np.unique(rows, axis=0)`` compares
+    them: -0.0 equals 0.0, and a row holding NaN equals no row. A stable
+    sort makes equal rows adjacent, first occurrence first."""
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    ranked = rows[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[1:] = (ranked[1:, 0] == ranked[:-1, 0]) & (ranked[1:, 1] == ranked[:-1, 1])
+    return np.sort(order[~repeat])
+
+
+def _window_max(a: np.ndarray, size: int) -> np.ndarray:
+    """``ndimage.maximum_filter(a, size)`` of a 2-D array for an odd
+    ``size``, its default ``reflect`` border included (numpy's
+    ``symmetric`` pad): along each axis the window grows by doubling, with
+    a last shift to reach ``size`` (1, 2, 4 and 3 for 11)."""
+    out = np.pad(a, size // 2, mode="symmetric")
+    for _ in range(2):
+        width = 1
+        while width < size:
+            shift = min(width, size - width)
+            out = np.maximum(out[:-shift], out[shift:])
+            width += shift
+        out = out.T
+    return out
 
 
 def _harris(imgf: np.ndarray) -> np.ndarray:
@@ -75,7 +112,7 @@ def _harris(imgf: np.ndarray) -> np.ndarray:
     resp = (sxx * syy - sxy * sxy) - HARRIS_K * (sxx + syy) ** 2
 
     size = 2 * NMS_RADIUS + 1
-    is_peak = (resp == ndimage.maximum_filter(resp, size=size))
+    is_peak = (resp == _window_max(resp, size))
     peak = float(resp.max())
     is_peak &= resp > (RESPONSE_FLOOR * peak if peak > 0 else np.inf)
     margin = PATCH_SIZE // 2
@@ -191,10 +228,10 @@ def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,
     uv_q[:, 1] = np.clip(uv_q[:, 1], 0.0, height - 1e-6)
 
     # duplicate query pixels after corruption are theoretically possible
-    # but measure zero; drop later duplicates defensively
-    first = np.sort(np.unique(uv_q, axis=0, return_index=True)[1])
-    return MatchSet(uv_ref=uv_r[first], uv_query=uv_q[first],
-                    confidence=np.ones(len(first)))
+    # but measure zero; drop later duplicates defensively, which leaves the
+    # match set nothing to check
+    first = _first_rows(uv_q)
+    return MatchSet._distinct(uv_r[first], uv_q[first], np.ones(len(first)))
 
 
 MATCH_CSV_HEADER = "u_ref,v_ref,u_query,v_query,confidence"

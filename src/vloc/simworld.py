@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -193,9 +193,20 @@ class GridWorld:
                 return False
         return True
 
+    def in_interior(self, x: float, y: float) -> bool:
+        """True when (x, y) lies in the grid and off its boundary ring of
+        wall cells: where a grid walk (``raycast``) may start."""
+        h, w = self.occupancy.shape
+        u, v = x / self.cell_size, y / self.cell_size
+        return 1.0 <= u < w - 1 and 1.0 <= v < h - 1
+
     def line_of_sight(self, p, q) -> bool:
         """True when the straight segment between the (x, y) of two points
-        crosses no wall cell."""
+        crosses no wall cell. A segment from a ``p`` outside the walled
+        interior (``in_interior``) is blocked: it starts in or beyond the
+        boundary wall."""
+        if not self.in_interior(p[0], p[1]):
+            return False
         delta = np.array([q[0] - p[0], q[1] - p[1]])
         if np.linalg.norm(delta) < 1e-12:
             return True
@@ -299,54 +310,74 @@ def raycast(world: GridWorld, origin, dirs):
     ``t`` is in units of the (not necessarily normalized) direction vectors.
     Returns (t, face): the parameter of each ray's first crossing into a wall
     cell (inf if none) and the face it crossed, 0 west / 1 east / 2 south /
-    3 north (-1 if none). The origin's own cell is not tested.
-    """
+    3 north (-1 if none). The origin's own cell is not tested, and a
+    crossing tie goes to the x face.
+
+    The walk relies on the closed world: its boundary ring of cells is wall,
+    so a ray from a cell inside the ring meets a wall before it can leave
+    the grid, and no step is bounds-checked. The origin must lie in that
+    interior (``GridWorld.in_interior``); any other origin, including one
+    outside the grid or in the boundary ring, raises ``ValueError``. Only a
+    zero direction never meets a wall: it gives inf and -1, unless the
+    origin's own cell is wall (inf and face 1). Rays leave the walk's arrays
+    on the step they hit."""
+    ox, oy = float(origin[0]), float(origin[1])
+    if not world.in_interior(ox, oy):
+        raise ValueError(f"grid walk origin ({ox}, {oy}) lies outside the "
+                         f"grid's walled interior")
     cs = world.cell_size
     grid_h, grid_w = world.occupancy.shape
-    ox, oy = float(origin[0]), float(origin[1])
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 2)
     n = len(dirs)
     dx, dy = dirs[:, 0], dirs[:, 1]
 
-    ix = np.full(n, int(math.floor(ox / cs)), dtype=np.int64)
-    iy = np.full(n, int(math.floor(oy / cs)), dtype=np.int64)
+    ix, iy = math.floor(ox / cs), math.floor(oy / cs)
     step_x = np.sign(dx).astype(np.int64)
     step_y = np.sign(dy).astype(np.int64)
+    # live rays, one column each: t_max_x, t_max_y, t_delta_x, t_delta_y
+    # (floats) and flat cell, cell step in x, cell step in y, ray (ints)
+    live_f = np.empty((4, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_delta_x = np.where(dx != 0.0, cs / np.abs(dx), np.inf)
-        t_delta_y = np.where(dy != 0.0, cs / np.abs(dy), np.inf)
-        t_max_x = np.where(
-            dx > 0.0, ((ix + 1) * cs - ox) / dx,
-            np.where(dx < 0.0, (ix * cs - ox) / dx, np.inf))
-        t_max_y = np.where(
-            dy > 0.0, ((iy + 1) * cs - oy) / dy,
-            np.where(dy < 0.0, (iy * cs - oy) / dy, np.inf))
-    face_x = np.where(step_x > 0, 0, 1)
-    face_y = np.where(step_y > 0, 2, 3)
+        live_f[0] = np.where(dx > 0.0, ((ix + 1) * cs - ox) / dx,
+                             np.where(dx < 0.0, (ix * cs - ox) / dx, np.inf))
+        live_f[1] = np.where(dy > 0.0, ((iy + 1) * cs - oy) / dy,
+                             np.where(dy < 0.0, (iy * cs - oy) / dy, np.inf))
+        live_f[2] = np.where(dx != 0.0, cs / np.abs(dx), np.inf)
+        live_f[3] = np.where(dy != 0.0, cs / np.abs(dy), np.inf)
+    live_i = np.stack([np.full(n, iy * grid_w + ix), step_x,
+                       step_y * grid_w, np.arange(n)])
+    occupied = world.occupancy.ravel()
 
     t_hit = np.full(n, np.inf)
-    face = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    # every step enters a new cell, so w + h steps leave any grid
+    hit_x = np.full(n, -1, dtype=np.int8)   # crossed an x face: 1, y: 0
+    t_max_x, t_max_y, t_delta_x, t_delta_y = live_f
+    cell, cell_step_x, cell_step_y, ray = live_i
+    # every step of a nonzero direction enters a new cell, so w + h steps
+    # reach the boundary ring
     for _ in range(grid_w + grid_h):
-        if not active.any():
-            break
         use_x = t_max_x <= t_max_y
-        adv_x = active & use_x
-        adv_y = active & ~use_x
-        ix[adv_x] += step_x[adv_x]
-        iy[adv_y] += step_y[adv_y]
-        active &= (ix >= 0) & (ix < grid_w) & (iy >= 0) & (iy < grid_h)
+        cell += np.where(use_x, cell_step_x, cell_step_y)
+        wall = occupied[cell]
+        if np.count_nonzero(wall):
+            hit = ray[wall]
+            t_hit[hit] = np.where(use_x, t_max_x, t_max_y)[wall]
+            hit_x[hit] = use_x[wall]
+            if len(hit) == len(ray):
+                break
+            keep = ~wall
+            live_f, live_i = live_f.compress(keep, axis=1), live_i.compress(keep, axis=1)
+            use_x = use_x[keep]
+            t_max_x, t_max_y, t_delta_x, t_delta_y = live_f
+            cell, cell_step_x, cell_step_y, ray = live_i
+        # only the crossed axis advances: adding -0.0 leaves every value as
+        # it is, where adding 0.0 would turn a first crossing of -0.0 (an
+        # origin on a grid line) into +0.0
+        t_max_x += np.where(use_x, t_delta_x, -0.0)
+        t_max_y += np.where(use_x, -0.0, t_delta_y)
 
-        wall = np.zeros(n, dtype=bool)
-        wall[active] = world.occupancy[iy[active], ix[active]]
-        t_hit[wall] = np.where(use_x, t_max_x, t_max_y)[wall]
-        face[wall] = np.where(use_x, face_x, face_y)[wall]
-        active &= ~wall
-
-        t_max_x[adv_x] += t_delta_x[adv_x]
-        t_max_y[adv_y] += t_delta_y[adv_y]
-
+    face = np.where(hit_x == 1, np.where(step_x > 0, 0, 1),
+                    np.where(step_y > 0, 2, 3))
+    face[hit_x < 0] = -1
     return t_hit, face
 
 
@@ -397,6 +428,17 @@ class SimFrame:
 LANDMARK_RANGE = 12.0
 
 
+@lru_cache(maxsize=8)
+def _camera_rays(K: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame rays of every pixel, row by row, with unit z: read-only
+    and kept per camera."""
+    uu, vv = np.meshgrid(np.arange(K.width, dtype=float),
+                         np.arange(K.height, dtype=float))
+    rays = unproject(K, uu.ravel(), vv.ravel(), np.ones(uu.size))
+    rays.flags.writeable = False
+    return rays
+
+
 def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     """Exact render of a level camera: depth (z-depth, 0 where no surface),
     hash texture grayscale, and visible-landmark annotations.
@@ -419,16 +461,16 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     if np.max(np.abs(rot[:, 1] - (0.0, 0.0, -1.0))) > 1e-9:
         raise ValueError("camera must be level (camera y axis along world -z)")
 
-    uu, vv = np.meshgrid(np.arange(K.width, dtype=float),
-                         np.arange(K.height, dtype=float))
-    dirs_world = unproject(K, uu.ravel(), vv.ravel(), np.ones(uu.size)) @ rot.T
+    dirs_world = _camera_rays(K) @ rot.T
     # rounding splits a column's horizontal direction into a few that differ
     # in the last bits; walking each once gives every pixel its own ray's
     # crossing, so no depth bit moves (keyframe coverage bins wall points,
     # which lie exactly on grid lines)
-    cols = dirs_world[:, :2].reshape(K.height, K.width, 2).swapaxes(0, 1).reshape(-1, 2)
-    new = np.r_[True, np.any(cols[1:] != cols[:-1], axis=1)]
-    t_wall, face = raycast(world, cam, cols[new])
+    col_x = dirs_world[:, 0].reshape(K.height, K.width).T.ravel()
+    col_y = dirs_world[:, 1].reshape(K.height, K.width).T.ravel()
+    new = np.ones(col_x.size, dtype=bool)
+    new[1:] = (col_x[1:] != col_x[:-1]) | (col_y[1:] != col_y[:-1])
+    t_wall, face = raycast(world, cam, np.column_stack((col_x[new], col_y[new])))
     walk = (np.cumsum(new) - 1).reshape(K.width, K.height).T.ravel()
     t_wall, face = t_wall[walk], face[walk]
 

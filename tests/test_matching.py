@@ -1,12 +1,16 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vloc.errors import FormatError, OutOfBounds
 from vloc.geometry import CameraIntrinsics, project_array
 from vloc.matching import (
     MatchSet,
+    _first_rows,
+    _window_max,
     ingest_matches,
     match_classical,
     match_oracle,
@@ -73,6 +77,81 @@ class TestMatchSet:
         with pytest.raises(ValueError, match="duplicate"):
             MatchSet(uv_ref=[[1, 2], [3, 4]], uv_query=[[5, 6], [5, 6]],
                      confidence=[1, 1])
+
+
+def rows_with_repeats(seed, n=200):
+    """Random pixel rows with planted repeats, signed zeros and NaN rows."""
+    rng = np.random.default_rng(seed)
+    rows = np.round(rng.uniform(0.0, 6.0, (n, 2)) * 2.0) / 2.0   # repeats
+    rows[rng.choice(n, 20, replace=False)] = rows[rng.choice(n, 20)]
+    zero = rng.choice(n, 30, replace=False)
+    rows[zero, rng.integers(0, 2, 30)] = rng.choice([0.0, -0.0], 30)
+    nan = rng.choice(n, 12, replace=False)
+    rows[nan[:4]] = np.nan
+    rows[nan[4:8], 0] = np.nan
+    rows[nan[8:], 1] = np.nan
+    return rows
+
+
+class TestDuplicateRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_rows_match_unique(self, seed):
+        rows = rows_with_repeats(seed)
+        expected = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        assert np.array_equal(_first_rows(rows), expected)
+        # rows equal to an earlier one up to the sign of a zero
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]])
+        assert np.array_equal(_first_rows(signed), [0, 2])
+        assert len(_first_rows(np.zeros((0, 2)))) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_set_verdict_matches_unique(self, seed):
+        rows = rows_with_repeats(seed)
+        verdicts = set()
+        for start in range(0, len(rows) - 8, 4):
+            chunk = rows[start:start + 8]
+            distinct = len(np.unique(chunk, axis=0)) == len(chunk)
+            verdicts.add(distinct)
+            if distinct:
+                MatchSet(uv_ref=chunk, uv_query=chunk, confidence=np.ones(8))
+            else:
+                with pytest.raises(ValueError, match="duplicate"):
+                    MatchSet(uv_ref=chunk, uv_query=chunk, confidence=np.ones(8))
+        assert verdicts == {True, False}
+
+    def test_oracle_keeps_the_first_of_repeated_query_pixels(self):
+        rows = rows_with_repeats(7, n=60)
+        rows = rows[~np.isnan(rows).any(axis=1)]
+        ids = np.arange(len(rows), dtype=np.int64)
+        ref = SimpleNamespace(landmark_ids=ids, landmark_uv=rows[::-1] + 0.25)
+        query = SimpleNamespace(landmark_ids=ids, landmark_uv=rows,
+                                color=np.zeros((8, 8), dtype=np.uint8))
+        ms = match_oracle(ref, query)
+        first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+        assert len(first) < len(rows)
+        assert np.array_equal(ms.uv_query, rows[first])
+        assert np.array_equal(ms.uv_ref, (rows[::-1] + 0.25)[first])
+        assert np.array_equal(ms.confidence, np.ones(len(first)))
+
+
+class TestWindowMax:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (9, 7), (12, 30), (128, 128)])
+    def test_matches_scipy_on_plateaus_and_ties(self, shape):
+        rng = np.random.default_rng(shape)
+        for levels in (1, 2, 5):
+            a = rng.integers(0, levels, shape).astype(float)
+            assert np.array_equal(_window_max(a, 11), ndimage.maximum_filter(a, size=11))
+        a = rng.normal(size=shape)
+        for size in (3, 5, 11):
+            assert np.array_equal(_window_max(a, size), ndimage.maximum_filter(a, size=size))
+
+    def test_matches_scipy_with_peaks_at_the_border(self):
+        a = np.zeros((40, 50))
+        a[0, 0] = a[0, 25] = a[39, 49] = a[17, 0] = a[39, 3] = 2.0
+        a[1, 1] = a[38, 48] = 2.0                     # ties next to them
+        a[10:14, 20:26] = 1.0                         # a plateau
+        a[-1, :] -= 0.5
+        assert np.array_equal(_window_max(a, 11), ndimage.maximum_filter(a, size=11))
 
 
 class TestClassical:

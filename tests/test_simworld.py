@@ -197,6 +197,58 @@ def reference_line_of_sight(world, p, qs, z):
     return (kind != 1) | (t >= 1.0 - 1e-9)
 
 
+def reference_walk(world, origin, dirs):
+    """The bounds-checked 2-D grid walk (``raycast`` before it dropped rays
+    as they hit and stopped testing bounds): every ray stays in the arrays
+    and leaves the walk when it hits a wall or the grid."""
+    cs = world.cell_size
+    grid_h, grid_w = world.occupancy.shape
+    ox, oy = float(origin[0]), float(origin[1])
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 2)
+    n = len(dirs)
+    dx, dy = dirs[:, 0], dirs[:, 1]
+
+    ix = np.full(n, int(math.floor(ox / cs)), dtype=np.int64)
+    iy = np.full(n, int(math.floor(oy / cs)), dtype=np.int64)
+    step_x = np.sign(dx).astype(np.int64)
+    step_y = np.sign(dy).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_delta_x = np.where(dx != 0.0, cs / np.abs(dx), np.inf)
+        t_delta_y = np.where(dy != 0.0, cs / np.abs(dy), np.inf)
+        t_max_x = np.where(
+            dx > 0.0, ((ix + 1) * cs - ox) / dx,
+            np.where(dx < 0.0, (ix * cs - ox) / dx, np.inf))
+        t_max_y = np.where(
+            dy > 0.0, ((iy + 1) * cs - oy) / dy,
+            np.where(dy < 0.0, (iy * cs - oy) / dy, np.inf))
+    face_x = np.where(step_x > 0, 0, 1)
+    face_y = np.where(step_y > 0, 2, 3)
+
+    t_hit = np.full(n, np.inf)
+    face = np.full(n, -1, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    for _ in range(grid_w + grid_h):
+        if not active.any():
+            break
+        use_x = t_max_x <= t_max_y
+        adv_x = active & use_x
+        adv_y = active & ~use_x
+        ix[adv_x] += step_x[adv_x]
+        iy[adv_y] += step_y[adv_y]
+        active &= (ix >= 0) & (ix < grid_w) & (iy >= 0) & (iy < grid_h)
+
+        wall = np.zeros(n, dtype=bool)
+        wall[active] = world.occupancy[iy[active], ix[active]]
+        t_hit[wall] = np.where(use_x, t_max_x, t_max_y)[wall]
+        face[wall] = np.where(use_x, face_x, face_y)[wall]
+        active &= ~wall
+
+        t_max_x[adv_x] += t_delta_x[adv_x]
+        t_max_y[adv_y] += t_delta_y[adv_y]
+
+    return t_hit, face
+
+
 def random_free_points(world, rng, n):
     width, height = world.extent
     out = []
@@ -355,6 +407,95 @@ class TestMatchesPerPixelReference:
             expected = reference_line_of_sight(world, p, qs, 1.0)
             got = [world.line_of_sight(p, q) for q in qs]
             assert got == expected.tolist()
+
+
+def assert_walks_equal(world, origin, dirs):
+    """``raycast`` and ``reference_walk`` agree bit for bit, the sign of a
+    zero ``t`` included."""
+    t, face = raycast(world, origin, dirs)
+    t_ref, face_ref = reference_walk(world, origin, dirs)
+    assert t.tobytes() == t_ref.tobytes()
+    assert face.dtype == face_ref.dtype and np.array_equal(face, face_ref)
+    return t, face
+
+
+def small_world(walls):
+    """A closed 8x6 grid of 0.5 m cells with the given interior (ix, iy)
+    wall cells."""
+    occ = np.zeros((6, 8), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    for ix, iy in walls:
+        occ[iy, ix] = True
+    return GridWorld(occupancy=occ, cell_size=0.5, wall_height=2.0,
+                     texture_seed=0)
+
+
+# every direction through cell corners and along the axes, plus random ones
+LATTICE_DIRS = np.array([(a, b) for a in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+                         for b in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+                         if (a, b) != (0.0, 0.0)])
+
+
+class TestWalkMatchesReference:
+    def test_first_crossing_of_negative_zero(self):
+        # origin on the grid line x = 1.5 with the wall cell to its west
+        world = small_world([(2, 2)])
+        t, face = assert_walks_equal(world, (1.5, 1.2), [(-1.0, 0.0), (-1.0, 0.3)])
+        assert np.signbit(t).all() and (t == 0.0).all() and (face == 1).all()
+
+    def test_negative_zero_survives_a_step_on_the_other_axis(self):
+        # origin on the corner (1.5, 1.5): the ray first crosses x = 1.5 into
+        # free cell (2, 3), then y = 1.5 into wall cell (2, 2), both at -0.0
+        world = small_world([(2, 2)])
+        t, face = assert_walks_equal(world, (1.5, 1.5), [(-1.0, -1.0)])
+        assert np.signbit(t[0]) and t[0] == 0.0 and face[0] == 3
+
+    @pytest.mark.parametrize("origin", [(1.5, 1.2), (1.2, 1.5), (1.5, 1.5),
+                                        (2.0, 2.0), (1.25, 1.75), (2.6, 1.1)])
+    def test_grid_lines_corners_axes_and_diagonals(self, origin):
+        world = small_world([(2, 2), (4, 3), (5, 1), (1, 4)])
+        rng = np.random.default_rng(3)
+        dirs = np.vstack([LATTICE_DIRS, rng.normal(size=(40, 2))])
+        assert_walks_equal(world, origin, dirs)
+
+    def test_zero_direction(self):
+        world = small_world([(2, 2)])
+        t, face = assert_walks_equal(world, (1.2, 1.7), np.zeros((2, 2)))
+        assert (t == np.inf).all() and (face == -1).all()
+        # from inside a wall cell, the walk's first step stays in it
+        t, face = assert_walks_equal(world, (1.2, 1.2), [(0.0, 0.0)])
+        assert t[0] == np.inf and face[0] == 1
+
+    @pytest.mark.parametrize("origin", [(1.2, 1.2), (1.0, 1.0), (1.5, 1.25)])
+    def test_origin_inside_a_wall_cell(self, origin):
+        world = small_world([(2, 2), (3, 2), (2, 3)])
+        rng = np.random.default_rng(4)
+        assert_walks_equal(world, origin,
+                           np.vstack([LATTICE_DIRS, rng.normal(size=(40, 2))]))
+
+    @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+    def test_every_landmark_ray(self, name):
+        world, _ = make_preset(name, seed=1)
+        _, pos, _ = world.landmarks()
+        rng = np.random.default_rng(19)
+        points = random_free_points(world, rng, 8)
+        # and origins on grid lines and corners
+        lattice = np.round(random_free_points(world, rng, 8) * 4.0) / 4.0
+        for p in np.vstack([points, lattice]):
+            if world.free_point(p[0], p[1]):
+                assert_walks_equal(world, p, pos[:, :2] - p[None, :])
+
+    @pytest.mark.parametrize("origin", [(-0.1, 1.2), (1.2, 3.2), (4.0, 1.2),
+                                        (0.3, 1.2), (1.2, 2.9), (3.7, 1.2),
+                                        (math.nan, 1.2), (1.2, math.inf)])
+    def test_origin_outside_the_walled_interior(self, origin):
+        # beyond the grid, or in its boundary ring of wall cells
+        world = small_world([])
+        assert not world.in_interior(*origin)
+        with pytest.raises(ValueError, match="interior"):
+            raycast(world, origin, [(1.0, 0.0)])
+        assert not world.line_of_sight(origin, (1.2, 1.2))
+        assert world.line_of_sight((1.2, 1.2), (2.2, 2.2))
 
 
 @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
