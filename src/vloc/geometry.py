@@ -27,7 +27,6 @@ DEPTH_MIN_DEFAULT = 0.05
 DEPTH_MAX_DEFAULT = 20.0
 Z_MIN_DEFAULT = 1e-6
 _LOG_ANGLE_MAX = math.pi - 1e-6
-_SMALL = 1e-6
 
 
 def fmt17(x: float) -> str:
@@ -138,17 +137,6 @@ def matrix_to_quat(m) -> np.ndarray:
     return quat_normalize(q)
 
 
-def rotvec_to_quat(phi) -> np.ndarray:
-    px, py, pz = float(phi[0]), float(phi[1]), float(phi[2])
-    angle = math.sqrt(px * px + py * py + pz * pz)
-    if angle < _SMALL:
-        # sin(a/2)/a ~ 1/2 - a^2/48
-        s = 0.5 - angle * angle / 48.0
-        return quat_normalize([1.0 - angle * angle / 8.0, px * s, py * s, pz * s])
-    s = math.sin(0.5 * angle) / angle
-    return quat_normalize([math.cos(0.5 * angle), px * s, py * s, pz * s])
-
-
 def rotation_angle(qa, qb) -> float:
     """Geodesic angle in radians between two unit quaternions.
 
@@ -162,28 +150,6 @@ def rotation_angle(qa, qb) -> float:
     return 2.0 * math.atan2(
         math.sqrt(qr[1] * qr[1] + qr[2] * qr[2] + qr[3] * qr[3]), abs(qr[0])
     )
-
-
-# ---------------------------------------------------------------------------
-# so(3)/se(3) maps and Jacobians
-# ---------------------------------------------------------------------------
-
-def so3_hat(v) -> np.ndarray:
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def so3_left_jacobian(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    px = so3_hat(phi)
-    if theta < _SMALL:
-        a = 0.5 - theta * theta / 24.0
-        b = 1.0 / 6.0 - theta * theta / 120.0
-    else:
-        a = (1.0 - math.cos(theta)) / (theta * theta)
-        b = (theta - math.sin(theta)) / (theta ** 3)
-    return np.eye(3) + a * px + b * (px @ px)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +262,8 @@ def poses_from_rows(rows) -> list:
 
 def se3_exp(xi) -> Pose:
     """Tangent [rho, phi] to Pose; se3_exp(0) is the identity."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    rho, phi = xi[:3], xi[3:]
-    return Pose(so3_left_jacobian(phi) @ rho, rotvec_to_quat(phi))
+    t, r = se3_exp_array(np.asarray(xi, dtype=float).reshape(1, 6))
+    return Pose.from_rt(r[0], t[0])
 
 
 def se3_log(pose: Pose) -> np.ndarray:
@@ -312,7 +277,8 @@ def se3_log(pose: Pose) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # On matrices a compose (r_a r_b, t_a + r_a t_b) and an inverse (r^T, -r^T t)
-# are one batched matmul each. se3_log is the n = 1 case of se3_log_array.
+# are one batched matmul each. se3_exp and se3_log are the n = 1 cases of
+# se3_exp_array and se3_log_array.
 
 # hat(v) flattened row-major is v @ _HAT: -z, y, z, -x, -y, x at 1, 2, 3, 5,
 # 6, 7

@@ -10,10 +10,12 @@ match per row; ``lift`` samples depth for the whole ``uv_query`` column in
 one pass.
 
 The solver's tuning values are module constants: the inlier threshold
-``REPROJ_THRESH``, the stop rule's ``RANSAC_CONFIDENCE``, the refinement's
-``REFINE_ITERS`` and the cheirality bound ``Z_MIN_DEFAULT``. ``PnPParams``
-holds only what callers set: ``min_inliers``, ``max_iters`` and ``seed``.
-There is no planar-scene rejection (see ``PnPParams``).
+``REPROJ_THRESH``, the stop rule's ``RANSAC_CONFIDENCE`` and its cap
+``RANSAC_MAX_ITERS``, the refinement's ``REFINE_ITERS`` and the cheirality
+bound ``Z_MIN_DEFAULT``; the refinement stops by the fusion solver's
+``poseslam.COST_FLOOR`` and ``poseslam.LM_REL_DECREASE``. ``PnPParams``
+holds only what callers set: ``min_inliers`` and ``seed``. There is no
+planar-scene rejection (see ``PnPParams``).
 
 RANSAC hypotheses are solved and scored in blocks of samples: one batched
 companion-matrix eigenvalue call finds every sample's quartic roots, one
@@ -50,13 +52,13 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     matrix_to_quat,
-    quat_to_matrix,
     rotation_angle,
-    rotvec_to_quat,
-    so3_left_jacobian,
+    se3_exp_array,
+    so3_hat_array,
     unproject,
 )
 from .mapgraph import MapNode, Observation
+from .poseslam import COST_FLOOR, LM_REL_DECREASE
 
 
 class RelocStatus(enum.Enum):
@@ -87,6 +89,7 @@ class RelocResult:
 
 REPROJ_THRESH = 3.0        # px; a point within it is an inlier
 RANSAC_CONFIDENCE = 0.999
+RANSAC_MAX_ITERS = 1000    # samples drawn at most
 REFINE_ITERS = 20
 
 
@@ -96,7 +99,6 @@ class PnPParams:
     # reprojection error cannot break; the solver returns either pose, and
     # the localization pipeline drops the mirror one by its attitude gate
     min_inliers: int = 12
-    max_iters: int = 1000
     seed: int = 0
 
 
@@ -148,11 +150,6 @@ def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics):
 # sample; a low inlier ratio runs hundreds, over which blocks amortise the
 # per-call cost of the array operations.
 _BLOCK_SIZES = (1, 8, 64)
-
-# Refinement stops below this sum of squared pixel errors: the pose then
-# reprojects to within about 1e-9 px, and further steps move it by less
-# than any tolerance downstream while step halving finds nothing to gain.
-_COST_FLOOR = 1e-18
 
 # the point pairs (2, 3), (1, 3), (1, 2) of a sample's triple: they span
 # the sides opposite points 1, 2, 3 and the angles between their rays
@@ -312,21 +309,23 @@ def reprojection_residual_jacobian(r, t, p3d, uv, K):
     dpi[:, 0, 2] = -K.fx * x / (z * z)
     dpi[:, 1, 1] = K.fy / z
     dpi[:, 1, 2] = -K.fy * y / (z * z)
-    hats = np.zeros((n, 3, 3))
-    px, py, pz = p3d[:, 0], p3d[:, 1], p3d[:, 2]
-    hats[:, 0, 1], hats[:, 0, 2] = -pz, py
-    hats[:, 1, 0], hats[:, 1, 2] = pz, -px
-    hats[:, 2, 0], hats[:, 2, 1] = -py, px
     d_rho = dpi @ r
-    jac = np.concatenate([d_rho, -(d_rho @ hats)], axis=2).reshape(2 * n, 6)
+    jac = np.concatenate([d_rho, -(d_rho @ so3_hat_array(p3d))],
+                         axis=2).reshape(2 * n, 6)
     return res, jac
 
 
 def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
     """Gauss-Newton with step halving; cost is monotone non-increasing.
-    ``errors`` are the points' reprojection errors at (r, t) when the
-    caller has them. Returns (R, t, converged, accepted steps, rejected
-    trial steps), R and t being the inputs when no step helps."""
+    A step retracts as the fusion solver does, r <- r exp(delta), and the
+    refinement stops by its rules: below ``poseslam.COST_FLOOR``, after an
+    accepted step that lowers the cost by less than
+    ``poseslam.LM_REL_DECREASE`` of it, after a rejected step whose model
+    decrease is below that share of the cost, and after a step none of
+    whose 12 halvings lowers it. ``errors`` are the points' reprojection
+    errors at (r, t) when the caller has them. Returns (R, t, converged,
+    accepted steps, rejected trial steps), R and t being the inputs when no
+    step helps."""
 
     def cost_of(rr, tt):
         e = _reprojection_errors(rr, tt, p3d, uv, K)
@@ -337,7 +336,7 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
         return r, t, False, 0, 0
     steps = halvings = 0
     for _ in range(REFINE_ITERS):
-        if cost < _COST_FLOOR:
+        if cost < COST_FLOOR:
             break
         res, jac = reprojection_residual_jacobian(r, t, p3d, uv, K)
         h = jac.T @ jac
@@ -349,22 +348,26 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
         improved = False
         step = 1.0
         for _ in range(12):
-            d = delta * step
-            rho, phi = d[:3], d[3:]
-            r_new = r @ quat_to_matrix(rotvec_to_quat(phi))
-            t_new = r @ (so3_left_jacobian(phi) @ rho) + t
+            dt, dr = se3_exp_array((delta * step)[None])
+            r_new = r @ dr[0]
+            t_new = r @ dt[0] + t
             c_new = cost_of(r_new, t_new)
             if c_new < cost:
                 improved = True
                 break
             halvings += 1
+            # a shorter step only lowers the model's decrease -g . delta, so
+            # once that is below the relative stop no halving can pass it
+            # but by rounding (the fusion solver's rule for a rejected trial)
+            if -(g @ delta) < LM_REL_DECREASE * cost:
+                break
             step *= 0.5
         if not improved:
             break
         steps += 1
-        decrease = cost - c_new
+        rel = (cost - c_new) / cost
         r, t, cost = r_new, t_new, c_new
-        if decrease < 1e-10:
+        if rel < LM_REL_DECREASE:
             break
     return r, t, True, steps, halvings
 
@@ -417,7 +420,7 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
     best_r = best_t = best_err = None
     best_inliers = 0
     iteration = hypotheses = 0
-    needed = params.max_iters
+    needed = RANSAC_MAX_ITERS
     blocks = itertools.chain(_BLOCK_SIZES, itertools.repeat(_BLOCK_SIZES[-1]))
     while iteration < needed:
         sel = np.array([rng.choice(n, size=4, replace=False)
@@ -434,7 +437,7 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                     needed = iteration
                     break
                 denom = math.log(max(1e-12, 1.0 - w ** 4))
-                needed = min(params.max_iters,
+                needed = min(RANSAC_MAX_ITERS,
                              int(math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / denom)))
             if iteration >= needed:
                 break

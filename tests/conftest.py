@@ -3,7 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from vloc.geometry import Pose, so3_hat, so3_left_jacobian
+from vloc.geometry import Pose, quat_normalize
+
+
+def so3_hat(v):
+    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def so3_left_jacobian(phi):
+    """Reference: the SO(3) left Jacobian I + a phi^ + b phi^2, with its
+    closed forms from 1e-6 rad up (they lose digits there; the library's
+    batched maps take the series below 1e-3 rad)."""
+    phi = np.asarray(phi, dtype=float)
+    theta = float(np.linalg.norm(phi))
+    px = so3_hat(phi)
+    if theta < 1e-6:
+        a = 0.5 - theta * theta / 24.0
+        b = 1.0 / 6.0 - theta * theta / 120.0
+    else:
+        a = (1.0 - math.cos(theta)) / (theta * theta)
+        b = (theta - math.sin(theta)) / (theta ** 3)
+    return np.eye(3) + a * px + b * (px @ px)
+
+
+def rotvec_to_quat(phi):
+    """The unit quaternion of the rotation vector phi, in closed form, so a
+    test can build a rotation exactly 1e-9 rad short of pi."""
+    px, py, pz = float(phi[0]), float(phi[1]), float(phi[2])
+    angle = math.sqrt(px * px + py * py + pz * pz)
+    if angle < 1e-6:
+        # sin(a/2)/a ~ 1/2 - a^2/48
+        s = 0.5 - angle * angle / 48.0
+        return quat_normalize([1.0 - angle * angle / 8.0, px * s, py * s, pz * s])
+    s = math.sin(0.5 * angle) / angle
+    return quat_normalize([math.cos(0.5 * angle), px * s, py * s, pz * s])
 
 
 def random_pose(rng, t_scale=2.0):

@@ -15,7 +15,7 @@ import pytest
 
 import vloc
 from vloc.dataio import write_pgm
-from vloc.geometry import CameraIntrinsics, Pose, rotation_angle, rotvec_to_quat, se3_exp
+from vloc.geometry import CameraIntrinsics, Pose, rotation_angle, se3_exp
 from vloc.mapgraph import (
     MapNode,
     TopoMetricMap,
@@ -39,6 +39,7 @@ from vloc.relocal import (
     solve_pnp_ransac,
 )
 from vloc.simworld import GridWorld, OdomNoise, generate_segment, make_preset
+from conftest import rotvec_to_quat
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 SRC = pathlib.Path(vloc.__file__).parents[1]

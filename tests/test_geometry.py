@@ -14,16 +14,14 @@ from vloc.geometry import (
     project_array,
     quat_to_matrix_array,
     rotation_angle,
-    rotvec_to_quat,
     se3_adjoint_array,
     se3_exp,
     se3_exp_array,
     se3_log,
     se3_log_array,
     se3_right_jacobian_inv_array,
-    so3_hat,
 )
-from conftest import random_pose, se3_left_jacobian
+from conftest import random_pose, rotvec_to_quat, se3_left_jacobian, so3_hat
 
 K64 = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 
@@ -169,8 +167,8 @@ def tangents(rng, angles):
                            axes * np.asarray(angles)[:, None]], axis=1)
 
 
-# every branch: the scalar exp's series below 1e-6 rad, the batched forms'
-# series below 1e-3
+# every branch: the scalar references' series below 1e-6 rad, the batched
+# forms' series below 1e-3
 BRANCH_ANGLES = [0.0, 1e-9, 5e-7, 2e-6, 5e-4, 2e-3, 0.3, 1.5, 3.0]
 
 
@@ -186,6 +184,15 @@ def pose_inverse_array(t, q):
     qv = qc[:, 1:]
     w = 2.0 * np.cross(qv, t)
     return -(t + qc[:, :1] * w + np.cross(qv, w)), qc
+
+
+def exact_exp(x):
+    """Reference: the matrix exponential of the 4x4 twist of x, (t, R)."""
+    twist = np.zeros((4, 4))
+    twist[:3, :3] = so3_hat(x[3:])
+    twist[:3, 3] = x[:3]
+    exact = expm(twist)
+    return exact[:3, 3], exact[:3, :3]
 
 
 def numeric_right_jacobian_inv(xi, h=1e-6):
@@ -216,22 +223,25 @@ class TestBatched:
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_exp_matches_scalar(self):
-        # the scalar form's closed-form J_l loses digits between 1e-6 and
-        # 1e-3 rad, where the batched form takes its series; the matrix
-        # exponential of the 4x4 twist is the reference for both
+        # the matrix exponential of the 4x4 twist is the reference for both
         xi = tangents(np.random.default_rng(21), BRANCH_ANGLES * 4)
         t, r = se3_exp_array(xi)
         for k, x in enumerate(xi):
             ref = se3_exp(x)
-            twist = np.zeros((4, 4))
-            twist[:3, :3] = so3_hat(x[3:])
-            twist[:3, 3] = x[:3]
-            exact = expm(twist)
-            assert np.max(np.abs(t[k] - exact[:3, 3])) < 1e-13
-            assert np.max(np.abs(r[k] - exact[:3, :3])) < 1e-14
-            assert np.max(np.abs(t[k] - ref.t)) < 1e-10
+            exact_t, exact_r = exact_exp(x)
+            assert np.max(np.abs(t[k] - exact_t)) < 1e-13
+            assert np.max(np.abs(r[k] - exact_r)) < 1e-14
+            assert np.max(np.abs(t[k] - ref.t)) < 1e-13
             assert np.max(np.abs(r[k] - ref.rotation_matrix())) < 1e-14
             assert np.max(np.abs(r[k] @ r[k].T - np.eye(3))) < 1e-14
+
+    def test_scalar_exp_takes_the_series_at_small_angles(self):
+        # closed forms of (1 - cos t)/t^2 and (t - sin t)/t^3 lose digits
+        # below 1e-3 rad (5.7e-11 m of translation at 2e-6 rad); se3_exp is
+        # the n = 1 case of se3_exp_array, which takes their series there
+        angles = np.repeat(np.geomspace(1e-7, 1e-2, 16), 4)
+        for x in tangents(np.random.default_rng(24), angles):
+            assert np.max(np.abs(se3_exp(x).t - exact_exp(x)[0])) < 1e-13
 
     def test_log_inverts_exp_in_every_branch(self):
         xi = tangents(np.random.default_rng(22), BRANCH_ANGLES * 4)

@@ -24,6 +24,10 @@ to move outputs regenerates the data and says so, with the largest
 deviation. Regenerate the three files with::
 
     PYTHONPATH=src:. python3 tests/test_pinned_outputs.py
+
+which prints, before it overwrites a file, one line saying how many
+observations and pose hashes differ from it and whether every pose is
+bit-equal.
 """
 
 from __future__ import annotations
@@ -222,12 +226,46 @@ def test_kidnap_fixes_bit_equal(kidnap):
     check_poses(*kidnap)
 
 
+def _differing(old: list, new: list) -> int:
+    """Entries that differ by position, an unmatched one included."""
+    return sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
+
+
+def regeneration_report(name: str, old: dict, new: dict) -> str:
+    """One line saying what regenerated ``new`` data changes against the
+    ``old`` data it replaces, so a claim that outputs are unchanged can
+    point to it."""
+    fields = [k for k in sorted(new.keys() | old.keys()) if old.get(k) != new.get(k)]
+    return (f"{name}: {_differing(old['observations'], new['observations'])} of "
+            f"{len(new['observations'])} observations differ, "
+            f"{_differing(old['pose_sha256'], new['pose_sha256'])} of "
+            f"{len(new['pose_sha256'])} pose hashes differ, every pose bit-equal: "
+            f"{'yes' if old['pose_sha256'] == new['pose_sha256'] else 'no'}; "
+            f"changed fields: {', '.join(fields) or 'none'}")
+
+
+def test_regeneration_report():
+    old = {"observations": [["A", 1], ["B", 2]], "pose_sha256": ["x", "y", "z"],
+           "fingerprint": [1]}
+    assert regeneration_report("w", old, old) == (
+        "w: 0 of 2 observations differ, 0 of 3 pose hashes differ, every pose "
+        "bit-equal: yes; changed fields: none")
+    new = {"observations": [["A", 1], ["B", 3], ["C", 4]], "pose_sha256": ["x", "q"],
+           "fingerprint": [1]}
+    assert regeneration_report("w", old, new) == (
+        "w: 2 of 3 observations differ, 2 of 2 pose hashes differ, every pose "
+        "bit-equal: no; changed fields: observations, pose_sha256")
+
+
 if __name__ == "__main__":
     for name in ("track", "nav", "kidnap"):
         path = data_path(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with tempfile.TemporaryDirectory() as workdir:
             data = collect(name, workdir)
+        if os.path.exists(path):
+            with open(path) as f:
+                print(regeneration_report(name, json.load(f), data))
         with open(path, "w") as f:
             json.dump(data, f, indent=1)
             f.write("\n")

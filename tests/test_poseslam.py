@@ -11,7 +11,7 @@ from vloc.errors import (
     NonMonotonicTimestamp,
     UnknownState,
 )
-from vloc.geometry import Pose, rotation_angle, rotvec_to_quat, se3_exp, se3_log, so3_hat
+from vloc.geometry import Pose, rotation_angle, se3_exp, se3_log
 from vloc.poseslam import (
     COST_FLOOR,
     HUBER_K,
@@ -22,7 +22,7 @@ from vloc.poseslam import (
     odom_sigmas,
     vloc_fix_sigmas,
 )
-from conftest import random_pose, se3_left_jacobian
+from conftest import random_pose, rotvec_to_quat, se3_left_jacobian, so3_hat
 
 SIG6 = [0.1] * 3 + [math.radians(0.5)] * 3
 TIGHT = [0.01] * 3 + [math.radians(0.2)] * 3

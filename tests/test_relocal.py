@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vloc import relocal
 from vloc.errors import EmptyInput, FormatError
 from vloc.geometry import (
     DEPTH_MAX_DEFAULT,
@@ -15,6 +16,7 @@ from vloc.geometry import (
 )
 from vloc.mapgraph import MapNode
 from vloc.matching import MatchSet, match_oracle
+from vloc.poseslam import LM_REL_DECREASE
 from vloc.relocal import (
     _BLOCK_SIZES,
     RANSAC_CONFIDENCE,
@@ -37,6 +39,7 @@ from vloc.relocal import (
 )
 from vloc.retrieval import extract_descriptor
 from vloc.simworld import make_preset, planar_camera_pose, render
+from conftest import rotvec_to_quat
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 
@@ -199,8 +202,8 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
     best_r, best_t = None, None
     best_inliers = 0
     iteration = hypotheses = 0
-    needed = params.max_iters
-    while iteration < min(needed, params.max_iters):
+    needed = relocal.RANSAC_MAX_ITERS
+    while iteration < min(needed, relocal.RANSAC_MAX_ITERS):
         iteration += 1
         sel = rng.choice(n, size=4, replace=False)
         candidates = reference_p3p_grunert(p3d[sel[:3]], rays[sel[:3]])
@@ -220,7 +223,7 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
             if w >= 1.0 - 1e-12:
                 break
             denom = math.log(max(1e-12, 1.0 - w ** 4))
-            needed = min(params.max_iters,
+            needed = min(relocal.RANSAC_MAX_ITERS,
                          int(math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / denom)))
 
     if best_r is None or best_inliers < 4:
@@ -390,27 +393,35 @@ class TestSolvePnP:
             e1 = _reprojection_errors(r1, t1, p_world, uv, K)
             assert float(np.sum(e1 * e1)) <= c0 + 1e-12
 
-    def test_refinement_reports_failed_halvings(self):
-        # the refinement's known waste: after accepted steps that still
-        # lower the cost by more than 1e-10, a step none of whose 12
-        # halvings lowers it, far above the cost floor, ends the refinement
+    def test_refinement_ends_by_relative_decrease(self, monkeypatch):
+        # the fusion solver's stops: an accepted step that lowers the cost
+        # by less than LM_REL_DECREASE of it ends the refinement, and so
+        # does a rejected step whose model decrease is below that share, so
+        # no sweep of 12 halvings is spent on a cost it can no longer lower
         rng = np.random.default_rng(0)
         p_world, uv, _, _ = synth_scene(rng, 20, noise=1.0)
         res = solve_pnp_ransac(p_world, uv, K, PnPParams(seed=0))
         assert res.status is RelocStatus.SUCCESS
-        assert (res.refine_steps, res.refine_halvings) == (3, 12)
+        assert (res.refine_steps, res.refine_halvings) == (3, 0)
 
         rng = np.random.default_rng(14)
         p_world, uv, transform, _ = synth_scene(rng, 20, noise=1.0)
         start = transform.compose(se3_exp(rng.normal(0, 0.02, 6)))
-        r1, t1, _, steps, halvings = _refine_gauss_newton(
-            start.rotation_matrix(), start.t, p_world, uv, K)
-        assert (steps, halvings) == (4, 1)
+        args = start.rotation_matrix(), start.t, p_world, uv, K
+        r1, t1, ok, steps, halvings = _refine_gauss_newton(*args)
+        assert ok and (steps, halvings) == (4, 0)
         r2, t2, ok, steps, halvings = _refine_gauss_newton(r1, t1, p_world, uv, K)
-        assert ok and (steps, halvings) == (0, 12)
+        assert ok and (steps, halvings) == (0, 1)
         assert r2 is r1 and t2 is t1
-        e = _reprojection_errors(r1, t1, p_world, uv, K)
-        assert float(np.sum(e * e)) > 1.0
+        costs = []
+        for iters in (2, 3, 4):
+            monkeypatch.setattr(relocal, "REFINE_ITERS", iters)
+            r, t, _, _, _ = _refine_gauss_newton(*args)
+            e = _reprojection_errors(r, t, p_world, uv, K)
+            costs.append(float((e * e).sum()))
+        third, fourth = ((a - b) / a for a, b in zip(costs, costs[1:]))
+        assert third >= LM_REL_DECREASE > fourth
+        assert costs[-1] > 1.0
 
     def test_jacobian_matches_central_differences(self):
         # 1e-5 relative agreement at 100 seeded linearization points
@@ -524,13 +535,14 @@ class TestBatchedMatchesSequential:
         assert ties >= 20
 
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 20, 100])
-    def test_outlier_shares(self, n):
+    def test_outlier_shares(self, n, monkeypatch):
         results = []
         for share in (0.0, 0.1, 0.3, 0.5, 0.7):
             for seed in range(2):
                 rng = np.random.default_rng([n, round(100 * share), seed])
                 p3d, uv = outlier_scene(rng, n, share)
-                params = PnPParams(seed=seed, max_iters=1000 if seed else 150,
+                monkeypatch.setattr(relocal, "RANSAC_MAX_ITERS", 1000 if seed else 150)
+                params = PnPParams(seed=seed,
                                    min_inliers=min(12, n - 1))
                 results.append(self.assert_same(p3d, uv, params))
         assert any(r.status is RelocStatus.SUCCESS for r in results)
@@ -544,33 +556,36 @@ class TestBatchedMatchesSequential:
             res = self.assert_same(p3d, uv, PnPParams(seed=seed))
             assert res.iterations == 1 and res.inliers == 20
 
-    def test_runs_to_max_iters(self):
+    def test_runs_to_max_iters(self, monkeypatch):
         # random pixels: no sample explains enough points to cut the count,
         # and the third block is cut short at the cap
+        monkeypatch.setattr(relocal, "RANSAC_MAX_ITERS", 37)
         for seed in range(3):
             rng = np.random.default_rng(50 + seed)
             p3d, uv = outlier_scene(rng, 40, 1.0)
-            res = self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=37))
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed))
             assert res.iterations == 37 and res.hypotheses > 0
 
-    def test_degenerate_samples(self):
+    def test_degenerate_samples(self, monkeypatch):
         # two distinct points, each twice: every triple has a zero side, so no
         # sample gives a candidate, and every one counts as an iteration
+        monkeypatch.setattr(relocal, "RANSAC_MAX_ITERS", 25)
         p3d, uv, _, _ = synth_scene(np.random.default_rng(7), 2)
         res = self.assert_same(np.repeat(p3d, 2, axis=0), np.repeat(uv, 2, axis=0),
-                               PnPParams(max_iters=25))
+                               PnPParams())
         assert res.status is RelocStatus.RANSAC_FAILED
         assert res.iterations == 25 and res.hypotheses == 0
+        monkeypatch.setattr(relocal, "RANSAC_MAX_ITERS", 200)
         for seed in range(4):
             rng = np.random.default_rng(70 + seed)
             p3d, uv, _, _ = synth_scene(rng, 16, noise=0.3)
             p3d[8:], uv[8:] = p3d[:8], uv[:8] + rng.normal(0.0, 0.3, (8, 2))
-            self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=200))
+            self.assert_same(p3d, uv, PnPParams(seed=seed))
             # points on one line in front of the camera
             s = rng.uniform(-1.0, 1.0, 12)
             line = np.array([0.1, -0.2, 3.5]) + s[:, None] * rng.normal(0, 0.4, 3)
             p3d, uv = world_from_camera(rng, line)
-            self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=200))
+            self.assert_same(p3d, uv, PnPParams(seed=seed))
 
     def test_points_behind_camera(self):
         for seed in range(4):
@@ -582,14 +597,15 @@ class TestBatchedMatchesSequential:
             res = self.assert_same(p3d, uv, PnPParams(seed=seed))
             assert res.status is RelocStatus.SUCCESS and res.inliers == 16
 
-    def test_non_finite_pixels(self):
+    def test_non_finite_pixels(self, monkeypatch):
         # a NaN pixel gives no candidates as a sample point, NaN errors as
         # a probe (the first candidate is picked) and is never an inlier
+        monkeypatch.setattr(relocal, "RANSAC_MAX_ITERS", 300)
         for seed in range(4):
             rng = np.random.default_rng(130 + seed)
             p3d, uv, _, _ = synth_scene(rng, 16, noise=0.3)
             uv[rng.choice(16, 3, replace=False)] = np.nan
-            res = self.assert_same(p3d, uv, PnPParams(seed=seed, max_iters=300))
+            res = self.assert_same(p3d, uv, PnPParams(seed=seed))
             assert res.status is RelocStatus.SUCCESS and res.inliers == 13
 
     def test_planar_scene(self):
@@ -656,7 +672,6 @@ class TestMetrics:
         if not ok:
             return (RelocResult(pose=None, inliers=0, total=10,
                                 status=RelocStatus.TOO_FEW_MATCHES), gt)
-        from vloc.geometry import rotvec_to_quat
         pose = Pose(np.array([et, 0.0, 0.0]),
                     rotvec_to_quat([math.radians(er_deg), 0.0, 0.0]))
         return (RelocResult(pose=pose, inliers=20, total=20,

@@ -6,7 +6,7 @@ import pytest
 
 from vloc import simworld
 from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
-from vloc.geometry import CameraIntrinsics, Pose, project_array, rotvec_to_quat
+from vloc.geometry import CameraIntrinsics, Pose, project_array
 from vloc.mapgraph import MapNode, TopoMetricMap
 from vloc.simworld import (
     LANDMARK_RANGE,
@@ -25,6 +25,7 @@ from vloc.simworld import (
     render,
     save_segment,
 )
+from conftest import rotvec_to_quat
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 CORRIDOR_Y = 2.25
