@@ -23,7 +23,7 @@ from .mapgraph import (COVIS_THRESHOLD_DEFAULT, GRID_RES_DEFAULT, NAV_RADIUS_DEF
                        build_map, load_map, save_map, select_keyframes)
 from .pipeline import (GL_MIN_SIM_DEFAULT, MAX_FAILURES_DEFAULT, WINDOW_DEFAULT,
                        ObservationOutcome, Pipeline, PipelineConfig)
-from .planning import NavConfig, NavReport, compute_ate, run_mission
+from .planning import NavConfig, NavReport, compute_ate, nearest_node, run_mission
 from .relocal import PnPParams
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0,
@@ -65,6 +65,28 @@ def _matcher_from(name: str):
     if name == "oracle":
         return lambda ref, query: matching.match_oracle(ref, query, seed=0)
     raise VlocError(f"unknown matcher '{name}'")
+
+
+def _map_matcher(args, topo, K: CameraIntrinsics):
+    """The ``--matcher`` of a command that matches against a loaded map: the
+    oracle first annotates the map's nodes from ``--world``."""
+    if args.matcher == "oracle":
+        if not args.world:
+            raise VlocError("--matcher oracle needs --world to annotate map nodes")
+        simworld.annotate_map_with_landmarks(topo, K, simworld.GridWorld.load(args.world))
+    return _matcher_from(args.matcher)
+
+
+def _csv_matcher(path, K: CameraIntrinsics, min_conf: float):
+    """A matcher that returns the match CSV at ``path``, without its matches
+    below ``min_conf`` when that is positive."""
+    def read(ref, query):
+        ms = matching.ingest_matches(path, K.width, K.height)
+        if min_conf > 0:
+            keep = ms.confidence >= min_conf
+            ms = matching.MatchSet(ms.uv_ref[keep], ms.uv_query[keep], ms.confidence[keep])
+        return ms
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +150,7 @@ def cmd_localize(args) -> int:
     recording = simworld.load_segment(args.seq)
     segment = recording.segment
     K = segment.camera
-    if args.matcher == "oracle":
-        if not args.world:
-            raise VlocError("--matcher oracle needs --world to annotate map nodes")
-        world = simworld.GridWorld.load(args.world)
-        simworld.annotate_map_with_landmarks(topo, K, world)
-    matcher = _matcher_from(args.matcher)
+    matcher = _map_matcher(args, topo, K)
     config = PipelineConfig(gl_min_sim=args.gl_min_sim,
                             max_failures=args.max_failures,
                             window=args.window,
@@ -209,37 +226,26 @@ def cmd_navigate(args) -> int:
 
 
 def cmd_bench_reloc(args) -> int:
-    K, refs, queries = relocal.load_reloc_dataset(args.dataset)
-    world = simworld.GridWorld.load(args.world) if args.world else None
-    if args.matcher == "oracle" and world is None:
-        raise VlocError("--matcher oracle needs --world to regenerate annotations")
+    topo = load_map(args.map)
+    segment = simworld.load_segment(args.seq).segment
+    K = segment.camera
+    if args.matcher == "ingest" and not args.matches:
+        raise VlocError("--matcher ingest needs --matches")
+    matcher = None if args.matcher == "ingest" else _map_matcher(args, topo, K)
 
+    # each frame against the node nearest its ground-truth position; the
+    # world pose's errors are those of the pose relative to that node
     results = []
     times = []
     params = PnPParams(min_inliers=args.min_inliers)
-    for j, (img, depth, gt_pose, ref_id) in enumerate(queries):
-        ref_img, ref_pose = refs[ref_id]
+    for k, frame in enumerate(segment.frames):
+        node = topo.nodes[nearest_node(topo, frame.pose.t)]
         t0 = time.perf_counter()
-        if args.matcher == "classical":
-            ms = matching.match_classical(ref_img, img)
-        elif args.matcher == "oracle":
-            ref_frame = simworld.render(world, ref_pose, K)
-            query_frame = simworld.render(world, gt_pose, K)
-            ms = matching.match_oracle(ref_frame, query_frame, seed=j)
-        elif args.matcher == "ingest":
-            path = os.path.join(args.matches, f"{j}.csv")
-            ms = matching.ingest_matches(path, K.width, K.height)
-            if args.min_conf > 0:
-                keep = ms.confidence >= args.min_conf
-                ms = matching.MatchSet(ms.uv_ref[keep], ms.uv_query[keep],
-                                       ms.confidence[keep])
-        else:
-            raise VlocError(f"unknown matcher '{args.matcher}'")
-        p3d, uv_ref, _ = relocal.lift(ms, depth, K)
-        res = relocal.solve_pnp_ransac(p3d, uv_ref, K, params)
+        frame_matcher = matcher or _csv_matcher(
+            os.path.join(args.matches, f"{k}.csv"), K, args.min_conf)
+        res = relocal.localize_against_node(node, frame.obs, K, frame_matcher, params)
         times.append((time.perf_counter() - t0) * 1000.0)
-        rel_gt = ref_pose.between(gt_pose)
-        results.append((res, rel_gt))
+        results.append((res, frame.pose))
 
     metrics = relocal.compute_reloc_metrics(results, times_ms=times)
     with open(args.out, "w") as f:
@@ -329,12 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
     p.set_defaults(func=cmd_navigate)
 
-    p = sub.add_parser("bench-reloc", help="relocalization benchmark")
-    p.add_argument("--dataset", required=True)
+    p = sub.add_parser("bench-reloc",
+                       help="relocalize each segment frame against its nearest map node")
+    p.add_argument("--map", required=True)
+    p.add_argument("--seq", required=True, help="segment directory")
     p.add_argument("--matcher", required=True,
                    choices=("classical", "oracle", "ingest"))
     p.add_argument("--out", required=True)
-    p.add_argument("--matches", help="directory of <j>.csv for --matcher ingest")
+    p.add_argument("--matches", help="directory of <k>.csv for --matcher ingest")
     p.add_argument("--min-conf", type=float, default=0.0)
     p.add_argument("--min-inliers", type=int, default=PnPParams.min_inliers)
     p.add_argument("--world", help="required for --matcher oracle")

@@ -1,4 +1,4 @@
-"""Shared on-disk formats: binary PGM images, raw float32 rasters, TUM
+"""Shared on-disk formats: binary PGM images, raw float arrays, TUM
 trajectories. All text is plain ASCII; all binary is little-endian."""
 
 from __future__ import annotations
@@ -64,22 +64,26 @@ def float_image(image) -> np.ndarray:
     return imgf
 
 
-def write_f32(path, array: np.ndarray) -> None:
-    """Raw little-endian IEEE-754 float32, row-major."""
+def write_raw(path, array: np.ndarray, dtype: str) -> None:
+    """Raw row-major values of a little-endian dtype: ``"<f4"`` for map
+    descriptors, ``"<f8"`` for segment depth."""
     with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
 
 
-def read_f32(path, shape=None) -> np.ndarray:
+def read_raw(path, dtype: str, shape=None) -> np.ndarray:
+    """The values ``write_raw`` wrote with ``dtype``, reshaped to ``shape``
+    when given; a byte size that does not fit raises FormatError."""
+    dtype = np.dtype(dtype)
     size = os.path.getsize(path)
-    if size % 4 != 0:
-        raise FormatError(f"{path}: byte size {size} is not a multiple of 4")
-    raw = np.fromfile(path, dtype="<f4")
+    if size % dtype.itemsize != 0:
+        raise FormatError(f"{path}: byte size {size} is not a multiple of {dtype.itemsize}")
+    raw = np.fromfile(path, dtype=dtype)
     if shape is not None:
         expected = int(np.prod(shape))
         if raw.size != expected:
             raise FormatError(
-                f"{path}: expected {expected} float32 values, found {raw.size}"
+                f"{path}: expected {expected} {dtype.name} values, found {raw.size}"
             )
         raw = raw.reshape(shape)
     return raw

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import matching, retrieval
-from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
+from .dataio import line_errors, read_csv_rows, read_pgm, read_raw, write_pgm, write_raw
 from .errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
 from .geometry import (
     DEPTH_MAX_DEFAULT,
@@ -142,6 +142,8 @@ class TopoMetricMap:
             d = np.asarray(node.descriptor)
             if d.shape != (self.descriptor_dim,):
                 raise ValueError(f"node {node.id}: descriptor shape {d.shape}")
+            if not np.isfinite(d).all():
+                raise ValueError(f"node {node.id}: descriptor not finite")
             if abs(float(np.linalg.norm(d.astype(np.float64))) - 1.0) > 1e-6:
                 raise ValueError(f"node {node.id}: descriptor not unit norm")
         self.cng_edges = sorted(tuple(e) for e in self.cng_edges)
@@ -150,7 +152,7 @@ class TopoMetricMap:
         self.cvg = _adjacency(self.cvg_edges, n)
         for a, b, w in self.cng_edges:
             dist = float(np.linalg.norm(self.nodes[a].pose.t - self.nodes[b].pose.t))
-            if abs(w - dist) > 1e-9:
+            if not abs(w - dist) <= 1e-9:        # a NaN weight fails this too
                 raise ValueError(f"cng edge ({a},{b}) weight {w} != distance {dist}")
 
     def node_positions(self) -> np.ndarray:
@@ -386,9 +388,9 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
 
     desc_path = os.path.join(mapdir, "descriptors.f32")
     if m.nodes:
-        write_f32(desc_path, m.descriptor_matrix())
+        write_raw(desc_path, m.descriptor_matrix(), "<f4")
     else:
-        write_f32(desc_path, np.zeros(0, dtype=np.float32))
+        write_raw(desc_path, np.zeros(0), "<f4")
     bytes_desc = os.path.getsize(desc_path)
 
     bytes_images = 0
@@ -454,8 +456,8 @@ def load_map(mapdir) -> TopoMetricMap:
     grid_res = number("grid_res", float)
 
     desc_path = os.path.join(mapdir, "descriptors.f32")
-    descs = read_f32(desc_path, shape=(node_count, dim)) if node_count else \
-        read_f32(desc_path)
+    descs = read_raw(desc_path, "<f4", shape=(node_count, dim)) if node_count else \
+        read_raw(desc_path, "<f4")
 
     nodes_path = os.path.join(mapdir, "nodes.csv")
     nodes = []

@@ -237,15 +237,6 @@ def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,
 MATCH_CSV_HEADER = "u_ref,v_ref,u_query,v_query,confidence"
 
 
-def write_matches(path, match_set: MatchSet) -> None:
-    rows = np.column_stack([match_set.uv_ref, match_set.uv_query,
-                            match_set.confidence])
-    with open(path, "w") as f:
-        f.write(MATCH_CSV_HEADER + "\n")
-        for row in rows:
-            f.write(",".join(format(v, ".9g") for v in row) + "\n")
-
-
 def ingest_matches(path, width: int, height: int) -> MatchSet:
     """Parse a match CSV, validating every pixel against the image bounds.
     Each error names the file and the offending line; of two rows sharing a

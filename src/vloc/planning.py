@@ -94,6 +94,7 @@ def resolve_goal(topo_map, goal_image):
 
 
 def nearest_node(topo_map, position) -> int:
+    """Id of the node nearest ``position``, the lowest id on ties."""
     dists = np.linalg.norm(topo_map.node_positions() - np.asarray(position),
                            axis=1)
     return int(np.argmin(dists))

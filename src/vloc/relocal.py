@@ -38,12 +38,10 @@ import dataclasses
 import enum
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import line_errors, read_csv_rows, read_f32, read_pgm, write_f32, write_pgm
 from .errors import EmptyInput
 from .geometry import (
     DEPTH_MAX_DEFAULT,
@@ -548,57 +546,3 @@ def compute_reloc_metrics(results, times_ms=None) -> RelocMetrics:
         pct_estimated=100.0 * n_success / n,
         mean_time_ms=mean_time,
     )
-
-
-# ---------------------------------------------------------------------------
-# benchmark dataset layout
-# ---------------------------------------------------------------------------
-
-_REF_POSES_HEADER = "id,x,y,z,qw,qx,qy,qz"
-_QUERY_POSES_HEADER = "id,ref_id,x,y,z,qw,qx,qy,qz"
-
-
-def save_reloc_dataset(dirpath, refs, queries, K: CameraIntrinsics) -> None:
-    """refs: [(image, world pose)]; queries: [(image, depth, world gt pose,
-    ref_id)]. Layout: refs/<i>.pgm + refs/poses.csv, queries/<j>.pgm +
-    queries/depth/<j>.f32 + queries/gt_poses.csv, intrinsics.txt."""
-    os.makedirs(os.path.join(dirpath, "refs"), exist_ok=True)
-    os.makedirs(os.path.join(dirpath, "queries", "depth"), exist_ok=True)
-    with open(os.path.join(dirpath, "intrinsics.txt"), "w") as f:
-        f.write(K.to_line() + "\n")
-    with open(os.path.join(dirpath, "refs", "poses.csv"), "w") as f:
-        f.write(_REF_POSES_HEADER + "\n")
-        for i, (img, pose) in enumerate(refs):
-            write_pgm(os.path.join(dirpath, "refs", f"{i}.pgm"), img)
-            f.write(",".join([str(i), *pose.fields()]) + "\n")
-    with open(os.path.join(dirpath, "queries", "gt_poses.csv"), "w") as f:
-        f.write(_QUERY_POSES_HEADER + "\n")
-        for j, (img, depth, pose, ref_id) in enumerate(queries):
-            write_pgm(os.path.join(dirpath, "queries", f"{j}.pgm"), img)
-            write_f32(os.path.join(dirpath, "queries", "depth", f"{j}.f32"), depth)
-            f.write(",".join([str(j), str(ref_id), *pose.fields()]) + "\n")
-
-
-def load_reloc_dataset(dirpath):
-    """Returns (K, refs [(img, pose)], queries [(img, depth, pose, ref_id)])."""
-    path = os.path.join(dirpath, "intrinsics.txt")
-    with open(path) as f, line_errors(path, 1):
-        K = CameraIntrinsics.from_line(f.readline())
-    refs = []
-    path = os.path.join(dirpath, "refs", "poses.csv")
-    for lineno, row in read_csv_rows(path, _REF_POSES_HEADER):
-        with line_errors(path, lineno):
-            i = int(row[0])
-            pose = Pose.from_fields(row[1:])
-        refs.append((read_pgm(os.path.join(dirpath, "refs", f"{i}.pgm")), pose))
-    queries = []
-    path = os.path.join(dirpath, "queries", "gt_poses.csv")
-    for lineno, row in read_csv_rows(path, _QUERY_POSES_HEADER):
-        with line_errors(path, lineno):
-            j, ref_id = int(row[0]), int(row[1])
-            pose = Pose.from_fields(row[2:])
-        img = read_pgm(os.path.join(dirpath, "queries", f"{j}.pgm"))
-        depth = read_f32(os.path.join(dirpath, "queries", "depth", f"{j}.f32"),
-                         shape=img.shape)
-        queries.append((img, depth, pose, ref_id))
-    return K, refs, queries

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import float_image, read_f32
+from .dataio import float_image, read_raw
 from .errors import DimensionMismatch, EmptyImage, EmptyMap, NonUnitNorm, NonUnitNormWarning
 
 DESCRIPTOR_DIM = 256
@@ -110,9 +110,9 @@ def ingest_descriptors(path, topo_map) -> None:
     """Replace the map's descriptors wholesale from a descriptors.f32 file.
 
     Vectors off unit norm by at most 10% are renormalized with a warning;
-    larger deviations are rejected.
+    larger deviations and non-finite rows are rejected, naming the row.
     """
-    raw = read_f32(path)
+    raw = read_raw(path, "<f4")
     n = len(topo_map.nodes)
     if n == 0 or raw.size % n != 0 or raw.size // n != topo_map.descriptor_dim:
         raise DimensionMismatch(
@@ -121,8 +121,8 @@ def ingest_descriptors(path, topo_map) -> None:
     mat = raw.reshape(n, topo_map.descriptor_dim)
     norms = np.linalg.norm(mat.astype(np.float64), axis=1)
     dev = np.abs(norms - 1.0)
-    if np.any(dev > _NORM_HARD_TOL) or np.any(norms < 1e-12):
-        worst = int(np.argmax(dev))
+    if not np.all(dev <= _NORM_HARD_TOL):     # a non-finite row fails this too
+        worst = int(np.argmax(dev))           # the first NaN, if any
         raise NonUnitNorm(f"{path}: row {worst} norm {norms[worst]:.6f}")
     if np.any(dev > _NORM_SOFT_TOL):
         warnings.warn(NonUnitNormWarning(

@@ -31,11 +31,11 @@ import numpy as np
 from .dataio import (
     line_errors,
     read_csv_rows,
-    read_f32,
     read_pgm,
+    read_raw,
     read_trajectory,
-    write_f32,
     write_pgm,
+    write_raw,
     write_trajectory,
 )
 from .errors import FormatError, PoseInCollision, UnreachableWaypoint
@@ -644,7 +644,11 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     """Drive a pursuit controller through the waypoints, rendering camera
     frames at ``camera_rate`` and odometry at ``odom_rate``.
 
-    Segment frame poses are ground truth. Deterministic per seed."""
+    Segment frame poses are ground truth. Deterministic per seed. Raises
+    ValueError unless both rates are finite and positive."""
+    for name, rate in (("camera_rate", camera_rate), ("odom_rate", odom_rate)):
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {rate}")
     waypoints = [np.asarray(w, dtype=float)[:2] for w in waypoints]
     if not waypoints:
         raise ValueError("need at least one waypoint")
@@ -742,8 +746,9 @@ _LM_HEADER = "id,u,v,depth"
 
 def save_segment(recording: SegmentRecording, segdir) -> None:
     """Write a recording as a directory the CLI commands consume:
-    frames/<k>.pgm, depth/<k>.f32, landmarks/<k>.csv, poses.csv,
-    odometry.csv, gt_traj.txt (TUM), intrinsics.txt."""
+    frames/<k>.pgm, depth/<k>.f64 (little-endian float64, the rendered
+    precision), landmarks/<k>.csv, poses.csv, odometry.csv, gt_traj.txt
+    (TUM), intrinsics.txt. Every value is kept exactly."""
     os.makedirs(os.path.join(segdir, "frames"), exist_ok=True)
     os.makedirs(os.path.join(segdir, "depth"), exist_ok=True)
     os.makedirs(os.path.join(segdir, "landmarks"), exist_ok=True)
@@ -757,7 +762,7 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
                     + "\n")
     for k, fr in enumerate(seg.frames):
         write_pgm(os.path.join(segdir, "frames", f"{k}.pgm"), fr.obs.color)
-        write_f32(os.path.join(segdir, "depth", f"{k}.f32"), fr.obs.depth)
+        write_raw(os.path.join(segdir, "depth", f"{k}.f64"), fr.obs.depth, "<f8")
         with open(os.path.join(segdir, "landmarks", f"{k}.csv"), "w") as f:
             f.write(_LM_HEADER + "\n")
             for i in range(len(fr.obs.landmark_ids)):
@@ -773,9 +778,9 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
 
 
 def load_segment(segdir) -> SegmentRecording:
-    """Read a directory that ``save_segment`` wrote back as the recording.
-
-    Depth comes back float32 (the on-disk precision)."""
+    """Read a directory that ``save_segment`` wrote back as the recording,
+    bit for bit. Depth is read from ``depth/<k>.f64`` only: the float32
+    ``depth/<k>.f32`` of earlier writers is not read."""
     path = os.path.join(segdir, "intrinsics.txt")
     with open(path) as f, line_errors(path, 1):
         camera = CameraIntrinsics.from_line(f.readline())
@@ -787,7 +792,7 @@ def load_segment(segdir) -> SegmentRecording:
             ts = float(row[1])
             pose = Pose.from_fields(row[2:])
         color = read_pgm(os.path.join(segdir, "frames", f"{k}.pgm"))
-        depth = read_f32(os.path.join(segdir, "depth", f"{k}.f32"),
+        depth = read_raw(os.path.join(segdir, "depth", f"{k}.f64"), "<f8",
                          shape=color.shape)
         lm_path = os.path.join(segdir, "landmarks", f"{k}.csv")
         lm_ids, lm_uv, lm_depth = [], [], []

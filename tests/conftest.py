@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vloc.geometry import Pose, quat_normalize
+from vloc.matching import MATCH_CSV_HEADER
 
 
 def so3_hat(v):
@@ -75,6 +76,14 @@ def se3_left_jacobian(xi):
     out[:3, :3] = out[3:, 3:] = jl
     out[:3, 3:] = se3_q_matrix(xi[:3], xi[3:])
     return out
+
+
+def match_csv_text(match_set):
+    """A match set as the text of a match CSV file, 9 significant digits a
+    value; the library only reads the format."""
+    rows = np.column_stack([match_set.uv_ref, match_set.uv_query, match_set.confidence])
+    return "".join([MATCH_CSV_HEADER + "\n"] + [
+        ",".join(format(v, ".9g") for v in row) + "\n" for row in rows])
 
 
 @pytest.fixture

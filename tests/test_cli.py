@@ -6,18 +6,18 @@ import inspect
 import numpy as np
 import pytest
 
-from vloc.cli import build_parser, main
+from conftest import match_csv_text
+from vloc.cli import DEFAULT_CAMERA, build_parser, main
 from vloc.dataio import read_trajectory, write_pgm, write_trajectory
 from vloc.errors import FormatError
 from vloc.geometry import Pose
-from vloc.mapgraph import build_map, load_map, select_keyframes
+from vloc.mapgraph import build_map, load_map, maps_equal, select_keyframes
+from vloc.matching import MatchSet, match_oracle
 from vloc.pipeline import PipelineConfig
-from vloc.planning import NavConfig
-from vloc.relocal import PnPParams, save_reloc_dataset
-from vloc.simworld import GridWorld, make_preset, planar_camera_pose, render
-from vloc.geometry import CameraIntrinsics
-
-K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
+from vloc.planning import NavConfig, nearest_node
+from vloc.relocal import PnPParams
+from vloc.simworld import (GridWorld, annotate_map_with_landmarks, generate_segment,
+                           load_segment, make_preset)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,42 @@ class TestGenAndBuild:
         assert main(["gen-segment", "--world", str(world_path),
                      "--waypoints", str(route), "--out", str(tmp_path / "seg")]) == 1
         assert "route.csv:3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--camera-rate", "0"), ("--odom-rate", "0"), ("--camera-rate", "-1"),
+        ("--odom-rate", "nan"), ("--camera-rate", "inf")])
+    def test_bad_rate_is_an_error(self, workspace, tmp_path, capsys, flag, value):
+        ws, world_path, _, _ = workspace
+        assert main(["gen-segment", "--world", str(world_path),
+                     "--waypoints", str(ws / "route.csv"),
+                     "--out", str(tmp_path / "seg"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "seg").exists()
+
+
+class TestCliMapIsLibraryMap:
+    @pytest.mark.parametrize("preset", ["corridor", "rooms", "campus"])
+    def test_saved_segment_builds_the_in_memory_map(self, tmp_path, preset):
+        # segment files keep every value exactly, so gen-segment -> build-map
+        # picks the keyframes and builds the map the library does in memory
+        world_path, route_path = tmp_path / "world.txt", tmp_path / "route.csv"
+        segdir, mapdir = tmp_path / "seg", tmp_path / "map"
+        assert main(["gen-world", "--out", str(world_path), "--preset", preset,
+                     "--seed", "7", "--route-out", str(route_path)]) == 0
+        assert main(["gen-segment", "--world", str(world_path),
+                     "--waypoints", str(route_path), "--out", str(segdir),
+                     "--seed", "1"]) == 0
+        assert main(["build-map", "--input", str(segdir), "--keyframe-budget", "30",
+                     "--grid-res", "0.1", "--out", str(mapdir),
+                     "--world", str(world_path)]) == 0
+
+        world, route = make_preset(preset, seed=7)
+        segment = generate_segment(world, route, DEFAULT_CAMERA, seed=1).segment
+        topo = build_map(segment, select_keyframes(segment, budget=30, grid_res=0.1),
+                         matcher=lambda ref, query: match_oracle(ref, query, seed=0),
+                         world=world)
+        assert maps_equal(load_map(mapdir), topo)
 
 
 class TestLocalize:
@@ -145,99 +181,85 @@ class TestNavigate:
         assert rc == 2
 
 
+@pytest.fixture(scope="module")
+def replay(workspace):
+    """A 2.5 Hz drive of the workspace route: its frames lie between the
+    2 Hz mapping frames (a replay at the mapping rate repeats them exactly,
+    whatever the odometry noise, since the controller steers on the true
+    pose)."""
+    ws, world_path, _, _ = workspace
+    replay = ws / "replay"
+    assert main(["gen-segment", "--world", str(world_path),
+                 "--waypoints", str(ws / "route.csv"), "--out", str(replay),
+                 "--seed", "3", "--camera-rate", "2.5"]) == 0
+    return replay
+
+
+def bench_reloc(tmp_path, *args):
+    """The metrics row that ``vloc bench-reloc`` writes, by column name."""
+    out = tmp_path / "metrics.csv"
+    assert main(["bench-reloc", *args, "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    return dict(zip(header.split(","), map(float, row.split(","))))
+
+
+def oracle_match_files(workspace, replay, matches_dir, confidence):
+    """Write ``<k>.csv``: replay frame k's oracle matches against its nearest
+    map node, each with ``confidence(k)``. Returns the frame count."""
+    _, world_path, _, mapdir = workspace
+    topo = load_map(mapdir)
+    frames = load_segment(replay).segment.frames
+    annotate_map_with_landmarks(topo, DEFAULT_CAMERA, GridWorld.load(world_path))
+    matches_dir.mkdir()
+    for k, frame in enumerate(frames):
+        ms = match_oracle(topo.nodes[nearest_node(topo, frame.pose.t)], frame.obs)
+        (matches_dir / f"{k}.csv").write_text(match_csv_text(
+            MatchSet(ms.uv_ref, ms.uv_query, np.full(len(ms), confidence(k)))))
+    return len(frames)
+
+
 class TestBenchReloc:
-    def test_bench_oracle_and_classical(self, workspace, tmp_path):
-        _, world_path, _, _ = workspace
-        world = GridWorld.load(world_path)
-        refs, queries = [], []
-        rng = np.random.default_rng(2)
-        for i, x in enumerate((3.0, 9.0, 15.0)):
-            pose = planar_camera_pose(x, 2.25, 0.0)
-            refs.append((render(world, pose, K).color, pose))
-        for j in range(6):
-            ref_id = j % 3
-            base = refs[ref_id][1]
-            pose = planar_camera_pose(base.t[0] + rng.uniform(-0.3, 0.3),
-                                      base.t[1] + rng.uniform(-0.2, 0.2),
-                                      rng.uniform(-0.1, 0.1))
-            frame = render(world, pose, K)
-            queries.append((frame.color, frame.depth.astype(np.float32),
-                            pose, ref_id))
-        ds = tmp_path / "dataset"
-        save_reloc_dataset(ds, refs, queries, K)
-        out = tmp_path / "metrics.csv"
-        assert main(["bench-reloc", "--dataset", str(ds), "--matcher", "oracle",
-                     "--world", str(world_path), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("max_et_m,")
-        vals = dict(zip(lines[0].split(","), lines[1].split(",")))
-        assert float(vals["pct_estimated"]) == 100.0
-        assert float(vals["median_et_m"]) < 0.05
+    def test_bench_oracle_and_classical(self, workspace, replay, tmp_path):
+        _, world_path, _, mapdir = workspace
+        vals = bench_reloc(tmp_path, "--map", str(mapdir), "--seq", str(replay),
+                           "--matcher", "oracle", "--world", str(world_path))
+        assert vals["pct_estimated"] == 100.0
+        assert vals["median_et_m"] < 0.05
+        # the synthetic textures give the classical matcher sparse matches
+        vals = bench_reloc(tmp_path, "--map", str(mapdir), "--seq", str(replay),
+                           "--matcher", "classical", "--min-inliers", "6")
+        assert 0.0 < vals["pct_estimated"] < 100.0
 
-        out2 = tmp_path / "metrics_classical.csv"
-        assert main(["bench-reloc", "--dataset", str(ds),
-                     "--matcher", "classical", "--out", str(out2)]) == 0
-
-    def test_bench_ingest_matches(self, workspace, tmp_path):
-        # externally computed correspondences enter through per-query CSVs
-        from vloc.matching import match_oracle, write_matches
-        _, world_path, _, _ = workspace
-        world = GridWorld.load(world_path)
-        ref_pose = planar_camera_pose(5.0, 2.25, 0.0)
-        ref_frame = render(world, ref_pose, K)
-        refs = [(ref_frame.color, ref_pose)]
-        queries = []
+    def test_bench_ingest_matches(self, workspace, replay, tmp_path):
+        # externally computed correspondences enter through per-frame CSVs
+        _, _, _, mapdir = workspace
         matches_dir = tmp_path / "matches"
-        matches_dir.mkdir()
-        for j in range(3):
-            pose = planar_camera_pose(5.2 + 0.1 * j, 2.3, 0.05)
-            frame = render(world, pose, K)
-            queries.append((frame.color, frame.depth.astype(np.float32), pose, 0))
-            write_matches(matches_dir / f"{j}.csv",
-                          match_oracle(ref_frame, frame, seed=j))
-        ds = tmp_path / "dataset"
-        save_reloc_dataset(ds, refs, queries, K)
-        out = tmp_path / "metrics.csv"
-        assert main(["bench-reloc", "--dataset", str(ds), "--matcher", "ingest",
-                     "--matches", str(matches_dir), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        vals = dict(zip(lines[0].split(","), lines[1].split(",")))
-        assert float(vals["pct_estimated"]) == 100.0
-        assert float(vals["median_et_m"]) < 0.05
+        oracle_match_files(workspace, replay, matches_dir, lambda k: 1.0)
+        vals = bench_reloc(tmp_path, "--map", str(mapdir), "--seq", str(replay),
+                           "--matcher", "ingest", "--matches", str(matches_dir))
+        assert vals["pct_estimated"] == 100.0
+        assert vals["median_et_m"] < 0.05
 
-    def test_bench_ingest_min_conf(self, workspace, tmp_path):
-        # query 2's matches are all below --min-conf, so the filter leaves it
-        # too few; queries 0 and 1 keep their confident matches and solve
-        from vloc.matching import MatchSet, match_oracle, write_matches
-        _, world_path, _, _ = workspace
-        world = GridWorld.load(world_path)
-        ref_pose = planar_camera_pose(5.0, 2.25, 0.0)
-        ref_frame = render(world, ref_pose, K)
-        queries = []
+    def test_bench_ingest_min_conf(self, workspace, replay, tmp_path):
+        # every third frame's matches are all below --min-conf, so the filter
+        # leaves it none; the others keep their confident matches and solve
+        _, _, _, mapdir = workspace
         matches_dir = tmp_path / "matches"
-        matches_dir.mkdir()
-        for j, conf in enumerate((1.0, 0.9, 0.3)):
-            pose = planar_camera_pose(5.2 + 0.1 * j, 2.3, 0.05)
-            frame = render(world, pose, K)
-            queries.append((frame.color, frame.depth.astype(np.float32), pose, 0))
-            ms = match_oracle(ref_frame, frame, seed=j)
-            write_matches(matches_dir / f"{j}.csv",
-                          MatchSet(ms.uv_ref, ms.uv_query, np.full(len(ms), conf)))
-        ds = tmp_path / "dataset"
-        save_reloc_dataset(ds, [(ref_frame.color, ref_pose)], queries, K)
+        n = oracle_match_files(workspace, replay, matches_dir,
+                               lambda k: (1.0, 0.9, 0.3)[k % 3])
+        args = ("--map", str(mapdir), "--seq", str(replay), "--matcher", "ingest",
+                "--matches", str(matches_dir))
+        assert bench_reloc(tmp_path, *args)["pct_estimated"] == 100.0
+        vals = bench_reloc(tmp_path, *args, "--min-conf", "0.5")
+        kept = sum(k % 3 != 2 for k in range(n))
+        assert vals["pct_estimated"] == pytest.approx(100.0 * kept / n)
+        assert vals["median_et_m"] < 0.05
 
-        def bench(*extra):
-            out = tmp_path / "metrics.csv"
-            assert main(["bench-reloc", "--dataset", str(ds), "--matcher", "ingest",
-                         "--matches", str(matches_dir), "--out", str(out),
-                         *extra]) == 0
-            lines = out.read_text().splitlines()
-            return dict(zip(lines[0].split(","), lines[1].split(",")))
-
-        assert float(bench()["pct_estimated"]) == 100.0
-        vals = bench("--min-conf", "0.5")
-        assert float(vals["pct_estimated"]) == pytest.approx(200.0 / 3.0)
-        assert float(vals["median_et_m"]) < 0.05
+    def test_ingest_needs_matches(self, workspace, replay, tmp_path, capsys):
+        _, _, _, mapdir = workspace
+        assert main(["bench-reloc", "--map", str(mapdir), "--seq", str(replay),
+                     "--matcher", "ingest", "--out", str(tmp_path / "m.csv")]) == 1
+        assert "--matches" in capsys.readouterr().err
 
 
 class TestBadWorldFile:
@@ -311,6 +333,6 @@ class TestParserDefaults:
         nav = parser.parse_args(["navigate", "--world", "w", "--map", "m",
                                  "--goal-image", "g", "--report", "r"])
         assert nav.timeout == NavConfig().timeout
-        bench = parser.parse_args(["bench-reloc", "--dataset", "d",
+        bench = parser.parse_args(["bench-reloc", "--map", "m", "--seq", "s",
                                    "--matcher", "oracle", "--out", "o"])
         assert bench.min_inliers == PnPParams().min_inliers

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vloc.dataio import write_f32
+from vloc.dataio import write_raw
 from vloc.errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import (
@@ -449,7 +449,7 @@ class TestSerialization:
         for node in m.nodes:
             path = tmp_path / "m" / "depth" / f"{node.id}.f32"
             size = 7 if node.id == 0 else node.image.size
-            write_f32(path, rng.uniform(0.1, 5.0, size).astype(np.float32))
+            write_raw(path, rng.uniform(0.1, 5.0, size), "<f4")
             extra += os.path.getsize(path)
         text = (tmp_path / "m" / "manifest.txt").read_text()
         images = manifest["storage_bytes_images"]
@@ -467,6 +467,16 @@ class TestSerialization:
         lines[1] += ",0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"{name}:2: expected 3 fields, got 4"):
+            load_map(tmp_path / "m")
+
+    def test_non_finite_descriptor_file_names_node(self, tmp_path, rng):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        path = tmp_path / "m" / "descriptors.f32"
+        descs = np.fromfile(path, dtype="<f4").reshape(len(m.nodes), 256)
+        descs[5, 17] = np.nan
+        write_raw(path, descs, "<f4")
+        with pytest.raises(ValueError, match="node 5: descriptor not finite"):
             load_map(tmp_path / "m")
 
     def test_truncated_descriptor_file(self, tmp_path, rng):
@@ -533,3 +543,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TopoMetricMap(nodes=nodes, cng_edges=[(0, 1, 5.0)], cvg_edges=[],
                           descriptor_dim=256)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_cng_weight_names_edge(self, weight):
+        nodes = [MapNode(id=i, pose=Pose(np.array([float(i), 0, 0]), [1, 0, 0, 0]),
+                         descriptor=np.eye(256, dtype=np.float32)[0]) for i in range(3)]
+        with pytest.raises(ValueError, match=r"cng edge \(1,2\) weight"):
+            TopoMetricMap(nodes=nodes, cng_edges=[(0, 1, 1.0), (1, 2, weight)],
+                          cvg_edges=[], descriptor_dim=256)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_descriptor_names_node(self, value):
+        descs = np.eye(256, dtype=np.float32)[:2].copy()
+        descs[1, 3] = value
+        nodes = [MapNode(id=i, pose=Pose(np.array([float(i), 0, 0]), [1, 0, 0, 0]),
+                         descriptor=descs[i]) for i in range(2)]
+        with pytest.raises(ValueError, match="node 1: descriptor not finite"):
+            TopoMetricMap(nodes=nodes, cng_edges=[], cvg_edges=[], descriptor_dim=256)

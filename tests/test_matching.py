@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import match_csv_text
 from vloc.errors import FormatError, OutOfBounds
 from vloc.geometry import CameraIntrinsics, project_array
 from vloc.matching import (
+    MATCH_CSV_HEADER,
     MatchSet,
     _first_rows,
     _window_max,
     ingest_matches,
     match_classical,
     match_oracle,
-    write_matches,
 )
 from vloc.simworld import make_preset, planar_camera_pose, render
 
@@ -212,7 +213,7 @@ class TestClassical:
         for i in range(2):
             ms = match_classical(fr.color, fq.color)
             p = tmp_path / f"m{i}.csv"
-            write_matches(p, ms)
+            p.write_text(match_csv_text(ms))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
@@ -283,7 +284,7 @@ class TestOracle:
 class TestMatchCsv:
     def test_empty_file_roundtrip(self, tmp_path):
         p = tmp_path / "empty.csv"
-        write_matches(p, MatchSet())
+        p.write_text(MATCH_CSV_HEADER + "\n")
         ms = ingest_matches(p, 128, 128)
         assert len(ms) == 0
 
@@ -292,7 +293,7 @@ class TestMatchCsv:
         fq = render(corridor, planar_camera_pose(3.2, 2.25, 0.0), K)
         ms = match_oracle(fr, fq, noise_px=0.3, seed=9)
         p = tmp_path / "m.csv"
-        write_matches(p, ms)
+        p.write_text(match_csv_text(ms))
         back = ingest_matches(p, 128, 128)
         assert len(back) == len(ms)
         # identity up to the format's 9 significant digits
@@ -301,7 +302,7 @@ class TestMatchCsv:
         assert np.array_equal(ms.confidence, back.confidence)
         # a second write/read cycle is exactly stable
         p2 = tmp_path / "m2.csv"
-        write_matches(p2, back)
+        p2.write_text(match_csv_text(back))
         assert p.read_bytes() == p2.read_bytes()
 
     def test_out_of_bounds_names_row(self, tmp_path):

@@ -5,12 +5,15 @@ One ``perfbench.workloads.Track`` set-up and one pass at seed 1 are
 compared against ``tests/data/pinned_track_seed1.json``, one ``Nav``
 set-up and pass against ``tests/data/pinned_nav_seed1.json``, and one
 ``Kidnap`` set-up at seed 1 with a pass over its first KIDNAP_QUERIES
-queries against ``tests/data/pinned_kidnap_seed1.json``: the set-up map's
-CnG and CvG edges, its CnG components and the SHA-256 of every file
-``save_map`` writes for it; the pass fingerprint; each observation's mode, status,
-reference node, inliers and total; and the SHA-256 of every emitted
-pose's ``fmt17`` row (``Pose.fields``). A change that claims its outputs
-are unchanged passes this test as it stands.
+queries against ``tests/data/pinned_kidnap_seed1.json``: the keyframe
+indices of each ``mapgraph.select_keyframes`` call of the set-up; the
+set-up map's CnG and CvG edges, its CnG components and the SHA-256 of
+every file ``save_map`` writes for it; the pass fingerprint; each
+observation's mode, status, reference node, inliers and total; and the
+SHA-256 of every emitted pose's ``fmt17`` row (``Pose.fields``). A change
+that claims its outputs are unchanged passes this test as it stands.
+``greedy_max_coverage`` breaks ties to the lowest index, and the keyframe
+pin fails with the rule flipped.
 
 The data belongs to the host it was made on: numpy 2.4.6, scipy 1.17.1 and
 the scipy-openblas build of OpenBLAS 0.3.31 bundled with them. The rooms
@@ -37,6 +40,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from perfbench.tracing import Tracer
@@ -64,10 +68,20 @@ def map_files_sha256(topo, mapdir) -> dict:
     return dict(sorted(out.items()))
 
 
-def collect(name: str, workdir) -> dict:
-    """One ``name`` set-up and pass at SEED, as plain JSON values."""
+def collect(name: str, workdir, keyframe_calls: list) -> dict:
+    """One ``name`` set-up and pass at SEED, as plain JSON values. The
+    arguments of each ``select_keyframes`` call of the set-up are appended
+    to ``keyframe_calls``."""
     observations = []
+    keyframes = []
     original = pipeline.Pipeline.on_observation
+    original_select = mapgraph.select_keyframes
+
+    def select(*args, **kwargs):
+        chosen = original_select(*args, **kwargs)
+        keyframes.append([int(i) for i in chosen])
+        keyframe_calls.append((args, kwargs))
+        return chosen
 
     def record(self, obs, timestamp):
         outcome = original(self, obs, timestamp)
@@ -77,13 +91,18 @@ def collect(name: str, workdir) -> dict:
         return outcome
 
     workload = {"track": Track, "nav": Nav, "kidnap": Kidnap}[name]()
-    inputs = workload.setup(SEED, 0, workdir)
+    mapgraph.select_keyframes = select
+    try:
+        inputs = workload.setup(SEED, 0, workdir)
+    finally:
+        mapgraph.select_keyframes = original_select
     if name == "kidnap":
         inputs.queries = inputs.queries[:KIDNAP_QUERIES]
     topo = inputs.map.topo
     # JSON keeps floats by their shortest round-trip repr, so edge weights
     # and the fingerprint's errors and lengths compare bit for bit
     graph = json.loads(json.dumps({
+        "keyframes": keyframes,
         "cng_edges": topo.cng_edges,
         "cvg_edges": topo.cvg_edges,
         "components": topo.components(),
@@ -104,10 +123,15 @@ def collect(name: str, workdir) -> dict:
 
 
 def run_and_pinned(name: str):
+    """(run, pinned); the run also holds its ``select_keyframes`` calls
+    under ``keyframe_calls``, which are not pinned."""
     with open(data_path(name)) as f:
         pinned = json.load(f)
+    calls = []
     with tempfile.TemporaryDirectory() as workdir:
-        return collect(name, workdir), pinned
+        run = collect(name, workdir, calls)
+    run["keyframe_calls"] = calls
+    return run, pinned
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +147,10 @@ def nav():
 @pytest.fixture(scope="module")
 def kidnap():
     return run_and_pinned("kidnap")
+
+
+def check_keyframes(run, pinned):
+    assert run["keyframes"] == pinned["keyframes"]
 
 
 def check_map_edges(run, pinned):
@@ -154,6 +182,10 @@ def check_poses(run, pinned):
         assert got == want, f"pose {k} is not bit-equal to the pinned one"
 
 
+def test_track_keyframes(track):
+    check_keyframes(*track)
+
+
 def test_track_map_edges(track):
     check_map_edges(*track)
 
@@ -176,6 +208,10 @@ def test_track_observation_outcomes(track):
 
 def test_track_poses_bit_equal(track):
     check_poses(*track)
+
+
+def test_keyframes(nav):
+    check_keyframes(*nav)
 
 
 def test_map_edges(nav):
@@ -202,6 +238,10 @@ def test_emitted_poses_bit_equal(nav):
     check_poses(*nav)
 
 
+def test_kidnap_keyframes(kidnap):
+    check_keyframes(*kidnap)
+
+
 def test_kidnap_map_edges(kidnap):
     check_map_edges(*kidnap)
 
@@ -224,6 +264,33 @@ def test_kidnap_query_outcomes(kidnap):
 
 def test_kidnap_fixes_bit_equal(kidnap):
     check_poses(*kidnap)
+
+
+def greedy_ties_to_highest(greedy):
+    """``greedy`` with its tie rule flipped: ties to the highest index, by
+    running the lowest-index rule on the sets in reverse order."""
+    def flipped(cell_keys, budget):
+        last = len(cell_keys) - 1
+        return sorted(last - i for i in greedy(cell_keys[::-1], budget))
+    return flipped
+
+
+def test_flipped_rule_breaks_ties_to_highest_index():
+    keys = [np.array([1, 2]), np.array([3, 4]), np.array([1, 2]), np.array([5])]
+    flipped = greedy_ties_to_highest(mapgraph.greedy_max_coverage)
+    assert mapgraph.greedy_max_coverage(keys, 2) == [0, 1]
+    assert flipped(keys, 2) == [1, 2]
+
+
+@pytest.mark.parametrize("name", ["track", "nav", "kidnap"])
+def test_flipped_tie_rule_fails_the_keyframe_pin(name, request, monkeypatch):
+    run, pinned = request.getfixturevalue(name)
+    monkeypatch.setattr(mapgraph, "greedy_max_coverage",
+                        greedy_ties_to_highest(mapgraph.greedy_max_coverage))
+    flipped = {"keyframes": [[int(i) for i in mapgraph.select_keyframes(*args, **kwargs)]
+                             for args, kwargs in run["keyframe_calls"]]}
+    with pytest.raises(AssertionError):
+        check_keyframes(flipped, pinned)
 
 
 def _differing(old: list, new: list) -> int:
@@ -262,7 +329,7 @@ if __name__ == "__main__":
         path = data_path(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with tempfile.TemporaryDirectory() as workdir:
-            data = collect(name, workdir)
+            data = collect(name, workdir, [])
         if os.path.exists(path):
             with open(path) as f:
                 print(regeneration_report(name, json.load(f), data))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vloc import relocal
-from vloc.errors import EmptyInput, FormatError
+from vloc.errors import EmptyInput
 from vloc.geometry import (
     DEPTH_MAX_DEFAULT,
     DEPTH_MIN_DEFAULT,
@@ -31,10 +31,8 @@ from vloc.relocal import (
     _score_block,
     compute_reloc_metrics,
     lift,
-    load_reloc_dataset,
     localize_against_node,
     reprojection_residual_jacobian,
-    save_reloc_dataset,
     solve_pnp_ransac,
 )
 from vloc.retrieval import extract_descriptor
@@ -57,15 +55,6 @@ def synth_scene(rng, n, noise=0.0):
     if noise:
         uv = uv + rng.normal(0.0, noise, uv.shape)
     return p_world, uv, transform, p_cam
-
-
-def corrupt_field(path, lineno, field, value="x0"):
-    """Replace one comma-separated field of a text file's line (1-based)."""
-    lines = path.read_text().splitlines()
-    row = lines[lineno - 1].split(",")
-    row[field] = value
-    lines[lineno - 1] = ",".join(row)
-    path.write_text("\n".join(lines) + "\n")
 
 
 def match_set_from(uv_ref, uv_query, conf=1.0):
@@ -716,40 +705,3 @@ class TestMetrics:
     def test_mean_time(self):
         m = compute_reloc_metrics([self.result()], times_ms=[4.0, 6.0])
         assert m.mean_time_ms == 5.0
-
-
-class TestDataset:
-    def test_roundtrip(self, tmp_path, rng):
-        imgs = [rng.integers(0, 255, (32, 32), dtype=np.uint8) for _ in range(3)]
-        depths = [rng.uniform(0.5, 5.0, (32, 32)).astype(np.float32) for _ in range(2)]
-        k_small = CameraIntrinsics(20.0, 20.0, 16.0, 16.0, 32, 32)
-        refs = [(imgs[0], Pose.identity()), (imgs[1], Pose(np.ones(3), [1, 0, 0, 0]))]
-        queries = [(imgs[2], depths[0], Pose(np.array([1, 2, 3.]), [1, 0, 0, 0]), 0)]
-        save_reloc_dataset(tmp_path / "d", refs, queries, k_small)
-        k2, refs2, queries2 = load_reloc_dataset(tmp_path / "d")
-        assert k2 == k_small
-        assert np.array_equal(refs2[0][0], imgs[0])
-        assert refs2[1][1] == refs[1][1]
-        img, depth, pose, ref_id = queries2[0]
-        assert np.array_equal(img, imgs[2])
-        assert np.array_equal(depth, depths[0])
-        assert ref_id == 0 and pose == queries[0][2]
-
-    @pytest.mark.parametrize("csv, lineno, field", [
-        ("refs/poses.csv", 3, 1), ("refs/poses.csv", 2, 0),
-        ("queries/gt_poses.csv", 2, 1), ("queries/gt_poses.csv", 2, 8),
-        ("intrinsics.txt", 1, 0),
-    ])
-    def test_non_numeric_field_names_line(self, tmp_path, rng, csv, lineno, field):
-        img = rng.integers(0, 255, (8, 8), dtype=np.uint8)
-        depth = rng.uniform(0.5, 5.0, (8, 8)).astype(np.float32)
-        k_small = CameraIntrinsics(5.0, 5.0, 4.0, 4.0, 8, 8)
-        save_reloc_dataset(tmp_path / "d", [(img, Pose.identity())] * 2,
-                           [(img, depth, Pose.identity(), 1)], k_small)
-        path = tmp_path / "d" / csv
-        if csv == "intrinsics.txt":
-            path.write_text("5 5 4 4 eight 8\n")
-        else:
-            corrupt_field(path, lineno, field)
-        with pytest.raises(FormatError, match=f"{csv.split('/')[-1]}:{lineno}: "):
-            load_reloc_dataset(tmp_path / "d")

@@ -172,6 +172,17 @@ class TestIngest:
         norms = np.linalg.norm(topo.descriptor_matrix().astype(np.float64), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected_by_row(self, tmp_path, rng, value):
+        topo, mapdir = self._saved_map(tmp_path, rng)
+        before = [n.descriptor.tobytes() for n in topo.nodes]
+        mat = topo.descriptor_matrix()
+        mat[4, 9] = value
+        mat.astype("<f4").tofile(mapdir / "bad.f32")
+        with pytest.raises(NonUnitNorm, match="row 4 norm"):
+            rt.ingest_descriptors(mapdir / "bad.f32", topo)
+        assert [n.descriptor.tobytes() for n in topo.nodes] == before
+
     def test_large_norm_deviation_rejected(self, tmp_path, rng):
         topo, mapdir = self._saved_map(tmp_path, rng)
         scaled = topo.descriptor_matrix() * 1.25

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vloc import simworld
+from vloc.dataio import write_raw
 from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
 from vloc.geometry import CameraIntrinsics, Pose, project_array
 from vloc.mapgraph import MapNode, TopoMetricMap
@@ -648,11 +649,26 @@ class TestGenerateSegment:
         assert seg.camera == K
         for a, b in zip(seg.frames, rec.segment.frames):
             assert np.array_equal(a.obs.color, b.obs.color)
+            # depth keeps its rendered float64 bits
+            assert a.obs.depth.dtype == b.obs.depth.dtype == np.float64
+            assert a.obs.depth.tobytes() == b.obs.depth.tobytes()
             assert a.pose == b.pose
+            assert a.timestamp == b.timestamp
             assert np.array_equal(a.obs.landmark_ids, b.obs.landmark_ids)
             assert np.array_equal(a.obs.landmark_uv, b.obs.landmark_uv)
         for (ta, da), (tb, db) in zip(odom, rec.odometry):
             assert ta == tb and da == db
+
+    def test_float32_depth_of_earlier_writers_not_read(self, corridor, tmp_path):
+        rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (3.0, CORRIDOR_Y)],
+                               K, camera_rate=1.0, seed=9)
+        save_segment(rec, tmp_path / "seg")
+        depth = tmp_path / "seg" / "depth"
+        for k, frame in enumerate(rec.segment.frames):
+            write_raw(depth / f"{k}.f32", frame.obs.depth, "<f4")
+            (depth / f"{k}.f64").unlink()
+        with pytest.raises(FileNotFoundError, match=r"0\.f64"):
+            load_segment(tmp_path / "seg")
 
     @pytest.mark.parametrize("name, lineno, field, value", [
         ("poses.csv", 2, 1, "0.x"), ("poses.csv", 3, 0, "one"),
