@@ -121,6 +121,19 @@ class MapNode:
         return self._features[1]
 
 
+def _descriptor_fault(descriptor, dim: int) -> str | None:
+    """Why a node descriptor is invalid (its shape, a value that is not
+    finite, a norm off 1 by more than 1e-6), or None when it is valid."""
+    d = np.asarray(descriptor)
+    if d.shape != (dim,):
+        return f"descriptor shape {d.shape}"
+    if not np.isfinite(d).all():
+        return "descriptor not finite"
+    if abs(float(np.linalg.norm(d.astype(np.float64))) - 1.0) > 1e-6:
+        return "descriptor not unit norm"
+    return None
+
+
 @dataclass
 class TopoMetricMap:
     """Nodes plus the two undirected edge sets (a < b, each pair once), also
@@ -139,13 +152,9 @@ class TopoMetricMap:
         if [node.id for node in self.nodes] != list(range(n)):
             raise ValueError("node ids must be dense 0..n-1 in order")
         for node in self.nodes:
-            d = np.asarray(node.descriptor)
-            if d.shape != (self.descriptor_dim,):
-                raise ValueError(f"node {node.id}: descriptor shape {d.shape}")
-            if not np.isfinite(d).all():
-                raise ValueError(f"node {node.id}: descriptor not finite")
-            if abs(float(np.linalg.norm(d.astype(np.float64))) - 1.0) > 1e-6:
-                raise ValueError(f"node {node.id}: descriptor not unit norm")
+            fault = _descriptor_fault(node.descriptor, self.descriptor_dim)
+            if fault:
+                raise ValueError(f"node {node.id}: {fault}")
         self.cng_edges = sorted(tuple(e) for e in self.cng_edges)
         self.cvg_edges = sorted(tuple(e) for e in self.cvg_edges)
         self.cng = _adjacency(self.cng_edges, n)
@@ -468,6 +477,9 @@ def load_map(mapdir) -> TopoMetricMap:
         if not 0 <= nid < node_count:
             raise FormatError(f"{nodes_path}:{lineno}: node id {nid} not in "
                               f"[0, {node_count})")
+        fault = _descriptor_fault(descs[nid], dim)
+        if fault:
+            raise FormatError(f"{desc_path}: node {nid}: {fault}")
         node = MapNode(id=nid, pose=pose, descriptor=descs[nid])
         img_path = os.path.join(mapdir, "images", f"{nid}.pgm")
         if os.path.exists(img_path):

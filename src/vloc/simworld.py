@@ -7,11 +7,14 @@ walk (Amanatides & Woo 1987) along the column's direction finds its first
 wall crossing, and each pixel is then floor, wall or sky in closed form
 from its vertical slope. Surface color is a pure hash of the surface's grid
 plane and its texture lattice cells, so the same wall point renders the
-same value from any view. Landmarks seeded on wall faces give the oracle
-matcher ground-truth correspondences. A render computes depth at once and
-shades color and finds landmarks only when a caller first reads them. A
-unicycle robot with drifting odometry and a waypoint pursuit controller
-generate mapping/localization segments.
+same value from any view. A world hashes every lattice node its floor and
+wall faces can reach once, into a texel table built on its first shade,
+and shading gathers from it: lattice value noise over a precomputed table,
+as in Perlin, "An Image Synthesizer" (SIGGRAPH 1985). Landmarks seeded on
+wall faces give the oracle matcher ground-truth correspondences. A render
+computes depth at once and shades color and finds landmarks only when a
+caller first reads them. A unicycle robot with drifting odometry and a
+waypoint pursuit controller generate mapping/localization segments.
 
 Grid indexing is ``occupancy[iy, ix]``; world x spans ``ix * cell_size`` and
 row 0 of the text format is the smallest y. The camera is level (its y axis
@@ -94,66 +97,165 @@ def _hash_finish(acc, lv_mixed, octave) -> np.ndarray:
 _TEXTURE_OCTAVES = (("smooth", 0.9, 0.25), ("block", 0.45, 0.35),
                     ("block", 0.15, 0.40))
 
+# how far (m) a surface point may lie outside its plane's wall faces, or
+# outside the floor's extent and the walls' height, and still be shaded:
+# far above the rounding of a rendered point, far below a lattice cell
+_TEXEL_MARGIN = 1e-3
 
-def _surface_color(axis, plane_idx, su, sv, seed) -> np.ndarray:
-    """Grayscale albedo of surface points on plane ``(axis, plane_idx)`` at
-    surface coordinates ``(su, sv)``.
 
-    Each octave hashes its lattice cell ``(lu, lv)`` as the key ``(axis,
-    plane_idx, lu, lv, seed * 8 + octave)``: every component is mixed on its
-    own (``_hash_component``) and folded in order, ``acc = mix(acc ^ c)``.
-    The smooth octave interpolates its four corner values with smoothstep
-    weights; a block octave takes its cell's value. Shared stages are mixed
-    once: the ``(axis, plane_idx)`` prefix once per pair in the points'
-    plane range, the octave component once per octave, and ``lu``, ``lu +
-    1``, ``lv`` and ``lv + 1`` once each for the smooth octave's corners."""
-    val = np.zeros(su.shape)
-    lo = int(plane_idx.min())
-    span = int(plane_idx.max()) - lo + 1
-    pair_axis, pair_plane = np.divmod(np.arange(3 * span), span)
-    prefixes = _mix64(_hash_component(pair_axis, 0)
-                      ^ _hash_component(pair_plane + lo, 1))
-    prefix = prefixes[axis * span + (plane_idx - lo)]
-    for k, (kind, wavelength, weight) in enumerate(_TEXTURE_OCTAVES):
+@dataclass(frozen=True, eq=False)
+class _TexelTable:
+    """Every texture lattice value a surface point of one world can read.
+
+    A texel's value depends only on its plane ``(axis, plane_idx)``, its
+    lattice cell ``(lu, lv)``, the octave and the texture seed: the key
+    ``(axis, plane_idx, lu, lv, seed * 8 + octave)`` with every component
+    mixed on its own (``_hash_component``) and folded in order, ``acc =
+    mix(acc ^ c)``, its top 53 bits as a float in [0, 1).
+
+    Plane ``(axis, plane_idx)`` is row ``axis * planes_per_axis +
+    plane_idx`` of the per-plane arrays. It is shaded over the box ``[lo_u,
+    hi_u] x [lo_v, hi_v]`` of surface coordinates: the hull of its wall
+    faces along ``su`` and the wall height along ``sv``, or the world's
+    extent for the floor, each widened by ``_TEXEL_MARGIN``. A plane that
+    carries no wall face has an empty box. Octave ``k`` keeps the nodes of
+    a plane's box and their ``+1`` corners as one C-order block of
+    ``values[k]`` over ``(lu, lv)``: node ``(lu, lv)`` is at ``offset[k][p]
+    + lu * stride[k][p] + lv``."""
+
+    planes_per_axis: int
+    lo_u: np.ndarray
+    hi_u: np.ndarray
+    lo_v: np.ndarray
+    hi_v: np.ndarray
+    values: tuple
+    offset: tuple
+    stride: tuple
+
+
+def _build_texel_table(world: GridWorld) -> _TexelTable:
+    occ = world.occupancy
+    h, w = occ.shape
+    cs, m = world.cell_size, _TEXEL_MARGIN
+    n = max(w, h) + 1
+    lo_u, hi_u = np.full(3 * n, np.inf), np.full(3 * n, -np.inf)
+    lo_v, hi_v = lo_u.copy(), hi_u.copy()
+    # faces[r, j]: a wall face between cells j and j + 1 along the axis,
+    # in row (x planes) or column (y planes) r, on plane j + 1, spanning su
+    # in [r * cs, (r + 1) * cs]; the boundary ring's outer faces are never
+    # seen and have no plane here
+    for face_axis, faces in ((0, occ[:, :-1] != occ[:, 1:]),
+                             (1, (occ[:-1, :] != occ[1:, :]).T)):
+        j = np.nonzero(faces.any(axis=0))[0]
+        first = faces.argmax(axis=0)[j]
+        last = len(faces) - 1 - faces[::-1].argmax(axis=0)[j]
+        at = face_axis * n + j + 1
+        lo_u[at], hi_u[at] = first * cs - m, (last + 1) * cs + m
+        lo_v[at], hi_v[at] = -m, world.wall_height + m
+    width, height = world.extent
+    lo_u[2 * n], hi_u[2 * n] = -m, width + m
+    lo_v[2 * n], hi_v[2 * n] = -m, height + m
+
+    rows = np.nonzero(lo_u <= hi_u)[0]
+    axis, plane_idx = np.divmod(rows, n)
+    prefix = _mix64(_hash_component(axis, 0) ^ _hash_component(plane_idx, 1))
+    values, offset, stride = [], [], []
+    for k, (_, wavelength, _) in enumerate(_TEXTURE_OCTAVES):
+        # the per-pixel floor(s / wavelength) is monotone in s, so a point
+        # in its plane's box reads nodes in [lu0, lu1] x [lv0, lv1]
+        lu0 = np.floor(lo_u[rows] / wavelength).astype(np.int64)
+        lu1 = np.floor(hi_u[rows] / wavelength).astype(np.int64) + 1
+        lv0 = np.floor(lo_v[rows] / wavelength).astype(np.int64)
+        lv1 = np.floor(hi_v[rows] / wavelength).astype(np.int64) + 1
+        nv = lv1 - lv0 + 1
+        size = (lu1 - lu0 + 1) * nv
+        start = np.cumsum(size) - size
+        owner = np.repeat(np.arange(len(rows)), size)
+        node = np.arange(int(size.sum())) - start[owner]
+        lu = lu0[owner] + node // nv[owner]
+        lv = lv0[owner] + node % nv[owner]
         # numpy computes the one-value octave component as a scalar and
         # warns of the uint64 wrap-around the hash relies on
         with np.errstate(over="ignore"):
-            octave = _hash_component(seed * 8 + k, 4)
+            octave = _hash_component(world.texture_seed * 8 + k, 4)
+        texels = _hash_finish(_mix64(prefix[owner] ^ _hash_component(lu, 2)),
+                              _hash_component(lv, 3), octave)
+        plane_offset = np.zeros(3 * n, dtype=np.int64)
+        plane_offset[rows] = start - lu0 * nv - lv0
+        plane_stride = np.zeros(3 * n, dtype=np.int64)
+        plane_stride[rows] = nv
+        values.append(texels)
+        offset.append(plane_offset)
+        stride.append(plane_stride)
+    for arr in (lo_u, hi_u, lo_v, hi_v, *values, *offset, *stride):
+        arr.flags.writeable = False
+    return _TexelTable(n, lo_u, hi_u, lo_v, hi_v, tuple(values),
+                       tuple(offset), tuple(stride))
+
+
+def _surface_color(world: GridWorld, axis, plane_idx, su, sv) -> np.ndarray:
+    """Grayscale albedo of surface points on planes ``(axis, plane_idx)`` at
+    surface coordinates ``(su, sv)``, gathered from the world's texel table.
+
+    The smooth octave interpolates its cell's four corner values with
+    smoothstep weights; a block octave takes its cell's value. Raises
+    ``ValueError`` for a point outside its plane's box in the table (a NaN
+    coordinate included): ``render`` makes none, and a flat table would
+    silently read a neighbouring plane's texels."""
+    table = world._texel_table()
+    n = table.planes_per_axis
+    if not 0 <= plane_idx.min(initial=0) <= plane_idx.max(initial=0) < n:
+        raise ValueError(f"plane index outside the texel table's [0, {n})")
+    plane = axis * n + plane_idx
+    inside = ((table.lo_u[plane] <= su) & (su <= table.hi_u[plane])
+              & (table.lo_v[plane] <= sv) & (sv <= table.hi_v[plane]))
+    if not inside.all():
+        raise ValueError(f"{np.count_nonzero(~inside)} surface points lie "
+                         f"outside the texel table")
+    val = np.zeros(su.shape)
+    for k, (kind, wavelength, weight) in enumerate(_TEXTURE_OCTAVES):
+        values, stride = table.values[k], table.stride[k][plane]
         fu = su / wavelength
         fv = sv / wavelength
-        lu = np.floor(fu).astype(np.int64)
-        lv = np.floor(fv).astype(np.int64)
-        at_lu = _mix64(prefix ^ _hash_component(lu, 2))
-        at_lv = _hash_component(lv, 3)
+        lu = np.floor(fu)
+        lv = np.floor(fv)
+        idx = (table.offset[k][plane] + lu.astype(np.int64) * stride
+               + lv.astype(np.int64))
         if kind == "smooth":
             au = fu - lu
             av = fv - lv
             au = au * au * (3.0 - 2.0 * au)
             av = av * av * (3.0 - 2.0 * av)
-            at_lu1 = _mix64(prefix ^ _hash_component(lu + 1, 2))
-            at_lv1 = _hash_component(lv + 1, 3)
-            top = (_hash_finish(at_lu, at_lv, octave) * (1.0 - au)
-                   + _hash_finish(at_lu1, at_lv, octave) * au)
-            bot = (_hash_finish(at_lu, at_lv1, octave) * (1.0 - au)
-                   + _hash_finish(at_lu1, at_lv1, octave) * au)
+            top = (values.take(idx) * (1.0 - au)
+                   + values.take(idx + stride) * au)
+            bot = (values.take(idx + 1) * (1.0 - au)
+                   + values.take(idx + stride + 1) * au)
             val += weight * (top * (1.0 - av) + bot * av)
         else:
-            val += weight * _hash_finish(at_lu, at_lv, octave)
+            val += weight * values.take(idx)
     return np.floor(np.clip(val, 0.0, 0.999) * 255.0).astype(np.uint8)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GridWorld:
-    """Closed occupancy grid with textured walls of uniform height."""
+    """Closed occupancy grid with textured walls of uniform height.
+
+    The world is frozen and keeps its own read-only bool copy of
+    ``occupancy``, so the landmarks and the texel table it computes once
+    and keeps stay true. Two worlds are equal when their grids are equal by
+    value and their three scalars are equal."""
 
     occupancy: np.ndarray
     cell_size: float
     wall_height: float
     texture_seed: int
-    _landmarks: tuple | None = field(default=None, init=False, repr=False)
+    _landmarks: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _texels: _TexelTable | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
-        occ = np.asarray(self.occupancy, dtype=bool)
+        occ = np.array(self.occupancy, dtype=bool)
         for name in ("cell_size", "wall_height"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -164,7 +266,16 @@ class GridWorld:
         if not (occ[0, :].all() and occ[-1, :].all()
                 and occ[:, 0].all() and occ[:, -1].all()):
             raise ValueError("boundary cells must be occupied (closed world)")
-        self.occupancy = occ
+        occ.flags.writeable = False
+        object.__setattr__(self, "occupancy", occ)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cell_size == other.cell_size
+                and self.wall_height == other.wall_height
+                and self.texture_seed == other.texture_seed
+                and np.array_equal(self.occupancy, other.occupancy))
 
     # -- geometry queries ---------------------------------------------------
 
@@ -218,8 +329,14 @@ class GridWorld:
     def landmarks(self):
         """(ids (N,), positions (N,3), normals (N,3)), seeded per wall face."""
         if self._landmarks is None:
-            self._landmarks = self._build_landmarks()
+            object.__setattr__(self, "_landmarks", self._build_landmarks())
         return self._landmarks
+
+    def _texel_table(self) -> _TexelTable:
+        """The texture's lattice values, hashed on the first call."""
+        if self._texels is None:
+            object.__setattr__(self, "_texels", _build_texel_table(self))
+        return self._texels
 
     def _build_landmarks(self):
         cs = self.cell_size
@@ -488,19 +605,22 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
 def _shade(world: GridWorld, cam, t, dirs_world, floor, wall, face) -> np.ndarray:
     """Flat grayscale of one render: the hash texture of every pixel that
     sees floor or wall at ray parameter ``t``, 0 for sky."""
-    surface = np.nonzero(floor | wall)[0]
-    floor, face = floor[surface], face[surface]
-    pts = cam[None, :] + dirs_world[surface] * t[surface, None]
-    # wall faces lie on grid planes; the integer plane index keys the texture
-    is_x_face = (face == 0) | (face == 1)
-    axis = np.where(floor, 2, np.where(is_x_face, 0, 1)).astype(np.int64)
-    plane_coord = np.where(is_x_face, pts[:, 0], pts[:, 1])
-    plane_idx = np.where(floor, 0, np.rint(plane_coord / world.cell_size).astype(np.int64))
-    su = np.where(floor, pts[:, 0],
-                  np.where(is_x_face, pts[:, 1], pts[:, 0]))
-    sv = np.where(floor, pts[:, 1], pts[:, 2])
+    surface = np.flatnonzero(floor | wall)
+    floor, face, t_surface = floor[surface], face[surface], t[surface]
+    # one coordinate at a time: numpy gathers rows of the (N, 3) rays and
+    # broadcasts their product with an (n, 1) column row by row, at several
+    # times the cost
+    x, y, z = (cam[j] + dirs_world[:, j][surface] * t_surface for j in range(3))
+    # wall faces lie on grid planes; the integer plane index keys the
+    # texture. Faces 0 and 1 (west, east) lie on x planes, 2 and 3 on y.
+    x_face = face < 2
+    axis = np.where(floor, 2, face >> 1)
+    plane_idx = np.where(floor, 0, np.rint(np.where(x_face, x, y) / world.cell_size)
+                         .astype(np.int64))
+    su = np.where(x_face & ~floor, y, x)
+    sv = np.where(floor, y, z)
     color = np.zeros(len(t), dtype=np.uint8)
-    color[surface] = _surface_color(axis, plane_idx, su, sv, world.texture_seed)
+    color[surface] = _surface_color(world, axis, plane_idx, su, sv)
     return color
 
 

@@ -476,7 +476,19 @@ class TestSerialization:
         descs = np.fromfile(path, dtype="<f4").reshape(len(m.nodes), 256)
         descs[5, 17] = np.nan
         write_raw(path, descs, "<f4")
-        with pytest.raises(ValueError, match="node 5: descriptor not finite"):
+        with pytest.raises(FormatError,
+                           match=r"descriptors\.f32: node 5: descriptor not finite"):
+            load_map(tmp_path / "m")
+
+    def test_off_unit_norm_descriptor_file_names_node(self, tmp_path, rng):
+        m = random_map(rng)
+        save_map(m, tmp_path / "m")
+        path = tmp_path / "m" / "descriptors.f32"
+        descs = np.fromfile(path, dtype="<f4").reshape(len(m.nodes), 256)
+        descs[3] *= np.float32(1.01)
+        write_raw(path, descs, "<f4")
+        with pytest.raises(FormatError,
+                           match=r"descriptors\.f32: node 3: descriptor not unit norm"):
             load_map(tmp_path / "m")
 
     def test_truncated_descriptor_file(self, tmp_path, rng):

@@ -30,14 +30,18 @@ deviation. Regenerate the three files with::
 
 which prints, before it overwrites a file, one line saying how many
 observations and pose hashes differ from it and whether every pose is
-bit-equal.
+bit-equal. With ``--check`` it prints the same lines, writes nothing and
+exits 1 when any pin differs, so a change that claims bit-identical
+outputs can show it without touching the data.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -51,8 +55,11 @@ SEED = 1
 KIDNAP_QUERIES = 48          # the first queries of the set-up, in its order
 
 
-def data_path(name: str) -> str:
-    return os.path.join(os.path.dirname(__file__), "data", f"pinned_{name}_seed1.json")
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def data_path(name: str, data_dir=DATA_DIR) -> str:
+    return os.path.join(data_dir, f"pinned_{name}_seed1.json")
 
 
 def map_files_sha256(topo, mapdir) -> dict:
@@ -311,7 +318,39 @@ def regeneration_report(name: str, old: dict, new: dict) -> str:
             f"changed fields: {', '.join(fields) or 'none'}")
 
 
-def test_regeneration_report():
+def regenerate(check: bool, collector=collect, data_dir=DATA_DIR) -> int:
+    """Collect every workload and print its ``regeneration_report`` against
+    the pinned data in ``data_dir``. Without ``check`` each file is then
+    overwritten; with it nothing is written and the return value is 1 when
+    any pin differs. Returns 0 otherwise."""
+    differs = False
+    for name in ("track", "nav", "kidnap"):
+        path = data_path(name, data_dir)
+        with tempfile.TemporaryDirectory() as workdir:
+            data = json.loads(json.dumps(collector(name, workdir, [])))
+        if os.path.exists(path):
+            with open(path) as f:
+                pinned = json.load(f)
+            print(regeneration_report(name, pinned, data))
+            differs |= pinned != data
+        else:
+            print(f"{name}: no pinned data at {path}")
+            differs = True
+        if check:
+            continue
+        os.makedirs(data_dir, exist_ok=True)
+        with open(path, "w") as f:
+            json.dump(data, f, indent=1)
+            f.write("\n")
+        print(f"wrote {path}: {len(data['cng_edges'])} CnG and "
+              f"{len(data['cvg_edges'])} CvG edges, "
+              f"{len(data['map_files_sha256'])} map files, "
+              f"{len(data['observations'])} observations, "
+              f"{len(data['pose_sha256'])} poses")
+    return int(check and differs)
+
+
+def test_regeneration_report(tmp_path, capsys):
     old = {"observations": [["A", 1], ["B", 2]], "pose_sha256": ["x", "y", "z"],
            "fingerprint": [1]}
     assert regeneration_report("w", old, old) == (
@@ -322,22 +361,35 @@ def test_regeneration_report():
     assert regeneration_report("w", old, new) == (
         "w: 2 of 3 observations differ, 2 of 2 pose hashes differ, every pose "
         "bit-equal: no; changed fields: observations, pose_sha256")
+    # --check prints the same lines, writes nothing and exits 1 when a pin
+    # differs; without it the new data replaces the pins
+    old = dict(old, cng_edges=[], cvg_edges=[], map_files_sha256={})
+    new = dict(new, cng_edges=[], cvg_edges=[], map_files_sha256={})
+    for name in ("track", "nav", "kidnap"):
+        with open(data_path(name, tmp_path), "w") as f:
+            json.dump(old, f)
+    pins = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    runs = {"track": old, "nav": old, "kidnap": old}
+
+    def collector(name, workdir, calls):
+        return runs[name]
+
+    assert regenerate(True, collector, tmp_path) == 0
+    runs["nav"] = new
+    assert regenerate(True, collector, tmp_path) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == pins
+    assert capsys.readouterr().out.splitlines() == (
+        [regeneration_report(name, old, old) for name in runs]
+        + [regeneration_report(name, old, run) for name, run in runs.items()])
+    assert regenerate(False, collector, tmp_path) == 0
+    with open(data_path("nav", tmp_path)) as f:
+        assert json.load(f) == new
+    assert regenerate(True, collector, tmp_path) == 0
 
 
 if __name__ == "__main__":
-    for name in ("track", "nav", "kidnap"):
-        path = data_path(name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with tempfile.TemporaryDirectory() as workdir:
-            data = collect(name, workdir, [])
-        if os.path.exists(path):
-            with open(path) as f:
-                print(regeneration_report(name, json.load(f), data))
-        with open(path, "w") as f:
-            json.dump(data, f, indent=1)
-            f.write("\n")
-        print(f"wrote {path}: {len(data['cng_edges'])} CnG and "
-              f"{len(data['cvg_edges'])} CvG edges, "
-              f"{len(data['map_files_sha256'])} map files, "
-              f"{len(data['observations'])} observations, "
-              f"{len(data['pose_sha256'])} poses")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the pinned data and write nothing; "
+                             "exit 1 when any pin differs")
+    sys.exit(regenerate(parser.parse_args().check))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from vloc.simworld import (
     GridWorld,
     OdomNoise,
     SimRobot,
+    _TEXEL_MARGIN,
     _TEXTURE_OCTAVES,
     _mix64,
     annotate_map_with_landmarks,
@@ -563,6 +565,123 @@ class TestLazyFrame:
         assert np.array_equal(topo.nodes[1].image, color)
 
 
+def wall_face_spans(world):
+    """{(axis, plane_idx): (su_lo, su_hi)} over the wall faces of every grid
+    plane that carries one, from a loop over pairs of neighbouring cells."""
+    occ, cs = world.occupancy, world.cell_size
+    h, w = occ.shape
+    spans = {}
+
+    def add(key, lo):
+        old = spans.get(key, (lo, lo + cs))
+        spans[key] = (min(old[0], lo), max(old[1], lo + cs))
+
+    for iy in range(h):
+        for ix in range(w):
+            if ix + 1 < w and occ[iy, ix] != occ[iy, ix + 1]:
+                add((0, ix + 1), iy * cs)
+            if iy + 1 < h and occ[iy, ix] != occ[iy + 1, ix]:
+                add((1, iy + 1), ix * cs)
+    return spans
+
+
+def around(x):
+    """x and its neighbouring floats."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def shade_points(world, points):
+    """``_surface_color`` of (axis, plane_idx, su, sv) rows."""
+    axis, plane_idx, su, sv = zip(*points)
+    return simworld._surface_color(world, np.array(axis), np.array(plane_idx),
+                                   np.array(su, dtype=float), np.array(sv, dtype=float))
+
+
+def assert_points_match_reference(world, points):
+    axis, plane_idx, su, sv = (np.array(c) for c in zip(*points))
+    expected = reference_surface_color(axis, plane_idx, su.astype(float),
+                                       sv.astype(float), world.texture_seed)
+    assert np.array_equal(shade_points(world, points), expected)
+
+
+@pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+class TestTexelTable:
+    def test_extents_and_wall_height_match_reference(self, name):
+        world, _ = make_preset(name, seed=1)
+        width, height = world.extent
+        points = [(2, 0, u, v) for u in [-0.0, *around(0.0), *around(width)]
+                  for v in [-0.0, *around(0.0), *around(height)]]
+        heights = [-0.0, *around(0.0), *around(world.wall_height)]
+        for (axis, plane), (lo, hi) in wall_face_spans(world).items():
+            points += [(axis, plane, u, v) for u in (*around(lo), *around(hi))
+                       for v in heights]
+        assert_points_match_reference(world, points)
+
+    def test_lattice_multiples_match_reference(self, name):
+        world, _ = make_preset(name, seed=1)
+        width, height = world.extent
+        spans = wall_face_spans(world)
+        for _, wl, _ in _TEXTURE_OCTAVES:
+            def multiples(lo, hi):
+                at = np.arange(math.ceil(lo / wl), math.floor(hi / wl) + 1) * wl
+                return np.concatenate([at, np.nextafter(at, -np.inf)])
+            points = [(2, 0, u, v) for u in multiples(0.0, width)
+                      for v in multiples(0.0, height)]
+            for (axis, plane), (lo, hi) in spans.items():
+                points += [(axis, plane, u, v) for u in multiples(lo, hi)
+                           for v in multiples(0.0, world.wall_height)]
+            assert_points_match_reference(world, points)
+
+    def test_point_outside_the_table_raises(self, name):
+        world, _ = make_preset(name, seed=1)
+        width, height = world.extent
+        h, w = world.occupancy.shape
+        spans = wall_face_spans(world)
+        (axis, plane), (lo, hi) = next(iter(spans.items()))
+        mid, wh, beyond = 0.5 * (lo + hi), world.wall_height, 2.0 * _TEXEL_MARGIN
+        inside = (axis, plane, mid, 1.0)
+        outside = [(2, 0, -beyond, 1.0), (2, 0, width + beyond, 1.0),
+                   (2, 0, 1.0, -beyond), (2, 0, 1.0, height + beyond),
+                   (axis, plane, lo - beyond, 1.0), (axis, plane, hi + beyond, 1.0),
+                   (axis, plane, mid, -beyond), (axis, plane, mid, wh + beyond),
+                   (axis, plane, math.nan, 1.0), (2, 0, 1.0, math.nan),
+                   (2, 1, 1.0, 1.0), (axis, -1, mid, 1.0),
+                   (axis, max(w, h) + 1, mid, 1.0)]
+        # planes without a wall face: the outer side of the boundary ring
+        # and any interior plane between two cells alike in every row
+        outside += [(a, i, 1.0, 1.0) for a, n in ((0, w), (1, h))
+                    for i in range(n + 1) if (a, i) not in spans]
+        assert_points_match_reference(world, [inside])
+        for point in outside:
+            with pytest.raises(ValueError, match="outside the texel table"):
+                shade_points(world, [inside, point])
+
+    def test_texture_seed_changes_the_shading(self, name):
+        world, route = make_preset(name, seed=1)
+        other = dataclasses.replace(world, texture_seed=2)
+        pose = planar_camera_pose(*route[0], 0.3)
+        frame, other_frame = render(world, pose, K), render(other, pose, K)
+        assert np.array_equal(frame.depth, other_frame.depth)
+        assert not np.array_equal(frame.color, other_frame.color)
+        assert np.array_equal(other_frame.color, reference_render(other, pose, K)[0])
+
+
+def test_texel_table_built_once_per_world(monkeypatch):
+    builds = []
+    build = simworld._build_texel_table
+    monkeypatch.setattr(simworld, "_build_texel_table",
+                        lambda world: builds.append(world) or build(world))
+    world, route = make_preset("rooms", seed=1)
+    frames = [render(world, planar_camera_pose(*route[0], yaw), K) for yaw in (0.3, 2.0)]
+    assert not builds                   # depth alone reads no texel
+    for frame in frames:
+        frame.color
+    assert builds == [world]
+    other, _ = make_preset("rooms", seed=1)
+    render(other, frames[0].gt_pose, K).color
+    assert len(builds) == 2 and builds[1] is other
+
+
 class TestRobot:
     def test_zero_command_keeps_pose(self, corridor):
         robot = SimRobot(2.0, CORRIDOR_Y, 0.0, noise=OdomNoise.zero())
@@ -756,6 +875,34 @@ class TestWorldFile:
         sizes = {"cell_size": 0.5, "wall_height": 2.0, name: value}
         with pytest.raises(ValueError, match=f"{name} .* finite and positive"):
             GridWorld(occupancy=np.ones((3, 3), dtype=bool), texture_seed=0, **sizes)
+
+    def test_world_keeps_its_own_read_only_grid(self):
+        occ = np.ones((4, 5), dtype=bool)
+        occ[1:3, 1:4] = False
+        world = GridWorld(occupancy=occ, cell_size=0.5, wall_height=2.0,
+                          texture_seed=0)
+        assert world.occupancy is not occ
+        occ[1, 1] = True
+        assert not world.occupancy[1, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            world.occupancy[1, 1] = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.occupancy = occ
+        assert not world.occupancy[1, 1]
+
+    def test_equality_by_value(self, corridor, tmp_path):
+        corridor.landmarks()        # a kept cache does not take part
+        path = tmp_path / "world.txt"
+        corridor.save(path)
+        loaded = GridWorld.load(path)
+        assert loaded == corridor and not loaded != corridor
+        seed = corridor.texture_seed
+        assert dataclasses.replace(corridor, texture_seed=seed + 1) != corridor
+        assert dataclasses.replace(corridor, wall_height=2.5) != corridor
+        occ = corridor.occupancy.copy()
+        occ[4, 10] = not occ[4, 10]
+        assert dataclasses.replace(corridor, occupancy=occ) != corridor
+        assert corridor != "corridor"
 
     def test_presets_connected_and_routed(self):
         for name in ("corridor", "rooms", "campus"):
