@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import matching, relocal, retrieval, simworld
-from .dataio import read_pgm, read_trajectory, write_trajectory
+from .dataio import read_pgm, read_trajectory, write_csv, write_trajectory
 from .errors import FormatError, NoPath, VlocError
 from .geometry import CameraIntrinsics, fmt17
 from .mapgraph import (COVIS_THRESHOLD_DEFAULT, GRID_RES_DEFAULT, NAV_RADIUS_DEFAULT,
@@ -97,10 +97,7 @@ def cmd_gen_world(args) -> int:
     world, route = simworld.make_preset(args.preset, seed=args.seed)
     world.save(args.out)
     if args.route_out:
-        with open(args.route_out, "w") as f:
-            f.write("x,y\n")
-            for wp in route:
-                f.write(f"{fmt17(wp[0])},{fmt17(wp[1])}\n")
+        write_csv(args.route_out, "x,y", ([fmt17(x), fmt17(y)] for x, y in route))
     h, w = world.occupancy.shape
     print(f"wrote {args.out}: {w}x{h} cells, cell {world.cell_size} m, "
           f"preset {args.preset}, seed {args.seed}")

@@ -1,5 +1,6 @@
 """Shared on-disk formats: binary PGM images, raw float arrays, TUM
-trajectories. All text is plain ASCII; all binary is little-endian."""
+trajectories and comma-separated tables. All text is plain ASCII; all
+binary is little-endian."""
 
 from __future__ import annotations
 
@@ -80,6 +81,8 @@ def read_raw(path, dtype: str, shape=None) -> np.ndarray:
         raise FormatError(f"{path}: byte size {size} is not a multiple of {dtype.itemsize}")
     raw = np.fromfile(path, dtype=dtype)
     if shape is not None:
+        if min(shape) < 0:
+            raise FormatError(f"{path}: negative shape {tuple(shape)}")
         expected = int(np.prod(shape))
         if raw.size != expected:
             raise FormatError(
@@ -121,16 +124,27 @@ def line_errors(path, lineno: int):
         raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
 
-def read_csv_rows(path, expected_header: str):
-    """Rows of a comma-separated file after validating the header line.
-    Every non-blank row must have as many fields as the header."""
+def write_csv(path, header: str, rows) -> None:
+    """A comma-separated table: the header line, then each row's string
+    fields joined by commas, one row a line."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
+
+
+def read_csv_rows(path, expected_header: str, convert):
+    """The line numbers and the ``convert(fields)`` values of the non-blank
+    rows of a comma-separated file, as two lists, after validating the
+    header line. Every row must have as many fields as the header, and a
+    ValueError or IndexError from ``convert`` becomes a FormatError naming
+    the file and the line."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != expected_header:
         found = lines[0].strip() if lines else "<empty>"
         raise FormatError(f"{path}:1: expected header '{expected_header}', found '{found}'")
     n_fields = expected_header.count(",") + 1
-    rows = []
+    linenos, values = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -138,5 +152,7 @@ def read_csv_rows(path, expected_header: str):
         if len(row) != n_fields:
             raise FormatError(f"{path}:{lineno}: expected {n_fields} fields, "
                               f"got {len(row)}")
-        rows.append((lineno, row))
-    return rows
+        with line_errors(path, lineno):
+            values.append(convert(row))
+        linenos.append(lineno)
+    return linenos, values

@@ -199,10 +199,7 @@ class Pose:
 
     def apply(self, points) -> np.ndarray:
         """Map child-frame point(s) (3,) or (N, 3) into the parent frame."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return quat_rotate(self.q, pts) + self.t
-        return pts @ self.rotation_matrix().T + self.t
+        return np.asarray(points, dtype=float) @ self.rotation_matrix().T + self.t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pose):
@@ -210,7 +207,8 @@ class Pose:
         return bool(np.array_equal(self.t, other.t) and np.array_equal(self.q, other.q))
 
     def __hash__(self):
-        return hash((self.t.tobytes(), self.q.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, so poses that == holds equal hash equal
+        return hash(((self.t + 0.0).tobytes(), (self.q + 0.0).tobytes()))
 
     def almost_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
         return (float(np.max(np.abs(self.t - other.t))) <= tol

@@ -26,7 +26,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from . import matching, retrieval
-from .dataio import line_errors, read_csv_rows, read_pgm, read_raw, write_pgm, write_raw
+from .dataio import (line_errors, read_csv_rows, read_pgm, read_raw, write_csv,
+                     write_pgm, write_raw)
 from .errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
 from .geometry import (
     DEPTH_MAX_DEFAULT,
@@ -44,7 +45,7 @@ GRID_RES_DEFAULT = 0.1
 _CELL_LIMIT = 2 ** 31          # cell indices must be below this in magnitude
 
 
-@dataclass
+@dataclass(eq=False)
 class Observation:
     """One camera observation: grayscale color image plus registered depth.
 
@@ -59,14 +60,14 @@ class Observation:
     landmark_depth: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentFrame:
     obs: Observation
     pose: Pose
     timestamp: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """Ordered posed observations from one traversal, with their camera."""
 
@@ -82,7 +83,7 @@ class Segment:
         return len(self.frames)
 
 
-@dataclass
+@dataclass(eq=False)
 class MapNode:
     """One keyframe of the map: a pose, a global descriptor and the raw
     image localization matches against. No depth is kept: local
@@ -134,18 +135,19 @@ def _descriptor_fault(descriptor, dim: int) -> str | None:
     return None
 
 
-@dataclass
+@dataclass(eq=False)
 class TopoMetricMap:
     """Nodes plus the two undirected edge sets (a < b, each pair once), also
-    held as symmetric CSR adjacencies ``cng`` and ``cvg`` that ``==`` ignores."""
+    held as symmetric CSR adjacencies ``cng`` and ``cvg``. ``==`` is
+    identity; ``maps_equal`` compares two maps by value."""
 
     nodes: list
     cng_edges: list
     cvg_edges: list
     descriptor_dim: int
     grid_res: float = GRID_RES_DEFAULT
-    cng: sparse.csr_array = field(init=False, repr=False, compare=False)
-    cvg: sparse.csr_array = field(init=False, repr=False, compare=False)
+    cng: sparse.csr_array = field(init=False, repr=False)
+    cvg: sparse.csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -168,7 +170,9 @@ class TopoMetricMap:
         return np.array([node.pose.t for node in self.nodes])
 
     def descriptor_matrix(self) -> np.ndarray:
-        return np.stack([node.descriptor for node in self.nodes])
+        """The node descriptors as rows, ``(0, descriptor_dim)`` for no nodes."""
+        return np.array([node.descriptor for node in self.nodes]).reshape(
+            -1, self.descriptor_dim)
 
     def cvg_neighbors(self, node_id: int):
         """Covisibility neighbours of a node, ascending."""
@@ -299,15 +303,17 @@ def build_map(segment: Segment, keyframe_indices, matcher,
               grid_res: float = GRID_RES_DEFAULT) -> TopoMetricMap:
     """Assemble the two-level map from selected keyframes.
 
-    CvG edge (a, b) iff the matcher produces >= covis_threshold
-    correspondences between the two images. CnG edge (a, b) iff the node
-    distance is <= nav_radius and, when a ``world`` with a
-    ``line_of_sight(p, q)`` method is given, the segment between the nodes
-    is unobstructed; ``cng_from_cvg`` reproduces the simplification of
-    taking the CnG equal to the CvG. One pass over the node pairs a < b
-    decides both levels. Matcher calls are skipped for pairs farther
-    apart than ``2 * nav_radius``, since they cannot share appearance in
-    any covisibility sense.
+    CvG edge (a, b) iff the matcher, called with the two ``MapNode``s,
+    produces >= covis_threshold correspondences between their images; a
+    matcher that reads a node's kept features, as ``match_classical`` does,
+    computes each keyframe's once. CnG edge (a, b) iff the node distance is
+    <= nav_radius and, when a ``world`` with a ``line_of_sight(p, q)``
+    method is given, the segment between the nodes is unobstructed;
+    ``cng_from_cvg`` reproduces the simplification of taking the CnG equal
+    to the CvG. One pass over the node pairs a < b decides both levels.
+    Matcher calls are skipped for pairs farther apart than
+    ``2 * nav_radius``, since they cannot share appearance in any
+    covisibility sense.
 
     Each node keeps its keyframe's pose, descriptor, image and landmark
     annotations; the keyframe's depth served keyframe selection and is not
@@ -337,10 +343,10 @@ def build_map(segment: Segment, keyframe_indices, matcher,
         ))
 
     cng_edges, cvg_edges = [], []
-    for a, b in itertools.combinations(range(len(frames)), 2):
-        p, q = frames[a].pose.t, frames[b].pose.t
+    for a, b in itertools.combinations(range(len(nodes)), 2):
+        p, q = nodes[a].pose.t, nodes[b].pose.t
         dist = float(np.linalg.norm(p - q))
-        n_corr = (len(matcher(frames[a].obs, frames[b].obs))
+        n_corr = (len(matcher(nodes[a], nodes[b]))
                   if dist <= 2.0 * nav_radius else 0)
         covisible = n_corr >= covis_threshold       # the threshold is > 0
         if covisible:
@@ -382,24 +388,15 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
     storage_bytes_images counts images/ only.
     """
     os.makedirs(mapdir, exist_ok=True)
-    with open(os.path.join(mapdir, "nodes.csv"), "w") as f:
-        f.write(_NODES_HEADER + "\n")
-        for node in m.nodes:
-            f.write(",".join([str(node.id), *node.pose.fields()]) + "\n")
-    with open(os.path.join(mapdir, "cng_edges.csv"), "w") as f:
-        f.write(_CNG_HEADER + "\n")
-        for a, b, w in m.cng_edges:
-            f.write(f"{a},{b},{fmt17(w)}\n")
-    with open(os.path.join(mapdir, "cvg_edges.csv"), "w") as f:
-        f.write(_CVG_HEADER + "\n")
-        for a, b, c in m.cvg_edges:
-            f.write(f"{a},{b},{c}\n")
+    write_csv(os.path.join(mapdir, "nodes.csv"), _NODES_HEADER,
+              ([str(node.id), *node.pose.fields()] for node in m.nodes))
+    write_csv(os.path.join(mapdir, "cng_edges.csv"), _CNG_HEADER,
+              ([str(a), str(b), fmt17(w)] for a, b, w in m.cng_edges))
+    write_csv(os.path.join(mapdir, "cvg_edges.csv"), _CVG_HEADER,
+              ([str(a), str(b), str(c)] for a, b, c in m.cvg_edges))
 
     desc_path = os.path.join(mapdir, "descriptors.f32")
-    if m.nodes:
-        write_raw(desc_path, m.descriptor_matrix(), "<f4")
-    else:
-        write_raw(desc_path, np.zeros(0), "<f4")
+    write_raw(desc_path, m.descriptor_matrix(), "<f4")
     bytes_desc = os.path.getsize(desc_path)
 
     bytes_images = 0
@@ -465,18 +462,19 @@ def load_map(mapdir) -> TopoMetricMap:
     grid_res = number("grid_res", float)
 
     desc_path = os.path.join(mapdir, "descriptors.f32")
-    descs = read_raw(desc_path, "<f4", shape=(node_count, dim)) if node_count else \
-        read_raw(desc_path, "<f4")
+    descs = read_raw(desc_path, "<f4", shape=(node_count, dim))
+
+    def node_fields(row):
+        nid = int(row[0])
+        pose = Pose.from_fields(row[1:])
+        if not 0 <= nid < node_count:
+            raise ValueError(f"node id {nid} not in [0, {node_count})")
+        return nid, pose
 
     nodes_path = os.path.join(mapdir, "nodes.csv")
+    _, rows = read_csv_rows(nodes_path, _NODES_HEADER, node_fields)
     nodes = []
-    for lineno, row in read_csv_rows(nodes_path, _NODES_HEADER):
-        with line_errors(nodes_path, lineno):
-            nid = int(row[0])
-            pose = Pose.from_fields(row[1:])
-        if not 0 <= nid < node_count:
-            raise FormatError(f"{nodes_path}:{lineno}: node id {nid} not in "
-                              f"[0, {node_count})")
+    for nid, pose in rows:
         fault = _descriptor_fault(descs[nid], dim)
         if fault:
             raise FormatError(f"{desc_path}: node {nid}: {fault}")
@@ -488,16 +486,10 @@ def load_map(mapdir) -> TopoMetricMap:
     if len(nodes) != node_count:
         raise FormatError(f"{nodes_path}: {len(nodes)} rows, manifest says {node_count}")
 
-    cng_path = os.path.join(mapdir, "cng_edges.csv")
-    cng_edges = []
-    for lineno, row in read_csv_rows(cng_path, _CNG_HEADER):
-        with line_errors(cng_path, lineno):
-            cng_edges.append((int(row[0]), int(row[1]), float(row[2])))
-    cvg_path = os.path.join(mapdir, "cvg_edges.csv")
-    cvg_edges = []
-    for lineno, row in read_csv_rows(cvg_path, _CVG_HEADER):
-        with line_errors(cvg_path, lineno):
-            cvg_edges.append((int(row[0]), int(row[1]), int(row[2])))
+    _, cng_edges = read_csv_rows(os.path.join(mapdir, "cng_edges.csv"), _CNG_HEADER,
+                                 lambda row: (int(row[0]), int(row[1]), float(row[2])))
+    _, cvg_edges = read_csv_rows(os.path.join(mapdir, "cvg_edges.csv"), _CVG_HEADER,
+                                 lambda row: (int(row[0]), int(row[1]), int(row[2])))
 
     return TopoMetricMap(nodes=nodes, cng_edges=cng_edges, cvg_edges=cvg_edges,
                          descriptor_dim=dim, grid_res=grid_res)

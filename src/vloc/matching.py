@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .dataio import float_image, line_errors, read_csv_rows
+from .dataio import float_image, read_csv_rows
 from .errors import FormatError, OutOfBounds
 
 # classical matcher tuning
@@ -183,16 +183,17 @@ def match_classical(obs_ref, obs_query) -> MatchSet:
     with a Lowe ratio test. Deterministic; an empty MatchSet is a valid
     outcome on featureless input.
 
-    Either side is an image or carries one as ``color``. A reference that
-    keeps its features (a ``MapNode``, by ``classical_features()``) serves
-    them: a node's are computed on its first classical match and kept in
-    memory. The query's are computed on every call and never kept."""
-    if hasattr(obs_ref, "classical_features"):
-        features_ref = obs_ref.classical_features()
-    else:
-        features_ref = classical_features(getattr(obs_ref, "color", obs_ref))
-    return match_features(features_ref,
-                          classical_features(getattr(obs_query, "color", obs_query)))
+    Either side is an image or carries one as ``color``. A side that keeps
+    its features (a ``MapNode``, by ``classical_features()``) serves them:
+    a node's are computed on its first classical match and kept in memory.
+    Any other side's are computed on every call and never kept."""
+    return match_features(_features_of(obs_ref), _features_of(obs_query))
+
+
+def _features_of(side):
+    if hasattr(side, "classical_features"):
+        return side.classical_features()
+    return classical_features(getattr(side, "color", side))
 
 
 def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,
@@ -241,12 +242,9 @@ def ingest_matches(path, width: int, height: int) -> MatchSet:
     """Parse a match CSV, validating every pixel against the image bounds.
     Each error names the file and the offending line; of two rows sharing a
     query pixel, the later one."""
-    rows = read_csv_rows(path, MATCH_CSV_HEADER)
-    linenos = [lineno for lineno, _ in rows]
-    vals = np.empty((len(rows), 5))
-    for k, (lineno, row) in enumerate(rows):
-        with line_errors(path, lineno):
-            vals[k] = [float(v) for v in row]
+    linenos, rows = read_csv_rows(path, MATCH_CSV_HEADER,
+                                  lambda row: [float(v) for v in row])
+    vals = np.array(rows).reshape(-1, 5)
 
     u, v = vals[:, [0, 2]], vals[:, [1, 3]]          # (N, 2): ref, query
     outside = ~((u >= 0.0) & (u < width) & (v >= 0.0) & (v < height))

@@ -127,7 +127,10 @@ class Pipeline:
         fix = None
         status = result.status.value
         if result.status is RelocStatus.SUCCESS:
-            if self._fix_gated(result.pose, estimate):
+            # the fix attaches to the state nearest its timestamp, so it is
+            # held to that state: one about pi from it has no prior residual
+            attached = self.fusion.states[self.fusion.nearest_state(timestamp)]
+            if self._fix_gated(result.pose, attached):
                 status = "FixGated"
             else:
                 fix = result.pose
@@ -209,8 +212,9 @@ class Pipeline:
 
     def _fix_gated(self, fix: Pose, estimate) -> bool:
         """True when the fix must be rejected: camera not upright (mirror
-        pose), or inconsistent with the ``estimate`` pose row (None in Lost
-        mode, where there is no estimate to hold it to)."""
+        pose), or inconsistent with the ``estimate`` pose row, the state it
+        would attach to (None in Lost mode, where there is no estimate to
+        hold it to)."""
         down = fix.rotation_matrix()[:, 1]   # camera y axis in world
         if down[2] > -math.cos(math.radians(ATTITUDE_GATE_DEG)):
             return True

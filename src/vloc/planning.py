@@ -212,7 +212,7 @@ def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
 # trajectory evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AteReport:
     rmse: float
     errors: np.ndarray

@@ -37,6 +37,7 @@ from .dataio import (
     read_pgm,
     read_raw,
     read_trajectory,
+    write_csv,
     write_pgm,
     write_raw,
     write_trajectory,
@@ -749,7 +750,7 @@ class SimRobot:
 # segment generation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SegmentRecording:
     """A generated traversal: posed frames, odometry stream, ground truth."""
 
@@ -875,25 +876,18 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
     seg = recording.segment
     with open(os.path.join(segdir, "intrinsics.txt"), "w") as f:
         f.write(seg.camera.to_line() + "\n")
-    with open(os.path.join(segdir, "poses.csv"), "w") as f:
-        f.write(_POSES_HEADER + "\n")
-        for k, fr in enumerate(seg.frames):
-            f.write(",".join([str(k), fmt17(fr.timestamp), *fr.pose.fields()])
-                    + "\n")
+    write_csv(os.path.join(segdir, "poses.csv"), _POSES_HEADER,
+              ([str(k), fmt17(fr.timestamp), *fr.pose.fields()]
+               for k, fr in enumerate(seg.frames)))
     for k, fr in enumerate(seg.frames):
-        write_pgm(os.path.join(segdir, "frames", f"{k}.pgm"), fr.obs.color)
-        write_raw(os.path.join(segdir, "depth", f"{k}.f64"), fr.obs.depth, "<f8")
-        with open(os.path.join(segdir, "landmarks", f"{k}.csv"), "w") as f:
-            f.write(_LM_HEADER + "\n")
-            for i in range(len(fr.obs.landmark_ids)):
-                f.write(f"{fr.obs.landmark_ids[i]},"
-                        f"{fmt17(fr.obs.landmark_uv[i, 0])},"
-                        f"{fmt17(fr.obs.landmark_uv[i, 1])},"
-                        f"{fmt17(fr.obs.landmark_depth[i])}\n")
-    with open(os.path.join(segdir, "odometry.csv"), "w") as f:
-        f.write(_ODOM_HEADER + "\n")
-        for ts, delta in recording.odometry:
-            f.write(",".join([fmt17(ts), *delta.fields()]) + "\n")
+        obs = fr.obs
+        write_pgm(os.path.join(segdir, "frames", f"{k}.pgm"), obs.color)
+        write_raw(os.path.join(segdir, "depth", f"{k}.f64"), obs.depth, "<f8")
+        write_csv(os.path.join(segdir, "landmarks", f"{k}.csv"), _LM_HEADER,
+                  ([str(i), fmt17(u), fmt17(v), fmt17(d)] for i, (u, v), d
+                   in zip(obs.landmark_ids, obs.landmark_uv, obs.landmark_depth)))
+    write_csv(os.path.join(segdir, "odometry.csv"), _ODOM_HEADER,
+              ([fmt17(ts), *delta.fields()] for ts, delta in recording.odometry))
     write_trajectory(os.path.join(segdir, "gt_traj.txt"), recording.gt_stream)
 
 
@@ -904,35 +898,27 @@ def load_segment(segdir) -> SegmentRecording:
     path = os.path.join(segdir, "intrinsics.txt")
     with open(path) as f, line_errors(path, 1):
         camera = CameraIntrinsics.from_line(f.readline())
+    _, rows = read_csv_rows(
+        os.path.join(segdir, "poses.csv"), _POSES_HEADER,
+        lambda row: (int(row[0]), float(row[1]), Pose.from_fields(row[2:])))
     frames = []
-    poses_path = os.path.join(segdir, "poses.csv")
-    for lineno, row in read_csv_rows(poses_path, _POSES_HEADER):
-        with line_errors(poses_path, lineno):
-            k = int(row[0])
-            ts = float(row[1])
-            pose = Pose.from_fields(row[2:])
+    for k, ts, pose in rows:
         color = read_pgm(os.path.join(segdir, "frames", f"{k}.pgm"))
         depth = read_raw(os.path.join(segdir, "depth", f"{k}.f64"), "<f8",
                          shape=color.shape)
         lm_path = os.path.join(segdir, "landmarks", f"{k}.csv")
-        lm_ids, lm_uv, lm_depth = [], [], []
+        lms = []
         if os.path.exists(lm_path):
-            for lm_lineno, lrow in read_csv_rows(lm_path, _LM_HEADER):
-                with line_errors(lm_path, lm_lineno):
-                    lm_ids.append(int(lrow[0]))
-                    lm_uv.append((float(lrow[1]), float(lrow[2])))
-                    lm_depth.append(float(lrow[3]))
+            _, lms = read_csv_rows(lm_path, _LM_HEADER, lambda row: (
+                int(row[0]), float(row[1]), float(row[2]), float(row[3])))
         obs = Observation(
             color=color, depth=depth,
-            landmark_ids=np.array(lm_ids, dtype=np.int64),
-            landmark_uv=np.array(lm_uv, dtype=float).reshape(-1, 2),
-            landmark_depth=np.array(lm_depth, dtype=float))
+            landmark_ids=np.array([lm[0] for lm in lms], dtype=np.int64),
+            landmark_uv=np.array([lm[1:3] for lm in lms], dtype=float).reshape(-1, 2),
+            landmark_depth=np.array([lm[3] for lm in lms], dtype=float))
         frames.append(SegmentFrame(obs=obs, pose=pose, timestamp=ts))
-    odometry = []
-    odom_path = os.path.join(segdir, "odometry.csv")
-    for lineno, row in read_csv_rows(odom_path, _ODOM_HEADER):
-        with line_errors(odom_path, lineno):
-            odometry.append((float(row[0]), Pose.from_fields(row[1:])))
+    _, odometry = read_csv_rows(os.path.join(segdir, "odometry.csv"), _ODOM_HEADER,
+                                lambda row: (float(row[0]), Pose.from_fields(row[1:])))
     gt_stream = read_trajectory(os.path.join(segdir, "gt_traj.txt"))
     return SegmentRecording(Segment(frames=frames, camera=camera), odometry, gt_stream)
 

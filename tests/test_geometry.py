@@ -372,6 +372,21 @@ class TestRotationAngle:
         assert rotation_angle([1, 0, 0, 0], q) == pytest.approx(0.3, abs=1e-12)
 
 
+class TestValueSemantics:
+    def test_signed_zeros_equal_and_hash_equal(self):
+        a = Pose([0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0])
+        b = Pose([-0.0, 1.0, 2.0], [1.0, -0.0, 0.0, 0.0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        # the stored bits stay as given
+        assert np.signbit(b.t[0]) and np.signbit(b.q[1])
+
+    def test_apply_maps_one_point_as_a_row(self, rng):
+        p = random_pose(rng)
+        x = rng.normal(0, 1, 3)
+        assert np.array_equal(p.apply(x), p.apply(x[None])[0])
+        assert np.allclose(p.apply(x), p.compose(Pose(x, [1, 0, 0, 0])).t, atol=1e-12)
+
+
 class TestSerialization:
     def test_roundtrip_exact(self, rng):
         for _ in range(50):

@@ -21,8 +21,10 @@ from vloc.mapgraph import (
     save_map,
     select_keyframes,
 )
-from vloc.matching import match_oracle
-from vloc.simworld import OdomNoise, generate_segment, make_preset
+from vloc import matching
+from vloc.matching import match_classical, match_oracle
+from vloc.planning import AteReport
+from vloc.simworld import OdomNoise, SegmentRecording, generate_segment, make_preset
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 
@@ -85,6 +87,36 @@ class TestSegment:
     def test_increasing_timestamps_accepted(self):
         seg = Segment(frames=[frame_at(0.0, ts=t) for t in (0.0, 0.5, 2.0)], camera=K)
         assert len(seg) == 3
+
+
+def one_frame():
+    return SegmentFrame(obs=Observation(color=np.zeros((4, 4), dtype=np.uint8)),
+                        pose=Pose.identity(), timestamp=0.0)
+
+
+def one_node_map():
+    return TopoMetricMap(nodes=[MapNode(id=0, pose=Pose.identity(),
+                                        descriptor=np.eye(256, dtype=np.float32)[0])],
+                         cng_edges=[], cvg_edges=[], descriptor_dim=256)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Observation(color=np.zeros((4, 4), dtype=np.uint8)),
+    one_frame,
+    lambda: Segment(frames=[one_frame()], camera=K),
+    lambda: one_node_map().nodes[0],
+    one_node_map,
+    lambda: SegmentRecording(Segment(frames=[one_frame()], camera=K),
+                             [(0.0, Pose.identity())], [(0.0, Pose.identity())]),
+    lambda: AteReport(rmse=0.0, errors=np.zeros(2), matched=2),
+], ids=["Observation", "SegmentFrame", "Segment", "MapNode", "TopoMetricMap",
+        "SegmentRecording", "AteReport"])
+def test_array_holding_types_compare_by_identity(make):
+    # two equal objects that hold arrays: == is identity and hash works
+    # (maps compare by value through maps_equal)
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestCoverage:
@@ -279,15 +311,40 @@ class TestBuildMap:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DisconnectedMapWarning)
-            build_map(rec.segment, idx, matcher=recording, world=world, nav_radius=2.0)
-        obs = [rec.segment.frames[i].obs for i in idx]
+            m = build_map(rec.segment, idx, matcher=recording, world=world, nav_radius=2.0)
         pos = [rec.segment.frames[i].pose.t for i in idx]
         expected = [(a, b) for a in range(len(idx)) for b in range(a + 1, len(idx))
                     if np.linalg.norm(pos[a] - pos[b]) <= 4.0]
         assert 0 < len(expected) < len(idx) * (len(idx) - 1) // 2
         assert len(calls) == len(expected)
         for (got_a, got_b), (a, b) in zip(calls, expected):
-            assert got_a is obs[a] and got_b is obs[b]
+            assert got_a is m.nodes[a] and got_b is m.nodes[b]
+
+
+    def test_classical_features_once_per_keyframe(self, corridor_segment, monkeypatch):
+        # the matcher sees the nodes, which keep their features, so each
+        # keyframe's are extracted once; the edges are those of matching
+        # the keyframe images pair by pair
+        world, rec = corridor_segment
+        idx = list(range(0, 24, 2))
+        obs = [rec.segment.frames[i].obs for i in idx]
+        pos = [rec.segment.frames[i].pose.t for i in idx]
+        expected = []
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                n = len(match_classical(obs[a], obs[b]))
+                if np.linalg.norm(pos[a] - pos[b]) <= 6.0 and n >= 10:
+                    expected.append((a, b, n))
+        assert len(expected) >= 3
+        extract = matching.classical_features
+        images = []
+        monkeypatch.setattr(matching, "classical_features",
+                            lambda image: images.append(image) or extract(image))
+        m = build_map(rec.segment, idx, matcher=match_classical, world=world,
+                      covis_threshold=10)
+        assert m.cvg_edges == expected
+        assert len(images) == len(idx)
+        assert all(img is node.image for img, node in zip(images, m.nodes))
 
 
 def line_map(n, cng=(), cvg=(), xs=None):
@@ -364,13 +421,13 @@ class TestGraphLevels:
         a = line_map(3, cng=[(0, 1)], cvg=[(1, 2, 60)])
         b = TopoMetricMap(nodes=a.nodes, cng_edges=list(a.cng_edges),
                           cvg_edges=list(a.cvg_edges), descriptor_dim=256)
-        assert a == b
+        assert maps_equal(a, b)
         b.cng = b.cvg           # a field that differs but is derived
-        assert a == b
+        assert maps_equal(a, b)
         assert "csr" not in repr(a).lower()
         c = TopoMetricMap(nodes=a.nodes, cng_edges=[], cvg_edges=list(a.cvg_edges),
                           descriptor_dim=256)
-        assert a != c
+        assert not maps_equal(a, c)
 
 
 def random_map(rng, n=8, with_images=False):
@@ -399,6 +456,22 @@ class TestSerialization:
         assert maps_equal(m, load_map(tmp_path / "m"))
         assert manifest["storage_bytes_images"] == 0
         assert manifest["storage_bytes_descriptors"] == 0
+
+    def test_zero_node_map_takes_the_descriptor_check(self, tmp_path):
+        # an empty map reads its descriptors as a (0, dim) array like any
+        # other map, so stray bytes and a negative dimension are errors
+        m = TopoMetricMap(nodes=[], cng_edges=[], cvg_edges=[], descriptor_dim=256)
+        assert m.descriptor_matrix().shape == (0, 256)
+        save_map(m, tmp_path / "m")
+        (tmp_path / "m" / "descriptors.f32").write_bytes(bytes(8))
+        with pytest.raises(FormatError, match="expected 0 float32 values, found 2"):
+            load_map(tmp_path / "m")
+        (tmp_path / "m" / "descriptors.f32").write_bytes(b"")
+        manifest = tmp_path / "m" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("descriptor_dim=256",
+                                                         "descriptor_dim=-4"))
+        with pytest.raises(FormatError, match=r"negative shape \(0, -4\)"):
+            load_map(tmp_path / "m")
 
     def test_empty_images_map_roundtrip(self, tmp_path, rng):
         m = random_map(rng, with_images=False)

@@ -1,12 +1,15 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vloc import matching
 from vloc.errors import NoDepth, NonMonotonicTimestamp, NotLocalized
-from vloc.geometry import CameraIntrinsics, Pose
+from vloc.geometry import CameraIntrinsics, Pose, se3_exp
 from vloc.mapgraph import build_map, load_map, maps_equal, save_map, select_keyframes
 from vloc.matching import match_classical, match_oracle
 from vloc import pipeline as pipeline_module
@@ -318,6 +321,80 @@ class TestHostileInput:
         monkeypatch.undo()
         assert p.on_observation(obs, 9.0).status == "Success"
         assert p.mode is PipelineMode.TRACKING
+
+
+@pytest.fixture(scope="module")
+def corridor_views(corridor_map):
+    """Observations a stream may carry: views from four map nodes, one of
+    them stripped of its landmarks (a real image the oracle finds no match
+    in), and a featureless frame."""
+    world, topo = corridor_map
+    views = [render(world, topo.nodes[i].pose, K).observation() for i in (0, 3, 4, 9)]
+    views.append(dataclasses.replace(views[1], landmark_ids=np.zeros(0, dtype=np.int64),
+                                     landmark_uv=np.zeros((0, 2)),
+                                     landmark_depth=np.zeros(0)))
+    return views + [flat_observation()]
+
+
+# a stream event: odometry (up to 5 m along each axis and up to pi about
+# one) or an observation of one of the views, each a step of time after or
+# before the latest timestamp, or at any finite timestamp
+_times = st.one_of(st.tuples(st.sampled_from(["after", "before"]), st.floats(0.01, 2.0)),
+                   st.tuples(st.just("at"), st.floats(allow_nan=False,
+                                                      allow_infinity=False)))
+_deltas = st.builds(
+    lambda t, axis, angle: se3_exp(np.r_[t, angle * np.eye(3)[axis]]),
+    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    st.integers(0, 2), st.floats(-math.pi, math.pi))
+_YAW_PI = Pose(np.zeros(3), [0.0, 0.0, 1.0, 0.0])   # pi about the camera's y axis
+_events = st.lists(
+    st.one_of(st.tuples(st.just("odometry"), _deltas, _times),
+              st.tuples(st.just("observation"), st.integers(0, 5), _times)),
+    max_size=12)
+
+
+assert_valid = TestHostileInput.assert_valid
+
+
+class TestContractProperties:
+    """The documented contracts over generated streams of odometry and
+    observations on the corridor map."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(boot=st.booleans(), events=_events)
+    # two turns of pi bring the estimate back to the view's pose, and the
+    # view's fix, timed between them, attaches to the state turned by pi
+    @example(boot=True, events=[("odometry", _YAW_PI, ("after", 1.0)),
+                                ("odometry", _YAW_PI, ("after", 1.0)),
+                                ("observation", 1, ("before", 1.0))])
+    def test_stream_contracts(self, corridor_map, corridor_views, boot, events):
+        _, topo = corridor_map
+        p = Pipeline(topo, K, oracle)
+        last = 0.0
+        if boot:
+            assert p.on_observation(corridor_views[1], last).status == "Success"
+        for kind, arg, (how, t) in events:
+            t = {"after": last + t, "before": last - t, "at": t}[how]
+            last = max(last, t)
+            lost = p.mode is PipelineMode.LOST
+            if kind == "odometry":
+                try:
+                    assert_valid(p.on_odometry(arg, t))
+                except NotLocalized:
+                    assert lost
+                except NonMonotonicTimestamp:
+                    assert not lost
+            else:
+                out = p.on_observation(corridor_views[arg], t)
+                if out.fix is not None:
+                    assert_valid(out.fix)
+            if p.mode is PipelineMode.TRACKING:
+                assert p.fusion.timestamps
+                assert_valid(p.current_world_pose()[0])
+            else:
+                with pytest.raises(NotLocalized):
+                    p.current_world_pose()
 
 
 class TestReplayRegression:

@@ -11,6 +11,7 @@ from vloc.errors import (
     NonMonotonicTimestamp,
     UnknownState,
 )
+from vloc import poseslam
 from vloc.geometry import Pose, rotation_angle, se3_exp, se3_log
 from vloc.poseslam import (
     COST_FLOOR,
@@ -612,6 +613,30 @@ class TestSolverTelemetry:
         _, cost = g.optimize()
         assert g.last_cost_trace == [cost] and g.last_rejected_trials == 1
         assert np.array_equal(g.states, before)
+
+    def test_rejected_trial_raises_damping(self, monkeypatch):
+        # three fixes on one state, far apart in rotation: the first, least
+        # damped trials overshoot and are rejected with a model decrease
+        # above the stop, so lam grows until a trial is accepted
+        g = FusionGraph()
+        g.initialize(Pose.identity(), 0.0)
+        for xi in ([-0.98, -2.05, 0.11, -0.25, -0.97, 0.38],
+                   [0.27, -2.22, 1.25, -0.37, 3.08, -0.99],
+                   [0.34, 1.95, 3.76, 3.68, -1.49, -1.77]):
+            g.add_vloc_fix(0, se3_exp(xi), [0.1] * 3 + [1.0] * 3)
+        want, want_cost = reference_optimize(g)
+        lams = []
+        solve = poseslam._solve_damped
+        monkeypatch.setattr(poseslam, "_solve_damped",
+                            lambda band, grad, lam: lams.append(lam) or solve(band, grad, lam))
+        got, cost = g.optimize()
+        assert g.last_rejected_trials >= 1
+        assert lams[0] == LM_LAMBDA_INIT and lams[1] == 10.0 * lams[0]
+        trace = g.last_cost_trace
+        assert len(trace) > 1 and all(b < a for a, b in zip(trace, trace[1:]))
+        assert np.max(np.abs(got[0].t - want[0].t)) <= 1e-7
+        assert rotation_angle(got[0].q, want[0].q) <= 1e-7
+        assert abs(cost - want_cost) <= 1e-7 * want_cost
 
     @pytest.mark.parametrize("off", [0.0, 1e-9, 1e-7, 1e-6 - 1e-9])
     def test_residual_within_1e_6_of_pi_raises(self, off):
