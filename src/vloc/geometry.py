@@ -156,6 +156,25 @@ def rotation_angle(qa, qb) -> float:
 # Pose
 # ---------------------------------------------------------------------------
 
+_F64 = np.dtype(np.float64)
+
+
+def _kept_as_is(t, q) -> bool:
+    """True for float64 arrays t (3,) and q (4,) that the ``Pose``
+    constructor keeps as they are: all seven values finite, qw > 0 and
+    the squared norm within 1e-12 of one (``quat_normalize``'s test, in its
+    order). Checked on plain floats, without numpy's per-call cost."""
+    if not (type(t) is np.ndarray and type(q) is np.ndarray
+            and t.dtype == _F64 and q.dtype == _F64
+            and t.shape == (3,) and q.shape == (4,)):
+        return False
+    x, y, z = t.tolist()
+    qw, qx, qy, qz = q.tolist()
+    # a non-finite quaternion value fails the norm test
+    return (qw > 0.0 and abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= 1e-12
+            and math.isfinite(x) and math.isfinite(y) and math.isfinite(z))
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid-body transform: translation ``t`` (m) + unit quaternion ``q``."""
@@ -164,10 +183,15 @@ class Pose:
     q: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(3).copy()
-        q = quat_normalize(np.asarray(self.q, dtype=float).reshape(4))
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
-            raise ValueError("non-finite pose")
+        t, q = self.t, self.q
+        if _kept_as_is(t, q):
+            # what the general path below makes of them, bit for bit
+            t, q = t.copy(), q.copy()
+        else:
+            t = np.asarray(t, dtype=float).reshape(3).copy()
+            q = quat_normalize(np.asarray(q, dtype=float).reshape(4))
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
+                raise ValueError("non-finite pose")
         t.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "t", t)

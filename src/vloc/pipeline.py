@@ -128,9 +128,12 @@ class Pipeline:
         status = result.status.value
         if result.status is RelocStatus.SUCCESS:
             # the fix attaches to the state nearest its timestamp, so it is
-            # held to that state: one about pi from it has no prior residual
-            attached = self.fusion.states[self.fusion.nearest_state(timestamp)]
-            if self._fix_gated(result.pose, attached):
+            # held to that state: one about pi from it has no prior
+            # residual, and one before the optimization window would add a
+            # prior that the windowed solve leaves out
+            state_idx = self.fusion.nearest_state(timestamp)
+            late = state_idx < len(self.fusion.timestamps) - self.config.window
+            if late or self._fix_gated(result.pose, self.fusion.states[state_idx]):
                 status = "FixGated"
             else:
                 fix = result.pose

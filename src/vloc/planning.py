@@ -2,8 +2,8 @@
 
 Global planning is Dijkstra over the connectivity level of the map; its
 traversed nodes become subgoals. The local planner scores a fixed fan of
-constant-curvature arcs (``CURVATURES``, sampled by ``arc_points``) against
-the single-frame depth point cloud (rotate-in-place is part of the
+constant-curvature arcs (``CURVATURES``, all sampled in one array pass)
+against the single-frame depth point cloud (rotate-in-place is part of the
 primitive set, so a subgoal behind the robot naturally wins rotation).
 Closed-loop navigation ties the simulator, the localization pipeline, and
 both planners together; trajectory quality is measured by no-alignment
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .errors import EmptyMap, NoMatches, NoPath, NotLocalized
-from .geometry import CameraIntrinsics, Pose, unproject
+from .geometry import CameraIntrinsics, Pose
 from .pipeline import Pipeline, PipelineConfig, PipelineMode
 from .retrieval import extract_descriptor, top_k
 from .simworld import CAMERA_HEIGHT_DEFAULT, GridWorld, SimRobot, pose_to_planar, render
@@ -45,8 +45,11 @@ V_NOMINAL = 0.8
 W_NOMINAL = 1.0
 CONTROL_DT = 0.1
 LOCALIZE_RATE = 2.0   # Hz; fixes are low-rate, odometry high-rate
-# obstacles are depth points from just above the floor to 0.4 m above the
-# camera
+# obstacles are depth points whose height above the camera, not above the
+# floor, lies inside this band: 0.15 to 1.4 m, which with the camera at
+# CAMERA_HEIGHT_DEFAULT (1.0 m) is 1.15 to 2.4 m above the floor. A lower
+# bound at or above zero lets depth_to_obstacles skip every row at or
+# below the principal point.
 OBSTACLE_Z_BAND = (0.15, max(0.3, CAMERA_HEIGHT_DEFAULT + 0.4))
 OBSTACLE_MAX_RANGE = 3.5
 # a navigation mission gates global localization harder than the bare
@@ -138,17 +141,26 @@ def next_subgoal(plan: GlobalPlan, topo_map, robot_pose: Pose):
 # local planning
 # ---------------------------------------------------------------------------
 
-def arc_points(curvature: float, length: float) -> np.ndarray:
-    """Samples every ARC_DS along one arc; ``length`` truncates it below
-    ARC_LENGTH (a short final approach would otherwise never score better
-    than rotating in place, since full-length endpoints all overshoot a near
+def _arc_fan(curvatures, length):
+    """The arcs of ``curvatures`` sampled every ARC_DS, as x and y arrays
+    (len(curvatures), samples); ``length`` truncates them below ARC_LENGTH
+    (a short final approach would otherwise never score better than
+    rotating in place, since full-length endpoints all overshoot a near
     subgoal)."""
     arc_len = min(ARC_LENGTH, max(2 * ARC_DS, length))
     s = np.arange(ARC_DS, arc_len + ARC_DS / 2, ARC_DS)
-    if abs(curvature) < 1e-12:
-        return np.stack([s, np.zeros_like(s)], axis=1)
-    return np.stack([np.sin(curvature * s) / curvature,
-                     (1.0 - np.cos(curvature * s)) / curvature], axis=1)
+    k = np.asarray(curvatures, dtype=float)[:, None]
+    straight = np.abs(k) < 1e-12
+    ks = np.where(straight, 1.0, k)
+    x = np.where(straight, s, np.sin(k * s) / ks)
+    y = np.where(straight, 0.0, (1.0 - np.cos(k * s)) / ks)
+    return x, y
+
+
+def arc_points(curvature: float, length: float) -> np.ndarray:
+    """Samples (n, 2) along one arc of the fan, as ``plan_local`` scores it."""
+    x, y = _arc_fan((curvature,), length)
+    return np.stack([x[0], y[0]], axis=1)
 
 
 ROTATE_IN_PLACE = "rotate"
@@ -159,24 +171,29 @@ def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     point once.
 
     The camera is level, so the fixed mount maps camera (x right, y down,
-    z forward) to robot (x forward, y left, z up); floor points fall below
-    OBSTACLE_Z_BAND and are not obstacles. Every wall pixel of an image
-    column lies at one robot-frame (x, y), up to the last bits of the few
-    ray directions a column splits into, so pixels are taken column by
+    z forward) to robot (x forward, y left, z up, from the camera): a
+    point's height ``z_up`` is measured from the camera, not the floor, and
+    it is an obstacle while inside OBSTACLE_Z_BAND. A pixel at or below
+    the principal row has ``z_up <= 0``, so while the band's lower bound is
+    at least zero only the rows above it are read. Every wall pixel of an
+    image column lies at one robot-frame (x, y), up to the last bits of the
+    few ray directions a column splits into, so pixels are taken column by
     column and a point equal to the one before it is dropped (on the
     presets' mapping frames, about 57 of 2,200 points remain).
     ``plan_local`` takes a minimum over the points, which dropped
     duplicates cannot change."""
-    uu, vv = np.nonzero(depth.T > 0)
-    x_cam, y_cam, x_fwd = unproject(K, uu, vv, depth[vv, uu]).T
-    y_left = -x_cam
-    z_up = -y_cam
-    keep = ((z_up > OBSTACLE_Z_BAND[0]) & (z_up < OBSTACLE_Z_BAND[1])
-            & (x_fwd < OBSTACLE_MAX_RANGE))
-    points = np.stack([x_fwd[keep], y_left[keep]], axis=1)
-    distinct = np.ones(len(points), dtype=bool)
-    distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
-    return points[distinct]
+    rows = depth.shape[0] if OBSTACLE_Z_BAND[0] < 0.0 else math.ceil(K.cy)
+    # column by column, with unproject's arithmetic; the lateral offset only
+    # for the pixels kept
+    d = depth[:rows].T
+    z_up = -((np.arange(d.shape[1]) - K.cy) / K.fy * d)
+    uu, vv = np.nonzero((d > 0) & (z_up > OBSTACLE_Z_BAND[0])
+                        & (z_up < OBSTACLE_Z_BAND[1]) & (d < OBSTACLE_MAX_RANGE))
+    x_fwd = d[uu, vv]
+    y_left = -((uu - K.cx) / K.fx * x_fwd)
+    distinct = np.ones(len(uu), dtype=bool)
+    distinct[1:] = (x_fwd[1:] != x_fwd[:-1]) | (y_left[1:] != y_left[:-1])
+    return np.stack([x_fwd[distinct], y_left[distinct]], axis=1)
 
 
 def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
@@ -189,15 +206,21 @@ def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
     subgoal = np.asarray(subgoal_robot, dtype=float)[:2]
     obstacles = depth_to_obstacles(depth, K)
     subgoal_dist = float(np.linalg.norm(subgoal))
+    x, y = _arc_fan(CURVATURES, subgoal_dist)
+    blocked = [False] * len(CURVATURES)
+    if len(obstacles):
+        # squared clearance of every sample of every arc to every point
+        ox, oy = obstacles.T
+        dx = x[:, :, None] - ox
+        dy = y[:, :, None] - oy
+        blocked = ((dx * dx + dy * dy).min(axis=(1, 2)) < ROBOT_RADIUS ** 2).tolist()
+    ends = np.stack([x[:, -1], y[:, -1]], axis=1)
     best = subgoal_dist + CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
     choice = ROTATE_IN_PLACE
-    for k in CURVATURES:
-        pts = arc_points(k, subgoal_dist)
-        if len(obstacles):
-            d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(axis=2)
-            if float(d2.min()) < ROBOT_RADIUS ** 2:
-                continue
-        cost = float(np.linalg.norm(pts[-1] - subgoal)) + CURVATURE_PENALTY * abs(k)
+    for k, end, hit in zip(CURVATURES, ends, blocked):
+        if hit:
+            continue
+        cost = float(np.linalg.norm(end - subgoal)) + CURVATURE_PENALTY * abs(k)
         if cost < best - 1e-12:
             best = cost
             choice = k

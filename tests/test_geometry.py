@@ -12,6 +12,7 @@ from vloc.geometry import (
     pose_inverse_row,
     poses_from_rows,
     project_array,
+    quat_normalize,
     quat_to_matrix_array,
     rotation_angle,
     se3_adjoint_array,
@@ -355,6 +356,98 @@ class TestPosesFromRows:
         row[0, 1] = bad
         with pytest.raises(ValueError):
             poses_from_rows(row)
+
+
+def reference_pose(t, q):
+    """What the ``Pose`` constructor stored, (t, q), before its fast path,
+    or the error it raised."""
+    t = np.asarray(t, dtype=float).reshape(3).copy()
+    q = quat_normalize(np.asarray(q, dtype=float).reshape(4))
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
+        raise ValueError("non-finite pose")
+    return t, q
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_constructs_as_reference(t, q):
+    try:
+        want = reference_pose(t, q)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Pose(t, q)
+        return
+    got = Pose(t, q)
+    assert same_bits(got.t, want[0]) and same_bits(got.q, want[1]), (t, q)
+    assert not (got.t.flags.writeable or got.q.flags.writeable)
+
+
+class TestPoseConstructor:
+    def test_bit_equal_to_reference_on_seeded_rows(self):
+        rng = np.random.default_rng(20)
+        n = 20_000
+        rows = np.empty((n, 7))
+        rows[:, :3] = rng.normal(0.0, 10.0, (n, 3))
+        q = rng.normal(0.0, 1.0, (n, 4))
+        rows[:, 3:] = q / np.linalg.norm(q, axis=1)[:, None]   # either sign
+        rows[::7, 3:] *= 1.0 + 1e-10                           # off unit
+        rows[::11, :3] = np.round(rows[::11, :3])             # round values
+        rows[::13, 4:] = 0.0
+        rows[::13, 3] = 1.0
+        for r in rows:
+            assert_constructs_as_reference(r[:3], r[3:])
+
+    @pytest.mark.parametrize("q", [
+        [0.0, 0.0, -1.0, 0.0], [0.0, 0.6, 0.0, -0.8], [-0.0, 0.6, 0.0, 0.8],
+        [-0.0, -0.0, 1.0, 0.0], [-0.5, 0.5, 0.5, 0.5], [-1.0, 0.0, 0.0, 0.0],
+        [1.0, -0.0, 0.0, -0.0], [0.5, 0.5, 0.5, 0.5 + 1e-12], [2.0, 0.0, 0.0, 0.0],
+        [1.0, 1e-7, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0],
+        [1.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 0.0],
+        [1e200, 0.0, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0],
+    ])
+    @pytest.mark.parametrize("t", [
+        [0.5, -2.0, 3.0], [-0.0, 0.0, -0.0], [np.nan, 0.0, 0.0],
+        [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf], [1e308, 1e308, 1e308],
+    ])
+    def test_bit_equal_to_reference_on_edge_values(self, t, q):
+        assert_constructs_as_reference(np.array(t), np.array(q))
+
+    @pytest.mark.parametrize("make", [
+        lambda v: np.asarray(v, dtype=np.float32),
+        lambda v: np.round(v).astype(np.int64),
+        lambda v: list(v),
+        lambda v: tuple(float(x) for x in v),
+        lambda v: np.asarray(v)[None],
+        lambda v: np.asarray(v, dtype=np.float64).astype(">f8"),
+        lambda v: np.asfortranarray(np.tile(np.asarray(v), (2, 1)))[0],
+    ])
+    def test_bit_equal_to_reference_on_other_inputs(self, make):
+        t = np.array([0.25, -1.5, 2.0])
+        for q in ([1.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, 0.5], [-1.0, 0.0, 0.0, 0.0]):
+            q = np.array(q)
+            assert_constructs_as_reference(make(t), make(q))
+            assert_constructs_as_reference(t, make(q))
+            assert_constructs_as_reference(make(t), q)
+
+    def test_wrong_sizes_raise(self):
+        with pytest.raises(ValueError):
+            Pose(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            Pose(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+
+    def test_a_caller_overwriting_its_arrays_changes_no_pose(self, rng):
+        for _ in range(5):
+            t, q = random_pose(rng).t.copy(), random_pose(rng).q.copy()
+            pose = Pose(t, q)
+            t_bits, q_bits = pose.t.tobytes(), pose.q.tobytes()
+            t[:] = np.nan
+            q[:] = [0.0, 1.0, 0.0, 0.0]
+            assert pose.t.tobytes() == t_bits and pose.q.tobytes() == q_bits
+            assert pose.t is not t and pose.q is not q
+            with pytest.raises(ValueError):
+                pose.t[0] = 1.0
 
 
 class TestRotationAngle:

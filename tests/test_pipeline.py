@@ -121,6 +121,31 @@ class TestModeMachine:
         assert out.status == "FixGated"
         assert out.fix is None
 
+    def test_fix_before_the_window_is_gated(self, corridor_map):
+        # a fix nearest a state before the optimization window would add a
+        # prior that the windowed solve leaves out; it counts as a failure
+        world, topo = corridor_map
+        p = Pipeline(topo, K, oracle, PipelineConfig(window=5))
+        view = render(world, topo.nodes[3].pose, K).observation()
+        p.on_observation(view, 0.0)
+        for k in range(1, 11):
+            p.on_odometry(Pose.identity(), 0.1 * k)
+        for _ in range(3):
+            p.on_observation(flat_observation(), 1.0)
+        assert p.consecutive_failures == 3
+        states, n_priors = p.fusion.states.copy(), len(p.fusion.priors)
+
+        out = p.on_observation(view, 0.2)     # state 2; the window is 6-10
+        assert out.status == "FixGated" and out.fix is None
+        assert p.consecutive_failures == 4
+        assert len(p.fusion.priors) == n_priors
+        assert np.array_equal(p.fusion.states, states)
+
+        out = p.on_observation(view, 0.6)     # state 6, inside the window
+        assert out.status == "Success"
+        assert p.consecutive_failures == 0
+        assert len(p.fusion.priors) == n_priors + 1
+
 
 MATCHERS = {"oracle": oracle, "classical": match_classical}
 

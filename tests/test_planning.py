@@ -8,7 +8,10 @@ from vloc.errors import NoMatches, NoPath
 from vloc.geometry import CameraIntrinsics, Pose, unproject
 from vloc.mapgraph import MapNode, TopoMetricMap, build_map, select_keyframes
 from vloc.matching import match_oracle
+from vloc import planning
 from vloc.planning import (
+    ARC_DS,
+    ARC_LENGTH,
     CURVATURE_PENALTY,
     CURVATURES,
     OBSTACLE_MAX_RANGE,
@@ -304,14 +307,39 @@ def full_obstacle_cloud(depth):
     return np.stack([x_fwd[keep], -x_cam[keep]], axis=1)
 
 
+def reference_obstacles(depth, K, band):
+    """``depth_to_obstacles`` without its row cut: every pixel of the
+    image, column by column, a point equal to the one before it dropped."""
+    uu, vv = np.nonzero(depth.T > 0)
+    x_cam, y_cam, x_fwd = unproject(K, uu, vv, depth[vv, uu]).T
+    keep = ((-y_cam > band[0]) & (-y_cam < band[1])
+            & (x_fwd < OBSTACLE_MAX_RANGE))
+    points = np.stack([x_fwd[keep], -x_cam[keep]], axis=1)
+    distinct = np.ones(len(points), dtype=bool)
+    distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
+    return points[distinct]
+
+
+def reference_arc_points(curvature, length):
+    """One arc sampled on its own, as the planner sampled it before the fan
+    was one array pass."""
+    arc_len = min(ARC_LENGTH, max(2 * ARC_DS, length))
+    s = np.arange(ARC_DS, arc_len + ARC_DS / 2, ARC_DS)
+    if abs(curvature) < 1e-12:
+        return np.stack([s, np.zeros_like(s)], axis=1)
+    return np.stack([np.sin(curvature * s) / curvature,
+                     (1.0 - np.cos(curvature * s)) / curvature], axis=1)
+
+
 def brute_force_choice(obstacles, subgoal):
-    """The primitive the fan scoring picks, scored against every point."""
+    """The primitive the fan scoring picks, each arc scored on its own
+    against every point."""
     subgoal = np.asarray(subgoal, dtype=float)[:2]
     dist = float(np.linalg.norm(subgoal))
     best = dist + CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
     choice = ROTATE_IN_PLACE
     for k in CURVATURES:
-        pts = arc_points(k, dist)
+        pts = reference_arc_points(k, dist)
         d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(axis=2)
         if d2.size and float(d2.min()) < ROBOT_RADIUS ** 2:
             continue
@@ -321,18 +349,41 @@ def brute_force_choice(obstacles, subgoal):
     return choice
 
 
+PRESETS = ("corridor", "rooms", "campus")
+# a principal row on a pixel row and one between two rows
+K_HALF = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=63.5, width=128,
+                          height=128)
+
+
 @pytest.fixture(scope="module")
-def rooms_depths():
-    world, route = make_preset("rooms", seed=7)
-    rec = generate_segment(world, route, K, camera_rate=2.0, seed=1,
-                           noise=OdomNoise.zero())
-    return [f.obs.depth for f in rec.segment.frames]
+def mapping_drives():
+    """Per preset: the mapping drive's depth images at K, and the same
+    poses rendered at K_HALF."""
+    drives = {}
+    for name in PRESETS:
+        world, route = make_preset(name, seed=7)
+        rec = generate_segment(world, route, K, camera_rate=2.0, seed=1,
+                               noise=OdomNoise.zero())
+        frames = rec.segment.frames
+        drives[name] = ([f.obs.depth for f in frames],
+                        [render(world, f.pose, K_HALF).depth for f in frames])
+    return drives
+
+
+def subgoals(rng):
+    """Subgoals ahead, behind, beside and closer than 2 * ARC_DS."""
+    angle = rng.uniform(-math.pi, math.pi)
+    near = rng.uniform(0.0, 2 * ARC_DS)
+    return ([rng.uniform(-1.0, 4.0), rng.uniform(-3.0, 3.0), 0.0],
+            [rng.uniform(-3.0, -0.3), rng.uniform(-0.5, 0.5), 0.0],
+            [rng.uniform(-0.2, 0.2), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0), 0.0],
+            [near * math.cos(angle), near * math.sin(angle), 0.0])
 
 
 class TestObstacleCloud:
-    def test_distinct_rows_of_the_full_cloud(self, rooms_depths):
+    def test_distinct_rows_of_the_full_cloud(self, mapping_drives):
         n_full = n_got = 0
-        for k, depth in enumerate(rooms_depths):
+        for k, depth in enumerate(mapping_drives["rooms"][0]):
             full = full_obstacle_cloud(depth)
             got = depth_to_obstacles(depth, K)
             distinct = np.unique(full, axis=0)
@@ -341,17 +392,53 @@ class TestObstacleCloud:
             n_full, n_got = n_full + len(full), n_got + len(got)
         assert n_got * 10 < n_full
 
-    def test_plan_local_matches_brute_force_on_full_cloud(self, rooms_depths):
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_equals_the_full_image_cloud_in_order(self, mapping_drives, name):
+        # the rows at or below the principal point are skipped; the cloud,
+        # its order included, is the one the whole image gives
+        for intrinsics, depths in zip((K, K_HALF), mapping_drives[name]):
+            for k, depth in enumerate(depths):
+                got = depth_to_obstacles(depth, intrinsics)
+                want = reference_obstacles(depth, intrinsics, OBSTACLE_Z_BAND)
+                assert np.array_equal(got, want), f"{name} cy={intrinsics.cy} frame {k}"
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_a_band_below_the_camera_reads_every_row(self, mapping_drives,
+                                                     monkeypatch):
+        band = (-0.5, OBSTACLE_Z_BAND[1])
+        monkeypatch.setattr(planning, "OBSTACLE_Z_BAND", band)
+        below = 0
+        for name in PRESETS:
+            for intrinsics, depths in zip((K, K_HALF), mapping_drives[name]):
+                for k, depth in enumerate(depths[::3]):
+                    got = depth_to_obstacles(depth, intrinsics)
+                    want = reference_obstacles(depth, intrinsics, band)
+                    assert np.array_equal(got, want), f"{name} frame {k}"
+                    below += len(want) - len(reference_obstacles(
+                        depth, intrinsics, (0.0, band[1])))
+        assert below > 0     # the band does reach rows below the horizon
+
+    def test_plan_local_matches_brute_force_on_full_cloud(self, mapping_drives):
         rng = np.random.default_rng(23)
-        choices = set()
-        for depth in rooms_depths[::2]:
-            full = full_obstacle_cloud(depth)
-            for _ in range(3):
-                sub = [rng.uniform(-1.0, 4.0), rng.uniform(-3.0, 3.0), 0.0]
-                _, choice = plan_local(depth, K, sub)
-                assert choice == brute_force_choice(full, sub)
-                choices.add(choice)
-        assert ROTATE_IN_PLACE in choices and len(choices) >= 4
+        for name in PRESETS:
+            choices = set()
+            for depth in mapping_drives[name][0][::2]:
+                full = full_obstacle_cloud(depth)
+                for sub in subgoals(rng):
+                    _, choice = plan_local(depth, K, sub)
+                    assert choice == brute_force_choice(full, sub), (name, sub)
+                    choices.add(choice)
+            assert ROTATE_IN_PLACE in choices and len(choices) >= 4, name
+
+    def test_arc_points_are_the_single_arc_samples(self):
+        lengths = [0.0, 0.05, 0.19, 0.2, 0.25, 1.0, 1.05, 1.999, 2.0, 7.0]
+        lengths += list(np.random.default_rng(3).uniform(0.0, 3.0, 200))
+        for length in lengths:
+            for k in CURVATURES:
+                got = arc_points(k, length)
+                want = reference_arc_points(k, length)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestComputeAte:
