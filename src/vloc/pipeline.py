@@ -132,8 +132,8 @@ class Pipeline:
             # residual, and one before the optimization window would add a
             # prior that the windowed solve leaves out
             state_idx = self.fusion.nearest_state(timestamp)
-            late = state_idx < len(self.fusion.timestamps) - self.config.window
-            if late or self._fix_gated(result.pose, self.fusion.states[state_idx]):
+            if self._before_window(state_idx) or \
+                    self._fix_gated(result.pose, self.fusion.states[state_idx]):
                 status = "FixGated"
             else:
                 fix = result.pose
@@ -182,8 +182,12 @@ class Pipeline:
         graph at ``seed``), apply the fix and enter Tracking. A fix about pi
         from the bridged state fails its solve (its prior residual has no
         tangent); tracking then restarts on a new graph seeded at ``seed``.
-        False, with the graph as it was, when that fails too."""
+        False, with the graph as it was, when that fails too, or when the
+        stale graph's state nearest the fix lies before its optimization
+        window (a late fix, rejected as in Tracking mode)."""
         stale = self.fusion
+        if stale.timestamps and self._before_window(stale.nearest_state(timestamp)):
+            return False
         graphs = [stale, FusionGraph()] if stale.timestamps else [stale]
         for graph in graphs:
             n_states, n_priors = len(graph.timestamps), len(graph.priors)
@@ -213,6 +217,11 @@ class Pipeline:
         self.fusion.optimize(window=self.config.window)
         self.consecutive_failures = 0
 
+    def _before_window(self, state_idx: int) -> bool:
+        """True for a state before the optimization window: a fix attached
+        to it would add a prior that the windowed solve leaves out."""
+        return state_idx < len(self.fusion.timestamps) - self.config.window
+
     def _fix_gated(self, fix: Pose, estimate) -> bool:
         """True when the fix must be rejected: camera not upright (mirror
         pose), or inconsistent with the ``estimate`` pose row, the state it
@@ -241,7 +250,11 @@ class Pipeline:
 
         In Lost mode the delta is buffered into the pending chain (keeping
         dead-reckoning continuity for relocalization) and NotLocalized is
-        raised since no world pose can be claimed."""
+        raised since no world pose can be claimed. Raises, changing
+        nothing, NonMonotonicTimestamp for a timestamp that is not finite or,
+        while tracking, not after the last one."""
+        if not math.isfinite(timestamp):
+            raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
         if self.mode is not PipelineMode.TRACKING:
             self._pending_lost_delta = self._pending_lost_delta.compose(delta)
             raise NotLocalized("pipeline is in Lost mode")

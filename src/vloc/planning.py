@@ -48,8 +48,8 @@ LOCALIZE_RATE = 2.0   # Hz; fixes are low-rate, odometry high-rate
 # obstacles are depth points whose height above the camera, not above the
 # floor, lies inside this band: 0.15 to 1.4 m, which with the camera at
 # CAMERA_HEIGHT_DEFAULT (1.0 m) is 1.15 to 2.4 m above the floor. A lower
-# bound at or above zero lets depth_to_obstacles skip every row at or
-# below the principal point.
+# bound at or above zero lets the planner skip every row at or below the
+# principal point (obstacle_rows).
 OBSTACLE_Z_BAND = (0.15, max(0.3, CAMERA_HEIGHT_DEFAULT + 0.4))
 OBSTACLE_MAX_RANGE = 3.5
 # a navigation mission gates global localization harder than the bare
@@ -166,26 +166,33 @@ def arc_points(curvature: float, length: float) -> np.ndarray:
 ROTATE_IN_PLACE = "rotate"
 
 
+def obstacle_rows(K: CameraIntrinsics) -> int:
+    """How many image rows, from the top, ``depth_to_obstacles`` reads. A
+    pixel at or below the principal row has ``z_up <= 0``, so while
+    OBSTACLE_Z_BAND's lower bound is at least zero only the rows above it
+    can hold an obstacle; a band reaching below the camera reads every
+    row."""
+    return K.height if OBSTACLE_Z_BAND[0] < 0.0 else math.ceil(K.cy)
+
+
 def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    """Robot-frame 2-D obstacle points from one depth image, each distinct
-    point once.
+    """Robot-frame 2-D obstacle points from the top ``obstacle_rows(K)``
+    rows of a depth image (the whole image or just those rows), each
+    distinct point once.
 
     The camera is level, so the fixed mount maps camera (x right, y down,
     z forward) to robot (x forward, y left, z up, from the camera): a
     point's height ``z_up`` is measured from the camera, not the floor, and
-    it is an obstacle while inside OBSTACLE_Z_BAND. A pixel at or below
-    the principal row has ``z_up <= 0``, so while the band's lower bound is
-    at least zero only the rows above it are read. Every wall pixel of an
+    it is an obstacle while inside OBSTACLE_Z_BAND. Every wall pixel of an
     image column lies at one robot-frame (x, y), up to the last bits of the
     few ray directions a column splits into, so pixels are taken column by
     column and a point equal to the one before it is dropped (on the
     presets' mapping frames, about 57 of 2,200 points remain).
     ``plan_local`` takes a minimum over the points, which dropped
     duplicates cannot change."""
-    rows = depth.shape[0] if OBSTACLE_Z_BAND[0] < 0.0 else math.ceil(K.cy)
     # column by column, with unproject's arithmetic; the lateral offset only
     # for the pixels kept
-    d = depth[:rows].T
+    d = depth[:obstacle_rows(K)].T
     z_up = -((np.arange(d.shape[1]) - K.cy) / K.fy * d)
     uu, vv = np.nonzero((d > 0) & (z_up > OBSTACLE_Z_BAND[0])
                         & (z_up < OBSTACLE_Z_BAND[1]) & (d < OBSTACLE_MAX_RANGE))
@@ -197,7 +204,8 @@ def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
 
 
 def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
-    """Score the primitive fan against the single-frame obstacle cloud.
+    """Score the primitive fan against the single-frame obstacle cloud of
+    ``depth``, as ``depth_to_obstacles`` reads it.
 
     Returns ((v, w), chosen) where chosen is the curvature or the
     rotate-in-place marker. Rotation is the universal fallback and also a
@@ -311,7 +319,8 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     t = t_start
     path_len = 0.0
     trajectory = []
-    gt_trajectory = [(t, robot.gt_pose)]
+    gt_pose = robot.gt_pose     # each step returns the next one
+    gt_trajectory = [(t, gt_pose)]
     done = False
     n_ticks = int(config.timeout / CONTROL_DT)
     ticks_per_obs = max(1, int(round(1.0 / (LOCALIZE_RATE * CONTROL_DT))))
@@ -322,8 +331,10 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     # commanded-but-blocked motion means a wall outside the camera FOV is
     # pinning the robot; back out briefly before replanning
     bump_ticks = 0
+    # a tick that does not localize renders only the rows the planner reads
+    rows = obstacle_rows(K)
     for tick in range(n_ticks):
-        frame = render(world, robot.gt_pose, K)
+        frame = render(world, gt_pose, K)
         if tick % ticks_per_obs == 0 or pipeline.mode is not PipelineMode.TRACKING:
             pipeline.on_observation(frame.observation(), t)
         if bump_ticks > 0:
@@ -340,7 +351,7 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
             if sub is None:
                 done = True
                 break
-            cmd, choice = plan_local(frame.depth, K, sub)
+            cmd, choice = plan_local(frame.depth_rows(rows), K, sub)
             if choice == ROTATE_IN_PLACE:
                 if rot_dir == 0.0:
                     rot_dir = 1.0 if cmd[1] >= 0.0 else -1.0

@@ -12,9 +12,10 @@ wall faces can reach once, into a texel table built on its first shade,
 and shading gathers from it: lattice value noise over a precomputed table,
 as in Perlin, "An Image Synthesizer" (SIGGRAPH 1985). Landmarks seeded on
 wall faces give the oracle matcher ground-truth correspondences. A render
-computes depth at once and shades color and finds landmarks only when a
-caller first reads them. A unicycle robot with drifting odometry and a
-waypoint pursuit controller generate mapping/localization segments.
+checks its camera at once; it computes depth, or only the top rows a
+caller asks for, shades color and finds landmarks when they are first
+read. A unicycle robot with drifting odometry and a waypoint pursuit
+controller generate mapping/localization segments.
 
 Grid indexing is ``occupancy[iy, ix]``; world x spans ``ix * cell_size`` and
 row 0 of the text format is the smallest y. The camera is level (its y axis
@@ -506,26 +507,42 @@ def raycast(world: GridWorld, origin, dirs):
 class SimFrame:
     """Rendered observation with simulator ground truth attached.
 
-    ``depth`` and ``gt_pose`` are plain attributes, set by ``render``.
+    ``gt_pose`` is a plain attribute, set by ``render``. ``depth``,
     ``color`` and the landmark annotations (``landmark_ids``,
     ``landmark_uv``, ``landmark_depth``) are computed on first access and
-    then kept, so a caller that reads only depth (a navigation tick that
-    plans without localizing) pays for the grid walk and nothing else.
-    Computing ``color`` releases the walk arrays the frame kept for it."""
+    then kept. ``depth_rows(stop)`` gives the top ``stop`` rows of the
+    depth image, and until ``depth`` is read it builds those rows alone, so
+    a caller that plans on a few rows (a navigation tick that does not
+    localize) walks and solves for nothing else. Reading ``depth`` keeps the
+    walk arrays for ``color``, and computing ``color`` releases them."""
 
-    def __init__(self, world: GridWorld, K: CameraIntrinsics, depth: np.ndarray,
-                 gt_pose: Pose, walk: tuple):
-        self.depth = depth
+    def __init__(self, world: GridWorld, K: CameraIntrinsics, gt_pose: Pose,
+                 rot: np.ndarray):
         self.gt_pose = gt_pose
         self._world = world
         self._K = K
-        self._walk = walk       # (dirs_world, floor, wall, face) per pixel
+        self._rot = rot         # gt_pose's rotation matrix, checked level
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        depth, self._walk = _render_rows(self._world, self.gt_pose.t, self._rot,
+                                         self._K, self._K.height)
+        return depth
+
+    def depth_rows(self, stop: int) -> np.ndarray:
+        """Rows ``0 .. stop - 1`` of ``depth``, bit for bit, for
+        ``0 < stop <= K.height``; asked for every row, it builds and keeps
+        ``depth``."""
+        if "depth" in vars(self) or stop >= self._K.height:
+            return self.depth[:stop]
+        return _render_rows(self._world, self.gt_pose.t, self._rot, self._K, stop)[0]
 
     @cached_property
     def color(self) -> np.ndarray:
-        color = _shade(self._world, self.gt_pose.t, self.depth.ravel(), *self._walk)
+        depth = self.depth
+        color = _shade(self._world, self.gt_pose.t, depth.ravel(), *self._walk)
         del self._walk
-        return color.reshape(self.depth.shape)
+        return color.reshape(depth.shape)
 
     @cached_property
     def _landmarks(self) -> tuple:
@@ -565,9 +582,10 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     image column share one horizontal direction. A 2-D grid walk along it
     gives the column's first wall crossing ``t_wall``; a pixel whose ray
     meets the floor plane first (``t_floor <= t_wall``) sees floor, else it
-    sees the wall if the crossing lies below the wall top, else sky. The
-    walk and the depth happen here; the returned frame shades its texture
-    and finds its landmarks when they are first read. Raises
+    sees the wall if the crossing lies below the wall top, else sky. Only
+    the checks happen here: the returned frame walks and solves for its
+    depth, or for the rows of it a caller asks for, shades its texture and
+    finds its landmarks when they are first read. Raises
     ``PoseInCollision`` for a camera inside a wall and ``ValueError`` for a
     camera that is not level or not below the wall top."""
     cam = pose.t
@@ -578,18 +596,26 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     rot = pose.rotation_matrix()
     if np.max(np.abs(rot[:, 1] - (0.0, 0.0, -1.0))) > 1e-9:
         raise ValueError("camera must be level (camera y axis along world -z)")
+    return SimFrame(world, K, pose, rot)
 
-    dirs_world = _camera_rays(K) @ rot.T
+
+def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int):
+    """Depth of image rows ``0 .. stop - 1`` of a checked level camera at
+    ``cam`` with rotation ``rot``, and the per-pixel walk arrays shading
+    reads: (depth (stop, width), (dirs_world, floor, wall, face)). Every
+    pixel's value depends on its own ray alone, so these rows are the top of
+    the full image (``stop = K.height``) bit for bit."""
+    dirs_world = _camera_rays(K)[:stop * K.width] @ rot.T
     # rounding splits a column's horizontal direction into a few that differ
     # in the last bits; walking each once gives every pixel its own ray's
     # crossing, so no depth bit moves (keyframe coverage bins wall points,
     # which lie exactly on grid lines)
-    col_x = dirs_world[:, 0].reshape(K.height, K.width).T.ravel()
-    col_y = dirs_world[:, 1].reshape(K.height, K.width).T.ravel()
+    col_x = dirs_world[:, 0].reshape(stop, K.width).T.ravel()
+    col_y = dirs_world[:, 1].reshape(stop, K.width).T.ravel()
     new = np.ones(col_x.size, dtype=bool)
     new[1:] = (col_x[1:] != col_x[:-1]) | (col_y[1:] != col_y[:-1])
     t_wall, face = raycast(world, cam, np.column_stack((col_x[new], col_y[new])))
-    walk = (np.cumsum(new) - 1).reshape(K.width, K.height).T.ravel()
+    walk = (np.cumsum(new) - 1).reshape(K.width, stop).T.ravel()
     t_wall, face = t_wall[walk], face[walk]
 
     dz = dirs_world[:, 2]
@@ -599,8 +625,7 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     wall = ~floor & (cam[2] + dz * t_wall <= world.wall_height)
     # dirs_cam has unit z, so the ray parameter equals camera z-depth
     t = np.where(floor, t_floor, np.where(wall, t_wall, 0.0))
-    depth = t.reshape(K.height, K.width)
-    return SimFrame(world, K, depth, pose, (dirs_world, floor, wall, face))
+    return t.reshape(stop, K.width), (dirs_world, floor, wall, face)
 
 
 def _shade(world: GridWorld, cam, t, dirs_world, floor, wall, face) -> np.ndarray:
@@ -663,6 +688,11 @@ def planar_camera_pose(x: float, y: float, yaw: float,
                     [-c, 0.0, s],
                     [0.0, -1.0, 0.0]])
     return Pose.from_rt(rot, np.array([x, y, z]))
+
+
+# a step's start pose in its own frame, inverted once: the step's odometry
+# delta is that pose ``between`` the noisy end pose
+_ODOM_FRAME_INVERSE = planar_camera_pose(0.0, 0.0, 0.0, CAMERA_HEIGHT_DEFAULT).inverse()
 
 
 def pose_to_planar(pose: Pose):
@@ -738,9 +768,8 @@ class SimRobot:
         od_left = d_left + n2 * sig_t
         od_yaw = d_yaw + n3 * sig_r + self.noise.yaw_bias_per_m * length
 
-        z = CAMERA_HEIGHT_DEFAULT
-        delta = planar_camera_pose(0.0, 0.0, 0.0, z).between(
-            planar_camera_pose(od_fwd, od_left, od_yaw, z))
+        delta = _ODOM_FRAME_INVERSE.compose(
+            planar_camera_pose(od_fwd, od_left, od_yaw, CAMERA_HEIGHT_DEFAULT))
 
         self.x, self.y, self.yaw = nx, ny, wrap_angle(nyaw)
         return self.gt_pose, delta
@@ -790,14 +819,14 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     dt = 1.0 / odom_rate
     frames, odometry, gt_stream = [], [], []
     t = 0.0
-    gt_stream.append((t, robot.gt_pose))
+    gt_pose = robot.gt_pose     # each step returns the next one
+    gt_stream.append((t, gt_pose))
 
-    def capture(ts):
-        sf = render(world, robot.gt_pose, K)
-        frames.append(SegmentFrame(obs=sf.observation(), pose=sf.gt_pose,
-                                   timestamp=ts))
+    def capture(ts, pose):
+        frames.append(SegmentFrame(obs=render(world, pose, K).observation(),
+                                   pose=pose, timestamp=ts))
 
-    capture(0.0)
+    capture(0.0, gt_pose)
     next_cam = 1.0 / camera_rate
 
     wp_i = 1
@@ -830,11 +859,11 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
         odometry.append((t, delta))
         gt_stream.append((t, gt_pose))
         if t >= next_cam - 1e-9:
-            capture(t)
+            capture(t, gt_pose)
             next_cam += 1.0 / camera_rate
 
     if frames and frames[-1].timestamp < t:
-        capture(t)
+        capture(t, gt_pose)
 
     segment = Segment(frames=frames, camera=K)
     return SegmentRecording(segment=segment, odometry=odometry,

@@ -146,6 +146,33 @@ class TestModeMachine:
         assert p.consecutive_failures == 0
         assert len(p.fusion.priors) == n_priors + 1
 
+    def test_late_fix_in_lost_mode_is_unverified(self, corridor_map):
+        # Lost on a stale graph, a fix nearest a state before the window
+        # would add a prior that the windowed solve leaves out; it leaves
+        # the pipeline Lost, as it is gated while tracking
+        world, topo = corridor_map
+        p = Pipeline(topo, K, oracle, PipelineConfig(window=5))
+        view = render(world, topo.nodes[3].pose, K).observation()
+        p.on_observation(view, 0.0)
+        for k in range(1, 11):
+            p.on_odometry(Pose.identity(), 0.1 * k)
+        for _ in range(p.config.max_failures):
+            p.on_observation(flat_observation(), 1.0)
+        assert p.mode is PipelineMode.LOST
+        fusion, pending = p.fusion, p._pending_lost_delta
+        before = (fusion.states.copy(), list(fusion.timestamps), fusion.priors.copy())
+
+        out = p.on_observation(view, 0.2)     # state 2; the window is 6-10
+        assert out.status == "GlUnverified" and out.fix is None
+        assert p.mode is PipelineMode.LOST
+        assert p.fusion is fusion and p._pending_lost_delta is pending
+        after = (fusion.states, fusion.timestamps, fusion.priors)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+        out = p.on_observation(view, 0.6)     # state 6, inside the window
+        assert out.status == "Success" and p.mode is PipelineMode.TRACKING
+        assert len(fusion.priors) == len(before[2]) + 1
+
 
 MATCHERS = {"oracle": oracle, "classical": match_classical}
 
@@ -358,15 +385,14 @@ def corridor_views(corridor_map):
     views.append(dataclasses.replace(views[1], landmark_ids=np.zeros(0, dtype=np.int64),
                                      landmark_uv=np.zeros((0, 2)),
                                      landmark_depth=np.zeros(0)))
-    return views + [flat_observation()]
+    return views + [flat_observation(), dataclasses.replace(views[1], depth=None)]
 
 
 # a stream event: odometry (up to 5 m along each axis and up to pi about
 # one) or an observation of one of the views, each a step of time after or
-# before the latest timestamp, or at any finite timestamp
+# before the latest timestamp, or at any timestamp, non-finite ones included
 _times = st.one_of(st.tuples(st.sampled_from(["after", "before"]), st.floats(0.01, 2.0)),
-                   st.tuples(st.just("at"), st.floats(allow_nan=False,
-                                                      allow_infinity=False)))
+                   st.tuples(st.just("at"), st.floats()))
 _deltas = st.builds(
     lambda t, axis, angle: se3_exp(np.r_[t, angle * np.eye(3)[axis]]),
     st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
@@ -374,7 +400,7 @@ _deltas = st.builds(
 _YAW_PI = Pose(np.zeros(3), [0.0, 0.0, 1.0, 0.0])   # pi about the camera's y axis
 _events = st.lists(
     st.one_of(st.tuples(st.just("odometry"), _deltas, _times),
-              st.tuples(st.just("observation"), st.integers(0, 5), _times)),
+              st.tuples(st.just("observation"), st.integers(0, 6), _times)),
     max_size=12)
 
 
@@ -393,6 +419,12 @@ class TestContractProperties:
     @example(boot=True, events=[("odometry", _YAW_PI, ("after", 1.0)),
                                 ("odometry", _YAW_PI, ("after", 1.0)),
                                 ("observation", 1, ("before", 1.0))])
+    # bad input in either mode: a non-finite timestamp, a view without depth
+    @example(boot=False, events=[("odometry", _YAW_PI, ("at", math.nan)),
+                                 ("observation", 6, ("after", 1.0)),
+                                 ("observation", 1, ("at", math.inf))])
+    @example(boot=True, events=[("odometry", _YAW_PI, ("at", -math.inf)),
+                                ("observation", 6, ("after", 1.0))])
     def test_stream_contracts(self, corridor_map, corridor_views, boot, events):
         _, topo = corridor_map
         p = Pipeline(topo, K, oracle)
@@ -401,6 +433,10 @@ class TestContractProperties:
             assert p.on_observation(corridor_views[1], last).status == "Success"
         for kind, arg, (how, t) in events:
             t = {"after": last + t, "before": last - t, "at": t}[how]
+            payload = corridor_views[arg] if kind == "observation" else arg
+            if not math.isfinite(t) or (kind == "observation" and payload.depth is None):
+                self.assert_rejected(p, kind, payload, t)
+                continue
             last = max(last, t)
             lost = p.mode is PipelineMode.LOST
             if kind == "odometry":
@@ -420,6 +456,26 @@ class TestContractProperties:
             else:
                 with pytest.raises(NotLocalized):
                     p.current_world_pose()
+
+    @staticmethod
+    def assert_rejected(p, kind, payload, t):
+        """Bad input raises its documented error and changes nothing."""
+        def state():
+            fusion = p.fusion
+            return (p.mode, p.consecutive_failures, fusion, p._pending_lost_delta,
+                    fusion.states.copy(), list(fusion.timestamps), fusion.priors.copy())
+
+        before = state()
+        error = NonMonotonicTimestamp if not math.isfinite(t) else NoDepth
+        with pytest.raises(error):
+            if kind == "odometry":
+                p.on_odometry(payload, t)
+            else:
+                p.on_observation(payload, t)
+        after = state()
+        assert after[:2] == before[:2]
+        assert after[2] is before[2] and after[3] is before[3]
+        assert all(np.array_equal(a, b) for a, b in zip(after[4:], before[4:]))
 
 
 class TestReplayRegression:

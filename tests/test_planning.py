@@ -8,6 +8,7 @@ from vloc.errors import NoMatches, NoPath
 from vloc.geometry import CameraIntrinsics, Pose, unproject
 from vloc.mapgraph import MapNode, TopoMetricMap, build_map, select_keyframes
 from vloc.matching import match_oracle
+from vloc.pipeline import Pipeline
 from vloc import planning
 from vloc.planning import (
     ARC_DS,
@@ -25,6 +26,7 @@ from vloc.planning import (
     compute_ate,
     depth_to_obstacles,
     next_subgoal,
+    obstacle_rows,
     plan_global,
     plan_local,
     resolve_goal,
@@ -32,6 +34,7 @@ from vloc.planning import (
     to_robot_frame,
 )
 from vloc.retrieval import extract_descriptor
+from vloc import simworld
 from vloc.simworld import (
     OdomNoise,
     GridWorld,
@@ -418,6 +421,20 @@ class TestObstacleCloud:
                         depth, intrinsics, (0.0, band[1])))
         assert below > 0     # the band does reach rows below the horizon
 
+    def test_reads_only_the_obstacle_rows(self, mapping_drives):
+        assert obstacle_rows(K) == obstacle_rows(K_HALF) == 64
+        for name in PRESETS:
+            for intrinsics, depths in zip((K, K_HALF), mapping_drives[name]):
+                for k, depth in enumerate(depths):
+                    got = depth_to_obstacles(depth[:obstacle_rows(intrinsics)],
+                                             intrinsics)
+                    want = depth_to_obstacles(depth, intrinsics)
+                    assert got.tobytes() == want.tobytes(), f"{name} frame {k}"
+
+    def test_a_band_below_the_camera_needs_every_row(self, monkeypatch):
+        monkeypatch.setattr(planning, "OBSTACLE_Z_BAND", (-1e-9, OBSTACLE_Z_BAND[1]))
+        assert obstacle_rows(K) == obstacle_rows(K_HALF) == K.height
+
     def test_plan_local_matches_brute_force_on_full_cloud(self, mapping_drives):
         rng = np.random.default_rng(23)
         for name in PRESETS:
@@ -480,6 +497,28 @@ class TestRunNavigation:
                            start=start, seed=1)
         assert rep.success
         assert rep.path_length_m < 0.5
+
+    def test_only_observed_ticks_build_the_full_depth(self, corridor_setup,
+                                                      monkeypatch):
+        # a tick that plans without localizing renders the obstacle rows
+        # alone; an observed tick builds the whole image once
+        world, topo = corridor_setup
+        stops, observed = [], []
+        render_rows = simworld._render_rows
+        monkeypatch.setattr(simworld, "_render_rows",
+                            lambda *a: stops.append(a[-1]) or render_rows(*a))
+        on_observation = Pipeline.on_observation
+        monkeypatch.setattr(Pipeline, "on_observation", lambda self, obs, t:
+                            observed.append(t) or on_observation(self, obs, t))
+        start = topo.nodes[0].pose.t
+        rep, = run_mission(world, topo, [topo.nodes[4].image], K,
+                           lambda a, b: match_oracle(a, b, seed=0),
+                           start=(start[0], start[1], 0.0), seed=1,
+                           config=NavConfig(timeout=6.0))
+        assert len(rep.gt_trajectory) > 2 * len(observed) > 0
+        assert stops.count(K.height) == len(observed)
+        partial = [stop for stop in stops if stop != K.height]
+        assert partial and set(partial) == {obstacle_rows(K)}
 
     def test_blocked_goal_times_out_with_trajectory(self, corridor_setup):
         world, topo = corridor_setup

@@ -542,6 +542,39 @@ class TestLazyFrame:
         assert obs.landmark_uv is frame.landmark_uv
         assert obs.landmark_depth is frame.landmark_depth
 
+    def test_render_only_checks(self, corridor, monkeypatch):
+        monkeypatch.setattr(simworld, "_render_rows",
+                            lambda *a: pytest.fail("render walked the grid"))
+        frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
+        assert frame.gt_pose.t[0] == 2.0
+        assert not {"depth", "_walk", *SHADING} & set(vars(frame))
+
+    @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+    def test_depth_rows_are_the_top_of_depth(self, name):
+        world, _ = make_preset(name, seed=1)
+        rng = np.random.default_rng(41)
+        poses = [planar_camera_pose(x, y, rng.uniform(-math.pi, math.pi),
+                                    z=rng.uniform(0.3, 1.7))
+                 for x, y in random_free_points(world, rng, 12)]
+        # rays through grid corners, as in the per-pixel reference test
+        lattice = np.round(random_free_points(world, rng, 8) * 4.0) / 4.0
+        poses += [planar_camera_pose(x, y, k * math.pi / 4.0)
+                  for k, (x, y) in enumerate(lattice) if world.free_point(x, y)]
+        for pose in poses:
+            depth = render(world, pose, K).depth
+            frame = render(world, pose, K)
+            for stop in (1, 63, 64, 65):
+                rows = frame.depth_rows(stop)
+                assert rows.shape == (stop, K.width)
+                assert rows.tobytes() == depth[:stop].tobytes()
+            assert "depth" not in vars(frame)    # the rows alone were built
+            assert frame.depth_rows(128).tobytes() == depth.tobytes()
+            assert "depth" in vars(frame)        # every row: built and kept
+            assert frame.depth.tobytes() == depth.tobytes()
+            for stop in (1, 63, 64, 65, 128):
+                assert frame.depth_rows(stop).tobytes() == depth[:stop].tobytes()
+            assert np.shares_memory(frame.depth_rows(64), frame.depth)
+
     def test_annotate_shades_only_nodes_without_image(self, corridor, monkeypatch):
         poses = [planar_camera_pose(x, CORRIDOR_Y, 0.1) for x in (2.0, 4.0)]
         image = np.full((K.height, K.width), 7, dtype=np.uint8)
