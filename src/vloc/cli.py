@@ -20,10 +20,10 @@ from .dataio import read_pgm, read_trajectory, write_csv, write_trajectory
 from .errors import FormatError, NoPath, VlocError
 from .geometry import CameraIntrinsics, fmt17
 from .mapgraph import (COVIS_THRESHOLD_DEFAULT, GRID_RES_DEFAULT, NAV_RADIUS_DEFAULT,
-                       build_map, load_map, save_map, select_keyframes)
+                       build_map, load_map, nearest_node, save_map, select_keyframes)
 from .pipeline import (GL_MIN_SIM_DEFAULT, MAX_FAILURES_DEFAULT, WINDOW_DEFAULT,
                        ObservationOutcome, Pipeline, PipelineConfig)
-from .planning import NavConfig, NavReport, compute_ate, nearest_node, run_mission
+from .planning import NavConfig, NavReport, compute_ate, run_mission
 from .relocal import PnPParams
 
 DEFAULT_CAMERA = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0,

@@ -201,6 +201,13 @@ def _adjacency(edges, n: int) -> sparse.csr_array:
     return adj
 
 
+def nearest_node(topo_map: TopoMetricMap, position) -> int:
+    """Id of the node nearest ``position``, the lowest id on ties."""
+    dists = np.linalg.norm(topo_map.node_positions() - np.asarray(position),
+                           axis=1)
+    return int(np.argmin(dists))
+
+
 def maps_equal(a: TopoMetricMap, b: TopoMetricMap) -> bool:
     """Field-by-field equality, including descriptor bytes and images."""
     if (len(a.nodes) != len(b.nodes) or a.descriptor_dim != b.descriptor_dim

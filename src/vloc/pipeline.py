@@ -8,8 +8,9 @@ Tracking mode gathers the nearest node plus its 1-hop covisibility
 neighbors, localizes against the most similar candidate, feeds successful
 fixes into the fusion graph (windowed optimization), and falls back to
 Lost after enough consecutive failures. Odometry is propagated at high
-rate; in Lost mode deltas are buffered so relocalization resumes from the
-dead-reckoned motion instead of discarding it.
+rate into the fusion graph in either mode, once it has a state: in Lost
+mode the graph keeps dead-reckoning, so relocalization resumes from the
+motion made while lost instead of discarding it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     SingularNormalEquations,
 )
 from .geometry import CameraIntrinsics, Pose, fmt17, rotation_angle
+from .mapgraph import nearest_node
 from .poseslam import FusionGraph, odom_sigmas, vloc_fix_sigmas
 from .relocal import PnPParams, RelocStatus, localize_against_node
 from .retrieval import extract_descriptor, similarity, top_k
@@ -101,7 +103,6 @@ class Pipeline:
         self.mode = PipelineMode.LOST
         self.consecutive_failures = 0
         self.fusion = FusionGraph()
-        self._pending_lost_delta = Pose.identity()
 
     # -- observations ---------------------------------------------------------
 
@@ -178,33 +179,28 @@ class Pipeline:
 
     def _start_tracking(self, seed: Pose, fix: Pose, inliers: int,
                         timestamp: float) -> bool:
-        """Bridge the Lost gap with the buffered motion (or seed an empty
-        graph at ``seed``), apply the fix and enter Tracking. A fix about pi
-        from the bridged state fails its solve (its prior residual has no
-        tangent); tracking then restarts on a new graph seeded at ``seed``.
-        False, with the graph as it was, when that fails too, or when the
-        stale graph's state nearest the fix lies before its optimization
-        window (a late fix, rejected as in Tracking mode)."""
+        """Apply the fix and enter Tracking. The fix goes to the stale graph,
+        which dead-reckoned through the Lost period, or, when there is none
+        or its solve fails, to a new graph seeded at ``seed``. A fix about pi
+        from the state it attaches to fails its solve (its prior residual
+        has no tangent); a new graph is kept only when its solve succeeds.
+        False, with the graph as it was, when both fail, or when the stale
+        graph's state nearest the fix lies before its optimization window
+        (a late fix, rejected as in Tracking mode)."""
         stale = self.fusion
         if stale.timestamps and self._before_window(stale.nearest_state(timestamp)):
             return False
-        graphs = [stale, FusionGraph()] if stale.timestamps else [stale]
-        for graph in graphs:
-            n_states, n_priors = len(graph.timestamps), len(graph.priors)
+        fresh = FusionGraph()
+        fresh.initialize(seed, timestamp)
+        for graph in ([stale] if stale.timestamps else []) + [fresh]:
+            n_priors = len(graph.priors)
             self.fusion = graph
             try:
-                if not n_states:
-                    graph.initialize(seed, timestamp)
-                elif timestamp > graph.timestamps[-1]:
-                    step = float(np.linalg.norm(self._pending_lost_delta.t))
-                    graph.propagate(self._pending_lost_delta,
-                                    odom_sigmas(step), timestamp)
                 self._apply_fix(fix, inliers, timestamp)
             except (NearSingularRotation, SingularNormalEquations):
-                graph.truncate(n_states, n_priors)
+                graph.truncate(n_priors)
                 continue
             self.mode = PipelineMode.TRACKING
-            self._pending_lost_delta = Pose.identity()
             return True
         self.fusion = stale
         return False
@@ -235,9 +231,7 @@ class Pipeline:
             or rotation_angle(fix.q, estimate[3:]) > math.radians(FIX_GATE_DEG))
 
     def _pick_reference(self, query_desc, position) -> int:
-        positions = self.map.node_positions()
-        dists = np.linalg.norm(positions - position, axis=1)
-        nearest = int(np.argmin(dists))
+        nearest = nearest_node(self.map, position)
         candidates = sorted({nearest, *self.map.cvg_neighbors(nearest)})
         sims = [similarity(query_desc, self.map.nodes[c].descriptor)
                 for c in candidates]
@@ -246,20 +240,21 @@ class Pipeline:
     # -- odometry --------------------------------------------------------------
 
     def on_odometry(self, delta: Pose, timestamp: float) -> Pose:
-        """High-rate propagation; returns the world pose estimate.
-
-        In Lost mode the delta is buffered into the pending chain (keeping
-        dead-reckoning continuity for relocalization) and NotLocalized is
-        raised since no world pose can be claimed. Raises, changing
-        nothing, NonMonotonicTimestamp for a timestamp that is not finite or,
-        while tracking, not after the last one."""
+        """High-rate propagation into the fusion graph, in either mode once
+        it has a state; returns the world pose estimate. In Lost mode the
+        graph keeps dead-reckoning and NotLocalized is raised, since no world
+        pose can be claimed; before the first fix NotLocalized is raised and
+        nothing changes. Raises, changing nothing, NonMonotonicTimestamp for
+        a timestamp that is not finite or not after the graph's last one."""
         if not math.isfinite(timestamp):
             raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
-        if self.mode is not PipelineMode.TRACKING:
-            self._pending_lost_delta = self._pending_lost_delta.compose(delta)
-            raise NotLocalized("pipeline is in Lost mode")
+        if not self.fusion.timestamps:
+            raise NotLocalized("pipeline has no fix yet")
         step = float(np.linalg.norm(delta.t))
-        return self.fusion.propagate(delta, odom_sigmas(step), timestamp)
+        pose = self.fusion.propagate(delta, odom_sigmas(step), timestamp)
+        if self.mode is not PipelineMode.TRACKING:
+            raise NotLocalized("pipeline is in Lost mode")
+        return pose
 
     def current_world_pose(self):
         """(pose, timestamp) of the estimate, the fusion graph's last state."""

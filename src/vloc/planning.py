@@ -25,6 +25,7 @@ from scipy.sparse import csgraph
 
 from .errors import EmptyMap, NoMatches, NoPath, NotLocalized
 from .geometry import CameraIntrinsics, Pose
+from .mapgraph import nearest_node
 from .pipeline import Pipeline, PipelineConfig, PipelineMode
 from .retrieval import extract_descriptor, top_k
 from .simworld import CAMERA_HEIGHT_DEFAULT, GridWorld, SimRobot, pose_to_planar, render
@@ -94,13 +95,6 @@ def resolve_goal(topo_map, goal_image):
         raise EmptyMap("cannot resolve a goal against an empty map")
     node_id, sim = top_k(extract_descriptor(goal_image), topo_map, k=1).top1()
     return node_id, sim
-
-
-def nearest_node(topo_map, position) -> int:
-    """Id of the node nearest ``position``, the lowest id on ties."""
-    dists = np.linalg.norm(topo_map.node_positions() - np.asarray(position),
-                           axis=1)
-    return int(np.argmin(dists))
 
 
 def robot_frame_of(pose: Pose):

@@ -144,14 +144,11 @@ class FusionGraph:
         self._priors = _append(self._priors, self._n_priors, factor)
         self._n_priors += 1
 
-    def truncate(self, n_states: int, n_priors: int) -> None:
-        """Undo appends: keep the first ``n_states`` states, the between
-        factors linking them and the first ``n_priors`` priors."""
-        if n_states > len(self.timestamps) or n_priors > self._n_priors or \
-                np.any(self.priors["index"][:n_priors] >= n_states):
-            raise ValueError(f"cannot truncate to {n_states}, {n_priors}")
+    def truncate(self, n_priors: int) -> None:
+        """Undo ``add_vloc_fix`` calls: keep the first ``n_priors`` priors."""
+        if not 0 <= n_priors <= self._n_priors:
+            raise ValueError(f"cannot truncate {self._n_priors} priors to {n_priors}")
         self._n_priors = n_priors
-        del self.timestamps[n_states:]
 
     def current_pose(self):
         if not self.timestamps:

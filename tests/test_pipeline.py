@@ -88,15 +88,75 @@ class TestModeMachine:
         assert p.mode is PipelineMode.LOST
         assert p.consecutive_failures == 0
 
-    def test_odometry_lost_raises_and_buffers(self, corridor_map):
-        _, topo = corridor_map
+    def test_odometry_before_first_fix_changes_nothing(self, corridor_map):
+        # with no fix yet there is no graph to dead-reckon on
+        world, topo = corridor_map
         p = Pipeline(topo, K, oracle)
+        before = dict(vars(p))
         delta = Pose(np.array([0.0, 0.0, 0.5]), [1, 0, 0, 0])
         with pytest.raises(NotLocalized):
             p.on_odometry(delta, 0.0)
         with pytest.raises(NotLocalized):
             p.on_odometry(delta, 0.1)
-        assert np.allclose(p._pending_lost_delta.t, [0.0, 0.0, 1.0])
+        assert vars(p).keys() == before.keys()
+        assert all(vars(p)[k] is v for k, v in before.items())
+        assert not p.fusion.timestamps
+        p.on_observation(render(world, topo.nodes[3].pose, K).observation(), 0.2)
+        assert p.mode is PipelineMode.TRACKING and p.fusion.timestamps == [0.2]
+
+    def test_odometry_lost_on_stale_graph_dead_reckons(self, corridor_map):
+        world, topo = corridor_map
+        p = Pipeline(topo, K, oracle)
+        p.on_observation(render(world, topo.nodes[3].pose, K).observation(), 0.0)
+        for k in range(p.config.max_failures):
+            p.on_observation(flat_observation(), 0.1 * (k + 1))
+        assert p.mode is PipelineMode.LOST
+        delta = Pose(np.array([0.0, 0.0, 0.2]), [1, 0, 0, 0])
+        estimate = p.fusion.current_pose()[0]
+        for k in range(1, 4):
+            with pytest.raises(NotLocalized):
+                p.on_odometry(delta, 1.0 + k)
+            assert p.fusion.timestamps == [0.0] + [1.0 + j for j in range(1, k + 1)]
+            estimate = estimate.compose(delta)
+            assert p.fusion.current_pose()[0] == estimate
+            assert_valid(estimate)
+        assert len(p.fusion.betweens) == 3 and p.mode is PipelineMode.LOST
+        # a tick not after the graph's last one is rejected as while tracking
+        before = (p.fusion.states.copy(), list(p.fusion.timestamps))
+        with pytest.raises(NonMonotonicTimestamp):
+            p.on_odometry(delta, 3.0)
+        assert np.array_equal(p.fusion.states, before[0])
+        assert p.fusion.timestamps == before[1]
+
+    def test_reacquire_at_a_timestamp_shared_with_odometry(self, corridor_map):
+        # vloc localize's order: 10 Hz odometry and observations merged by
+        # timestamp, the observation first on a tie. Tracking is lost at
+        # 0.5 and regained at 1.0; the tick at 1.0 then propagates
+        world, topo = corridor_map
+        p = Pipeline(topo, K, oracle)
+        start = topo.nodes[2].pose
+        delta = Pose(np.array([0.0, 0.0, 0.1]), [1, 0, 0, 0])
+        moved = planar_camera_pose(start.t[0] + 1.0, start.t[1], 0.0)
+        events = [(k / 10, 1, delta) for k in range(1, 11)]
+        events += [(0.0, 0, render(world, start, K).observation())]
+        events += [(k / 10, 0, flat_observation()) for k in range(1, 6)]
+        events += [(1.0, 0, render(world, moved, K).observation())]
+        events.sort(key=lambda e: (e[0], e[1]))
+        poses = []
+        for ts, kind, payload in events:
+            if kind == 0:
+                out = p.on_observation(payload, ts)
+                continue
+            try:
+                poses.append((ts, p.on_odometry(payload, ts)))
+            except NotLocalized:
+                assert p.mode is PipelineMode.LOST and 0.5 <= ts < 1.0
+        assert out.status == "Success" and p.mode is PipelineMode.TRACKING
+        assert [ts for ts, _ in poses] == [0.1, 0.2, 0.3, 0.4, 1.0]
+        for _, pose in poses:
+            assert_valid(pose)
+        assert p.fusion.timestamps == [0.0] + [k / 10 for k in range(1, 11)]
+        assert np.linalg.norm(poses[-1][1].t - moved.t) < 0.2
 
     def test_odometry_tracking_propagates(self, corridor_map):
         world, topo = corridor_map
@@ -159,13 +219,13 @@ class TestModeMachine:
         for _ in range(p.config.max_failures):
             p.on_observation(flat_observation(), 1.0)
         assert p.mode is PipelineMode.LOST
-        fusion, pending = p.fusion, p._pending_lost_delta
+        fusion = p.fusion
         before = (fusion.states.copy(), list(fusion.timestamps), fusion.priors.copy())
 
         out = p.on_observation(view, 0.2)     # state 2; the window is 6-10
         assert out.status == "GlUnverified" and out.fix is None
         assert p.mode is PipelineMode.LOST
-        assert p.fusion is fusion and p._pending_lost_delta is pending
+        assert p.fusion is fusion
         after = (fusion.states, fusion.timestamps, fusion.priors)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
@@ -359,7 +419,6 @@ class TestHostileInput:
         fusion = p.fusion
         before = (fusion.states.copy(), list(fusion.timestamps),
                   fusion.priors.copy(), fusion.betweens.copy())
-        pending = p._pending_lost_delta
         obs = render(world, topo.nodes[3].pose, K).observation()
         monkeypatch.setattr(pipeline_module, "localize_against_node", turned_fix)
         out = p.on_observation(obs, 9.0)
@@ -367,7 +426,6 @@ class TestHostileInput:
         assert p.mode is PipelineMode.LOST
         after = (fusion.states, fusion.timestamps, fusion.priors, fusion.betweens)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
-        assert p._pending_lost_delta is pending
         if graph == "after_tracking":
             fusion.optimize()
         monkeypatch.undo()
@@ -398,6 +456,7 @@ _deltas = st.builds(
     st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
     st.integers(0, 2), st.floats(-math.pi, math.pi))
 _YAW_PI = Pose(np.zeros(3), [0.0, 0.0, 1.0, 0.0])   # pi about the camera's y axis
+_STEP = Pose(np.array([0.0, 0.0, 0.05]), [1, 0, 0, 0])
 _events = st.lists(
     st.one_of(st.tuples(st.just("odometry"), _deltas, _times),
               st.tuples(st.just("observation"), st.integers(0, 6), _times)),
@@ -425,6 +484,14 @@ class TestContractProperties:
                                  ("observation", 1, ("at", math.inf))])
     @example(boot=True, events=[("odometry", _YAW_PI, ("at", -math.inf)),
                                 ("observation", 6, ("after", 1.0))])
+    # Lost on a stale graph: odometry dead-reckons on it, one tick out of
+    # order is rejected, and the view reacquires on it at a timestamp the
+    # next tick shares
+    @example(boot=True, events=[("observation", 5, ("after", 1.0))] * 5 + [
+        ("odometry", _STEP, ("after", 0.1)),
+        ("odometry", _STEP, ("before", 0.05)),
+        ("observation", 1, ("after", 0.1)),
+        ("odometry", _STEP, ("after", 0.0))])
     def test_stream_contracts(self, corridor_map, corridor_views, boot, events):
         _, topo = corridor_map
         p = Pipeline(topo, K, oracle)
@@ -444,8 +511,10 @@ class TestContractProperties:
                     assert_valid(p.on_odometry(arg, t))
                 except NotLocalized:
                     assert lost
+                    if p.fusion.timestamps:
+                        assert_valid(p.fusion.current_pose()[0])
                 except NonMonotonicTimestamp:
-                    assert not lost
+                    assert p.fusion.timestamps and t <= p.fusion.timestamps[-1]
             else:
                 out = p.on_observation(corridor_views[arg], t)
                 if out.fix is not None:
@@ -462,7 +531,7 @@ class TestContractProperties:
         """Bad input raises its documented error and changes nothing."""
         def state():
             fusion = p.fusion
-            return (p.mode, p.consecutive_failures, fusion, p._pending_lost_delta,
+            return (p.mode, p.consecutive_failures, fusion,
                     fusion.states.copy(), list(fusion.timestamps), fusion.priors.copy())
 
         before = state()
@@ -474,8 +543,8 @@ class TestContractProperties:
                 p.on_observation(payload, t)
         after = state()
         assert after[:2] == before[:2]
-        assert after[2] is before[2] and after[3] is before[3]
-        assert all(np.array_equal(a, b) for a, b in zip(after[4:], before[4:]))
+        assert after[2] is before[2]
+        assert all(np.array_equal(a, b) for a, b in zip(after[3:], before[3:]))
 
 
 class TestReplayRegression:
@@ -550,8 +619,9 @@ class TestReplayRegression:
         out = p.on_observation(frame2.observation(), 2.0)
         assert p.mode is PipelineMode.TRACKING
         assert out.status == "Success"
-        # the lost-period motion entered the graph as a between factor
-        assert len(p.fusion.states) == 2
+        # the lost-period motion entered the graph as one between factor
+        # per odometry tick
+        assert len(p.fusion.states) == 6
         est, _ = p.fusion.current_pose()
         assert np.linalg.norm(est.t - moved.t) < 0.1
 

@@ -126,12 +126,13 @@ class TestRejectedCallChangesNothing:
         g = chain_graph([tx(1.0)] * 3, [(0, Pose.identity(), TIGHT)])
         before = (g.states.copy(), list(g.timestamps), g.betweens.copy(),
                   g.priors.copy())
-        g.propagate(tx(1.0), SIG6, 4.0)
-        g.add_vloc_fix(4, tx(4.0), TIGHT)
+        g.add_vloc_fix(3, tx(3.0), TIGHT)
         g.add_vloc_fix(1, tx(1.0), TIGHT)
-        with pytest.raises(ValueError):
-            g.truncate(4, 2)          # would keep a prior on state 4
-        g.truncate(4, 1)
+        for bad in (4, -1):           # more priors than there are, or fewer than none
+            with pytest.raises(ValueError):
+                g.truncate(bad)
+        assert len(g.priors) == 3
+        g.truncate(1)
         after = (g.states, g.timestamps, g.betweens, g.priors)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
