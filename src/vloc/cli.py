@@ -67,13 +67,15 @@ def _matcher_from(name: str):
     raise VlocError(f"unknown matcher '{name}'")
 
 
-def _map_matcher(args, topo, K: CameraIntrinsics):
+def _map_matcher(args, topo, K: CameraIntrinsics, world=None):
     """The ``--matcher`` of a command that matches against a loaded map: the
-    oracle first annotates the map's nodes from ``--world``."""
+    oracle first annotates the map's nodes from ``world``, which is loaded
+    from ``--world`` when not given."""
     if args.matcher == "oracle":
-        if not args.world:
+        if world is None and not args.world:
             raise VlocError("--matcher oracle needs --world to annotate map nodes")
-        simworld.annotate_map_with_landmarks(topo, K, simworld.GridWorld.load(args.world))
+        simworld.annotate_map_with_landmarks(
+            topo, K, world or simworld.GridWorld.load(args.world))
     return _matcher_from(args.matcher)
 
 
@@ -141,6 +143,10 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    config = PipelineConfig(gl_min_sim=args.gl_min_sim,
+                            max_failures=args.max_failures,
+                            window=args.window,
+                            pnp=PnPParams(min_inliers=args.min_inliers))
     topo = load_map(args.map)
     if args.ingest_descriptors:
         retrieval.ingest_descriptors(args.ingest_descriptors, topo)
@@ -148,10 +154,6 @@ def cmd_localize(args) -> int:
     segment = recording.segment
     K = segment.camera
     matcher = _map_matcher(args, topo, K)
-    config = PipelineConfig(gl_min_sim=args.gl_min_sim,
-                            max_failures=args.max_failures,
-                            window=args.window,
-                            pnp=PnPParams(min_inliers=args.min_inliers))
     pipeline = Pipeline(topo, K, matcher, config)
 
     events = []
@@ -176,10 +178,8 @@ def cmd_localize(args) -> int:
                 pass
     write_trajectory(args.out, trajectory)
     if args.log:
-        with open(args.log, "w") as f:
-            f.write(ObservationOutcome.log_header() + "\n")
-            for outcome in outcomes:
-                f.write(outcome.log_row() + "\n")
+        write_csv(args.log, ObservationOutcome.CSV_HEADER,
+                  (outcome.csv_fields() for outcome in outcomes))
     if args.batch_out and len(pipeline.fusion.priors):
         poses, _ = pipeline.fusion.optimize()
         write_trajectory(args.batch_out,
@@ -194,9 +194,7 @@ def cmd_navigate(args) -> int:
     world = simworld.GridWorld.load(args.world)
     topo = load_map(args.map)
     K = _camera_from(args.camera)
-    if args.matcher == "oracle":
-        simworld.annotate_map_with_landmarks(topo, K, world)
-    matcher = _matcher_from(args.matcher)
+    matcher = _map_matcher(args, topo, K, world)
     config = NavConfig(timeout=args.timeout)
     if args.start:
         x, y, yaw = (float(v) for v in args.start.split(","))
@@ -207,10 +205,8 @@ def cmd_navigate(args) -> int:
     reports = run_mission(world, topo, goal_images, K, matcher,
                           start=(x, y, yaw), seed=args.seed, config=config)
 
-    with open(args.report, "w") as f:
-        f.write(NavReport.csv_header() + "\n")
-        for i, rep in enumerate(reports):
-            f.write(rep.csv_row(i) + "\n")
+    write_csv(args.report, NavReport.CSV_HEADER,
+              (rep.csv_fields(i) for i, rep in enumerate(reports)))
     if args.traj:
         merged = [p for rep in reports for p in rep.trajectory]
         write_trajectory(args.traj, merged)
@@ -245,8 +241,7 @@ def cmd_bench_reloc(args) -> int:
         results.append((res, frame.pose))
 
     metrics = relocal.compute_reloc_metrics(results, times_ms=times)
-    with open(args.out, "w") as f:
-        f.write(metrics.as_csv())
+    write_csv(args.out, relocal.RelocMetrics.CSV_HEADER, [metrics.csv_fields()])
     print(f"wrote {args.out}: pct_estimated {metrics.pct_estimated:.1f}%, "
           f"median {metrics.median_et:.3f} m / {metrics.median_er:.2f} deg")
     return EXIT_OK
@@ -361,10 +356,7 @@ def main(argv=None) -> int:
     except NoPath as exc:
         print(f"no path: {exc}", file=sys.stderr)
         return EXIT_PLANNED_FAILURE
-    except VlocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (VlocError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -60,10 +60,20 @@ class PipelineConfig:
     # similarity implies geographic proximity)
     gl_fix_radius: float = 3.0
 
+    def __post_init__(self):
+        # a window below one puts every state before it, so every fix is
+        # gated; fewer than one inlier scales the fix sigmas to zero
+        for name, value in (("window", self.window),
+                            ("pnp.min_inliers", self.pnp.min_inliers)):
+            if value < 1:
+                raise ValueError(f"{name} {value} must be at least 1")
+
 
 @dataclass(frozen=True)
 class ObservationOutcome:
-    """Per-observation record; one row of the frame log."""
+    """Per-observation record; one ``write_csv`` row of the frame log."""
+
+    CSV_HEADER = "timestamp,mode,reference_node,inliers,total,status,sim_top1"
 
     timestamp: float
     mode: PipelineMode
@@ -74,14 +84,10 @@ class ObservationOutcome:
     status: str
     sim_top1: float
 
-    def log_row(self) -> str:
-        return (f"{fmt17(self.timestamp)},{self.mode.value},{self.reference_node},"
-                f"{self.inliers},{self.total},{self.status},"
-                f"{format(self.sim_top1, '.9g')}")
-
-    @staticmethod
-    def log_header() -> str:
-        return "timestamp,mode,reference_node,inliers,total,status,sim_top1"
+    def csv_fields(self) -> list:
+        return [fmt17(self.timestamp), self.mode.value, str(self.reference_node),
+                str(self.inliers), str(self.total), self.status,
+                format(self.sim_top1, ".9g")]
 
 
 class Pipeline:

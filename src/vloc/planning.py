@@ -97,15 +97,11 @@ def resolve_goal(topo_map, goal_image):
     return node_id, sim
 
 
-def robot_frame_of(pose: Pose):
-    """Planar ground frame at the camera: x forward, y left, z up."""
-    x, y, yaw = pose_to_planar(pose)
-    return np.array([x, y]), yaw
-
-
 def to_robot_frame(pose: Pose, point_world) -> np.ndarray:
-    origin, yaw = robot_frame_of(pose)
-    d = np.asarray(point_world, dtype=float)[:2] - origin
+    """``point_world`` in the planar ground frame at the camera: x forward,
+    y left, z up, with z set to 0."""
+    x, y, yaw = pose_to_planar(pose)
+    d = np.asarray(point_world, dtype=float)[:2] - np.array([x, y])
     c, s = math.cos(yaw), math.sin(yaw)
     return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], 0.0])
 
@@ -114,7 +110,7 @@ def next_subgoal(plan: GlobalPlan, topo_map, robot_pose: Pose):
     """Advance the cursor past subgoals within SWITCH_RADIUS, then return
     the active subgoal in the robot frame, or None when the final node is
     reached within GOAL_RADIUS * GOAL_SLACK (Done)."""
-    origin, _ = robot_frame_of(robot_pose)
+    origin = robot_pose.t[:2]
     while plan.subgoal_index < len(plan.node_path):
         target = topo_map.nodes[plan.node_path[plan.subgoal_index]].pose.t
         dist = float(np.linalg.norm(target[:2] - origin))
@@ -275,6 +271,11 @@ class NavConfig:
 
 @dataclass
 class NavReport:
+    """One goal of a mission: a ``write_csv`` row under ``CSV_HEADER``."""
+
+    CSV_HEADER = ("goal_index,goal_node,success,time_s,path_length_m,"
+                  "shortest_path_m,final_goal_dist_m,timed_out,goal_similarity")
+
     success: bool
     time_s: float
     path_length_m: float
@@ -286,17 +287,12 @@ class NavReport:
     trajectory: list        # estimated (t, Pose)
     gt_trajectory: list     # true (t, Pose), from t_start on
 
-    def csv_row(self, goal_index: int) -> str:
-        return (f"{goal_index},{self.goal_node},{int(self.success)},"
-                f"{format(self.time_s, '.9g')},{format(self.path_length_m, '.9g')},"
-                f"{format(self.shortest_path_m, '.9g')},"
-                f"{format(self.final_goal_dist_m, '.9g')},{int(self.timed_out)},"
-                f"{format(self.goal_similarity, '.9g')}")
-
-    @staticmethod
-    def csv_header() -> str:
-        return ("goal_index,goal_node,success,time_s,path_length_m,"
-                "shortest_path_m,final_goal_dist_m,timed_out,goal_similarity")
+    def csv_fields(self, goal_index: int) -> list:
+        floats = (self.time_s, self.path_length_m, self.shortest_path_m,
+                  self.final_goal_dist_m)
+        return [str(goal_index), str(self.goal_node), str(int(self.success)),
+                *(format(v, ".9g") for v in floats), str(int(self.timed_out)),
+                format(self.goal_similarity, ".9g")]
 
 
 def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,

@@ -491,6 +491,12 @@ PRECISION_BUCKETS = ((0.05, 5.0), (0.25, 5.0), (1.0, 10.0))
 
 @dataclass(frozen=True)
 class RelocMetrics:
+    """One ``write_csv`` row under ``CSV_HEADER``."""
+
+    CSV_HEADER = ("max_et_m,max_er_deg,median_et_m,median_er_deg,"
+                  "prec_5cm_5deg,prec_25cm_5deg,prec_1m_10deg,"
+                  "pct_estimated,mean_time_ms")
+
     max_et: float
     max_er: float
     median_et: float
@@ -499,13 +505,10 @@ class RelocMetrics:
     pct_estimated: float
     mean_time_ms: float
 
-    def as_csv(self) -> str:
-        header = ("max_et_m,max_er_deg,median_et_m,median_er_deg,"
-                  "prec_5cm_5deg,prec_25cm_5deg,prec_1m_10deg,"
-                  "pct_estimated,mean_time_ms")
-        vals = [self.max_et, self.max_er, self.median_et, self.median_er,
-                *self.precision, self.pct_estimated, self.mean_time_ms]
-        return header + "\n" + ",".join(format(v, ".9g") for v in vals) + "\n"
+    def csv_fields(self) -> list:
+        return [format(v, ".9g") for v in (
+            self.max_et, self.max_er, self.median_et, self.median_er,
+            *self.precision, self.pct_estimated, self.mean_time_ms)]
 
 
 def compute_reloc_metrics(results, times_ms=None) -> RelocMetrics:

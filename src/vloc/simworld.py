@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -204,7 +204,7 @@ def _surface_color(world: GridWorld, axis, plane_idx, su, sv) -> np.ndarray:
     ``ValueError`` for a point outside its plane's box in the table (a NaN
     coordinate included): ``render`` makes none, and a flat table would
     silently read a neighbouring plane's texels."""
-    table = world._texel_table()
+    table = world._texel_table
     n = table.planes_per_axis
     if not 0 <= plane_idx.min(initial=0) <= plane_idx.max(initial=0) < n:
         raise ValueError(f"plane index outside the texel table's [0, {n})")
@@ -251,10 +251,6 @@ class GridWorld:
     cell_size: float
     wall_height: float
     texture_seed: int
-    _landmarks: tuple | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _texels: _TexelTable | None = field(default=None, init=False, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         occ = np.array(self.occupancy, dtype=bool)
@@ -330,17 +326,15 @@ class GridWorld:
 
     def landmarks(self):
         """(ids (N,), positions (N,3), normals (N,3)), seeded per wall face."""
-        if self._landmarks is None:
-            object.__setattr__(self, "_landmarks", self._build_landmarks())
-        return self._landmarks
+        return self._landmark_table
 
+    @cached_property
     def _texel_table(self) -> _TexelTable:
-        """The texture's lattice values, hashed on the first call."""
-        if self._texels is None:
-            object.__setattr__(self, "_texels", _build_texel_table(self))
-        return self._texels
+        """The texture's lattice values, hashed on the first read."""
+        return _build_texel_table(self)
 
-    def _build_landmarks(self):
+    @cached_property
+    def _landmark_table(self) -> tuple:
         cs = self.cell_size
         h, w = self.occupancy.shape
         ids, pos, nrm = [], [], []

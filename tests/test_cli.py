@@ -8,14 +8,14 @@ import pytest
 
 from conftest import match_csv_text
 from vloc.cli import DEFAULT_CAMERA, build_parser, main
-from vloc.dataio import read_trajectory, write_pgm, write_trajectory
+from vloc.dataio import read_csv_rows, read_trajectory, write_pgm, write_trajectory
 from vloc.errors import FormatError
 from vloc.geometry import Pose
 from vloc.mapgraph import build_map, load_map, maps_equal, select_keyframes
 from vloc.matching import MatchSet, match_oracle
-from vloc.pipeline import PipelineConfig
-from vloc.planning import NavConfig, nearest_node
-from vloc.relocal import PnPParams
+from vloc.pipeline import ObservationOutcome, PipelineConfig
+from vloc.planning import NavConfig, NavReport, nearest_node
+from vloc.relocal import PnPParams, RelocMetrics
 from vloc.simworld import (GridWorld, annotate_map_with_landmarks, generate_segment,
                            load_segment, make_preset)
 
@@ -122,7 +122,21 @@ class TestLocalize:
         assert len(stream) > 100
         header = log.read_text().splitlines()[0]
         assert header == "timestamp,mode,reference_node,inliers,total,status,sim_top1"
+        _, rows = read_csv_rows(log, ObservationOutcome.CSV_HEADER, list)
+        assert len(rows) == len(load_segment(segdir).segment.frames)
         assert batch.exists()
+
+    @pytest.mark.parametrize("flag, field", [("--window", "window"),
+                                             ("--min-inliers", "pnp.min_inliers")])
+    def test_settings_that_break_the_loop_are_errors(self, workspace, tmp_path,
+                                                     capsys, flag, field):
+        _, world_path, segdir, mapdir = workspace
+        traj = tmp_path / "traj.txt"
+        assert main(["localize", "--map", str(mapdir), "--seq", str(segdir),
+                     "--out", str(traj), "--matcher", "oracle",
+                     "--world", str(world_path), flag, "0"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} 0 ")
+        assert not traj.exists()
 
     def test_localize_with_ingested_descriptors(self, workspace, tmp_path):
         _, world_path, segdir, mapdir = workspace
@@ -167,6 +181,8 @@ class TestNavigate:
             assert rc == 0
             outputs.append((report.read_bytes(), traj.read_bytes()))
         assert outputs[0] == outputs[1]
+        _, rows = read_csv_rows(report, NavReport.CSV_HEADER, list)
+        assert [row[:3] for row in rows] == [["0", "8", "1"]]
 
     def test_navigate_failure_exit_code(self, workspace, tmp_path):
         _, world_path, _, mapdir = workspace
@@ -199,8 +215,9 @@ def bench_reloc(tmp_path, *args):
     """The metrics row that ``vloc bench-reloc`` writes, by column name."""
     out = tmp_path / "metrics.csv"
     assert main(["bench-reloc", *args, "--out", str(out)]) == 0
-    header, row = out.read_text().splitlines()
-    return dict(zip(header.split(","), map(float, row.split(","))))
+    header = RelocMetrics.CSV_HEADER
+    _, (row,) = read_csv_rows(out, header, lambda row: list(map(float, row)))
+    return dict(zip(header.split(","), row))
 
 
 def oracle_match_files(workspace, replay, matches_dir, confidence):

@@ -8,12 +8,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vloc import matching
+from vloc.dataio import read_csv_rows, write_csv
 from vloc.errors import NoDepth, NonMonotonicTimestamp, NotLocalized
 from vloc.geometry import CameraIntrinsics, Pose, se3_exp
 from vloc.mapgraph import build_map, load_map, maps_equal, save_map, select_keyframes
 from vloc.matching import match_classical, match_oracle
 from vloc import pipeline as pipeline_module
-from vloc.pipeline import Pipeline, PipelineConfig, PipelineMode
+from vloc.pipeline import ObservationOutcome, Pipeline, PipelineConfig, PipelineMode
 from vloc.planning import NavConfig, compute_ate, run_mission
 from vloc.relocal import PnPParams, RelocResult, RelocStatus
 from vloc.simworld import (
@@ -748,6 +749,37 @@ class TestLogFormat:
         p = Pipeline(topo, K, oracle)
         frame = render(world, topo.nodes[0].pose, K)
         out = p.on_observation(frame.observation(), 0.25)
-        row = out.log_row().split(",")
-        assert len(row) == len(out.log_header().split(","))
+        row = out.csv_fields()
+        assert len(row) == len(ObservationOutcome.CSV_HEADER.split(","))
         assert row[1] == "Tracking" and row[5] == "Success"
+
+    def test_exact_text_reads_back(self, tmp_path):
+        out = ObservationOutcome(timestamp=0.1, mode=PipelineMode.TRACKING, fix=None,
+                                 reference_node=3, inliers=42, total=57,
+                                 status="Success", sim_top1=2 / 3)
+        path = tmp_path / "frames.csv"
+        write_csv(path, ObservationOutcome.CSV_HEADER, [out.csv_fields()])
+        assert path.read_text() == (
+            "timestamp,mode,reference_node,inliers,total,status,sim_top1\n"
+            "0.10000000000000001,Tracking,3,42,57,Success,0.666666667\n")
+        _, rows = read_csv_rows(path, ObservationOutcome.CSV_HEADER, list)
+        assert rows == [out.csv_fields()]
+
+
+class TestConfigValidation:
+    # a window below one gates every fix as "before the window", and fewer
+    # than one inlier scales the fix sigmas to zero
+    @pytest.mark.parametrize("field, config", [
+        ("window", dict(window=0)), ("window", dict(window=-3)),
+        ("pnp.min_inliers", dict(pnp=PnPParams(min_inliers=0))),
+        ("pnp.min_inliers", dict(pnp=PnPParams(min_inliers=-1)))])
+    def test_settings_that_break_the_loop_are_rejected(self, corridor_map, field,
+                                                       config):
+        _, topo = corridor_map
+        with pytest.raises(ValueError, match=f"^{field} "):
+            Pipeline(topo, K, oracle, PipelineConfig(**config))
+
+    def test_the_least_settings_are_accepted(self, corridor_map):
+        _, topo = corridor_map
+        config = PipelineConfig(window=1, pnp=PnPParams(min_inliers=1))
+        assert Pipeline(topo, K, oracle, config).config is config

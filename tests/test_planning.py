@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from vloc.dataio import read_csv_rows, write_csv
 from vloc.errors import NoMatches, NoPath
 from vloc.geometry import CameraIntrinsics, Pose, unproject
 from vloc.mapgraph import MapNode, TopoMetricMap, build_map, select_keyframes
@@ -22,6 +23,7 @@ from vloc.planning import (
     AteReport,
     GlobalPlan,
     NavConfig,
+    NavReport,
     arc_points,
     compute_ate,
     depth_to_obstacles,
@@ -242,6 +244,56 @@ class TestNextSubgoal:
         plan.subgoal_index = 2
         robot = planar_camera_pose(4.0, 0.1, 0.0, 1.0)
         assert next_subgoal(plan, topo, robot) is None
+
+    def test_bit_equal_to_reading_the_planar_frame_twice(self):
+        # next_subgoal reads the position off the pose and to_robot_frame
+        # reads the planar frame once; both equal, bit for bit, the planner
+        # that took (x, y, yaw) from pose_to_planar in each of them
+        rng = np.random.default_rng(23)
+        topo = map_from_positions(rng.uniform(-5.0, 5.0, (6, 3)),
+                                  [(i, i + 1) for i in range(5)])
+        for _ in range(1000):
+            # near a node, so subgoals are passed and the goal is reached
+            t = topo.nodes[int(rng.integers(6))].pose.t + rng.uniform(-1.0, 1.0, 3)
+            robot = (Pose(t, rng.normal(size=4)) if rng.uniform() < 0.5 else
+                     planar_camera_pose(t[0], t[1], rng.uniform(-math.pi, math.pi),
+                                        1.0))
+            target = rng.uniform(-5.0, 5.0, 3)
+            assert to_robot_frame(robot, target).tobytes() == \
+                reference_robot_frame(robot, target).tobytes()
+            path = list(rng.permutation(6)[:int(rng.integers(1, 7))])
+            start = int(rng.integers(len(path)))
+            plan = GlobalPlan(node_path=path, length=1.0, subgoal_index=start)
+            ref_plan = GlobalPlan(node_path=path, length=1.0, subgoal_index=start)
+            sub = next_subgoal(plan, topo, robot)
+            ref = reference_next_subgoal(ref_plan, topo, robot)
+            assert plan.subgoal_index == ref_plan.subgoal_index
+            assert (sub is None and ref is None) or sub.tobytes() == ref.tobytes()
+
+
+def reference_robot_frame(pose, point_world):
+    x, y, yaw = simworld.pose_to_planar(pose)
+    d = np.asarray(point_world, dtype=float)[:2] - np.array([x, y])
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], 0.0])
+
+
+def reference_next_subgoal(plan, topo_map, robot_pose):
+    x, y, _ = simworld.pose_to_planar(robot_pose)
+    origin = np.array([x, y])
+    while plan.subgoal_index < len(plan.node_path):
+        target = topo_map.nodes[plan.node_path[plan.subgoal_index]].pose.t
+        dist = float(np.linalg.norm(target[:2] - origin))
+        if plan.subgoal_index == len(plan.node_path) - 1:
+            if dist < planning.GOAL_RADIUS * planning.GOAL_SLACK:
+                return None
+            break
+        if dist < planning.SWITCH_RADIUS:
+            plan.subgoal_index += 1
+            continue
+        break
+    target = topo_map.nodes[plan.node_path[plan.subgoal_index]].pose.t
+    return reference_robot_frame(robot_pose, target)
 
 
 class TestPlanLocal:
@@ -485,6 +537,22 @@ class TestComputeAte:
         est = self.traj([(10, (0, 0, 0))])
         with pytest.raises(NoMatches):
             compute_ate(gt, est, max_dt=0.05)
+
+
+class TestNavReport:
+    def test_exact_text_reads_back(self, tmp_path):
+        rep = NavReport(success=True, time_s=12.3, path_length_m=1 / 3, goal_node=8,
+                        goal_similarity=0.1 + 0.2, shortest_path_m=2.0,
+                        final_goal_dist_m=1e-5, timed_out=False, trajectory=[],
+                        gt_trajectory=[])
+        path = tmp_path / "nav.csv"
+        write_csv(path, NavReport.CSV_HEADER, [rep.csv_fields(2)])
+        assert path.read_text() == (
+            "goal_index,goal_node,success,time_s,path_length_m,shortest_path_m,"
+            "final_goal_dist_m,timed_out,goal_similarity\n"
+            "2,8,1,12.3,0.333333333,2,1e-05,0,0.3\n")
+        _, rows = read_csv_rows(path, NavReport.CSV_HEADER, list)
+        assert rows == [rep.csv_fields(2)]
 
 
 class TestRunNavigation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vloc import relocal
+from vloc.dataio import read_csv_rows, write_csv
 from vloc.errors import EmptyInput
 from vloc.geometry import (
     DEPTH_MAX_DEFAULT,
@@ -705,3 +706,16 @@ class TestMetrics:
     def test_mean_time(self):
         m = compute_reloc_metrics([self.result()], times_ms=[4.0, 6.0])
         assert m.mean_time_ms == 5.0
+
+    def test_exact_text_reads_back(self, tmp_path):
+        m = relocal.RelocMetrics(max_et=0.5, max_er=1 / 7, median_et=2e-7,
+                                 median_er=0.0, precision=(50.0, 75.0, 100.0),
+                                 pct_estimated=100 / 3, mean_time_ms=1234.5678912)
+        path = tmp_path / "metrics.csv"
+        write_csv(path, relocal.RelocMetrics.CSV_HEADER, [m.csv_fields()])
+        assert path.read_text() == (
+            "max_et_m,max_er_deg,median_et_m,median_er_deg,prec_5cm_5deg,"
+            "prec_25cm_5deg,prec_1m_10deg,pct_estimated,mean_time_ms\n"
+            "0.5,0.142857143,2e-07,0,50,75,100,33.3333333,1234.56789\n")
+        _, rows = read_csv_rows(path, relocal.RelocMetrics.CSV_HEADER, list)
+        assert rows == [m.csv_fields()]

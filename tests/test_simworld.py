@@ -715,6 +715,10 @@ def test_texel_table_built_once_per_world(monkeypatch):
     assert len(builds) == 2 and builds[1] is other
 
 
+def test_landmark_table_kept_per_world(corridor):
+    assert corridor.landmarks() is corridor.landmarks()
+
+
 class TestRobot:
     def test_zero_command_keeps_pose(self, corridor):
         robot = SimRobot(2.0, CORRIDOR_Y, 0.0, noise=OdomNoise.zero())
