@@ -22,7 +22,18 @@ companion-matrix eigenvalue call finds every sample's quartic roots, one
 batched SVD aligns every candidate, and one array op scores a block's
 picks against all points. The sample sequence, the pick among a sample's
 candidates, the stop rule and so the result are those of the sequential
-loop, which ``tests/test_relocal.py`` keeps as the reference.
+loop, which ``tests/test_relocal.py`` keeps as the reference. The first
+block is one sample, and a clean scene stops after it, so ``_p3p_one``
+solves it in Python floats, bit for bit as the block path does. Solving
+three or more samples that way, one after another, loses to one block
+call, so both paths are kept. The samples depend only on the seed and the
+point count and are drawn once per pair (``_sample_rows``).
+
+Bit for bit rests on two rounding rules: ``_rowdot`` rounds as BLAS
+``ddot`` does (OpenBLAS 0.3.31's Haswell kernel computes it as a forward
+chain of fused multiply-adds, which a plain Python sum does not
+reproduce), and ``_square`` as C ``pow``. Poses pinned by the tests
+therefore depend on the BLAS kernel as well as on this code.
 
 Frame convention: ``solve_pnp_ransac`` returns the transform that maps
 point coordinates into the observing camera's frame. When the points are
@@ -34,6 +45,7 @@ pose.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import itertools
@@ -190,21 +202,37 @@ def _poly_roots(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
     other rows' roots are 0. Callers silence the other rows' warnings."""
     k, m = p.shape
     roots = np.zeros((k, m - 1), dtype=complex)
-    nonzero = p != 0.0
-    first = nonzero.argmax(axis=1)
-    end = m - nonzero[:, ::-1].argmax(axis=1)
-    for lo, hi in set(zip(first[rows].tolist(), end[rows].tolist())):
+    ends = p[rows][:, [0, -1]]
+    if len(ends) and ends.all():
+        # no zero to strip in any row asked for: one group of full degree
+        groups = ((0, m, rows),)
+    else:
+        nonzero = p != 0.0
+        first = nonzero.argmax(axis=1)
+        end = m - nonzero[:, ::-1].argmax(axis=1)
+        # an all-zero row falls in the first group and fails the finite test
+        groups = ((lo, hi, rows & (first == lo) & (end == hi))
+                  for lo, hi in set(zip(first[rows].tolist(), end[rows].tolist())))
+    for lo, hi, group in groups:
         deg = hi - lo - 1
         if deg == 0:
             continue
         comp = np.zeros((k, deg, deg))
         comp[:, 0] = -p[:, lo + 1:hi] / p[:, lo:lo + 1]
         comp.reshape(k, deg * deg)[:, deg::deg + 1] = 1.0     # subdiagonal
-        # an all-zero row falls in the first group and fails this test
-        ok = rows & (first == lo) & (end == hi) & np.isfinite(comp[:, 0]).all(axis=1)
+        ok = group & np.isfinite(comp[:, 0]).all(axis=1)
         comp[~ok] = 0.0
         roots[ok, :deg] = np.linalg.eigvals(comp)[ok]
     return roots
+
+
+def _pair_dots(pts: np.ndarray, rays: np.ndarray) -> np.ndarray:
+    """Squared sides (a^2, b^2, c^2 opposite points 1, 2, 3) and the
+    cosines of the angles between the rays to the other two points
+    (B, 6) of blocks of 3 points (B, 3, 3) and their unit rays."""
+    d = pts.take(_PAIR_I, axis=1) - pts.take(_PAIR_J, axis=1)
+    return _rowdot(np.concatenate([d, rays.take(_PAIR_I, axis=1)], axis=1),
+                   np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
 
 
 def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
@@ -217,11 +245,7 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     ``valid`` marks; other slots are zero. A degenerate sample has none.
     """
     n_samples = len(pts)
-    # sides a, b, c opposite points 1, 2, 3 and the cosines of the angles
-    # between the rays to the other two points
-    d = pts.take(_PAIR_I, axis=1) - pts.take(_PAIR_J, axis=1)
-    dots = _rowdot(np.concatenate([d, rays.take(_PAIR_I, axis=1)], axis=1),
-                   np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
+    dots = _pair_dots(pts, rays)
     sides = np.sqrt(dots[:, :3])
     a2, b2, c2 = (sides * sides).T
     cos_al, cos_be, cos_ga = cosines = dots[:, 3:].T
@@ -265,6 +289,76 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     t = np.zeros((n_samples, 4, 3))
     r[sample, slot], t[sample, slot] = _kabsch(pts[sample],
                                                dist[:, :, None] * rays[sample])
+    return valid, r, t
+
+
+def _p3p_one(pts: np.ndarray, rays: np.ndarray):
+    """``_p3p_grunert`` on a one-sample block (1, 3, 3), bit for bit, in
+    Python floats. Only the pair dot products (``_rowdot`` rounds as BLAS
+    ``ddot`` does, which a Python sum does not), the companion-matrix
+    eigenvalues and the Kabsch alignment are numpy calls, each on the
+    operands the block path gives it; ``x ** 2`` is C ``pow``, as
+    ``_square`` is. The block path's per-call cost is most of a sample's
+    time when it solves one, and every solve starts with one sample.
+
+    Returns None, for the block path to solve the sample, unless it is a
+    quartic with finite coefficients, a nonzero trailing one and sides of
+    at least 1e-9."""
+    dots = _pair_dots(pts, rays)[0].tolist()
+    sides = [math.sqrt(x) for x in dots[:3]]
+    if not all(side >= 1e-9 for side in sides):
+        return None
+    a2, b2, c2 = (side * side for side in sides)
+    cos_al, cos_be, cos_ga = dots[3:]
+    try:
+        sq_al, sq_be, sq_ga = cos_al ** 2, cos_be ** 2, cos_ga ** 2
+        q1, q2, cb, ab, bcb, bab = (x / b2 for x in (a2 - c2, a2 + c2, c2, a2,
+                                                     b2 - c2, b2 - a2))
+        sq_q1 = q1 ** 2
+        al_ga = (1.0 - q2) * cos_al * cos_ga
+        cb_al = 2.0 * cb * sq_al
+        ab_ga = 2.0 * ab * sq_ga
+        coeffs = (
+            (q1 - 1.0) ** 2 - 2.0 * cb_al,
+            4.0 * (q1 * (1.0 - q1) * cos_be - al_ga + cb_al * cos_be),
+            2.0 * (sq_q1 - 1.0 + 2.0 * sq_q1 * sq_be + 2.0 * bcb * sq_al
+                   - 4.0 * q2 * cos_al * cos_be * cos_ga + 2.0 * bab * sq_ga),
+            4.0 * (-q1 * (1.0 + q1) * cos_be + ab_ga * cos_be - al_ga),
+            (1.0 + q1) ** 2 - 2.0 * ab_ga,
+        )
+    except OverflowError:
+        return None
+    lead = coeffs[0]
+    if (not all(map(math.isfinite, coeffs)) or abs(lead) < 1e-14
+            or coeffs[4] == 0.0):
+        return None
+    top = [-x / lead for x in coeffs[1:]]
+    if not all(map(math.isfinite, top)):
+        return None
+    comp = np.array([top, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0]])
+    ray_rows = rays[0].tolist()
+    slots, cams = [], []
+    for slot, root in enumerate(np.linalg.eigvals(comp[None])[0].tolist()):
+        # the depth ratios u = d2 / d1, v = d3 / d1 of each root
+        v = root.real
+        denom = 2.0 * (cos_ga - v * cos_al)
+        s = 1.0 + v * v - 2.0 * v * cos_be
+        if not (abs(root.imag) <= 1e-8 and abs(denom) >= 1e-12 and s != 0.0):
+            continue
+        u = ((-1.0 + q1) * v * v - 2.0 * q1 * cos_be * v + 1.0 + q1) / denom
+        s1_sq = b2 / s
+        if v > 0.0 and u > 0.0 and 0.0 < s1_sq < math.inf:
+            d1 = math.sqrt(s1_sq)
+            slots.append(slot)
+            cams.append([[dist * x for x in ray]
+                         for dist, ray in zip((d1, u * d1, v * d1), ray_rows)])
+    valid = np.zeros((1, 4), dtype=bool)
+    r = np.zeros((1, 4, 3, 3))
+    t = np.zeros((1, 4, 3))
+    if slots:
+        valid[0, slots] = True
+        r[0, slots], t[0, slots] = _kabsch(pts[[0] * len(slots)], np.array(cams))
     return valid, r, t
 
 
@@ -379,7 +473,9 @@ def _score_block(sel, p3d, uv, rays, K):
     their inlier counts (B,), -1 for a sample without candidates, and the
     number of candidates of each sample (B,)."""
     triples = sel[:, :3]
-    valid, r, t = _p3p_grunert(p3d.take(triples, axis=0), rays.take(triples, axis=0))
+    pts, pts_rays = p3d.take(triples, axis=0), rays.take(triples, axis=0)
+    solved = _p3p_one(pts, pts_rays) if len(sel) == 1 else None
+    valid, r, t = solved or _p3p_grunert(pts, pts_rays)
     probe = sel[:, None, 3:]
     e4 = _reprojection_errors(r, t, p3d.take(probe, axis=0), uv.take(probe, axis=0),
                               K)[..., 0]
@@ -394,6 +490,44 @@ def _score_block(sel, p3d, uv, rays, K):
     return r, t, err, inliers, valid.sum(axis=1)
 
 
+# (seed, point count) -> [generator, its draws so far], least recently used
+# first; see _sample_rows
+_STREAMS: collections.OrderedDict = collections.OrderedDict()
+_STREAM_KEYS = 128
+
+
+def _sample_rows(seed: int, n: int, stop: int) -> np.ndarray:
+    """RANSAC's 4-point samples over n points for ``seed``, at least the
+    first ``stop`` of them, read-only: row i is the (i + 1)-th
+    ``rng.choice(n, 4, replace=False)`` of ``np.random.default_rng(seed)``.
+
+    The draws depend only on (seed, n), so each stream is drawn once and
+    kept with its generator for the ``_STREAM_KEYS`` keys used last. A
+    stream grows by doubling, but never past ``max(stop,
+    RANSAC_MAX_ITERS)`` rows, so the cache holds at most ``_STREAM_KEYS``
+    x (``RANSAC_MAX_ITERS`` x 32 bytes of rows + about 1.6 kB of
+    generator): 4.3 MB at the default cap, far less in practice. Growing a
+    stream is not thread-safe: two threads growing one stream at once
+    would interleave its draws."""
+    key = (seed, n)
+    entry = _STREAMS.get(key)
+    if entry is None:
+        entry = _STREAMS[key] = [np.random.default_rng(seed),
+                                 np.empty((0, 4), dtype=np.int64)]
+        if len(_STREAMS) > _STREAM_KEYS:
+            _STREAMS.popitem(last=False)
+    else:
+        _STREAMS.move_to_end(key)
+    rng, rows = entry
+    if len(rows) < stop:
+        size = min(max(2 * len(rows), stop), max(stop, RANSAC_MAX_ITERS))
+        rows = np.concatenate([rows, [rng.choice(n, size=4, replace=False)
+                                      for _ in range(size - len(rows))]])
+        rows.flags.writeable = False
+        entry[1] = rows
+    return rows
+
+
 def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                      params: PnPParams = PnPParams()) -> RelocResult:
     """P3P hypotheses from minimal 4-point samples (4th point picks among
@@ -401,11 +535,12 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
     iteration count and Gauss-Newton refinement over the best inlier set.
     Deterministic given the seed.
 
-    Samples are solved and scored in blocks (``_BLOCK_SIZES``) but drawn
-    and judged one at a time, in the order a sequential loop would: one
-    ``rng.choice(n, 4, replace=False)`` each, the best replaced only on a
-    strictly larger inlier count, the stop rule applied after each. A block
-    never draws more samples than the stop rule still allows."""
+    Samples are solved and scored in blocks (``_BLOCK_SIZES``) but judged
+    one at a time, in the order a sequential loop would: the best replaced
+    only on a strictly larger inlier count, the stop rule applied after
+    each. They are the successive ``rng.choice(n, 4, replace=False)`` draws
+    of ``default_rng(seed)``, kept per (seed, n) by ``_sample_rows``. A
+    block never takes more samples than the stop rule still allows."""
     p3d = np.asarray(p3d, dtype=float).reshape(-1, 3)
     uv = np.asarray(uv, dtype=float).reshape(-1, 2)
     n = len(p3d)
@@ -414,15 +549,14 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                            status=RelocStatus.TOO_FEW_MATCHES)
 
     rays = _pixel_rays(uv, K)
-    rng = np.random.default_rng(params.seed)
     best_r = best_t = best_err = None
     best_inliers = 0
     iteration = hypotheses = 0
     needed = RANSAC_MAX_ITERS
     blocks = itertools.chain(_BLOCK_SIZES, itertools.repeat(_BLOCK_SIZES[-1]))
     while iteration < needed:
-        sel = np.array([rng.choice(n, size=4, replace=False)
-                        for _ in range(min(next(blocks), needed - iteration))])
+        stop = iteration + min(next(blocks), needed - iteration)
+        sel = _sample_rows(params.seed, n, stop)[iteration:stop]
         r, t, err, inliers, candidates = _score_block(sel, p3d, uv, rays, K)
         for i in range(len(sel)):
             iteration += 1

@@ -26,9 +26,12 @@ from vloc.relocal import (
     RelocResult,
     RelocStatus,
     _p3p_grunert,
+    _p3p_one,
     _pixel_rays,
+    _poly_roots,
     _refine_gauss_newton,
     _reprojection_errors,
+    _sample_rows,
     _score_block,
     compute_reloc_metrics,
     lift,
@@ -607,6 +610,155 @@ class TestBatchedMatchesSequential:
             p3d, uv = world_from_camera(rng, plane)
             uv += rng.normal(0.0, 0.3, uv.shape)
             self.assert_same(p3d, uv, PnPParams(seed=seed))
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+class TestFirstSamplePath:
+    """``_p3p_one``, the Python-float solver of the first one-sample block,
+    against ``_p3p_grunert`` on one-row blocks, byte for byte."""
+
+    @staticmethod
+    def solve_one(pts, rays):
+        """Whether ``_p3p_one`` solved the one-sample block (1, 3, 3) itself;
+        when it did, its arrays are the block path's byte for byte."""
+        got = _p3p_one(pts, rays)
+        if got is not None:
+            assert_same_bytes(got, _p3p_grunert(pts, rays))
+        return got is not None
+
+    def test_bit_equal_on_seeded_triples(self):
+        rng = np.random.default_rng(24)
+        n = 5000
+        pts = rng.normal(0.0, 1.0, (n, 3, 3)) + [0.0, 0.0, 4.0]
+        # exact rays on even rows, noisy ones on odd rows
+        rays = pts + rng.normal(0.0, 0.05, pts.shape) * (np.arange(n) % 2)[:, None, None]
+        rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+        solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(n)]
+        assert all(solved)
+        assert sum(_p3p_grunert(pts[k:k + 1], rays[k:k + 1])[0].any()
+                   for k in range(0, n, 50)) >= 90
+
+    def test_unusual_samples_fall_back(self):
+        rng = np.random.default_rng(3)
+        pts = rng.normal(0.0, 1.0, (5, 3, 3)) + [0.0, 0.0, 4.0]
+        rays = pts.copy()
+        # the quadratic and the zero side of test_p3p_candidates_in_root_order
+        pts[0] = [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]
+        rays[0] = [[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        pts[1, 2] = pts[1, 1]
+        rays[2, 1] = np.nan
+        rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+        pts[3] *= 1e150             # squared sides near 1e300: still solved
+        pts[4] *= 1e160             # squared sides overflow
+        with np.errstate(over="ignore"):
+            solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(5)]
+        assert solved == [False, False, False, True, False]
+        assert _p3p_grunert(pts[3:4], rays[3:4])[0].any()
+
+    def test_first_block_uses_it(self, monkeypatch):
+        calls = []
+
+        def counted(pts, rays):
+            calls.append(len(pts))
+            return _p3p_one(pts, rays)
+
+        monkeypatch.setattr(relocal, "_p3p_one", counted)
+        p3d, uv, _, _ = synth_scene(np.random.default_rng(0), 20)
+        rays = _pixel_rays(uv, K)
+        _score_block(np.array([[0, 1, 2, 3]]), p3d, uv, rays, K)
+        _score_block(np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), p3d, uv, rays, K)
+        assert calls == [1]
+
+    def test_poly_roots_are_np_roots(self):
+        # blocks of quartics only, of quartics and zero trailing
+        # coefficients, and of those mixed with lower degrees and an all-zero
+        # row, each asked for in full and in part
+        rng = np.random.default_rng(5)
+        for case in range(3):
+            p = rng.normal(size=(64, 5))
+            if case:
+                p[2::7, 4] = 0.0
+            if case == 2:
+                p[1::3, 0] = 0.0
+                p[5, :2] = 0.0
+                p[6] = 0.0
+            for rows in (np.ones(64, bool), np.arange(64) % 2 == 0):
+                want = np.zeros((64, 4), dtype=complex)
+                for k in np.flatnonzero(rows & p.any(axis=1)):
+                    found = np.roots(p[k])
+                    want[k, :len(found)] = found
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    assert _poly_roots(p, rows).tobytes() == want.tobytes()
+
+
+class TestSampleStream:
+    """``_sample_rows``: the RANSAC draws kept per (seed, n)."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        relocal._STREAMS.clear()
+        yield
+        relocal._STREAMS.clear()
+
+    def test_rows_are_the_generator_draws(self, monkeypatch):
+        keys = [(0, 4), (3, 5), (0, 10), (7, 287)]
+        fresh = {key: np.random.default_rng(key[0]) for key in keys}
+        drawn = {key: np.empty((0, 4), dtype=np.int64) for key in keys}
+        # stops on both sides of each doubling, the keys interleaved
+        for stop in (1, 2, 3, 8, 9, 16, 17, 73, 200):
+            for key in keys:
+                rows = _sample_rows(*key, stop)
+                assert stop <= len(rows) <= 2 * stop
+                while len(drawn[key]) < len(rows):
+                    drawn[key] = np.vstack(
+                        [drawn[key], fresh[key].choice(key[1], 4, replace=False)])
+                assert (rows.dtype, rows.tobytes()) == (np.int64, drawn[key].tobytes())
+                assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        # growth stops at the iteration cap, read at call time, or at stop
+        monkeypatch.setattr(relocal, "RANSAC_MAX_ITERS", 5)
+        assert len(_sample_rows(1, 9, 3)) == 3
+        assert len(_sample_rows(1, 9, 4)) == 5
+        assert len(_sample_rows(1, 9, 7)) == 7
+
+    def test_solve_same_bytes_cold_and_warm(self):
+        def fingerprint(res):
+            return (res.status, res.inliers, res.iterations, res.hypotheses,
+                    res.refine_steps, res.refine_halvings,
+                    res.pose.t.tobytes(), res.pose.q.tobytes())
+
+        rng = np.random.default_rng(41)
+        clean = synth_scene(rng, 40, noise=0.3)[:2]
+        noisy = outlier_scene(rng, 40, 0.5)
+        cold = []
+        for scene in (clean, noisy):
+            relocal._STREAMS.clear()
+            cold.append(fingerprint(solve_pnp_ransac(*scene, K)))
+        # the noisy solve left a stream of hundreds of samples; the clean one
+        # reads its first rows
+        warm = [fingerprint(solve_pnp_ransac(*scene, K)) for scene in (clean, noisy)]
+        assert warm == cold
+        assert cold[0][2] == 1 and cold[1][2] > sum(_BLOCK_SIZES)
+
+    def test_bound_after_criterion_1(self):
+        p3d, uv, _, _ = synth_scene(np.random.default_rng(0), 20)
+        for seed in range(1000):
+            solve_pnp_ransac(p3d, uv, K, PnPParams(seed=seed))
+        keys = relocal._STREAM_KEYS
+        assert list(relocal._STREAMS) == [(seed, 20) for seed in range(1000 - keys, 1000)]
+        # a key read again is kept over the least recently used one
+        _sample_rows(1000 - keys, 20, 1)
+        _sample_rows(5000, 20, 1)
+        assert (1000 - keys, 20) in relocal._STREAMS
+        assert (1001 - keys, 20) not in relocal._STREAMS
+        assert len(relocal._STREAMS) == keys
+        rows_bytes = sum(rows.nbytes for _, rows in relocal._STREAMS.values())
+        assert rows_bytes <= keys * relocal.RANSAC_MAX_ITERS * 32
 
 
 @pytest.fixture(scope="module")
