@@ -18,22 +18,24 @@ holds only what callers set: ``min_inliers`` and ``seed``. There is no
 planar-scene rejection (see ``PnPParams``).
 
 RANSAC hypotheses are solved and scored in blocks of samples: one batched
-companion-matrix eigenvalue call finds every sample's quartic roots, one
-batched SVD aligns every candidate, and one array op scores a block's
-picks against all points. The sample sequence, the pick among a sample's
-candidates, the stop rule and so the result are those of the sequential
-loop, which ``tests/test_relocal.py`` keeps as the reference. The first
-block is one sample, and a clean scene stops after it, so ``_p3p_one``
-solves it in Python floats, bit for bit as the block path does. Solving
-three or more samples that way, one after another, loses to one block
-call, so both paths are kept. The samples depend only on the seed and the
-point count and are drawn once per pair (``_sample_rows``).
+companion-matrix eigenvalue call (``_poly_roots``, ``np.roots`` batched)
+finds every sample's quartic roots, one batched SVD aligns every candidate,
+and one array op scores a block's picks against all points. The sample
+sequence, the pick among a sample's candidates, the stop rule and so the
+result are those of the sequential loop, which ``tests/test_relocal.py``
+keeps as the reference. The samples depend only on the seed and the point
+count and are drawn once per pair (``_sample_rows``).
 
-Bit for bit rests on two rounding rules: ``_rowdot`` rounds as BLAS
-``ddot`` does (OpenBLAS 0.3.31's Haswell kernel computes it as a forward
-chain of fused multiply-adds, which a plain Python sum does not
-reproduce), and ``_square`` as C ``pow``. Poses pinned by the tests
-therefore depend on the BLAS kernel as well as on this code.
+Grunert's quartic has one formula, ``_grunert_quartic``, and two
+evaluators, each the faster at its own block size: ``_p3p_grunert`` on
+float64 columns, and ``_p3p_one`` on Python floats for the first block,
+one sample, after which a clean scene stops. They give the same bits: IEEE
+``+ - * /`` round alike on arrays and floats, ``_square`` rounds as
+``x ** 2`` (C ``pow``) does, and both take their dot products from
+``_rowdot``, which rounds as BLAS ``ddot`` (OpenBLAS 0.3.31's Haswell
+kernel: a forward chain of fused multiply-adds, which a Python sum does
+not reproduce). Poses pinned by the tests therefore depend on the BLAS
+kernel as well as on this code.
 
 Frame convention: ``solve_pnp_ransac`` returns the transform that maps
 point coordinates into the observing camera's frame. When the points are
@@ -45,9 +47,9 @@ pose.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -194,35 +196,27 @@ def _kabsch(src: np.ndarray, dst: np.ndarray):
 
 
 def _poly_roots(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Roots (k, m - 1) of the polynomials with coefficient rows p (k, m),
-    highest first, as ``np.roots`` finds them: leading and trailing zeros
-    stripped, the eigenvalues of the rest's companion matrix, then a zero
-    root per trailing zero. Only the ``rows`` asked for whose companion
-    matrix is finite are solved (``np.roots`` raises on the others); the
-    other rows' roots are 0. Callers silence the other rows' warnings."""
+    """``np.roots`` of the coefficient rows p (k, m), highest first, that
+    ``rows`` asks for, batched: roots (k, m - 1), each row's in ``np.roots``
+    order and then 0 for a row of lower degree. The rows with nonzero end
+    coefficients and a finite companion matrix, the only ones the solver
+    meets in practice, share one ``eigvals`` call; every other row asked
+    for goes through ``np.roots`` itself, and keeps roots 0 where that
+    raises (a non-finite companion matrix). Rows not asked for are 0.
+    Callers silence the warnings of the rows that are not finite."""
     k, m = p.shape
     roots = np.zeros((k, m - 1), dtype=complex)
-    ends = p[rows][:, [0, -1]]
-    if len(ends) and ends.all():
-        # no zero to strip in any row asked for: one group of full degree
-        groups = ((0, m, rows),)
-    else:
-        nonzero = p != 0.0
-        first = nonzero.argmax(axis=1)
-        end = m - nonzero[:, ::-1].argmax(axis=1)
-        # an all-zero row falls in the first group and fails the finite test
-        groups = ((lo, hi, rows & (first == lo) & (end == hi))
-                  for lo, hi in set(zip(first[rows].tolist(), end[rows].tolist())))
-    for lo, hi, group in groups:
-        deg = hi - lo - 1
-        if deg == 0:
+    comp = np.zeros((k, m - 1, m - 1))
+    comp[:, 0] = -p[:, 1:] / p[:, :1]       # not finite on a zero leading one
+    comp.reshape(k, -1)[:, m - 1::m] = 1.0     # subdiagonal
+    full = rows & (p[:, -1] != 0.0) & np.isfinite(comp[:, 0]).all(axis=1)
+    roots[full] = np.linalg.eigvals(comp[full])
+    for i in np.flatnonzero(rows & ~full):
+        try:
+            found = np.roots(p[i])
+        except np.linalg.LinAlgError:
             continue
-        comp = np.zeros((k, deg, deg))
-        comp[:, 0] = -p[:, lo + 1:hi] / p[:, lo:lo + 1]
-        comp.reshape(k, deg * deg)[:, deg::deg + 1] = 1.0     # subdiagonal
-        ok = group & np.isfinite(comp[:, 0]).all(axis=1)
-        comp[~ok] = 0.0
-        roots[ok, :deg] = np.linalg.eigvals(comp)[ok]
+        roots[i, :len(found)] = found
     return roots
 
 
@@ -235,6 +229,29 @@ def _pair_dots(pts: np.ndarray, rays: np.ndarray) -> np.ndarray:
                    np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
 
 
+def _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga, square):
+    """Grunert's quartic in v = d3 / d1 from the squared sides and the ray
+    cosines of a sample: q1 = (a^2 - c^2) / b^2 and the five coefficients,
+    highest first. The same expressions run on float64 columns with
+    ``square=_square`` and on Python floats with ``x ** 2``."""
+    sq_al, sq_be, sq_ga = square(cos_al), square(cos_be), square(cos_ga)
+    # scaling by 2 or 4 is exact: 4.0 * cb rounds as 4.0 * c2 / b2 does
+    q1, q2, cb, ab, bcb, bab = (x / b2 for x in (a2 - c2, a2 + c2, c2, a2,
+                                                 b2 - c2, b2 - a2))
+    sq_q1 = square(q1)
+    al_ga = (1.0 - q2) * cos_al * cos_ga
+    cb_al = 2.0 * cb * sq_al
+    ab_ga = 2.0 * ab * sq_ga
+    return q1, (
+        square(q1 - 1.0) - 2.0 * cb_al,
+        4.0 * (q1 * (1.0 - q1) * cos_be - al_ga + cb_al * cos_be),
+        2.0 * (sq_q1 - 1.0 + 2.0 * sq_q1 * sq_be + 2.0 * bcb * sq_al
+               - 4.0 * q2 * cos_al * cos_be * cos_ga + 2.0 * bab * sq_ga),
+        4.0 * (-q1 * (1.0 + q1) * cos_be + ab_ga * cos_be - al_ga),
+        square(1.0 + q1) - 2.0 * ab_ga,
+    )
+
+
 def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     """Camera-frame candidate solutions for blocks of 3 world points
     (B, 3, 3) and their 3 unit rays (B, 3, 3).
@@ -245,27 +262,13 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     ``valid`` marks; other slots are zero. A degenerate sample has none.
     """
     n_samples = len(pts)
-    dots = _pair_dots(pts, rays)
-    sides = np.sqrt(dots[:, :3])
-    a2, b2, c2 = (sides * sides).T
-    cos_al, cos_be, cos_ga = cosines = dots[:, 3:].T
-    sq_al, sq_be, sq_ga = _square(cosines)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # scaling by 2 or 4 is exact: 4.0 * cb rounds as 4.0 * c2 / b2 does
-        q1, q2, cb, ab, bcb, bab = np.array(
-            [a2 - c2, a2 + c2, c2, a2, b2 - c2, b2 - a2]) / b2
-        sq_q1 = _square(q1)
-        al_ga = (1.0 - q2) * cos_al * cos_ga
-        cb_al = 2.0 * cb * sq_al
-        ab_ga = 2.0 * ab * sq_ga
-        coeffs = np.array([
-            _square(q1 - 1.0) - 2.0 * cb_al,
-            4.0 * (q1 * (1.0 - q1) * cos_be - al_ga + cb_al * cos_be),
-            2.0 * (sq_q1 - 1.0 + 2.0 * sq_q1 * sq_be + 2.0 * bcb * sq_al
-                   - 4.0 * q2 * cos_al * cos_be * cos_ga + 2.0 * bab * sq_ga),
-            4.0 * (-q1 * (1.0 + q1) * cos_be + ab_ga * cos_be - al_ga),
-            _square(1.0 + q1) - 2.0 * ab_ga,
-        ]).T
+    with np.errstate(all="ignore"):
+        dots = _pair_dots(pts, rays)
+        sides = np.sqrt(dots[:, :3])
+        a2, b2, c2 = (sides * sides).T
+        cosines = dots[:, 3:].T
+        q1, coeffs = _grunert_quartic(a2, b2, c2, *cosines, _square)
+        coeffs = np.array(coeffs).T
         solvable = (sides >= 1e-9).all(axis=1) & np.isfinite(coeffs).all(axis=1)
 
         # a vanishing leading coefficient leaves a cubic
@@ -275,7 +278,7 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
         # the depth ratios u = d2 / d1, v = d3 / d1 of each root
         v = roots.real
         q1, cos_al, cos_be, cos_ga, b2 = np.array(
-            [q1, cos_al, cos_be, cos_ga, b2])[:, :, None]    # (B, 1) columns
+            [q1, *cosines, b2])[:, :, None]      # (B, 1) columns
         denom = 2.0 * (cos_ga - v * cos_al)
         u = ((-1.0 + q1) * v * v - 2.0 * q1 * cos_be * v + 1.0 + q1) / denom
         s1_sq = b2 / (1.0 + v * v - 2.0 * v * cos_be)
@@ -297,35 +300,23 @@ def _p3p_one(pts: np.ndarray, rays: np.ndarray):
     Python floats. Only the pair dot products (``_rowdot`` rounds as BLAS
     ``ddot`` does, which a Python sum does not), the companion-matrix
     eigenvalues and the Kabsch alignment are numpy calls, each on the
-    operands the block path gives it; ``x ** 2`` is C ``pow``, as
-    ``_square`` is. The block path's per-call cost is most of a sample's
-    time when it solves one, and every solve starts with one sample.
+    operands the block path gives it. The block path's per-call cost is
+    most of a sample's time when it solves one, and every solve starts
+    with one sample.
 
     Returns None, for the block path to solve the sample, unless it is a
     quartic with finite coefficients, a nonzero trailing one and sides of
     at least 1e-9."""
-    dots = _pair_dots(pts, rays)[0].tolist()
+    with np.errstate(all="ignore"):
+        dots = _pair_dots(pts, rays)[0].tolist()
     sides = [math.sqrt(x) for x in dots[:3]]
     if not all(side >= 1e-9 for side in sides):
         return None
     a2, b2, c2 = (side * side for side in sides)
     cos_al, cos_be, cos_ga = dots[3:]
     try:
-        sq_al, sq_be, sq_ga = cos_al ** 2, cos_be ** 2, cos_ga ** 2
-        q1, q2, cb, ab, bcb, bab = (x / b2 for x in (a2 - c2, a2 + c2, c2, a2,
-                                                     b2 - c2, b2 - a2))
-        sq_q1 = q1 ** 2
-        al_ga = (1.0 - q2) * cos_al * cos_ga
-        cb_al = 2.0 * cb * sq_al
-        ab_ga = 2.0 * ab * sq_ga
-        coeffs = (
-            (q1 - 1.0) ** 2 - 2.0 * cb_al,
-            4.0 * (q1 * (1.0 - q1) * cos_be - al_ga + cb_al * cos_be),
-            2.0 * (sq_q1 - 1.0 + 2.0 * sq_q1 * sq_be + 2.0 * bcb * sq_al
-                   - 4.0 * q2 * cos_al * cos_be * cos_ga + 2.0 * bab * sq_ga),
-            4.0 * (-q1 * (1.0 + q1) * cos_be + ab_ga * cos_be - al_ga),
-            (1.0 + q1) ** 2 - 2.0 * ab_ga,
-        )
+        q1, coeffs = _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga,
+                                      lambda x: x ** 2)
     except OverflowError:
         return None
     lead = coeffs[0]
@@ -490,10 +481,14 @@ def _score_block(sel, p3d, uv, rays, K):
     return r, t, err, inliers, valid.sum(axis=1)
 
 
-# (seed, point count) -> [generator, its draws so far], least recently used
-# first; see _sample_rows
-_STREAMS: collections.OrderedDict = collections.OrderedDict()
 _STREAM_KEYS = 128
+
+
+@functools.lru_cache(maxsize=_STREAM_KEYS)
+def _stream(seed: int, n: int) -> list:
+    """[generator, its draws so far] of the (seed, n) sample stream, which
+    ``_sample_rows`` grows in place."""
+    return [np.random.default_rng(seed), np.empty((0, 4), dtype=np.int64)]
 
 
 def _sample_rows(seed: int, n: int, stop: int) -> np.ndarray:
@@ -502,22 +497,14 @@ def _sample_rows(seed: int, n: int, stop: int) -> np.ndarray:
     ``rng.choice(n, 4, replace=False)`` of ``np.random.default_rng(seed)``.
 
     The draws depend only on (seed, n), so each stream is drawn once and
-    kept with its generator for the ``_STREAM_KEYS`` keys used last. A
-    stream grows by doubling, but never past ``max(stop,
-    RANSAC_MAX_ITERS)`` rows, so the cache holds at most ``_STREAM_KEYS``
-    x (``RANSAC_MAX_ITERS`` x 32 bytes of rows + about 1.6 kB of
-    generator): 4.3 MB at the default cap, far less in practice. Growing a
-    stream is not thread-safe: two threads growing one stream at once
-    would interleave its draws."""
-    key = (seed, n)
-    entry = _STREAMS.get(key)
-    if entry is None:
-        entry = _STREAMS[key] = [np.random.default_rng(seed),
-                                 np.empty((0, 4), dtype=np.int64)]
-        if len(_STREAMS) > _STREAM_KEYS:
-            _STREAMS.popitem(last=False)
-    else:
-        _STREAMS.move_to_end(key)
+    kept with its generator by ``_stream``, an LRU cache of the
+    ``_STREAM_KEYS`` keys used last. A stream grows by doubling, but never
+    past ``max(stop, RANSAC_MAX_ITERS)`` rows, so the cache holds at most
+    ``_STREAM_KEYS`` x (``RANSAC_MAX_ITERS`` x 32 bytes of rows + about
+    1.6 kB of generator): 4.3 MB at the default cap, far less in practice.
+    Growing a stream is not thread-safe: two threads growing one stream at
+    once would interleave its draws."""
+    entry = _stream(seed, n)
     rng, rows = entry
     if len(rows) < stop:
         size = min(max(2 * len(rows), stop), max(stop, RANSAC_MAX_ITERS))

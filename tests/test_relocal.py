@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,6 +368,16 @@ class TestSolvePnP:
                 ok += 1
         assert ok == 20
 
+    def test_overflowing_scene_warns_nothing(self):
+        # pair dot products overflow on every sample: no candidates, no
+        # warning from either P3P path
+        p3d, uv, _, _ = synth_scene(np.random.default_rng(0), 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_pnp_ransac(p3d * 1e160, uv, K)
+        assert res.status is RelocStatus.RANSAC_FAILED
+        assert (res.iterations, res.hypotheses) == (relocal.RANSAC_MAX_ITERS, 0)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(77)
         p_world, uv, _, _ = synth_scene(rng, 60, noise=1.0)
@@ -653,9 +664,8 @@ class TestFirstSamplePath:
         rays[2, 1] = np.nan
         rays /= np.linalg.norm(rays, axis=2, keepdims=True)
         pts[3] *= 1e150             # squared sides near 1e300: still solved
-        pts[4] *= 1e160             # squared sides overflow
-        with np.errstate(over="ignore"):
-            solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(5)]
+        pts[4] *= 1e160             # squared sides overflow, silently
+        solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(5)]
         assert solved == [False, False, False, True, False]
         assert _p3p_grunert(pts[3:4], rays[3:4])[0].any()
 
@@ -673,11 +683,27 @@ class TestFirstSamplePath:
         _score_block(np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), p3d, uv, rays, K)
         assert calls == [1]
 
-    def test_poly_roots_are_np_roots(self):
+    def test_poly_roots_are_np_roots(self, monkeypatch):
         # blocks of quartics only, of quartics and zero trailing
-        # coefficients, and of those mixed with lower degrees and an all-zero
-        # row, each asked for in full and in part
+        # coefficients, and of those mixed with lower degrees, an all-zero
+        # row and rows np.roots raises on, each asked for in full and in part
         rng = np.random.default_rng(5)
+        raising = np.array([
+            [1e-300, 1e300, 1.0, 1.0, 1.0],     # the quartic's companion overflows
+            [0.0, 1e-300, 1e300, 1.0, 1.0],     # so does the cubic's
+            [1.0, np.nan, 1.0, 1.0, 1.0],
+        ])
+        raised = []
+        np_roots = np.roots
+
+        def spied_roots(coeffs):
+            try:
+                return np_roots(coeffs)
+            except np.linalg.LinAlgError:
+                raised.append(coeffs.tobytes())
+                raise
+
+        monkeypatch.setattr(np, "roots", spied_roots)
         for case in range(3):
             p = rng.normal(size=(64, 5))
             if case:
@@ -686,13 +712,21 @@ class TestFirstSamplePath:
                 p[1::3, 0] = 0.0
                 p[5, :2] = 0.0
                 p[6] = 0.0
+                p[10:13] = raising
             for rows in (np.ones(64, bool), np.arange(64) % 2 == 0):
                 want = np.zeros((64, 4), dtype=complex)
-                for k in np.flatnonzero(rows & p.any(axis=1)):
-                    found = np.roots(p[k])
-                    want[k, :len(found)] = found
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(all="ignore"):
+                    for k in np.flatnonzero(rows & p.any(axis=1)):
+                        try:
+                            found = np_roots(p[k])
+                        except np.linalg.LinAlgError:
+                            assert 10 <= k <= 12
+                            continue
+                        want[k, :len(found)] = found
                     assert _poly_roots(p, rows).tobytes() == want.tobytes()
+        # each raising row went through np.roots, which raised: once asked
+        # for in full, once more asked for in part for the even rows
+        assert raised == [row.tobytes() for row in (*raising, raising[0], raising[2])]
 
 
 class TestSampleStream:
@@ -700,9 +734,9 @@ class TestSampleStream:
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
-        relocal._STREAMS.clear()
+        relocal._stream.cache_clear()
         yield
-        relocal._STREAMS.clear()
+        relocal._stream.cache_clear()
 
     def test_rows_are_the_generator_draws(self, monkeypatch):
         keys = [(0, 4), (3, 5), (0, 10), (7, 287)]
@@ -737,7 +771,7 @@ class TestSampleStream:
         noisy = outlier_scene(rng, 40, 0.5)
         cold = []
         for scene in (clean, noisy):
-            relocal._STREAMS.clear()
+            relocal._stream.cache_clear()
             cold.append(fingerprint(solve_pnp_ransac(*scene, K)))
         # the noisy solve left a stream of hundreds of samples; the clean one
         # reads its first rows
@@ -750,15 +784,22 @@ class TestSampleStream:
         for seed in range(1000):
             solve_pnp_ransac(p3d, uv, K, PnPParams(seed=seed))
         keys = relocal._STREAM_KEYS
-        assert list(relocal._STREAMS) == [(seed, 20) for seed in range(1000 - keys, 1000)]
+        info = relocal._stream.cache_info()
+        assert (info.maxsize, info.currsize) == (keys, keys)
+        # the last keys are kept: reading each again, oldest first, is a hit
+        # and keeps their order
+        rows_bytes = sum(relocal._stream(seed, 20)[1].nbytes
+                         for seed in range(1000 - keys, 1000))
+        assert relocal._stream.cache_info()[:2] == (info.hits + keys, info.misses)
+        assert rows_bytes <= keys * relocal.RANSAC_MAX_ITERS * 32
         # a key read again is kept over the least recently used one
         _sample_rows(1000 - keys, 20, 1)
         _sample_rows(5000, 20, 1)
-        assert (1000 - keys, 20) in relocal._STREAMS
-        assert (1001 - keys, 20) not in relocal._STREAMS
-        assert len(relocal._STREAMS) == keys
-        rows_bytes = sum(rows.nbytes for _, rows in relocal._STREAMS.values())
-        assert rows_bytes <= keys * relocal.RANSAC_MAX_ITERS * 32
+        info = relocal._stream.cache_info()
+        relocal._stream(1000 - keys, 20)
+        assert relocal._stream.cache_info()[:2] == (info.hits + 1, info.misses)
+        relocal._stream(1001 - keys, 20)
+        assert relocal._stream.cache_info()[:2] == (info.hits + 1, info.misses + 1)
 
 
 @pytest.fixture(scope="module")
