@@ -2,8 +2,9 @@
 place retrieval (global localization), per-node metric relocalization
 (local localization), and the pose-graph fusion backend.
 
-Lost mode retrieves the top-1 node and, above the similarity gate, seeds
-the tracker with that node's pose and immediately attempts a metric fix.
+Lost mode retrieves the top-1 node and, above the similarity gate,
+verifies a metric fix against it; a verified fix starts the fusion graph
+(or re-attaches the stale one) and tracking begins.
 Tracking mode gathers the nearest node plus its 1-hop covisibility
 neighbors, localizes against the most similar candidate, feeds successful
 fixes into the fusion graph (windowed optimization), and falls back to
@@ -174,8 +175,8 @@ class Pipeline:
                     and float(np.linalg.norm(result.pose.t - node.pose.t))
                     <= self.config.gl_fix_radius
                     and not self._fix_gated(result.pose, None)
-                    and self._start_tracking(node.pose, result.pose,
-                                             result.inliers, timestamp))
+                    and self._start_tracking(result.pose, result.inliers,
+                                             timestamp))
         return ObservationOutcome(
             timestamp=timestamp, mode=self.mode,
             fix=result.pose if verified else None,
@@ -183,33 +184,35 @@ class Pipeline:
             status=result.status.value if verified else "GlUnverified",
             sim_top1=sim_top1)
 
-    def _start_tracking(self, seed: Pose, fix: Pose, inliers: int,
-                        timestamp: float) -> bool:
+    def _start_tracking(self, fix: Pose, inliers: int, timestamp: float) -> bool:
         """Apply the fix and enter Tracking. The fix goes to the stale graph,
-        which dead-reckoned through the Lost period, or, when there is none
-        or its solve fails, to a new graph seeded at ``seed``. A fix about pi
-        from the state it attaches to fails its solve (its prior residual
-        has no tangent); a new graph is kept only when its solve succeeds.
-        False, with the graph as it was, when both fail, or when the stale
-        graph's state nearest the fix lies before its optimization window
-        (a late fix, rejected as in Tracking mode)."""
+        which dead-reckoned through the Lost period, if there is one. A fix
+        about pi from the state it attaches to fails that solve (its prior
+        residual has no tangent); the stale graph then drops the prior and
+        is left as it was. Otherwise, or then, a new graph starts at the fix
+        itself: one state under one prior equal to it is already the
+        optimum, so no solve runs. False, changing nothing, only when the
+        stale graph's state nearest the fix lies before its optimization
+        window (a late fix, rejected as in Tracking mode)."""
         stale = self.fusion
-        if stale.timestamps and self._before_window(stale.nearest_state(timestamp)):
-            return False
-        fresh = FusionGraph()
-        fresh.initialize(seed, timestamp)
-        for graph in ([stale] if stale.timestamps else []) + [fresh]:
-            n_priors = len(graph.priors)
-            self.fusion = graph
+        if stale.timestamps:
+            if self._before_window(stale.nearest_state(timestamp)):
+                return False
+            n_priors = len(stale.priors)
             try:
                 self._apply_fix(fix, inliers, timestamp)
             except (NearSingularRotation, SingularNormalEquations):
-                graph.truncate(n_priors)
-                continue
-            self.mode = PipelineMode.TRACKING
-            return True
-        self.fusion = stale
-        return False
+                stale.truncate(n_priors)
+            else:
+                self.mode = PipelineMode.TRACKING
+                return True
+        self.fusion = FusionGraph()
+        self.fusion.initialize(fix, timestamp)
+        self.fusion.add_vloc_fix(
+            0, fix, vloc_fix_sigmas(inliers, self.config.pnp.min_inliers))
+        self.consecutive_failures = 0
+        self.mode = PipelineMode.TRACKING
+        return True
 
     def _apply_fix(self, fix: Pose, inliers: int, timestamp: float) -> None:
         state_idx = self.fusion.nearest_state(timestamp)

@@ -68,7 +68,7 @@ def extract_descriptor(image: np.ndarray) -> np.ndarray:
     intensity = (intensity - intensity.mean()).ravel()
 
     gy, gx = np.gradient(imgf)
-    mag = np.hypot(gx, gy)
+    mag = np.sqrt(gx * gx + gy * gy)
     ori = np.arctan2(gy, gx)
     bins = np.minimum((ori + np.pi) / (2.0 * np.pi) * 8.0, 7.0).astype(np.int64)
     rows = (np.arange(h) * 8) // h

@@ -32,7 +32,11 @@ which prints, before it overwrites a file, one line saying how many
 observations and pose hashes differ from it and whether every pose is
 bit-equal. With ``--check`` it prints the same lines, writes nothing and
 exits 1 when any pin differs, so a change that claims bit-identical
-outputs can show it without touching the data.
+outputs can show it without touching the data. With ``--poses DIR`` it
+also writes each workload's emitted poses, one ``fmt17`` row a line, to
+``DIR/<name>.txt``; where such a file is already there it first prints the
+largest position (m) and rotation (rad) deviation from it. Run it once
+before a change and once after to measure how far the change moves them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,6 +55,7 @@ import pytest
 from perfbench.tracing import Tracer
 from perfbench.workloads import Kidnap, Nav, Track
 from vloc import mapgraph, pipeline
+from vloc.geometry import rotation_angle
 
 SEED = 1
 KIDNAP_QUERIES = 48          # the first queries of the set-up, in its order
@@ -126,6 +132,7 @@ def collect(name: str, workdir, keyframe_calls: list) -> dict:
         "fingerprint": json.loads(json.dumps(result.fingerprint)),
         "observations": observations,
         "pose_sha256": [hashlib.sha256(r.encode()).hexdigest() for r in rows],
+        "poses": rows,
     }
 
 
@@ -318,16 +325,47 @@ def regeneration_report(name: str, old: dict, new: dict) -> str:
             f"changed fields: {', '.join(fields) or 'none'}")
 
 
-def regenerate(check: bool, collector=collect, data_dir=DATA_DIR) -> int:
+def pose_deviation(name: str, old: list, new: list) -> str:
+    """One line giving the largest position (m) and rotation (rad)
+    deviation between the ``fmt17`` pose rows ``old`` and ``new``, pose by
+    pose over the rows both have."""
+    n = min(len(old), len(new))
+    dt = dr = 0.0
+    for a, b in zip(old[:n], new[:n]):
+        a, b = (np.array(row.split(","), dtype=float) for row in (a, b))
+        dt = max(dt, float(np.linalg.norm(a[:3] - b[:3])))
+        dr = max(dr, rotation_angle(a[3:], b[3:]))
+    return (f"{name}: largest deviation over {n} poses ({len(old)} before, "
+            f"{len(new)} now): {dt:.3g} m, {dr:.3g} rad")
+
+
+def write_poses(name: str, rows: list, poses_dir) -> None:
+    """Write ``rows`` to ``poses_dir/<name>.txt``, first printing their
+    ``pose_deviation`` from the rows already there, if any."""
+    path = os.path.join(poses_dir, f"{name}.txt")
+    if os.path.exists(path):
+        with open(path) as f:
+            print(pose_deviation(name, f.read().split(), rows))
+    os.makedirs(poses_dir, exist_ok=True)
+    with open(path, "w") as f:
+        f.write("".join(row + "\n" for row in rows))
+
+
+def regenerate(check: bool, collector=collect, data_dir=DATA_DIR,
+               poses_dir=None) -> int:
     """Collect every workload and print its ``regeneration_report`` against
     the pinned data in ``data_dir``. Without ``check`` each file is then
     overwritten; with it nothing is written and the return value is 1 when
-    any pin differs. Returns 0 otherwise."""
+    any pin differs. Returns 0 otherwise. With ``poses_dir`` the emitted
+    poses also go through ``write_poses``."""
     differs = False
     for name in ("track", "nav", "kidnap"):
         path = data_path(name, data_dir)
         with tempfile.TemporaryDirectory() as workdir:
             data = json.loads(json.dumps(collector(name, workdir, [])))
+        rows = data.pop("poses", [])
+        if poses_dir is not None:
+            write_poses(name, rows, poses_dir)
         if os.path.exists(path):
             with open(path) as f:
                 pinned = json.load(f)
@@ -387,9 +425,43 @@ def test_regeneration_report(tmp_path, capsys):
     assert regenerate(True, collector, tmp_path) == 0
 
 
+def test_pose_deviation_report(tmp_path, capsys):
+    rows = ["1,2,3,1,0,0,0", "0,0,0,0,0,0,1"]
+    run = {"observations": [], "pose_sha256": [], "poses": rows}
+    for name in ("track", "nav", "kidnap"):
+        with open(data_path(name, tmp_path), "w") as f:
+            json.dump({k: v for k, v in run.items() if k != "poses"}, f)
+
+    def collector(name, workdir, calls):
+        return run
+
+    poses = tmp_path / "poses"
+    assert regenerate(True, collector, tmp_path, poses) == 0
+    for name in ("track", "nav", "kidnap"):
+        assert (poses / f"{name}.txt").read_text() == "".join(r + "\n" for r in rows)
+    capsys.readouterr()
+    # the second pose is turned pi/2 about z, the first moved 3-4-5
+    turned = f"0,0,0,{math.sqrt(0.5)},0,0,{math.sqrt(0.5)}"
+    run["poses"] = ["4,6,3,1,0,0,0", turned, "0,0,0,1,0,0,0"]
+    assert regenerate(True, collector, tmp_path, poses) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[::2] == [pose_deviation(name, rows, run["poses"])
+                          for name in ("track", "nav", "kidnap")]
+    assert lines[0] == (f"track: largest deviation over 2 poses (2 before, 3 now): "
+                        f"5 m, {math.pi / 2:.3g} rad")
+    assert (poses / "nav.txt").read_text().splitlines() == run["poses"]
+    assert pose_deviation("w", rows, rows) == (
+        "w: largest deviation over 2 poses (2 before, 2 now): 0 m, 0 rad")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the pinned data and write nothing; "
                              "exit 1 when any pin differs")
-    sys.exit(regenerate(parser.parse_args().check))
+    parser.add_argument("--poses", metavar="DIR",
+                        help="also write each workload's emitted poses to "
+                             "DIR/<name>.txt, first printing their largest "
+                             "deviation from the poses already there")
+    args = parser.parse_args()
+    sys.exit(regenerate(args.check, poses_dir=args.poses))

@@ -65,6 +65,18 @@ class TestModeMachine:
         assert out.reference_node == 3
         assert np.linalg.norm(out.fix.t - node.pose.t) < 1e-3
 
+    def test_boot_starts_the_graph_at_the_fix(self, corridor_map):
+        # one state under one prior equal to it is already the optimum, so
+        # the boot runs no solve and the estimate is the fix bit for bit
+        world, topo = corridor_map
+        for node in topo.nodes:
+            p = Pipeline(topo, K, oracle)
+            out = p.on_observation(render(world, node.pose, K).observation(), 0.5)
+            assert out.status == "Success" and p.mode is PipelineMode.TRACKING
+            assert p.current_world_pose() == (out.fix, 0.5)
+            assert len(p.fusion.states) == 1 and len(p.fusion.priors) == 1
+            assert p.fusion.last_cost_trace == []
+
     def test_gl_rejected_below_gate(self, corridor_map):
         _, topo = corridor_map
         p = Pipeline(topo, K, oracle)
@@ -398,7 +410,9 @@ class TestHostileInput:
     @pytest.mark.parametrize("graph", ["empty", "after_tracking"])
     def test_fix_about_pi_from_seed(self, corridor_map, monkeypatch, graph):
         # an upright fix 0.5 m from the retrieved node, turned pi about
-        # world z: its prior residual sits on the log map's singularity
+        # world z. On the stale graph its prior residual sits on the log
+        # map's singularity: that solve fails, the prior is dropped and the
+        # graph is left as it was. Either way a new graph starts at the fix
         world, topo = corridor_map
         p = Pipeline(topo, K, oracle)
         if graph == "after_tracking":
@@ -423,15 +437,15 @@ class TestHostileInput:
         obs = render(world, topo.nodes[3].pose, K).observation()
         monkeypatch.setattr(pipeline_module, "localize_against_node", turned_fix)
         out = p.on_observation(obs, 9.0)
-        assert out.fix is None and out.status == "GlUnverified"
-        assert p.mode is PipelineMode.LOST
+        assert out.status == "Success" and p.mode is PipelineMode.TRACKING
+        assert out.fix == turned_fix(topo.nodes[3], obs, K, oracle, None).pose
         after = (fusion.states, fusion.timestamps, fusion.priors, fusion.betweens)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert p.fusion is not fusion
+        assert p.current_world_pose() == (out.fix, 9.0)
+        assert len(p.fusion.priors) == 1 and p.fusion.last_cost_trace == []
         if graph == "after_tracking":
             fusion.optimize()
-        monkeypatch.undo()
-        assert p.on_observation(obs, 9.0).status == "Success"
-        assert p.mode is PipelineMode.TRACKING
 
 
 @pytest.fixture(scope="module")
@@ -517,9 +531,18 @@ class TestContractProperties:
                 except NonMonotonicTimestamp:
                     assert p.fusion.timestamps and t <= p.fusion.timestamps[-1]
             else:
+                graph = p.fusion
                 out = p.on_observation(corridor_views[arg], t)
                 if out.fix is not None:
                     assert_valid(out.fix)
+                if lost and p.mode is PipelineMode.TRACKING:
+                    # a fix from Lost mode goes to the stale graph or starts
+                    # a new one at the fix itself, with no solve
+                    assert graph.timestamps or p.fusion is not graph
+                    if p.fusion is not graph:
+                        assert p.fusion.timestamps == [t]
+                        assert np.array_equal(p.fusion.states,
+                                              [np.r_[out.fix.t, out.fix.q]])
             if p.mode is PipelineMode.TRACKING:
                 assert p.fusion.timestamps
                 assert_valid(p.current_world_pose()[0])
