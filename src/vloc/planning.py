@@ -321,7 +321,9 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     # commanded-but-blocked motion means a wall outside the camera FOV is
     # pinning the robot; back out briefly before replanning
     bump_ticks = 0
-    # a tick that does not localize renders only the rows the planner reads
+    # a tick that does not localize renders only what the planner reads:
+    # the obstacle rows, each column walked out to OBSTACLE_MAX_RANGE. An
+    # observed tick renders the whole image, unlimited, for the pipeline
     rows = obstacle_rows(K)
     for tick in range(n_ticks):
         frame = render(world, gt_pose, K)
@@ -341,7 +343,7 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
             if sub is None:
                 done = True
                 break
-            cmd, choice = plan_local(frame.depth_rows(rows), K, sub)
+            cmd, choice = plan_local(frame.depth_rows(rows, OBSTACLE_MAX_RANGE), K, sub)
             if choice == ROTATE_IN_PLACE:
                 if rot_dir == 0.0:
                     rot_dir = 1.0 if cmd[1] >= 0.0 else -1.0

@@ -319,7 +319,8 @@ class GridWorld:
         delta = np.array([q[0] - p[0], q[1] - p[1]])
         if np.linalg.norm(delta) < 1e-12:
             return True
-        t, _ = raycast(self, p, delta[None, :])
+        # a wall past q reads as no wall
+        t, _ = raycast(self, p, delta[None, :], 1.0)
         return t[0] >= 1.0 - 1e-9
 
     # -- landmarks ----------------------------------------------------------
@@ -417,7 +418,7 @@ class GridWorld:
 # batched grid walk
 # ---------------------------------------------------------------------------
 
-def raycast(world: GridWorld, origin, dirs):
+def raycast(world: GridWorld, origin, dirs, t_limit: float = math.inf):
     """Batched 2-D grid walk from an (x, y) origin along (n, 2) directions.
 
     ``t`` is in units of the (not necessarily normalized) direction vectors.
@@ -426,22 +427,36 @@ def raycast(world: GridWorld, origin, dirs):
     3 north (-1 if none). The origin's own cell is not tested, and a
     crossing tie goes to the x face.
 
+    ``t_limit`` ends the walk where a caller stops reading: a ray whose
+    first wall crossing lies at ``t <= t_limit`` gets exactly the unlimited
+    walk's (t, face), and any other ray gets (inf, -1). The walk takes at
+    most as many steps as the rays cross grid lines up to the limit, plus a
+    little slack for rounding; hits past the limit are masked at the end,
+    so the slack changes no result. A NaN or negative ``t_limit`` raises
+    ``ValueError``.
+
     The walk relies on the closed world: its boundary ring of cells is wall,
     so a ray from a cell inside the ring meets a wall before it can leave
     the grid, and no step is bounds-checked. The origin must lie in that
     interior (``GridWorld.in_interior``); any other origin, including one
     outside the grid or in the boundary ring, raises ``ValueError``. Only a
     zero direction never meets a wall: it gives inf and -1, unless the
-    origin's own cell is wall (inf and face 1). Rays leave the walk's arrays
+    origin's own cell is wall (inf and face 1, which a finite ``t_limit``
+    masks to inf and -1 like any hit past it). Rays leave the walk's arrays
     on the step they hit."""
     ox, oy = float(origin[0]), float(origin[1])
     if not world.in_interior(ox, oy):
         raise ValueError(f"grid walk origin ({ox}, {oy}) lies outside the "
                          f"grid's walled interior")
+    t_limit = float(t_limit)
+    if not t_limit >= 0.0:
+        raise ValueError(f"grid walk limit {t_limit} is not a non-negative number")
     cs = world.cell_size
     grid_h, grid_w = world.occupancy.shape
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 2)
     n = len(dirs)
+    if n == 0:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
     dx, dy = dirs[:, 0], dirs[:, 1]
 
     ix, iy = math.floor(ox / cs), math.floor(oy / cs)
@@ -463,11 +478,20 @@ def raycast(world: GridWorld, origin, dirs):
 
     t_hit = np.full(n, np.inf)
     hit_x = np.full(n, -1, dtype=np.int8)   # crossed an x face: 1, y: 0
+    # every step of a nonzero direction enters a new cell, so w + h steps
+    # reach the boundary ring; a hit at t <= t_limit comes no later than the
+    # ray's grid-line crossings up to t_limit, which the loop's running sums
+    # reach within a step of this count on each axis
+    steps = grid_w + grid_h
+    if t_limit < math.inf:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossings = np.where(live_f[:2] <= t_limit,
+                                 np.floor((t_limit - live_f[:2]) / live_f[2:]) + 1.0,
+                                 0.0).sum(axis=0)
+        steps = int(min(crossings.max() + 2.0, steps))
     t_max_x, t_max_y, t_delta_x, t_delta_y = live_f
     cell, cell_step_x, cell_step_y, ray = live_i
-    # every step of a nonzero direction enters a new cell, so w + h steps
-    # reach the boundary ring
-    for _ in range(grid_w + grid_h):
+    for _ in range(steps):
         use_x = t_max_x <= t_max_y
         cell += np.where(use_x, cell_step_x, cell_step_y)
         wall = occupied[cell]
@@ -491,6 +515,9 @@ def raycast(world: GridWorld, origin, dirs):
     face = np.where(hit_x == 1, np.where(step_x > 0, 0, 1),
                     np.where(step_y > 0, 2, 3))
     face[hit_x < 0] = -1
+    past = t_hit > t_limit
+    t_hit[past] = np.inf
+    face[past] = -1
     return t_hit, face
 
 
@@ -504,11 +531,13 @@ class SimFrame:
     ``gt_pose`` is a plain attribute, set by ``render``. ``depth``,
     ``color`` and the landmark annotations (``landmark_ids``,
     ``landmark_uv``, ``landmark_depth``) are computed on first access and
-    then kept. ``depth_rows(stop)`` gives the top ``stop`` rows of the
-    depth image, and until ``depth`` is read it builds those rows alone, so
-    a caller that plans on a few rows (a navigation tick that does not
-    localize) walks and solves for nothing else. Reading ``depth`` keeps the
-    walk arrays for ``color``, and computing ``color`` releases them."""
+    then kept. ``depth_rows(stop, max_range)`` gives the top ``stop`` rows
+    of the depth image with every depth beyond ``max_range`` read as 0, and
+    until ``depth`` is read it builds those rows alone, walking each column
+    only as far as ``max_range``; so a caller that plans on a few rows and a
+    short range (a navigation tick that does not localize) walks and solves
+    for nothing else. Reading ``depth`` keeps the walk arrays for ``color``,
+    and computing ``color`` releases them."""
 
     def __init__(self, world: GridWorld, K: CameraIntrinsics, gt_pose: Pose,
                  rot: np.ndarray):
@@ -523,13 +552,24 @@ class SimFrame:
                                          self._K, self._K.height)
         return depth
 
-    def depth_rows(self, stop: int) -> np.ndarray:
-        """Rows ``0 .. stop - 1`` of ``depth``, bit for bit, for
-        ``0 < stop <= K.height``; asked for every row, it builds and keeps
-        ``depth``."""
+    def depth_rows(self, stop: int, max_range: float = math.inf) -> np.ndarray:
+        """``np.where(depth[:stop] <= max_range, depth[:stop], 0.0)`` bit for
+        bit, for ``1 <= stop``, whether or not ``depth`` is built yet; with
+        the default ``max_range`` it is the top of ``depth`` itself. Asked
+        for every row, it builds and keeps ``depth``. A ``stop`` below 1, or
+        a ``max_range`` that is NaN or not positive, raises ``ValueError``."""
+        if stop < 1:
+            raise ValueError(f"depth_rows needs stop >= 1, got {stop}")
+        if not max_range > 0.0:
+            raise ValueError(f"depth_rows needs a positive max_range, got {max_range}")
         if "depth" in vars(self) or stop >= self._K.height:
-            return self.depth[:stop]
-        return _render_rows(self._world, self.gt_pose.t, self._rot, self._K, stop)[0]
+            rows = self.depth[:stop]
+        else:
+            rows = _render_rows(self._world, self.gt_pose.t, self._rot, self._K,
+                                stop, max_range)[0]
+        if max_range == math.inf:
+            return rows
+        return np.where(rows <= max_range, rows, 0.0)
 
     @cached_property
     def color(self) -> np.ndarray:
@@ -593,12 +633,18 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     return SimFrame(world, K, pose, rot)
 
 
-def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int):
+def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int,
+                 t_limit: float = math.inf):
     """Depth of image rows ``0 .. stop - 1`` of a checked level camera at
     ``cam`` with rotation ``rot``, and the per-pixel walk arrays shading
     reads: (depth (stop, width), (dirs_world, floor, wall, face)). Every
     pixel's value depends on its own ray alone, so these rows are the top of
-    the full image (``stop = K.height``) bit for bit."""
+    the full image (``stop = K.height``) bit for bit. With a finite
+    ``t_limit`` the columns are walked only that far (``raycast``), and the
+    depth is fit only to be masked: ``np.where(depth <= t_limit, depth,
+    0.0)`` equals the unlimited render's depth masked alike, while a pixel
+    past the limit may read inf where the full render sees sky. The walk
+    arrays are then not fit to shade."""
     dirs_world = _camera_rays(K)[:stop * K.width] @ rot.T
     # rounding splits a column's horizontal direction into a few that differ
     # in the last bits; walking each once gives every pixel its own ray's
@@ -608,15 +654,18 @@ def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int):
     col_y = dirs_world[:, 1].reshape(stop, K.width).T.ravel()
     new = np.ones(col_x.size, dtype=bool)
     new[1:] = (col_x[1:] != col_x[:-1]) | (col_y[1:] != col_y[:-1])
-    t_wall, face = raycast(world, cam, np.column_stack((col_x[new], col_y[new])))
+    t_wall, face = raycast(world, cam, np.column_stack((col_x[new], col_y[new])),
+                           t_limit)
     walk = (np.cumsum(new) - 1).reshape(K.width, stop).T.ravel()
     t_wall, face = t_wall[walk], face[walk]
 
     dz = dirs_world[:, 2]
-    with np.errstate(divide="ignore"):
+    # past a walk's limit t_wall is inf: the pixel reads floor at t_floor,
+    # inf for a level ray (dz = 0), whose wall height dz * t_wall is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
         t_floor = np.where(dz < 0.0, -cam[2] / dz, np.inf)
-    floor = t_floor <= t_wall
-    wall = ~floor & (cam[2] + dz * t_wall <= world.wall_height)
+        floor = t_floor <= t_wall
+        wall = ~floor & (cam[2] + dz * t_wall <= world.wall_height)
     # dirs_cam has unit z, so the ray parameter equals camera z-depth
     t = np.where(floor, t_floor, np.where(wall, t_wall, 0.0))
     return t.reshape(stop, K.width), (dirs_world, floor, wall, face)

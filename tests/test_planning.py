@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -569,12 +570,20 @@ class TestRunNavigation:
     def test_only_observed_ticks_build_the_full_depth(self, corridor_setup,
                                                       monkeypatch):
         # a tick that plans without localizing renders the obstacle rows
-        # alone; an observed tick builds the whole image once
+        # alone, walked out to OBSTACLE_MAX_RANGE; an observed tick builds
+        # the whole image once, unlimited
         world, topo = corridor_setup
-        stops, observed = [], []
+        calls, observed = [], []
         render_rows = simworld._render_rows
-        monkeypatch.setattr(simworld, "_render_rows",
-                            lambda *a: stops.append(a[-1]) or render_rows(*a))
+        signature = inspect.signature(render_rows)
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments["stop"], bound.arguments["t_limit"]))
+            return render_rows(*args, **kwargs)
+
+        monkeypatch.setattr(simworld, "_render_rows", spy)
         on_observation = Pipeline.on_observation
         monkeypatch.setattr(Pipeline, "on_observation", lambda self, obs, t:
                             observed.append(t) or on_observation(self, obs, t))
@@ -584,9 +593,10 @@ class TestRunNavigation:
                            start=(start[0], start[1], 0.0), seed=1,
                            config=NavConfig(timeout=6.0))
         assert len(rep.gt_trajectory) > 2 * len(observed) > 0
-        assert stops.count(K.height) == len(observed)
-        partial = [stop for stop in stops if stop != K.height]
-        assert partial and set(partial) == {obstacle_rows(K)}
+        full = [t_limit for stop, t_limit in calls if stop == K.height]
+        assert len(full) == len(observed) and set(full) == {math.inf}
+        partial = [call for call in calls if call[0] != K.height]
+        assert partial and set(partial) == {(obstacle_rows(K), OBSTACLE_MAX_RANGE)}
 
     def test_blocked_goal_times_out_with_trajectory(self, corridor_setup):
         world, topo = corridor_setup

@@ -502,6 +502,73 @@ class TestWalkMatchesReference:
         assert world.line_of_sight((1.2, 1.2), (2.2, 2.2))
 
 
+# limits in cells: none, a tenth of a cell and one cell; and in meters:
+# the planner's obstacle range, far past every wall and none at all
+LIMIT_CELLS = (0.0, 0.1, 1.0)
+LIMIT_METERS = (3.5, 1e6, math.inf)
+
+
+class TestLimitedWalk:
+    @pytest.mark.parametrize("name", ["small", "corridor", "rooms", "campus"])
+    def test_limited_walk_is_the_masked_full_walk(self, name):
+        # bit for bit, the sign of a zero t included
+        if name == "small":
+            world = small_world([(2, 2), (4, 3), (5, 1), (1, 4), (3, 2)])
+        else:
+            world, _ = make_preset(name, seed=1)
+        cs = world.cell_size
+        rng = np.random.default_rng(43)
+        # free points, and points on grid lines and grid corners, some of
+        # them inside wall cells
+        origins = np.vstack([random_free_points(world, rng, 6),
+                             np.round(random_free_points(world, rng, 10)
+                                      / (0.5 * cs)) * (0.5 * cs)])
+        origins = [o for o in origins if world.in_interior(o[0], o[1])]
+        # zero, axis-aligned and corner-diagonal directions at several
+        # lengths, and random ones
+        dirs = np.vstack([np.zeros((1, 2)), LATTICE_DIRS * cs,
+                          rng.normal(size=(30, 2)) * rng.uniform(0.1, 3.0, (30, 1))])
+        limits = [k * cs for k in LIMIT_CELLS] + list(LIMIT_METERS)
+        for origin in origins:
+            t_ref, face_ref = reference_walk(world, origin, dirs)
+            # and each ray's own hit: the walk reaches it however its
+            # running sums round
+            for t_limit in limits + t_ref[np.isfinite(t_ref)].tolist():
+                t, face = raycast(world, origin, dirs, t_limit)
+                past = t_ref > t_limit
+                assert t.tobytes() == np.where(past, np.inf, t_ref).tobytes()
+                assert face.dtype == face_ref.dtype
+                assert np.array_equal(face, np.where(past, -1, face_ref))
+
+    def test_limit_masks_a_zero_direction_in_a_wall_cell(self):
+        world = small_world([(2, 2)])
+        for t_limit in (0.0, 1.0, 1e6):
+            t, face = raycast(world, (1.2, 1.2), [(0.0, 0.0)], t_limit)
+            assert t[0] == np.inf and face[0] == -1
+        t, face = raycast(world, (1.2, 1.2), [(0.0, 0.0)], math.inf)
+        assert t[0] == np.inf and face[0] == 1
+
+    def test_limit_keeps_a_hit_exactly_at_it(self):
+        world = small_world([(3, 2)])
+        # from (1.25, 1.25) along +x the wall face x = 1.5 is 0.25 away
+        for t_limit, expected in ((0.25, 0.25), (np.nextafter(0.25, 0.0), np.inf)):
+            t, face = raycast(world, (1.25, 1.25), [(1.0, 0.0)], t_limit)
+            assert t[0] == expected and face[0] == (0 if expected < np.inf else -1)
+
+    @pytest.mark.parametrize("t_limit", [math.nan, -1e-300, -1.0, -math.inf])
+    def test_limit_must_be_a_non_negative_number(self, t_limit):
+        world = small_world([])
+        with pytest.raises(ValueError, match="limit"):
+            raycast(world, (1.2, 1.2), [(1.0, 0.0)], t_limit)
+
+    @pytest.mark.parametrize("t_limit", [0.0, 3.5, math.inf])
+    def test_no_rays(self, t_limit):
+        world = small_world([])
+        t, face = raycast(world, (1.2, 1.2), np.zeros((0, 2)), t_limit)
+        assert t.shape == face.shape == (0,)
+        assert t.dtype == np.float64 and face.dtype == np.int64
+
+
 @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
 def test_render_raises_no_warning(name):
     world, route = make_preset(name, seed=0)
@@ -512,6 +579,12 @@ def test_render_raises_no_warning(name):
 
 
 SHADING = ("color", "_landmarks", "landmark_ids", "landmark_uv", "landmark_depth")
+# a range inside most views, the planner's obstacle range, and none
+DEPTH_RANGES = (0.5, 3.5, math.inf)
+
+
+def masked(depth, max_range):
+    return np.where(depth <= max_range, depth, 0.0)
 
 
 class TestLazyFrame:
@@ -564,16 +637,42 @@ class TestLazyFrame:
             depth = render(world, pose, K).depth
             frame = render(world, pose, K)
             for stop in (1, 63, 64, 65):
-                rows = frame.depth_rows(stop)
-                assert rows.shape == (stop, K.width)
-                assert rows.tobytes() == depth[:stop].tobytes()
+                for max_range in DEPTH_RANGES:
+                    rows = frame.depth_rows(stop, max_range)
+                    assert rows.shape == (stop, K.width)
+                    assert rows.tobytes() == masked(depth[:stop], max_range).tobytes()
+                assert frame.depth_rows(stop).tobytes() == depth[:stop].tobytes()
             assert "depth" not in vars(frame)    # the rows alone were built
+            for max_range in DEPTH_RANGES:
+                # every row: built and kept, whatever the range
+                fresh = render(world, pose, K)
+                rows = fresh.depth_rows(128, max_range)
+                assert rows.tobytes() == masked(depth, max_range).tobytes()
+                assert fresh.depth.tobytes() == depth.tobytes()
             assert frame.depth_rows(128).tobytes() == depth.tobytes()
-            assert "depth" in vars(frame)        # every row: built and kept
+            assert "depth" in vars(frame)
             assert frame.depth.tobytes() == depth.tobytes()
             for stop in (1, 63, 64, 65, 128):
                 assert frame.depth_rows(stop).tobytes() == depth[:stop].tobytes()
+                for max_range in DEPTH_RANGES:
+                    assert (frame.depth_rows(stop, max_range).tobytes()
+                            == masked(depth[:stop], max_range).tobytes())
             assert np.shares_memory(frame.depth_rows(64), frame.depth)
+
+    @pytest.mark.parametrize("stop", [0, -1, -128])
+    def test_depth_rows_needs_a_row(self, corridor, stop):
+        frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
+        with pytest.raises(ValueError, match="stop"):
+            frame.depth_rows(stop)
+        frame.depth
+        with pytest.raises(ValueError, match="stop"):
+            frame.depth_rows(stop)
+
+    @pytest.mark.parametrize("max_range", [math.nan, 0.0, -1.0, -math.inf])
+    def test_depth_rows_needs_a_positive_range(self, corridor, max_range):
+        frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
+        with pytest.raises(ValueError, match="max_range"):
+            frame.depth_rows(64, max_range)
 
     def test_annotate_shades_only_nodes_without_image(self, corridor, monkeypatch):
         poses = [planar_camera_pose(x, CORRIDOR_Y, 0.1) for x in (2.0, 4.0)]
