@@ -61,9 +61,9 @@ def _read_waypoints(path):
 
 def _matcher_from(name: str):
     if name == "classical":
-        return lambda ref, query: matching.match_classical(ref, query)
+        return matching.match_classical
     if name == "oracle":
-        return lambda ref, query: matching.match_oracle(ref, query, seed=0)
+        return matching.match_oracle
     raise VlocError(f"unknown matcher '{name}'")
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NearSingularRotation
 
-QUAT_NORM_TOL = 1e-9
 DEPTH_MIN_DEFAULT = 0.05
 DEPTH_MAX_DEFAULT = 20.0
 Z_MIN_DEFAULT = 1e-6

@@ -199,7 +199,7 @@ class FusionGraph:
                 ct, cr = chain.retract(t, r, delta)
                 new_cost, new_lin = chain.linearize(ct, cr)
                 if new_cost < cost:
-                    rel = (cost - new_cost) / max(cost, 1e-300)
+                    rel = (cost - new_cost) / cost
                     t, r, cost = ct, cr, new_cost
                     trace.append(cost)
                     lam = max(lam / 10.0, 1e-12)

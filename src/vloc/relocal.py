@@ -26,16 +26,16 @@ result are those of the sequential loop, which ``tests/test_relocal.py``
 keeps as the reference. The samples depend only on the seed and the point
 count and are drawn once per pair (``_sample_rows``).
 
-Grunert's quartic has one formula, ``_grunert_quartic``, and two
-evaluators, each the faster at its own block size: ``_p3p_grunert`` on
-float64 columns, and ``_p3p_one`` on Python floats for the first block,
-one sample, after which a clean scene stops. They give the same bits: IEEE
-``+ - * /`` round alike on arrays and floats, ``_square`` rounds as
-``x ** 2`` (C ``pow``) does, and both take their dot products from
-``_rowdot``, which rounds as BLAS ``ddot`` (OpenBLAS 0.3.31's Haswell
-kernel: a forward chain of fused multiply-adds, which a Python sum does
-not reproduce). Poses pinned by the tests therefore depend on the BLAS
-kernel as well as on this code.
+Grunert's quartic has one formula, ``_grunert_quartic``, one root finder,
+``_quartic_roots``, and two evaluators, each the faster at its own block
+size, which alone picks one: ``_p3p_grunert`` on float64 columns, and
+``_p3p_one`` on Python floats for the first block, one sample, after which
+a clean scene stops. They give the same bits: IEEE ``+ - * /`` round alike
+on arrays and floats, ``_square`` rounds as ``x ** 2`` (C ``pow``) does,
+and both take their dot products from ``_rowdot``, which rounds as BLAS
+``ddot`` (OpenBLAS 0.3.31's Haswell kernel: a forward chain of fused
+multiply-adds, which a Python sum does not reproduce). Poses pinned by the
+tests therefore depend on the BLAS kernel as well as on this code.
 
 Frame convention: ``solve_pnp_ransac`` returns the transform that maps
 point coordinates into the observing camera's frame. When the points are
@@ -167,6 +167,7 @@ _BLOCK_SIZES = (1, 8, 64)
 # the sides opposite points 1, 2, 3 and the angles between their rays
 _PAIR_I = np.array([1, 0, 0])
 _PAIR_J = np.array([2, 2, 1])
+_ONE_ROW = np.ones(1, dtype=bool)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,6 +253,14 @@ def _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga, square):
     )
 
 
+def _quartic_roots(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_poly_roots`` of the Grunert quartics (k, 5) that ``rows`` asks
+    for, once a leading coefficient below 1e-14 is set to 0 in place: a
+    vanishing leading coefficient leaves a cubic."""
+    coeffs[np.abs(coeffs[:, 0]) < 1e-14, 0] = 0.0
+    return _poly_roots(coeffs, rows)
+
+
 def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     """Camera-frame candidate solutions for blocks of 3 world points
     (B, 3, 3) and their 3 unit rays (B, 3, 3).
@@ -270,10 +279,7 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
         q1, coeffs = _grunert_quartic(a2, b2, c2, *cosines, _square)
         coeffs = np.array(coeffs).T
         solvable = (sides >= 1e-9).all(axis=1) & np.isfinite(coeffs).all(axis=1)
-
-        # a vanishing leading coefficient leaves a cubic
-        coeffs[np.abs(coeffs[:, 0]) < 1e-14, 0] = 0.0
-        roots = _poly_roots(coeffs, solvable)     # a 0 root gives no solution
+        roots = _quartic_roots(coeffs, solvable)  # a 0 root gives no solution
 
         # the depth ratios u = d2 / d1, v = d3 / d1 of each root
         v = roots.real
@@ -296,41 +302,35 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
 
 
 def _p3p_one(pts: np.ndarray, rays: np.ndarray):
-    """``_p3p_grunert`` on a one-sample block (1, 3, 3), bit for bit, in
-    Python floats. Only the pair dot products (``_rowdot`` rounds as BLAS
-    ``ddot`` does, which a Python sum does not), the companion-matrix
-    eigenvalues and the Kabsch alignment are numpy calls, each on the
-    operands the block path gives it. The block path's per-call cost is
-    most of a sample's time when it solves one, and every solve starts
-    with one sample.
-
-    Returns None, for the block path to solve the sample, unless it is a
-    quartic with finite coefficients, a nonzero trailing one and sides of
-    at least 1e-9."""
+    """``_p3p_grunert`` on a one-sample block (1, 3, 3), bit for bit, for
+    every sample, in Python floats. Only the pair dot products (``_rowdot``
+    rounds as BLAS ``ddot`` does, which a Python sum does not), the roots
+    (``_quartic_roots`` on one row) and the Kabsch alignment are numpy
+    calls, each on the operands the block path gives it. The block path's
+    per-call cost is most of a sample's time when it solves one, and every
+    solve starts with one sample. A sample the block path cannot solve (a
+    side below 1e-9, coefficients not finite or overflowing) has none."""
+    valid = np.zeros((1, 4), dtype=bool)
+    r = np.zeros((1, 4, 3, 3))
+    t = np.zeros((1, 4, 3))
     with np.errstate(all="ignore"):
         dots = _pair_dots(pts, rays)[0].tolist()
-    sides = [math.sqrt(x) for x in dots[:3]]
-    if not all(side >= 1e-9 for side in sides):
-        return None
-    a2, b2, c2 = (side * side for side in sides)
-    cos_al, cos_be, cos_ga = dots[3:]
-    try:
-        q1, coeffs = _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga,
-                                      lambda x: x ** 2)
-    except OverflowError:
-        return None
-    lead = coeffs[0]
-    if (not all(map(math.isfinite, coeffs)) or abs(lead) < 1e-14
-            or coeffs[4] == 0.0):
-        return None
-    top = [-x / lead for x in coeffs[1:]]
-    if not all(map(math.isfinite, top)):
-        return None
-    comp = np.array([top, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0, 0.0]])
+        sides = [math.sqrt(x) for x in dots[:3]]
+        if not all(side >= 1e-9 for side in sides):
+            return valid, r, t
+        a2, b2, c2 = (side * side for side in sides)
+        cos_al, cos_be, cos_ga = dots[3:]
+        try:
+            q1, coeffs = _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga,
+                                          lambda x: x ** 2)
+        except OverflowError:
+            return valid, r, t
+        if not all(map(math.isfinite, coeffs)):
+            return valid, r, t
+        roots = _quartic_roots(np.array([coeffs]), _ONE_ROW)[0].tolist()
     ray_rows = rays[0].tolist()
     slots, cams = [], []
-    for slot, root in enumerate(np.linalg.eigvals(comp[None])[0].tolist()):
+    for slot, root in enumerate(roots):
         # the depth ratios u = d2 / d1, v = d3 / d1 of each root
         v = root.real
         denom = 2.0 * (cos_ga - v * cos_al)
@@ -344,9 +344,6 @@ def _p3p_one(pts: np.ndarray, rays: np.ndarray):
             slots.append(slot)
             cams.append([[dist * x for x in ray]
                          for dist, ray in zip((d1, u * d1, v * d1), ray_rows)])
-    valid = np.zeros((1, 4), dtype=bool)
-    r = np.zeros((1, 4, 3, 3))
-    t = np.zeros((1, 4, 3))
     if slots:
         valid[0, slots] = True
         r[0, slots], t[0, slots] = _kabsch(pts[[0] * len(slots)], np.array(cams))
@@ -354,8 +351,7 @@ def _p3p_one(pts: np.ndarray, rays: np.ndarray):
 
 
 def _pixel_rays(uv: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    rays = np.ones((len(uv), 3))
-    rays[:, :2] = (uv - (K.cx, K.cy)) / (K.fx, K.fy)
+    rays = unproject(K, uv[:, 0], uv[:, 1], np.ones(len(uv)))
     return rays / np.sqrt((rays * rays).sum(axis=1, keepdims=True))
 
 
@@ -465,8 +461,7 @@ def _score_block(sel, p3d, uv, rays, K):
     number of candidates of each sample (B,)."""
     triples = sel[:, :3]
     pts, pts_rays = p3d.take(triples, axis=0), rays.take(triples, axis=0)
-    solved = _p3p_one(pts, pts_rays) if len(sel) == 1 else None
-    valid, r, t = solved or _p3p_grunert(pts, pts_rays)
+    valid, r, t = (_p3p_one if len(sel) == 1 else _p3p_grunert)(pts, pts_rays)
     probe = sel[:, None, 3:]
     e4 = _reprojection_errors(r, t, p3d.take(probe, axis=0), uv.take(probe, axis=0),
                               K)[..., 0]

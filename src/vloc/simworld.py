@@ -59,7 +59,10 @@ WAYPOINT_RADIUS = 0.3
 ROUTE_CLEARANCE = 0.5
 # how far, in grid cells, a preset anchor may move to reach free space
 SNAP_RADIUS_CELLS = 8
-_FACE_NORMALS = {0: (-1.0, 0.0), 1: (1.0, 0.0), 2: (0.0, -1.0), 3: (0.0, 1.0)}
+# a wall cell's faces, numbered as ``raycast`` reports them (0 west, 1 east,
+# 2 south, 3 north): each outward normal (dx, dy) is also the offset of the
+# free cell the face looks into
+_FACES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def _mix64(h: np.ndarray) -> np.ndarray:
@@ -345,8 +348,7 @@ class GridWorld:
                 if not occ[iy, ix]:
                     continue
                 cell_idx = iy * w + ix
-                for face, (dx, dy) in ((0, (-1, 0)), (1, (1, 0)),
-                                       (2, (0, -1)), (3, (0, 1))):
+                for face, (dx, dy) in enumerate(_FACES):
                     nx, ny = ix + dx, iy + dy
                     if not (0 <= nx < w and 0 <= ny < h) or occ[ny, nx]:
                         continue
@@ -356,18 +358,12 @@ class GridWorld:
                     z = rng.uniform(0.1, self.wall_height - 0.1,
                                     LANDMARKS_PER_FACE)
                     for j in range(LANDMARKS_PER_FACE):
-                        if face == 0:
-                            p = (ix * cs, (iy + u[j]) * cs, z[j])
-                        elif face == 1:
-                            p = ((ix + 1) * cs, (iy + u[j]) * cs, z[j])
-                        elif face == 2:
-                            p = ((ix + u[j]) * cs, iy * cs, z[j])
-                        else:
-                            p = ((ix + u[j]) * cs, (iy + 1) * cs, z[j])
+                        # on the face's grid line across it, at u along it
+                        x = (ix + (u[j] if dx == 0 else max(dx, 0))) * cs
+                        y = (iy + (u[j] if dy == 0 else max(dy, 0))) * cs
                         ids.append((cell_idx * 4 + face) * LANDMARKS_PER_FACE + j)
-                        pos.append(p)
-                        nx_, ny_ = _FACE_NORMALS[face]
-                        nrm.append((nx_, ny_, 0.0))
+                        pos.append((x, y, z[j]))
+                        nrm.append((dx, dy, 0.0))
         return (np.array(ids, dtype=np.int64),
                 np.array(pos, dtype=float).reshape(-1, 3),
                 np.array(nrm, dtype=float).reshape(-1, 3))

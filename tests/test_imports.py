@@ -1,9 +1,12 @@
-"""Every name a ``vloc`` module imports is used in that module, so removing
-code cannot leave a dead import behind. The package ``__init__`` imports
-to re-export: a name it lists in ``__all__`` counts as used."""
+"""Every name a ``vloc`` module imports is used in that module, and every
+module-level constant is read by some module of the package, so removing
+code cannot leave a dead import or a dead constant behind. The package
+``__init__`` imports to re-export: a name it lists in ``__all__`` counts as
+used."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -37,6 +40,26 @@ def exported_names(tree):
     return set()
 
 
+def constant_names(tree):
+    """(name, line) of every module-level constant: an UPPER_CASE name,
+    with or without a leading underscore, bound by a top-level assignment."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id):
+                    yield name.id, node.lineno
+
+
+def read_names(tree):
+    """Every name the module reads, bare or as an attribute (``mod.NAME``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -51,3 +74,13 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in imported_names(tree) if name not in used]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def test_every_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES}
+    read = set().union(*(read_names(tree) | exported_names(tree)
+                         for tree in trees.values()))
+    unread = [f"{name}:{line}: {constant}" for name, tree in trees.items()
+              for constant, line in constant_names(tree) if constant not in read]
+    assert not unread, "constant read by no module: " + ", ".join(unread)

@@ -634,12 +634,11 @@ class TestFirstSamplePath:
 
     @staticmethod
     def solve_one(pts, rays):
-        """Whether ``_p3p_one`` solved the one-sample block (1, 3, 3) itself;
-        when it did, its arrays are the block path's byte for byte."""
+        """``_p3p_one`` on the one-sample block (1, 3, 3), asserted to be
+        the block path's arrays byte for byte; whether it has a candidate."""
         got = _p3p_one(pts, rays)
-        if got is not None:
-            assert_same_bytes(got, _p3p_grunert(pts, rays))
-        return got is not None
+        assert_same_bytes(got, _p3p_grunert(pts, rays))
+        return bool(got[0].any())
 
     def test_bit_equal_on_seeded_triples(self):
         rng = np.random.default_rng(24)
@@ -649,25 +648,35 @@ class TestFirstSamplePath:
         rays = pts + rng.normal(0.0, 0.05, pts.shape) * (np.arange(n) % 2)[:, None, None]
         rays /= np.linalg.norm(rays, axis=2, keepdims=True)
         solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(n)]
-        assert all(solved)
-        assert sum(_p3p_grunert(pts[k:k + 1], rays[k:k + 1])[0].any()
-                   for k in range(0, n, 50)) >= 90
+        assert sum(solved) >= 4900
 
-    def test_unusual_samples_fall_back(self):
+    def test_unusual_samples_are_the_block_paths(self):
         rng = np.random.default_rng(3)
-        pts = rng.normal(0.0, 1.0, (5, 3, 3)) + [0.0, 0.0, 4.0]
+        pts = rng.normal(0.0, 1.0, (7, 3, 3)) + [0.0, 0.0, 4.0]
         rays = pts.copy()
         # the quadratic and the zero side of test_p3p_candidates_in_root_order
         pts[0] = [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]
         rays[0] = [[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         pts[1, 2] = pts[1, 1]
         rays[2, 1] = np.nan
-        rays /= np.linalg.norm(rays, axis=2, keepdims=True)
         pts[3] *= 1e150             # squared sides near 1e300: still solved
         pts[4] *= 1e160             # squared sides overflow, silently
-        solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(5)]
-        assert solved == [False, False, False, True, False]
-        assert _p3p_grunert(pts[3:4], rays[3:4])[0].any()
+        # the quadratic's triangle with rays 1e-8 off perpendicular: a
+        # leading coefficient near -1e-16, which leaves a cubic
+        pts[5] = pts[0]
+        rays[5] = [[0.6, 0.0, 0.8], [1.0, 0.0, 0.0], [1e-8, 1.0, 0.0]]
+        # a right angle at point 3 seen along perpendicular rays 1 and 2:
+        # q1 = -1 and a trailing coefficient of exactly zero
+        pts[6] = [[3.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 0.0]]
+        rays[6] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+        rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+        dots = relocal._pair_dots(pts[5:], rays[5:])
+        sides = np.sqrt(dots[:, :3])
+        _, coeffs = relocal._grunert_quartic(*(sides * sides).T, *dots[:, 3:].T,
+                                              relocal._square)
+        assert 0.0 < abs(coeffs[0][0]) < 1e-14 and coeffs[4][1] == 0.0
+        solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(7)]
+        assert solved == [True, False, False, True, False, True, True]
 
     def test_first_block_uses_it(self, monkeypatch):
         calls = []

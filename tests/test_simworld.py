@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -816,6 +817,20 @@ def test_texel_table_built_once_per_world(monkeypatch):
 
 def test_landmark_table_kept_per_world(corridor):
     assert corridor.landmarks() is corridor.landmarks()
+
+
+@pytest.mark.parametrize("preset, count, digest", [
+    ("corridor", 1232, "2b9c4fc5b005a576f5c48cfc927c5284e9cbb88157c8d41b0916f471d0684898"),
+    ("rooms", 1728, "036c5c8031a9fa52478346b1fd31e3f7b89b5409eb2dabdf14a29047b792c9f4"),
+    ("campus", 3824, "4813f92fe79034d65391b8bbab86c2e89b9d4587e4bb54662f348135f4e1cc42"),
+])
+def test_landmark_table_pinned(preset, count, digest):
+    # ids, positions and normals of every wall face's landmarks, byte for
+    # byte: the oracle matcher's correspondences and every pin rest on them
+    world, _ = make_preset(preset, seed=7)
+    table = world.landmarks()
+    assert [len(column) for column in table] == [count] * 3
+    assert hashlib.sha256(b"".join(column.tobytes() for column in table)).hexdigest() == digest
 
 
 class TestRobot:
