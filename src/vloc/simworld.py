@@ -11,11 +11,12 @@ same value from any view. A world hashes every lattice node its floor and
 wall faces can reach once, into a texel table built on its first shade,
 and shading gathers from it: lattice value noise over a precomputed table,
 as in Perlin, "An Image Synthesizer" (SIGGRAPH 1985). Landmarks seeded on
-wall faces give the oracle matcher ground-truth correspondences. A render
-checks its camera at once; it computes depth, or only the top rows a
-caller asks for, shades color and finds landmarks when they are first
-read. A unicycle robot with drifting odometry and a waypoint pursuit
-controller generate mapping/localization segments.
+wall faces give the oracle matcher ground-truth correspondences; their
+sight-lines ride the depth's grid walk. A render checks its camera at
+once; it computes depth with the landmarks, or only the top rows a caller
+asks for, and shades color when they are first read. A unicycle robot
+with drifting odometry and a waypoint pursuit controller generate
+mapping/localization segments.
 
 Grid indexing is ``occupancy[iy, ix]``; world x spans ``ix * cell_size`` and
 row 0 of the text format is the smallest y. The camera is level (its y axis
@@ -461,7 +462,9 @@ def raycast(world: GridWorld, origin, dirs, t_limit: float = math.inf):
     # live rays, one column each: t_max_x, t_max_y, t_delta_x, t_delta_y
     # (floats) and flat cell, cell step in x, cell step in y, ray (ints)
     live_f = np.empty((4, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero component has no crossing (inf), and so, rounded, does a
+    # subnormal one: cs / 5e-324 overflows to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         live_f[0] = np.where(dx > 0.0, ((ix + 1) * cs - ox) / dx,
                              np.where(dx < 0.0, (ix * cs - ox) / dx, np.inf))
         live_f[1] = np.where(dy > 0.0, ((iy + 1) * cs - oy) / dy,
@@ -480,7 +483,7 @@ def raycast(world: GridWorld, origin, dirs, t_limit: float = math.inf):
     # reach within a step of this count on each axis
     steps = grid_w + grid_h
     if t_limit < math.inf:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             crossings = np.where(live_f[:2] <= t_limit,
                                  np.floor((t_limit - live_f[:2]) / live_f[2:]) + 1.0,
                                  0.0).sum(axis=0)
@@ -527,13 +530,18 @@ class SimFrame:
     ``gt_pose`` is a plain attribute, set by ``render``. ``depth``,
     ``color`` and the landmark annotations (``landmark_ids``,
     ``landmark_uv``, ``landmark_depth``) are computed on first access and
-    then kept. ``depth_rows(stop, max_range)`` gives the top ``stop`` rows
-    of the depth image with every depth beyond ``max_range`` read as 0, and
-    until ``depth`` is read it builds those rows alone, walking each column
-    only as far as ``max_range``; so a caller that plans on a few rows and a
-    short range (a navigation tick that does not localize) walks and solves
-    for nothing else. Reading ``depth`` keeps the walk arrays for ``color``,
-    and computing ``color`` releases them."""
+    then kept. Building ``depth`` makes the frame's one grid walk: the
+    image columns and the candidate landmarks' sight-lines ride it
+    together, so the annotations read what it left, and a read of the
+    landmarks alone builds the depth (1.0-1.4 ms a 128x128 frame of the
+    presets on a 2-vCPU host).
+    ``depth_rows(stop, max_range)`` gives the top ``stop`` rows of the depth
+    image with every depth beyond ``max_range`` read as 0, and until
+    ``depth`` is read it builds those rows alone, walking each column only
+    as far as ``max_range`` and no sight-line; so a caller that plans on a
+    few rows and a short range (a navigation tick that does not localize)
+    walks and solves for nothing else. Reading ``depth`` keeps the walk
+    arrays for ``color``, and computing ``color`` releases them."""
 
     def __init__(self, world: GridWorld, K: CameraIntrinsics, gt_pose: Pose,
                  rot: np.ndarray):
@@ -544,8 +552,11 @@ class SimFrame:
 
     @cached_property
     def depth(self) -> np.ndarray:
-        depth, self._walk = _render_rows(self._world, self.gt_pose.t, self._rot,
-                                         self._K, self._K.height)
+        cam = self.gt_pose.t
+        cand, sight = _landmark_candidates(self._world, cam, self._rot, self._K)
+        depth, self._walk, t_sight = _render_rows(self._world, cam, self._rot,
+                                                  self._K, self._K.height, sight=sight)
+        self._sight = cand, t_sight
         return depth
 
     def depth_rows(self, stop: int, max_range: float = math.inf) -> np.ndarray:
@@ -576,7 +587,8 @@ class SimFrame:
 
     @cached_property
     def _landmarks(self) -> tuple:
-        return _visible_landmarks(self._world, self.gt_pose, self._K)
+        self.depth      # its walk also walks the landmark sight-lines
+        return _visible_landmarks(*vars(self).pop("_sight"))
 
     landmark_ids = property(lambda self: self._landmarks[0])
     landmark_uv = property(lambda self: self._landmarks[1])
@@ -630,12 +642,15 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
 
 
 def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int,
-                 t_limit: float = math.inf):
+                 t_limit: float = math.inf, sight=np.zeros((0, 2))):
     """Depth of image rows ``0 .. stop - 1`` of a checked level camera at
-    ``cam`` with rotation ``rot``, and the per-pixel walk arrays shading
-    reads: (depth (stop, width), (dirs_world, floor, wall, face)). Every
-    pixel's value depends on its own ray alone, so these rows are the top of
-    the full image (``stop = K.height``) bit for bit. With a finite
+    ``cam`` with rotation ``rot``, the per-pixel walk arrays shading reads,
+    and the walk's ``t`` along each of the (n, 2) ``sight`` directions:
+    (depth (stop, width), (dirs_world, floor, wall, face), t_sight (n,)).
+    Every pixel's value depends on its own ray alone, so these rows are the
+    top of the full image (``stop = K.height``) bit for bit. The sight-lines
+    ride the columns' one walk; each ray's walk is its own, so ``t_sight``
+    is ``raycast(world, cam, sight, t_limit)[0]`` bit for bit. With a finite
     ``t_limit`` the columns are walked only that far (``raycast``), and the
     depth is fit only to be masked: ``np.where(depth <= t_limit, depth,
     0.0)`` equals the unlimited render's depth masked alike, while a pixel
@@ -650,10 +665,10 @@ def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int,
     col_y = dirs_world[:, 1].reshape(stop, K.width).T.ravel()
     new = np.ones(col_x.size, dtype=bool)
     new[1:] = (col_x[1:] != col_x[:-1]) | (col_y[1:] != col_y[:-1])
-    t_wall, face = raycast(world, cam, np.column_stack((col_x[new], col_y[new])),
-                           t_limit)
+    cols = np.column_stack((col_x[new], col_y[new]))
+    t_all, face_all = raycast(world, cam, np.concatenate((cols, sight)), t_limit)
     walk = (np.cumsum(new) - 1).reshape(K.width, stop).T.ravel()
-    t_wall, face = t_wall[walk], face[walk]
+    t_wall, face = t_all[walk], face_all[walk]
 
     dz = dirs_world[:, 2]
     # past a walk's limit t_wall is inf: the pixel reads floor at t_floor,
@@ -664,7 +679,7 @@ def _render_rows(world: GridWorld, cam, rot, K: CameraIntrinsics, stop: int,
         wall = ~floor & (cam[2] + dz * t_wall <= world.wall_height)
     # dirs_cam has unit z, so the ray parameter equals camera z-depth
     t = np.where(floor, t_floor, np.where(wall, t_wall, 0.0))
-    return t.reshape(stop, K.width), (dirs_world, floor, wall, face)
+    return t.reshape(stop, K.width), (dirs_world, floor, wall, face), t_all[len(cols):]
 
 
 def _shade(world: GridWorld, cam, t, dirs_world, floor, wall, face) -> np.ndarray:
@@ -689,27 +704,31 @@ def _shade(world: GridWorld, cam, t, dirs_world, floor, wall, face) -> np.ndarra
     return color
 
 
-def _visible_landmarks(world: GridWorld, pose: Pose, K: CameraIntrinsics):
+def _landmark_candidates(world: GridWorld, cam, rot, K: CameraIntrinsics):
+    """The landmarks a level camera at ``cam`` with rotation ``rot`` could
+    see, before any occlusion test: those that project into the image, face
+    the camera and lie within ``LANDMARK_RANGE``. Returns their (ids, uv,
+    z-depth), and their (x, y) sight-lines from the camera, which the
+    render's grid walk tests."""
     ids, pos, nrm = world.landmarks()
-    if len(ids) == 0:
-        return (np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))
-    cam = pose.t
-    rot = pose.rotation_matrix()
     p_cam = (pos - cam) @ rot
     uv, in_view = project_array(K, p_cam)
     facing = np.einsum("ij,ij->i", nrm, cam[None, :] - pos) > 1e-9
     in_range = np.linalg.norm(pos - cam, axis=1) <= LANDMARK_RANGE
     cand = np.nonzero(in_view & facing & in_range)[0]
-    if len(cand) == 0:
-        return (np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))
+    return (ids[cand], uv[cand], p_cam[cand, 2]), pos[cand, :2] - cam[None, :2]
 
+
+def _visible_landmarks(cand, t) -> tuple:
+    """The annotations of the candidates ``_landmark_candidates`` returned
+    whose sight-line walk ``t`` meets no wall before the landmark, in id
+    order: (ids, uv, z-depth)."""
+    ids, uv, z = cand
     # camera and landmark both lie between floor and wall top, so the 3-D
     # segment is blocked exactly when its (x, y) shadow crosses a wall cell
-    t, _ = raycast(world, cam, pos[cand, :2] - cam[None, :2])
-    sel = cand[t >= 1.0 - 1e-6]
-    order = np.argsort(ids[sel])
-    sel = sel[order]
-    return ids[sel].copy(), uv[sel].copy(), p_cam[sel, 2].copy()
+    sel = np.flatnonzero(t >= 1.0 - 1e-6)
+    sel = sel[np.argsort(ids[sel])]
+    return ids[sel], uv[sel], z[sel]
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +932,11 @@ def annotate_map_with_landmarks(topo_map, K: CameraIntrinsics,
                                 world: GridWorld) -> None:
     """Re-render each node pose to repopulate the transient landmark
     annotations (and any missing image) on a loaded map, enabling the
-    oracle matcher against it. Frames shade lazily, so only nodes without
-    an image are shaded; an existing image is left as it is."""
+    oracle matcher against it. The annotations come from each frame's depth
+    walk, so every node costs a depth render, 1.0-1.4 ms on the presets
+    (see ``SimFrame``); only the CLI runs this, once per map it loads, and
+    no hot loop does. Frames shade lazily, so only nodes without an image
+    are shaded; an existing image is left as it is."""
     for node in topo_map.nodes:
         frame = render(world, node.pose, K)
         node.landmark_ids = frame.landmark_ids

@@ -231,6 +231,35 @@ class TestGreedy:
             assert greedy_max_coverage(arrays, budget) == \
                 reference_greedy_max_coverage(sets, budget)
 
+    def test_kept_gains_match_a_recount_every_round(self):
+        # a brute-force recount: every round counts each row's uncovered
+        # members afresh; small universes force ties, identical sets and
+        # the stop at zero gain
+        rng = np.random.default_rng(29)
+        ties = stops = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            universe = int(rng.integers(1, 20))
+            arrays = [rng.integers(0, universe, size=rng.integers(0, 10))
+                      for _ in range(n)]
+            budget = int(rng.integers(1, n + 3))
+            keys, cols = np.unique(np.concatenate(arrays), return_inverse=True)
+            member = np.zeros((n, len(keys)), dtype=bool)
+            member[np.repeat(np.arange(n), [a.size for a in arrays]), cols] = True
+            covered = np.zeros(len(keys), dtype=bool)
+            expected = []
+            while len(expected) < budget:
+                gain = np.count_nonzero(member & ~covered, axis=1)
+                best = int(np.argmax(gain))
+                if gain[best] == 0:
+                    stops += 1
+                    break
+                ties += int(np.count_nonzero(gain == gain[best]) > 1)
+                expected.append(best)
+                covered |= member[best]
+            assert greedy_max_coverage(arrays, budget) == sorted(expected)
+        assert ties > 100 and stops > 100
+
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
         sets = [rng.integers(0, 40, size=12) for _ in range(20)]

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vloc import simworld
 from vloc.dataio import write_raw
@@ -570,6 +572,37 @@ class TestLimitedWalk:
         assert t.dtype == np.float64 and face.dtype == np.int64
 
 
+# origins anywhere in the interior of ``small_world``'s grid, on grid lines
+# and corners too; directions random, through cell corners, along the axes
+# or zero; limits none, or anywhere from zero to past every wall
+_WALK_WORLD = small_world([(2, 2), (4, 3), (5, 1), (1, 4), (3, 2)])
+_coord = st.one_of(st.floats(0.5, 3.5, exclude_max=True),
+                   st.integers(2, 13).map(lambda k: k * 0.25))
+_dir = st.one_of(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                 st.sampled_from([tuple(d) for d in LATTICE_DIRS] + [(0.0, 0.0)]))
+_dirs = st.lists(_dir, max_size=8).map(lambda d: np.array(d, dtype=float).reshape(-1, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=_coord, y=_coord.filter(lambda y: y < 2.5), parts=st.lists(_dirs, max_size=4),
+       t_limit=st.one_of(st.just(math.inf), st.floats(0.0, 10.0)))
+# subnormal components: their crossings overflow to inf, without a warning
+@example(x=1.2, y=1.7, parts=[np.array([[5e-324, 1.0], [-1.0, 0.0]]),
+                              np.array([[-5e-324, 5e-324]])], t_limit=math.inf)
+@example(x=1.2, y=1.7, parts=[np.array([[1.0, -5e-324]]), np.zeros((0, 2)),
+                              LATTICE_DIRS], t_limit=0.5)
+def test_walk_of_a_concatenation_is_the_concatenated_walks(x, y, parts, t_limit):
+    """Each ray's walk is its own: one ``raycast`` over several direction
+    sets gives, bit for bit, what a walk of each set alone gives. A render
+    rests on it when its landmark sight-lines ride the depth walk."""
+    t, face = raycast(_WALK_WORLD, (x, y), np.vstack([np.zeros((0, 2)), *parts]), t_limit)
+    walks = [raycast(_WALK_WORLD, (x, y), d, t_limit) for d in parts]
+    assert t.tobytes() == np.concatenate([np.zeros(0)] + [w[0] for w in walks]).tobytes()
+    assert face.dtype == np.int64
+    assert np.array_equal(face, np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [w[1] for w in walks]))
+
+
 @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
 def test_render_raises_no_warning(name):
     world, route = make_preset(name, seed=0)
@@ -696,6 +729,64 @@ class TestLazyFrame:
             assert np.array_equal(node.landmark_uv, uv)
             assert np.array_equal(node.landmark_depth, lm_depth)
         assert np.array_equal(topo.nodes[1].image, color)
+
+    def test_a_full_render_walks_the_grid_once(self, corridor, monkeypatch):
+        walks = []
+        walk = simworld.raycast
+        monkeypatch.setattr(simworld, "raycast",
+                            lambda *a: walks.append(len(a[2])) or walk(*a))
+        pose = planar_camera_pose(3.0, CORRIDOR_Y, -0.6)
+        _, sight = simworld._landmark_candidates(corridor, pose.t,
+                                                 pose.rotation_matrix(), K)
+        assert len(sight) > 0
+        obs = render(corridor, pose, K).observation()
+        assert len(walks) == 1 and len(obs.landmark_ids) > 0
+        # the columns and every candidate's sight-line, in the one walk
+        simworld._render_rows(corridor, pose.t, pose.rotation_matrix(), K, K.height)
+        assert walks[0] == walks[1] + len(sight)
+        # a landmarks-only read of a fresh frame walks once, for the depth
+        # too, and the rest of the frame walks no more
+        frame = render(corridor, pose, K)
+        assert np.array_equal(frame.landmark_ids, obs.landmark_ids)
+        assert len(walks) == 3 and "depth" in vars(frame)
+        frame.observation()
+        assert len(walks) == 3
+        # a planning tick's rows walk their columns alone
+        render(corridor, pose, K).depth_rows(64, 3.5)
+        assert len(walks) == 4 and walks[3] <= walks[1]
+
+    @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+    def test_annotations_match_a_walk_of_their_own(self, name):
+        # on the mapping drive's frames, bit for bit
+        world, route = make_preset(name, seed=7)
+        rec = generate_segment(world, route, K, camera_rate=2.0, seed=1,
+                               noise=OdomNoise.zero())
+        for f in rec.segment.frames:
+            rot = f.pose.rotation_matrix()
+            depth = simworld._render_rows(world, f.pose.t, rot, K, K.height)[0]
+            assert f.obs.depth.tobytes() == depth.tobytes()
+            got = (f.obs.landmark_ids, f.obs.landmark_uv, f.obs.landmark_depth)
+            for a, b in zip(got, two_walk_annotations(world, f.pose, K)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+def two_walk_annotations(world, pose, K):
+    """The landmark annotations as a render found them with a grid walk of
+    their own, apart from the depth's: the candidates in view, facing the
+    camera and in range whose sight-line meets no wall first, in id order."""
+    ids, pos, nrm = world.landmarks()
+    cam = pose.t
+    rot = pose.rotation_matrix()
+    p_cam = (pos - cam) @ rot
+    uv, in_view = project_array(K, p_cam)
+    facing = np.einsum("ij,ij->i", nrm, cam[None, :] - pos) > 1e-9
+    in_range = np.linalg.norm(pos - cam, axis=1) <= LANDMARK_RANGE
+    cand = np.nonzero(in_view & facing & in_range)[0]
+    t, _ = raycast(world, cam, pos[cand, :2] - cam[None, :2])
+    sel = cand[t >= 1.0 - 1e-6]
+    sel = sel[np.argsort(ids[sel])]
+    return ids[sel], uv[sel], p_cam[sel, 2]
 
 
 def wall_face_spans(world):
