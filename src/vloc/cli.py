@@ -156,17 +156,15 @@ def cmd_localize(args) -> int:
     matcher = _map_matcher(args, topo, K)
     pipeline = Pipeline(topo, K, matcher, config)
 
-    events = []
-    for ts, delta in recording.odometry:
-        events.append((ts, 1, ("odom", delta)))
-    for frame in segment.frames:
-        events.append((frame.timestamp, 0, ("obs", frame.obs)))
+    # 0 an observation, 1 an odometry delta: the observation first on a tie
+    events = [(ts, 1, delta) for ts, delta in recording.odometry]
+    events += [(frame.timestamp, 0, frame.obs) for frame in segment.frames]
     events.sort(key=lambda e: (e[0], e[1]))
 
     trajectory = []
     outcomes = []
-    for ts, _, (kind, payload) in events:
-        if kind == "obs":
+    for ts, kind, payload in events:
+        if kind == 0:
             outcome = pipeline.on_observation(payload, ts)
             outcomes.append(outcome)
             if outcome.fix is not None:
@@ -180,7 +178,7 @@ def cmd_localize(args) -> int:
     if args.log:
         write_csv(args.log, ObservationOutcome.CSV_HEADER,
                   (outcome.csv_fields() for outcome in outcomes))
-    if args.batch_out and len(pipeline.fusion.priors):
+    if args.batch_out and pipeline.fusion is not None:
         poses, _ = pipeline.fusion.optimize()
         write_trajectory(args.batch_out,
                          list(zip(pipeline.fusion.timestamps, poses)))

@@ -61,10 +61,6 @@ class SingularNormalEquations(VlocError):
     """LM step failed: a failed banded Cholesky or a non-finite step."""
 
 
-class EmptyGraph(VlocError):
-    """Pose query on a fusion graph with no states."""
-
-
 class NotLocalized(VlocError):
     """World pose requested while the pipeline is in Lost mode."""
 

@@ -533,12 +533,11 @@ def unproject(K: CameraIntrinsics, u, v, d) -> np.ndarray:
     return np.stack([(u - K.cx) / K.fx * d, (v - K.cy) / K.fy * d, d], axis=1)
 
 
-def project_array(K: CameraIntrinsics, pts_cam: np.ndarray,
-                  z_min: float = Z_MIN_DEFAULT):
+def project_array(K: CameraIntrinsics, pts_cam: np.ndarray):
     """Vectorized projection: (N, 3) -> ((N, 2) pixels, (N,) validity mask)."""
     pts = np.asarray(pts_cam, dtype=float).reshape(-1, 3)
     z = pts[:, 2]
-    ok = z > z_min
+    ok = z > Z_MIN_DEFAULT
     zs = np.where(ok, z, 1.0)
     u = K.fx * pts[:, 0] / zs + K.cx
     v = K.fy * pts[:, 1] / zs + K.cy

@@ -3,13 +3,13 @@ place retrieval (global localization), per-node metric relocalization
 (local localization), and the pose-graph fusion backend.
 
 Lost mode retrieves the top-1 node and, above the similarity gate,
-verifies a metric fix against it; a verified fix starts the fusion graph
-(or re-attaches the stale one) and tracking begins.
+verifies a metric fix against it; a verified fix re-attaches the stale
+fusion graph or starts a new one at the fix, and tracking begins.
 Tracking mode gathers the nearest node plus its 1-hop covisibility
 neighbors, localizes against the most similar candidate, feeds successful
 fixes into the fusion graph (windowed optimization), and falls back to
 Lost after enough consecutive failures. Odometry is propagated at high
-rate into the fusion graph in either mode, once it has a state: in Lost
+rate into the fusion graph in either mode, once there is one: in Lost
 mode the graph keeps dead-reckoning, so relocalization resumes from the
 motion made while lost instead of discarding it.
 """
@@ -95,7 +95,7 @@ class Pipeline:
     """One localization session against a fixed map. Every node must hold
     an image (ValueError otherwise): localization matches against it. The
     estimate is the fusion graph's last state; ``current_world_pose`` reads
-    it."""
+    it. ``fusion`` is None until the first verified fix starts it."""
 
     def __init__(self, topo_map, K: CameraIntrinsics, matcher,
                  config: PipelineConfig = PipelineConfig()):
@@ -109,7 +109,7 @@ class Pipeline:
         self.config = config
         self.mode = PipelineMode.LOST
         self.consecutive_failures = 0
-        self.fusion = FusionGraph()
+        self.fusion: FusionGraph | None = None
 
     # -- observations ---------------------------------------------------------
 
@@ -188,29 +188,24 @@ class Pipeline:
         """Apply the fix and enter Tracking. The fix goes to the stale graph,
         which dead-reckoned through the Lost period, if there is one. A fix
         about pi from the state it attaches to fails that solve (its prior
-        residual has no tangent); the stale graph then drops the prior and
-        is left as it was. Otherwise, or then, a new graph starts at the fix
+        residual has no tangent), and the stale graph is dropped as it
+        stands. With no graph, or then, a new graph starts at the fix
         itself: one state under one prior equal to it is already the
         optimum, so no solve runs. False, changing nothing, only when the
         stale graph's state nearest the fix lies before its optimization
         window (a late fix, rejected as in Tracking mode)."""
-        stale = self.fusion
-        if stale.timestamps:
-            if self._before_window(stale.nearest_state(timestamp)):
+        if self.fusion is not None:
+            if self._before_window(self.fusion.nearest_state(timestamp)):
                 return False
-            n_priors = len(stale.priors)
             try:
                 self._apply_fix(fix, inliers, timestamp)
             except (NearSingularRotation, SingularNormalEquations):
-                stale.truncate(n_priors)
-            else:
-                self.mode = PipelineMode.TRACKING
-                return True
-        self.fusion = FusionGraph()
-        self.fusion.initialize(fix, timestamp)
-        self.fusion.add_vloc_fix(
-            0, fix, vloc_fix_sigmas(inliers, self.config.pnp.min_inliers))
-        self.consecutive_failures = 0
+                self.fusion = None
+        if self.fusion is None:
+            self.fusion = FusionGraph(fix, timestamp)
+            self.fusion.add_vloc_fix(
+                0, fix, vloc_fix_sigmas(inliers, self.config.pnp.min_inliers))
+            self.consecutive_failures = 0
         self.mode = PipelineMode.TRACKING
         return True
 
@@ -250,14 +245,15 @@ class Pipeline:
 
     def on_odometry(self, delta: Pose, timestamp: float) -> Pose:
         """High-rate propagation into the fusion graph, in either mode once
-        it has a state; returns the world pose estimate. In Lost mode the
-        graph keeps dead-reckoning and NotLocalized is raised, since no world
-        pose can be claimed; before the first fix NotLocalized is raised and
-        nothing changes. Raises, changing nothing, NonMonotonicTimestamp for
-        a timestamp that is not finite or not after the graph's last one."""
+        the first fix has started one; returns the world pose estimate. In
+        Lost mode the graph keeps dead-reckoning and NotLocalized is raised,
+        since no world pose can be claimed; before the first fix there is no
+        graph, NotLocalized is raised and nothing changes. Raises, changing
+        nothing, NonMonotonicTimestamp for a timestamp that is not finite or
+        not after the graph's last one."""
         if not math.isfinite(timestamp):
             raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
-        if not self.fusion.timestamps:
+        if self.fusion is None:
             raise NotLocalized("pipeline has no fix yet")
         step = float(np.linalg.norm(delta.t))
         pose = self.fusion.propagate(delta, odom_sigmas(step), timestamp)

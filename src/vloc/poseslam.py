@@ -6,6 +6,9 @@ localization results; between factors chain consecutive states through
 odometry deltas. The stacked whitened residual ``log(measured^-1 *
 predicted)`` is minimized by damped Gauss-Newton (Levenberg-Marquardt);
 prior factors carry a Huber loss so a bad fix cannot drag the trajectory.
+A graph starts at its first state, ``FusionGraph(pose, timestamp)``, and
+only grows: ``propagate`` appends a state and its between factor,
+``add_vloc_fix`` a prior, and nothing is removed.
 
 The graph is held once, in arrays with amortised growth: ``states`` are
 (n, 7) pose rows ``x y z qw qx qy qz`` (as ``Pose.fields``), and each factor
@@ -34,7 +37,6 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from .errors import (
-    EmptyGraph,
     NoGaugePrior,
     NonMonotonicTimestamp,
     SingularNormalEquations,
@@ -95,36 +97,31 @@ def _append(buf, n: int, record):
 
 
 class FusionGraph:
-    def __init__(self):
+    """A chain of states from its first, at ``pose`` and a finite ``timestamp``."""
+
+    def __init__(self, pose: Pose, timestamp: float):
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp {timestamp} is not finite")
         self._states = np.empty((16, 7))
+        self._states[0] = np.concatenate([pose.t, pose.q])
         self._betweens = np.empty(16, _FACTOR)
         self._priors = np.empty(16, _FACTOR)
         self._n_priors = 0
-        self.timestamps: list = []    # one per state; their count is n
+        self.timestamps = [float(timestamp)]    # one per state; their count is n
         self.last_cost_trace: list = []
         self.last_rejected_trials = 0
 
     # views of the filled rows, valid until the next append
     states = property(lambda self: self._states[:len(self.timestamps)])
-    betweens = property(lambda self: self._betweens[:max(len(self.timestamps) - 1, 0)])
+    betweens = property(lambda self: self._betweens[:len(self.timestamps) - 1])
     priors = property(lambda self: self._priors[:self._n_priors])
 
     # -- construction --------------------------------------------------------
-
-    def initialize(self, pose: Pose, timestamp: float) -> None:
-        if self.timestamps:
-            raise ValueError("graph already initialized")
-        if not math.isfinite(timestamp):
-            raise ValueError(f"timestamp {timestamp} is not finite")
-        self._states[0] = np.concatenate([pose.t, pose.q])
-        self.timestamps.append(float(timestamp))
 
     def propagate(self, odom_delta: Pose, sigmas, timestamp: float) -> Pose:
         """Append x_k = x_{k-1} * delta plus its between factor at a finite
         timestamp after the last one (``nearest_state`` bisects them). No
         optimization happens here; a rejected call appends nothing."""
-        if not self.timestamps:
-            raise EmptyGraph("propagate on an empty graph; initialize first")
         if not (math.isfinite(timestamp) and timestamp > self.timestamps[-1]):
             raise NonMonotonicTimestamp(
                 f"timestamp {timestamp} not after {self.timestamps[-1]}")
@@ -144,22 +141,12 @@ class FusionGraph:
         self._priors = _append(self._priors, self._n_priors, factor)
         self._n_priors += 1
 
-    def truncate(self, n_priors: int) -> None:
-        """Undo ``add_vloc_fix`` calls: keep the first ``n_priors`` priors."""
-        if not 0 <= n_priors <= self._n_priors:
-            raise ValueError(f"cannot truncate {self._n_priors} priors to {n_priors}")
-        self._n_priors = n_priors
-
     def current_pose(self):
-        if not self.timestamps:
-            raise EmptyGraph("no states")
         row = self.states[-1]
         return Pose(row[:3], row[3:]), self.timestamps[-1]
 
     def nearest_state(self, timestamp: float) -> int:
         """Index of the state nearest in time; the earlier one on a tie."""
-        if not self.timestamps:
-            raise EmptyGraph("no states")
         ts = self.timestamps
         k = min(bisect.bisect_left(ts, timestamp), len(ts) - 1)
         return k - 1 if k and timestamp - ts[k - 1] <= ts[k] - timestamp else k
@@ -174,8 +161,6 @@ class FusionGraph:
         trials in ``last_rejected_trials``. A solve that raises changes
         nothing."""
         n = len(self.timestamps)
-        if n == 0:
-            raise EmptyGraph("nothing to optimize")
         if not self._n_priors:
             raise NoGaugePrior("graph has no prior factor; gauge is free")
         first_free = 0 if window is None else min(n, max(0, n - int(window)))

@@ -402,9 +402,9 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
     ``poseslam.LM_REL_DECREASE`` of it, after a rejected step whose model
     decrease is below that share of the cost, and after a step none of
     whose 12 halvings lowers it. ``errors`` are the points' reprojection
-    errors at (r, t) when the caller has them. Returns (R, t, converged,
-    accepted steps, rejected trial steps), R and t being the inputs when no
-    step helps."""
+    errors at (r, t) when the caller has them. Returns (R, t, accepted
+    steps, rejected trial steps), R and t being the inputs when no step
+    helps or the cost at them is not finite."""
 
     def cost_of(rr, tt):
         e = _reprojection_errors(rr, tt, p3d, uv, K)
@@ -412,7 +412,7 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
 
     cost = cost_of(r, t) if errors is None else float((errors * errors).sum())
     if not np.isfinite(cost):
-        return r, t, False, 0, 0
+        return r, t, 0, 0
     steps = halvings = 0
     for _ in range(REFINE_ITERS):
         if cost < COST_FLOOR:
@@ -448,7 +448,7 @@ def _refine_gauss_newton(r, t, p3d, uv, K, errors=None):
         r, t, cost = r_new, t_new, c_new
         if rel < LM_REL_DECREASE:
             break
-    return r, t, True, steps, halvings
+    return r, t, steps, halvings
 
 
 def _score_block(sel, p3d, uv, rays, K):
@@ -562,9 +562,9 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
                            iterations=iteration, hypotheses=hypotheses)
 
     mask = best_err < REPROJ_THRESH
-    r_ref, t_ref, ok, steps, halvings = _refine_gauss_newton(
+    r_ref, t_ref, steps, halvings = _refine_gauss_newton(
         best_r, best_t, p3d[mask], uv[mask], K, best_err[mask])
-    if ok and r_ref is not best_r:
+    if r_ref is not best_r:
         err_ref = _reprojection_errors(r_ref, t_ref, p3d, uv, K)
         inl_ref = int(np.count_nonzero(err_ref < REPROJ_THRESH))
         if inl_ref >= best_inliers:

@@ -74,7 +74,7 @@ def _mix64(h: np.ndarray) -> np.ndarray:
 
 _HASH_SALTS = tuple(
     np.uint64((0x9E3779B97F4A7C15 * (0xA24BAED4963EE407 ** k + 1)) % 2 ** 64)
-    for k in range(8)
+    for k in range(5)
 )
 
 

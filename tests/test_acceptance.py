@@ -181,8 +181,7 @@ def test_criterion_3_optimizer_correctness():
     # (b) LM accepted cost monotone on randomized graphs
     for trial in range(10):
         rng2 = np.random.default_rng(100 + trial)
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         for k in range(8):
             delta = Pose(rng2.normal(0, 0.3, 3), rng2.normal(0, 1, 4))
             g.propagate(delta, SIG6, float(k + 1))
@@ -194,8 +193,7 @@ def test_criterion_3_optimizer_correctness():
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
     # (c) biased odometry chain corrected
-    g = FusionGraph()
-    g.initialize(Pose.identity(), 0.0)
+    g = FusionGraph(Pose.identity(), 0.0)
     for k in range(10):
         g.propagate(tx(1.1), SIG6, float(k + 1))
     gt_end = tx(10.0)

@@ -1,8 +1,9 @@
-"""Every name a ``vloc`` module imports is used in that module, and every
-module-level constant is read by some module of the package, so removing
-code cannot leave a dead import or a dead constant behind. The package
-``__init__`` imports to re-export: a name it lists in ``__all__`` counts as
-used."""
+"""Every name a ``vloc`` module imports is used in that module, every
+module-level constant is read by some module of the package, and every
+error class is imported by some other module, so removing code cannot leave
+a dead import, a dead constant or an error nothing raises behind. The
+package ``__init__`` imports to re-export: a name it lists in ``__all__``
+counts as used."""
 
 import ast
 import pathlib
@@ -84,3 +85,18 @@ def test_every_constant_is_read():
     unread = [f"{name}:{line}: {constant}" for name, tree in trees.items()
               for constant, line in constant_names(tree) if constant not in read]
     assert not unread, "constant read by no module: " + ", ".join(unread)
+
+
+def test_every_error_class_is_imported_elsewhere():
+    # with every import used, each class is raised, caught or subclassed
+    errors = SRC / "errors.py"
+    defined = {node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    imported = {alias.name for path in MODULES if path != errors
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "errors"
+                and node.level == 1
+                for alias in node.names}
+    assert defined >= {"VlocError", "NotLocalized"}
+    assert not defined - imported, \
+        "error class no other module imports: " + ", ".join(sorted(defined - imported))

@@ -42,6 +42,22 @@ def oracle(ref, query):
     return match_oracle(ref, query, seed=0)
 
 
+def graph_arrays(graph):
+    """Copies of a fusion graph's states, timestamps and priors; an empty
+    list for no graph."""
+    if graph is None:
+        return []
+    return [graph.states.copy(), list(graph.timestamps), graph.priors.copy()]
+
+
+def assert_graph_kept(p, graph, arrays):
+    """``p`` still holds ``graph``, with the ``graph_arrays`` it had."""
+    assert p.fusion is graph
+    after = graph_arrays(graph)
+    assert len(after) == len(arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(after, arrays))
+
+
 @pytest.fixture(scope="module")
 def corridor_map():
     world, route = make_preset("corridor", seed=3)
@@ -113,7 +129,7 @@ class TestModeMachine:
             p.on_odometry(delta, 0.1)
         assert vars(p).keys() == before.keys()
         assert all(vars(p)[k] is v for k, v in before.items())
-        assert not p.fusion.timestamps
+        assert p.fusion is None
         p.on_observation(render(world, topo.nodes[3].pose, K).observation(), 0.2)
         assert p.mode is PipelineMode.TRACKING and p.fusion.timestamps == [0.2]
 
@@ -233,14 +249,12 @@ class TestModeMachine:
             p.on_observation(flat_observation(), 1.0)
         assert p.mode is PipelineMode.LOST
         fusion = p.fusion
-        before = (fusion.states.copy(), list(fusion.timestamps), fusion.priors.copy())
+        before = graph_arrays(fusion)
 
         out = p.on_observation(view, 0.2)     # state 2; the window is 6-10
         assert out.status == "GlUnverified" and out.fix is None
         assert p.mode is PipelineMode.LOST
-        assert p.fusion is fusion
-        after = (fusion.states, fusion.timestamps, fusion.priors)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert_graph_kept(p, fusion, before)
 
         out = p.on_observation(view, 0.6)     # state 6, inside the window
         assert out.status == "Success" and p.mode is PipelineMode.TRACKING
@@ -297,13 +311,11 @@ class TestHostileInput:
         world, topo = corridor_map
         p = self.pipeline_in(mode, corridor_map, "oracle")
         obs = render(world, topo.nodes[3].pose, K).observation()
-        before = (p.fusion.states.copy(), list(p.fusion.timestamps),
-                  p.fusion.priors.copy())
+        graph, before = p.fusion, graph_arrays(p.fusion)
         with pytest.raises(NoDepth):
             p.on_observation(dataclasses.replace(obs, depth=None), 1.0)
         assert p.mode is mode and p.consecutive_failures == 0
-        after = (p.fusion.states, p.fusion.timestamps, p.fusion.priors)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert_graph_kept(p, graph, before)
 
     @pytest.mark.parametrize("mode", list(PipelineMode))
     @pytest.mark.parametrize("timestamp", [np.nan, np.inf, -np.inf],
@@ -312,15 +324,13 @@ class TestHostileInput:
         world, topo = corridor_map
         p = self.pipeline_in(mode, corridor_map, "oracle")
         obs = render(world, topo.nodes[3].pose, K).observation()
-        before = (p.fusion.states.copy(), list(p.fusion.timestamps),
-                  p.fusion.priors.copy())
+        graph, before = p.fusion, graph_arrays(p.fusion)
         monkeypatch.setattr(pipeline_module, "extract_descriptor",
                             lambda *_: pytest.fail("work done on a bad timestamp"))
         with pytest.raises(NonMonotonicTimestamp, match="not finite"):
             p.on_observation(obs, timestamp)
         assert p.mode is mode and p.consecutive_failures == 0
-        after = (p.fusion.states, p.fusion.timestamps, p.fusion.priors)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert_graph_kept(p, graph, before)
 
     @staticmethod
     def assert_valid(pose):
@@ -411,8 +421,8 @@ class TestHostileInput:
     def test_fix_about_pi_from_seed(self, corridor_map, monkeypatch, graph):
         # an upright fix 0.5 m from the retrieved node, turned pi about
         # world z. On the stale graph its prior residual sits on the log
-        # map's singularity: that solve fails, the prior is dropped and the
-        # graph is left as it was. Either way a new graph starts at the fix
+        # map's singularity: that solve fails and the stale graph is
+        # dropped. Either way a new graph starts at the fix
         world, topo = corridor_map
         p = Pipeline(topo, K, oracle)
         if graph == "after_tracking":
@@ -432,20 +442,16 @@ class TestHostileInput:
                                status=RelocStatus.SUCCESS)
 
         fusion = p.fusion
-        before = (fusion.states.copy(), list(fusion.timestamps),
-                  fusion.priors.copy(), fusion.betweens.copy())
+        assert (fusion is None) == (graph == "empty")
         obs = render(world, topo.nodes[3].pose, K).observation()
         monkeypatch.setattr(pipeline_module, "localize_against_node", turned_fix)
         out = p.on_observation(obs, 9.0)
         assert out.status == "Success" and p.mode is PipelineMode.TRACKING
         assert out.fix == turned_fix(topo.nodes[3], obs, K, oracle, None).pose
-        after = (fusion.states, fusion.timestamps, fusion.priors, fusion.betweens)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
         assert p.fusion is not fusion
         assert p.current_world_pose() == (out.fix, 9.0)
+        assert p.fusion.timestamps == [9.0]
         assert len(p.fusion.priors) == 1 and p.fusion.last_cost_trace == []
-        if graph == "after_tracking":
-            fusion.optimize()
 
 
 @pytest.fixture(scope="module")
@@ -510,9 +516,11 @@ class TestContractProperties:
     def test_stream_contracts(self, corridor_map, corridor_views, boot, events):
         _, topo = corridor_map
         p = Pipeline(topo, K, oracle)
+        assert p.fusion is None
         last = 0.0
         if boot:
             assert p.on_observation(corridor_views[1], last).status == "Success"
+        fixed = boot
         for kind, arg, (how, t) in events:
             t = {"after": last + t, "before": last - t, "at": t}[how]
             payload = corridor_views[arg] if kind == "observation" else arg
@@ -521,30 +529,38 @@ class TestContractProperties:
                 continue
             last = max(last, t)
             lost = p.mode is PipelineMode.LOST
+            graph = p.fusion
+            sizes = [len(a) for a in graph_arrays(graph)]
+            out = None
             if kind == "odometry":
                 try:
                     assert_valid(p.on_odometry(arg, t))
                 except NotLocalized:
                     assert lost
-                    if p.fusion.timestamps:
+                    if p.fusion is not None:
                         assert_valid(p.fusion.current_pose()[0])
                 except NonMonotonicTimestamp:
-                    assert p.fusion.timestamps and t <= p.fusion.timestamps[-1]
+                    assert p.fusion is not None and t <= p.fusion.timestamps[-1]
             else:
-                graph = p.fusion
-                out = p.on_observation(corridor_views[arg], t)
+                out = p.on_observation(payload, t)
                 if out.fix is not None:
                     assert_valid(out.fix)
-                if lost and p.mode is PipelineMode.TRACKING:
-                    # a fix from Lost mode goes to the stale graph or starts
-                    # a new one at the fix itself, with no solve
-                    assert graph.timestamps or p.fusion is not graph
-                    if p.fusion is not graph:
-                        assert p.fusion.timestamps == [t]
-                        assert np.array_equal(p.fusion.states,
-                                              [np.r_[out.fix.t, out.fix.q]])
+                    assert out.status == "Success"
+                    fixed = True
+            # no graph before the first fix; then one that only grows and
+            # holds a prior, until a fix from Lost mode that the stale graph
+            # does not take starts a new one at the fix itself, with no solve
+            assert (p.fusion is None) is not fixed
+            if p.fusion is not None:
+                assert len(p.fusion.priors) >= 1
+            if graph is not None and p.fusion is graph:
+                assert all(len(a) >= n for a, n in zip(graph_arrays(graph), sizes))
+            elif p.fusion is not graph:
+                assert lost and out is not None and out.fix is not None
+                assert p.mode is PipelineMode.TRACKING
+                assert p.fusion.timestamps == [t]
+                assert np.array_equal(p.fusion.states, [np.r_[out.fix.t, out.fix.q]])
             if p.mode is PipelineMode.TRACKING:
-                assert p.fusion.timestamps
                 assert_valid(p.current_world_pose()[0])
             else:
                 with pytest.raises(NotLocalized):
@@ -553,22 +569,16 @@ class TestContractProperties:
     @staticmethod
     def assert_rejected(p, kind, payload, t):
         """Bad input raises its documented error and changes nothing."""
-        def state():
-            fusion = p.fusion
-            return (p.mode, p.consecutive_failures, fusion,
-                    fusion.states.copy(), list(fusion.timestamps), fusion.priors.copy())
-
-        before = state()
+        before = (p.mode, p.consecutive_failures)
+        graph, arrays = p.fusion, graph_arrays(p.fusion)
         error = NonMonotonicTimestamp if not math.isfinite(t) else NoDepth
         with pytest.raises(error):
             if kind == "odometry":
                 p.on_odometry(payload, t)
             else:
                 p.on_observation(payload, t)
-        after = state()
-        assert after[:2] == before[:2]
-        assert after[2] is before[2]
-        assert all(np.array_equal(a, b) for a, b in zip(after[3:], before[3:]))
+        assert (p.mode, p.consecutive_failures) == before
+        assert_graph_kept(p, graph, arrays)
 
 
 class TestReplayRegression:

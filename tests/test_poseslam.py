@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from vloc.errors import (
-    EmptyGraph,
     NearSingularRotation,
     NoGaugePrior,
     NonMonotonicTimestamp,
@@ -42,8 +41,7 @@ def row_of(pose):
 
 
 def chain_graph(deltas, prior_pairs, sigmas=SIG6):
-    g = FusionGraph()
-    g.initialize(Pose.identity(), 0.0)
+    g = FusionGraph(Pose.identity(), 0.0)
     for k, d in enumerate(deltas):
         g.propagate(d, sigmas, float(k + 1))
     for idx, pose, sig in prior_pairs:
@@ -52,15 +50,19 @@ def chain_graph(deltas, prior_pairs, sigmas=SIG6):
 
 
 class TestPropagate:
+    def test_a_graph_starts_at_its_first_state(self):
+        g = FusionGraph(tx(2.0), 0.5)
+        assert np.array_equal(g.states, [row_of(tx(2.0))]) and g.timestamps == [0.5]
+        assert len(g.betweens) == 0 and len(g.priors) == 0
+        assert g.current_pose() == (tx(2.0), 0.5) and g.nearest_state(-1.0) == 0
+
     def test_identity_delta(self):
-        g = FusionGraph()
-        g.initialize(tx(2.0), 0.0)
+        g = FusionGraph(tx(2.0), 0.0)
         out = g.propagate(Pose.identity(), SIG6, 1.0)
         assert out.almost_equal(tx(2.0), 1e-15)
 
     def test_three_unit_steps(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         for k in range(3):
             out = g.propagate(tx(1.0), SIG6, float(k + 1))
         assert np.allclose(out.t, [3.0, 0.0, 0.0], atol=1e-12)
@@ -68,9 +70,8 @@ class TestPropagate:
 
     def test_fold_property_random_deltas(self):
         rng = np.random.default_rng(8)
-        g = FusionGraph()
         start = random_pose(rng)
-        g.initialize(start, 0.0)
+        g = FusionGraph(start, 0.0)
         acc = start
         for k in range(1000):
             d = random_pose(rng, t_scale=0.1)
@@ -79,8 +80,7 @@ class TestPropagate:
         assert g.current_pose()[0].almost_equal(acc, 1e-9)
 
     def test_non_monotonic_timestamp(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 5.0)
+        g = FusionGraph(Pose.identity(), 5.0)
         with pytest.raises(NonMonotonicTimestamp):
             g.propagate(tx(1.0), SIG6, 5.0)
 
@@ -116,43 +116,23 @@ class TestRejectedCallChangesNothing:
         assert (g.timestamps, len(g.betweens)) == before[1:]
         g.propagate(tx(1.0), SIG6, 2.0)
         assert g.nearest_state(1.9) == 2
-        empty = FusionGraph()
         with pytest.raises(ValueError):
-            empty.initialize(Pose.identity(), ts)
-        assert not empty.timestamps
-        empty.initialize(Pose.identity(), 0.0)
-
-    def test_truncate_undoes_appends(self):
-        g = chain_graph([tx(1.0)] * 3, [(0, Pose.identity(), TIGHT)])
-        before = (g.states.copy(), list(g.timestamps), g.betweens.copy(),
-                  g.priors.copy())
-        g.add_vloc_fix(3, tx(3.0), TIGHT)
-        g.add_vloc_fix(1, tx(1.0), TIGHT)
-        for bad in (4, -1):           # more priors than there are, or fewer than none
-            with pytest.raises(ValueError):
-                g.truncate(bad)
-        assert len(g.priors) == 3
-        g.truncate(1)
-        after = (g.states, g.timestamps, g.betweens, g.priors)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+            FusionGraph(Pose.identity(), ts)
 
 
 class TestAddFix:
     def test_single_prior(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.add_vloc_fix(0, tx(1.0), TIGHT)
         assert len(g.priors) == 1
 
     def test_unknown_state(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         with pytest.raises(UnknownState):
             g.add_vloc_fix(3, tx(1.0), TIGHT)
 
     def test_nearest_state_lookup(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         for k in range(5):
             g.propagate(tx(0.1), SIG6, (k + 1) * 0.5)
         assert g.nearest_state(1.1) == 2
@@ -166,8 +146,7 @@ class TestLongSession:
 
     @staticmethod
     def session(n):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         step = tx(0.1).compose(se3_exp([0.0, 0.0, 0.0, 0.0, 0.0, 0.01]))
         fix_sig = vloc_fix_sigmas(12, 12)
         for k in range(1, n):
@@ -271,8 +250,7 @@ def random_nonlinear_chain(rng, n):
     """A chain over truth poses with rotating steps, noisy odometry and noisy
     fixes on the first, the last and about every fifth state."""
     truth = [random_pose(rng, t_scale=1.0)]
-    g = FusionGraph()
-    g.initialize(truth[0].compose(se3_exp(rng.normal(0, 0.05, 6))), 0.0)
+    g = FusionGraph(truth[0].compose(se3_exp(rng.normal(0, 0.05, 6))), 0.0)
     for k in range(1, n):
         step = se3_exp(np.concatenate([rng.normal(0, 0.5, 3), rng.normal(0, 0.4, 3)]))
         truth.append(truth[-1].compose(step))
@@ -286,8 +264,7 @@ def random_nonlinear_chain(rng, n):
 
 class TestOptimize:
     def test_single_state_prior_converges(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         target = tx(1.5)
         g.add_vloc_fix(0, target, TIGHT)
         poses, cost = g.optimize()
@@ -334,8 +311,7 @@ class TestOptimize:
         rng = np.random.default_rng(3)
         for trial in range(10):
             deltas = [random_pose(rng, t_scale=0.3) for _ in range(8)]
-            g = FusionGraph()
-            g.initialize(Pose.identity(), 0.0)
+            g = FusionGraph(Pose.identity(), 0.0)
             acc = Pose.identity()
             noisy_states = []
             for k, d in enumerate(deltas):
@@ -366,8 +342,7 @@ class TestOptimize:
     def test_exact_measurements_converge_from_perturbed_inits(self):
         rng = np.random.default_rng(4)
         deltas = [random_pose(rng, t_scale=0.4) for _ in range(5)]
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         truth = [Pose.identity()]
         for k, d in enumerate(deltas):
             g.propagate(d, SIG6, float(k + 1))
@@ -384,8 +359,7 @@ class TestOptimize:
                 assert a.almost_equal(b, 1e-9)
 
     def test_no_gauge_prior(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.propagate(tx(1.0), SIG6, 1.0)
         with pytest.raises(NoGaugePrior):
             g.optimize()
@@ -393,8 +367,7 @@ class TestOptimize:
     def test_stops_at_cost_floor(self):
         # a 1-state, 1-prior solve ends with the first accepted step whose
         # cost is below the 1e-18 floor
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.add_vloc_fix(0, se3_exp([0.5, -0.2, 0.3, 0.2, -0.1, 0.3]), TIGHT)
         _, cost = g.optimize()
         trace = g.last_cost_trace
@@ -527,8 +500,7 @@ def streamed_windows(seed, n=40, window=12, fix_every=5):
     optimum of the one before."""
     rng = np.random.default_rng(seed)
     truth = Pose.identity()
-    g = FusionGraph()
-    g.initialize(truth, 0.0)
+    g = FusionGraph(truth, 0.0)
     g.add_vloc_fix(0, truth, vloc_fix_sigmas(12, 12))
     for k in range(1, n):
         step = se3_exp(np.concatenate([[0.1], rng.normal(0, 0.01, 2),
@@ -574,8 +546,7 @@ class TestSolverAgainstReference:
 
     def test_disagreeing_fixes_down_weighted(self):
         # a fix 1 m and 0.2 rad off the other: the Huber weight is active
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.add_vloc_fix(0, Pose.identity(), vloc_fix_sigmas(12, 12))
         g.add_vloc_fix(0, se3_exp([1.0, 0.0, 0.0, 0.0, 0.0, 0.2]), vloc_fix_sigmas(12, 12))
         self.assert_close(g, None)
@@ -606,8 +577,7 @@ class TestSolverTelemetry:
     def test_symmetric_optimum_one_rejected_trial(self):
         # two fixes equally far either side of the state: the gradient is
         # exactly zero, so the one trial is the state itself, rejected
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.add_vloc_fix(0, tx(0.3), TIGHT)
         g.add_vloc_fix(0, tx(-0.3), TIGHT)
         before = g.states.copy()
@@ -619,8 +589,7 @@ class TestSolverTelemetry:
         # three fixes on one state, far apart in rotation: the first, least
         # damped trials overshoot and are rejected with a model decrease
         # above the stop, so lam grows until a trial is accepted
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         for xi in ([-0.98, -2.05, 0.11, -0.25, -0.97, 0.38],
                    [0.27, -2.22, 1.25, -0.37, 3.08, -0.99],
                    [0.34, 1.95, 3.76, 3.68, -1.49, -1.77]):
@@ -642,8 +611,7 @@ class TestSolverTelemetry:
     @pytest.mark.parametrize("off", [0.0, 1e-9, 1e-7, 1e-6 - 1e-9])
     def test_residual_within_1e_6_of_pi_raises(self, off):
         # the fix is a rotation of pi - off away from the state
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.add_vloc_fix(0, Pose(np.zeros(3), rotvec_to_quat([0.0, 0.0, math.pi - off])),
                        TIGHT)
         before = g.states.copy()
@@ -652,8 +620,7 @@ class TestSolverTelemetry:
         assert np.array_equal(g.states, before)
 
     def test_residual_just_outside_1e_6_of_pi_solves(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         target = Pose(np.zeros(3), rotvec_to_quat([0.0, 0.0, math.pi - 1e-6 - 1e-8]))
         g.add_vloc_fix(0, target, TIGHT)
         poses, _ = g.optimize()
@@ -662,15 +629,10 @@ class TestSolverTelemetry:
 
 class TestCurrentPose:
     def test_after_propagate(self):
-        g = FusionGraph()
-        g.initialize(Pose.identity(), 0.0)
+        g = FusionGraph(Pose.identity(), 0.0)
         g.propagate(tx(1.0), SIG6, 1.0)
         pose, ts = g.current_pose()
         assert np.allclose(pose.t, [1.0, 0.0, 0.0]) and ts == 1.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyGraph):
-            FusionGraph().current_pose()
 
     def test_streaming_matches_batch_at_each_fix(self):
         # replay: windowed optimize at every fix; oracle: fresh full batch
@@ -678,8 +640,7 @@ class TestCurrentPose:
         deltas = [tx(1.0).compose(se3_exp(rng.normal(0, 0.01, 6))) for _ in range(12)]
         fixes = {0: Pose.identity(), 4: tx(4.0), 8: tx(8.0), 12: tx(12.0)}
 
-        stream = FusionGraph()
-        stream.initialize(Pose.identity(), 0.0)
+        stream = FusionGraph(Pose.identity(), 0.0)
         stream.add_vloc_fix(0, fixes[0], TIGHT)
         stream_poses = []
         for k, d in enumerate(deltas):
@@ -691,8 +652,7 @@ class TestCurrentPose:
                 stream_poses.append((idx, stream.current_pose()[0]))
 
         for idx, streamed in stream_poses:
-            batch = FusionGraph()
-            batch.initialize(Pose.identity(), 0.0)
+            batch = FusionGraph(Pose.identity(), 0.0)
             for k in range(idx):
                 batch.propagate(deltas[k], SIG6, float(k + 1))
             for fi, fp in fixes.items():

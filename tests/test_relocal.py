@@ -226,13 +226,12 @@ def reference_solve_pnp_ransac(p3d, uv, K, params=PnPParams()):
                            iterations=iteration, hypotheses=hypotheses)
 
     mask = _reprojection_errors(best_r, best_t, p3d, uv, K) < REPROJ_THRESH
-    r_ref, t_ref, ok, steps, halvings = _refine_gauss_newton(
+    r_ref, t_ref, steps, halvings = _refine_gauss_newton(
         best_r, best_t, p3d[mask], uv[mask], K)
-    if ok:
-        inl_ref = int(np.sum(_reprojection_errors(r_ref, t_ref, p3d, uv, K)
-                             < REPROJ_THRESH))
-        if inl_ref >= best_inliers:
-            best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
+    inl_ref = int(np.sum(_reprojection_errors(r_ref, t_ref, p3d, uv, K)
+                         < REPROJ_THRESH))
+    if inl_ref >= best_inliers:
+        best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
 
     pose = Pose(best_t, matrix_to_quat(best_r))
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
@@ -393,7 +392,7 @@ class TestSolvePnP:
             r0, t0 = start.rotation_matrix(), start.t
             e0 = _reprojection_errors(r0, t0, p_world, uv, K)
             c0 = float(np.sum(e0 * e0))
-            r1, t1, _, _, _ = _refine_gauss_newton(r0, t0, p_world, uv, K)
+            r1, t1, _, _ = _refine_gauss_newton(r0, t0, p_world, uv, K)
             e1 = _reprojection_errors(r1, t1, p_world, uv, K)
             assert float(np.sum(e1 * e1)) <= c0 + 1e-12
 
@@ -412,15 +411,15 @@ class TestSolvePnP:
         p_world, uv, transform, _ = synth_scene(rng, 20, noise=1.0)
         start = transform.compose(se3_exp(rng.normal(0, 0.02, 6)))
         args = start.rotation_matrix(), start.t, p_world, uv, K
-        r1, t1, ok, steps, halvings = _refine_gauss_newton(*args)
-        assert ok and (steps, halvings) == (4, 0)
-        r2, t2, ok, steps, halvings = _refine_gauss_newton(r1, t1, p_world, uv, K)
-        assert ok and (steps, halvings) == (0, 1)
+        r1, t1, steps, halvings = _refine_gauss_newton(*args)
+        assert (steps, halvings) == (4, 0)
+        r2, t2, steps, halvings = _refine_gauss_newton(r1, t1, p_world, uv, K)
+        assert (steps, halvings) == (0, 1)
         assert r2 is r1 and t2 is t1
         costs = []
         for iters in (2, 3, 4):
             monkeypatch.setattr(relocal, "REFINE_ITERS", iters)
-            r, t, _, _, _ = _refine_gauss_newton(*args)
+            r, t, _, _ = _refine_gauss_newton(*args)
             e = _reprojection_errors(r, t, p_world, uv, K)
             costs.append(float((e * e).sum()))
         third, fourth = ((a - b) / a for a, b in zip(costs, costs[1:]))
