@@ -136,9 +136,6 @@ def cmd_build_map(args) -> int:
           f"{len(topo.cng_edges)} cng edges, {len(topo.cvg_edges)} cvg edges, "
           f"{manifest['storage_bytes_descriptors'] + manifest['storage_bytes_images']}"
           f" bytes payload")
-    comps = topo.components()
-    if len(comps) > 1:
-        print(f"warning: map has {len(comps)} connectivity components")
     return EXIT_OK
 
 

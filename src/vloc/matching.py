@@ -58,15 +58,6 @@ class MatchSet:
         if len(_first_rows(self.uv_query)) != n:
             raise ValueError("duplicate query pixels in match set")
 
-    @classmethod
-    def _distinct(cls, uv_ref, uv_query, confidence) -> "MatchSet":
-        """A match set of float columns of one length whose query rows are
-        already known to be distinct, built without checking them again."""
-        match_set = cls.__new__(cls)
-        match_set.uv_ref, match_set.uv_query = uv_ref, uv_query
-        match_set.confidence = confidence
-        return match_set
-
     def __len__(self):
         return self.confidence.size
 
@@ -229,10 +220,11 @@ def match_oracle(frame_ref, frame_query, outlier_rate: float = 0.0,
     uv_q[:, 1] = np.clip(uv_q[:, 1], 0.0, height - 1e-6)
 
     # duplicate query pixels after corruption are theoretically possible
-    # but measure zero; drop later duplicates defensively, which leaves the
-    # match set nothing to check
+    # but measure zero; drop later duplicates defensively, so the match
+    # set's own check passes
     first = _first_rows(uv_q)
-    return MatchSet._distinct(uv_r[first], uv_q[first], np.ones(len(first)))
+    return MatchSet(uv_ref=uv_r[first], uv_query=uv_q[first],
+                    confidence=np.ones(len(first)))
 
 
 MATCH_CSV_HEADER = "u_ref,v_ref,u_query,v_query,confidence"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,8 +59,8 @@ class PipelineConfig:
     window: int = WINDOW_DEFAULT
     pnp: PnPParams = PnPParams()
     # a global relocalization fix must land near the retrieved node (place
-    # similarity implies geographic proximity)
-    gl_fix_radius: float = 3.0
+    # similarity implies geographic proximity); a constant, not a field
+    gl_fix_radius: ClassVar[float] = 3.0
 
     def __post_init__(self):
         # a window below one puts every state before it, so every fix is
@@ -117,8 +118,10 @@ class Pipeline:
         """Process one camera observation; never raises on localization
         failure (failures drive the mode machine instead). Raises, before
         any work and changing nothing, NonMonotonicTimestamp for a
-        timestamp that is not finite and NoDepth for an observation without
-        depth."""
+        timestamp that is not finite, NoDepth for an observation without
+        depth, and, from ``extract_descriptor``, EmptyImage for an empty
+        image and ValueError for one it cannot describe: not 2-D, a side
+        under 16 px, or a value that is not finite."""
         if not math.isfinite(timestamp):
             raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
         if obs.depth is None:
@@ -145,7 +148,7 @@ class Pipeline:
                 status = "FixGated"
             else:
                 fix = result.pose
-                self._apply_fix(fix, result.inliers, timestamp)
+                self._apply_fix(fix, result.inliers, state_idx)
         if fix is None:
             self.consecutive_failures += 1
             if self.consecutive_failures >= self.config.max_failures:
@@ -195,22 +198,21 @@ class Pipeline:
         stale graph's state nearest the fix lies before its optimization
         window (a late fix, rejected as in Tracking mode)."""
         if self.fusion is not None:
-            if self._before_window(self.fusion.nearest_state(timestamp)):
+            state_idx = self.fusion.nearest_state(timestamp)
+            if self._before_window(state_idx):
                 return False
             try:
-                self._apply_fix(fix, inliers, timestamp)
+                self._apply_fix(fix, inliers, state_idx)
             except (NearSingularRotation, SingularNormalEquations):
                 self.fusion = None
         if self.fusion is None:
             self.fusion = FusionGraph(fix, timestamp)
             self.fusion.add_vloc_fix(
                 0, fix, vloc_fix_sigmas(inliers, self.config.pnp.min_inliers))
-            self.consecutive_failures = 0
         self.mode = PipelineMode.TRACKING
         return True
 
-    def _apply_fix(self, fix: Pose, inliers: int, timestamp: float) -> None:
-        state_idx = self.fusion.nearest_state(timestamp)
+    def _apply_fix(self, fix: Pose, inliers: int, state_idx: int) -> None:
         self.fusion.add_vloc_fix(
             state_idx, fix,
             vloc_fix_sigmas(inliers, self.config.pnp.min_inliers))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
-from .errors import EmptyMap, NoMatches, NoPath, NotLocalized
+from .errors import NoMatches, NoPath, NotLocalized
 from .geometry import CameraIntrinsics, Pose
 from .mapgraph import nearest_node
 from .pipeline import Pipeline, PipelineConfig, PipelineMode
@@ -90,9 +90,8 @@ def plan_global(topo_map, start_node: int, goal_node: int) -> GlobalPlan:
 
 
 def resolve_goal(topo_map, goal_image):
-    """Top-1 retrieval of the goal image; returns (node_id, similarity)."""
-    if not topo_map.nodes:
-        raise EmptyMap("cannot resolve a goal against an empty map")
+    """Top-1 retrieval of the goal image; returns (node_id, similarity).
+    Raises EmptyMap, from ``top_k``, on a map without nodes."""
     node_id, sim = top_k(extract_descriptor(goal_image), topo_map, k=1).top1()
     return node_id, sim
 

@@ -18,13 +18,14 @@ holds only what callers set: ``min_inliers`` and ``seed``. There is no
 planar-scene rejection (see ``PnPParams``).
 
 RANSAC hypotheses are solved and scored in blocks of samples: one batched
-companion-matrix eigenvalue call (``_poly_roots``, ``np.roots`` batched)
-finds every sample's quartic roots, one batched SVD aligns every candidate,
-and one array op scores a block's picks against all points. The sample
-sequence, the pick among a sample's candidates, the stop rule and so the
-result are those of the sequential loop, which ``tests/test_relocal.py``
-keeps as the reference. The samples depend only on the seed and the point
-count and are drawn once per pair (``_sample_rows``).
+companion-matrix eigenvalue call (``_quartic_roots``, ``np.roots``
+batched) finds every solvable sample's quartic roots, one batched SVD
+aligns every candidate, and one array op scores a block's picks against
+all points. The sample sequence, the pick among a sample's candidates, the
+stop rule and so the result are those of the sequential loop, which
+``tests/test_relocal.py`` keeps as the reference. The samples depend only
+on the seed and the point count and are drawn once per pair
+(``_sample_rows``).
 
 Grunert's quartic has one formula, ``_grunert_quartic``, one root finder,
 ``_quartic_roots``, and two evaluators, each the faster at its own block
@@ -167,7 +168,6 @@ _BLOCK_SIZES = (1, 8, 64)
 # the sides opposite points 1, 2, 3 and the angles between their rays
 _PAIR_I = np.array([1, 0, 0])
 _PAIR_J = np.array([2, 2, 1])
-_ONE_ROW = np.ones(1, dtype=bool)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -194,31 +194,6 @@ def _kabsch(src: np.ndarray, dst: np.ndarray):
     v[:, :, 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
     r = v @ ut
     return r, cd - (r @ cs[:, :, None])[:, :, 0]
-
-
-def _poly_roots(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``np.roots`` of the coefficient rows p (k, m), highest first, that
-    ``rows`` asks for, batched: roots (k, m - 1), each row's in ``np.roots``
-    order and then 0 for a row of lower degree. The rows with nonzero end
-    coefficients and a finite companion matrix, the only ones the solver
-    meets in practice, share one ``eigvals`` call; every other row asked
-    for goes through ``np.roots`` itself, and keeps roots 0 where that
-    raises (a non-finite companion matrix). Rows not asked for are 0.
-    Callers silence the warnings of the rows that are not finite."""
-    k, m = p.shape
-    roots = np.zeros((k, m - 1), dtype=complex)
-    comp = np.zeros((k, m - 1, m - 1))
-    comp[:, 0] = -p[:, 1:] / p[:, :1]       # not finite on a zero leading one
-    comp.reshape(k, -1)[:, m - 1::m] = 1.0     # subdiagonal
-    full = rows & (p[:, -1] != 0.0) & np.isfinite(comp[:, 0]).all(axis=1)
-    roots[full] = np.linalg.eigvals(comp[full])
-    for i in np.flatnonzero(rows & ~full):
-        try:
-            found = np.roots(p[i])
-        except np.linalg.LinAlgError:
-            continue
-        roots[i, :len(found)] = found
-    return roots
 
 
 def _pair_dots(pts: np.ndarray, rays: np.ndarray) -> np.ndarray:
@@ -253,12 +228,31 @@ def _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga, square):
     )
 
 
-def _quartic_roots(coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_poly_roots`` of the Grunert quartics (k, 5) that ``rows`` asks
-    for, once a leading coefficient below 1e-14 is set to 0 in place: a
-    vanishing leading coefficient leaves a cubic."""
+def _quartic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """``np.roots`` of the Grunert quartics (k, 5), highest first, batched,
+    once a leading coefficient below 1e-14 is set to 0 in place (a
+    vanishing leading coefficient leaves a cubic): roots (k, 4), each row's
+    in ``np.roots`` order and then 0 for a row of lower degree. The rows
+    with nonzero end coefficients and a finite companion matrix, the only
+    ones the solver meets in practice, share one ``eigvals`` call; every
+    other row goes through ``np.roots`` itself, and keeps roots 0 where
+    that raises (a non-finite companion matrix). Callers pass the rows
+    they can solve and silence the warnings of rows that are not finite."""
     coeffs[np.abs(coeffs[:, 0]) < 1e-14, 0] = 0.0
-    return _poly_roots(coeffs, rows)
+    k = len(coeffs)
+    roots = np.zeros((k, 4), dtype=complex)
+    comp = np.zeros((k, 4, 4))
+    comp[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]  # not finite on a zero leading one
+    comp.reshape(k, 16)[:, 4::5] = 1.0            # subdiagonal
+    full = (coeffs[:, -1] != 0.0) & np.isfinite(comp[:, 0]).all(axis=1)
+    roots[full] = np.linalg.eigvals(comp[full])
+    for i in np.flatnonzero(~full):
+        try:
+            found = np.roots(coeffs[i])
+        except np.linalg.LinAlgError:
+            continue
+        roots[i, :len(found)] = found
+    return roots
 
 
 def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
@@ -279,7 +273,8 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
         q1, coeffs = _grunert_quartic(a2, b2, c2, *cosines, _square)
         coeffs = np.array(coeffs).T
         solvable = (sides >= 1e-9).all(axis=1) & np.isfinite(coeffs).all(axis=1)
-        roots = _quartic_roots(coeffs, solvable)  # a 0 root gives no solution
+        roots = np.zeros((n_samples, 4), dtype=complex)  # a 0 root gives none
+        roots[solvable] = _quartic_roots(coeffs[solvable])
 
         # the depth ratios u = d2 / d1, v = d3 / d1 of each root
         v = roots.real
@@ -327,7 +322,7 @@ def _p3p_one(pts: np.ndarray, rays: np.ndarray):
             return valid, r, t
         if not all(map(math.isfinite, coeffs)):
             return valid, r, t
-        roots = _quartic_roots(np.array([coeffs]), _ONE_ROW)[0].tolist()
+        roots = _quartic_roots(np.array([coeffs]))[0].tolist()
     ray_rows = rays[0].tolist()
     slots, cams = [], []
     for slot, root in enumerate(roots):

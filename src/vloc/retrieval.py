@@ -56,13 +56,23 @@ def extract_descriptor(image: np.ndarray) -> np.ndarray:
     """Deterministic 256-dim unit descriptor of a grayscale image.
 
     A constant image has no texture in either block; the descriptor falls
-    back to the unit vector e0 to preserve the norm invariant.
+    back to the unit vector e0 to preserve the norm invariant. Raises,
+    before any work, EmptyImage for an empty image and ValueError for one
+    it cannot describe: not 2-D, a side under 16 px (the intensity block's
+    grid), or a value that is not finite (not checked on uint8 images,
+    which cannot hold one).
     """
     img = np.asarray(image)
     if img.size == 0:
         raise EmptyImage("cannot describe an empty image")
+    if img.ndim != 2:
+        raise ValueError(f"image of shape {img.shape} is not 2-D")
+    h, w = img.shape
+    if min(h, w) < 16:
+        raise ValueError(f"image of {w}x{h} px has a side under 16 px")
     imgf = float_image(img)
-    h, w = imgf.shape
+    if img.dtype != np.uint8 and not np.isfinite(imgf).all():
+        raise ValueError("image has a value that is not finite")
 
     intensity = _block_reduce_mean(imgf, 16, 16)
     intensity = (intensity - intensity.mean()).ravel()

@@ -958,8 +958,10 @@ _LM_HEADER = "id,u,v,depth"
 def save_segment(recording: SegmentRecording, segdir) -> None:
     """Write a recording as a directory the CLI commands consume:
     frames/<k>.pgm, depth/<k>.f64 (little-endian float64, the rendered
-    precision), landmarks/<k>.csv, poses.csv, odometry.csv, gt_traj.txt
-    (TUM), intrinsics.txt. Every value is kept exactly."""
+    precision), landmarks/<k>.csv for a frame with landmark annotations
+    (none for one without, as real sensors leave it), poses.csv,
+    odometry.csv, gt_traj.txt (TUM), intrinsics.txt. Every value is kept
+    exactly."""
     os.makedirs(os.path.join(segdir, "frames"), exist_ok=True)
     os.makedirs(os.path.join(segdir, "depth"), exist_ok=True)
     os.makedirs(os.path.join(segdir, "landmarks"), exist_ok=True)
@@ -973,9 +975,13 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
         obs = fr.obs
         write_pgm(os.path.join(segdir, "frames", f"{k}.pgm"), obs.color)
         write_raw(os.path.join(segdir, "depth", f"{k}.f64"), obs.depth, "<f8")
-        write_csv(os.path.join(segdir, "landmarks", f"{k}.csv"), _LM_HEADER,
-                  ([str(i), fmt17(u), fmt17(v), fmt17(d)] for i, (u, v), d
-                   in zip(obs.landmark_ids, obs.landmark_uv, obs.landmark_depth)))
+        lm_path = os.path.join(segdir, "landmarks", f"{k}.csv")
+        if obs.landmark_ids is not None:
+            write_csv(lm_path, _LM_HEADER,
+                      ([str(i), fmt17(u), fmt17(v), fmt17(d)] for i, (u, v), d
+                       in zip(obs.landmark_ids, obs.landmark_uv, obs.landmark_depth)))
+        elif os.path.exists(lm_path):
+            os.remove(lm_path)      # an earlier recording's annotations
     write_csv(os.path.join(segdir, "odometry.csv"), _ODOM_HEADER,
               ([fmt17(ts), *delta.fields()] for ts, delta in recording.odometry))
     write_trajectory(os.path.join(segdir, "gt_traj.txt"), recording.gt_stream)
@@ -984,7 +990,9 @@ def save_segment(recording: SegmentRecording, segdir) -> None:
 def load_segment(segdir) -> SegmentRecording:
     """Read a directory that ``save_segment`` wrote back as the recording,
     bit for bit. Depth is read from ``depth/<k>.f64`` only: the float32
-    ``depth/<k>.f32`` of earlier writers is not read."""
+    ``depth/<k>.f32`` of earlier writers is not read. A frame without
+    ``landmarks/<k>.csv`` has no landmark annotations (its three landmark
+    fields are None)."""
     path = os.path.join(segdir, "intrinsics.txt")
     with open(path) as f, line_errors(path, 1):
         camera = CameraIntrinsics.from_line(f.readline())
@@ -997,15 +1005,15 @@ def load_segment(segdir) -> SegmentRecording:
         depth = read_raw(os.path.join(segdir, "depth", f"{k}.f64"), "<f8",
                          shape=color.shape)
         lm_path = os.path.join(segdir, "landmarks", f"{k}.csv")
-        lms = []
+        landmarks = {}
         if os.path.exists(lm_path):
             _, lms = read_csv_rows(lm_path, _LM_HEADER, lambda row: (
                 int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-        obs = Observation(
-            color=color, depth=depth,
-            landmark_ids=np.array([lm[0] for lm in lms], dtype=np.int64),
-            landmark_uv=np.array([lm[1:3] for lm in lms], dtype=float).reshape(-1, 2),
-            landmark_depth=np.array([lm[3] for lm in lms], dtype=float))
+            landmarks = dict(
+                landmark_ids=np.array([lm[0] for lm in lms], dtype=np.int64),
+                landmark_uv=np.array([lm[1:3] for lm in lms], dtype=float).reshape(-1, 2),
+                landmark_depth=np.array([lm[3] for lm in lms], dtype=float))
+        obs = Observation(color=color, depth=depth, **landmarks)
         frames.append(SegmentFrame(obs=obs, pose=pose, timestamp=ts))
     _, odometry = read_csv_rows(os.path.join(segdir, "odometry.csv"), _ODOM_HEADER,
                                 lambda row: (float(row[0]), Pose.from_fields(row[1:])))

@@ -1,9 +1,10 @@
 """Every name a ``vloc`` module imports is used in that module, every
-module-level constant is read by some module of the package, and every
-error class is imported by some other module, so removing code cannot leave
-a dead import, a dead constant or an error nothing raises behind. The
-package ``__init__`` imports to re-export: a name it lists in ``__all__``
-counts as used."""
+module-level constant and every underscore-named function or method is read
+by some module of the package, and every error class is imported by some
+other module, so removing code cannot leave a dead import, a dead constant,
+a dead private helper or an error nothing raises behind. The package
+``__init__`` imports to re-export: a name it lists in ``__all__`` counts as
+used."""
 
 import ast
 import pathlib
@@ -53,6 +54,17 @@ def constant_names(tree):
                     yield name.id, node.lineno
 
 
+def private_functions(tree):
+    """(name, line) of every function or method, nested ones included, whose
+    name starts with an underscore; dunder methods, which Python calls by
+    protocol, are left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name.startswith("_") \
+                and not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node.lineno
+
+
 def read_names(tree):
     """Every name the module reads, bare or as an attribute (``mod.NAME``)."""
     return {node.id if isinstance(node, ast.Name) else node.attr
@@ -62,6 +74,11 @@ def read_names(tree):
 
 
 MODULES = sorted(SRC.glob("*.py"))
+
+
+def package_trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in MODULES}
 
 
 def test_the_package_is_scanned():
@@ -78,8 +95,7 @@ def test_every_import_is_used(path):
 
 
 def test_every_constant_is_read():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in MODULES}
+    trees = package_trees()
     read = set().union(*(read_names(tree) | exported_names(tree)
                          for tree in trees.values()))
     unread = [f"{name}:{line}: {constant}" for name, tree in trees.items()
@@ -100,3 +116,14 @@ def test_every_error_class_is_imported_elsewhere():
     assert defined >= {"VlocError", "NotLocalized"}
     assert not defined - imported, \
         "error class no other module imports: " + ", ".join(sorted(defined - imported))
+
+
+def test_every_private_function_is_read():
+    trees = package_trees()
+    read = set().union(*map(read_names, trees.values()))
+    defined = [(name, function, line) for name, tree in trees.items()
+               for function, line in private_functions(tree)]
+    assert {"_quartic_roots", "_apply_fix"} <= {f for _, f, _ in defined}
+    unread = [f"{name}:{line}: {function}" for name, function, line in defined
+              if function not in read]
+    assert not unread, "private function read by no module: " + ", ".join(unread)

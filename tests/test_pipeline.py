@@ -332,6 +332,22 @@ class TestHostileInput:
         assert p.mode is mode and p.consecutive_failures == 0
         assert_graph_kept(p, graph, before)
 
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    @pytest.mark.parametrize("color, fault", [
+        (np.zeros((15, 15), dtype=np.uint8), "side under 16"),
+        # one NaN pixel, at (40, 70), in a float image
+        (np.pad([[np.nan]], ((40, 87), (70, 57)), constant_values=0.5), "not finite"),
+    ], ids=["15x15", "nan"])
+    def test_indescribable_image(self, corridor_map, mode, color, fault):
+        world, topo = corridor_map
+        p = self.pipeline_in(mode, corridor_map, "oracle")
+        obs = render(world, topo.nodes[3].pose, K).observation()
+        graph, before = p.fusion, graph_arrays(p.fusion)
+        with pytest.raises(ValueError, match=fault):
+            p.on_observation(dataclasses.replace(obs, color=color), 1.0)
+        assert p.mode is mode and p.consecutive_failures == 0
+        assert_graph_kept(p, graph, before)
+
     @staticmethod
     def assert_valid(pose):
         assert np.all(np.isfinite(pose.t)) and np.all(np.isfinite(pose.q))
@@ -816,3 +832,9 @@ class TestConfigValidation:
         _, topo = corridor_map
         config = PipelineConfig(window=1, pnp=PnPParams(min_inliers=1))
         assert Pipeline(topo, K, oracle, config).config is config
+
+    def test_fix_radius_is_no_setting(self):
+        # nothing sets it; it stays readable on every config
+        assert PipelineConfig().gl_fix_radius == 3.0
+        with pytest.raises(TypeError, match="gl_fix_radius"):
+            PipelineConfig(gl_fix_radius=1.0)

@@ -29,7 +29,7 @@ from vloc.relocal import (
     _p3p_grunert,
     _p3p_one,
     _pixel_rays,
-    _poly_roots,
+    _quartic_roots,
     _refine_gauss_newton,
     _reprojection_errors,
     _sample_rows,
@@ -691,14 +691,15 @@ class TestFirstSamplePath:
         _score_block(np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), p3d, uv, rays, K)
         assert calls == [1]
 
-    def test_poly_roots_are_np_roots(self, monkeypatch):
+    def test_quartic_roots_are_np_roots(self, monkeypatch):
         # blocks of quartics only, of quartics and zero trailing
         # coefficients, and of those mixed with lower degrees, an all-zero
-        # row and rows np.roots raises on, each asked for in full and in part
+        # row and rows np.roots raises on, each passed in full and in part;
+        # the reference first sets a leading coefficient below 1e-14 to 0
         rng = np.random.default_rng(5)
         raising = np.array([
-            [1e-300, 1e300, 1.0, 1.0, 1.0],     # the quartic's companion overflows
-            [0.0, 1e-300, 1e300, 1.0, 1.0],     # so does the cubic's
+            [1e-300, 1e300, 1.0, 1.0, 1.0],     # a cubic by that rule: solved
+            [0.0, 1e-300, 1e300, 1.0, 1.0],     # the cubic's companion overflows
             [1.0, np.nan, 1.0, 1.0, 1.0],
         ])
         raised = []
@@ -722,19 +723,22 @@ class TestFirstSamplePath:
                 p[6] = 0.0
                 p[10:13] = raising
             for rows in (np.ones(64, bool), np.arange(64) % 2 == 0):
-                want = np.zeros((64, 4), dtype=complex)
+                block = p[rows]
+                want = np.zeros((len(block), 4), dtype=complex)
                 with np.errstate(all="ignore"):
-                    for k in np.flatnonzero(rows & p.any(axis=1)):
+                    for k, coeffs in enumerate(block):
+                        coeffs = coeffs.copy()
+                        if abs(coeffs[0]) < 1e-14:
+                            coeffs[0] = 0.0
                         try:
-                            found = np_roots(p[k])
+                            found = np_roots(coeffs)
                         except np.linalg.LinAlgError:
-                            assert 10 <= k <= 12
                             continue
                         want[k, :len(found)] = found
-                    assert _poly_roots(p, rows).tobytes() == want.tobytes()
-        # each raising row went through np.roots, which raised: once asked
-        # for in full, once more asked for in part for the even rows
-        assert raised == [row.tobytes() for row in (*raising, raising[0], raising[2])]
+                    assert _quartic_roots(block).tobytes() == want.tobytes()
+        # each row that still raises went through np.roots, which raised:
+        # once passed in full, once more passed in part for the even rows
+        assert raised == [row.tobytes() for row in (*raising[1:], raising[2])]
 
 
 class TestSampleStream:

@@ -26,6 +26,13 @@ def make_map(descriptors, positions=None):
     return TopoMetricMap(nodes=nodes, cng_edges=[], cvg_edges=[], descriptor_dim=256)
 
 
+def nan_pixel():
+    """A 128x128 float image with one NaN pixel."""
+    img = np.random.default_rng(3).uniform(0.0, 1.0, (128, 128))
+    img[40, 70] = np.nan
+    return img
+
+
 class TestExtractor:
     def test_constant_image_falls_back_to_e0(self):
         d = rt.extract_descriptor(np.full((64, 64), 77, dtype=np.uint8))
@@ -37,6 +44,21 @@ class TestExtractor:
         with pytest.raises(EmptyImage):
             rt.extract_descriptor(np.zeros((0, 0), dtype=np.uint8))
 
+    @pytest.mark.parametrize("image, fault", [
+        (np.zeros((16, 16, 3), dtype=np.uint8), "not 2-D"),
+        (np.zeros(256, dtype=np.uint8), "not 2-D"),
+        (np.zeros((15, 15), dtype=np.uint8), "side under 16"),
+        (np.zeros((8, 64), dtype=np.uint8), "side under 16"),
+        (np.zeros((64, 8), dtype=np.uint8), "side under 16"),
+        (nan_pixel(), "not finite"),
+        (np.full((32, 32), np.inf), "not finite"),
+    ], ids=["rgb", "flat", "15x15", "8x64", "64x8", "nan", "inf"])
+    def test_indescribable_image_is_named(self, image, fault):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # before any work
+            with pytest.raises(ValueError, match=fault):
+                rt.extract_descriptor(image)
+
     def test_identical_images_similarity_one(self):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 255, (96, 96), dtype=np.uint8)
@@ -46,8 +68,10 @@ class TestExtractor:
 
     def test_unit_norm_and_dim(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            img = rng.integers(0, 255, (128, 128), dtype=np.uint8)
+        images = [rng.integers(0, 255, (128, 128), dtype=np.uint8)
+                  for _ in range(10)]
+        smallest = rng.integers(0, 255, (16, 16), dtype=np.uint8)
+        for img in images + [smallest, smallest / 255.0]:   # sides of 16 px
             d = rt.extract_descriptor(img)
             assert d.shape == (256,) and d.dtype == np.float32
             assert abs(np.linalg.norm(d.astype(np.float64)) - 1.0) < 1e-6

@@ -13,6 +13,7 @@ from vloc.dataio import write_raw
 from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
 from vloc.geometry import CameraIntrinsics, Pose, project_array
 from vloc.mapgraph import MapNode, TopoMetricMap
+from vloc.matching import match_oracle
 from vloc.simworld import (
     LANDMARK_RANGE,
     GridWorld,
@@ -1002,23 +1003,42 @@ class TestGenerateSegment:
     def test_segment_directory_roundtrip(self, corridor, tmp_path):
         rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (5.0, CORRIDOR_Y)],
                                K, camera_rate=1.0, seed=9)
-        save_segment(rec, tmp_path / "seg")
-        loaded = load_segment(tmp_path / "seg")
-        seg, odom = loaded.segment, loaded.odometry
-        assert len(seg) == len(rec.segment)
-        assert len(odom) == len(rec.odometry)
-        assert seg.camera == K
-        for a, b in zip(seg.frames, rec.segment.frames):
-            assert np.array_equal(a.obs.color, b.obs.color)
-            # depth keeps its rendered float64 bits
-            assert a.obs.depth.dtype == b.obs.depth.dtype == np.float64
-            assert a.obs.depth.tobytes() == b.obs.depth.tobytes()
-            assert a.pose == b.pose
-            assert a.timestamp == b.timestamp
-            assert np.array_equal(a.obs.landmark_ids, b.obs.landmark_ids)
-            assert np.array_equal(a.obs.landmark_uv, b.obs.landmark_uv)
-        for (ta, da), (tb, db) in zip(odom, rec.odometry):
-            assert ta == tb and da == db
+        # the same drive with every other frame stripped of its landmark
+        # annotations, as real sensors leave them, saved over the first
+        stripped = dataclasses.replace(rec, segment=dataclasses.replace(
+            rec.segment, frames=[
+                dataclasses.replace(fr, obs=dataclasses.replace(
+                    fr.obs, landmark_ids=None, landmark_uv=None,
+                    landmark_depth=None)) if k % 2 else fr
+                for k, fr in enumerate(rec.segment.frames)]))
+        for recording in (rec, stripped):
+            save_segment(recording, tmp_path / "seg")
+            loaded = load_segment(tmp_path / "seg")
+            seg, odom = loaded.segment, loaded.odometry
+            assert len(seg) == len(recording.segment)
+            assert len(odom) == len(recording.odometry)
+            assert seg.camera == K
+            for a, b in zip(seg.frames, recording.segment.frames):
+                assert np.array_equal(a.obs.color, b.obs.color)
+                # depth keeps its rendered float64 bits
+                assert a.obs.depth.dtype == b.obs.depth.dtype == np.float64
+                assert a.obs.depth.tobytes() == b.obs.depth.tobytes()
+                assert a.pose == b.pose
+                assert a.timestamp == b.timestamp
+                if b.obs.landmark_ids is None:
+                    # no annotations stays no annotations, not an empty set
+                    assert a.obs.landmark_ids is a.obs.landmark_uv is \
+                        a.obs.landmark_depth is None
+                    with pytest.raises(ValueError, match="landmark annotations"):
+                        match_oracle(a.obs, a.obs)
+                    continue
+                assert np.array_equal(a.obs.landmark_ids, b.obs.landmark_ids)
+                assert np.array_equal(a.obs.landmark_uv, b.obs.landmark_uv)
+                assert np.array_equal(a.obs.landmark_depth, b.obs.landmark_depth)
+            for (ta, da), (tb, db) in zip(odom, recording.odometry):
+                assert ta == tb and da == db
+        assert sum(1 for fr in stripped.segment.frames
+                   if fr.obs.landmark_ids is None) == len(rec.segment) // 2 > 0
 
     def test_float32_depth_of_earlier_writers_not_read(self, corridor, tmp_path):
         rec = generate_segment(corridor, [(2.0, CORRIDOR_Y), (3.0, CORRIDOR_Y)],
