@@ -59,12 +59,7 @@ def _read_waypoints(path):
     return out
 
 
-def _matcher_from(name: str):
-    if name == "classical":
-        return matching.match_classical
-    if name == "oracle":
-        return matching.match_oracle
-    raise VlocError(f"unknown matcher '{name}'")
+_MATCHERS = {"classical": matching.match_classical, "oracle": matching.match_oracle}
 
 
 def _map_matcher(args, topo, K: CameraIntrinsics, world=None):
@@ -76,7 +71,7 @@ def _map_matcher(args, topo, K: CameraIntrinsics, world=None):
             raise VlocError("--matcher oracle needs --world to annotate map nodes")
         simworld.annotate_map_with_landmarks(
             topo, K, world or simworld.GridWorld.load(args.world))
-    return _matcher_from(args.matcher)
+    return _MATCHERS[args.matcher]
 
 
 def _csv_matcher(path, K: CameraIntrinsics, min_conf: float):
@@ -126,7 +121,7 @@ def cmd_build_map(args) -> int:
     indices = select_keyframes(segment, budget=args.keyframe_budget,
                                grid_res=args.grid_res)
     world = simworld.GridWorld.load(args.world) if args.world else None
-    matcher = _matcher_from(args.matcher)
+    matcher = _MATCHERS[args.matcher]
     topo = build_map(segment, indices, matcher=matcher,
                      covis_threshold=args.covis_threshold,
                      nav_radius=args.nav_radius, world=world,
@@ -263,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-world", help="write a preset grid world")
     p.add_argument("--out", required=True)
-    p.add_argument("--preset", required=True,
-                   choices=("corridor", "rooms", "campus"))
+    p.add_argument("--preset", required=True, choices=simworld.PRESETS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--route-out", help="also write the preset mapping route CSV")
     p.set_defaults(func=cmd_gen_world)
@@ -288,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cng-from-cvg", action="store_true")
     p.add_argument("--covis-threshold", type=int, default=COVIS_THRESHOLD_DEFAULT)
     p.add_argument("--nav-radius", type=float, default=NAV_RADIUS_DEFAULT)
-    p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
+    p.add_argument("--matcher", default="oracle", choices=_MATCHERS)
     p.add_argument("--world", help="enables the line-of-sight check")
     p.set_defaults(func=cmd_build_map)
 
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="TUM trajectory output")
     p.add_argument("--log", help="per-frame CSV log")
     p.add_argument("--batch-out", help="full batch-optimized trajectory")
-    p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
+    p.add_argument("--matcher", default="oracle", choices=_MATCHERS)
     p.add_argument("--world", help="required for --matcher oracle")
     p.add_argument("--gl-min-sim", type=float, default=GL_MIN_SIM_DEFAULT)
     p.add_argument("--max-failures", type=int, default=MAX_FAILURES_DEFAULT)
@@ -319,15 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", help="x,y,yaw (default: node 0)")
     p.add_argument("--timeout", type=float, default=NavConfig.timeout)
     p.add_argument("--camera", help="fx fy cx cy width height")
-    p.add_argument("--matcher", default="oracle", choices=("classical", "oracle"))
+    p.add_argument("--matcher", default="oracle", choices=_MATCHERS)
     p.set_defaults(func=cmd_navigate)
 
     p = sub.add_parser("bench-reloc",
                        help="relocalize each segment frame against its nearest map node")
     p.add_argument("--map", required=True)
     p.add_argument("--seq", required=True, help="segment directory")
-    p.add_argument("--matcher", required=True,
-                   choices=("classical", "oracle", "ingest"))
+    p.add_argument("--matcher", required=True, choices=(*_MATCHERS, "ingest"))
     p.add_argument("--out", required=True)
     p.add_argument("--matches", help="directory of <k>.csv for --matcher ingest")
     p.add_argument("--min-conf", type=float, default=0.0)

@@ -21,10 +21,6 @@ class VersionMismatch(VlocError):
     """Serialized map has an unknown format version."""
 
 
-class EmptyImage(VlocError):
-    """Descriptor extraction on an empty image."""
-
-
 class EmptyMap(VlocError):
     """Retrieval against a map with no nodes."""
 

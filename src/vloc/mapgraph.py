@@ -399,9 +399,11 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
 
     The directory holds manifest.txt, nodes.csv, cng_edges.csv,
     cvg_edges.csv, descriptors.f32 and, for each node with an image,
-    images/<id>.pgm. The manifest's storage_bytes fields are measured from
-    the files actually written, so they always equal on-disk sizes;
-    storage_bytes_images counts images/ only.
+    images/<id>.pgm; an earlier map's image of a node without one is
+    removed. The manifest's storage_bytes fields are the sizes of the files
+    this call writes, so storage_bytes_images leaves out an image an
+    earlier, larger map left for an id this map does not have, which
+    ``load_map`` never reads.
     """
     os.makedirs(mapdir, exist_ok=True)
     write_csv(os.path.join(mapdir, "nodes.csv"), _NODES_HEADER,
@@ -418,11 +420,13 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
     bytes_images = 0
     img_dir = os.path.join(mapdir, "images")
     for node in m.nodes:
+        path = os.path.join(img_dir, f"{node.id}.pgm")
         if node.image is not None:
             os.makedirs(img_dir, exist_ok=True)
-            path = os.path.join(img_dir, f"{node.id}.pgm")
             write_pgm(path, node.image)
             bytes_images += os.path.getsize(path)
+        elif os.path.exists(path):
+            os.remove(path)     # an earlier map's image of this node
 
     manifest = {
         "version": MAP_FORMAT_VERSION,

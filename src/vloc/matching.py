@@ -138,8 +138,11 @@ def classical_features(image):
     """The feature step of ``match_classical``: Harris corners of a
     grayscale image and their patch descriptors, the image converted to
     float once. Returns (corners (M, 2) int64 (u, v), unit descriptors
-    (M, PATCH_SIZE**2)), textureless corners dropped."""
+    (M, PATCH_SIZE**2)), textureless corners dropped. An image with a
+    side under PATCH_SIZE has no corner half a patch inside it: M is 0."""
     imgf = float_image(image)
+    if min(imgf.shape) < PATCH_SIZE:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros((0, PATCH_SIZE * PATCH_SIZE))
     corners = _harris(imgf)
     desc, keep = _patch_descriptors(imgf, corners)
     return corners[keep], desc

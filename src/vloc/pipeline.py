@@ -119,9 +119,9 @@ class Pipeline:
         failure (failures drive the mode machine instead). Raises, before
         any work and changing nothing, NonMonotonicTimestamp for a
         timestamp that is not finite, NoDepth for an observation without
-        depth, and, from ``extract_descriptor``, EmptyImage for an empty
-        image and ValueError for one it cannot describe: not 2-D, a side
-        under 16 px, or a value that is not finite."""
+        depth, and, from ``extract_descriptor``, ValueError for an image it
+        cannot describe: not 2-D, a side under 16 px (an empty image is
+        one of these two), or a value that is not finite."""
         if not math.isfinite(timestamp):
             raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
         if obs.depth is None:

@@ -146,12 +146,6 @@ def _arc_fan(curvatures, length):
     return x, y
 
 
-def arc_points(curvature: float, length: float) -> np.ndarray:
-    """Samples (n, 2) along one arc of the fan, as ``plan_local`` scores it."""
-    x, y = _arc_fan((curvature,), length)
-    return np.stack([x[0], y[0]], axis=1)
-
-
 ROTATE_IN_PLACE = "rotate"
 
 
@@ -242,14 +236,15 @@ class AteReport:
 def compute_ate(gt_traj, est_traj, max_dt: float = 0.05) -> AteReport:
     """No-alignment ATE: both trajectories already live in the map's world
     frame, so any alignment would mask exactly the error being measured.
-    Pairs are associated by nearest timestamp within max_dt."""
+    Pairs are associated by nearest timestamp within max_dt; a negative or
+    NaN max_dt pairs nothing, which raises NoMatches."""
     if not gt_traj or not est_traj:
         raise NoMatches("empty trajectory")
     gt_ts = np.array([t for t, _ in gt_traj])
     errors = []
     for ts, pose in est_traj:
         k = int(np.argmin(np.abs(gt_ts - ts)))
-        if abs(gt_ts[k] - ts) > max_dt:
+        if not abs(gt_ts[k] - ts) <= max_dt:
             continue
         errors.append(float(np.linalg.norm(pose.t - gt_traj[k][1].t)))
     if not errors:

@@ -64,7 +64,6 @@ from .geometry import (
     Z_MIN_DEFAULT,
     CameraIntrinsics,
     Pose,
-    matrix_to_quat,
     rotation_angle,
     se3_exp_array,
     so3_hat_array,
@@ -565,7 +564,7 @@ def solve_pnp_ransac(p3d: np.ndarray, uv: np.ndarray, K: CameraIntrinsics,
         if inl_ref >= best_inliers:
             best_r, best_t, best_inliers = r_ref, t_ref, inl_ref
 
-    pose = Pose(best_t, matrix_to_quat(best_r))
+    pose = Pose.from_rt(best_r, best_t)
     status = RelocStatus.SUCCESS if best_inliers >= params.min_inliers \
         else RelocStatus.RANSAC_FAILED
     return RelocResult(pose=pose, inliers=best_inliers, total=n, status=status,

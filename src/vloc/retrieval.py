@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import float_image, read_raw
-from .errors import DimensionMismatch, EmptyImage, EmptyMap, NonUnitNorm, NonUnitNormWarning
+from .errors import DimensionMismatch, EmptyMap, NonUnitNorm, NonUnitNormWarning
 
 DESCRIPTOR_DIM = 256
 _INTENSITY_WEIGHT = 1.0
@@ -57,14 +57,12 @@ def extract_descriptor(image: np.ndarray) -> np.ndarray:
 
     A constant image has no texture in either block; the descriptor falls
     back to the unit vector e0 to preserve the norm invariant. Raises,
-    before any work, EmptyImage for an empty image and ValueError for one
-    it cannot describe: not 2-D, a side under 16 px (the intensity block's
-    grid), or a value that is not finite (not checked on uint8 images,
-    which cannot hold one).
+    before any work, ValueError for an image it cannot describe: not 2-D,
+    a side under 16 px (the intensity block's grid), or a value that is
+    not finite (not checked on uint8 images, which cannot hold one). An
+    empty image is one of the first two.
     """
     img = np.asarray(image)
-    if img.size == 0:
-        raise EmptyImage("cannot describe an empty image")
     if img.ndim != 2:
         raise ValueError(f"image of shape {img.shape} is not 2-D")
     h, w = img.shape

@@ -330,7 +330,8 @@ class GridWorld:
     # -- landmarks ----------------------------------------------------------
 
     def landmarks(self):
-        """(ids (N,), positions (N,3), normals (N,3)), seeded per wall face."""
+        """(ids (N,), positions (N,3), normals (N,3)), seeded per wall face;
+        the ids strictly ascend."""
         return self._landmark_table
 
     @cached_property
@@ -722,12 +723,11 @@ def _landmark_candidates(world: GridWorld, cam, rot, K: CameraIntrinsics):
 def _visible_landmarks(cand, t) -> tuple:
     """The annotations of the candidates ``_landmark_candidates`` returned
     whose sight-line walk ``t`` meets no wall before the landmark, in id
-    order: (ids, uv, z-depth)."""
+    order (the table's, which the candidates keep): (ids, uv, z-depth)."""
     ids, uv, z = cand
     # camera and landmark both lie between floor and wall top, so the 3-D
     # segment is blocked exactly when its (x, y) shadow crosses a wall cell
     sel = np.flatnonzero(t >= 1.0 - 1e-6)
-    sel = sel[np.argsort(ids[sel])]
     return ids[sel], uv[sel], z[sel]
 
 
@@ -1026,14 +1026,11 @@ def load_segment(segdir) -> SegmentRecording:
 # ---------------------------------------------------------------------------
 
 def make_preset(name: str, seed: int = 0):
-    """Built-in world layouts; returns (world, mapping route waypoints)."""
-    if name == "corridor":
-        return _preset_corridor(seed)
-    if name == "rooms":
-        return _preset_rooms(seed)
-    if name == "campus":
-        return _preset_campus(seed)
-    raise ValueError(f"unknown preset '{name}'")
+    """The built-in world layout ``name``, one of ``PRESETS``; returns
+    (world, mapping route waypoints). Any other name is a ValueError."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset '{name}'")
+    return PRESETS[name](seed)
 
 
 def _preset_corridor(seed):
@@ -1107,6 +1104,10 @@ def _preset_campus(seed):
     for x, y in ((lo, lo), (hi, lo), (hi, hi), (lo, hi), (lo, lo)):
         anchors.append(_snap_free(world, x, y))
     return world, route_through(world, anchors)
+
+
+# preset name -> builder of (world, route) from a seed
+PRESETS = {"corridor": _preset_corridor, "rooms": _preset_rooms, "campus": _preset_campus}
 
 
 def route_through(world: GridWorld, anchors):

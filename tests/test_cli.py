@@ -310,6 +310,10 @@ class TestEvalAte:
                      "--est", str(tmp_path / "est.txt")]) == 0
         out = capsys.readouterr().out
         assert "ate_rmse_m 0.25" in out
+        # a NaN --max-dt pairs nothing: an error, not a number
+        assert main(["eval-ate", "--gt", str(tmp_path / "gt.txt"),
+                     "--est", str(tmp_path / "est.txt"), "--max-dt", "nan"]) == 1
+        assert "ate_rmse_m" not in capsys.readouterr().out
 
     def test_missing_file_is_error(self, tmp_path):
         assert main(["eval-ate", "--gt", str(tmp_path / "none.txt"),

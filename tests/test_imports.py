@@ -1,10 +1,11 @@
 """Every name a ``vloc`` module imports is used in that module, every
 module-level constant and every underscore-named function or method is read
-by some module of the package, and every error class is imported by some
-other module, so removing code cannot leave a dead import, a dead constant,
-a dead private helper or an error nothing raises behind. The package
-``__init__`` imports to re-export: a name it lists in ``__all__`` counts as
-used."""
+by some module of the package, every public module-level function and class
+is read by the package, the benchmark or a demo, and every error class is
+imported by some other module, so removing code cannot leave a dead import,
+a dead constant, a dead helper or an error nothing raises behind. The
+package ``__init__`` imports to re-export: a name it lists in ``__all__``
+counts as used."""
 
 import ast
 import pathlib
@@ -12,7 +13,8 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "vloc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vloc"
 
 
 def imported_names(tree):
@@ -127,3 +129,24 @@ def test_every_private_function_is_read():
     unread = [f"{name}:{line}: {function}" for name, function, line in defined
               if function not in read]
     assert not unread, "private function read by no module: " + ", ".join(unread)
+
+
+def test_every_public_function_and_class_is_read():
+    trees = package_trees()
+    read = set().union(*(read_names(tree) | exported_names(tree)
+                         for tree in trees.values()))
+    for path in sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= read_names(tree)
+        if path.parent.name == "perfbench":
+            # the benchmark names the functions it traces as strings
+            read |= {node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    defined = [(name, node.name, node.lineno) for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    assert {"make_preset", "Pipeline"} <= {f for _, f, _ in defined}
+    unread = [f"{name}:{line}: {function}" for name, function, line in defined
+              if function not in read]
+    assert not unread, "public function or class read by no source: " + ", ".join(unread)

@@ -517,6 +517,15 @@ class TestSerialization:
         d1 = (tmp_path / "m" / "descriptors.f32").read_bytes()
         save_map(loaded, tmp_path / "m2")
         assert d1 == (tmp_path / "m2" / "descriptors.f32").read_bytes()
+        # saved again over the first directory with node 0's image gone:
+        # its old image file goes too
+        loaded.nodes[0].image = None
+        manifest = save_map(loaded, tmp_path / "m")
+        assert maps_equal(loaded, load_map(tmp_path / "m"))
+        images = tmp_path / "m" / "images"
+        assert sorted(os.listdir(images)) == sorted(f"{i}.pgm" for i in range(1, 8))
+        assert manifest["storage_bytes_images"] == sum(
+            os.path.getsize(images / f) for f in os.listdir(images))
 
     def test_manifest_sizes_match_files(self, tmp_path, rng):
         import os

@@ -167,6 +167,16 @@ class TestClassical:
         flat = np.full((128, 128), 130, dtype=np.uint8)
         assert len(match_classical(flat, flat)) == 0
 
+    @pytest.mark.parametrize("shape", [(5, 5), (10, 10), (10, 128), (0, 0)],
+                             ids=["5x5", "10x10", "10x128", "0x0"])
+    def test_image_smaller_than_a_patch_empty(self, corridor, shape):
+        # no corner lies half a patch inside an image with a side under a
+        # patch; matched with itself and, either way, with a textured frame
+        small = np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8)
+        frame = render(corridor, planar_camera_pose(3.0, 2.25, 0.0), K).color
+        for ref, query in ((small, small), (small, frame), (frame, small)):
+            assert len(match_classical(ref, query)) == 0
+
     def test_cross_view_quality_regression(self, corridor):
         # fixture measured once: 41 matches total, 89.7% within 2 px;
         # gates frozen at >= 30 and >= 0.8

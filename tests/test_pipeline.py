@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import os
@@ -347,6 +348,20 @@ class TestHostileInput:
             p.on_observation(dataclasses.replace(obs, color=color), 1.0)
         assert p.mode is mode and p.consecutive_failures == 0
         assert_graph_kept(p, graph, before)
+
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    def test_map_image_smaller_than_a_patch(self, corridor_map, mode):
+        # the classical matcher finds no corner in an 8x8 node image: an
+        # empty match set, so a failed localization and no error
+        world, topo = corridor_map
+        small = copy.deepcopy(topo)
+        rng = np.random.default_rng(5)
+        for node in small.nodes:
+            node.image = rng.integers(0, 256, (8, 8), dtype=np.uint8)
+        p = self.pipeline_in(mode, (world, small), "oracle")
+        p.matcher = match_classical
+        obs = render(world, topo.nodes[3].pose, K).observation()
+        self.assert_failed(p, p.on_observation(obs, 1.0), mode, "GlUnverified")
 
     @staticmethod
     def assert_valid(pose):

@@ -25,7 +25,7 @@ from vloc.planning import (
     GlobalPlan,
     NavConfig,
     NavReport,
-    arc_points,
+    _arc_fan,
     compute_ate,
     depth_to_obstacles,
     next_subgoal,
@@ -330,7 +330,7 @@ class TestPlanLocal:
             if choice == ROTATE_IN_PLACE:
                 continue
             obstacles = depth_to_obstacles(frame.depth, K)
-            pts = arc_points(choice, 2.5)
+            pts = arc_samples(choice, 2.5)
             d = np.sqrt(((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(-1))
             assert float(d.min()) >= ROBOT_RADIUS
 
@@ -347,7 +347,7 @@ class TestPlanLocal:
             obstacles = depth_to_obstacles(frame.depth, K)
             if choice == ROTATE_IN_PLACE:
                 continue
-            pts = arc_points(choice, float(np.linalg.norm(sub[:2])))
+            pts = arc_samples(choice, float(np.linalg.norm(sub[:2])))
             if len(obstacles):
                 d2 = ((pts[:, None, :] - obstacles[None, :, :]) ** 2).sum(-1)
                 assert float(d2.min()) >= ROBOT_RADIUS ** 2
@@ -374,6 +374,12 @@ def reference_obstacles(depth, K, band):
     distinct = np.ones(len(points), dtype=bool)
     distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
     return points[distinct]
+
+
+def arc_samples(curvature, length):
+    """Samples (n, 2) along one arc of the fan, as ``plan_local`` scores it."""
+    x, y = _arc_fan((curvature,), length)
+    return np.stack([x[0], y[0]], axis=1)
 
 
 def reference_arc_points(curvature, length):
@@ -504,8 +510,9 @@ class TestObstacleCloud:
         lengths = [0.0, 0.05, 0.19, 0.2, 0.25, 1.0, 1.05, 1.999, 2.0, 7.0]
         lengths += list(np.random.default_rng(3).uniform(0.0, 3.0, 200))
         for length in lengths:
-            for k in CURVATURES:
-                got = arc_points(k, length)
+            x, y = _arc_fan(CURVATURES, length)
+            for row, k in enumerate(CURVATURES):
+                got = np.stack([x[row], y[row]], axis=1)
                 want = reference_arc_points(k, length)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -536,8 +543,10 @@ class TestComputeAte:
     def test_no_matches(self):
         gt = self.traj([(0, (0, 0, 0))])
         est = self.traj([(10, (0, 0, 0))])
-        with pytest.raises(NoMatches):
-            compute_ate(gt, est, max_dt=0.05)
+        # a NaN max_dt pairs nothing, as a negative one does
+        for max_dt in (0.05, -1.0, math.nan):
+            with pytest.raises(NoMatches):
+                compute_ate(gt, est, max_dt=max_dt)
 
 
 class TestNavReport:

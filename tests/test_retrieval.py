@@ -5,7 +5,7 @@ import pytest
 
 import vloc.retrieval as rt
 from vloc.dataio import float_image
-from vloc.errors import DimensionMismatch, EmptyImage, EmptyMap, NonUnitNorm, NonUnitNormWarning
+from vloc.errors import DimensionMismatch, EmptyMap, NonUnitNorm, NonUnitNormWarning
 from vloc.geometry import CameraIntrinsics, Pose
 from vloc.mapgraph import MapNode, TopoMetricMap, save_map
 from vloc.simworld import make_preset, planar_camera_pose, render
@@ -41,7 +41,8 @@ class TestExtractor:
         assert np.array_equal(d, expected)
 
     def test_empty_image(self):
-        with pytest.raises(EmptyImage):
+        # an empty 2-D image has a side under 16 px
+        with pytest.raises(ValueError, match="side under 16"):
             rt.extract_descriptor(np.zeros((0, 0), dtype=np.uint8))
 
     @pytest.mark.parametrize("image, fault", [
@@ -50,9 +51,13 @@ class TestExtractor:
         (np.zeros((15, 15), dtype=np.uint8), "side under 16"),
         (np.zeros((8, 64), dtype=np.uint8), "side under 16"),
         (np.zeros((64, 8), dtype=np.uint8), "side under 16"),
+        (np.zeros((0, 64), dtype=np.uint8), "side under 16"),
+        (np.zeros(0, dtype=np.uint8), "not 2-D"),
+        (np.zeros((0, 16, 16)), "not 2-D"),
         (nan_pixel(), "not finite"),
         (np.full((32, 32), np.inf), "not finite"),
-    ], ids=["rgb", "flat", "15x15", "8x64", "64x8", "nan", "inf"])
+    ], ids=["rgb", "flat", "15x15", "8x64", "64x8", "0x64", "empty-1d", "empty-3d",
+            "nan", "inf"])
     def test_indescribable_image_is_named(self, image, fault):
         with warnings.catch_warnings():
             warnings.simplefilter("error")          # before any work

@@ -922,6 +922,8 @@ def test_landmark_table_pinned(preset, count, digest):
     world, _ = make_preset(preset, seed=7)
     table = world.landmarks()
     assert [len(column) for column in table] == [count] * 3
+    # ids strictly ascend: a render's annotations keep this order unsorted
+    assert (np.diff(table[0]) > 0).all()
     assert hashlib.sha256(b"".join(column.tobytes() for column in table)).hexdigest() == digest
 
 
