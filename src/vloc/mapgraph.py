@@ -399,11 +399,9 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
 
     The directory holds manifest.txt, nodes.csv, cng_edges.csv,
     cvg_edges.csv, descriptors.f32 and, for each node with an image,
-    images/<id>.pgm; an earlier map's image of a node without one is
-    removed. The manifest's storage_bytes fields are the sizes of the files
-    this call writes, so storage_bytes_images leaves out an image an
-    earlier, larger map left for an id this map does not have, which
-    ``load_map`` never reads.
+    images/<id>.pgm. Every other images/*.pgm, an earlier map's image of a
+    node this map lacks or has no image for, is removed, so the manifest
+    counts the files on disk.
     """
     os.makedirs(mapdir, exist_ok=True)
     write_csv(os.path.join(mapdir, "nodes.csv"), _NODES_HEADER,
@@ -419,14 +417,20 @@ def save_map(m: TopoMetricMap, mapdir) -> dict:
 
     bytes_images = 0
     img_dir = os.path.join(mapdir, "images")
+    written = set()
     for node in m.nodes:
-        path = os.path.join(img_dir, f"{node.id}.pgm")
         if node.image is not None:
+            name = f"{node.id}.pgm"
+            path = os.path.join(img_dir, name)
             os.makedirs(img_dir, exist_ok=True)
             write_pgm(path, node.image)
             bytes_images += os.path.getsize(path)
-        elif os.path.exists(path):
-            os.remove(path)     # an earlier map's image of this node
+            written.add(name)
+    if os.path.isdir(img_dir):
+        # what an earlier map saved here left
+        for name in os.listdir(img_dir):
+            if name.endswith(".pgm") and name not in written:
+                os.remove(os.path.join(img_dir, name))
 
     manifest = {
         "version": MAP_FORMAT_VERSION,

@@ -146,6 +146,14 @@ def _arc_fan(curvatures, length):
     return x, y
 
 
+# the fan ``_arc_fan(CURVATURES, length)`` gives, bit for bit, for every
+# ``length >= ARC_LENGTH`` (each is cut at ARC_LENGTH): sampled once and
+# read-only, for every tick whose subgoal is that far
+_FULL_ARC_FAN = _arc_fan(CURVATURES, ARC_LENGTH)
+_FULL_ARC_FAN[0].flags.writeable = False
+_FULL_ARC_FAN[1].flags.writeable = False
+
+
 ROTATE_IN_PLACE = "rotate"
 
 
@@ -193,11 +201,14 @@ def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
     Returns ((v, w), chosen) where chosen is the curvature or the
     rotate-in-place marker. Rotation is the universal fallback and also a
     scored member of the set, so it wins when every arc moves away from
-    the subgoal (e.g. the subgoal lies behind the robot)."""
+    the subgoal (e.g. the subgoal lies behind the robot). A subgoal at least
+    ARC_LENGTH away is scored against ``_FULL_ARC_FAN``, the bits
+    ``_arc_fan`` would sample for it."""
     subgoal = np.asarray(subgoal_robot, dtype=float)[:2]
     obstacles = depth_to_obstacles(depth, K)
     subgoal_dist = float(np.linalg.norm(subgoal))
-    x, y = _arc_fan(CURVATURES, subgoal_dist)
+    x, y = (_FULL_ARC_FAN if subgoal_dist >= ARC_LENGTH
+            else _arc_fan(CURVATURES, subgoal_dist))
     blocked = [False] * len(CURVATURES)
     if len(obstacles):
         # squared clearance of every sample of every arc to every point

@@ -47,6 +47,8 @@ from .geometry import (
     matrix_to_quat_array,
     pose_inverse_row,
     poses_from_rows,
+    quat_multiply,
+    quat_rotate,
     quat_to_matrix_array,
     se3_adjoint_array,
     se3_exp_array,
@@ -120,14 +122,23 @@ class FusionGraph:
 
     def propagate(self, odom_delta: Pose, sigmas, timestamp: float) -> Pose:
         """Append x_k = x_{k-1} * delta plus its between factor at a finite
-        timestamp after the last one (``nearest_state`` bisects them). No
-        optimization happens here; a rejected call appends nothing."""
+        timestamp after the last one (``nearest_state`` bisects them), and
+        return x_k. No optimization happens here; a rejected call, a
+        non-finite x_k included, appends nothing.
+
+        x_k is ``current_pose()[0].compose(odom_delta)`` bit for bit, formed
+        on the last state row without a ``Pose`` for it: every stored row
+        is one the ``Pose`` constructor keeps as it is, so ``compose``'s
+        ``quat_rotate``/``quat_multiply`` on the row and that constructor's
+        normalize-and-sign rule give the same values."""
         if not (math.isfinite(timestamp) and timestamp > self.timestamps[-1]):
             raise NonMonotonicTimestamp(
                 f"timestamp {timestamp} not after {self.timestamps[-1]}")
         k = len(self.timestamps)
         factor = _factor(k - 1, odom_delta, sigmas)
-        new_pose = self.current_pose()[0].compose(odom_delta)
+        last = self._states[k - 1]
+        new_pose = Pose(quat_rotate(last[3:], odom_delta.t) + last[:3],
+                        quat_multiply(last[3:], odom_delta.q))
         self._betweens = _append(self._betweens, k - 1, factor)
         self._states = _append(self._states, k, np.concatenate([new_pose.t, new_pose.q]))
         self.timestamps.append(float(timestamp))

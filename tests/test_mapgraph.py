@@ -527,6 +527,18 @@ class TestSerialization:
         assert manifest["storage_bytes_images"] == sum(
             os.path.getsize(images / f) for f in os.listdir(images))
 
+    def test_smaller_map_saved_over_larger_leaves_only_its_images(self, tmp_path, rng):
+        # a 3-node map saved over an 8-node one: the 5 images of ids it
+        # lacks go, and the manifest counts what is on disk
+        save_map(random_map(rng, n=8, with_images=True), tmp_path / "m")
+        small = random_map(rng, n=3, with_images=True)
+        manifest = save_map(small, tmp_path / "m")
+        images = tmp_path / "m" / "images"
+        assert sorted(os.listdir(images)) == ["0.pgm", "1.pgm", "2.pgm"]
+        assert manifest["storage_bytes_images"] == sum(
+            os.path.getsize(images / f) for f in os.listdir(images))
+        assert maps_equal(small, load_map(tmp_path / "m"))
+
     def test_manifest_sizes_match_files(self, tmp_path, rng):
         import os
         m = random_map(rng, with_images=True)

@@ -25,6 +25,7 @@ from vloc.planning import (
     GlobalPlan,
     NavConfig,
     NavReport,
+    _FULL_ARC_FAN,
     _arc_fan,
     compute_ate,
     depth_to_obstacles,
@@ -516,6 +517,17 @@ class TestObstacleCloud:
                 want = reference_arc_points(k, length)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+    def test_full_fan_is_every_far_subgoals_fan(self):
+        # one read-only fan serves every subgoal at least ARC_LENGTH away
+        for length in (ARC_LENGTH, np.nextafter(ARC_LENGTH, 3.0), 2.5, 7.0, math.inf):
+            x, y = _arc_fan(CURVATURES, length)
+            assert x.tobytes() == _FULL_ARC_FAN[0].tobytes()
+            assert y.tobytes() == _FULL_ARC_FAN[1].tobytes()
+        for samples in _FULL_ARC_FAN:
+            with pytest.raises(ValueError, match="read-only"):
+                samples[0, 0] = 1.0
 
 
 class TestComputeAte:

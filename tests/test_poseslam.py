@@ -85,6 +85,52 @@ class TestPropagate:
             g.propagate(tx(1.0), SIG6, 5.0)
 
 
+class TestPropagateIsTheComposeOfTheLastState:
+    """``propagate`` forms its state on the last state row; the reference
+    is the ``Pose`` path it replaced, ``current_pose()[0].compose(delta)``."""
+
+    @staticmethod
+    def check_step(g, delta, ts):
+        want = g.current_pose()[0].compose(delta)
+        got = g.propagate(delta, SIG6, ts)
+        assert got.t.tobytes() + got.q.tobytes() == want.t.tobytes() + want.q.tobytes()
+        assert g.states[-1].tobytes() == row_of(want).tobytes()
+        assert g.current_pose() == (want, ts)
+
+    def test_random_deltas_half_turns_and_solved_rows(self):
+        rng = np.random.default_rng(21)
+        g = FusionGraph(random_pose(rng), 0.0)
+        g.add_vloc_fix(0, g.current_pose()[0], TIGHT)
+        # half turns (qw = 0) whose product flips sign or keeps a -0.0
+        half_turns = [np.array(q) for q in ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -0.6, 0.8],
+                                            [0.0, 0.0, 0.0, -1.0], [-0.0, 0.6, 0.0, -0.8])]
+        for k in range(1, 600):
+            if k % 7 == 0:
+                delta = Pose(rng.normal(0.0, 0.1, 3), half_turns[k % 4])
+            else:
+                delta = random_pose(rng, t_scale=0.1)
+            self.check_step(g, delta, float(k))
+            if k % 40 == 0:
+                # the solver writes the window's rows back
+                fix = g.current_pose()[0].compose(se3_exp(rng.normal(0.0, 0.05, 6)))
+                g.add_vloc_fix(k, fix, SIG6)
+                g.optimize(window=15)
+
+    def test_non_finite_state_appends_nothing(self):
+        g = FusionGraph(Pose(np.array([1.5e308, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])), 0.0)
+        far = Pose(np.array([1.5e308, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+        # the sum overflows to inf (numpy warns of it), and no pose is made
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite pose"):
+            g.current_pose()[0].compose(far)
+        before = (g.states.copy(), list(g.timestamps), len(g.betweens))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite pose"):
+            g.propagate(far, SIG6, 1.0)
+        assert np.array_equal(g.states, before[0])
+        assert (g.timestamps, len(g.betweens)) == before[1:]
+        self.check_step(g, tx(-1e308), 1.0)
+        assert len(g.betweens) == 1
+
+
 BAD_SIGMAS = {"zero": [0.0] * 6, "negative": [0.1] * 5 + [-0.1],
               "nan": [0.1] * 5 + [np.nan], "five": [0.1] * 5}
 

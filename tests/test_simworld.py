@@ -927,6 +927,213 @@ def test_landmark_table_pinned(preset, count, digest):
     assert hashlib.sha256(b"".join(column.tobytes() for column in table)).hexdigest() == digest
 
 
+# ---------------------------------------------------------------------------
+# the planning tick's float and index forms against the array forms they
+# replaced, kept here as references
+# ---------------------------------------------------------------------------
+
+def reference_planar_camera_pose(x, y, yaw, z=simworld.CAMERA_HEIGHT_DEFAULT):
+    """The level camera through its rotation matrix and ``matrix_to_quat``."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[s, 0.0, c],
+                    [-c, 0.0, s],
+                    [0.0, -1.0, 0.0]])
+    return Pose.from_rt(rot, np.array([x, y, z]))
+
+
+def reference_free_disc(world, x, y, radius):
+    """The disc test with its 8 directions computed on every call."""
+    if not world.free_point(x, y):
+        return False
+    for k in range(8):
+        ang = k * math.pi / 4.0
+        if not world.free_point(x + radius * math.cos(ang),
+                                y + radius * math.sin(ang)):
+            return False
+    return True
+
+
+_REFERENCE_ODOM_FRAME_INVERSE = reference_planar_camera_pose(0.0, 0.0, 0.0).inverse()
+
+
+def reference_step(robot, world, cmd, dt):
+    """``SimRobot.step`` with ``np.clip`` and the references above."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    v = float(np.clip(cmd[0], -simworld.V_MAX, simworld.V_MAX))
+    w = float(np.clip(cmd[1], -simworld.W_MAX, simworld.W_MAX))
+    if abs(w) < 1e-12:
+        nx = robot.x + v * dt * math.cos(robot.yaw)
+        ny = robot.y + v * dt * math.sin(robot.yaw)
+        nyaw = robot.yaw
+    else:
+        nx = robot.x + v / w * (math.sin(robot.yaw + w * dt) - math.sin(robot.yaw))
+        ny = robot.y - v / w * (math.cos(robot.yaw + w * dt) - math.cos(robot.yaw))
+        nyaw = robot.yaw + w * dt
+    if not reference_free_disc(world, nx, ny, simworld.COLLISION_RADIUS):
+        nx, ny = robot.x, robot.y
+    c, s = math.cos(robot.yaw), math.sin(robot.yaw)
+    d_fwd = c * (nx - robot.x) + s * (ny - robot.y)
+    d_left = -s * (nx - robot.x) + c * (ny - robot.y)
+    d_yaw = simworld.wrap_angle(nyaw - robot.yaw)
+    length = math.hypot(d_fwd, d_left)
+    n1, n2, n3 = robot._rng.normal(0.0, 1.0, 3)
+    sig_t = robot.noise.sigma_t_per_m * length
+    sig_r = robot.noise.sigma_r_per_rad * abs(d_yaw)
+    od_fwd = d_fwd + n1 * sig_t
+    od_left = d_left + n2 * sig_t
+    od_yaw = d_yaw + n3 * sig_r + robot.noise.yaw_bias_per_m * length
+    delta = _REFERENCE_ODOM_FRAME_INVERSE.compose(
+        reference_planar_camera_pose(od_fwd, od_left, od_yaw))
+    robot.x, robot.y, robot.yaw = nx, ny, simworld.wrap_angle(nyaw)
+    return reference_planar_camera_pose(robot.x, robot.y, robot.yaw), delta
+
+
+def reference_render_rows(world, cam, rot, K, stop, t_limit=math.inf,
+                          sight=np.zeros((0, 2))):
+    """``_render_rows`` with its column directions taken by a boolean mask
+    and its pixel-to-walk index from the mask's ``cumsum``."""
+    dirs_world = simworld._camera_rays(K)[:stop * K.width] @ rot.T
+    col_x = dirs_world[:, 0].reshape(stop, K.width).T.ravel()
+    col_y = dirs_world[:, 1].reshape(stop, K.width).T.ravel()
+    new = np.ones(col_x.size, dtype=bool)
+    new[1:] = (col_x[1:] != col_x[:-1]) | (col_y[1:] != col_y[:-1])
+    cols = np.column_stack((col_x[new], col_y[new]))
+    t_all, face_all = raycast(world, cam, np.concatenate((cols, sight)), t_limit)
+    walk = (np.cumsum(new) - 1).reshape(K.width, stop).T.ravel()
+    t_wall, face = t_all[walk], face_all[walk]
+    dz = dirs_world[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_floor = np.where(dz < 0.0, -cam[2] / dz, np.inf)
+        floor = t_floor <= t_wall
+        wall = ~floor & (cam[2] + dz * t_wall <= world.wall_height)
+    t = np.where(floor, t_floor, np.where(wall, t_wall, 0.0))
+    return t.reshape(stop, K.width), (dirs_world, floor, wall, face), t_all[len(cols):]
+
+
+def outcome(call, *args):
+    """What a call gives: ('ok', its value) or the type and text of what
+    it raised."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:    # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def pose_bytes(pose):
+    return pose.t.tobytes() + pose.q.tobytes()
+
+
+_yaw = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                     3 * math.pi / 2, -3 * math.pi / 2, 2 * math.pi, 5e-324, -5e-324]),
+    st.floats(-1e3, 1e3))
+_position = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+class TestPlanarCameraPose:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(x=_position, y=_position, yaw=_yaw,
+           z=st.one_of(st.just(simworld.CAMERA_HEIGHT_DEFAULT), st.floats(-1e3, 1e3)))
+    def test_is_the_matrix_path_bit_for_bit(self, x, y, yaw, z):
+        got, want = planar_camera_pose(x, y, yaw, z), reference_planar_camera_pose(x, y, yaw, z)
+        assert pose_bytes(got) == pose_bytes(want)
+
+    def test_random_yaws_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        yaws = np.concatenate([rng.uniform(-math.pi, math.pi, 20000),
+                               rng.uniform(-1e3, 1e3, 5000),
+                               np.arange(-8, 9) * (math.pi / 2)])
+        for yaw in yaws.tolist():
+            assert (pose_bytes(planar_camera_pose(1.0, -2.0, yaw))
+                    == pose_bytes(reference_planar_camera_pose(1.0, -2.0, yaw)))
+
+    @pytest.mark.parametrize("x, yaw", [(0.0, math.nan), (0.0, math.inf),
+                                        (0.0, -math.inf), (math.nan, 0.3),
+                                        (math.inf, -2.0)])
+    def test_non_finite_input_raises_the_same(self, x, yaw):
+        got = outcome(planar_camera_pose, x, 1.0, yaw)
+        assert got[0] is ValueError
+        assert got == outcome(reference_planar_camera_pose, x, 1.0, yaw)
+
+
+def test_free_disc_directions_are_the_per_call_ones():
+    world, _ = make_preset("rooms", seed=2)
+    rng = np.random.default_rng(5)
+    width, height = world.extent
+    discs = np.column_stack([rng.uniform((0.0, 0.0), (width, height), (3000, 2)),
+                             rng.uniform(0.0, 1.0, 3000)]).tolist()
+    hits = [world.free_disc(x, y, r) for x, y, r in discs]
+    assert hits == [reference_free_disc(world, x, y, r) for x, y, r in discs]
+    assert 0 < sum(hits) < len(hits)
+
+
+# commands the planner never sends, mixed in: each component NaN, infinite,
+# a signed zero, a speed limit exactly, or just on either side of the
+# straight-motion test
+_ODD_COMMANDS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 1.5, -1.5,
+                 1e-12, -1e-12, 1e-13, 5e-324)
+
+
+class TestRobotStepMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_command_sequences(self, seed):
+        world, _ = make_preset("rooms", seed=seed)
+        rng = np.random.default_rng(seed)
+        (x, y), = random_free_points(world, rng, 1)
+        yaw = rng.uniform(-math.pi, math.pi)
+        robot = SimRobot(x, y, yaw, seed=seed)
+        ref = SimRobot(x, y, yaw, seed=seed)
+        blocked = raised = 0
+        for _ in range(400):
+            cmd = rng.uniform((-0.5, -3.0), (2.0, 3.0)).tolist()
+            for j in range(2):
+                if rng.uniform() < 0.08:
+                    cmd[j] = _ODD_COMMANDS[rng.integers(len(_ODD_COMMANDS))]
+            dt = 0.1 if rng.uniform() < 0.97 else float(rng.choice([0.0, -0.1, math.nan]))
+            before = (ref.x, ref.y)
+            want = outcome(reference_step, ref, world, cmd, dt)
+            got = outcome(robot.step, world, cmd, dt)
+            if want[0] == "ok":
+                assert got[0] == "ok"
+                assert [pose_bytes(p) for p in got[1]] == [pose_bytes(p) for p in want[1]]
+                blocked += (ref.x, ref.y) == before and abs(cmd[0]) > 0.5
+            else:
+                assert got == want
+                raised += 1
+            assert (robot.x, robot.y, robot.yaw) == (ref.x, ref.y, ref.yaw)
+            assert robot._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert blocked > 0 and raised > 0, (blocked, raised)
+
+
+@pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+def test_render_rows_match_the_cumsum_walk_index(name):
+    world, _ = make_preset(name, seed=3)
+    rng = np.random.default_rng(17)
+    poses = [planar_camera_pose(x, y, rng.uniform(-math.pi, math.pi),
+                                z=rng.uniform(0.3, 1.7))
+             for x, y in random_free_points(world, rng, 6)]
+    # level rays along the grid axes and through grid corners
+    lattice = np.round(random_free_points(world, rng, 6) * 4.0) / 4.0
+    poses += [planar_camera_pose(x, y, k * math.pi / 4.0)
+              for k, (x, y) in enumerate(lattice) if world.free_point(x, y)]
+    for pose in poses:
+        cam, rot = pose.t, pose.rotation_matrix()
+        sight = rng.normal(0.0, 3.0, (5, 2))
+        for stop in (1, 2, 17, 63, 64, 65, 127, 128):
+            for t_limit in (3.5, math.inf):
+                depth, walk, t_sight = simworld._render_rows(
+                    world, cam, rot, K, stop, t_limit, sight)
+                ref_depth, ref_walk, ref_sight = reference_render_rows(
+                    world, cam, rot, K, stop, t_limit, sight)
+                assert depth.tobytes() == ref_depth.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(walk, ref_walk))
+                assert t_sight.tobytes() == ref_sight.tobytes()
+                if stop < K.height:
+                    rows = render(world, pose, K).depth_rows(stop, t_limit)
+                    assert rows.tobytes() == masked(ref_depth, t_limit).tobytes()
+
+
 class TestRobot:
     def test_zero_command_keeps_pose(self, corridor):
         robot = SimRobot(2.0, CORRIDOR_Y, 0.0, noise=OdomNoise.zero())
