@@ -181,11 +181,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_navigate(args) -> int:
+    config = NavConfig(timeout=args.timeout)
     world = simworld.GridWorld.load(args.world)
     topo = load_map(args.map)
     K = _camera_from(args.camera)
     matcher = _map_matcher(args, topo, K, world)
-    config = NavConfig(timeout=args.timeout)
     if args.start:
         x, y, yaw = (float(v) for v in args.start.split(","))
     else:

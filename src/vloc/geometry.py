@@ -509,8 +509,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError(f"focal lengths fx {self.fx}, fy {self.fy} must be "
+                             f"finite and positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -242,8 +242,8 @@ def coverage(obs: Observation, pose: Pose, camera: CameraIntrinsics,
     """
     if obs.depth is None:
         raise NoDepth("observation has no depth image")
-    if grid_res <= 0:
-        raise ValueError("grid_res must be positive")
+    if not grid_res > 0:
+        raise ValueError(f"grid_res {grid_res} must be positive")
     depth = np.asarray(obs.depth, dtype=float)
     valid = (np.isfinite(depth) & (depth > DEPTH_MIN_DEFAULT)
              & (depth < DEPTH_MAX_DEFAULT))
@@ -337,8 +337,9 @@ def build_map(segment: Segment, keyframe_indices, matcher,
 
     Emits DisconnectedMapWarning when the CnG has multiple components.
     """
-    if covis_threshold <= 0 or nav_radius <= 0:
-        raise ValueError("thresholds must be positive")
+    if not (covis_threshold > 0 and nav_radius > 0):
+        raise ValueError(f"thresholds must be positive: covis_threshold "
+                         f"{covis_threshold}, nav_radius {nav_radius}")
     indices = list(keyframe_indices)
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate keyframe indices")

@@ -273,6 +273,10 @@ def compute_ate(gt_traj, est_traj, max_dt: float = 0.05) -> AteReport:
 class NavConfig:
     timeout: float = 240.0
 
+    def __post_init__(self):
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout {self.timeout} must be finite and positive")
+
 
 @dataclass
 class NavReport:

@@ -28,15 +28,17 @@ on the seed and the point count and are drawn once per pair
 (``_sample_rows``).
 
 Grunert's quartic has one formula, ``_grunert_quartic``, one root finder,
-``_quartic_roots``, and two evaluators, each the faster at its own block
-size, which alone picks one: ``_p3p_grunert`` on float64 columns, and
-``_p3p_one`` on Python floats for the first block, one sample, after which
-a clean scene stops. They give the same bits: IEEE ``+ - * /`` round alike
-on arrays and floats, ``_square`` rounds as ``x ** 2`` (C ``pow``) does,
-and both take their dot products from ``_rowdot``, which rounds as BLAS
-``ddot`` (OpenBLAS 0.3.31's Haswell kernel: a forward chain of fused
-multiply-adds, which a Python sum does not reproduce). Poses pinned by the
-tests therefore depend on the BLAS kernel as well as on this code.
+``_quartic_roots``, and one evaluator, ``_p3p_grunert``, on float64 blocks
+of every size, the first one-sample block included (whose quartic runs on
+numpy scalars, which round as arrays do). A sample's result does not
+depend on the size of its block, which makes ``_BLOCK_SIZES`` a free
+constant: every operation is elementwise or per row, and each pair dot
+product is one BLAS ``ddot`` (``_rowdot``), whatever the block's shape.
+``_rowdot`` and ``_square`` (``x ** 2`` as C ``pow`` rounds it) keep the
+roundings that the pinned outputs under ``tests/data`` record; a plain sum
+or ``x * x`` differs in the last bit for some inputs. The pinned poses
+therefore depend on the BLAS kernel (OpenBLAS 0.3.31's Haswell ``ddot`` is
+a forward chain of fused multiply-adds) as well as on this code.
 
 Frame convention: ``solve_pnp_ransac`` returns the transform that maps
 point coordinates into the observing camera's frame. When the points are
@@ -160,8 +162,13 @@ def lift(match_set, depth_query: np.ndarray, K: CameraIntrinsics):
 # Samples solved per block of the hypothesis loop; the last size repeats. A
 # clean scene stops after its first sample, so the first block is one
 # sample; a low inlier ratio runs hundreds, over which blocks amortise the
-# per-call cost of the array operations.
-_BLOCK_SIZES = (1, 8, 64)
+# per-call cost of the array operations. Results do not depend on the
+# schedule: the 550 solves of one set-up and one pass of each benchmark
+# workload at seeds 1 and 9001, replayed under (1, 8, 64) and (1, 16, 128),
+# gave the same pose bytes and telemetry. Over two replays (best of 5 a
+# call, 2-vCPU host), (1, 16, 128) cut their summed solve time by 9-14% on
+# `track` and 2-6% on `kidnap`, and moved `nav` by -1.5% to +0.4%.
+_BLOCK_SIZES = (1, 16, 128)
 
 # the point pairs (2, 3), (1, 3), (1, 2) of a sample's triple: they span
 # the sides opposite points 1, 2, 3 and the angles between their rays
@@ -204,26 +211,26 @@ def _pair_dots(pts: np.ndarray, rays: np.ndarray) -> np.ndarray:
                    np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
 
 
-def _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga, square):
+def _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga):
     """Grunert's quartic in v = d3 / d1 from the squared sides and the ray
-    cosines of a sample: q1 = (a^2 - c^2) / b^2 and the five coefficients,
-    highest first. The same expressions run on float64 columns with
-    ``square=_square`` and on Python floats with ``x ** 2``."""
-    sq_al, sq_be, sq_ga = square(cos_al), square(cos_be), square(cos_ga)
+    cosines of a block of samples, float64 columns (B,) or the numpy scalars
+    of one sample: q1 = (a^2 - c^2) / b^2 and the five coefficients,
+    highest first."""
+    sq_al, sq_be, sq_ga = _square(cos_al), _square(cos_be), _square(cos_ga)
     # scaling by 2 or 4 is exact: 4.0 * cb rounds as 4.0 * c2 / b2 does
     q1, q2, cb, ab, bcb, bab = (x / b2 for x in (a2 - c2, a2 + c2, c2, a2,
                                                  b2 - c2, b2 - a2))
-    sq_q1 = square(q1)
+    sq_q1 = _square(q1)
     al_ga = (1.0 - q2) * cos_al * cos_ga
     cb_al = 2.0 * cb * sq_al
     ab_ga = 2.0 * ab * sq_ga
     return q1, (
-        square(q1 - 1.0) - 2.0 * cb_al,
+        _square(q1 - 1.0) - 2.0 * cb_al,
         4.0 * (q1 * (1.0 - q1) * cos_be - al_ga + cb_al * cos_be),
         2.0 * (sq_q1 - 1.0 + 2.0 * sq_q1 * sq_be + 2.0 * bcb * sq_al
                - 4.0 * q2 * cos_al * cos_be * cos_ga + 2.0 * bab * sq_ga),
         4.0 * (-q1 * (1.0 + q1) * cos_be + ab_ga * cos_be - al_ga),
-        square(1.0 + q1) - 2.0 * ab_ga,
+        _square(1.0 + q1) - 2.0 * ab_ga,
     )
 
 
@@ -267,10 +274,13 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     with np.errstate(all="ignore"):
         dots = _pair_dots(pts, rays)
         sides = np.sqrt(dots[:, :3])
-        a2, b2, c2 = (sides * sides).T
-        cosines = dots[:, 3:].T
-        q1, coeffs = _grunert_quartic(a2, b2, c2, *cosines, _square)
-        coeffs = np.array(coeffs).T
+        # the block's columns (B,); every solve starts with a one-sample
+        # block, whose columns squeeze to numpy scalars: they round as
+        # arrays do, at a quarter of the per-call cost in the quartic
+        a2, b2, c2 = (sides * sides).T.squeeze()
+        cosines = dots[:, 3:].T.squeeze()
+        q1, coeffs = _grunert_quartic(a2, b2, c2, *cosines)
+        coeffs = np.array(coeffs).reshape(5, -1).T
         solvable = (sides >= 1e-9).all(axis=1) & np.isfinite(coeffs).all(axis=1)
         roots = np.zeros((n_samples, 4), dtype=complex)  # a 0 root gives none
         roots[solvable] = _quartic_roots(coeffs[solvable])
@@ -278,7 +288,7 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
         # the depth ratios u = d2 / d1, v = d3 / d1 of each root
         v = roots.real
         q1, cos_al, cos_be, cos_ga, b2 = np.array(
-            [q1, *cosines, b2])[:, :, None]      # (B, 1) columns
+            [q1, *cosines, b2]).reshape(5, -1, 1)    # (B, 1) columns
         denom = 2.0 * (cos_ga - v * cos_al)
         u = ((-1.0 + q1) * v * v - 2.0 * q1 * cos_be * v + 1.0 + q1) / denom
         s1_sq = b2 / (1.0 + v * v - 2.0 * v * cos_be)
@@ -292,55 +302,6 @@ def _p3p_grunert(pts: np.ndarray, rays: np.ndarray):
     t = np.zeros((n_samples, 4, 3))
     r[sample, slot], t[sample, slot] = _kabsch(pts[sample],
                                                dist[:, :, None] * rays[sample])
-    return valid, r, t
-
-
-def _p3p_one(pts: np.ndarray, rays: np.ndarray):
-    """``_p3p_grunert`` on a one-sample block (1, 3, 3), bit for bit, for
-    every sample, in Python floats. Only the pair dot products (``_rowdot``
-    rounds as BLAS ``ddot`` does, which a Python sum does not), the roots
-    (``_quartic_roots`` on one row) and the Kabsch alignment are numpy
-    calls, each on the operands the block path gives it. The block path's
-    per-call cost is most of a sample's time when it solves one, and every
-    solve starts with one sample. A sample the block path cannot solve (a
-    side below 1e-9, coefficients not finite or overflowing) has none."""
-    valid = np.zeros((1, 4), dtype=bool)
-    r = np.zeros((1, 4, 3, 3))
-    t = np.zeros((1, 4, 3))
-    with np.errstate(all="ignore"):
-        dots = _pair_dots(pts, rays)[0].tolist()
-        sides = [math.sqrt(x) for x in dots[:3]]
-        if not all(side >= 1e-9 for side in sides):
-            return valid, r, t
-        a2, b2, c2 = (side * side for side in sides)
-        cos_al, cos_be, cos_ga = dots[3:]
-        try:
-            q1, coeffs = _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga,
-                                          lambda x: x ** 2)
-        except OverflowError:
-            return valid, r, t
-        if not all(map(math.isfinite, coeffs)):
-            return valid, r, t
-        roots = _quartic_roots(np.array([coeffs]))[0].tolist()
-    ray_rows = rays[0].tolist()
-    slots, cams = [], []
-    for slot, root in enumerate(roots):
-        # the depth ratios u = d2 / d1, v = d3 / d1 of each root
-        v = root.real
-        denom = 2.0 * (cos_ga - v * cos_al)
-        s = 1.0 + v * v - 2.0 * v * cos_be
-        if not (abs(root.imag) <= 1e-8 and abs(denom) >= 1e-12 and s != 0.0):
-            continue
-        u = ((-1.0 + q1) * v * v - 2.0 * q1 * cos_be * v + 1.0 + q1) / denom
-        s1_sq = b2 / s
-        if v > 0.0 and u > 0.0 and 0.0 < s1_sq < math.inf:
-            d1 = math.sqrt(s1_sq)
-            slots.append(slot)
-            cams.append([[dist * x for x in ray]
-                         for dist, ray in zip((d1, u * d1, v * d1), ray_rows)])
-    if slots:
-        valid[0, slots] = True
-        r[0, slots], t[0, slots] = _kabsch(pts[[0] * len(slots)], np.array(cams))
     return valid, r, t
 
 
@@ -455,7 +416,7 @@ def _score_block(sel, p3d, uv, rays, K):
     number of candidates of each sample (B,)."""
     triples = sel[:, :3]
     pts, pts_rays = p3d.take(triples, axis=0), rays.take(triples, axis=0)
-    valid, r, t = (_p3p_one if len(sel) == 1 else _p3p_grunert)(pts, pts_rays)
+    valid, r, t = _p3p_grunert(pts, pts_rays)
     probe = sel[:, None, 3:]
     e4 = _reprojection_errors(r, t, p3d.take(probe, axis=0), uv.take(probe, axis=0),
                               K)[..., 0]

@@ -272,6 +272,8 @@ class GridWorld:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} {value} must be finite and positive")
+        if self.texture_seed < 0:
+            raise ValueError(f"texture_seed {self.texture_seed} must be non-negative")
         if occ.ndim != 2 or occ.size == 0:
             raise ValueError(f"occupancy grid of shape {occ.shape} is not a "
                              f"non-empty 2-D grid")

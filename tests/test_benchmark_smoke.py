@@ -17,10 +17,15 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["track", "kidnap", "nav"])
-def test_traced_run_is_correct(workload):
+# seed 1 is the benchmark's default, 9001 its held-out seed
+RUNS = [pytest.param(workload, seed, id=workload if seed == 1 else f"{workload}-{seed}")
+        for seed in (1, 9001) for workload in ("track", "kidnap", "nav")]
+
+
+@pytest.mark.parametrize("workload, seed", RUNS)
+def test_traced_run_is_correct(workload, seed):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -83,6 +83,14 @@ class TestGenAndBuild:
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert not (tmp_path / "seg").exists()
 
+    def test_camera_focal_not_finite_is_an_error(self, workspace, tmp_path, capsys):
+        ws, world_path, _, _ = workspace
+        assert main(["gen-segment", "--world", str(world_path),
+                     "--waypoints", str(ws / "route.csv"), "--out", str(tmp_path / "seg"),
+                     "--camera", "inf 100 64 64 128 128"]) == 1
+        assert capsys.readouterr().err.startswith("error: focal lengths fx inf, ")
+        assert not (tmp_path / "seg").exists()
+
 
 class TestCliMapIsLibraryMap:
     @pytest.mark.parametrize("preset", ["corridor", "rooms", "campus"])
@@ -184,6 +192,20 @@ class TestNavigate:
         _, rows = read_csv_rows(report, NavReport.CSV_HEADER, list)
         assert [row[:3] for row in rows] == [["0", "8", "1"]]
 
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-3"])
+    def test_bad_timeout_is_an_error(self, workspace, tmp_path, capsys, timeout):
+        _, world_path, _, mapdir = workspace
+        goal = tmp_path / "goal.pgm"
+        write_pgm(goal, load_map(mapdir).nodes[8].image)
+        report = tmp_path / "nav.csv"
+        assert main(["navigate", "--world", str(world_path), "--map", str(mapdir),
+                     "--goal-image", str(goal), "--report", str(report),
+                     "--timeout", timeout]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: timeout {float(timeout)} must be finite "
+                                    f"and positive"]
+        assert not report.exists()
+
     def test_navigate_failure_exit_code(self, workspace, tmp_path):
         _, world_path, _, mapdir = workspace
         topo = load_map(mapdir)
@@ -284,7 +306,8 @@ class TestBadWorldFile:
         ("0 0 0.5 2.0 0", "non-empty 2-D grid"),
         ("8 8 nan 2.0 0", "cell_size nan"),
         ("8 8 0.5 inf 0", "wall_height inf"),
-        ("8 8 0.5 0 0", "wall_height 0.0")])
+        ("8 8 0.5 0 0", "wall_height 0.0"),
+        ("8 8 0.5 2.0 -1", "texture_seed -1")])
     def test_gen_segment_reports_error(self, tmp_path, capsys, header, reason):
         world_path = tmp_path / "world.txt"
         rows = [] if header.startswith("0") else \

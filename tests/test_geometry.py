@@ -508,6 +508,11 @@ class TestCameraIntrinsics:
     def test_validation(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=-1.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
+        for name in ("fx", "fy"):
+            for value in (np.inf, np.nan, 0.0):
+                focal = {"fx": 100.0, "fy": 100.0, name: value}
+                with pytest.raises(ValueError, match=f"focal lengths .*{name} {value}"):
+                    CameraIntrinsics(cx=64.0, cy=64.0, width=128, height=128, **focal)
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=100.0, fy=100.0, cx=200.0, cy=64.0, width=128, height=128)
 

@@ -161,6 +161,11 @@ class TestCoverage:
         with pytest.raises(ValueError, match="2\\*\\*31"):
             coverage(obs_with_one_pixel(0.5), pose, K, grid_res)
 
+    @pytest.mark.parametrize("grid_res", [0.0, -0.1, np.nan])
+    def test_grid_res_not_positive_raises(self, grid_res):
+        with pytest.raises(ValueError, match=f"grid_res {grid_res} must be positive"):
+            coverage(obs_with_one_pixel(0.5), Pose.identity(), K, grid_res)
+
     def test_largest_cell_index_is_kept(self):
         obs = obs_with_one_pixel(0.5)
         pose = Pose(np.array([2**31 - 0.5, -(2**31) + 1.5, 0.0]), [1, 0, 0, 0])
@@ -289,6 +294,13 @@ class TestBuildMap:
         m = build_map(rec.segment, [0], matcher=oracle_matcher)
         assert len(m.nodes) == 1
         assert m.cng_edges == [] and m.cvg_edges == []
+
+    @pytest.mark.parametrize("name", ["covis_threshold", "nav_radius"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_thresholds_not_positive_raise(self, corridor_segment, name, value):
+        _, rec = corridor_segment
+        with pytest.raises(ValueError, match=f"thresholds must be positive: .*{name} {value}"):
+            build_map(rec.segment, [0, 1], matcher=oracle_matcher, **{name: value})
 
     def test_colocated_keyframes_fully_connected(self):
         world, _ = make_preset("corridor", seed=3)

@@ -27,7 +27,6 @@ from vloc.relocal import (
     RelocResult,
     RelocStatus,
     _p3p_grunert,
-    _p3p_one,
     _pixel_rays,
     _quartic_roots,
     _refine_gauss_newton,
@@ -553,11 +552,50 @@ class TestBatchedMatchesSequential:
             its = [r.iterations for r in results]
             assert min(its) <= sum(_BLOCK_SIZES[:2]) and max(its) > sum(_BLOCK_SIZES)
 
-    def test_exact_scene_stops_after_one_sample(self):
+    def test_exact_scene_stops_after_one_sample(self, monkeypatch):
+        calls = []
+
+        def counted(pts, rays):
+            calls.append(len(pts))
+            return _p3p_grunert(pts, rays)
+
+        monkeypatch.setattr(relocal, "_p3p_grunert", counted)
         for seed in range(5):
             p3d, uv, _, _ = synth_scene(np.random.default_rng(seed), 20)
+            calls.clear()
             res = self.assert_same(p3d, uv, PnPParams(seed=seed))
             assert res.iterations == 1 and res.inliers == 20
+            assert calls == [1]
+
+    def test_same_bytes_under_every_block_schedule(self, monkeypatch):
+        # a sample's result does not depend on the size of its block, so
+        # the schedule changes no pose bit and no telemetry count
+        rng = np.random.default_rng(17)
+        clean = synth_scene(rng, 20)[:2]
+        noisy = outlier_scene(rng, 40, 0.6)
+        p3d, uv, _, _ = synth_scene(rng, 2)
+        degenerate = np.repeat(p3d, 3, axis=0), np.repeat(uv, 3, axis=0)
+        p3d, uv, _, _ = synth_scene(rng, 16, noise=0.3)
+        uv[rng.choice(16, 3, replace=False)] = np.nan
+        scenes = (clean, noisy, degenerate, (p3d, uv))
+
+        def fingerprints():
+            out = []
+            for scene in scenes:
+                res = solve_pnp_ransac(*scene, K, PnPParams(min_inliers=8))
+                out.append((res.status, res.inliers, res.iterations, res.hypotheses,
+                            res.refine_steps, res.refine_halvings,
+                            None if res.pose is None
+                            else res.pose.t.tobytes() + res.pose.q.tobytes()))
+            return out
+
+        want = fingerprints()
+        assert [f[0] for f in want] == [RelocStatus.SUCCESS, RelocStatus.SUCCESS,
+                                        RelocStatus.RANSAC_FAILED, RelocStatus.SUCCESS]
+        assert want[1][2] > sum(_BLOCK_SIZES) and want[2][2] == relocal.RANSAC_MAX_ITERS
+        for schedule in ((1,), (1, 8, 64), (1, 16, 128), (3, 5, 7), (1000,)):
+            monkeypatch.setattr(relocal, "_BLOCK_SIZES", schedule)
+            assert fingerprints() == want
 
     def test_runs_to_max_iters(self, monkeypatch):
         # random pixels: no sample explains enough points to cut the count,
@@ -628,16 +666,21 @@ def assert_same_bytes(got, want):
 
 
 class TestFirstSamplePath:
-    """``_p3p_one``, the Python-float solver of the first one-sample block,
-    against ``_p3p_grunert`` on one-row blocks, byte for byte."""
+    """The first block solves one sample; ``_p3p_grunert`` on a one-row
+    block gives that row of any larger block, byte for byte."""
 
     @staticmethod
-    def solve_one(pts, rays):
-        """``_p3p_one`` on the one-sample block (1, 3, 3), asserted to be
-        the block path's arrays byte for byte; whether it has a candidate."""
-        got = _p3p_one(pts, rays)
-        assert_same_bytes(got, _p3p_grunert(pts, rays))
-        return bool(got[0].any())
+    def solved_alone(pts, rays):
+        """Each sample of the block (B, 3, 3) solved as a one-row block,
+        asserted to be its row of the whole block's arrays byte for byte;
+        whether each has a candidate."""
+        block = _p3p_grunert(pts, rays)
+        solved = []
+        for k in range(len(pts)):
+            alone = _p3p_grunert(pts[k:k + 1], rays[k:k + 1])
+            assert_same_bytes(alone, [a[k:k + 1] for a in block])
+            solved.append(bool(alone[0].any()))
+        return solved
 
     def test_bit_equal_on_seeded_triples(self):
         rng = np.random.default_rng(24)
@@ -646,8 +689,7 @@ class TestFirstSamplePath:
         # exact rays on even rows, noisy ones on odd rows
         rays = pts + rng.normal(0.0, 0.05, pts.shape) * (np.arange(n) % 2)[:, None, None]
         rays /= np.linalg.norm(rays, axis=2, keepdims=True)
-        solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(n)]
-        assert sum(solved) >= 4900
+        assert sum(self.solved_alone(pts, rays)) >= 4900
 
     def test_unusual_samples_are_the_block_paths(self):
         rng = np.random.default_rng(3)
@@ -671,25 +713,10 @@ class TestFirstSamplePath:
         rays /= np.linalg.norm(rays, axis=2, keepdims=True)
         dots = relocal._pair_dots(pts[5:], rays[5:])
         sides = np.sqrt(dots[:, :3])
-        _, coeffs = relocal._grunert_quartic(*(sides * sides).T, *dots[:, 3:].T,
-                                              relocal._square)
+        _, coeffs = relocal._grunert_quartic(*(sides * sides).T, *dots[:, 3:].T)
         assert 0.0 < abs(coeffs[0][0]) < 1e-14 and coeffs[4][1] == 0.0
-        solved = [self.solve_one(pts[k:k + 1], rays[k:k + 1]) for k in range(7)]
-        assert solved == [True, False, False, True, False, True, True]
-
-    def test_first_block_uses_it(self, monkeypatch):
-        calls = []
-
-        def counted(pts, rays):
-            calls.append(len(pts))
-            return _p3p_one(pts, rays)
-
-        monkeypatch.setattr(relocal, "_p3p_one", counted)
-        p3d, uv, _, _ = synth_scene(np.random.default_rng(0), 20)
-        rays = _pixel_rays(uv, K)
-        _score_block(np.array([[0, 1, 2, 3]]), p3d, uv, rays, K)
-        _score_block(np.array([[0, 1, 2, 3], [4, 5, 6, 7]]), p3d, uv, rays, K)
-        assert calls == [1]
+        assert self.solved_alone(pts, rays) == [True, False, False, True, False,
+                                                True, True]
 
     def test_quartic_roots_are_np_roots(self, monkeypatch):
         # blocks of quartics only, of quartics and zero trailing
@@ -789,7 +816,7 @@ class TestSampleStream:
         # reads its first rows
         warm = [fingerprint(solve_pnp_ransac(*scene, K)) for scene in (clean, noisy)]
         assert warm == cold
-        assert cold[0][2] == 1 and cold[1][2] > sum(_BLOCK_SIZES)
+        assert cold[0][2] == 1 and cold[1][2] > sum(_BLOCK_SIZES[:2])
 
     def test_bound_after_criterion_1(self):
         p3d, uv, _, _ = synth_scene(np.random.default_rng(0), 20)
