@@ -41,8 +41,8 @@ def _camera_from(arg: str | None) -> CameraIntrinsics:
 
 def _read_waypoints(path):
     """``x y`` or ``x,y`` per line; a first line that does not parse is a
-    header. Any later line whose first two fields are not numbers raises
-    FormatError naming the line."""
+    header. Any later line whose first two fields are not numbers, and any
+    line whose two are not finite, raises FormatError naming the line."""
     out = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -50,10 +50,15 @@ def _read_waypoints(path):
             if not parts:
                 continue
             try:
-                out.append(np.array([float(parts[0]), float(parts[1])]))
+                wp = np.array([float(parts[0]), float(parts[1])])
             except (ValueError, IndexError) as exc:
                 if lineno > 1:
                     raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                continue
+            if not np.isfinite(wp).all():
+                raise FormatError(f"{path}:{lineno}: waypoint ({wp[0]}, {wp[1]}) "
+                                  f"is not finite")
+            out.append(wp)
     if not out:
         raise VlocError(f"{path}: no waypoints")
     return out

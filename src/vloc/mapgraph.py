@@ -237,13 +237,14 @@ def coverage(obs: Observation, pose: Pose, camera: CameraIntrinsics,
 
     Cell ``(ix, iy) = (floor(x / res), floor(y / res))``; z is dropped (the
     information measure is a 2-D occupancy footprint). Returns the sorted
-    unique int64 keys ``ix * 2**32 + iy``. Raises ValueError when a cell
-    index is not below 2**31 in magnitude, where keys would collide.
+    unique int64 keys ``ix * 2**32 + iy``. Raises ValueError unless
+    ``grid_res`` is finite and positive, and when a cell index is not below
+    2**31 in magnitude, where keys would collide.
     """
     if obs.depth is None:
         raise NoDepth("observation has no depth image")
-    if not grid_res > 0:
-        raise ValueError(f"grid_res {grid_res} must be positive")
+    if not 0 < grid_res < math.inf:
+        raise ValueError(f"grid_res {grid_res} must be finite and positive")
     depth = np.asarray(obs.depth, dtype=float)
     valid = (np.isfinite(depth) & (depth > DEPTH_MIN_DEFAULT)
              & (depth < DEPTH_MAX_DEFAULT))

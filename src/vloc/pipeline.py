@@ -64,11 +64,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         # a window below one puts every state before it, so every fix is
-        # gated; fewer than one inlier scales the fix sigmas to zero
+        # gated; fewer than one inlier scales the fix sigmas to zero; fewer
+        # than one failure acts as one; a NaN similarity floor gates nothing
         for name, value in (("window", self.window),
-                            ("pnp.min_inliers", self.pnp.min_inliers)):
+                            ("pnp.min_inliers", self.pnp.min_inliers),
+                            ("max_failures", self.max_failures)):
             if value < 1:
                 raise ValueError(f"{name} {value} must be at least 1")
+        if math.isnan(self.gl_min_sim):
+            raise ValueError("gl_min_sim nan must be a number")
 
 
 @dataclass(frozen=True)

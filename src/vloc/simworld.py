@@ -13,10 +13,9 @@ and shading gathers from it: lattice value noise over a precomputed table,
 as in Perlin, "An Image Synthesizer" (SIGGRAPH 1985). Landmarks seeded on
 wall faces give the oracle matcher ground-truth correspondences; their
 sight-lines ride the depth's grid walk. A render checks its camera at
-once; it computes depth with the landmarks, or only the top rows a caller
-asks for, and shades color when they are first read. A unicycle robot
-with drifting odometry and a waypoint pursuit controller generate
-mapping/localization segments.
+once; the frame it returns renders itself whole when first read, or only
+the top rows a planner asks for. A unicycle robot with drifting odometry
+and a waypoint pursuit controller generate mapping/localization segments.
 
 Grid indexing is ``occupancy[iy, ix]``; world x spans ``ix * cell_size`` and
 row 0 of the text format is the smallest y. The camera is level (its y axis
@@ -545,21 +544,17 @@ def raycast(world: GridWorld, origin, dirs, t_limit: float = math.inf):
 class SimFrame:
     """Rendered observation with simulator ground truth attached.
 
-    ``gt_pose`` is a plain attribute, set by ``render``. ``depth``,
-    ``color`` and the landmark annotations (``landmark_ids``,
-    ``landmark_uv``, ``landmark_depth``) are computed on first access and
-    then kept. Building ``depth`` makes the frame's one grid walk: the
-    image columns and the candidate landmarks' sight-lines ride it
-    together, so the annotations read what it left, and a read of the
-    landmarks alone builds the depth (1.0-1.4 ms a 128x128 frame of the
-    presets on a 2-vCPU host).
+    ``gt_pose`` is a plain attribute, set by ``render``. A frame is read
+    whole or as planning rows. The first ``observation()`` renders it whole
+    and keeps the result: one grid walk for the image columns and the
+    candidate landmarks' sight-lines, then the shading and the visible
+    landmarks (1.8-2.3 ms a 128x128 frame of the presets on a 2-vCPU host).
+    ``depth``, ``color`` and the ``landmark_*`` annotations read it.
     ``depth_rows(stop, max_range)`` gives the top ``stop`` rows of the depth
-    image with every depth beyond ``max_range`` read as 0, and until
-    ``depth`` is read it builds those rows alone, walking each column only
-    as far as ``max_range`` and no sight-line; so a caller that plans on a
-    few rows and a short range (a navigation tick that does not localize)
-    walks and solves for nothing else. Reading ``depth`` keeps the walk
-    arrays for ``color``, and computing ``color`` releases them."""
+    with every depth beyond ``max_range`` read as 0; before the whole render
+    it walks those rows' columns alone, only as far as ``max_range``, and
+    keeps nothing, so a navigation tick that does not localize pays for
+    nothing else."""
 
     def __init__(self, world: GridWorld, K: CameraIntrinsics, gt_pose: Pose,
                  rot: np.ndarray):
@@ -569,54 +564,43 @@ class SimFrame:
         self._rot = rot         # gt_pose's rotation matrix, checked level
 
     @cached_property
-    def depth(self) -> np.ndarray:
+    def _observation(self) -> Observation:
         cam = self.gt_pose.t
         cand, sight = _landmark_candidates(self._world, cam, self._rot, self._K)
-        depth, self._walk, t_sight = _render_rows(self._world, cam, self._rot,
-                                                  self._K, self._K.height, sight=sight)
-        self._sight = cand, t_sight
-        return depth
+        depth, walk, t_sight = _render_rows(self._world, cam, self._rot, self._K,
+                                            self._K.height, sight=sight)
+        color = _shade(self._world, cam, depth.ravel(), *walk).reshape(depth.shape)
+        ids, uv, z = _visible_landmarks(cand, t_sight)
+        return Observation(color=color, depth=depth, landmark_ids=ids,
+                           landmark_uv=uv, landmark_depth=z)
+
+    def observation(self) -> Observation:
+        return self._observation
+
+    depth = property(lambda self: self._observation.depth)
+    color = property(lambda self: self._observation.color)
+    landmark_ids = property(lambda self: self._observation.landmark_ids)
+    landmark_uv = property(lambda self: self._observation.landmark_uv)
+    landmark_depth = property(lambda self: self._observation.landmark_depth)
 
     def depth_rows(self, stop: int, max_range: float = math.inf) -> np.ndarray:
         """``np.where(depth[:stop] <= max_range, depth[:stop], 0.0)`` bit for
-        bit, for ``1 <= stop``, whether or not ``depth`` is built yet; with
-        the default ``max_range`` it is the top of ``depth`` itself. Asked
-        for every row, it builds and keeps ``depth``. A ``stop`` below 1, or
-        a ``max_range`` that is NaN or not positive, raises ``ValueError``."""
+        bit, for ``1 <= stop``, whether or not the observation is rendered
+        yet; with the default ``max_range`` it is the top of ``depth``
+        itself. A ``stop`` below 1, or a ``max_range`` that is NaN or not
+        positive, raises ``ValueError``."""
         if stop < 1:
             raise ValueError(f"depth_rows needs stop >= 1, got {stop}")
         if not max_range > 0.0:
             raise ValueError(f"depth_rows needs a positive max_range, got {max_range}")
-        if "depth" in vars(self) or stop >= self._K.height:
+        if "_observation" in vars(self):
             rows = self.depth[:stop]
         else:
             rows = _render_rows(self._world, self.gt_pose.t, self._rot, self._K,
-                                stop, max_range)[0]
+                                min(stop, self._K.height), max_range)[0]
         if max_range == math.inf:
             return rows
         return np.where(rows <= max_range, rows, 0.0)
-
-    @cached_property
-    def color(self) -> np.ndarray:
-        depth = self.depth
-        color = _shade(self._world, self.gt_pose.t, depth.ravel(), *self._walk)
-        del self._walk
-        return color.reshape(depth.shape)
-
-    @cached_property
-    def _landmarks(self) -> tuple:
-        self.depth      # its walk also walks the landmark sight-lines
-        return _visible_landmarks(*vars(self).pop("_sight"))
-
-    landmark_ids = property(lambda self: self._landmarks[0])
-    landmark_uv = property(lambda self: self._landmarks[1])
-    landmark_depth = property(lambda self: self._landmarks[2])
-
-    def observation(self) -> Observation:
-        return Observation(color=self.color, depth=self.depth,
-                           landmark_ids=self.landmark_ids,
-                           landmark_uv=self.landmark_uv,
-                           landmark_depth=self.landmark_depth)
 
 
 # a detector range limit: keeps typical views at a few hundred annotations
@@ -643,9 +627,9 @@ def render(world: GridWorld, pose: Pose, K: CameraIntrinsics) -> SimFrame:
     gives the column's first wall crossing ``t_wall``; a pixel whose ray
     meets the floor plane first (``t_floor <= t_wall``) sees floor, else it
     sees the wall if the crossing lies below the wall top, else sky. Only
-    the checks happen here: the returned frame walks and solves for its
-    depth, or for the rows of it a caller asks for, shades its texture and
-    finds its landmarks when they are first read. Raises
+    the checks happen here: the returned frame renders itself whole on its
+    first ``observation()`` (or a read of one of its images or annotations),
+    or renders the planning rows ``depth_rows`` asks for. Raises
     ``PoseInCollision`` for a camera inside a wall and ``ValueError`` for a
     camera that is not level or not below the wall top."""
     cam = pose.t
@@ -898,7 +882,8 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     frames at ``camera_rate`` and odometry at ``odom_rate``.
 
     Segment frame poses are ground truth. Deterministic per seed. Raises
-    ValueError unless both rates are finite and positive."""
+    ValueError unless both rates are finite and positive, and for a waypoint
+    that is not finite or not in free space."""
     for name, rate in (("camera_rate", camera_rate), ("odom_rate", odom_rate)):
         if not (math.isfinite(rate) and rate > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {rate}")
@@ -906,6 +891,8 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     if not waypoints:
         raise ValueError("need at least one waypoint")
     for wp in waypoints:
+        if not np.isfinite(wp).all():
+            raise ValueError(f"waypoint ({wp[0]}, {wp[1]}) is not finite")
         if not world.free_point(wp[0], wp[1]):
             raise ValueError(f"waypoint ({wp[0]}, {wp[1]}) is not in free space")
     path_len = sum(float(np.linalg.norm(b - a))
@@ -977,18 +964,16 @@ def annotate_map_with_landmarks(topo_map, K: CameraIntrinsics,
                                 world: GridWorld) -> None:
     """Re-render each node pose to repopulate the transient landmark
     annotations (and any missing image) on a loaded map, enabling the
-    oracle matcher against it. The annotations come from each frame's depth
-    walk, so every node costs a depth render, 1.0-1.4 ms on the presets
-    (see ``SimFrame``); only the CLI runs this, once per map it loads, and
-    no hot loop does. Frames shade lazily, so only nodes without an image
-    are shaded; an existing image is left as it is."""
+    oracle matcher against it. Every node costs a whole render (see
+    ``SimFrame``), shading included even where the node keeps its image;
+    only the CLI runs this, once per map it loads, and no hot loop does."""
     for node in topo_map.nodes:
-        frame = render(world, node.pose, K)
-        node.landmark_ids = frame.landmark_ids
-        node.landmark_uv = frame.landmark_uv
-        node.landmark_depth = frame.landmark_depth
+        obs = render(world, node.pose, K).observation()
+        node.landmark_ids = obs.landmark_ids
+        node.landmark_uv = obs.landmark_uv
+        node.landmark_depth = obs.landmark_depth
         if node.image is None:
-            node.image = frame.color
+            node.image = obs.color
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class TestGenAndBuild:
         assert [(a, b) for a, b, _ in topo.cng_edges] == \
             [(a, b) for a, b, _ in topo.cvg_edges]
 
-    @pytest.mark.parametrize("bad", ["3,abc", "7", "x y"])
+    @pytest.mark.parametrize("bad", ["3,abc", "7", "x y", "inf,2.25", "nan,2.25"])
     def test_bad_waypoint_line_names_line(self, workspace, tmp_path, capsys, bad):
         _, world_path, _, _ = workspace
         route = tmp_path / "route.csv"
@@ -82,6 +82,14 @@ class TestGenAndBuild:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert not (tmp_path / "seg").exists()
+
+    def test_grid_res_not_finite_is_an_error(self, workspace, tmp_path, capsys):
+        _, _, segdir, _ = workspace
+        assert main(["build-map", "--input", str(segdir), "--keyframe-budget", "30",
+                     "--grid-res", "inf", "--out", str(tmp_path / "map")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid_res inf must be finite and positive"]
+        assert not (tmp_path / "map").exists()
 
     def test_camera_focal_not_finite_is_an_error(self, workspace, tmp_path, capsys):
         ws, world_path, _, _ = workspace
@@ -135,7 +143,8 @@ class TestLocalize:
         assert batch.exists()
 
     @pytest.mark.parametrize("flag, field", [("--window", "window"),
-                                             ("--min-inliers", "pnp.min_inliers")])
+                                             ("--min-inliers", "pnp.min_inliers"),
+                                             ("--max-failures", "max_failures")])
     def test_settings_that_break_the_loop_are_errors(self, workspace, tmp_path,
                                                      capsys, flag, field):
         _, world_path, segdir, mapdir = workspace
@@ -144,6 +153,15 @@ class TestLocalize:
                      "--out", str(traj), "--matcher", "oracle",
                      "--world", str(world_path), flag, "0"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} 0 ")
+        assert not traj.exists()
+
+    def test_nan_similarity_floor_is_an_error(self, workspace, tmp_path, capsys):
+        _, world_path, segdir, mapdir = workspace
+        traj = tmp_path / "traj.txt"
+        assert main(["localize", "--map", str(mapdir), "--seq", str(segdir),
+                     "--out", str(traj), "--matcher", "oracle",
+                     "--world", str(world_path), "--gl-min-sim", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: gl_min_sim nan ")
         assert not traj.exists()
 
     def test_localize_with_ingested_descriptors(self, workspace, tmp_path):

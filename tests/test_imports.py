@@ -5,7 +5,9 @@ is read by the package, the benchmark or a demo, and every error class is
 imported by some other module, so removing code cannot leave a dead import,
 a dead constant, a dead helper or an error nothing raises behind. The
 package ``__init__`` imports to re-export: a name it lists in ``__all__``
-counts as used."""
+counts as used. A ``cached_property`` computes its value and nothing else:
+it sets, deletes and pops no attribute of ``self``, so no read order of an
+object's cached members can matter."""
 
 import ast
 import pathlib
@@ -150,3 +152,38 @@ def test_every_public_function_and_class_is_read():
     unread = [f"{name}:{line}: {function}" for name, function, line in defined
               if function not in read]
     assert not unread, "public function or class read by no source: " + ", ".join(unread)
+
+
+def is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def self_writes(function):
+    """(what, line) of every attribute of ``self`` the function's body sets
+    or deletes, and of every ``pop`` on something of ``self``'s, such as
+    ``vars(self)`` or ``self.__dict__``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and is_self(node.value) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield f"self.{node.attr}", node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "pop" and any(map(is_self, ast.walk(node.func.value))):
+            yield "pop", node.lineno
+
+
+def cached_properties(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and any(
+                (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+                == "cached_property" for d in node.decorator_list):
+            yield node
+
+
+def test_no_cached_property_writes_to_self():
+    trees = package_trees()
+    found = [(name, prop) for name, tree in trees.items()
+             for prop in cached_properties(tree)]
+    assert {"_observation", "_texel_table"} <= {prop.name for _, prop in found}
+    writes = [f"{name}:{line}: {prop.name} writes {what}" for name, prop in found
+              for what, line in self_writes(prop)]
+    assert not writes, "cached_property with a side effect: " + ", ".join(writes)

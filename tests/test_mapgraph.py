@@ -161,9 +161,10 @@ class TestCoverage:
         with pytest.raises(ValueError, match="2\\*\\*31"):
             coverage(obs_with_one_pixel(0.5), pose, K, grid_res)
 
-    @pytest.mark.parametrize("grid_res", [0.0, -0.1, np.nan])
+    @pytest.mark.parametrize("grid_res", [0.0, -0.1, np.nan, np.inf])
     def test_grid_res_not_positive_raises(self, grid_res):
-        with pytest.raises(ValueError, match=f"grid_res {grid_res} must be positive"):
+        with pytest.raises(ValueError,
+                           match=f"grid_res {grid_res} must be finite and positive"):
             coverage(obs_with_one_pixel(0.5), Pose.identity(), K, grid_res)
 
     def test_largest_cell_index_is_kept(self):

@@ -836,7 +836,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, config", [
         ("window", dict(window=0)), ("window", dict(window=-3)),
         ("pnp.min_inliers", dict(pnp=PnPParams(min_inliers=0))),
-        ("pnp.min_inliers", dict(pnp=PnPParams(min_inliers=-1)))])
+        ("pnp.min_inliers", dict(pnp=PnPParams(min_inliers=-1))),
+        # a max_failures below one acts as one; a NaN similarity floor
+        # compares false with everything and so gates nothing
+        ("max_failures", dict(max_failures=0)), ("max_failures", dict(max_failures=-1)),
+        ("gl_min_sim", dict(gl_min_sim=math.nan))])
     def test_settings_that_break_the_loop_are_rejected(self, corridor_map, field,
                                                        config):
         _, topo = corridor_map

@@ -613,7 +613,9 @@ def test_render_raises_no_warning(name):
             render(world, planar_camera_pose(x, y, 0.4), K).observation()
 
 
-SHADING = ("color", "_landmarks", "landmark_ids", "landmark_uv", "landmark_depth")
+# the members of a frame that has not rendered; a whole render adds
+# ``_observation`` and nothing else
+UNRENDERED = {"gt_pose", "_world", "_K", "_rot"}
 # a range inside most views, the planner's obstacle range, and none
 DEPTH_RANGES = (0.5, 3.5, math.inf)
 
@@ -622,40 +624,49 @@ def masked(depth, max_range):
     return np.where(depth <= max_range, depth, 0.0)
 
 
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 class TestLazyFrame:
-    def test_depth_read_alone_shades_nothing(self, corridor):
+    def test_planning_rows_keep_nothing(self, corridor, monkeypatch):
+        monkeypatch.setattr(simworld, "_shade", lambda *a: pytest.fail("rows shaded"))
         frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
-        assert frame.depth.shape == (K.height, K.width)
+        for stop in (64, K.height, 1000):
+            assert frame.depth_rows(stop, 3.5).shape == (min(stop, K.height), K.width)
         assert frame.gt_pose.t[0] == 2.0
-        assert not set(SHADING) & set(vars(frame))
+        assert vars(frame).keys() == UNRENDERED
 
     @pytest.mark.parametrize("color_first", [True, False])
-    def test_first_access_matches_reference_and_is_kept(self, corridor, color_first):
-        pose = planar_camera_pose(3.0, CORRIDOR_Y, -0.6)
-        color, depth, ids, uv, lm_depth = reference_render(corridor, pose, K)
-        frame = render(corridor, pose, K)
-        if color_first:
-            assert np.array_equal(frame.color, color)
-            assert "_walk" not in vars(frame)       # released once shaded
-            assert "_landmarks" not in vars(frame)
-        assert np.array_equal(frame.landmark_ids, ids)
-        assert np.array_equal(frame.landmark_uv, uv)
-        assert np.array_equal(frame.landmark_depth, lm_depth)
-        assert ("color" in vars(frame)) == color_first
-        assert np.array_equal(frame.color, color)
-        assert np.array_equal(frame.depth, depth)
-        obs = frame.observation()
-        assert obs.color is frame.color and obs.depth is frame.depth
-        assert obs.landmark_ids is frame.landmark_ids
-        assert obs.landmark_uv is frame.landmark_uv
-        assert obs.landmark_depth is frame.landmark_depth
+    def test_first_access_matches_reference_and_is_kept(self, color_first):
+        # whichever member is read first, the frame renders whole, once
+        for name in ("corridor", "rooms", "campus"):
+            world, route = make_preset(name, seed=1)
+            for k, (x, y) in enumerate(route[:3]):
+                pose = planar_camera_pose(x, y, 0.7 * k - 0.6)
+                want = reference_render(world, pose, K)
+                frame = render(world, pose, K)
+                first = frame.color if color_first else frame.landmark_ids
+                obs = frame.observation()
+                assert first is (obs.color if color_first else obs.landmark_ids)
+                assert_same_bytes((obs.color, obs.depth, obs.landmark_ids,
+                                   obs.landmark_uv, obs.landmark_depth), want)
+                assert frame.observation() is obs
+                assert frame.depth is obs.depth and frame.color is obs.color
+                assert frame.landmark_ids is obs.landmark_ids
+                assert frame.landmark_uv is obs.landmark_uv
+                assert frame.landmark_depth is obs.landmark_depth
+                frame.depth_rows(64, 3.5)
+                assert vars(frame).keys() == UNRENDERED | {"_observation"}
 
     def test_render_only_checks(self, corridor, monkeypatch):
         monkeypatch.setattr(simworld, "_render_rows",
                             lambda *a: pytest.fail("render walked the grid"))
         frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
         assert frame.gt_pose.t[0] == 2.0
-        assert not {"depth", "_walk", *SHADING} & set(vars(frame))
+        assert vars(frame).keys() == UNRENDERED
 
     @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
     def test_depth_rows_are_the_top_of_depth(self, name):
@@ -671,27 +682,18 @@ class TestLazyFrame:
         for pose in poses:
             depth = render(world, pose, K).depth
             frame = render(world, pose, K)
-            for stop in (1, 63, 64, 65):
+            before = {}
+            for stop in (1, 63, 64, 65, 128, 129):
                 for max_range in DEPTH_RANGES:
                     rows = frame.depth_rows(stop, max_range)
-                    assert rows.shape == (stop, K.width)
+                    assert rows.shape == (min(stop, K.height), K.width)
                     assert rows.tobytes() == masked(depth[:stop], max_range).tobytes()
+                    before[stop, max_range] = rows.tobytes()
                 assert frame.depth_rows(stop).tobytes() == depth[:stop].tobytes()
-            assert "depth" not in vars(frame)    # the rows alone were built
-            for max_range in DEPTH_RANGES:
-                # every row: built and kept, whatever the range
-                fresh = render(world, pose, K)
-                rows = fresh.depth_rows(128, max_range)
-                assert rows.tobytes() == masked(depth, max_range).tobytes()
-                assert fresh.depth.tobytes() == depth.tobytes()
-            assert frame.depth_rows(128).tobytes() == depth.tobytes()
-            assert "depth" in vars(frame)
-            assert frame.depth.tobytes() == depth.tobytes()
-            for stop in (1, 63, 64, 65, 128):
-                assert frame.depth_rows(stop).tobytes() == depth[:stop].tobytes()
-                for max_range in DEPTH_RANGES:
-                    assert (frame.depth_rows(stop, max_range).tobytes()
-                            == masked(depth[:stop], max_range).tobytes())
+            assert vars(frame).keys() == UNRENDERED    # every row: kept nothing
+            assert frame.observation().depth.tobytes() == depth.tobytes()
+            for (stop, max_range), rows in before.items():
+                assert frame.depth_rows(stop, max_range).tobytes() == rows
             assert np.shares_memory(frame.depth_rows(64), frame.depth)
 
     @pytest.mark.parametrize("stop", [0, -1, -128])
@@ -699,7 +701,7 @@ class TestLazyFrame:
         frame = render(corridor, planar_camera_pose(2.0, CORRIDOR_Y, 0.3), K)
         with pytest.raises(ValueError, match="stop"):
             frame.depth_rows(stop)
-        frame.depth
+        frame.observation()
         with pytest.raises(ValueError, match="stop"):
             frame.depth_rows(stop)
 
@@ -709,7 +711,7 @@ class TestLazyFrame:
         with pytest.raises(ValueError, match="max_range"):
             frame.depth_rows(64, max_range)
 
-    def test_annotate_shades_only_nodes_without_image(self, corridor, monkeypatch):
+    def test_annotate_keeps_existing_images(self, corridor, monkeypatch):
         poses = [planar_camera_pose(x, CORRIDOR_Y, 0.1) for x in (2.0, 4.0)]
         image = np.full((K.height, K.width), 7, dtype=np.uint8)
         topo = TopoMetricMap(
@@ -722,7 +724,7 @@ class TestLazyFrame:
         monkeypatch.setattr(simworld, "_shade",
                             lambda *a: shaded.append(1) or shade(*a))
         annotate_map_with_landmarks(topo, K, corridor)
-        assert len(shaded) == 1
+        assert len(shaded) == 2                 # one whole render a node
         assert topo.nodes[0].image is image and (image == 7).all()
         for node in topo.nodes:
             color, _, ids, uv, lm_depth = reference_render(corridor, node.pose, K)
@@ -745,12 +747,12 @@ class TestLazyFrame:
         # the columns and every candidate's sight-line, in the one walk
         simworld._render_rows(corridor, pose.t, pose.rotation_matrix(), K, K.height)
         assert walks[0] == walks[1] + len(sight)
-        # a landmarks-only read of a fresh frame walks once, for the depth
-        # too, and the rest of the frame walks no more
+        # a read of any member of a fresh frame is that one walk, and the
+        # rest of the frame walks no more
         frame = render(corridor, pose, K)
         assert np.array_equal(frame.landmark_ids, obs.landmark_ids)
-        assert len(walks) == 3 and "depth" in vars(frame)
-        frame.observation()
+        assert len(walks) == 3 and walks[2] == walks[0]
+        frame.depth, frame.color, frame.observation(), frame.depth_rows(64, 3.5)
         assert len(walks) == 3
         # a planning tick's rows walk their columns alone
         render(corridor, pose, K).depth_rows(64, 3.5)
@@ -766,10 +768,8 @@ class TestLazyFrame:
             rot = f.pose.rotation_matrix()
             depth = simworld._render_rows(world, f.pose.t, rot, K, K.height)[0]
             assert f.obs.depth.tobytes() == depth.tobytes()
-            got = (f.obs.landmark_ids, f.obs.landmark_uv, f.obs.landmark_depth)
-            for a, b in zip(got, two_walk_annotations(world, f.pose, K)):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert_same_bytes((f.obs.landmark_ids, f.obs.landmark_uv, f.obs.landmark_depth),
+                              two_walk_annotations(world, f.pose, K))
 
 
 def two_walk_annotations(world, pose, K):
@@ -1202,6 +1202,12 @@ class TestGenerateSegment:
             again = render(corridor, frame.pose, K)
             assert np.array_equal(again.color, frame.obs.color)
             assert np.array_equal(again.depth, frame.obs.depth)
+
+    @pytest.mark.parametrize("bad", [(math.inf, CORRIDOR_Y), (2.0, -math.inf),
+                                     (math.nan, CORRIDOR_Y)])
+    def test_waypoint_not_finite_raises(self, corridor, bad):
+        with pytest.raises(ValueError, match=r"waypoint \(.*\) is not finite"):
+            generate_segment(corridor, [(2.0, CORRIDOR_Y), bad], K, seed=0)
 
     def test_unreachable_waypoint(self, corridor):
         # waypoint inside free space but walled off: cell behind the end wall
