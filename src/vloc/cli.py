@@ -9,6 +9,7 @@ scriptable and diffable. Exit codes: 0 success, 2 planned failure (no path
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -62,6 +63,18 @@ def _read_waypoints(path):
     if not out:
         raise VlocError(f"{path}: no waypoints")
     return out
+
+
+def _read_start(text: str):
+    """The ``--start`` value ``x,y,yaw`` as three finite floats; anything
+    else raises VlocError naming the flag and the value."""
+    try:
+        x, y, yaw = (float(v) for v in text.split(","))
+    except ValueError:
+        raise VlocError(f"--start {text}: expected x,y,yaw") from None
+    if not all(map(math.isfinite, (x, y, yaw))):
+        raise VlocError(f"--start {text}: x, y and yaw must be finite")
+    return x, y, yaw
 
 
 _MATCHERS = {"classical": matching.match_classical, "oracle": matching.match_oracle}
@@ -187,18 +200,16 @@ def cmd_localize(args) -> int:
 
 def cmd_navigate(args) -> int:
     config = NavConfig(timeout=args.timeout)
+    start = _read_start(args.start) if args.start else None
     world = simworld.GridWorld.load(args.world)
     topo = load_map(args.map)
     K = _camera_from(args.camera)
     matcher = _map_matcher(args, topo, K, world)
-    if args.start:
-        x, y, yaw = (float(v) for v in args.start.split(","))
-    else:
-        x, y = topo.nodes[0].pose.t[0], topo.nodes[0].pose.t[1]
-        yaw = 0.0
+    if start is None:
+        start = (topo.nodes[0].pose.t[0], topo.nodes[0].pose.t[1], 0.0)
     goal_images = [read_pgm(p) for p in args.goal_image]
     reports = run_mission(world, topo, goal_images, K, matcher,
-                          start=(x, y, yaw), seed=args.seed, config=config)
+                          start=start, seed=args.seed, config=config)
 
     write_csv(args.report, NavReport.CSV_HEADER,
               (rep.csv_fields(i) for i, rep in enumerate(reports)))
@@ -345,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise VlocError(f"--seed {args.seed} must be non-negative")
         return args.func(args)
     except NoPath as exc:
         print(f"no path: {exc}", file=sys.stderr)

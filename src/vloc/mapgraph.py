@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import matching, retrieval
 from .dataio import (line_errors, read_csv_rows, read_pgm, read_raw, write_csv,
@@ -138,16 +136,19 @@ def _descriptor_fault(descriptor, dim: int) -> str | None:
 @dataclass(eq=False)
 class TopoMetricMap:
     """Nodes plus the two undirected edge sets (a < b, each pair once), also
-    held as symmetric CSR adjacencies ``cng`` and ``cvg``. ``==`` is
-    identity; ``maps_equal`` compares two maps by value."""
+    held as adjacency lists ``cng`` and ``cvg``: entry ``i`` holds node
+    i's ``(neighbour, value)`` pairs, ascending by neighbour, the value
+    being the edge's weight or correspondence count. An edge whose value is
+    zero is an edge like any other. ``==`` is identity; ``maps_equal``
+    compares two maps by value."""
 
     nodes: list
     cng_edges: list
     cvg_edges: list
     descriptor_dim: int
     grid_res: float = GRID_RES_DEFAULT
-    cng: sparse.csr_array = field(init=False, repr=False)
-    cvg: sparse.csr_array = field(init=False, repr=False)
+    cng: tuple = field(init=False, repr=False)
+    cvg: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -176,29 +177,41 @@ class TopoMetricMap:
 
     def cvg_neighbors(self, node_id: int):
         """Covisibility neighbours of a node, ascending."""
-        row = slice(self.cvg.indptr[node_id], self.cvg.indptr[node_id + 1])
-        return self.cvg.indices[row].tolist()
+        return [b for b, _ in self.cvg[node_id]]
 
     def components(self):
-        """Connected components of the CnG as sorted id lists, by smallest id."""
-        k, labels = csgraph.connected_components(self.cng, directed=False)
-        return sorted(np.flatnonzero(labels == c).tolist() for c in range(k))
+        """Connected components of the CnG as sorted id lists, by smallest
+        id: a breadth-first search from each node no earlier one reached."""
+        seen = [False] * len(self.nodes)
+        comps = []
+        for start in range(len(seen)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for a in comp:              # the list grows as the search walks it
+                for b, _ in self.cng[a]:
+                    if not seen[b]:
+                        seen[b] = True
+                        comp.append(b)
+            comps.append(sorted(comp))
+        return comps
 
 
-def _adjacency(edges, n: int) -> sparse.csr_array:
-    """Symmetric n x n CSR adjacency of undirected (a, b, value) edges; a
-    zero value stays a stored entry. Raises ValueError for endpoints
-    outside 0 <= a < b < n or an (a, b) listed twice."""
-    for a, b, _ in edges:
+def _adjacency(edges, n: int) -> tuple:
+    """Per node, the ``(neighbour, value)`` pairs of undirected (a, b, value)
+    edges given in ascending (a, b) order, so each node's pairs arrive
+    ascending by neighbour. Raises ValueError for endpoints outside
+    0 <= a < b < n or an (a, b) listed twice."""
+    adj = [[] for _ in range(n)]
+    for a, b, value in edges:
         if not 0 <= a < b < n:
             raise ValueError(f"bad edge endpoints ({a},{b}) for {n} nodes")
-    a, b = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
-    value = np.array([e[2] for e in edges], dtype=np.float64)
-    adj = sparse.csr_array((np.r_[value, value], (np.r_[a, b], np.r_[b, a])),
-                           shape=(n, n))
-    if adj.nnz != 2 * len(edges):        # the CSR sums a repeated entry
-        raise ValueError("an edge is listed twice")
-    return adj
+        if adj[a] and adj[a][-1][0] == b:   # in (a, b) order a repeat is next
+            raise ValueError("an edge is listed twice")
+        adj[a].append((b, value))
+        adj[b].append((a, value))
+    return tuple(map(tuple, adj))
 
 
 def nearest_node(topo_map: TopoMetricMap, position) -> int:

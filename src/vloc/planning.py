@@ -17,11 +17,11 @@ control and localization rates, the mission's ``NAV_PIPELINE`` gates);
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import NoMatches, NoPath, NotLocalized
 from .geometry import CameraIntrinsics, Pose
@@ -71,22 +71,39 @@ class GlobalPlan:
 
 
 def plan_global(topo_map, start_node: int, goal_node: int) -> GlobalPlan:
-    """Shortest path on the connectivity graph, by ``csgraph.dijkstra``.
-    Among equally short paths scipy's search picks one, the same on every
-    call for the same map (on the unit square, 0 -> 3 gives [0, 2, 3])."""
+    """Shortest path on the connectivity graph, by Dijkstra's search over a
+    heap of (distance, node) entries. A node's predecessor changes only
+    for a strictly shorter distance, so among equally short paths each node
+    keeps the first of its neighbours to reach it, in the order (distance,
+    id) the search settles them: on the unit square, 0 -> 3 gives
+    [0, 1, 3]. A zero-weight edge is an edge. Raises ValueError for a node
+    not in the map and NoPath when the two are not connected."""
     n = len(topo_map.nodes)
     for node in (start_node, goal_node):
         if not 0 <= node < n:
             raise ValueError(f"node {node} not in map")
-    dist, pred = csgraph.dijkstra(topo_map.cng, indices=start_node,
-                                  return_predecessors=True)
-    if not math.isfinite(dist[goal_node]):
+    dist = [math.inf] * n
+    pred = [None] * n
+    dist[start_node] = 0.0
+    heap = [(0.0, start_node)]
+    while heap:
+        d, a = heapq.heappop(heap)
+        if a == goal_node:
+            break
+        if d > dist[a]:                 # an entry a shorter one superseded
+            continue
+        for b, w in topo_map.cng[a]:
+            if d + w < dist[b]:
+                dist[b] = d + w
+                pred[b] = a
+                heapq.heappush(heap, (dist[b], b))
+    else:
         raise NoPath(f"nodes {start_node} and {goal_node} are not connected")
     path = [goal_node]
     while path[-1] != start_node:
-        path.append(int(pred[path[-1]]))
+        path.append(pred[path[-1]])
     path.reverse()
-    return GlobalPlan(node_path=path, length=float(dist[goal_node]))
+    return GlobalPlan(node_path=path, length=dist[goal_node])
 
 
 def resolve_goal(topo_map, goal_image):

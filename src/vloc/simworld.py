@@ -62,6 +62,9 @@ W_MAX = 1.5
 COLLISION_RADIUS = 0.25
 # the pursuit controller counts a waypoint reached within this distance
 WAYPOINT_RADIUS = 0.3
+# a drive may take at most this many control ticks over its time budget:
+# about 440 Hz odometry over a 33 m route (each tick keeps two poses)
+MAX_DRIVE_STEPS = 100_000
 # routes keep this clearance from walls on every straight leg
 ROUTE_CLEARANCE = 0.5
 # how far, in grid cells, a preset anchor may move to reach free space
@@ -271,8 +274,10 @@ class GridWorld:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} {value} must be finite and positive")
-        if self.texture_seed < 0:
-            raise ValueError(f"texture_seed {self.texture_seed} must be non-negative")
+        # the texel hash takes ``texture_seed * 8 + octave`` as an int64
+        if not 0 <= self.texture_seed < 2 ** 60:
+            raise ValueError(f"texture_seed {self.texture_seed} must be "
+                             f"non-negative and below 2**60")
         if occ.ndim != 2 or occ.size == 0:
             raise ValueError(f"occupancy grid of shape {occ.shape} is not a "
                              f"non-empty 2-D grid")
@@ -882,8 +887,12 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     frames at ``camera_rate`` and odometry at ``odom_rate``.
 
     Segment frame poses are ground truth. Deterministic per seed. Raises
-    ValueError unless both rates are finite and positive, and for a waypoint
-    that is not finite or not in free space."""
+    ValueError unless both rates are finite and positive, for a waypoint
+    that is not finite or not in free space, and for an ``odom_rate`` that
+    would take more than MAX_DRIVE_STEPS ticks over the drive's time budget
+    (30 s plus six times the route's length at V_MAX), before it drives.
+    Under that cap every tick advances the clock, so the drive ends within
+    its budget."""
     for name, rate in (("camera_rate", camera_rate), ("odom_rate", odom_rate)):
         if not (math.isfinite(rate) and rate > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {rate}")
@@ -898,6 +907,9 @@ def generate_segment(world: GridWorld, waypoints, K: CameraIntrinsics,
     path_len = sum(float(np.linalg.norm(b - a))
                    for a, b in zip(waypoints, waypoints[1:]))
     timeout = 30.0 + 6.0 * path_len / V_MAX
+    if odom_rate * timeout > MAX_DRIVE_STEPS:
+        raise ValueError(f"odom_rate {odom_rate} would take over {MAX_DRIVE_STEPS} "
+                         f"steps in the drive's {timeout:.0f} s time budget")
 
     if len(waypoints) > 1:
         d0 = waypoints[1] - waypoints[0]

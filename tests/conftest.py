@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from vloc.geometry import Pose, quat_normalize
 from vloc.matching import MATCH_CSV_HEADER
@@ -84,6 +85,16 @@ def match_csv_text(match_set):
     rows = np.column_stack([match_set.uv_ref, match_set.uv_query, match_set.confidence])
     return "".join([MATCH_CSV_HEADER + "\n"] + [
         ",".join(format(v, ".9g") for v in row) + "\n" for row in rows])
+
+
+def csgraph_adjacency(edges, n):
+    """scipy's symmetric n x n CSR adjacency of undirected (a, b, value)
+    edges, a zero value kept as a stored entry: the oracle that the map's
+    adjacency lists and graph searches are checked against."""
+    a, b = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
+    value = np.array([e[2] for e in edges], dtype=np.float64)
+    return sparse.csr_array((np.r_[value, value], (np.r_[a, b], np.r_[b, a])),
+                            shape=(n, n))
 
 
 @pytest.fixture

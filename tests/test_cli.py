@@ -2,6 +2,10 @@
 ``vloc.cli.main`` with real files in a temp directory."""
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +241,51 @@ class TestNavigate:
         assert rc == 2
 
 
+class TestHostileValues:
+    """Each hostile value ends the command in bounded time with exit code 1
+    and one ``error:`` line naming the flag, or the setting it feeds, and
+    the value; nothing is written. Each runs as its own process under a
+    wall-clock limit, so a hang fails the test instead of stalling it."""
+
+    CASES = [
+        ("gen-world", ["--seed", "-1"], "--seed -1 "),
+        ("gen-world", ["--seed", str(2 ** 64)], f"texture_seed {2 ** 64} "),
+        ("gen-segment", ["--seed", "-1"], "--seed -1 "),
+        ("gen-segment", ["--odom-rate", "1e308"], "odom_rate 1e+308 "),
+        ("navigate", ["--seed", "-1"], "--seed -1 "),
+        ("navigate", ["--start", "1,2.25,inf"], "--start 1,2.25,inf: "),
+        ("navigate", ["--start", "1,2.25"], "--start 1,2.25: "),
+    ]
+
+    @pytest.mark.parametrize("command, flags, named", CASES,
+                             ids=[f"{c} {' '.join(f)}" for c, f, _ in CASES])
+    def test_exits_1_with_one_error_line(self, workspace, tmp_path, command,
+                                         flags, named):
+        ws, world_path, _, mapdir = workspace
+        out = tmp_path / "out"
+        if command == "gen-world":
+            argv = ["--preset", "corridor", "--out", out]
+        elif command == "gen-segment":
+            argv = ["--world", world_path, "--waypoints", ws / "route.csv", "--out", out]
+        else:
+            goal = tmp_path / "goal.pgm"
+            write_pgm(goal, load_map(mapdir).nodes[8].image)
+            argv = ["--world", world_path, "--map", mapdir, "--goal-image", goal,
+                    "--report", out]
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "vloc.cli", command, *map(str, argv), *flags],
+                capture_output=True, text=True, timeout=30,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"vloc {command} {' '.join(flags)} still ran after 30 s")
+        assert run.returncode == 1, run.stderr
+        (line,) = run.stderr.splitlines()
+        assert line.startswith("error: ") and named in line
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def replay(workspace):
     """A 2.5 Hz drive of the workspace route: its frames lie between the
@@ -325,7 +374,8 @@ class TestBadWorldFile:
         ("8 8 nan 2.0 0", "cell_size nan"),
         ("8 8 0.5 inf 0", "wall_height inf"),
         ("8 8 0.5 0 0", "wall_height 0.0"),
-        ("8 8 0.5 2.0 -1", "texture_seed -1")])
+        ("8 8 0.5 2.0 -1", "texture_seed -1"),
+        (f"8 8 0.5 2.0 {2 ** 64}", f"texture_seed {2 ** 64}")])
     def test_gen_segment_reports_error(self, tmp_path, capsys, header, reason):
         world_path = tmp_path / "world.txt"
         rows = [] if header.startswith("0") else \

@@ -7,11 +7,15 @@ a dead constant, a dead helper or an error nothing raises behind. The
 package ``__init__`` imports to re-export: a name it lists in ``__all__``
 counts as used. A ``cached_property`` computes its value and nothing else:
 it sets, deletes and pops no attribute of ``self``, so no read order of an
-object's cached members can matter."""
+object's cached members can matter. Importing the package and its
+command line loads of scipy only what ``poseslam``'s banded solve needs."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +191,15 @@ def test_no_cached_property_writes_to_self():
     writes = [f"{name}:{line}: {prop.name} writes {what}" for name, prop in found
               for what, line in self_writes(prop)]
     assert not writes, "cached_property with a side effect: " + ", ".join(writes)
+
+
+def test_import_loads_no_scipy_beyond_linalg():
+    """scipy's image filters, sparse graphs and special functions cost every
+    process about 10 MB and 100 ms to import; the package does not use them."""
+    code = "import sys, vloc, vloc.cli, vloc.planning; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout.split()
+    assert "vloc.cli" in loaded
+    banned = {"scipy.ndimage", "scipy.sparse", "scipy.special"}
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in banned] == []

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
+
+from conftest import csgraph_adjacency
 
 from vloc.dataio import write_raw
 from vloc.errors import DisconnectedMapWarning, FormatError, NoDepth, VersionMismatch
@@ -436,6 +439,28 @@ class TestGraphLevels:
             m = random_map(rng, n=int(rng.integers(1, 12)))
             assert m.components() == reference_components(m)
 
+    def test_adjacency_and_components_match_scipy(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 16))
+            # a coarse lattice puts nodes on one spot: zero-weight edges; the
+            # sparse edge draw leaves several components
+            xs = rng.integers(0, 4, n)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.uniform() < 0.15]
+            m = line_map(n, cng=pairs, xs=xs,
+                         cvg=[(a, b, int(rng.integers(0, 3))) for a, b in pairs])
+            for adjacency, edges in ((m.cng, m.cng_edges), (m.cvg, m.cvg_edges)):
+                csr = csgraph_adjacency(edges, n)
+                assert list(adjacency) == [
+                    tuple(zip(csr.indices[lo:hi].tolist(), csr.data[lo:hi].tolist()))
+                    for lo, hi in zip(csr.indptr, csr.indptr[1:])]
+            assert [m.cvg_neighbors(i) for i in range(n)] == [
+                [b for b, _ in row] for row in m.cvg]
+            k, labels = csgraph.connected_components(csgraph_adjacency(m.cng_edges, n),
+                                                     directed=False)
+            assert m.components() == sorted(np.flatnonzero(labels == c).tolist()
+                                            for c in range(k))
+
     def test_empty_map_has_no_components(self):
         m = TopoMetricMap(nodes=[], cng_edges=[], cvg_edges=[], descriptor_dim=256)
         assert m.components() == []
@@ -448,8 +473,9 @@ class TestGraphLevels:
         assert m.cvg_neighbors(4) == [2]
 
     @pytest.mark.parametrize("edges", [{"cng": [(0, 1), (0, 1)]},
-                                       {"cvg": [(0, 1, 60), (0, 1, 60)]}],
-                             ids=["cng", "cvg"])
+                                       {"cvg": [(0, 1, 60), (0, 1, 60)]},
+                                       {"cvg": [(0, 1, 60), (0, 2, 60), (0, 1, 7)]}],
+                             ids=["cng", "cvg", "cvg-other-count"])
     def test_repeated_edge_rejected(self, edges):
         with pytest.raises(ValueError, match="twice"):
             line_map(3, **edges)

@@ -6,11 +6,13 @@ import pytest
 from scipy import ndimage
 
 from conftest import match_csv_text
+from vloc.dataio import float_image
 from vloc.errors import FormatError, OutOfBounds
 from vloc.geometry import CameraIntrinsics, project_array
 from vloc.matching import (
     MATCH_CSV_HEADER,
     MatchSet,
+    _box_filter,
     _first_rows,
     _window_max,
     ingest_matches,
@@ -153,6 +155,49 @@ class TestWindowMax:
         a[10:14, 20:26] = 1.0                         # a plateau
         a[-1, :] -= 0.5
         assert np.array_equal(_window_max(a, 11), ndimage.maximum_filter(a, size=11))
+
+
+class TestBoxFilter:
+    """``_box_filter`` is ``ndimage.uniform_filter`` bit for bit."""
+
+    @staticmethod
+    def filtered(planes, size=5):
+        """``_box_filter`` of a (planes, rows, cols) stack, in that layout."""
+        stack = np.ascontiguousarray(planes.transpose(1, 0, 2))
+        return np.ascontiguousarray(_box_filter(stack, size).transpose(1, 0, 2))
+
+    def test_bit_equal_to_scipy_on_random_arrays(self):
+        rng = np.random.default_rng(36)
+        for _ in range(150):
+            rows, cols = rng.integers(5, 141, 2)
+            scale = 10.0 ** rng.uniform(-6, 7)
+            planes = rng.normal(0.0, scale, (3, rows, cols))
+            planes[1] *= planes[1]
+            planes[2] = np.abs(planes[2])
+            expected = np.stack([ndimage.uniform_filter(p, size=5) for p in planes])
+            assert self.filtered(planes).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape, size", [((2, 3), 5), ((5, 5), 5), ((4, 9), 7),
+                                             ((12, 30), 3), ((7, 1), 5)])
+    def test_bit_equal_to_scipy_on_small_sides(self, shape, size):
+        planes = np.random.default_rng(shape).normal(size=(2, *shape))
+        expected = np.stack([ndimage.uniform_filter(p, size=size) for p in planes])
+        assert self.filtered(planes, size).tobytes() == expected.tobytes()
+
+    def test_bit_equal_to_scipy_on_the_harris_products(self, corridor):
+        for x in (3.0, 9.0, 15.0):
+            image = render(corridor, planar_camera_pose(x, 2.25, 0.3), K).color
+            gy, gx = np.gradient(float_image(image))
+            products = np.stack([gx * gx, gy * gy, gx * gy])
+            expected = np.stack([ndimage.uniform_filter(p, size=5) for p in products])
+            assert self.filtered(products).tobytes() == expected.tobytes()
+
+    def test_signed_zeros_kept(self):
+        planes = np.zeros((2, 9, 9))
+        planes[0, :4, :4] = -0.0
+        planes[1] = -0.0
+        expected = np.stack([ndimage.uniform_filter(p, size=5) for p in planes])
+        assert self.filtered(planes).tobytes() == expected.tobytes()
 
 
 class TestClassical:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
+from conftest import csgraph_adjacency
 from vloc.dataio import read_csv_rows, write_csv
 from vloc.errors import NoMatches, NoPath
 from vloc.geometry import CameraIntrinsics, Pose, unproject
@@ -144,10 +146,42 @@ class TestPlanGlobal:
         topo = map_from_positions([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
                                   [(0, 1), (0, 2), (1, 3), (2, 3)])
         plan = plan_global(topo, 0, 3)
-        assert plan.node_path in ([0, 1, 3], [0, 2, 3])
+        assert plan.node_path == [0, 1, 3]       # the docstring's tie rule
         assert plan.length == 2.0
         again = plan_global(topo, 0, 3)
         assert again.node_path == plan.node_path and again.length == plan.length
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_matches_scipy_dijkstra_on_random_maps(self, lattice):
+        # on a coarse lattice nodes share spots (zero-weight edges) and paths
+        # tie; off it every shortest path is unique
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            n = int(rng.integers(2, 14))
+            pos = np.zeros((n, 3))
+            pos[:, :2] = rng.integers(0, 4, (n, 2)) if lattice else rng.uniform(0, 5, (n, 2))
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.uniform() < 0.3]
+            topo = map_from_positions(pos, edges)
+            weight = {(a, b): w for a, b, w in topo.cng_edges}
+            dist, pred = csgraph.dijkstra(csgraph_adjacency(topo.cng_edges, n),
+                                          indices=0, return_predecessors=True)
+            for goal in range(n):
+                if math.isinf(dist[goal]):
+                    with pytest.raises(NoPath):
+                        plan_global(topo, 0, goal)
+                    continue
+                plan = plan_global(topo, 0, goal)
+                assert plan.length == dist[goal]
+                length = 0.0
+                for u, v in zip(plan.node_path, plan.node_path[1:]):
+                    length += weight[min(u, v), max(u, v)]
+                assert length == plan.length
+                if not lattice:
+                    path = [goal]
+                    while path[-1] != 0:
+                        path.append(int(pred[path[-1]]))
+                    assert plan.node_path == path[::-1]
 
     def test_paths_follow_edges_on_tied_grids(self):
         # unit grids are full of equally short paths

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from vloc.mapgraph import MapNode, TopoMetricMap
 from vloc.matching import match_oracle
 from vloc.simworld import (
     LANDMARK_RANGE,
+    MAX_DRIVE_STEPS,
     GridWorld,
     OdomNoise,
     SimRobot,
@@ -1209,6 +1211,17 @@ class TestGenerateSegment:
         with pytest.raises(ValueError, match=r"waypoint \(.*\) is not finite"):
             generate_segment(corridor, [(2.0, CORRIDOR_Y), bad], K, seed=0)
 
+    # one waypoint gives a 30 s time budget: the step cap allows 3,333 Hz
+    @pytest.mark.parametrize("rate", [1e308, 1e7, 4000.0])
+    def test_odom_rate_over_the_step_cap_raises(self, corridor, rate):
+        with pytest.raises(ValueError, match=re.escape(
+                f"odom_rate {rate} would take over {MAX_DRIVE_STEPS} steps")):
+            generate_segment(corridor, [(2.0, CORRIDOR_Y)], K, odom_rate=rate)
+
+    def test_odom_rate_under_the_step_cap_accepted(self, corridor):
+        rec = generate_segment(corridor, [(2.0, CORRIDOR_Y)], K, odom_rate=3000.0)
+        assert len(rec.segment) == 1
+
     def test_unreachable_waypoint(self, corridor):
         # waypoint inside free space but walled off: cell behind the end wall
         with pytest.raises((UnreachableWaypoint, ValueError)):
@@ -1352,6 +1365,17 @@ class TestWorldFile:
         sizes = {"cell_size": 0.5, "wall_height": 2.0, name: value}
         with pytest.raises(ValueError, match=f"{name} .* finite and positive"):
             GridWorld(occupancy=np.ones((3, 3), dtype=bool), texture_seed=0, **sizes)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 60, 2 ** 64])
+    def test_texture_seed_out_of_hash_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"texture_seed {seed} must be "):
+            GridWorld(occupancy=np.ones((3, 3), dtype=bool), cell_size=0.5,
+                      wall_height=2.0, texture_seed=seed)
+
+    def test_largest_texture_seed_renders(self):
+        world, route = make_preset("corridor", seed=2 ** 60 - 1)
+        frame = render(world, planar_camera_pose(*route[0], 0.3), K)
+        assert frame.color.any()
 
     def test_world_keeps_its_own_read_only_grid(self):
         occ = np.ones((4, 5), dtype=bool)
