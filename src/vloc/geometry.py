@@ -191,8 +191,8 @@ class Pose:
             q = quat_normalize(np.asarray(q, dtype=float).reshape(4))
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
                 raise ValueError("non-finite pose")
-        t.flags.writeable = False
-        q.flags.writeable = False
+        t.setflags(write=False)
+        q.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "q", q)
 
@@ -308,6 +308,13 @@ _HAT[[2, 1, 2, 0, 1, 0], [1, 2, 3, 5, 6, 7]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
 # vee(r - r^T) = (r21 - r12, r02 - r20, r10 - r01) on r flattened row-major
 _VEE_PLUS = np.array([7, 2, 3])
 _VEE_MINUS = np.array([5, 6, 1])
+
+
+def rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each one BLAS ``ddot`` as ``np.dot``
+    and ``np.linalg.norm`` of a single contiguous vector compute it, so a
+    block rounds exactly as one vector at a time does."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _norm_rows(v) -> np.ndarray:

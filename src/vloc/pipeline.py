@@ -261,7 +261,8 @@ class Pipeline:
             raise NonMonotonicTimestamp(f"timestamp {timestamp} is not finite")
         if self.fusion is None:
             raise NotLocalized("pipeline has no fix yet")
-        step = float(np.linalg.norm(delta.t))
+        # the step length np.linalg.norm gives: the square root of one ddot
+        step = math.sqrt(delta.t.dot(delta.t))
         pose = self.fusion.propagate(delta, odom_sigmas(step), timestamp)
         if self.mode is not PipelineMode.TRACKING:
             raise NotLocalized("pipeline is in Lost mode")

@@ -20,11 +20,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoMatches, NoPath, NotLocalized
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, rowdot
 from .mapgraph import nearest_node
 from .pipeline import Pipeline, PipelineConfig, PipelineMode
 from .retrieval import extract_descriptor, top_k
@@ -48,9 +49,10 @@ CONTROL_DT = 0.1
 LOCALIZE_RATE = 2.0   # Hz; fixes are low-rate, odometry high-rate
 # obstacles are depth points whose height above the camera, not above the
 # floor, lies inside this band: 0.15 to 1.4 m, which with the camera at
-# CAMERA_HEIGHT_DEFAULT (1.0 m) is 1.15 to 2.4 m above the floor. A lower
-# bound at or above zero lets the planner skip every row at or below the
-# principal point (obstacle_rows).
+# CAMERA_HEIGHT_DEFAULT (1.0 m) is 1.15 to 2.4 m above the floor, and
+# nearer than OBSTACLE_MAX_RANGE. A lower bound at or above zero lets the
+# planner skip every row whose pixels stay below it out to that range
+# (obstacle_rows).
 OBSTACLE_Z_BAND = (0.15, max(0.3, CAMERA_HEIGHT_DEFAULT + 0.4))
 OBSTACLE_MAX_RANGE = 3.5
 # a navigation mission gates global localization harder than the bare
@@ -117,19 +119,21 @@ def to_robot_frame(pose: Pose, point_world) -> np.ndarray:
     """``point_world`` in the planar ground frame at the camera: x forward,
     y left, z up, with z set to 0."""
     x, y, yaw = pose_to_planar(pose)
-    d = np.asarray(point_world, dtype=float)[:2] - np.array([x, y])
+    dx, dy = float(point_world[0]) - x, float(point_world[1]) - y
     c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], 0.0])
+    return np.array([c * dx + s * dy, -s * dx + c * dy, 0.0])
 
 
 def next_subgoal(plan: GlobalPlan, topo_map, robot_pose: Pose):
     """Advance the cursor past subgoals within SWITCH_RADIUS, then return
     the active subgoal in the robot frame, or None when the final node is
-    reached within GOAL_RADIUS * GOAL_SLACK (Done)."""
+    reached within GOAL_RADIUS * GOAL_SLACK (Done). A distance is the
+    square root of one ``ddot``, as ``np.linalg.norm`` takes it."""
     origin = robot_pose.t[:2]
     while plan.subgoal_index < len(plan.node_path):
         target = topo_map.nodes[plan.node_path[plan.subgoal_index]].pose.t
-        dist = float(np.linalg.norm(target[:2] - origin))
+        offset = target[:2] - origin
+        dist = math.sqrt(offset.dot(offset))
         last = plan.subgoal_index == len(plan.node_path) - 1
         if last:
             if dist < GOAL_RADIUS * GOAL_SLACK:
@@ -163,24 +167,63 @@ def _arc_fan(curvatures, length):
     return x, y
 
 
-# the fan ``_arc_fan(CURVATURES, length)`` gives, bit for bit, for every
-# ``length >= ARC_LENGTH`` (each is cut at ARC_LENGTH): sampled once and
-# read-only, for every tick whose subgoal is that far
-_FULL_ARC_FAN = _arc_fan(CURVATURES, ARC_LENGTH)
-_FULL_ARC_FAN[0].flags.writeable = False
-_FULL_ARC_FAN[1].flags.writeable = False
+def _arc_samples(length) -> int:
+    """How many samples each arc of ``_arc_fan(curvatures, length)`` has:
+    ``np.arange``'s length, ``ceil((stop - start) / step)`` in floats."""
+    arc_len = min(ARC_LENGTH, max(2 * ARC_DS, length))
+    return math.ceil((arc_len + ARC_DS / 2 - ARC_DS) / ARC_DS)
+
+
+# the fan sampled once, read-only, as one (2, arcs, samples) array of x and
+# y. ``np.arange`` computes its i-th value from its first two alone, and a
+# sample depends on its own arc length and curvature alone, so
+# ``_arc_fan(CURVATURES, length)`` is ``_FULL_ARC_FAN[:, :, :n]`` with
+# ``n = _arc_samples(length)``, bit for bit: a tick slices it.
+# ``_FAN_ENDS[n - 1]`` holds that cut's (arcs, 2) end points, C-contiguous,
+# and each arc's curvature penalty is a constant, as is rotation's.
+_FULL_ARC_FAN = np.stack(_arc_fan(CURVATURES, ARC_LENGTH))
+_FULL_ARC_FAN.flags.writeable = False
+_FAN_ENDS = np.ascontiguousarray(_FULL_ARC_FAN.transpose(2, 1, 0))
+_FAN_ENDS.flags.writeable = False
+_PENALTIES = tuple(CURVATURE_PENALTY * abs(k) for k in CURVATURES)
+_ROTATE_PENALTY = CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
 
 
 ROTATE_IN_PLACE = "rotate"
 
 
 def obstacle_rows(K: CameraIntrinsics) -> int:
-    """How many image rows, from the top, ``depth_to_obstacles`` reads. A
-    pixel at or below the principal row has ``z_up <= 0``, so while
-    OBSTACLE_Z_BAND's lower bound is at least zero only the rows above it
-    can hold an obstacle; a band reaching below the camera reads every
-    row."""
-    return K.height if OBSTACLE_Z_BAND[0] < 0.0 else math.ceil(K.cy)
+    """How many image rows, from the top, ``depth_to_obstacles`` reads: the
+    rows that can hold an obstacle, and at least one.
+
+    Row v's pixel at depth d lies ``z_up = -((v - cy) / fy * d)`` above the
+    camera, and an obstacle lies nearer than OBSTACLE_MAX_RANGE. While
+    OBSTACLE_Z_BAND's lower bound is at least zero, ``z_up`` never rises
+    above zero at or below the principal row and grows with d above it, so
+    row v can hold an obstacle only when ``z_up`` at the largest float below
+    the range exceeds that bound. Those rows come first: the default camera
+    reads rows 0-59 of its 128. A band reaching below the camera reads every
+    row, so the floor-relative band of ROADMAP item 12(a) will read the
+    whole image again."""
+    return _obstacle_rows(K, OBSTACLE_Z_BAND[0], OBSTACLE_MAX_RANGE)[0]
+
+
+@lru_cache(maxsize=8)
+def _obstacle_rows(K: CameraIntrinsics, low: float, max_range: float):
+    """``obstacle_rows`` for a band's lower bound ``low`` and a range, and
+    each read row's ``-((v - cy) / fy)``, read-only: times a depth it is
+    that pixel's ``z_up``, bit for bit, as negation commutes with
+    rounding."""
+    rows = K.height
+    if low >= 0.0:
+        deepest = math.nextafter(max_range, 0.0)
+        rows = 0
+        while rows < K.height and -((rows - K.cy) / K.fy * deepest) > low:
+            rows += 1
+        rows = max(rows, 1)
+    up = -((np.arange(rows) - K.cy) / K.fy)
+    up.flags.writeable = False
+    return rows, up
 
 
 def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
@@ -200,15 +243,16 @@ def depth_to_obstacles(depth: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
     duplicates cannot change."""
     # column by column, with unproject's arithmetic; the lateral offset only
     # for the pixels kept
-    d = depth[:obstacle_rows(K)].T
-    z_up = -((np.arange(d.shape[1]) - K.cy) / K.fy * d)
+    rows, up = _obstacle_rows(K, OBSTACLE_Z_BAND[0], OBSTACLE_MAX_RANGE)
+    d = depth[:rows].T
+    z_up = d * up[:d.shape[1]]
     uu, vv = np.nonzero((d > 0) & (z_up > OBSTACLE_Z_BAND[0])
                         & (z_up < OBSTACLE_Z_BAND[1]) & (d < OBSTACLE_MAX_RANGE))
     x_fwd = d[uu, vv]
     y_left = -((uu - K.cx) / K.fx * x_fwd)
     distinct = np.ones(len(uu), dtype=bool)
     distinct[1:] = (x_fwd[1:] != x_fwd[:-1]) | (y_left[1:] != y_left[:-1])
-    return np.stack([x_fwd[distinct], y_left[distinct]], axis=1)
+    return np.column_stack((x_fwd[distinct], y_left[distinct]))
 
 
 def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
@@ -218,28 +262,34 @@ def plan_local(depth: np.ndarray, K: CameraIntrinsics, subgoal_robot):
     Returns ((v, w), chosen) where chosen is the curvature or the
     rotate-in-place marker. Rotation is the universal fallback and also a
     scored member of the set, so it wins when every arc moves away from
-    the subgoal (e.g. the subgoal lies behind the robot). A subgoal at least
-    ARC_LENGTH away is scored against ``_FULL_ARC_FAN``, the bits
-    ``_arc_fan`` would sample for it."""
+    the subgoal (e.g. the subgoal lies behind the robot). The arcs are
+    ``_FULL_ARC_FAN`` cut at the subgoal's distance, the bits ``_arc_fan``
+    would sample for it. Each distance is the square root of one ``ddot``,
+    as ``np.linalg.norm`` of one vector takes it; the endpoints' are taken
+    in one call."""
     subgoal = np.asarray(subgoal_robot, dtype=float)[:2]
     obstacles = depth_to_obstacles(depth, K)
-    subgoal_dist = float(np.linalg.norm(subgoal))
-    x, y = (_FULL_ARC_FAN if subgoal_dist >= ARC_LENGTH
-            else _arc_fan(CURVATURES, subgoal_dist))
+    subgoal_dist = math.sqrt(subgoal.dot(subgoal))
+    samples = _arc_samples(subgoal_dist)
+    x, y = _FULL_ARC_FAN[:, :, :samples]
     blocked = [False] * len(CURVATURES)
     if len(obstacles):
         # squared clearance of every sample of every arc to every point
         ox, oy = obstacles.T
         dx = x[:, :, None] - ox
         dy = y[:, :, None] - oy
-        blocked = ((dx * dx + dy * dy).min(axis=(1, 2)) < ROBOT_RADIUS ** 2).tolist()
-    ends = np.stack([x[:, -1], y[:, -1]], axis=1)
-    best = subgoal_dist + CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        blocked = (dx.min(axis=(1, 2)) < ROBOT_RADIUS ** 2).tolist()
+    to_subgoal = _FAN_ENDS[samples - 1] - subgoal
+    dists = np.sqrt(rowdot(to_subgoal, to_subgoal)).tolist()
+    best = subgoal_dist + _ROTATE_PENALTY
     choice = ROTATE_IN_PLACE
-    for k, end, hit in zip(CURVATURES, ends, blocked):
+    for k, dist, penalty, hit in zip(CURVATURES, dists, _PENALTIES, blocked):
         if hit:
             continue
-        cost = float(np.linalg.norm(end - subgoal)) + CURVATURE_PENALTY * abs(k)
+        cost = dist + penalty
         if cost < best - 1e-12:
             best = cost
             choice = k
@@ -348,8 +398,9 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
     # pinning the robot; back out briefly before replanning
     bump_ticks = 0
     # a tick that does not localize renders only what the planner reads:
-    # the obstacle rows, each column walked out to OBSTACLE_MAX_RANGE. An
-    # observed tick renders the whole image, unlimited, for the pipeline
+    # the obstacle rows (rows 0-59 of the default 128), each column walked
+    # out to OBSTACLE_MAX_RANGE. An observed tick renders the whole image,
+    # unlimited, for the pipeline, and the planner reads its top rows
     rows = obstacle_rows(K)
     for tick in range(n_ticks):
         frame = render(world, gt_pose, K)
@@ -382,10 +433,12 @@ def run_navigation(world: GridWorld, topo_map, goal_image, K: CameraIntrinsics,
             if rot_dir == 0.0:
                 rot_dir = 1.0
             cmd = (0.0, rot_dir * W_NOMINAL)    # rotate to reacquire
-        prev = np.array([robot.x, robot.y])
+        x0, y0 = robot.x, robot.y
         gt_pose, delta = robot.step(world, cmd, CONTROL_DT)
         t += CONTROL_DT
-        moved = float(np.linalg.norm(np.array([robot.x, robot.y]) - prev))
+        # the distance np.linalg.norm gives: the square root of one ddot
+        step = np.array([robot.x - x0, robot.y - y0])
+        moved = math.sqrt(step.dot(step))
         path_len += moved
         if abs(cmd[0]) > 0.05 and moved < 0.25 * abs(cmd[0]) * CONTROL_DT:
             bump_ticks = 8

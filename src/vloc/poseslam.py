@@ -83,9 +83,10 @@ _FACTOR = np.dtype([("index", np.int64), ("meas_inv", float, 7), ("sigmas", floa
 
 
 def _factor(index: int, pose: Pose, sigmas) -> tuple:
-    """The record of a factor on state ``index`` measuring ``pose``."""
+    """The record of a factor on state ``index`` measuring ``pose``; the
+    sigmas are checked on plain floats, where NaN fails as in numpy."""
     s = np.asarray(sigmas, dtype=float)
-    if s.shape != (6,) or not ((s > 0.0) & (s < np.inf)).all():
+    if s.shape != (6,) or not all(0.0 < v < math.inf for v in s.tolist()):
         raise ValueError(f"sigmas must be six finite positive values, got {s}")
     return index, pose_inverse_row(pose.t, pose.q), s
 

@@ -33,8 +33,8 @@ of every size, the first one-sample block included (whose quartic runs on
 numpy scalars, which round as arrays do). A sample's result does not
 depend on the size of its block, which makes ``_BLOCK_SIZES`` a free
 constant: every operation is elementwise or per row, and each pair dot
-product is one BLAS ``ddot`` (``_rowdot``), whatever the block's shape.
-``_rowdot`` and ``_square`` (``x ** 2`` as C ``pow`` rounds it) keep the
+product is one BLAS ``ddot`` (``rowdot``), whatever the block's shape.
+``rowdot`` and ``_square`` (``x ** 2`` as C ``pow`` rounds it) keep the
 roundings that the pinned outputs under ``tests/data`` record; a plain sum
 or ``x * x`` differs in the last bit for some inputs. The pinned poses
 therefore depend on the BLAS kernel (OpenBLAS 0.3.31's Haswell ``ddot`` is
@@ -67,6 +67,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     rotation_angle,
+    rowdot,
     se3_exp_array,
     so3_hat_array,
     unproject,
@@ -176,13 +177,6 @@ _PAIR_I = np.array([1, 0, 0])
 _PAIR_J = np.array([2, 2, 1])
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, each one BLAS ``ddot`` as ``np.dot``
-    and ``np.linalg.norm`` of a single vector compute it, so a block rounds
-    exactly as one sample at a time does."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _square(x: np.ndarray) -> np.ndarray:
     """``x ** 2`` rounded as C ``pow`` rounds it for one float; ``x * x``
     differs from it in the last bit for some inputs."""
@@ -207,8 +201,8 @@ def _pair_dots(pts: np.ndarray, rays: np.ndarray) -> np.ndarray:
     cosines of the angles between the rays to the other two points
     (B, 6) of blocks of 3 points (B, 3, 3) and their unit rays."""
     d = pts.take(_PAIR_I, axis=1) - pts.take(_PAIR_J, axis=1)
-    return _rowdot(np.concatenate([d, rays.take(_PAIR_I, axis=1)], axis=1),
-                   np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
+    return rowdot(np.concatenate([d, rays.take(_PAIR_I, axis=1)], axis=1),
+                  np.concatenate([d, rays.take(_PAIR_J, axis=1)], axis=1))
 
 
 def _grunert_quartic(a2, b2, c2, cos_al, cos_be, cos_ga):

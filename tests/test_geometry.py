@@ -15,6 +15,7 @@ from vloc.geometry import (
     quat_normalize,
     quat_to_matrix_array,
     rotation_angle,
+    rowdot,
     se3_adjoint_array,
     se3_exp,
     se3_exp_array,
@@ -519,3 +520,17 @@ class TestCameraIntrinsics:
     def test_line_roundtrip(self):
         k = CameraIntrinsics.from_line(K64.to_line())
         assert k == K64
+
+
+def test_rowdot_is_one_ddot_per_row():
+    # each row's dot product, and its square root, are np.dot and
+    # np.linalg.norm of that row alone, bit for bit, at every scale
+    rng = np.random.default_rng(44)
+    for width in (2, 3, 6):
+        x = rng.normal(size=(4000, width)) * 10.0 ** rng.uniform(-8, 8, (4000, 1))
+        y = rng.normal(size=(4000, width))
+        assert rowdot(x, y).tobytes() == np.array([np.dot(a, b) for a, b in zip(x, y)]).tobytes()
+        norms = np.sqrt(rowdot(x, x))
+        assert norms.tobytes() == np.array([np.linalg.norm(a) for a in x]).tobytes()
+        blocks = x.reshape(-1, 5, width)
+        assert rowdot(blocks, blocks).tobytes() == rowdot(x, x).tobytes()

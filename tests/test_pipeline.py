@@ -16,6 +16,7 @@ from vloc.mapgraph import build_map, load_map, maps_equal, save_map, select_keyf
 from vloc.matching import match_classical, match_oracle
 from vloc import pipeline as pipeline_module
 from vloc.pipeline import ObservationOutcome, Pipeline, PipelineConfig, PipelineMode
+from vloc.poseslam import odom_sigmas
 from vloc.planning import NavConfig, compute_ate, run_mission
 from vloc.relocal import PnPParams, RelocResult, RelocStatus
 from vloc.simworld import (
@@ -197,6 +198,21 @@ class TestModeMachine:
         pose = p.on_odometry(Pose.identity(), 1.0)
         est, ts = p.current_world_pose()
         assert pose == est and ts == 1.0
+
+    def test_odometry_sigmas_take_the_norm_of_the_step(self, corridor_map):
+        # each between factor's sigmas are odom_sigmas of the step's
+        # np.linalg.norm, as before the length was one ddot
+        world, topo = corridor_map
+        p = Pipeline(topo, K, oracle)
+        p.on_observation(render(world, topo.nodes[3].pose, K).observation(), 0.0)
+        rng = np.random.default_rng(6)
+        deltas = [se3_exp(rng.normal(0.0, scale, 6))
+                  for scale in (1e-3, 0.05, 0.3, 2.0) for _ in range(50)]
+        deltas.append(Pose.identity())
+        for k, delta in enumerate(deltas):
+            p.on_odometry(delta, 1.0 + k)
+        want = [odom_sigmas(float(np.linalg.norm(d.t))).tobytes() for d in deltas]
+        assert [row.tobytes() for row in p.fusion.betweens["sigmas"]] == want
 
     def test_fix_gating_rejects_inconsistent_fix(self, corridor_map):
         world, topo = corridor_map

@@ -23,12 +23,15 @@ from vloc.planning import (
     OBSTACLE_Z_BAND,
     ROBOT_RADIUS,
     ROTATE_IN_PLACE,
+    V_NOMINAL,
+    W_NOMINAL,
     AteReport,
     GlobalPlan,
     NavConfig,
     NavReport,
     _FULL_ARC_FAN,
     _arc_fan,
+    _arc_samples,
     compute_ate,
     depth_to_obstacles,
     next_subgoal,
@@ -295,8 +298,11 @@ class TestNextSubgoal:
                      planar_camera_pose(t[0], t[1], rng.uniform(-math.pi, math.pi),
                                         1.0))
             target = rng.uniform(-5.0, 5.0, 3)
-            assert to_robot_frame(robot, target).tobytes() == \
-                reference_robot_frame(robot, target).tobytes()
+            # any point type np.asarray(..., dtype=float) reads
+            for point in (target, list(target), target.astype(np.float32),
+                          [int(v) for v in target]):
+                assert to_robot_frame(robot, point).tobytes() == \
+                    reference_robot_frame(robot, point).tobytes()
             path = list(rng.permutation(6)[:int(rng.integers(1, 7))])
             start = int(rng.integers(len(path)))
             plan = GlobalPlan(node_path=path, length=1.0, subgoal_index=start)
@@ -307,15 +313,23 @@ class TestNextSubgoal:
             assert (sub is None and ref is None) or sub.tobytes() == ref.tobytes()
 
 
+def reference_pose_to_planar(pose):
+    """``pose_to_planar`` reading the forward axis off the rotation matrix."""
+    fwd = pose.rotation_matrix()[:, 2]
+    return float(pose.t[0]), float(pose.t[1]), math.atan2(fwd[1], fwd[0])
+
+
 def reference_robot_frame(pose, point_world):
-    x, y, yaw = simworld.pose_to_planar(pose)
+    """``to_robot_frame`` on numpy values and the matrix's forward axis."""
+    x, y, yaw = reference_pose_to_planar(pose)
     d = np.asarray(point_world, dtype=float)[:2] - np.array([x, y])
     c, s = math.cos(yaw), math.sin(yaw)
     return np.array([c * d[0] + s * d[1], -s * d[0] + c * d[1], 0.0])
 
 
 def reference_next_subgoal(plan, topo_map, robot_pose):
-    x, y, _ = simworld.pose_to_planar(robot_pose)
+    """``next_subgoal`` with ``np.linalg.norm`` distances."""
+    x, y, _ = reference_pose_to_planar(robot_pose)
     origin = np.array([x, y])
     while plan.subgoal_index < len(plan.node_path):
         target = topo_map.nodes[plan.node_path[plan.subgoal_index]].pose.t
@@ -409,6 +423,37 @@ def reference_obstacles(depth, K, band):
     distinct = np.ones(len(points), dtype=bool)
     distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
     return points[distinct]
+
+
+def reference_plan_local(depth, K, subgoal_robot):
+    """``plan_local`` as it scored a tick before the fan was sliced: the fan
+    sampled for the subgoal, its end points stacked and each one's distance
+    a ``np.linalg.norm`` of its own, against the cloud of every row."""
+    subgoal = np.asarray(subgoal_robot, dtype=float)[:2]
+    obstacles = reference_obstacles(depth, K, OBSTACLE_Z_BAND)
+    subgoal_dist = float(np.linalg.norm(subgoal))
+    x, y = _arc_fan(CURVATURES, subgoal_dist)
+    blocked = [False] * len(CURVATURES)
+    if len(obstacles):
+        ox, oy = obstacles.T
+        dx = x[:, :, None] - ox
+        dy = y[:, :, None] - oy
+        blocked = ((dx * dx + dy * dy).min(axis=(1, 2)) < ROBOT_RADIUS ** 2).tolist()
+    ends = np.stack([x[:, -1], y[:, -1]], axis=1)
+    best = subgoal_dist + CURVATURE_PENALTY * max(abs(k) for k in CURVATURES)
+    choice = ROTATE_IN_PLACE
+    for k, end, hit in zip(CURVATURES, ends, blocked):
+        if hit:
+            continue
+        cost = float(np.linalg.norm(end - subgoal)) + CURVATURE_PENALTY * abs(k)
+        if cost < best - 1e-12:
+            best = cost
+            choice = k
+    if choice == ROTATE_IN_PLACE:
+        direction = 1.0 if math.atan2(subgoal[1], subgoal[0]) >= 0.0 else -1.0
+        return (0.0, direction * W_NOMINAL), ROTATE_IN_PLACE
+    v = V_NOMINAL if choice == 0.0 else min(V_NOMINAL, W_NOMINAL / abs(choice))
+    return (v, choice * v), choice
 
 
 def arc_samples(curvature, length):
@@ -516,14 +561,57 @@ class TestObstacleCloud:
         assert below > 0     # the band does reach rows below the horizon
 
     def test_reads_only_the_obstacle_rows(self, mapping_drives):
-        assert obstacle_rows(K) == obstacle_rows(K_HALF) == 64
+        # the rows cut off hold no obstacle: the cloud of the kept rows,
+        # masked at the range as a planning tick renders them, is the cloud
+        # of every row of the whole image
+        assert obstacle_rows(K) == obstacle_rows(K_HALF) == 60
         for name in PRESETS:
             for intrinsics, depths in zip((K, K_HALF), mapping_drives[name]):
                 for k, depth in enumerate(depths):
-                    got = depth_to_obstacles(depth[:obstacle_rows(intrinsics)],
-                                             intrinsics)
-                    want = depth_to_obstacles(depth, intrinsics)
-                    assert got.tobytes() == want.tobytes(), f"{name} frame {k}"
+                    rows = depth[:obstacle_rows(intrinsics)]
+                    want = reference_obstacles(depth, intrinsics, OBSTACLE_Z_BAND)
+                    for top in (rows, np.where(rows <= OBSTACLE_MAX_RANGE, rows, 0.0)):
+                        got = depth_to_obstacles(top, intrinsics)
+                        assert got.tobytes() == want.tobytes(), f"{name} frame {k}"
+
+    @pytest.mark.parametrize("intrinsics", [K, K_HALF], ids=["cy64", "cy63.5"])
+    def test_the_cut_is_tight_at_the_range(self, intrinsics):
+        # just below OBSTACLE_MAX_RANGE the last kept row holds an obstacle
+        # and the first row cut off holds none
+        rows = obstacle_rows(intrinsics)
+        deepest = math.nextafter(OBSTACLE_MAX_RANGE, 0.0)
+        for row, count in ((rows - 1, 1), (rows, 0)):
+            depth = np.zeros((intrinsics.height, intrinsics.width))
+            depth[row, 40] = deepest
+            want = reference_obstacles(depth, intrinsics, OBSTACLE_Z_BAND)
+            assert len(want) == count, row
+            assert depth_to_obstacles(depth, intrinsics).tobytes() == want.tobytes()
+            # at the range itself nothing is an obstacle
+            depth[row, 40] = OBSTACLE_MAX_RANGE
+            assert len(reference_obstacles(depth, intrinsics, OBSTACLE_Z_BAND)) == 0
+        # and no depth below the range puts one on any row cut off
+        depth = np.zeros((intrinsics.height, intrinsics.width))
+        depth[rows:] = np.linspace(1e-3, deepest, intrinsics.width)
+        assert len(reference_obstacles(depth, intrinsics, OBSTACLE_Z_BAND)) == 0
+
+    def test_the_cut_on_random_cameras_and_depths(self):
+        # principal rows anywhere, short and long focal lengths, depths on
+        # every row, with some exactly at and one ulp below the range
+        rng = np.random.default_rng(37)
+        deepest = math.nextafter(OBSTACLE_MAX_RANGE, 0.0)
+        for _ in range(60):
+            intrinsics = CameraIntrinsics(fx=100.0, fy=float(rng.uniform(20.0, 400.0)),
+                                          cx=16.0, cy=float(rng.uniform(0.01, 47.9)),
+                                          width=32, height=48)
+            depth = rng.uniform(0.0, 4.0, (48, 32))
+            pick = rng.uniform(size=depth.shape)
+            depth[pick < 0.1] = deepest
+            depth[pick > 0.95] = OBSTACLE_MAX_RANGE
+            rows = obstacle_rows(intrinsics)
+            assert 1 <= rows <= math.ceil(intrinsics.cy)
+            want = reference_obstacles(depth, intrinsics, OBSTACLE_Z_BAND)
+            assert depth_to_obstacles(depth, intrinsics).tobytes() == want.tobytes()
+            assert depth_to_obstacles(depth[:rows], intrinsics).tobytes() == want.tobytes()
 
     def test_a_band_below_the_camera_needs_every_row(self, monkeypatch):
         monkeypatch.setattr(planning, "OBSTACLE_Z_BAND", (-1e-9, OBSTACLE_Z_BAND[1]))
@@ -541,6 +629,31 @@ class TestObstacleCloud:
                     choices.add(choice)
             assert ROTATE_IN_PLACE in choices and len(choices) >= 4, name
 
+    def test_plan_local_is_the_parent_planner_bit_for_bit(self, mapping_drives):
+        # the whole image and the masked planning rows, against subgoals in
+        # every direction and at every cut of the fan
+        rng = np.random.default_rng(31)
+        lengths = [ARC_LENGTH, 0.0, 3.0]
+        for n in range(1, 22):
+            lengths += [n * ARC_DS, math.nextafter(n * ARC_DS, 0.0),
+                        math.nextafter(n * ARC_DS, 3.0)]
+        rows = obstacle_rows(K)
+        for name in PRESETS:
+            choices = set()
+            for k, depth in enumerate(mapping_drives[name][0]):
+                top = np.where(depth[:rows] <= OBSTACLE_MAX_RANGE, depth[:rows], 0.0)
+                length = lengths[k % len(lengths)]
+                angle = rng.uniform(-math.pi, math.pi)
+                for sub in (*subgoals(rng), [length, 0.0, 0.0],
+                            [length * math.cos(angle), length * math.sin(angle), 0.0]):
+                    want = reference_plan_local(depth, K, sub)
+                    for image in (depth, top):
+                        (v, w), choice = plan_local(image, K, sub)
+                        assert choice == want[1], (name, k, sub)
+                        assert np.array([v, w]).tobytes() == np.array(want[0]).tobytes()
+                    choices.add(choice)
+            assert ROTATE_IN_PLACE in choices and len(choices) >= 4, name
+
     def test_arc_points_are_the_single_arc_samples(self):
         lengths = [0.0, 0.05, 0.19, 0.2, 0.25, 1.0, 1.05, 1.999, 2.0, 7.0]
         lengths += list(np.random.default_rng(3).uniform(0.0, 3.0, 200))
@@ -552,6 +665,21 @@ class TestObstacleCloud:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
+
+    def test_a_fan_is_the_full_fan_cut(self):
+        # every cut, one ulp either side of each sample's arc length, and
+        # lengths a subgoal's distance takes
+        lengths = [0.0, math.inf, math.nan, ARC_LENGTH, 7.0]
+        for n in range(1, 22):
+            edge = n * ARC_DS
+            lengths += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 3.0),
+                        edge + ARC_DS / 2, math.nextafter(edge + ARC_DS / 2, 0.0)]
+        lengths += list(np.random.default_rng(4).uniform(0.0, 3.0, 300))
+        for length in lengths:
+            x, y = _arc_fan(CURVATURES, length)
+            assert x.shape[1] == _arc_samples(length)
+            cut = _FULL_ARC_FAN[:, :, :_arc_samples(length)]
+            assert cut.tobytes() == np.stack([x, y]).tobytes(), length
 
     def test_full_fan_is_every_far_subgoals_fan(self):
         # one read-only fan serves every subgoal at least ARC_LENGTH away
@@ -652,6 +780,22 @@ class TestRunNavigation:
         assert len(full) == len(observed) and set(full) == {math.inf}
         partial = [call for call in calls if call[0] != K.height]
         assert partial and set(partial) == {(obstacle_rows(K), OBSTACLE_MAX_RANGE)}
+
+    def test_path_length_is_the_sum_of_step_norms(self, corridor_setup):
+        # each tick adds np.linalg.norm of the robot's (x, y) move, which
+        # the true trajectory records
+        world, topo = corridor_setup
+        start = topo.nodes[0].pose.t
+        rep, = run_mission(world, topo, [topo.nodes[6].image], K,
+                           lambda a, b: match_oracle(a, b, seed=0),
+                           start=(start[0], start[1], 0.0), seed=1,
+                           config=NavConfig(timeout=8.0))
+        want = 0.0
+        for (_, a), (_, b) in zip(rep.gt_trajectory, rep.gt_trajectory[1:]):
+            want += float(np.linalg.norm(np.array([b.t[0], b.t[1]])
+                                         - np.array([a.t[0], a.t[1]])))
+        assert len(rep.gt_trajectory) > 20 and want > 1.0
+        assert rep.path_length_m == want
 
     def test_blocked_goal_times_out_with_trajectory(self, corridor_setup):
         world, topo = corridor_setup

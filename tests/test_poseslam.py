@@ -11,7 +11,7 @@ from vloc.errors import (
     UnknownState,
 )
 from vloc import poseslam
-from vloc.geometry import Pose, rotation_angle, se3_exp, se3_log
+from vloc.geometry import Pose, pose_inverse_row, rotation_angle, se3_exp, se3_log
 from vloc.poseslam import (
     COST_FLOOR,
     HUBER_K,
@@ -164,6 +164,61 @@ class TestRejectedCallChangesNothing:
         assert g.nearest_state(1.9) == 2
         with pytest.raises(ValueError):
             FusionGraph(Pose.identity(), ts)
+
+
+def reference_factor(index, pose, sigmas):
+    """``_factor`` with its sigma check on numpy arrays, as it was before
+    the check read plain floats."""
+    s = np.asarray(sigmas, dtype=float)
+    if s.shape != (6,) or not ((s > 0.0) & (s < np.inf)).all():
+        raise ValueError(f"sigmas must be six finite positive values, got {s}")
+    return index, pose_inverse_row(pose.t, pose.q), s
+
+
+# sigmas a caller may pass: good ones of several types and sizes, and each
+# way of being bad
+FACTOR_SIGMAS = [SIG6, tuple(TIGHT), np.array(SIG6, dtype=np.float32), [1] * 6,
+                 [5e-324] * 6, [1e308] * 6, odom_sigmas(0.3), vloc_fix_sigmas(7, 12),
+                 [0.1] * 5 + [0.0], [0.1] * 5 + [-0.0], [0.1] * 5 + [-1e-300],
+                 [0.1] * 5 + [math.inf], [-math.inf] + [0.1] * 5,
+                 [math.nan] + [0.1] * 5, [0.1] * 5, [0.1] * 7, [[0.1]] * 6,
+                 np.full((2, 3), 0.1), 0.1, []]
+
+
+class TestFactorRecordIsTheParents:
+    @pytest.mark.parametrize("sigmas", FACTOR_SIGMAS)
+    def test_record_or_error(self, sigmas):
+        pose = random_pose(np.random.default_rng(2))
+
+        def call(factor):
+            try:
+                index, row, s = factor(3, pose, sigmas)
+            except ValueError as exc:
+                return "ValueError", str(exc)
+            return index, row.tobytes(), s.dtype, s.tobytes()
+
+        assert call(poseslam._factor) == call(reference_factor)
+
+    def test_propagate_and_fix_rows(self, monkeypatch):
+        # a drive's graph, built once as it is and once on the reference
+        # factor: every state, between and prior row is the same
+        def drive():
+            rng = np.random.default_rng(13)
+            g = FusionGraph(random_pose(rng), 0.0)
+            for k in range(1, 300):
+                delta = random_pose(rng, t_scale=0.1)
+                g.propagate(delta, odom_sigmas(float(np.linalg.norm(delta.t))), float(k))
+                if k % 25 == 0:
+                    g.add_vloc_fix(k, random_pose(rng), vloc_fix_sigmas(k % 40 + 6, 12))
+                    g.optimize(window=12)
+                if k % 50 == 0:
+                    with pytest.raises(ValueError, match="sigmas must be six"):
+                        g.propagate(delta, [0.1] * 5 + [math.nan], k + 0.5)
+            return [a.tobytes() for a in (g.states, g.betweens, g.priors)]
+
+        got = drive()
+        monkeypatch.setattr(poseslam, "_factor", reference_factor)
+        assert got == drive()
 
 
 class TestAddFix:

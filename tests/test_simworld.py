@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vloc import simworld
 from vloc.dataio import write_raw
 from vloc.errors import FormatError, PoseInCollision, UnreachableWaypoint
-from vloc.geometry import CameraIntrinsics, Pose, project_array
+from vloc.geometry import CameraIntrinsics, Pose, project_array, quat_multiply
 from vloc.mapgraph import MapNode, TopoMetricMap
 from vloc.matching import match_oracle
 from vloc.simworld import (
@@ -34,7 +34,7 @@ from vloc.simworld import (
     render,
     save_segment,
 )
-from conftest import rotvec_to_quat
+from conftest import random_pose, rotvec_to_quat
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=64.0, cy=64.0, width=128, height=128)
 CORRIDOR_Y = 2.25
@@ -1057,6 +1057,81 @@ class TestPlanarCameraPose:
         got = outcome(planar_camera_pose, x, 1.0, yaw)
         assert got[0] is ValueError
         assert got == outcome(reference_planar_camera_pose, x, 1.0, yaw)
+
+
+def reference_render_checks(world, pose, K):
+    """``render``'s checks on numpy values, as they were before they read
+    plain floats; returns the rotation the frame keeps."""
+    cam = pose.t
+    if not world.free_point(cam[0], cam[1]):
+        raise PoseInCollision(f"camera at ({cam[0]:.3f}, {cam[1]:.3f}) is inside a wall")
+    if not 0.0 < cam[2] < world.wall_height:
+        raise ValueError("camera height must lie in (0, wall_height)")
+    rot = pose.rotation_matrix()
+    if np.max(np.abs(rot[:, 1] - (0.0, 0.0, -1.0))) > 1e-9:
+        raise ValueError("camera must be level (camera y axis along world -z)")
+    return rot
+
+
+def reference_pose_to_planar(pose):
+    """``pose_to_planar`` reading the forward axis off the rotation matrix."""
+    fwd = pose.rotation_matrix()[:, 2]
+    return float(pose.t[0]), float(pose.t[1]), math.atan2(fwd[1], fwd[0])
+
+
+def tilted(pose, rotvec):
+    """``pose`` turned by a rotation vector in its own camera frame."""
+    return Pose(pose.t, quat_multiply(pose.q, rotvec_to_quat(rotvec)))
+
+
+class TestTickChecksOnPlainFloats:
+    """``render``'s checks and ``pose_to_planar`` read plain floats; the
+    references are the numpy code they replaced."""
+
+    @pytest.mark.parametrize("name", ["corridor", "rooms", "campus"])
+    def test_render_accepts_and_rejects_as_before(self, name):
+        world, _ = make_preset(name, seed=4)
+        rng = np.random.default_rng(8)
+        width, height = world.extent
+        poses = []
+        for x, y in rng.uniform((-1.0, -1.0), (width + 1.0, height + 1.0), (150, 2)):
+            level = planar_camera_pose(x, y, rng.uniform(-math.pi, math.pi),
+                                       z=rng.choice([1.0, 0.0, -0.0, world.wall_height,
+                                                     math.nextafter(world.wall_height, 0.0),
+                                                     5e-324, rng.uniform(-0.5, 3.0)]))
+            # tilts about the camera's x and z axes near the 1e-9 level test,
+            # and any rotation at all
+            angle = rng.choice([0.0, 0.5e-9, 0.99e-9, 1.01e-9, 2e-9, 0.1]) * rng.choice([-1, 1])
+            axis = rng.integers(3)
+            poses += [level, tilted(level, np.eye(3)[axis] * angle),
+                      Pose(level.t, rng.normal(size=4))]
+        poses += [random_pose(rng) for _ in range(50)]
+        outcomes = set()
+        for pose in poses:
+            want = outcome(reference_render_checks, world, pose, K)
+            got = outcome(render, world, pose, K)
+            if want[0] == "ok":
+                frame = got[1]
+                assert frame.gt_pose is pose and frame._rot.tobytes() == want[1].tobytes()
+                outcomes.add("ok")
+            else:
+                assert got == want
+                outcomes.add(want[1].split(" ")[1])
+        # accepted, in collision, too high or low, and not level
+        assert outcomes == {"ok", "at", "height", "must"}, outcomes
+
+    def test_pose_to_planar_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        poses = [planar_camera_pose(*rng.uniform(-50.0, 50.0, 2), yaw)
+                 for yaw in rng.uniform(-4.0, 4.0, 500)]
+        poses += [planar_camera_pose(0.0, -0.0, k * math.pi / 4.0) for k in range(-8, 9)]
+        poses += [random_pose(rng) for _ in range(500)]
+        poses += [Pose(np.zeros(3), q) for q in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                                 [0.5, -0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0])]
+        for pose in poses:
+            got, want = pose_to_planar(pose), reference_pose_to_planar(pose)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_free_disc_directions_are_the_per_call_ones():
